@@ -1,27 +1,12 @@
-"""Kernel backend selection.
+"""The number-basis kernels, reached as ``_backend.kernels``.
 
-The compiled extension is preferred when present; set FOCKWORKS_BACKEND to
-``python`` or ``compiled`` to force one (``compiled`` raises if the
-extension was not built).
+``optics`` calls the kernels through this module attribute, so a tracer
+or a test can rebind them in one place.
 """
 
-import os
-
-_requested = os.environ.get("FOCKWORKS_BACKEND", "").strip().lower()
-
-if _requested == "python":
-    from . import _kernels_py as kernels
-elif _requested == "compiled":
-    from . import _kernels as kernels  # type: ignore[no-redef]
-elif _requested:
-    raise ValueError(f"FOCKWORKS_BACKEND must be 'python' or 'compiled', got {_requested!r}")
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
+    """Name of the kernel implementation in use."""
     return kernels.BACKEND

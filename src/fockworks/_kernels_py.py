@@ -1,7 +1,7 @@
-"""Pure-Python reference kernels.
+"""Number-basis kernels: the Ryser permanent and the expansion of U|occ>.
 
-Same contracts as the Cython module ``fockworks._kernels``; used as the
-import-time fallback and as the baseline in benchmarks.
+Pure Python on integer-packed occupation keys; ``optics`` reaches them
+through ``fockworks._backend.kernels``.
 """
 
 import math
@@ -9,6 +9,13 @@ import math
 BACKEND = "python"
 
 _SQRT_FACT = [math.sqrt(math.factorial(k)) for k in range(64)]
+
+
+def _sqrt_factorials(n):
+    """sqrt(k!) for k = 0..n: the exact table, extended from lgamma past 64."""
+    if n < len(_SQRT_FACT):
+        return _SQRT_FACT
+    return _SQRT_FACT + [math.exp(0.5 * math.lgamma(k + 1)) for k in range(len(_SQRT_FACT), n + 1)]
 
 
 def permanent(mat):
@@ -57,6 +64,7 @@ def expand_basis_state(u, occ):
     """
     m = len(occ)
     total = sum(occ)
+    sqrt_fact = _sqrt_factorials(total)
     bits = max(total.bit_length(), 1)
     mask = (1 << bits) - 1
     current = {0: 1.0 + 0.0j}
@@ -74,7 +82,7 @@ def expand_basis_state(u, occ):
             current = nxt
     scale = 1.0
     for n_l in occ:
-        scale *= _SQRT_FACT[n_l]
+        scale *= sqrt_fact[n_l]
     out = {}
     for key, amp in current.items():
         factor = 1.0
@@ -82,7 +90,7 @@ def expand_basis_state(u, occ):
         for _ in range(m):
             k = key & mask
             counts.append(k)
-            factor *= _SQRT_FACT[k]
+            factor *= sqrt_fact[k]
             key >>= bits
         out[tuple(counts)] = amp * (factor / scale)
     return out

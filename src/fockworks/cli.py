@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import costs, fock, measure, optics, protocols, source, verify
-from ._backend import backend_name
 
 CONFIG_ENV = "FOCKWORKS_CONFIG"
 
@@ -89,9 +87,8 @@ def _analytic_report(cfg: RunConfig):
     if name == "ns1":
         amps = _parse_amplitudes(cfg.input or "1,1,1", 3)
         state = fock.FockState(1, {(k,): amps[k] for k in range(3)})
-        res = protocols.apply_ns1(state, 0)
         trial = costs.make_trial("ns1", seed_state=state)
-        return res, {"success_probability": res.success_probability}, trial
+        return trial.result, {"success_probability": trial.analytic}, trial
     if name == "csign":
         raw = (cfg.input or "1,0,0,1").split(",")
         if len(raw) != 4:
@@ -100,30 +97,18 @@ def _analytic_report(cfg: RunConfig):
         second = _parse_amplitudes(",".join(raw[2:]), 2)
         q = fock.tensor(protocols.encode_qubit(*first),
                         protocols.encode_qubit(*second))
-        q1, q2 = protocols.BosonicQubit(0, 1), protocols.BosonicQubit(2, 3)
         if cfg.strategy == "teleported":
-            res = protocols.csign_teleported(q, q1, q2, cfg.n)
-            analytic = res.success_probability
-            branches = res.details["branches"]
-            cum = np.cumsum([b["p"] for b in branches])
-            oks = [b.get("ok", False) for b in branches]
-
-            def trial(rng, _cum=cum, _oks=oks):
-                return _oks[int(np.searchsorted(_cum, rng.random()))]
-
-            trial.analytic = analytic
+            trial = costs.make_trial("csign_teleported", n=cfg.n, seed_state=q)
         else:
-            res = protocols.csign_via_ns(q, q1, q2)
             trial = costs.make_trial("csign_ns", seed_state=q)
-        return res, {"success_probability": res.success_probability}, trial
+        return trial.result, {"success_probability": trial.analytic}, trial
     if name == "teleport":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
         state = costs.encode_single_rail(amps[0], amps[1])
-        res = protocols.teleport_tn(state, 0, cfg.n)
         trial = costs.make_trial("teleport", n=cfg.n, seed_state=state)
-        return res, {
-            "success_probability": res.success_probability,
-            "failure_probability": res.details["failure_probability"],
+        return trial.result, {
+            "success_probability": trial.analytic,
+            "failure_probability": trial.result.details["failure_probability"],
         }, trial
     if name == "b4prime":
         res = protocols.prepare_b4_prime()
@@ -243,17 +228,6 @@ def cmd_verify(suite: str, out: str | None) -> int:
     return 0 if ok else 1
 
 
-# -- bench -----------------------------------------------------------------------
-
-
-def cmd_bench(out: str | None) -> int:
-    rows = bench_mod.benchmark()
-    _say(f"active backend: {backend_name()}")
-    _say(bench_mod.format_table(rows))
-    _emit({"backend": backend_name(), "rows": rows}, out)
-    return 0
-
-
 # -- argument parsing -------------------------------------------------------------
 
 
@@ -289,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run an acceptance suite")
     ver.add_argument("suite", nargs="?", default="all", choices=sorted(verify.SUITES))
     ver.add_argument("--out")
-
-    ben = sub.add_parser("bench", help="compare compiled and pure-Python kernels")
-    ben.add_argument("--out")
     return parser
 
 
@@ -329,8 +300,6 @@ def main(argv=None) -> int:
             return cmd_decompose(args.matrix, cfg.tol, cfg.out)
         if args.command == "verify":
             return cmd_verify(args.suite, args.out)
-        if args.command == "bench":
-            return cmd_bench(args.out)
     except (OSError, ValueError, KeyError, fock.FockError) as exc:
         _say(f"error: {exc}")
         return 2

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics, protocols
-from .fock import FockState
+from .fock import FockState, tensor
+from .measure import _drawer
 from .protocols import BosonicQubit, encode_qubit
 
 
@@ -121,63 +122,53 @@ def monte_carlo(trial, trials: int, seed: int) -> TrialStats:
     return TrialStats(trials=trials, successes=successes)
 
 
-def _cached_branch_sampler(branches, classify):
-    probs = np.array([b.probability for b in branches])
-    cum = np.cumsum(probs)
-    flags = [classify(b) for b in branches]
+def _plus_plus() -> FockState:
+    plus = encode_qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
+    return tensor(plus, plus)
+
+
+def _branch_trial(result, weights, flags):
+    """A trial that draws one branch by weight and reports its flag."""
+    draw = _drawer(weights)
 
     def trial(rng):
-        return flags[int(np.searchsorted(cum, rng.random()))]
+        return flags[draw(rng.random())]
 
+    trial.analytic = result.success_probability
+    trial.result = result
     return trial
 
 
 def make_trial(name: str, n: int = 3, seed_state=None):
     """Named trial factories for the standard protocols.
 
-    The deterministic evolution is computed once; each trial then samples
-    its measurement record. Supported: 'ns1', 'csign_ns', 'teleport'
-    (success = the Fourier measurement did not project the input).
+    The exact analysis runs once; it is kept as ``trial.result`` and its
+    success probability as ``trial.analytic``, and each trial then draws
+    one branch of it. Supported: 'ns1' and 'csign_ns' (success = the
+    heralds fired), 'teleport' (success = the Fourier measurement did not
+    project the input) and 'csign_teleported' (success = both
+    teleportations went through), the last two at resource size n.
     """
     name = name.lower()
+    q1, q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
     if name == "ns1":
-        state = seed_state or FockState(1, {(0,): 1 / math.sqrt(3), (1,): 1 / math.sqrt(3), (2,): 1 / math.sqrt(3)})
+        amp = 1 / math.sqrt(3)
+        state = seed_state or FockState(1, {(0,): amp, (1,): amp, (2,): amp})
         res = protocols.apply_ns1(state, 0, rng=None)
+    elif name == "csign_ns":
+        res = protocols.csign_via_ns(seed_state or _plus_plus(), q1, q2, rng=None)
+    elif name == "teleport":
+        res = protocols.teleport_tn(seed_state or encode_single_rail(0.6, 0.8), 0, n, rng=None)
+    elif name == "csign_teleported":
+        res = protocols.csign_teleported(seed_state or _plus_plus(), q1, q2, n, rng=None)
+    else:
+        raise protocols.ProtocolError(f"no trial factory for {name!r}")
+    if name in ("ns1", "csign_ns"):
+        # heralded gadgets: the success branch against all the rest
         p = res.success_probability
-
-        def trial(rng):
-            return rng.random() < p
-
-        trial.analytic = p
-        return trial
-    if name == "csign_ns":
-        state = seed_state
-        if state is None:
-            plus = encode_qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
-            from .fock import tensor
-
-            state = tensor(plus, plus)
-        res = protocols.csign_via_ns(state, BosonicQubit(0, 1), BosonicQubit(2, 3), rng=None)
-        p = res.success_probability
-
-        def trial(rng):
-            return rng.random() < p
-
-        trial.analytic = p
-        return trial
-    if name == "teleport":
-        state = seed_state or encode_single_rail(0.6, 0.8)
-        res = protocols.teleport_tn(state, 0, n, rng=None)
-        branches = res.details["branches"]
-        probs = np.cumsum([b["p"] for b in branches])
-        oks = [b["ok"] for b in branches]
-
-        def trial(rng):
-            return oks[int(np.searchsorted(probs, rng.random()))]
-
-        trial.analytic = res.success_probability
-        return trial
-    raise protocols.ProtocolError(f"no trial factory for {name!r}")
+        return _branch_trial(res, [p, 1 - p], [True, False])
+    branches = res.details["branches"]
+    return _branch_trial(res, [b["p"] for b in branches], [b["ok"] for b in branches])
 
 
 def encode_single_rail(alpha0: complex, alpha1: complex) -> FockState:

@@ -10,12 +10,14 @@ for the heralding diagnostics this package needs).
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import fock, optics
-from .fock import FockState
+from .fock import FockState, ZeroStateError
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,13 @@ def _drop(occ, positions):
     return tuple(k for i, k in enumerate(occ) if i not in positions)
 
 
+def _weight(state: FockState) -> float:
+    total = state.norm() ** 2
+    if total == 0:
+        raise ZeroStateError("cannot measure a zero state")
+    return total
+
+
 def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     """Exhaustive list of measurement branches, in canonical outcome order.
 
@@ -93,7 +102,7 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     if isinstance(model, FanoutCounter):
         return _measure_fanout(state, modes, model.n)
     pos = set(modes)
-    total = state.norm() ** 2
+    total = _weight(state)
     groups: dict = {}
     for occ, amp in state.terms():
         counts = tuple(occ[m] for m in modes)
@@ -123,7 +132,7 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
     if len(counts) != len(modes):
         raise ValueError("counts and modes differ in length")
     pos = set(modes)
-    total = state.norm() ** 2
+    total = _weight(state)
     kept: dict = {}
     for occ, amp in state.terms():
         if tuple(occ[m] for m in modes) == counts:
@@ -206,13 +215,26 @@ def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> Condi
 
 
 def sample_from_branches(branches, rng) -> ConditionalOutcome:
-    r = rng.random()
-    acc = 0.0
-    for br in branches:
-        acc += br.probability
-        if r < acc:
-            return br
-    return branches[-1]
+    """Draw one branch of ``branches`` with its probability."""
+    return branches[_drawer([br.probability for br in branches])(rng.random())]
+
+
+def _drawer(weights):
+    """The draw over ``weights``: maps a uniform ``r`` to the index it selects.
+
+    The index is that of the first branch whose cumulative weight, summed
+    left to right, exceeds r; a draw at or above the last sum (rounding
+    leaves the sum short of 1) selects the last branch. The sums are taken
+    once, so a trial that draws many times reuses them. Every sampled path
+    draws here.
+    """
+    cum = list(accumulate(weights))
+    last = len(cum) - 1
+
+    def draw(r) -> int:
+        return min(bisect_right(cum, r), last)
+
+    return draw
 
 
 def dump_outcome(outcome: ConditionalOutcome) -> str:

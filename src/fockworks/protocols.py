@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import fock
 from .fock import FockError, FockState, number_state, tensor
-from .measure import measure_modes, postselect, sample_from_branches
+from .measure import _drawer, measure_modes, postselect, sample_from_branches
 from .optics import (
     BeamSplitter,
     ElementSequence,
@@ -78,6 +78,11 @@ def _shift_index(index: int, measured_sorted) -> int:
         elif m == index:
             raise ValueError(f"mode {index} was measured away")
     return index - drop
+
+
+def _pick_branch(branches, rng):
+    """One branch dict, drawn with its probability ``p``."""
+    return branches[_drawer([b["p"] for b in branches])(rng.random())]
 
 
 def _trace_step(trace, label, kind, p=1.0, **extra):
@@ -538,14 +543,7 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
         return ProtocolResult(True, p_success, first["state"],
                               corrections=first["corrections"], trace=trace,
                               details={"branches": branches, "target_mode": target})
-    r = rng.random()
-    acc = 0.0
-    chosen = branches[-1]
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            chosen = b
-            break
+    chosen = _pick_branch(branches, rng)
     _trace_step(trace, "bm1", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     if chosen["ok"]:
         return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
@@ -614,13 +612,7 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
         _trace_step(trace, "bm-n", "measure", p=first["p"], outcome=list(first["pattern"]))
         return ProtocolResult(True, p_success, first["state"],
                               corrections=first["corrections"], trace=trace, details=details)
-    r = rng.random()
-    acc, chosen = 0.0, branches[-1]
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            chosen = b
-            break
+    chosen = _pick_branch(branches, rng)
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     if chosen["ok"]:
         return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
@@ -706,16 +698,6 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
                          corrections=[("phase", tx2, ax), ("phase", ty, ay)])
             branches.append(entry)
     return branches, layout
-
-
-def _pick_branch(branches, rng):
-    r = rng.random()
-    acc = 0.0
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            return b
-    return branches[-1]
 
 
 def _teleported_gate_result(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng):
@@ -951,13 +933,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
         first = branches[0]
         return ProtocolResult(True, ledger.probability, first["state"],
                               corrections=first["corrections"], details=details)
-    r = rng.random()
-    acc, chosen = 0.0, branches[-1]
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            chosen = b
-            break
+    chosen = _pick_branch(branches, rng)
     return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
                           details={"csign_count": ledger.count, "pattern": chosen["pattern"]})
 
@@ -1003,13 +979,7 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     if rng is None:
         chosen = next(e for e in entries if e["parity"] == 0)
     else:
-        r = rng.random()
-        acc, chosen = 0.0, entries[-1]
-        for e in entries:
-            acc += e["p"]
-            if r < acc:
-                chosen = e
-                break
+        chosen = _pick_branch(entries, rng)
     details["parity"] = chosen["parity"]
     return ProtocolResult(True, ledger.probability if rng is None else None,
                           chosen["state"], details=details)
@@ -1133,21 +1103,14 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
         return ProtocolResult(True, p_gadget, chosen["state"], corrections=chosen["corrections"],
                               trace=trace, details=details)
     # end-to-end sample: the parity gadget can fail before the sign decode
-    r = rng.random()
-    acc = 0.0
-    for b in gadget_failures:
-        acc += b["p"]
-        if r < acc:
-            return ProtocolResult(False, None, b["state"],
-                                  failure_info={"stage": b["stage"],
-                                                "projected": b["projected"]},
-                                  trace=trace, details={"branch": b})
-    chosen = branches[-1]
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            chosen = b
-            break
+    candidates = gadget_failures + branches
+    pick = _drawer([b["p"] for b in candidates])(rng.random())
+    chosen = candidates[pick]
+    if pick < len(gadget_failures):
+        return ProtocolResult(False, None, chosen["state"],
+                              failure_info={"stage": chosen["stage"],
+                                            "projected": chosen["projected"]},
+                              trace=trace, details={"branch": chosen})
     return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
                           trace=trace, details={"branch": chosen})
 
@@ -1210,14 +1173,8 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     if rng is None:
         chosen = next(b for b in branches if b["accepted"])
         return ProtocolResult(True, p_accept, chosen["state"], details=details)
-    total = sum(b["p"] for b in branches)
-    r = rng.random() * total
-    acc, chosen = 0.0, branches[-1]
-    for b in branches:
-        acc += b["p"]
-        if r < acc:
-            chosen = b
-            break
+    weights = [b["p"] for b in branches]
+    chosen = branches[_drawer(weights)(rng.random() * sum(weights))]
     fail = None
     if not chosen["accepted"]:
         fail = chosen.get("gadget_failure") or {"parity": 0}

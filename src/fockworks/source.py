@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fock import FockError, FockState
 from .measure import Bucket, Counter, DetectorModel, measure_modes
@@ -58,15 +57,17 @@ def squeezed_vacuum_by_exponentiation(p: SqueezeParam, pad: int = 6) -> FockStat
     """Validation oracle: exponentiate the truncated pair Hamiltonian.
 
     Builds H on span{|n,n>} with <n-1|H|n> = n and <n+1|H|n> = n+1 and
-    applies exp(-i r H) to vacuum. Amplitudes carry the (-i)^n phases of
-    that convention.
+    applies exp(-i r H) to vacuum through the eigendecomposition of the
+    real symmetric H. Amplitudes carry the (-i)^n phases of that
+    convention.
     """
     dim = p.cutoff + 1 + pad
     h = np.zeros((dim, dim))
     for n in range(dim - 1):
         h[n + 1, n] = n + 1
         h[n, n + 1] = n + 1
-    vec = scipy.linalg.expm(-1j * p.r * h)[:, 0]
+    lam, v = np.linalg.eigh(h)
+    vec = v @ (np.exp(-1j * p.r * lam) * v[0])
     amps = {(n, n): vec[n] for n in range(p.cutoff + 1)}
     return FockState(2, amps).normalized()
 

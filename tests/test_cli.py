@@ -133,11 +133,3 @@ class TestConfig:
         report = json.loads(out)
         assert abs(report["analytic"]["failure_probability"] - 0.5) < 1e-10
 
-
-class TestBench:
-    def test_bench_runs(self, capsys):
-        code, out, err = run_cli(capsys, "bench")
-        assert code == 0
-        data = json.loads(out)
-        assert data["rows"]
-        assert "speedup" in err or "case" in err

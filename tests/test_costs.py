@@ -76,6 +76,13 @@ class TestMonteCarlo:
         assert abs(trial.analytic - 0.75) < 1e-10
         assert stats.within_3_sigma(0.75)
 
+    def test_csign_teleported_trial(self):
+        trial = make_trial("csign_teleported", n=2)
+        assert abs(trial.analytic - 4 / 9) < 1e-10
+        assert trial.result.success_probability == trial.analytic
+        stats = monte_carlo(trial, 20000, seed=5)
+        assert stats.within_3_sigma(4 / 9)
+
     def test_stats_fields(self):
         stats = TrialStats(trials=100, successes=25)
         assert stats.rate == 0.25

@@ -1,4 +1,4 @@
-"""Backend equivalence and independent checks of the two hot kernels."""
+"""Independent checks of the two number-basis kernels."""
 
 import itertools
 import math
@@ -6,15 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fockworks import _kernels_py
-from fockworks.optics import fourier_matrix, random_unitary
+from fockworks._backend import kernels as KERNELS
+from fockworks._kernels_py import _sqrt_factorials
+from fockworks.fock import number_state
+from fockworks.optics import BeamSplitter, apply_unitary, element_matrix, fourier_matrix, random_unitary
 
-try:
-    from fockworks import _kernels as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [_kernels_py] + ([compiled] if compiled is not None else [])
+# one kernel implementation; its name stays in the test ids
+ONE_KERNEL = pytest.mark.parametrize("kernels", [KERNELS], ids=lambda k: k.BACKEND)
 
 
 def permanent_by_enumeration(mat):
@@ -29,7 +27,7 @@ def permanent_by_enumeration(mat):
     return total
 
 
-@pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.BACKEND)
+@ONE_KERNEL
 class TestPermanent:
     def test_empty_matrix(self, kernels):
         assert kernels.permanent(np.zeros((0, 0), dtype=complex)) == 1
@@ -47,7 +45,7 @@ class TestPermanent:
         assert abs(kernels.permanent(np.ones((5, 5), dtype=complex)) - math.factorial(5)) < 1e-9
 
 
-@pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.BACKEND)
+@ONE_KERNEL
 class TestExpansion:
     def test_identity_passthrough(self, kernels):
         out = kernels.expand_basis_state(np.eye(3, dtype=complex), (2, 0, 1))
@@ -72,16 +70,15 @@ class TestExpansion:
         assert abs(sum(abs(a) ** 2 for a in out.values()) - 1) < 1e-10
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-class TestBackendsAgree:
-    @pytest.mark.parametrize("occ", [(1, 1, 0), (2, 1, 0), (3, 0, 0)])
-    def test_expansion_identical(self, occ, rng):
-        u = random_unitary(3, rng).matrix
-        a = _kernels_py.expand_basis_state(u, occ)
-        b = compiled.expand_basis_state(u, occ)
-        assert set(a) == set(b)
-        assert all(abs(a[k] - b[k]) < 1e-13 for k in a)
+class TestLargeOccupations:
+    @pytest.mark.parametrize("photons", [70, 150])
+    def test_balanced_splitter_keeps_norm(self, photons):
+        # the sqrt(k!) table grows past its first 64 entries
+        out = apply_unitary(number_state((photons, 0)), element_matrix(BeamSplitter(0, 1, math.pi / 4)))
+        assert out.total_photons() == {photons}
+        assert abs(out.norm() - 1) < 1e-10
 
-    def test_permanent_identical(self, rng):
-        mat = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        assert abs(_kernels_py.permanent(mat) - compiled.permanent(mat)) < 1e-9
+    def test_table_below_64_is_exact(self):
+        table = _sqrt_factorials(100)
+        assert table[:64] == [math.sqrt(math.factorial(k)) for k in range(64)]
+        assert abs(table[100] / math.sqrt(math.factorial(100)) - 1) < 1e-12

@@ -169,3 +169,39 @@ class TestSampling:
         assert data["outcome"] == [[0, 1]]
         assert abs(data["p"] - 0.5) < 1e-12
         assert data["state"]["modes"] == 1
+
+
+class TestZeroState:
+    def test_postselect_rejects_zero_state(self):
+        with pytest.raises(fock.ZeroStateError):
+            postselect(FockState(2, {}), [0], [0])
+
+    def test_measure_modes_rejects_zero_state(self):
+        with pytest.raises(fock.ZeroStateError):
+            measure_modes(FockState(2, {}), [0])
+
+
+class TestDraw:
+    def test_first_cumulative_sum_above_r(self):
+        draw = measure._drawer([0.25, 0.0, 0.5, 0.25])
+        assert draw(0.0) == 0
+        assert draw(0.2499) == 0
+        assert draw(0.25) == 2  # zero-weight branch never drawn
+        assert draw(0.7499) == 2
+        assert draw(0.75) == 3
+
+    @pytest.mark.parametrize("r", [0.9, 0.9 + 1e-12, 1.5])
+    def test_draw_at_or_above_last_sum_returns_last_branch(self, r):
+        assert measure._drawer([0.3, 0.6])(r) == 1
+
+    def test_matches_left_to_right_loop(self, rng):
+        for _ in range(500):
+            weights = list(rng.dirichlet(np.ones(rng.integers(1, 8))))
+            r = rng.random()
+            acc, expected = 0.0, len(weights) - 1
+            for i, w in enumerate(weights):
+                acc += w
+                if r < acc:
+                    expected = i
+                    break
+            assert measure._drawer(weights)(r) == expected

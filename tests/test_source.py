@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fockworks
 from fockworks.fock import FockError
 from fockworks.measure import Bucket, Counter
 from fockworks.source import (
@@ -89,3 +94,14 @@ class TestHeralding:
     def test_zero_squeezing_signals_no_herald(self):
         prob, state, fid = heralded_single_photon(SqueezeParam(0.0), Bucket())
         assert prob == 0.0 and state is None
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # in a fresh interpreter: the runtime dependency list is numpy alone
+    src = str(Path(fockworks.__file__).resolve().parent.parent)
+    code = ("import sys; before = set(sys.modules); import fockworks; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["fockworks", "numpy"]
