@@ -97,6 +97,9 @@ def _analytic_report(cfg: RunConfig):
         second = _parse_amplitudes(",".join(raw[2:]), 2)
         q = fock.tensor(protocols.encode_qubit(*first),
                         protocols.encode_qubit(*second))
+        if cfg.strategy == "ideal":
+            res = protocols.apply_csign_modes(q, 0, 2, strategy="ideal")
+            return res, {"success_probability": res.success_probability}, None
         if cfg.strategy == "teleported":
             trial = costs.make_trial("csign_teleported", n=cfg.n, seed_state=q)
         else:

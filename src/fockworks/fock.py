@@ -4,6 +4,18 @@ States are stored as a sparse map from occupation tuples (photons per
 mode) to complex amplitudes. All operations are pure: a FockState never
 mutates after construction, so values can be shared freely.
 
+Validation happens once, at the public edge: ``FockState(...)``,
+``scaled``, ``number_state`` and ``state_from_json`` check every
+occupation (integer, right length, no negative count) and every
+amplitude (finite). States built inside the package from keys sliced,
+joined or relabelled from valid states (measurement post-states, phase
+corrections, tensor products, permutations, sums, ``normalized``) go
+through the private ``FockState._trusted``, which skips only the key
+checks: it does the same arithmetic and still rejects non-finite
+amplitudes. ``optics.apply_unitary`` keeps the public constructor, one
+call per evolution, which is what the per-layer trace counts as
+``fock.construct``.
+
 Mode indices are 0-based throughout.
 """
 
@@ -34,6 +46,15 @@ class ZeroStateError(FockError):
     """An operation produced or received a state with no support."""
 
 
+class ModeIndexError(FockError, ValueError):
+    """A mode index outside 0..modes-1."""
+
+
+def _check_mode(modes: int, mode: int):
+    if not 0 <= mode < modes:
+        raise ModeIndexError(f"mode {mode} out of range for a {modes}-mode state")
+
+
 class FockState:
     """Sparse state on a fixed number of bosonic modes.
 
@@ -47,22 +68,43 @@ class FockState:
         if modes < 0:
             raise InvalidOccupationError(f"mode count must be >= 0, got {modes}")
         cleaned = {}
-        norm_sq = 0.0
         for occ, amp in amplitudes.items():
-            occ = tuple(int(k) for k in occ)
+            occ = tuple(map(int, occ))
             if len(occ) != modes:
                 raise InvalidOccupationError(
                     f"occupation {occ} has length {len(occ)}, expected {modes}"
                 )
-            if any(k < 0 for k in occ):
+            if occ and min(occ) < 0:
                 raise InvalidOccupationError(f"negative count in occupation {occ}")
             amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            if not cmath.isfinite(amp):
                 raise InvalidOccupationError(f"non-finite amplitude for {occ}")
             if amp != 0:
                 cleaned[occ] = cleaned.get(occ, 0j) + amp
-        for occ, amp in cleaned.items():
+        self._prune(modes, cleaned, tol)
+
+    @classmethod
+    def _trusted(cls, modes: int, amplitudes: dict, tol: float = DEFAULT_TOL) -> "FockState":
+        """A state from occupations that are valid by construction.
+
+        For keys sliced, joined or relabelled from valid states: the
+        arithmetic of ``__init__`` (``0j + amp``, exact zeros dropped, the
+        same norm and cutoff) without its per-key checks, so the result is
+        bit-identical. Non-finite amplitudes are still rejected.
+        """
+        state = object.__new__(cls)
+        state._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
+        return state
+
+    def _prune(self, modes: int, cleaned: dict, tol: float):
+        """Keep the nonzero terms of ``cleaned`` above ``tol`` times its norm."""
+        norm_sq = 0.0
+        for amp in cleaned.values():
             norm_sq += abs(amp) ** 2
+        if not math.isfinite(norm_sq):
+            for occ, amp in cleaned.items():
+                if not cmath.isfinite(amp):
+                    raise InvalidOccupationError(f"non-finite amplitude for {occ}")
         cutoff = tol * math.sqrt(norm_sq)
         self._amp = {occ: amp for occ, amp in cleaned.items() if abs(amp) > cutoff}
         self.modes = modes
@@ -88,6 +130,7 @@ class FockState:
         return {sum(occ) for occ in self._amp}
 
     def max_occupation(self, mode: int) -> int:
+        _check_mode(self.modes, mode)
         if not self._amp:
             return 0
         return max(occ[mode] for occ in self._amp)
@@ -98,7 +141,9 @@ class FockState:
         n = self.norm()
         if n == 0:
             raise ZeroStateError("cannot normalize a zero state")
-        return self.scaled(1.0 / n)
+        factor = 1.0 / n
+        amp = {o: a * factor for o, a in self._amp.items()}
+        return FockState._trusted(self.modes, amp, tol=0.0)
 
     def scaled(self, factor: complex) -> "FockState":
         return FockState(self.modes, {o: a * factor for o, a in self._amp.items()}, tol=0.0)
@@ -109,7 +154,7 @@ class FockState:
         amp = dict(self._amp)
         for occ, a in other._amp.items():
             amp[occ] = amp.get(occ, 0j) + a
-        return FockState(self.modes, amp, tol=0.0)
+        return FockState._trusted(self.modes, amp, tol=0.0)
 
     def __repr__(self):
         parts = [f"{amp:.6g}|{','.join(map(str, occ))}>" for occ, amp in self.terms()]
@@ -133,7 +178,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
     for occ_a, amp_a in a._amp.items():
         for occ_b, amp_b in b._amp.items():
             amp[occ_a + occ_b] = amp_a * amp_b
-    return FockState(a.modes + b.modes, amp, tol=0.0)
+    return FockState._trusted(a.modes + b.modes, amp, tol=0.0)
 
 
 def inner_product(a: FockState, b: FockState) -> complex:
@@ -184,7 +229,7 @@ def permute_modes(state: FockState, perm) -> FockState:
     if sorted(perm) != list(range(state.modes)):
         raise ModeMismatchError(f"{perm} is not a permutation of 0..{state.modes - 1}")
     amp = {tuple(occ[p] for p in perm): a for occ, a in state._amp.items()}
-    return FockState(state.modes, amp, tol=0.0)
+    return FockState._trusted(state.modes, amp, tol=0.0)
 
 
 def swap_modes(state: FockState, i: int, j: int) -> FockState:
@@ -260,6 +305,7 @@ def load_state(text: str) -> FockState:
 
 def phase_on_mode(state: FockState, mode: int, angle: float) -> FockState:
     """Multiply each term by e^{i*angle*occ[mode]} (an ideal phase shifter)."""
+    _check_mode(state.modes, mode)
     rot = cmath.exp(1j * angle)
     amp = {occ: a * rot ** occ[mode] for occ, a in state._amp.items()}
-    return FockState(state.modes, amp, tol=0.0)
+    return FockState._trusted(state.modes, amp, tol=0.0)

@@ -13,11 +13,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
 from . import fock, optics
-from .fock import FockState, ZeroStateError
+from .fock import FockState, ModeIndexError, ZeroStateError
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,32 @@ def _check_modes(state: FockState, modes):
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
     if any(m < 0 or m >= state.modes for m in modes):
-        raise ValueError(f"modes {modes} out of range for {state.modes}-mode state")
+        raise ModeIndexError(f"modes {modes} out of range for {state.modes}-mode state")
     return modes
 
 
-def _drop(occ, positions):
-    return tuple(k for i, k in enumerate(occ) if i not in positions)
+def _picker(indices):
+    """occ -> the tuple of its entries at ``indices``, in that order."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda occ: (occ[i],)
+    if not indices:
+        return lambda occ: ()
+    return itemgetter(*indices)
+
+
+def _split(state: FockState, modes):
+    """Pickers for the measured counts and for the surviving modes' occupation."""
+    pos = set(modes)
+    return _picker(modes), _picker([i for i in range(state.modes) if i not in pos])
+
+
+def _projection(modes: int, amps: dict, weight: float) -> FockState:
+    """The normalised post-state: pruned relative to its own norm, then scaled
+    by 1/sqrt(weight)."""
+    pruned = FockState._trusted(modes, amps)
+    factor = 1 / math.sqrt(weight)
+    return FockState._trusted(modes, {o: a * factor for o, a in pruned._amp.items()}, tol=0.0)
 
 
 def _weight(state: FockState) -> float:
@@ -101,22 +122,26 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     modes = _check_modes(state, modes)
     if isinstance(model, FanoutCounter):
         return _measure_fanout(state, modes, model.n)
-    pos = set(modes)
+    measured, kept = _split(state, modes)
+    bucket = isinstance(model, Bucket)
     total = _weight(state)
     groups: dict = {}
     for occ, amp in state.terms():
-        counts = tuple(occ[m] for m in modes)
-        if isinstance(model, Bucket):
+        counts = measured(occ)
+        if bucket:
             counts = tuple(min(c, 1) for c in counts)
-        groups.setdefault(counts, {})
-        rest = _drop(occ, pos)
-        groups[counts][rest] = groups[counts].get(rest, 0j) + amp
+        group = groups.get(counts)
+        if group is None:
+            group = groups[counts] = {}
+        rest = kept(occ)
+        group[rest] = group.get(rest, 0j) + amp
     out = []
+    rest_modes = state.modes - len(modes)
     for counts in sorted(groups):
-        weight = sum(abs(a) ** 2 for a in groups[counts].values())
-        p = weight / total
-        post = FockState(state.modes - len(modes), groups[counts]).scaled(1 / math.sqrt(weight))
-        out.append(ConditionalOutcome(tuple(zip(modes, counts)), p, post))
+        group = groups[counts]
+        weight = sum(abs(a) ** 2 for a in group.values())
+        post = _projection(rest_modes, group, weight)
+        out.append(ConditionalOutcome(tuple(zip(modes, counts)), weight / total, post))
     return out
 
 
@@ -131,18 +156,18 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
         raise ValueError(f"negative counts {counts}")
     if len(counts) != len(modes):
         raise ValueError("counts and modes differ in length")
-    pos = set(modes)
+    measured, kept = _split(state, modes)
     total = _weight(state)
-    kept: dict = {}
+    amps: dict = {}
     for occ, amp in state.terms():
-        if tuple(occ[m] for m in modes) == counts:
-            rest = _drop(occ, pos)
-            kept[rest] = kept.get(rest, 0j) + amp
+        if measured(occ) == counts:
+            rest = kept(occ)
+            amps[rest] = amps.get(rest, 0j) + amp
     outcome = tuple(zip(modes, counts))
-    weight = sum(abs(a) ** 2 for a in kept.values())
+    weight = sum(abs(a) ** 2 for a in amps.values())
     if weight / total < 1e-24:
         return ConditionalOutcome(outcome, 0.0, None)
-    post = FockState(state.modes - len(modes), kept).scaled(1 / math.sqrt(weight))
+    post = _projection(state.modes - len(modes), amps, weight)
     return ConditionalOutcome(outcome, weight / total, post)
 
 
@@ -203,7 +228,7 @@ def fanout_count(state: FockState, mode: int, n: int):
     rest_modes = state.modes - 1
     for clicks in sorted(classes):
         p, amps = classes[clicks]
-        post = FockState(rest_modes, amps).normalized()
+        post = FockState._trusted(rest_modes, amps).normalized()
         outcomes.append(ConditionalOutcome(((mode, clicks),), p, post))
     return outcomes, misdetect
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import fock
 from .fock import FockError, FockState, number_state, tensor
-from .measure import _drawer, measure_modes, postselect, sample_from_branches
+from .measure import _drawer, _projection, measure_modes, postselect, sample_from_branches
 from .optics import (
     BeamSplitter,
     ElementSequence,
@@ -638,12 +638,16 @@ class _TeleportLayout:
         self.y1 = _shift_index(mode_y, self.step1)
         self.fourier_y = [self.y1] + [_shift_index(m0 + 2 * n + i, self.step1) for i in range(n)]
         self.step2 = sorted(self.fourier_y)
+        self._final = {}
 
     def after_step1(self, index: int) -> int:
         return _shift_index(index, self.step1)
 
     def final(self, index: int) -> int:
-        return _shift_index(_shift_index(index, self.step1), self.step2)
+        out = self._final.get(index)
+        if out is None:
+            out = self._final[index] = _shift_index(_shift_index(index, self.step1), self.step2)
+        return out
 
     def target_x(self, k1: int) -> int:
         return self.final(self.m0 + self.n + k1 - 1)
@@ -1028,8 +1032,8 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
         weight = sum(abs(a) ** 2 for a in amps.values())
         if weight / total < 1e-24:
             continue
-        post = FockState(state.modes, amps).scaled(1 / math.sqrt(weight))
-        out.append({"parity": parity, "p": weight / total, "state": post})
+        out.append({"parity": parity, "p": weight / total,
+                    "state": _projection(state.modes, amps, weight)})
     return out
 
 

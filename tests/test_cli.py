@@ -46,6 +46,26 @@ class TestRun:
         report = json.loads(out)
         assert abs(report["analytic"]["success_probability"] - 4 / 9) < 1e-10
 
+    def test_csign_ideal_strategy_reports_the_oracle_gate(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "csign", "--strategy", "ideal",
+                               "--input", "1,1,1,1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"]["strategy"] == "ideal"
+        assert report["analytic"]["success_probability"] == 1.0
+        amps = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in report["state"]["terms"]}
+        assert len(amps) == 4
+        for occ, amp in amps.items():
+            sign = -1 if occ == (1, 0, 1, 0) else 1
+            assert abs(amp - sign * 0.5) < 1e-12, occ
+
+    def test_csign_ideal_strategy_has_no_trials(self, capsys):
+        code, out, err = run_cli(capsys, "run", "csign", "--strategy", "ideal",
+                                 "--trials", "10", "--seed", "1")
+        assert code == 2
+        assert "does not support --trials" in err
+        assert out == ""
+
     def test_monte_carlo_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")
         assert code == 2

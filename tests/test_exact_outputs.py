@@ -1,0 +1,110 @@
+"""Golden exact outputs: every branch, bit for bit.
+
+For each case the record keeps, per branch, ``float.hex`` of the branch
+probability and of the real and imaginary part of every amplitude of its
+state, in ``terms()`` order. The record holds the branch count and a
+SHA-256 digest of those lines, so a change in any last bit of any
+probability or amplitude fails here. Inputs are built without LAPACK
+(the "random" unitary is a Fourier matrix between seeded diagonal
+phases), so the record does not depend on the linear-algebra library.
+
+Regenerate the record only for a deliberate change of arithmetic:
+
+    PYTHONPATH=src python tests/test_exact_outputs.py --write
+"""
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fockworks import costs, fock, measure, optics, protocols
+from fockworks.protocols import BosonicQubit
+
+RECORD = Path(__file__).resolve().parent / "data" / "exact_outputs.json"
+
+
+def _state_lines(state):
+    if state is None:
+        return ["none"]
+    return [f"{list(occ)} {amp.real.hex()} {amp.imag.hex()}" for occ, amp in state.terms()]
+
+
+def _digest(branches):
+    """(count, sha256) over (p, state) pairs."""
+    h = hashlib.sha256()
+    for p, state in branches:
+        h.update(float(p).hex().encode())
+        for line in _state_lines(state):
+            h.update(b"\n" + line.encode())
+        h.update(b"\n--\n")
+    return [len(branches), h.hexdigest()]
+
+
+def _random_state(seed, photons=5, modes=8, terms=12):
+    rng = np.random.default_rng(seed)
+    amps = {}
+    while len(amps) < terms:
+        occ = tuple(int(k) for k in np.bincount(rng.integers(0, modes, size=photons), minlength=modes))
+        amps[occ] = complex(rng.normal(), rng.normal())
+    return fock.FockState(modes, amps).normalized()
+
+
+def _random_unitary(seed, modes=8):
+    """D_a F D_b with seeded diagonal phases; elementwise, no LAPACK."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(1j * rng.uniform(0, 2 * math.pi, modes))
+    b = np.exp(1j * rng.uniform(0, 2 * math.pi, modes))
+    return optics.ModeUnitary(a[:, None] * optics.fourier_matrix(modes - 1).matrix * b[None, :])
+
+
+def _evolved():
+    return optics.apply_unitary(_random_state(5), _random_unitary(6))
+
+
+def _teleport(n):
+    res = protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, n)
+    return [(res.success_probability, res.output_state)] + [
+        (b["p"], b["state"]) for b in res.details["branches"]]
+
+
+def _csign(n):
+    q = fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.28j, 0.96))
+    res = protocols.csign_teleported(q, BosonicQubit(0, 1), BosonicQubit(2, 3), n)
+    return [(res.success_probability, res.output_state)] + [
+        (b["p"], b["state"]) for b in res.details["branches"]]
+
+
+def _measured(model, modes):
+    return [(br.probability, br.post_state) for br in measure.measure_modes(_evolved(), modes, model)]
+
+
+def _postselect():
+    br = measure.postselect(_evolved(), [2, 4], (1, 0))
+    return [(br.probability, br.post_state)]
+
+
+CASES = {
+    **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in range(1, 6)},
+    **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in range(1, 4)},
+    "measure_bucket": lambda: _measured(measure.Bucket(), [0, 3, 5]),
+    "measure_counter": lambda: _measured(measure.Counter(), [1, 6]),
+    "measure_fanout4": lambda: _measured(measure.FanoutCounter(4), [1, 6]),
+    "postselect": _postselect,
+    "apply_unitary_5ph_8modes": lambda: [(1.0, _evolved())],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exact_outputs_match_record(name):
+    record = json.loads(RECORD.read_text())
+    assert _digest(CASES[name]()) == record[name]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    RECORD.write_text(json.dumps({k: _digest(f()) for k, f in CASES.items()},
+                                 indent=1, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ from fockworks import fock
 from fockworks.fock import (
     FockState,
     InvalidOccupationError,
+    ModeIndexError,
     ModeMismatchError,
     ZeroStateError,
     canonicalize,
@@ -150,6 +151,25 @@ class TestModeOps:
         s = FockState(1, {(0,): INV_SQRT2, (1,): INV_SQRT2})
         out = fock.phase_on_mode(s, 0, math.pi)
         assert abs(out.amplitude((1,)) + INV_SQRT2) < 1e-15
+
+    @pytest.mark.parametrize("mode", [-1, 2, 3])
+    def test_mode_index_out_of_range(self, mode):
+        s = FockState(2, {(0, 1): INV_SQRT2, (1, 0): INV_SQRT2})
+        with pytest.raises(ModeIndexError, match=f"mode {mode} out of range for a 2-mode state"):
+            s.max_occupation(mode)
+        with pytest.raises(ModeIndexError):
+            fock.phase_on_mode(s, mode, math.pi)
+
+    def test_mode_index_error_is_a_value_error(self):
+        assert issubclass(ModeIndexError, fock.FockError)
+        with pytest.raises(ValueError):
+            number_state((0,)).max_occupation(1)
+
+    def test_teleport_of_a_missing_mode_is_typed(self):
+        from fockworks import costs, protocols
+
+        with pytest.raises(ModeIndexError):
+            protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8), 3, 2)
 
 
 class TestEntanglementDiagnostics:
