@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--detector", choices=["bucket", "counter"])
     run.add_argument("--seed", type=int)
     run.add_argument("--trials", type=int)
-    run.add_argument("--tol", type=float)
     run.add_argument("--out", help="write the JSON report to this path")
     run.add_argument("--trace-out", dest="trace_out",
                      help="write the protocol trace as JSON lines to this path")

@@ -99,12 +99,16 @@ class FockState:
     def _prune(self, modes: int, cleaned: dict, tol: float):
         """Keep the nonzero terms of ``cleaned`` above ``tol`` times its norm."""
         norm_sq = 0.0
-        for amp in cleaned.values():
-            norm_sq += abs(amp) ** 2
+        try:
+            for amp in cleaned.values():
+                norm_sq += abs(amp) ** 2
+        except OverflowError:
+            norm_sq = math.inf
         if not math.isfinite(norm_sq):
             for occ, amp in cleaned.items():
                 if not cmath.isfinite(amp):
                     raise InvalidOccupationError(f"non-finite amplitude for {occ}")
+            raise InvalidOccupationError("squared norm overflows: amplitudes too large")
         cutoff = tol * math.sqrt(norm_sq)
         self._amp = {occ: amp for occ, amp in cleaned.items() if abs(amp) > cutoff}
         self.modes = modes

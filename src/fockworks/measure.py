@@ -3,9 +3,10 @@
 Measured modes are removed from the state (detection destroys the
 photons); non-destructive projections are built by tensoring fresh
 ancilla modes. Bucket and fan-out detectors merge count patterns into
-outcome classes; the merged post_state is the renormalized projection
-onto the class, which keeps coherence between merged patterns (adequate
-for the heralding diagnostics this package needs).
+outcome classes. A class's probability is the incoherent sum of the
+probabilities of its count patterns; its post_state is the renormalized
+projection onto the class, which keeps coherence between merged patterns
+(adequate for the heralding diagnostics this package needs).
 """
 
 import json
@@ -117,7 +118,9 @@ def _weight(state: FockState) -> float:
 def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     """Exhaustive list of measurement branches, in canonical outcome order.
 
-    Branch probabilities sum to 1 (the input is normalized internally).
+    Branch probabilities sum to 1 (the input is normalized internally). A
+    branch whose probability underflows to 0 is impossible and left out; a
+    bucket class whose merged amplitudes cancel raises ZeroStateError.
     """
     modes = _check_modes(state, modes)
     if isinstance(model, FanoutCounter):
@@ -126,10 +129,12 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     bucket = isinstance(model, Bucket)
     total = _weight(state)
     groups: dict = {}
+    mass: dict = {}  # bucket classes: the summed |amp|^2 of their count patterns
     for occ, amp in state.terms():
         counts = measured(occ)
         if bucket:
             counts = tuple(min(c, 1) for c in counts)
+            mass[counts] = mass.get(counts, 0.0) + abs(amp) ** 2
         group = groups.get(counts)
         if group is None:
             group = groups[counts] = {}
@@ -140,8 +145,13 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
     for counts in sorted(groups):
         group = groups[counts]
         weight = sum(abs(a) ** 2 for a in group.values())
+        p = mass[counts] if bucket else weight
+        if p == 0:
+            continue
+        if weight == 0:
+            raise ZeroStateError(f"bucket class {counts} cancels coherently")
         post = _projection(rest_modes, group, weight)
-        out.append(ConditionalOutcome(tuple(zip(modes, counts)), weight / total, post))
+        out.append(ConditionalOutcome(tuple(zip(modes, counts)), p / total, post))
     return out
 
 
@@ -240,7 +250,7 @@ def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> Condi
 
 
 def sample_from_branches(branches, rng) -> ConditionalOutcome:
-    """Draw one branch of ``branches`` with its probability."""
+    """Draw one of ``branches`` (anything with a ``probability``) with its probability."""
     return branches[_drawer([br.probability for br in branches])(rng.random())]
 
 

@@ -7,7 +7,17 @@ Every gadget returns a ProtocolResult. With ``rng=None`` the gadget is
 evaluated analytically: the returned output is the post-selected success
 branch and ``details["branches"]`` enumerates every measurement outcome
 with its exact probability. With an ``rng`` the measurement outcomes are
-sampled instead, one trajectory end to end.
+sampled instead, one trajectory end to end. Either way one resolver picks
+the branch (``_resolve``) and one builder turns it into the result
+(``_result``), and every protocol writes trace steps.
+
+A branch is a plain dict. Every branch carries ``p`` (its exact
+probability), ``ok`` (whether the gadget succeeded on it) and ``state``
+(the post-measurement state, corrections applied), plus ``corrections``
+(the ``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward applied)
+when a correction was applied. Gadgets add their own keys: the detected
+``pattern`` (``pattern1``/``pattern2`` per teleportation stage), ``k1``/
+``k2``, ``parity``, ``sign``, ``accepted``, ``stage`` and ``projected``.
 
 Phase corrections after Fourier-multiport measurements follow the
 detected pattern {r_j}: the |1> component of the target mode is rotated
@@ -22,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import fock
 from .fock import FockError, FockState, number_state, tensor
-from .measure import _drawer, _projection, measure_modes, postselect, sample_from_branches
+from .measure import _drawer, _projection, _weight, measure_modes, sample_from_branches
 from .optics import (
     BeamSplitter,
     ElementSequence,
@@ -80,9 +90,25 @@ def _shift_index(index: int, measured_sorted) -> int:
     return index - drop
 
 
-def _pick_branch(branches, rng):
-    """One branch dict, drawn with its probability ``p``."""
-    return branches[_drawer([b["p"] for b in branches])(rng.random())]
+def _resolve(branches, rng):
+    """The branch a run lands on.
+
+    With an rng: one draw over the branches' ``p``. Without one: the
+    post-selected view, the first branch with ``ok`` set, or the likeliest
+    branch when none succeeds (an input with no success channel).
+    """
+    if rng is not None:
+        return branches[_drawer([b["p"] for b in branches])(rng.random())]
+    return next((b for b in branches if b["ok"]), None) or max(branches, key=lambda b: b["p"])
+
+
+def _result(chosen, p, details, trace, failure=None) -> ProtocolResult:
+    """The ProtocolResult of the resolved branch; ``failure(chosen)`` builds
+    the failure_info, for the chosen branch only."""
+    ok = chosen["ok"]
+    return ProtocolResult(ok, p, chosen["state"], corrections=chosen.get("corrections", []),
+                          failure_info=None if ok else failure(chosen), trace=trace,
+                          details=details)
 
 
 def _trace_step(trace, label, kind, p=1.0, **extra):
@@ -314,30 +340,18 @@ def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     work = apply_unitary(work, _ns1_effective(), [mode, m, m + 1])
     trace = []
     _trace_step(trace, "ns1-network", "element", modes=[mode, m, m + 1])
+    branches = []
+    for br in measure_modes(work, [m, m + 1]):
+        pattern = tuple(c for _, c in br.outcome)
+        branches.append({"pattern": pattern, "p": br.probability,
+                         "ok": pattern == network.accept, "state": br.post_state})
+    chosen = _resolve(branches, rng)
+    _trace_step(trace, "ns1-herald", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
+    details = {"accept": network.accept}
     if rng is None:
-        branch = postselect(work, [m, m + 1], network.accept)
-        _trace_step(trace, "ns1-herald", "measure", p=branch.probability,
-                    outcome=list(network.accept))
-        return ProtocolResult(
-            succeeded=True,
-            success_probability=branch.probability,
-            output_state=branch.post_state,
-            trace=trace,
-            details={"accept": network.accept},
-        )
-    branches = measure_modes(work, [m, m + 1])
-    branch = sample_from_branches(branches, rng)
-    pattern = tuple(c for _, c in branch.outcome)
-    ok = pattern == network.accept
-    _trace_step(trace, "ns1-herald", "measure", p=branch.probability, outcome=list(pattern))
-    return ProtocolResult(
-        succeeded=ok,
-        success_probability=None,
-        output_state=branch.post_state,
-        failure_info=None if ok else {"detector": "ns1-ancilla", "outcome": pattern},
-        trace=trace,
-        details={"accept": network.accept},
-    )
+        details["branches"] = branches
+    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
+                   details, trace, lambda b: {"detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +404,8 @@ def csign_via_ns(state: FockState, q1: BosonicQubit, q2: BosonicQubit, rng=None)
 
 def csign_ideal_modes(state: FockState, mode_x: int, mode_y: int) -> FockState:
     """Oracle conditional sign: phase (-1)^(n_x n_y)."""
+    fock._check_mode(state.modes, mode_x)
+    fock._check_mode(state.modes, mode_y)
     amps = {}
     for occ, amp in state.terms():
         sign = -1.0 if (occ[mode_x] * occ[mode_y]) % 2 else 1.0
@@ -406,7 +422,9 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
     the original mode positions).
     """
     if strategy == "ideal":
-        return ProtocolResult(True, 1.0, csign_ideal_modes(state, mode_x, mode_y))
+        trace = []
+        _trace_step(trace, "csign-ideal", "gate", modes=[mode_x, mode_y])
+        return ProtocolResult(True, 1.0, csign_ideal_modes(state, mode_x, mode_y), trace=trace)
     if strategy == "ns":
         return csign_modes_ns(state, mode_x, mode_y, rng=rng)
     if strategy == "teleported":
@@ -417,26 +435,15 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            branch = measure_modes(out, leftovers)[0] if rng is None else sample_from_branches(
-                measure_modes(out, leftovers), rng)
-            out = branch.post_state
+            branches = measure_modes(out, leftovers)
+            out = (branches[0] if rng is None else sample_from_branches(branches, rng)).post_state
             tx = _shift_index(tx, leftovers)
             ty = _shift_index(ty, leftovers)
         # relabel so the teleported modes sit where the inputs were
-        order = [m for m in range(out.modes) if m not in (tx, ty)]
-        perm = []
-        cursor = iter(order)
-        for m in range(out.modes):
-            if m == mode_x:
-                perm.append(tx)
-            elif m == mode_y:
-                perm.append(ty)
-            else:
-                perm.append(next(cursor))
-        out = fock.permute_modes(out, perm)
-        return ProtocolResult(True, res.success_probability, out,
-                              corrections=res.corrections, trace=res.trace,
-                              details=res.details)
+        rest = iter(m for m in range(out.modes) if m not in (tx, ty))
+        perm = [tx if m == mode_x else ty if m == mode_y else next(rest) for m in range(out.modes)]
+        res.output_state = fock.permute_modes(out, perm)
+        return res
     raise ProtocolError(f"unknown csign strategy {strategy!r}")
 
 
@@ -501,10 +508,7 @@ def bm1_measure(state: FockState, m1: int, m2: int, rng=None):
         if total == 1:
             sign = "+" if pattern == (0, 1) else "-"
         outcomes.append(Bm1Outcome(pattern, total, parity, sign, br.probability, br.post_state))
-    if rng is None:
-        return outcomes
-    pick = sample_from_branches(branches, rng)
-    return next(o for o in outcomes if o.pattern == tuple(c for _, c in pick.outcome))
+    return outcomes if rng is None else sample_from_branches(outcomes, rng)
 
 
 def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
@@ -533,29 +537,25 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
                 out = fock.phase_on_mode(out, mode, angle)
             entry.update(ok=True, state=out, corrections=corrections, target_mode=target)
         else:
-            projected = 0 if o.total == 0 else 1
-            entry.update(ok=False, projected=projected, state=o.post_state)
+            entry.update(ok=False, projected=0 if o.total == 0 else 1, state=o.post_state)
         branches.append(entry)
-    p_success = sum(b["p"] for b in branches if b["ok"])
-    if rng is None:
-        first = next(b for b in branches if b["ok"])
-        _trace_step(trace, "bm1", "measure", p=first["p"], outcome=list(first["pattern"]))
-        return ProtocolResult(True, p_success, first["state"],
-                              corrections=first["corrections"], trace=trace,
-                              details={"branches": branches, "target_mode": target})
-    chosen = _pick_branch(branches, rng)
+    chosen = _resolve(branches, rng)
     _trace_step(trace, "bm1", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
-    if chosen["ok"]:
-        return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
-                              trace=trace, details={"target_mode": target})
-    return ProtocolResult(False, None, chosen["state"],
-                          failure_info={"projected_mode": input_mode, "value": chosen["projected"]},
-                          trace=trace, details={"target_mode": target})
+    details = {"target_mode": target}
+    if rng is None:
+        details["branches"] = branches
+    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
+                   details, trace, _projected(input_mode))
 
 
 # ---------------------------------------------------------------------------
 # near-deterministic teleportation through the Fourier multiport
 # ---------------------------------------------------------------------------
+
+
+def _projected(mode):
+    """failure_info of a teleportation that projected ``mode`` onto a number state."""
+    return lambda b: {"projected_mode": mode, "value": b["projected"]}
 
 
 def _fourier_branches(work: FockState, fourier_modes, n: int):
@@ -602,24 +602,19 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
         else:
             entry.update(ok=False, projected=0 if k == 0 else 1, state=post)
         branches.append(entry)
-    p_success = sum(b["p"] for b in branches if b["ok"])
-    p_failure = sum(b["p"] for b in branches if not b["ok"])
-    details = {"branches": branches, "failure_probability": p_failure, "n": n}
     trace = []
     _trace_step(trace, "fourier", "element", modes=fourier_modes)
-    if rng is None:
-        first = next(b for b in branches if b["ok"])
-        _trace_step(trace, "bm-n", "measure", p=first["p"], outcome=list(first["pattern"]))
-        return ProtocolResult(True, p_success, first["state"],
-                              corrections=first["corrections"], trace=trace, details=details)
-    chosen = _pick_branch(branches, rng)
+    chosen = _resolve(branches, rng)
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
+    details = {"n": n}
     if chosen["ok"]:
-        return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
-                              trace=trace, details={"target_mode": chosen["target_mode"], "n": n})
-    return ProtocolResult(False, None, chosen["state"],
-                          failure_info={"projected_mode": input_mode, "value": chosen["projected"]},
-                          trace=trace, details={"n": n})
+        details["target_mode"] = chosen["target_mode"]
+    p_success = None
+    if rng is None:
+        p_success = sum(b["p"] for b in branches if b["ok"])
+        details.update(branches=branches,
+                       failure_probability=sum(b["p"] for b in branches if not b["ok"]))
+    return _result(chosen, p_success, details, trace, _projected(input_mode))
 
 
 class _TeleportLayout:
@@ -668,7 +663,8 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
 
     flip_x(k1, k2) / flip_y(k1, k2) give extra pi multiples applied to
     the target |1> components on top of the common pattern phases
-    omega^(sum j r_j). Returns (branches, layout).
+    omega^(sum j r_j). Each branch keeps ``p1`` (and past stage 1 ``p2``),
+    the probabilities of its two detections. Returns (branches, layout).
     """
     m0 = state.modes
     layout = _TeleportLayout(m0, mode_x, mode_y, n)
@@ -677,11 +673,12 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     branches = []
     for pat1, k1, s1, p1, post1 in _fourier_branches(work, layout.fourier_x, n):
         if not 0 < k1 < n + 1:
-            branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1,
-                             "p": p1, "state": post1, "projected": 0 if k1 == 0 else 1})
+            branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
+                             "p1": p1, "state": post1, "projected": 0 if k1 == 0 else 1})
             continue
         for pat2, k2, s2, p2, post2 in _fourier_branches(post1, layout.fourier_y, n):
-            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p": p1 * p2}
+            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p": p1 * p2,
+                     "p1": p1, "p2": p2}
             tx = layout.target_x(k1)
             if not 0 < k2 < n + 1:
                 # y projected; undo the sign the collapsed resource imprinted on x
@@ -706,36 +703,27 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
 
 def _teleported_gate_result(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng):
     branches, layout = _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y)
-    p_success = sum(b["p"] for b in branches if b["ok"])
-    if rng is None:
-        # post-selected view; inputs with no success channel (p = 0) fall
-        # through to the most likely detected failure
-        chosen = next((b for b in branches if b["ok"]),
-                      max(branches, key=lambda b: b["p"]))
-        known_p = p_success
-        all_branches = branches
-    else:
-        chosen = _pick_branch(branches, rng)
-        known_p = None
-        all_branches = None
+    chosen = _resolve(branches, rng)
+    trace = []
+    _trace_step(trace, "fourier-x", "element", modes=layout.fourier_x)
+    _trace_step(trace, "bm-x", "measure", p=chosen["p1"], outcome=list(chosen["pattern1"]))
+    if "pattern2" in chosen:
+        _trace_step(trace, "fourier-y", "element", modes=layout.fourier_y)
+        _trace_step(trace, "bm-y", "measure", p=chosen["p2"], outcome=list(chosen["pattern2"]))
     details = {"n": n, "layout": layout}
-    if all_branches is not None:
-        details["branches"] = all_branches
-        details["success_probability"] = p_success
+    p_success = None
+    if rng is None:
+        p_success = sum(b["p"] for b in branches if b["ok"])
+        details.update(branches=branches, success_probability=p_success)
     if chosen["ok"]:
         details.update(target_x=chosen["target_x"], target_y=chosen["target_y"],
                        leftover_modes=chosen["leftover_modes"],
                        k1=chosen["k1"], k2=chosen["k2"])
-        return ProtocolResult(True, known_p, chosen["state"],
-                              corrections=chosen["corrections"], details=details)
-    failed_mode = mode_x if chosen["stage"] == 1 else mode_y
-    details["branch"] = chosen
-    return ProtocolResult(False, known_p, chosen["state"],
-                          corrections=chosen.get("corrections", []),
-                          failure_info={"projected_mode": failed_mode,
-                                        "value": chosen["projected"],
-                                        "stage": chosen["stage"]},
-                          details=details)
+    else:
+        details["branch"] = chosen
+    return _result(chosen, p_success, details, trace, lambda b: {
+        "projected_mode": mode_x if b["stage"] == 1 else mode_y,
+        "value": b["projected"], "stage": b["stage"]})
 
 
 def csign_teleported_modes(state: FockState, mode_x: int, mode_y: int, n: int,
@@ -764,11 +752,10 @@ def csign_teleported(state: FockState, q1: BosonicQubit, q2: BosonicQubit, n: in
     require_coherent(state, q1)
     require_coherent(state, q2)
     res = csign_teleported_modes(state, q1.a, q2.a, n, rng=rng, resource=resource)
-    layout = res.details.get("layout")
-    if layout is not None:
-        if res.succeeded:
-            res.details["q1"] = (res.details["target_x"], layout.final(q1.b))
-            res.details["q2"] = (res.details["target_y"], layout.final(q2.b))
+    if res.succeeded:
+        layout = res.details["layout"]
+        res.details["q1"] = (res.details["target_x"], layout.final(q1.b))
+        res.details["q2"] = (res.details["target_y"], layout.final(q2.b))
     return res
 
 
@@ -801,6 +788,12 @@ class _GateLedger:
         if res.success_probability is not None:
             self.probability *= res.success_probability
         return res.output_state
+
+    def failed(self) -> ProtocolResult:
+        """The result of a preparation stopped by its failed gate."""
+        fail = self.failure
+        return ProtocolResult(False, None, fail.output_state, failure_info=fail.failure_info,
+                              trace=self.trace, details={"csign_count": self.count})
 
 
 def _conditional_rotation(state, control_b, target_a, target_b, theta, ledger):
@@ -873,10 +866,7 @@ def prepare_tp_n(n: int, strategy: str = "ideal", rng=None, teleport_n: int = 1)
     ledger = _GateLedger(strategy, teleport_n, rng)
     state = _tp_gate_sequence(state, a_modes, b_modes, anc1, ledger)
     if state is None:
-        fail = ledger.failure
-        return ProtocolResult(False, None, fail.output_state,
-                              failure_info=fail.failure_info, trace=ledger.trace,
-                              details={"csign_count": ledger.count})
+        return ledger.failed()
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
@@ -906,9 +896,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     ledger = _GateLedger(strategy, 1, rng)
     state = ledger.csign(state, anc_a[0], anc_b[0])
     if state is None:
-        fail = ledger.failure
-        return ProtocolResult(False, None, fail.output_state, failure_info=fail.failure_info,
-                              details={"csign_count": ledger.count})
+        return ledger.failed()
     bal = element_matrix(BeamSplitter(0, 1, BALANCED))
     state = apply_unitary(state, bal, list(anc_a))
     state = apply_unitary(state, bal, list(anc_b))
@@ -930,16 +918,15 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
             for m in b_modes_b:
                 out = fock.phase_on_mode(out, m, math.pi)
                 corrections.append(("phase", m, math.pi))
-        branches.append({"pattern": pattern, "p": br.probability, "state": out,
+        branches.append({"pattern": pattern, "p": br.probability, "ok": True, "state": out,
                          "corrections": corrections})
-    details = {"csign_count": ledger.count, "branches": branches}
+    chosen = _resolve(branches, rng)
+    details = {"csign_count": ledger.count}
     if rng is None:
-        first = branches[0]
-        return ProtocolResult(True, ledger.probability, first["state"],
-                              corrections=first["corrections"], details=details)
-    chosen = _pick_branch(branches, rng)
-    return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
-                          details={"csign_count": ledger.count, "pattern": chosen["pattern"]})
+        details["branches"] = branches
+    else:
+        details["pattern"] = chosen["pattern"]
+    return _result(chosen, ledger.probability if rng is None else None, details, ledger.trace)
 
 
 def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult:
@@ -967,26 +954,21 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     if state is not None:
         state = _tp_gate_sequence(state, a_y, b_y, anc1, ledger)
     if state is None:
-        fail = ledger.failure
-        return ProtocolResult(False, None, fail.output_state, failure_info=fail.failure_info,
-                              details={"csign_count": ledger.count})
+        return ledger.failed()
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
-    branches = measure_modes(state, [anc1, anc2])
-    entries = []
-    for br in branches:
+    _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
+    branches = []
+    for br in measure_modes(state, [anc1, anc2]):
         pattern = tuple(c for _, c in br.outcome)
-        parity = 0 if pattern == (0, 1) else 1
-        entries.append({"pattern": pattern, "parity": parity, "p": br.probability,
-                        "state": br.post_state})
-    details = {"csign_count": ledger.count, "branches": entries}
+        # both parities are usable; the even one is the post-selected view
+        branches.append({"pattern": pattern, "parity": 0 if pattern == (0, 1) else 1,
+                         "p": br.probability, "ok": True, "state": br.post_state})
+    chosen = _resolve(branches, rng)
+    details = {"csign_count": ledger.count, "parity": chosen["parity"]}
     if rng is None:
-        chosen = next(e for e in entries if e["parity"] == 0)
-    else:
-        chosen = _pick_branch(entries, rng)
-    details["parity"] = chosen["parity"]
-    return ProtocolResult(True, ledger.probability if rng is None else None,
-                          chosen["state"], details=details)
+        details["branches"] = branches
+    return _result(chosen, ledger.probability if rng is None else None, details, ledger.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1004,9 @@ def parity_measure(state: FockState, mode_x: int, mode_y: int, n: int, rng=None,
 
 def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
     """Oracle parity projection (non-destructive, modes kept in place)."""
-    total = state.norm() ** 2
+    fock._check_mode(state.modes, mode_x)
+    fock._check_mode(state.modes, mode_y)
+    total = _weight(state)
     sectors = {0: {}, 1: {}}
     for occ, amp in state.terms():
         sectors[(occ[mode_x] + occ[mode_y]) % 2][occ] = amp
@@ -1035,6 +1019,27 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
         out.append({"parity": parity, "p": weight / total,
                     "state": _projection(state.modes, amps, weight)})
     return out
+
+
+def _parity_check(state, mode_x, mode_y, n, ideal):
+    """The parity check that teleport_with_e and distribute_entanglement build on.
+
+    Returns (branches, p_gadget): the oracle projection when ``ideal``,
+    else the teleported gadget's branches in its order, failures included.
+    A branch with ``ok`` also carries ``inner`` (where mode_x and mode_y now
+    sit), ``final`` (where any other input mode now sits) and ``leftovers``.
+    """
+    if ideal:
+        return [dict(b, ok=True, inner=(mode_x, mode_y), final=lambda m: m, leftovers=[])
+                for b in parity_project_ideal(state, mode_x, mode_y)], 1.0
+    res = parity_measure(state, mode_x, mode_y, n)
+    final = res.details["layout"].final
+    branches = [b if not b["ok"] else
+                {"parity": b["parity"], "p": b["p"], "ok": True, "state": b["state"],
+                 "inner": (b["target_x"], b["target_y"]), "final": final,
+                 "leftovers": b["leftover_modes"]}
+                for b in res.details["branches"]]
+    return branches, res.success_probability
 
 
 def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
@@ -1050,46 +1055,22 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
     _trace_step(trace, "adjoin-e", "prep")
-    gadget_failures = []
-    if ideal_parity:
-        parity_branches = [
-            {"parity": br["parity"], "p": br["p"], "state": br["state"],
-             "inner": (1, 2), "outer2": 3, "out_pair": (4, 5)}
-            for br in parity_project_ideal(state, 1, 2)
-        ]
-        p_gadget = 1.0
-    else:
-        res = parity_measure(state, 1, 2, n, rng=None)
-        p_gadget = res.success_probability
-        layout = res.details["layout"]
-        parity_branches = []
-        for b in res.details["branches"]:
-            if not b["ok"]:
-                gadget_failures.append(b)
-                continue
-            parity_branches.append({
-                "parity": b["parity"], "p": b["p"], "state": b["state"],
-                "inner": (b["target_x"], b["target_y"]),
-                "outer2": layout.final(3),
-                "out_pair": (layout.final(4), layout.final(5)),
-            })
+    checked, p_gadget = _parity_check(state, 1, 2, n, ideal_parity)
+    bal = element_matrix(BeamSplitter(0, 1, BALANCED))
     branches = []
-    for pb in parity_branches:
+    for pb in checked:
+        if not pb["ok"]:
+            continue
         inner1, inner2 = pb["inner"]
-        out_a, out_b = pb["out_pair"]
-        outer2 = pb["outer2"]
-        work = pb["state"]
-        bal = element_matrix(BeamSplitter(0, 1, BALANCED))
-        work = apply_unitary(work, bal, [0, inner1])
+        outer2 = pb["final"](3)
+        work = apply_unitary(pb["state"], bal, [0, inner1])
         work = apply_unitary(work, bal, [inner2, outer2])
         four = sorted([0, inner1, inner2, outer2])
+        oa, ob = (_shift_index(pb["final"](m), four) for m in (4, 5))
         for br in measure_modes(work, four):
             pattern = dict(br.outcome)
-            d0, d2 = pattern[0], pattern[inner2]
-            sign = "+" if (d0 == 1) == (d2 == 1) else "-"
+            sign = "+" if (pattern[0] == 1) == (pattern[inner2] == 1) else "-"
             out = br.post_state
-            oa = _shift_index(out_a, four)
-            ob = _shift_index(out_b, four)
             corrections = []
             if pb["parity"] % 2 == 1:
                 out = fock.swap_modes(out, oa, ob)
@@ -1098,25 +1079,14 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
                 out = fock.phase_on_mode(out, oa, math.pi)
                 corrections.append(("phase", oa, math.pi))
             branches.append({"parity": pb["parity"], "pattern": tuple(br.outcome),
-                             "sign": sign, "p": pb["p"] * br.probability,
-                             "state": out, "out_pair": (oa, ob),
-                             "corrections": corrections})
-    details = {"branches": branches, "gadget_success": p_gadget}
-    if rng is None:
-        chosen = branches[0]
-        return ProtocolResult(True, p_gadget, chosen["state"], corrections=chosen["corrections"],
-                              trace=trace, details=details)
-    # end-to-end sample: the parity gadget can fail before the sign decode
-    candidates = gadget_failures + branches
-    pick = _drawer([b["p"] for b in candidates])(rng.random())
-    chosen = candidates[pick]
-    if pick < len(gadget_failures):
-        return ProtocolResult(False, None, chosen["state"],
-                              failure_info={"stage": chosen["stage"],
-                                            "projected": chosen["projected"]},
-                              trace=trace, details={"branch": chosen})
-    return ProtocolResult(True, None, chosen["state"], corrections=chosen["corrections"],
-                          trace=trace, details={"branch": chosen})
+                             "sign": sign, "p": pb["p"] * br.probability, "ok": True,
+                             "state": out, "out_pair": (oa, ob), "corrections": corrections})
+    # end to end, the parity gadget can fail before the sign decode
+    chosen = _resolve([b for b in checked if not b["ok"]] + branches, rng)
+    details = ({"branches": branches, "gadget_success": p_gadget} if rng is None
+               else {"branch": chosen})
+    return _result(chosen, p_gadget if rng is None else None, details, trace,
+                   lambda b: {"stage": b["stage"], "projected": b["projected"]})
 
 
 def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> ProtocolResult:
@@ -1127,61 +1097,40 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     (teleported) local pair. On even parity the local modes are measured
     out, collapsing the remote side to a product state.
     """
+    if method not in ("ideal", "gadget"):
+        raise ProtocolError(f"unknown method {method!r}")
     half_a = FockState(2, {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)})
     half_b = FockState(2, {(0, 1): 1 / math.sqrt(2), (1, 0): 1 / math.sqrt(2)})
     # photon A across (local 0, remote 2); photon B across (local 1, remote 3)
     state = tensor(half_a, half_b)
     state = fock.permute_modes(state, [0, 2, 1, 3])
-    if method == "ideal":
-        branches = []
-        for br in parity_project_ideal(state, 0, 1):
-            if br["parity"] == 1:
-                branches.append({"parity": 1, "p": br["p"], "state": br["state"],
-                                 "accepted": True, "remote": (2, 3), "local": (0, 1)})
-            else:
-                for sub in measure_modes(br["state"], [0, 1]):
-                    branches.append({"parity": 0, "p": br["p"] * sub.probability,
-                                     "state": sub.post_state, "accepted": False,
-                                     "remote": (0, 1)})
-        p_accept = sum(b["p"] for b in branches if b["accepted"])
-    elif method == "gadget":
-        res = parity_measure(state, 0, 1, n, rng=None)
-        layout = res.details["layout"]
-        branches = []
-        for b in res.details["branches"]:
-            if not b["ok"]:
-                branches.append({"parity": None, "p": b["p"], "state": b["state"],
-                                 "accepted": False, "remote": None,
-                                 "gadget_failure": {"stage": b["stage"],
-                                                    "projected": b["projected"]}})
-                continue
-            remote = (layout.final(2), layout.final(3))
-            locals_ = (b["target_x"], b["target_y"])
-            if b["parity"] == 1:
-                branches.append({"parity": 1, "p": b["p"], "state": b["state"],
-                                 "accepted": True, "remote": remote, "local": locals_,
-                                 "leftovers": b["leftover_modes"]})
-            else:
-                meas = sorted(locals_)
-                for sub in measure_modes(b["state"], meas):
-                    branches.append({"parity": 0, "p": b["p"] * sub.probability,
-                                     "state": sub.post_state, "accepted": False,
-                                     "remote": tuple(_shift_index(m, meas) for m in remote)})
-        reported = [b for b in branches if b["parity"] is not None]
-        p_success = sum(b["p"] for b in reported)
-        p_accept = sum(b["p"] for b in reported if b["accepted"]) / p_success
-    else:
-        raise ProtocolError(f"unknown method {method!r}")
-    details = {"branches": [b for b in branches if b["parity"] is not None],
-               "acceptance_probability": p_accept}
+    trace = []
+    _trace_step(trace, "split-photons", "prep")
+    branches = []
+    for b in _parity_check(state, 0, 1, n, method == "ideal")[0]:
+        if not b["ok"]:
+            branches.append({"parity": None, "p": b["p"], "ok": False, "state": b["state"],
+                             "accepted": False, "remote": None,
+                             "gadget_failure": {"stage": b["stage"], "projected": b["projected"]}})
+            continue
+        remote = (b["final"](2), b["final"](3))
+        if b["parity"] == 1:
+            branches.append({"parity": 1, "p": b["p"], "ok": True, "state": b["state"],
+                             "accepted": True, "remote": remote, "local": b["inner"],
+                             "leftovers": b["leftovers"]})
+            continue
+        meas = sorted(b["inner"])
+        for sub in measure_modes(b["state"], meas):
+            branches.append({"parity": 0, "p": b["p"] * sub.probability, "ok": False,
+                             "state": sub.post_state, "accepted": False,
+                             "remote": tuple(_shift_index(m, meas) for m in remote)})
+    reported = [b for b in branches if b["parity"] is not None]
+    p_accept = sum(b["p"] for b in reported if b["accepted"]) / sum(b["p"] for b in reported)
+    chosen = _resolve(branches, rng)
+    details = {"acceptance_probability": p_accept}
     if rng is None:
-        chosen = next(b for b in branches if b["accepted"])
-        return ProtocolResult(True, p_accept, chosen["state"], details=details)
-    weights = [b["p"] for b in branches]
-    chosen = branches[_drawer(weights)(rng.random() * sum(weights))]
-    fail = None
-    if not chosen["accepted"]:
-        fail = chosen.get("gadget_failure") or {"parity": 0}
-    return ProtocolResult(chosen["accepted"], None, chosen["state"],
-                          failure_info=fail,
-                          details={"branch": chosen, "acceptance_probability": p_accept})
+        details["branches"] = reported
+    else:
+        details["branch"] = chosen
+    return _result(chosen, p_accept if rng is None else None, details, trace,
+                   lambda b: b.get("gadget_failure") or {"parity": 0})

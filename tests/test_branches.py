@@ -1,0 +1,144 @@
+"""The branch core: what every measurement and every gadget enumerates.
+
+Detector models give branches whose probabilities sum to 1, bucket classes
+that merge several count patterns included. Every branch-producing gadget
+lists branch dicts carrying ``p``, ``ok`` and ``state``, and one resolver
+turns them into the result: the first successful branch analytically, one
+draw over ``p`` with an rng.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fockworks import costs, fock, measure, protocols
+from fockworks.fock import FockState, tensor
+from fockworks.protocols import BosonicQubit, encode_qubit
+
+Q1, Q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
+
+
+@st.composite
+def measured_states(draw):
+    """A state and the modes to measure, with a bucket-class collision.
+
+    Two terms differ only in a measured count of 1 against 2, so a bucket
+    detector merges them into one class over the same surviving modes.
+    """
+    modes = draw(st.integers(1, 4))
+    occs = set(draw(st.lists(st.tuples(*[st.integers(0, 3)] * modes), max_size=6)))
+    measured = draw(st.lists(st.integers(0, modes - 1), min_size=1, unique=True))
+    base = list(draw(st.tuples(*[st.integers(0, 3)] * modes)))
+    for count in (1, 2):
+        base[measured[0]] = count
+        occs.add(tuple(base))
+    magnitude = st.floats(0.05, 1.0)
+    phase = st.floats(0.0, 2 * math.pi)
+    amps = {occ: draw(magnitude) * cmath.exp(1j * draw(phase)) for occ in sorted(occs)}
+    return FockState(modes, amps), measured
+
+
+@settings(max_examples=60, deadline=None)
+@given(measured_states(), st.sampled_from([measure.Counter(), measure.Bucket(),
+                                           measure.FanoutCounter(2), measure.FanoutCounter(3)]))
+def test_detector_branch_probabilities_sum_to_one(data, model):
+    state, modes = data
+    branches = measure.measure_modes(state, modes, model)
+    assert all(br.probability > 0 for br in branches)
+    assert abs(sum(br.probability for br in branches) - 1) < 1e-12
+
+
+GADGETS = {
+    "apply_ns1": lambda a, b, n: protocols.apply_ns1(
+        FockState(1, {(0,): a[0], (1,): a[1], (2,): b[1]}).normalized(), 0),
+    "teleport_bm1": lambda a, b, n: protocols.teleport_bm1(costs.encode_single_rail(*a), 0),
+    "teleport_tn": lambda a, b, n: protocols.teleport_tn(costs.encode_single_rail(*a), 0, n),
+    "csign_teleported": lambda a, b, n: protocols.csign_teleported(
+        tensor(encode_qubit(*a), encode_qubit(*b)), Q1, Q2, n),
+    "parity_measure": lambda a, b, n: protocols.parity_measure(
+        tensor(costs.encode_single_rail(*a), costs.encode_single_rail(*b)), 0, 1, 2),
+    "combine_tp_to_tprime": lambda a, b, n: protocols.combine_tp_to_tprime(n),
+    "prepare_p_prime": lambda a, b, n: protocols.prepare_p_prime(n),
+    "teleport_with_e": lambda a, b, n: protocols.teleport_with_e(*a, n=2),
+    "teleport_with_e_ideal": lambda a, b, n: protocols.teleport_with_e(*a, ideal_parity=True),
+    "distribute_entanglement_ideal": lambda a, b, n: protocols.distribute_entanglement(
+        method="ideal"),
+}
+
+qubits = st.builds(lambda t, f: (math.cos(t), cmath.exp(1j * f) * math.sin(t)),
+                   st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(GADGETS)), qubits, qubits, st.integers(1, 2))
+def test_analytic_gadget_branches_sum_to_one(name, a, b, n):
+    res = GADGETS[name](a, b, n)
+    branches = res.details["branches"]
+    assert all({"p", "ok", "state"} <= set(br) for br in branches)
+    # the gadget-parity teleportation lists the branches past its parity gadget
+    total = res.details.get("gadget_success", 1.0)
+    assert abs(sum(br["p"] for br in branches) - total) < 1e-10
+    chosen = next((br for br in branches if br["ok"]), None)
+    if chosen is not None:
+        assert res.succeeded and res.output_state is chosen["state"]
+
+
+class TestResolver:
+    def test_analytic_takes_the_first_successful_branch(self):
+        branches = [{"p": 0.5, "ok": False}, {"p": 0.2, "ok": True}, {"p": 0.3, "ok": True}]
+        assert protocols._resolve(branches, None) is branches[1]
+
+    def test_analytic_without_success_takes_the_likeliest_branch(self):
+        branches = [{"p": 0.2, "ok": False}, {"p": 0.7, "ok": False}, {"p": 0.1, "ok": False}]
+        assert protocols._resolve(branches, None) is branches[1]
+
+    def test_sampled_draws_over_p(self):
+        branches = [{"p": 0.25, "ok": False}, {"p": 0.75, "ok": True}]
+        rng = np.random.default_rng(3)
+        picks = [protocols._resolve(branches, rng)["ok"] for _ in range(4000)]
+        assert abs(sum(picks) / 4000 - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 4000)
+
+
+def _plus_plus():
+    plus = encode_qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
+    return tensor(plus, plus)
+
+
+class TestTeleportedGateTrace:
+    def test_analytic_trace_follows_the_success_branch(self):
+        res = protocols.csign_teleported(_plus_plus(), Q1, Q2, 2)
+        steps = [s["step"] for s in res.trace]
+        assert steps == ["fourier-x", "bm-x", "fourier-y", "bm-y"]
+        chosen = next(b for b in res.details["branches"] if b["ok"])
+        assert res.trace[1]["outcome"] == list(chosen["pattern1"])
+        assert res.trace[-1]["outcome"] == list(chosen["pattern2"])
+        assert res.trace[-1]["cum_p"] == chosen["p"]
+
+    def test_stage_one_failure_stops_after_the_first_detection(self):
+        for seed in range(40):
+            res = protocols.csign_teleported(_plus_plus(), Q1, Q2, 1,
+                                             rng=np.random.default_rng(seed))
+            if res.failure_info and res.failure_info["stage"] == 1:
+                assert [s["step"] for s in res.trace] == ["fourier-x", "bm-x"]
+                assert res.trace[-1]["outcome"] == list(res.details["branch"]["pattern1"])
+                return
+        pytest.fail("no stage-1 failure in 40 seeds")
+
+    def test_parity_measure_writes_the_same_steps(self):
+        res = protocols.parity_measure(fock.number_state((0, 1)), 0, 1, 2)
+        assert [s["kind"] for s in res.trace] == ["element", "measure", "element", "measure"]
+
+
+def test_teleport_with_e_reports_the_corrections_of_a_gadget_failure():
+    seen = 0
+    for seed in range(60):
+        res = protocols.teleport_with_e(0.6, 0.8, n=2, rng=np.random.default_rng(seed))
+        if not res.succeeded:
+            branch = res.details["branch"]
+            assert res.corrections == branch.get("corrections", [])
+            seen += branch["stage"] == 2
+    assert seen

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from fockworks import optics
 from fockworks.cli import RunConfig, main
@@ -58,6 +59,20 @@ class TestRun:
         for occ, amp in amps.items():
             sign = -1 if occ == (1, 0, 1, 0) else 1
             assert abs(amp - sign * 0.5) < 1e-12, occ
+
+    def test_csign_teleported_writes_its_trace(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(capsys, "run", "csign", "--n", "2", "--trace-out", str(trace_path))
+        assert code == 0
+        steps = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert [s["step"] for s in steps] == ["fourier-x", "bm-x", "fourier-y", "bm-y"]
+        assert json.loads(out)["trace"] == steps
+
+    def test_run_has_no_tol_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "ns1", "--tol", "1e-3"])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_csign_ideal_strategy_has_no_trials(self, capsys):
         code, out, err = run_cli(capsys, "run", "csign", "--strategy", "ideal",

@@ -45,6 +45,14 @@ class TestNumberState:
         with pytest.raises(InvalidOccupationError):
             number_state((1, -1))
 
+    @pytest.mark.parametrize("amps", [
+        {(0,): 1e200},  # the square alone overflows
+        {(0,): 1.3e154, (1,): 1.3e154},  # each square is finite, their sum is not
+    ])
+    def test_norm_overflow_is_typed(self, amps):
+        with pytest.raises(InvalidOccupationError, match="squared norm overflows"):
+            FockState(len(next(iter(amps))), amps)
+
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(InvalidOccupationError):
             FockState(1, {(0,): float("nan")})

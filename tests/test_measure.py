@@ -180,6 +180,33 @@ class TestZeroState:
         with pytest.raises(fock.ZeroStateError):
             measure_modes(FockState(2, {}), [0])
 
+    def test_branch_whose_weight_underflows_is_impossible(self):
+        # |4.2e-269|^2 underflows to 0: the branch is left out, as postselect
+        # calls it impossible, instead of dividing by its zero weight
+        state = FockState(1, {(0,): 1j, (1,): 4.2e-269}, tol=0)
+        outcomes = measure_modes(state, [0])
+        assert [(o.outcome, o.probability) for o in outcomes] == [(((0, 0),), 1.0)]
+        assert postselect(state, [0], [1]).is_impossible
+
+    def test_bucket_class_that_cancels_is_typed(self):
+        with pytest.raises(fock.ZeroStateError):
+            measure_modes(FockState(2, {(1, 0): 1.0, (2, 0): -1.0}), [0], Bucket())
+
+
+class TestBucketProbability:
+    def test_class_probability_is_the_incoherent_sum(self):
+        outcomes = measure_modes(FockState(2, {(1, 0): 0.6, (2, 0): 0.8}), [0], Bucket())
+        assert [o.outcome for o in outcomes] == [((0, 1),)]
+        assert abs(outcomes[0].probability - 1.0) < 1e-12  # not |0.6 + 0.8|^2 = 1.96
+        # the post-state is still the coherent merge, renormalized
+        assert abs(outcomes[0].post_state.amplitude((0,)) - 1.0) < 1e-12
+
+    def test_partial_cancellation_keeps_the_class_probability(self):
+        state = FockState(2, {(1, 0): 0.6, (2, 0): -0.3, (0, 1): math.sqrt(0.55)})
+        probs = {o.outcome: o.probability for o in measure_modes(state, [0], Bucket())}
+        assert abs(probs[((0, 0),)] - 0.55) < 1e-12
+        assert abs(probs[((0, 1),)] - 0.45) < 1e-12  # not |0.6 - 0.3|^2 = 0.09
+
 
 class TestDraw:
     def test_first_cumulative_sum_above_r(self):

@@ -29,6 +29,20 @@ INV_SQRT2 = 1 / math.sqrt(2)
 BASIS = [(1, 0), (0, 1)]  # logical |0>, |1> amplitudes
 
 
+class TestOracleInputs:
+    @pytest.mark.parametrize("mode", [4, 9, -2])
+    def test_csign_ideal_mode_out_of_range(self, mode):
+        state = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.6, 0.8))
+        with pytest.raises(fock.ModeIndexError):
+            csign_ideal_modes(state, 0, mode)
+        with pytest.raises(fock.ModeIndexError):
+            apply_csign_modes(state, mode, 2, strategy="ideal")
+
+    def test_ideal_parity_of_a_zero_state(self):
+        with pytest.raises(fock.ZeroStateError):
+            protocols.parity_project_ideal(FockState(2, {}), 0, 1)
+
+
 class TestQubitEncoding:
     def test_logical_zero(self):
         assert encode_qubit(1, 0).amplitude((0, 1)) == 1

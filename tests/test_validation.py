@@ -94,19 +94,26 @@ def ref_measure_modes(state, modes, bucket):
     total = state.norm() ** 2
     if total == 0:
         raise fock.ZeroStateError("cannot measure a zero state")
-    groups = {}
+    groups, mass = {}, {}
     for occ, amp in state.terms():
         counts = tuple(occ[m] for m in modes)
         if bucket:
             counts = tuple(min(c, 1) for c in counts)
         groups.setdefault(counts, {})
+        mass[counts] = mass.get(counts, 0.0) + abs(amp) ** 2
         rest = tuple(k for i, k in enumerate(occ) if i not in pos)
         groups[counts][rest] = groups[counts].get(rest, 0j) + amp
     out = []
     for counts in sorted(groups):
+        # the class probability is the incoherent sum; the post-state the coherent merge
         weight = sum(abs(a) ** 2 for a in groups[counts].values())
+        p = mass[counts] if bucket else weight
+        if p == 0:
+            continue
+        if weight == 0:
+            raise fock.ZeroStateError("bucket class cancels coherently")
         post = FockState(state.modes - len(modes), groups[counts]).scaled(1 / math.sqrt(weight))
-        out.append((tuple(zip(modes, counts)), weight / total, post))
+        out.append((tuple(zip(modes, counts)), p / total, post))
     return out
 
 
