@@ -157,7 +157,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "state": fock.state_to_json(res.output_state) if res.output_state is not None else None,
         "empirical": None,
     }
-    if cfg.trials:
+    if cfg.trials is not None:
         if cfg.seed is None:
             _say("error: --seed is required for sampling runs")
             return 2

@@ -14,6 +14,8 @@ from .fock import FockState, tensor
 from .measure import _drawer
 from .protocols import BosonicQubit, encode_qubit
 
+_CHUNK = 2**16  # uniforms per call of a Monte-Carlo trial: bounds memory for any trial count
+
 
 def expected_trials(p: float) -> float:
     """Expected number of attempts until one success, 1/p."""
@@ -108,17 +110,18 @@ def trial_stats_csv(stats_list) -> str:
 
 
 def monte_carlo(trial, trials: int, seed: int) -> TrialStats:
-    """Run ``trial(rng) -> bool`` repeatedly with per-trial derived streams.
+    """Count the successes of ``trials`` draws of ``trial(uniforms) -> flags``.
 
-    Trial i draws from default_rng((seed, i)), so runs are reproducible
-    and trivially parallelizable by index; aggregation is a plain count.
-    """
+    Trial i takes the i-th double of the one stream default_rng(seed), which
+    Generator(PCG64(seed).advance(i)).random() reproduces, so runs are
+    reproducible and can be split by index. ``trial`` gets the uniforms in
+    chunks of at most _CHUNK; chunking leaves the stream unchanged."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
     successes = 0
-    for i in range(trials):
-        if trial(np.random.default_rng((seed, i))):
-            successes += 1
+    for start in range(0, trials, _CHUNK):
+        successes += int(np.count_nonzero(trial(rng.random(min(_CHUNK, trials - start)))))
     return TrialStats(trials=trials, successes=successes)
 
 
@@ -128,11 +131,11 @@ def _plus_plus() -> FockState:
 
 
 def _branch_trial(result, weights, flags):
-    """A trial that draws one branch by weight and reports its flag."""
+    """A trial that maps an array of uniforms to the flags of the branches they draw."""
     draw = _drawer(weights)
 
-    def trial(rng):
-        return flags[draw(rng.random())]
+    def trial(uniforms):
+        return flags[draw(uniforms)]
 
     trial.analytic = result.success_probability
     trial.result = result
@@ -143,11 +146,12 @@ def make_trial(name: str, n: int = 3, seed_state=None):
     """Named trial factories for the standard protocols.
 
     The exact analysis runs once; it is kept as ``trial.result`` and its
-    success probability as ``trial.analytic``, and each trial then draws
-    one branch of it. Supported: 'ns1' and 'csign_ns' (success = the
-    heralds fired), 'teleport' (success = the Fourier measurement did not
-    project the input) and 'csign_teleported' (success = both
-    teleportations went through), the last two at resource size n.
+    success probability as ``trial.analytic``; ``trial(uniforms)`` draws one
+    branch of it per uniform (``measure._drawer``) and returns their success
+    flags. Supported: 'ns1' and 'csign_ns' (success = the heralds fired),
+    'teleport' (success = the Fourier measurement did not project the
+    input) and 'csign_teleported' (success = both teleportations went
+    through), the last two at resource size n.
     """
     name = name.lower()
     q1, q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
@@ -166,9 +170,9 @@ def make_trial(name: str, n: int = 3, seed_state=None):
     if name in ("ns1", "csign_ns"):
         # heralded gadgets: the success branch against all the rest
         p = res.success_probability
-        return _branch_trial(res, [p, 1 - p], [True, False])
+        return _branch_trial(res, [p, 1 - p], np.array([True, False]))
     branches = res.details["branches"]
-    return _branch_trial(res, [b["p"] for b in branches], [b["ok"] for b in branches])
+    return _branch_trial(res, [b["p"] for b in branches], np.array([b["ok"] for b in branches]))
 
 
 def encode_single_rail(alpha0: complex, alpha1: complex) -> FockState:

@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 
@@ -115,18 +116,27 @@ def _weight(state: FockState) -> float:
     return total
 
 
-def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
+def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), lazy=False):
     """Exhaustive list of measurement branches, in canonical outcome order.
 
     Branch probabilities sum to 1 (the input is normalized internally). A
     branch whose probability underflows to 0 is impossible and left out; a
-    bucket class whose merged amplitudes cancel raises ZeroStateError.
+    bucket class whose merged amplitudes cancel raises ZeroStateError. With
+    ``lazy`` the branches come as ``(counts, p, project)`` records, where
+    ``project()`` builds the branch, so a caller keeping one projects one.
     """
     modes = _check_modes(state, modes)
     if isinstance(model, FanoutCounter):
-        return _measure_fanout(state, modes, model.n)
+        out = [(tuple(c for _, c in br.outcome), br.probability, lambda br=br: br)
+               for br in _measure_fanout(state, modes, model.n)]
+    else:
+        out = _groups(state, modes, isinstance(model, Bucket))
+    return out if lazy else [project() for _, _, project in out]
+
+
+def _groups(state: FockState, modes, bucket):
+    """Counter or Bucket branches of measure_modes as its lazy records."""
     measured, kept = _split(state, modes)
-    bucket = isinstance(model, Bucket)
     total = _weight(state)
     groups: dict = {}
     mass: dict = {}  # bucket classes: the summed |amp|^2 of their count patterns
@@ -141,7 +151,6 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
         rest = kept(occ)
         group[rest] = group.get(rest, 0j) + amp
     out = []
-    rest_modes = state.modes - len(modes)
     for counts in sorted(groups):
         group = groups[counts]
         weight = sum(abs(a) ** 2 for a in group.values())
@@ -150,9 +159,15 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()):
             continue
         if weight == 0:
             raise ZeroStateError(f"bucket class {counts} cancels coherently")
-        post = _projection(rest_modes, group, weight)
-        out.append(ConditionalOutcome(tuple(zip(modes, counts)), p / total, post))
+        p /= total
+        out.append((counts, p, partial(_outcome, state, modes, counts, p, group, weight)))
     return out
+
+
+def _outcome(state: FockState, modes, counts, p, group, weight) -> ConditionalOutcome:
+    """The branch of ``counts``: ``group``, kept amplitudes of squared norm ``weight``, projected."""
+    post = _projection(state.modes - len(modes), group, weight)
+    return ConditionalOutcome(tuple(zip(modes, counts)), p, post)
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
@@ -173,12 +188,10 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
         if measured(occ) == counts:
             rest = kept(occ)
             amps[rest] = amps.get(rest, 0j) + amp
-    outcome = tuple(zip(modes, counts))
     weight = sum(abs(a) ** 2 for a in amps.values())
     if weight / total < 1e-24:
-        return ConditionalOutcome(outcome, 0.0, None)
-    post = _projection(state.modes - len(modes), amps, weight)
-    return ConditionalOutcome(outcome, weight / total, post)
+        return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
+    return _outcome(state, modes, counts, weight / total, amps, weight)
 
 
 def _measure_fanout(state: FockState, modes, n):
@@ -246,7 +259,8 @@ def fanout_count(state: FockState, mode: int, n: int):
 def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> ConditionalOutcome:
     """Draw one branch with its exact probability; deterministic per seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return sample_from_branches(measure_modes(state, modes, model), rng)
+    branches = measure_modes(state, modes, model, lazy=True)
+    return branches[_drawer([p for _, p, _ in branches])(rng.random())][2]()
 
 
 def sample_from_branches(branches, rng) -> ConditionalOutcome:
@@ -260,13 +274,15 @@ def _drawer(weights):
     The index is that of the first branch whose cumulative weight, summed
     left to right, exceeds r; a draw at or above the last sum (rounding
     leaves the sum short of 1) selects the last branch. The sums are taken
-    once, so a trial that draws many times reuses them. Every sampled path
-    draws here.
+    once, so a trial that draws many times reuses them; ``r`` may be an
+    array (one index each). Every sampled path draws here.
     """
     cum = list(accumulate(weights))
     last = len(cum) - 1
 
-    def draw(r) -> int:
+    def draw(r):
+        if isinstance(r, np.ndarray):
+            return np.minimum(np.searchsorted(cum, r, side="right"), last)
         return min(bisect_right(cum, r), last)
 
     return draw

@@ -561,14 +561,12 @@ def _projected(mode):
 def _fourier_branches(work: FockState, fourier_modes, n: int):
     """Apply the (n+1)-point transform to fourier_modes and enumerate counts.
 
-    Yields (pattern, k, S, probability, post_state) with S = sum_j j*r_j.
+    Returns (pattern, k, S, probability, project) records with S = sum_j j*r_j;
+    ``project()`` gives the branch's outcome, so callers project only what they keep.
     """
     evolved = apply_unitary(work, fourier_matrix(n), fourier_modes)
-    for br in measure_modes(evolved, fourier_modes):
-        pattern = tuple(c for _, c in br.outcome)
-        k = sum(pattern)
-        s = sum(j * r for j, r in enumerate(pattern))
-        yield pattern, k, s, br.probability, br.post_state
+    return [(pattern, sum(pattern), sum(j * r for j, r in enumerate(pattern)), p, project)
+            for pattern, p, project in measure_modes(evolved, fourier_modes, lazy=True)]
 
 
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
@@ -586,25 +584,27 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     if res.state.modes != 2 * n:
         raise ProtocolError("resource size does not match n")
     m0 = state.modes
-    work = tensor(state, res.state)
     fourier_modes = [input_mode] + [m0 + i for i in range(n)]
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
+    records = _fourier_branches(tensor(state, res.state), fourier_modes, n)
     branches = []
-    for pattern, k, s, p, post in _fourier_branches(work, fourier_modes, n):
+    for pattern, k, s, p, _ in records:
         entry = {"pattern": pattern, "k": k, "p": p}
         if 0 < k < n + 1:
             target = _shift_index(m0 + n + k - 1, measured)
             angle = (omega * s) % (2 * math.pi)
-            corrected = fock.phase_on_mode(post, target, angle)
-            entry.update(ok=True, target_mode=target, state=corrected,
-                         corrections=[("phase", target, angle)])
+            entry.update(ok=True, target_mode=target, corrections=[("phase", target, angle)])
         else:
-            entry.update(ok=False, projected=0 if k == 0 else 1, state=post)
+            entry.update(ok=False, projected=0 if k == 0 else 1)
         branches.append(entry)
     trace = []
     _trace_step(trace, "fourier", "element", modes=fourier_modes)
     chosen = _resolve(branches, rng)
+    for b, (*_, project) in zip(branches, records):
+        if rng is None or b is chosen:
+            post = project().post_state
+            b["state"] = fock.phase_on_mode(post, *b["corrections"][0][1:]) if b["ok"] else post
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"n": n}
     if chosen["ok"]:
@@ -671,12 +671,14 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     work = tensor(state, resource.state)
     omega = 2 * math.pi / (n + 1)
     branches = []
-    for pat1, k1, s1, p1, post1 in _fourier_branches(work, layout.fourier_x, n):
+    for pat1, k1, s1, p1, project1 in _fourier_branches(work, layout.fourier_x, n):
+        post1 = project1().post_state
         if not 0 < k1 < n + 1:
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
                              "p1": p1, "state": post1, "projected": 0 if k1 == 0 else 1})
             continue
-        for pat2, k2, s2, p2, post2 in _fourier_branches(post1, layout.fourier_y, n):
+        for pat2, k2, s2, p2, project2 in _fourier_branches(post1, layout.fourier_y, n):
+            post2 = project2().post_state
             entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p": p1 * p2,
                      "p1": p1, "p2": p2}
             tx = layout.target_x(k1)
@@ -921,6 +923,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
         branches.append({"pattern": pattern, "p": br.probability, "ok": True, "state": out,
                          "corrections": corrections})
     chosen = _resolve(branches, rng)
+    _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count}
     if rng is None:
         details["branches"] = branches
@@ -965,6 +968,7 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
         branches.append({"pattern": pattern, "parity": 0 if pattern == (0, 1) else 1,
                          "p": br.probability, "ok": True, "state": br.post_state})
     chosen = _resolve(branches, rng)
+    _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count, "parity": chosen["parity"]}
     if rng is None:
         details["branches"] = branches
@@ -1127,6 +1131,7 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     reported = [b for b in branches if b["parity"] is not None]
     p_accept = sum(b["p"] for b in reported if b["accepted"]) / sum(b["p"] for b in reported)
     chosen = _resolve(branches, rng)
+    _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
     details = {"acceptance_probability": p_accept}
     if rng is None:
         details["branches"] = reported

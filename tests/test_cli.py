@@ -68,6 +68,14 @@ class TestRun:
         assert [s["step"] for s in steps] == ["fourier-x", "bm-x", "fourier-y", "bm-y"]
         assert json.loads(out)["trace"] == steps
 
+    @pytest.mark.parametrize("protocol, step", [("tprime", "bm-ancilla"), ("distribute", "parity")])
+    def test_trace_ends_with_the_last_detection(self, capsys, tmp_path, protocol, step):
+        trace_path = tmp_path / "trace.jsonl"
+        code, _, _ = run_cli(capsys, "run", protocol, "--n", "2", "--trace-out", str(trace_path))
+        assert code == 0
+        last = json.loads(trace_path.read_text().splitlines()[-1])
+        assert (last["step"], last["kind"]) == (step, "measure")
+
     def test_run_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "ns1", "--tol", "1e-3"])
@@ -85,6 +93,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_are_refused(self, capsys, trials):
+        code, out, err = run_cli(capsys, "run", "ns1", "--trials", trials, "--seed", "1")
+        assert code == 2
+        assert "trials must be >= 1" in err
+        assert out == ""
 
     def test_empirical_rates(self, capsys):
         code, out, _ = run_cli(capsys, "run", "ns1", "--trials", "20000", "--seed", "9")

@@ -1,8 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fockworks import costs, measure
 from fockworks.costs import (
     CostModel,
     TrialStats,
@@ -100,6 +104,62 @@ class TestMonteCarlo:
 
         with pytest.raises(ProtocolError):
             make_trial("warp-drive")
+
+
+def _scalar_count(trial, trials, seed):
+    """Reference Monte Carlo: one scalar draw per uniform of the seed's stream."""
+    branches = trial.result.details["branches"]
+    draw = measure._drawer([b["p"] for b in branches])
+    return sum(branches[draw(float(u))]["ok"] for u in np.random.default_rng(seed).random(trials))
+
+
+def _recording(trial):
+    """``trial`` that also keeps every uniform array it is given."""
+    calls = []
+
+    def recorded(uniforms):
+        calls.append(uniforms.copy())
+        return trial(uniforms)
+
+    return recorded, calls
+
+
+class TestBatchedDraw:
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=8),
+           st.lists(st.floats(0, 2), min_size=1, max_size=20))
+    def test_array_draw_picks_the_scalar_indices(self, weights, uniforms):
+        draw = measure._drawer(weights)
+        last_sum = sum(weights)
+        uniforms = uniforms + [last_sum, math.nextafter(last_sum, 3.0)]
+        got = draw(np.array(uniforms))
+        assert got.tolist() == [draw(u) for u in uniforms]
+
+    @pytest.mark.parametrize("trials", [1000, costs._CHUNK, costs._CHUNK + 1000])
+    def test_count_equals_a_scalar_loop_over_the_stream(self, trials):
+        trial = make_trial("teleport", n=3)
+        assert monte_carlo(trial, trials, seed=21).successes == _scalar_count(trial, trials, 21)
+
+    def test_trial_i_takes_the_ith_uniform_of_the_stream(self):
+        trial, calls = _recording(make_trial("ns1"))
+        monte_carlo(trial, 500, seed=8)
+        for i in (0, 1, 257, 499):
+            gen = np.random.Generator(np.random.PCG64(8).advance(i))
+            assert calls[0][i] == gen.random()
+
+    def test_a_batch_is_a_prefix_of_a_longer_batch(self):
+        short, short_calls = _recording(make_trial("csign_ns"))
+        long, long_calls = _recording(make_trial("csign_ns"))
+        monte_carlo(short, 3000, seed=4)
+        monte_carlo(long, 7000, seed=4)
+        assert np.array_equal(short_calls[0], long_calls[0][:3000])
+
+    def test_trial_is_called_once_per_chunk(self):
+        trials = 2 * costs._CHUNK + 5
+        trial, calls = _recording(make_trial("ns1"))
+        monte_carlo(trial, trials, seed=3)
+        assert len(calls) == math.ceil(trials / costs._CHUNK)
+        assert max(len(u) for u in calls) <= costs._CHUNK
+        assert sum(len(u) for u in calls) == trials
 
 
 class TestRecursionTable:

@@ -152,6 +152,32 @@ class TestSampling:
         b = sample_outcome(bell(), [0], Counter(), seed=11)
         assert a.outcome == b.outcome
 
+    @pytest.mark.parametrize("model", [Counter(), Bucket()])
+    def test_sample_projects_only_the_drawn_branch(self, model, monkeypatch):
+        state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
+        branches = measure_modes(state, [0, 1], model)
+        calls = []
+        projection = measure._projection
+        monkeypatch.setattr(measure, "_projection", lambda *a: calls.append(1) or projection(*a))
+        for seed in range(20):
+            got = sample_outcome(state, [0, 1], model, seed)
+            want = measure.sample_from_branches(branches, np.random.default_rng(seed))
+            assert (got.outcome, got.probability) == (want.outcome, want.probability)
+            assert dict(got.post_state.terms()) == dict(want.post_state.terms())
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("model", [Counter(), Bucket(), FanoutCounter(3)])
+    def test_lazy_records_project_to_the_branches(self, model):
+        state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
+        branches = measure_modes(state, [0, 1], model)
+        records = measure_modes(state, [0, 1], model, lazy=True)
+        assert len(records) == len(branches)
+        for (counts, p, project), br in zip(records, branches):
+            got = project()
+            assert counts == tuple(c for _, c in br.outcome)
+            assert (got.outcome, got.probability) == (br.outcome, br.probability) and p == br.probability
+            assert dict(got.post_state.terms()) == dict(br.post_state.terms())
+
     def test_empirical_frequency(self):
         hits = 0
         trials = 100_000

@@ -290,6 +290,21 @@ class TestCombineToTprime:
         assert fidelity(res.output_state, target) > 1 - 1e-10
 
 
+class TestAncillaDetectionTrace:
+    def test_sampled_trace_records_the_detected_pattern(self):
+        for seed in range(6):
+            tprime = protocols.combine_tp_to_tprime(1, rng=np.random.default_rng(seed))
+            assert tprime.trace[-1]["outcome"] == list(tprime.details["pattern"])
+            pprime = protocols.prepare_p_prime(1, rng=np.random.default_rng(seed))
+            assert pprime.trace[-1]["outcome"] == ([0, 1] if pprime.details["parity"] == 0 else [1, 0])
+
+    def test_distribute_trace_records_the_parity(self):
+        for seed in range(6):
+            res = protocols.distribute_entanglement(2, rng=np.random.default_rng(seed))
+            assert res.trace[-1]["step"] == "parity"
+            assert res.trace[-1]["outcome"] == res.details["branch"]["parity"]
+
+
 class TestPPrimeCircuit:
     @pytest.mark.parametrize("n", [1, 2])
     def test_both_parities_match_closed_form(self, n):

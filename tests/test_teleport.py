@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fockworks import fock, protocols
+from fockworks import fock, measure, protocols
 from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, fidelity, number_state, tensor
 from fockworks.protocols import (
@@ -155,6 +155,33 @@ class TestTeleportTn:
                 tri = factor_out(b["state"], [0, 1, b["target_mode"]])
                 back = fock.permute_modes(tri, [0, 2, 1])
                 assert fidelity(back.normalized(), w) > 1 - 1e-10
+
+
+class TestSampledTeleportTn:
+    """A sampled run projects and corrects only the branch it draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sampled_run_is_its_exact_branch(self, n, rng):
+        state = random_single_rail(rng)
+        exact = {b["pattern"]: b for b in teleport_tn(state, 0, n).details["branches"]}
+        for seed in range(50):
+            res = teleport_tn(state, 0, n, rng=np.random.default_rng(seed))
+            branch = exact[tuple(res.trace[-1]["outcome"])]
+            assert res.succeeded == branch["ok"]
+            assert res.output_state.modes == branch["state"].modes
+            assert dict(res.output_state.terms()) == dict(branch["state"].terms())
+            assert res.corrections == branch.get("corrections", [])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_sampled_run_projects_one_post_state(self, n, monkeypatch):
+        calls = []
+        projection = measure._projection
+        monkeypatch.setattr(measure, "_projection", lambda *a: calls.append(1) or projection(*a))
+        state = encode_single_rail(0.6, 0.8)
+        teleport_tn(state, 0, n, rng=np.random.default_rng(n))
+        assert len(calls) == 1
+        branches = teleport_tn(state, 0, n).details["branches"]
+        assert len(calls) == 1 + len(branches)
 
 
 class TestCsignTeleported:
