@@ -1,10 +1,16 @@
-"""Number-basis kernels: the Ryser permanent and the expansion of U|occ>.
+"""Number-basis kernels: the Ryser permanent, the permanents of
+column-deleted minors, and the expansion of U|occ>.
 
-Pure Python on integer-packed occupation keys; ``optics`` reaches them
-through ``fockworks._backend.kernels``.
+The permanent and the expansion are pure Python (the expansion on
+integer-packed occupation keys); the minors are one numpy pass over the
+column subsets. ``optics`` and ``measure`` reach them through
+``fockworks._backend.kernels``.
 """
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -52,6 +58,30 @@ def permanent(mat):
         else:
             total += prod
     return sign * total
+
+
+@lru_cache(maxsize=None)
+def _subsets(k):
+    """The 2^k subsets of k columns as 0/1 rows, and Ryser's sign (-1)^|S| of each."""
+    rows = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return rows.astype(float), 1.0 - 2.0 * (rows.sum(axis=1) % 2)
+
+
+def permanent_minors(mat):
+    """Permanents of the k column-deleted minors of a (k-1) x k matrix.
+
+    Entry l is the permanent of ``mat`` without column l. Ryser's sum over
+    the column subsets S of all k columns vanishes (k-1 rows cannot cover
+    k columns), so the minor without column l is (-1)^k times the sum of
+    the subsets holding l: one O(k^2 2^k) pass gives all k at once. The
+    products with the 0/1 subset table are taken on real and imaginary
+    parts apart, which keeps them real matrix products.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    k = mat.shape[1]
+    rows, sign = _subsets(k)
+    terms = sign * np.prod(rows @ mat.real.T + 1j * (rows @ mat.imag.T), axis=1)
+    return (-1) ** k * (rows.T @ terms.real + 1j * (rows.T @ terms.imag))
 
 
 def expand_basis_state(u, occ):

@@ -7,6 +7,17 @@ outcome classes. A class's probability is the incoherent sum of the
 probabilities of its count patterns; its post_state is the renormalized
 projection onto the class, which keeps coherence between merged patterns
 (adequate for the heralding diagnostics this package needs).
+
+A branch whose probability, relative to the measured state, is below
+``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
+``postselect`` reports it with probability 0.
+
+A sampled detection behind a mode unitary (``_sample_detection``, used by
+the sampled Fourier teleportations) neither evolves nor groups the whole
+state: it draws an incoherent sector of the input, draws a count pattern
+of that sector by boson sampling, and builds the post-state of that one
+pattern from transition amplitudes. Its post-state equals the exact
+branch to rounding (1e-10), not bit for bit.
 """
 
 import json
@@ -20,7 +31,11 @@ from operator import itemgetter
 import numpy as np
 
 from . import fock, optics
+from ._backend import kernels
 from .fock import FockState, ModeIndexError, ZeroStateError
+
+#: Relative probability below which a branch is impossible.
+IMPOSSIBLE = 1e-24
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), laz
     """Exhaustive list of measurement branches, in canonical outcome order.
 
     Branch probabilities sum to 1 (the input is normalized internally). A
-    branch whose probability underflows to 0 is impossible and left out; a
+    branch whose probability is below ``IMPOSSIBLE`` is left out; a
     bucket class whose merged amplitudes cancel raises ZeroStateError. With
     ``lazy`` the branches come as ``(counts, p, project)`` records, where
     ``project()`` builds the branch, so a caller keeping one projects one.
@@ -140,6 +155,7 @@ def _groups(state: FockState, modes, bucket):
     total = _weight(state)
     groups: dict = {}
     mass: dict = {}  # bucket classes: the summed |amp|^2 of their count patterns
+    rests: dict = {}  # one tuple per kept occupation, shared by every post-state
     for occ, amp in state.terms():
         counts = measured(occ)
         if bucket:
@@ -149,17 +165,17 @@ def _groups(state: FockState, modes, bucket):
         if group is None:
             group = groups[counts] = {}
         rest = kept(occ)
+        rest = rests.setdefault(rest, rest)
         group[rest] = group.get(rest, 0j) + amp
     out = []
     for counts in sorted(groups):
         group = groups[counts]
         weight = sum(abs(a) ** 2 for a in group.values())
-        p = mass[counts] if bucket else weight
-        if p == 0:
+        p = (mass[counts] if bucket else weight) / total
+        if p < IMPOSSIBLE:
             continue
         if weight == 0:
             raise ZeroStateError(f"bucket class {counts} cancels coherently")
-        p /= total
         out.append((counts, p, partial(_outcome, state, modes, counts, p, group, weight)))
     return out
 
@@ -189,9 +205,98 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
             rest = kept(occ)
             amps[rest] = amps.get(rest, 0j) + amp
     weight = sum(abs(a) ** 2 for a in amps.values())
-    if weight / total < 1e-24:
+    if weight / total < IMPOSSIBLE:
         return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
     return _outcome(state, modes, counts, weight / total, amps, weight)
+
+
+def _sample_detection(state: FockState, u, modes, rng):
+    """One Counter detection of every mode of ``modes`` after ``u`` acts on them.
+
+    Draws the record that ``measure_modes(apply_unitary(state, u, modes),
+    modes, lazy=True)`` would draw, ``(counts, p, project)``, without
+    evolving ``state``. The unitary leaves the other modes alone, so the
+    input splits into incoherent sectors, one per (kept occupation, photons
+    in ``modes``), each weighted by its squared norm. A sector is drawn,
+    then a count pattern of it: by boson sampling when it is one Fock term,
+    else from that sector's own evolution. The branch is then built from
+    the transition amplitudes of every term with the pattern's photon
+    number, one permanent per distinct sub-occupation, pruned as
+    ``apply_unitary`` prunes. A pattern outside that support is drawn
+    again.
+    """
+    modes = _check_modes(state, modes)
+    measured, kept = _split(state, modes)
+    total = _weight(state)
+    sectors: dict = {}
+    for occ, amp in state.terms():
+        sub = measured(occ)
+        sectors.setdefault((kept(occ), sum(sub)), {})[sub] = amp
+    drawn = list(sectors.values())
+    pick = _drawer([sum(abs(a) ** 2 for a in terms.values()) / total for terms in drawn])
+    cutoff = fock.DEFAULT_TOL * math.sqrt(total)
+    while True:
+        terms = drawn[pick(rng.random())]
+        if len(terms) == 1:
+            counts = _boson_sample(u.matrix, next(iter(terms)), rng)
+        else:
+            counts = _sector_sample(u.matrix, terms, rng)
+        photons = sum(counts)
+        amplitudes: dict = {}
+        group: dict = {}
+        for (rest, k), sector in sectors.items():
+            if k != photons:
+                continue
+            for sub, amp in sector.items():
+                t = amplitudes.get(sub)
+                if t is None:
+                    t = amplitudes[sub] = optics.transition_amplitude(u, sub, counts)
+                group[rest] = group.get(rest, 0j) + amp * t
+        group = {rest: a for rest, a in group.items() if abs(a) > cutoff}
+        weight = sum(abs(a) ** 2 for a in group.values())
+        p = weight / total
+        if p >= IMPOSSIBLE:
+            return counts, p, partial(_outcome, state, modes, counts, p, group, weight)
+
+
+def _draw_index(weights, rng) -> int:
+    """Index drawn with probability proportional to the nonnegative ``weights``."""
+    support = np.flatnonzero(weights)
+    picked = weights[support]
+    return int(support[_drawer(picked / picked.sum())(rng.random())])
+
+
+def _boson_sample(mat, occ, rng):
+    """Count pattern of U|occ>, drawn with its probability |<pattern|U|occ>|^2.
+
+    Algorithm B of Clifford & Clifford, "The classical complexity of boson
+    sampling" (arXiv:1706.01260): permute the photons' columns at random,
+    then draw the output mode of photon k from the Laplace expansion of the
+    k x k permanents over the column-deleted minors of the k - 1 rows
+    already drawn. O(k 2^k) work per step for k photons.
+    """
+    cols = [l for l, k in enumerate(occ) for _ in range(k)]
+    a = mat[:, [cols[i] for i in rng.permutation(len(cols))]]
+    rows = []
+    for k in range(1, len(cols) + 1):
+        minors = kernels.permanent_minors(a[rows, :k])
+        rows.append(_draw_index(np.abs(a[:, :k] @ minors) ** 2, rng))
+    counts = [0] * len(occ)
+    for r in rows:
+        counts[r] += 1
+    return tuple(counts)
+
+
+def _sector_sample(mat, terms, rng):
+    """Count pattern of a coherent sector ``{sub: amp}``, from its exact evolution."""
+    evolved: dict = {}
+    for sub, amp in terms.items():
+        for out, coeff in kernels.expand_basis_state(mat, sub).items():
+            evolved[out] = evolved.get(out, 0j) + amp * coeff
+    patterns = sorted(evolved)
+    weights = [abs(evolved[out]) ** 2 for out in patterns]
+    total = sum(weights)
+    return patterns[_drawer([w / total for w in weights])(rng.random())]
 
 
 def _measure_fanout(state: FockState, modes, n):

@@ -9,7 +9,11 @@ branch and ``details["branches"]`` enumerates every measurement outcome
 with its exact probability. With an ``rng`` the measurement outcomes are
 sampled instead, one trajectory end to end. Either way one resolver picks
 the branch (``_resolve``) and one builder turns it into the result
-(``_result``), and every protocol writes trace steps.
+(``_result``), and every protocol writes trace steps. A sampled Fourier
+detection (``teleport_tn`` and each stage of the teleported gates) draws
+its pattern through ``measure._sample_detection``, so the trajectory
+neither evolves nor groups the whole state; its branch equals the exact
+branch of the same pattern to 1e-10, not bit for bit.
 
 A branch is a plain dict. Every branch carries ``p`` (its exact
 probability), ``ok`` (whether the gadget succeeded on it) and ``state``
@@ -32,7 +36,15 @@ from dataclasses import dataclass, field
 
 from . import fock
 from .fock import FockError, FockState, number_state, tensor
-from .measure import _drawer, _projection, _weight, measure_modes, sample_from_branches
+from .measure import (
+    IMPOSSIBLE,
+    _drawer,
+    _projection,
+    _sample_detection,
+    _weight,
+    measure_modes,
+    sample_from_branches,
+)
 from .optics import (
     BeamSplitter,
     ElementSequence,
@@ -558,15 +570,21 @@ def _projected(mode):
     return lambda b: {"projected_mode": mode, "value": b["projected"]}
 
 
-def _fourier_branches(work: FockState, fourier_modes, n: int):
-    """Apply the (n+1)-point transform to fourier_modes and enumerate counts.
+def _fourier_branches(work: FockState, fourier_modes, n: int, rng=None):
+    """Apply the (n+1)-point transform to fourier_modes and detect them all.
 
-    Returns (pattern, k, S, probability, project) records with S = sum_j j*r_j;
+    Returns (pattern, k, S, probability, project) records with S = sum_j j*r_j:
+    every count pattern, or with an ``rng`` the one pattern drawn by
+    ``measure._sample_detection``, which does not evolve ``work``.
     ``project()`` gives the branch's outcome, so callers project only what they keep.
     """
-    evolved = apply_unitary(work, fourier_matrix(n), fourier_modes)
+    if rng is None:
+        evolved = apply_unitary(work, fourier_matrix(n), fourier_modes)
+        records = measure_modes(evolved, fourier_modes, lazy=True)
+    else:
+        records = [_sample_detection(work, fourier_matrix(n), fourier_modes, rng)]
     return [(pattern, sum(pattern), sum(j * r for j, r in enumerate(pattern)), p, project)
-            for pattern, p, project in measure_modes(evolved, fourier_modes, lazy=True)]
+            for pattern, p, project in records]
 
 
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
@@ -587,7 +605,7 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     fourier_modes = [input_mode] + [m0 + i for i in range(n)]
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
-    records = _fourier_branches(tensor(state, res.state), fourier_modes, n)
+    records = _fourier_branches(tensor(state, res.state), fourier_modes, n, rng)
     branches = []
     for pattern, k, s, p, _ in records:
         entry = {"pattern": pattern, "k": k, "p": p}
@@ -600,11 +618,10 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
         branches.append(entry)
     trace = []
     _trace_step(trace, "fourier", "element", modes=fourier_modes)
-    chosen = _resolve(branches, rng)
+    chosen = branches[0] if rng is not None else _resolve(branches, None)
     for b, (*_, project) in zip(branches, records):
-        if rng is None or b is chosen:
-            post = project().post_state
-            b["state"] = fock.phase_on_mode(post, *b["corrections"][0][1:]) if b["ok"] else post
+        post = project().post_state
+        b["state"] = fock.phase_on_mode(post, *b["corrections"][0][1:]) if b["ok"] else post
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"n": n}
     if chosen["ok"]:
@@ -658,26 +675,28 @@ class _TeleportLayout:
         return tx, ty, leftovers
 
 
-def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y):
+def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None):
     """Branch tree for gate teleportation through a 4n-mode resource.
 
     flip_x(k1, k2) / flip_y(k1, k2) give extra pi multiples applied to
     the target |1> components on top of the common pattern phases
     omega^(sum j r_j). Each branch keeps ``p1`` (and past stage 1 ``p2``),
-    the probabilities of its two detections. Returns (branches, layout).
+    the probabilities of its two detections. With an ``rng`` each stage
+    draws its one pattern, so the tree is the one branch drawn: stage 1,
+    then stage 2 on the projected stage-1 state. Returns (branches, layout).
     """
     m0 = state.modes
     layout = _TeleportLayout(m0, mode_x, mode_y, n)
     work = tensor(state, resource.state)
     omega = 2 * math.pi / (n + 1)
     branches = []
-    for pat1, k1, s1, p1, project1 in _fourier_branches(work, layout.fourier_x, n):
+    for pat1, k1, s1, p1, project1 in _fourier_branches(work, layout.fourier_x, n, rng):
         post1 = project1().post_state
         if not 0 < k1 < n + 1:
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
                              "p1": p1, "state": post1, "projected": 0 if k1 == 0 else 1})
             continue
-        for pat2, k2, s2, p2, project2 in _fourier_branches(post1, layout.fourier_y, n):
+        for pat2, k2, s2, p2, project2 in _fourier_branches(post1, layout.fourier_y, n, rng):
             post2 = project2().post_state
             entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p": p1 * p2,
                      "p1": p1, "p2": p2}
@@ -704,8 +723,9 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
 
 
 def _teleported_gate_result(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng):
-    branches, layout = _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y)
-    chosen = _resolve(branches, rng)
+    branches, layout = _teleported_gate_branches(state, mode_x, mode_y, n, resource,
+                                                 flip_x, flip_y, rng)
+    chosen = branches[0] if rng is not None else _resolve(branches, None)
     trace = []
     _trace_step(trace, "fourier-x", "element", modes=layout.fourier_x)
     _trace_step(trace, "bm-x", "measure", p=chosen["p1"], outcome=list(chosen["pattern1"]))
@@ -1018,7 +1038,7 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
     for parity in (0, 1):
         amps = sectors[parity]
         weight = sum(abs(a) ** 2 for a in amps.values())
-        if weight / total < 1e-24:
+        if weight / total < IMPOSSIBLE:
             continue
         out.append({"parity": parity, "p": weight / total,
                     "state": _projection(state.modes, amps, weight)})
@@ -1054,7 +1074,8 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     measurement on the two inner modes followed by balanced splitters and
     four counters that fix the sign. Pauli-style corrections (a pi phase
     and/or a mode swap on the output pair) restore the input, and the
-    whole thing succeeds exactly when the parity gadget does.
+    whole thing succeeds exactly when the parity gadget does. The branch
+    list holds the gadget's failures first, then the sign-decode branches.
     """
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
@@ -1086,9 +1107,9 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
                              "sign": sign, "p": pb["p"] * br.probability, "ok": True,
                              "state": out, "out_pair": (oa, ob), "corrections": corrections})
     # end to end, the parity gadget can fail before the sign decode
-    chosen = _resolve([b for b in checked if not b["ok"]] + branches, rng)
-    details = ({"branches": branches, "gadget_success": p_gadget} if rng is None
-               else {"branch": chosen})
+    branches = [b for b in checked if not b["ok"]] + branches
+    chosen = _resolve(branches, rng)
+    details = {"branches": branches} if rng is None else {"branch": chosen}
     return _result(chosen, p_gadget if rng is None else None, details, trace,
                    lambda b: {"stage": b["stage"], "projected": b["projected"]})
 
@@ -1099,7 +1120,9 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     Each photon is split between a local and a remote mode; accepting odd
     local parity leaves the remote pair maximally entangled with the
     (teleported) local pair. On even parity the local modes are measured
-    out, collapsing the remote side to a product state.
+    out, collapsing the remote side to a product state. The branch list
+    follows the parity gadget's order, its failures (parity None) included;
+    the acceptance probability is taken over the branches past the gadget.
     """
     if method not in ("ideal", "gadget"):
         raise ProtocolError(f"unknown method {method!r}")
@@ -1134,7 +1157,7 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
     details = {"acceptance_probability": p_accept}
     if rng is None:
-        details["branches"] = reported
+        details["branches"] = branches
     else:
         details["branch"] = chosen
     return _result(chosen, p_accept if rng is None else None, details, trace,

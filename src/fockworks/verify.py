@@ -259,7 +259,7 @@ def criterion_08_parity():
                         abs(worst_e - 1.0) <= 1e-8, f"entropy = {worst_e:.12f}"))
     worst_r = 0.0
     for b in res.details["branches"]:
-        if not b["accepted"]:
+        if b["parity"] == 0:
             worst_r = max(worst_r, fock.entanglement_entropy(b["state"], list(b["remote"])))
     checks.append(Check("rejected branch is separable",
                         worst_r <= 1e-8, f"max entropy = {worst_r:.2e}"))

@@ -67,6 +67,7 @@ GADGETS = {
     "teleport_with_e_ideal": lambda a, b, n: protocols.teleport_with_e(*a, ideal_parity=True),
     "distribute_entanglement_ideal": lambda a, b, n: protocols.distribute_entanglement(
         method="ideal"),
+    "distribute_entanglement": lambda a, b, n: protocols.distribute_entanglement(n + 1),
 }
 
 qubits = st.builds(lambda t, f: (math.cos(t), cmath.exp(1j * f) * math.sin(t)),
@@ -79,9 +80,7 @@ def test_analytic_gadget_branches_sum_to_one(name, a, b, n):
     res = GADGETS[name](a, b, n)
     branches = res.details["branches"]
     assert all({"p", "ok", "state"} <= set(br) for br in branches)
-    # the gadget-parity teleportation lists the branches past its parity gadget
-    total = res.details.get("gadget_success", 1.0)
-    assert abs(sum(br["p"] for br in branches) - total) < 1e-10
+    assert abs(sum(br["p"] for br in branches) - 1) < 1e-10
     chosen = next((br for br in branches if br["ok"]), None)
     if chosen is not None:
         assert res.succeeded and res.output_state is chosen["state"]

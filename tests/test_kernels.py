@@ -1,4 +1,4 @@
-"""Independent checks of the two number-basis kernels."""
+"""Independent checks of the number-basis kernels."""
 
 import itertools
 import math
@@ -39,6 +39,15 @@ class TestPermanent:
     def test_matches_enumeration(self, kernels, n, rng):
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         assert abs(kernels.permanent(mat) - permanent_by_enumeration(mat)) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_column_deleted_minors_match_enumeration(self, kernels, k, rng):
+        mat = rng.normal(size=(k - 1, k)) + 1j * rng.normal(size=(k - 1, k))
+        minors = kernels.permanent_minors(mat)
+        assert len(minors) == k
+        for l in range(k):
+            want = permanent_by_enumeration(np.delete(mat, l, axis=1))
+            assert abs(minors[l] - want) < 1e-10 * max(1.0, abs(want))
 
     def test_all_ones(self, kernels):
         # permanent of the all-ones n x n matrix is n!

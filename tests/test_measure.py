@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockworks import fock, measure
+from fockworks import fock, measure, optics
 from fockworks.fock import FockState, number_state, tensor
 from fockworks.measure import (
     Bucket,
@@ -101,6 +101,63 @@ class TestPostselect:
         for br in branches:
             sel = postselect(s, [1], [br.outcome[0][1]])
             assert abs(sel.probability - br.probability) < 1e-12
+
+
+class TestImpossibilityRule:
+    """measure_modes, postselect, the oracle parity projection and the
+    sampled detection share one rule for an impossible branch."""
+
+    def test_tiny_branch_is_impossible_everywhere(self):
+        from fockworks import protocols
+
+        state = FockState(1, {(0,): 1.0, (1,): 1e-13}, tol=0)
+        assert [br.outcome for br in measure_modes(state, [0])] == [((0, 0),)]
+        out = postselect(state, [0], [1])
+        assert out.is_impossible and out.probability == 0.0
+        pair = FockState(2, {(0, 0): 1.0, (1, 0): 1e-13}, tol=0)
+        assert [b["parity"] for b in protocols.parity_project_ideal(pair, 0, 1)] == [0]
+
+    def test_branch_above_the_rule_is_listed_everywhere(self):
+        state = FockState(1, {(0,): 1.0, (1,): 1e-11}, tol=0)
+        branches = measure_modes(state, [0])
+        assert [br.outcome for br in branches] == [((0, 0),), ((0, 1),)]
+        assert postselect(state, [0], [1]).probability == branches[1].probability
+
+    def test_sampled_detection_never_draws_outside_the_support(self):
+        # the 1e-13 term's sector weighs 1e-26: at or below the prune of an
+        # evolution, so every draw lands on the zero-photon pattern
+        state = FockState(1, {(0,): 1.0, (1,): 1e-13}, tol=0)
+        u = optics.ModeUnitary(np.eye(1))
+        rng = np.random.default_rng(0)
+        assert {measure._sample_detection(state, u, [0], rng)[0] for _ in range(50)} == {(0,)}
+
+
+class _Uniforms:
+    """A stand-in generator: fixed uniforms, and the identity permutation."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+class TestSampleDetection:
+    def test_drawn_branch_is_pruned_as_an_evolution_is(self):
+        # the drawn branch weighs 1e-6 of the state; its 5e-13 term lies
+        # below 1e-12 of the whole state, so the evolution drops it, though
+        # it is above 1e-12 of the branch itself
+        state = FockState(2, {(0, 0): 1.0, (1, 0): 1e-3, (1, 1): 5e-13}, tol=0)
+        u = optics.ModeUnitary(np.eye(1))
+        counts, p, project = measure._sample_detection(state, u, [0], _Uniforms(0.9999995, 0.5))
+        exact = measure_modes(optics.apply_unitary(state, u, [0]), [0])
+        assert counts == (1,) and exact[1].outcome == ((0, 1),)
+        assert abs(p - exact[1].probability) < 1e-15
+        post = project().post_state
+        assert dict(post.terms()).keys() == dict(exact[1].post_state.terms()).keys() == {(0,)}
 
 
 class TestFanout:

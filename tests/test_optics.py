@@ -1,7 +1,11 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockworks import fock, optics
 from fockworks.fock import FockState, ModeMismatchError, number_state
@@ -143,6 +147,49 @@ class TestPermanentOracle:
         state = apply_mode_unitary(number_state((1, 0, 2, 0)), u)
         for occ, amp in state.terms():
             assert abs(transition_amplitude(u, (1, 0, 2, 0), occ) - amp) < 1e-10
+
+
+@st.composite
+def evolutions(draw):
+    """A random unitary on 1-4 modes and a superposition of up to four
+    occupations of at most 4 photons each."""
+    modes = draw(st.integers(1, 4))
+    u = random_unitary(modes, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    occupation = st.lists(st.integers(0, modes - 1), max_size=4).map(
+        lambda photons: tuple(photons.count(m) for m in range(modes)))
+    occs = draw(st.lists(occupation, min_size=1, max_size=4, unique=True))
+    amps = {occ: draw(st.floats(0.1, 1.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+            for occ in occs}
+    return u, FockState(modes, amps).normalized()
+
+
+def _photon_weights(state):
+    weights = {}
+    for occ, amp in state.terms():
+        weights[sum(occ)] = weights.get(sum(occ), 0.0) + abs(amp) ** 2
+    return weights
+
+
+class TestEvolutionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(evolutions())
+    def test_transition_amplitude_equals_the_evolved_amplitude(self, data):
+        u, state = data
+        for occ, _ in state.terms():
+            evolved = apply_unitary(number_state(occ), u)
+            outs = itertools.product(range(sum(occ) + 1), repeat=len(occ))
+            for out in (o for o in outs if sum(o) == sum(occ)):
+                assert abs(transition_amplitude(u, occ, out) - evolved.amplitude(out)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(evolutions())
+    def test_norm_and_photon_number_are_conserved(self, data):
+        u, state = data
+        evolved = apply_unitary(state, u)
+        assert abs(evolved.norm() - 1) < 1e-10
+        before, after = _photon_weights(state), _photon_weights(evolved)
+        assert set(after) == set(before)
+        assert all(abs(before[k] - after[k]) < 1e-10 for k in before)
 
 
 class TestComposeDecompose:

@@ -2,15 +2,18 @@
 projection, failure accounting, and the measurement-record bookkeeping."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fockworks import fock, measure, protocols
+from fockworks._backend import kernels
 from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, fidelity, number_state, tensor
 from fockworks.protocols import (
     BosonicQubit,
+    PreparedResource,
     bm1_measure,
     csign_ideal_modes,
     csign_teleported,
@@ -169,7 +172,7 @@ class TestSampledTeleportTn:
             branch = exact[tuple(res.trace[-1]["outcome"])]
             assert res.succeeded == branch["ok"]
             assert res.output_state.modes == branch["state"].modes
-            assert dict(res.output_state.terms()) == dict(branch["state"].terms())
+            assert fock.states_close(res.output_state, branch["state"], 1e-10)
             assert res.corrections == branch.get("corrections", [])
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -182,6 +185,104 @@ class TestSampledTeleportTn:
         assert len(calls) == 1
         branches = teleport_tn(state, 0, n).details["branches"]
         assert len(calls) == 1 + len(branches)
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+def _plus_plus():
+    plus = encode_qubit(INV_SQRT2, INV_SQRT2)
+    return tensor(plus, plus)
+
+
+def _csign_run(n, state=None):
+    return lambda rng: csign_teleported(state or _plus_plus(), BosonicQubit(0, 1),
+                                        BosonicQubit(2, 3), n, rng=rng)
+
+
+def _teleport_run(n, state=None, resource=None):
+    return lambda rng: teleport_tn(state or encode_single_rail(0.6, 0.8), 0, n, rng=rng,
+                                   resource=resource)
+
+
+def _detected(res):
+    """The count patterns a run detected, one per detection stage."""
+    return tuple(tuple(step["outcome"]) for step in res.trace if step["kind"] == "measure")
+
+
+def _coherent_resource():
+    """A 2n = 4 mode resource whose sectors are coherent, bunched and plain.
+
+    With the input photon on mode 0 the measured modes are 0, 1, 2: the
+    first two terms share their kept occupation and photon number, the
+    third puts two photons in one measured mode.
+    """
+    amps = {(1, 0, 0, 1): 0.5, (0, 1, 0, 1): 0.5j, (2, 0, 1, 0): 0.5, (0, 0, 1, 1): -0.5}
+    return PreparedResource("tn", 2, FockState(4, amps), {})
+
+
+class TestSampledDetection:
+    """A sampled Fourier detection draws its pattern without evolving the state."""
+
+    @pytest.mark.parametrize("run", [_teleport_run(2), _teleport_run(4), _teleport_run(6),
+                                     _csign_run(1), _csign_run(2)])
+    def test_sampled_run_neither_evolves_nor_groups(self, run, monkeypatch):
+        expansions = _counting(monkeypatch, kernels, "expand_basis_state")
+        groupings = _counting(monkeypatch, measure, "_groups")
+        projections = _counting(monkeypatch, measure, "_projection")
+        for seed in range(12):
+            before = len(projections)
+            res = run(np.random.default_rng(seed))
+            assert len(projections) - before == len(_detected(res))
+        assert not expansions and not groupings
+
+    @staticmethod
+    def _check_frequencies(run, exact, draws, seed):
+        """Every pattern within 4.5 sigma of its exact probability, none
+        outside the exact support; each run equals its exact branch."""
+        rng = np.random.default_rng(seed)
+        seen = Counter()
+        for _ in range(draws):
+            res = run(rng)
+            key = _detected(res)
+            assert key in exact, f"{key} is not an exact branch"
+            branch = exact[key]
+            assert res.succeeded == branch["ok"]
+            assert fock.states_close(res.output_state, branch["state"], 1e-10)
+            assert res.corrections == branch.get("corrections", [])
+            seen[key] += 1
+        assert abs(sum(b["p"] for b in exact.values()) - 1) < 1e-10
+        for key, branch in exact.items():
+            p = branch["p"]
+            assert abs(seen[key] - draws * p) <= 4.5 * math.sqrt(draws * p * (1 - p)), key
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_teleport_tn_frequencies(self, n):
+        state = encode_single_rail(0.6, 0.8j)
+        exact = {(b["pattern"],): b for b in teleport_tn(state, 0, n).details["branches"]}
+        self._check_frequencies(_teleport_run(n, state), exact, 3000, seed=60 + n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_staged_gate_frequencies(self, n):
+        state = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.28j, 0.96))
+        res = csign_teleported(state, BosonicQubit(0, 1), BosonicQubit(2, 3), n)
+        exact = {(b["pattern1"],) + ((b["pattern2"],) if "pattern2" in b else ()): b
+                 for b in res.details["branches"]}
+        self._check_frequencies(_csign_run(n, state), exact, 3000, seed=70 + n)
+
+    def test_coherent_sector_falls_back_to_its_own_evolution(self, monkeypatch):
+        resource = _coherent_resource()
+        state = encode_single_rail(0.6, 0.8)
+        exact = {(b["pattern"],): b
+                 for b in teleport_tn(state, 0, 2, resource=resource).details["branches"]}
+        expansions = _counting(monkeypatch, kernels, "expand_basis_state")
+        self._check_frequencies(_teleport_run(2, state, resource), exact, 3000, seed=80)
+        assert expansions
 
 
 class TestCsignTeleported:
@@ -292,7 +393,7 @@ class TestTeleportWithE:
     def test_every_branch_restores_input(self, amps):
         expect = encode_qubit(*amps)
         res = teleport_with_e(*amps, n=2)
-        for b in res.details["branches"]:
+        for b in filter(lambda b: b["ok"], res.details["branches"]):
             pair = factor_out(b["state"], list(b["out_pair"]))
             assert fidelity(pair.normalized(), expect) > 1 - 1e-10
 

@@ -107,13 +107,13 @@ def ref_measure_modes(state, modes, bucket):
     for counts in sorted(groups):
         # the class probability is the incoherent sum; the post-state the coherent merge
         weight = sum(abs(a) ** 2 for a in groups[counts].values())
-        p = mass[counts] if bucket else weight
-        if p == 0:
+        p = (mass[counts] if bucket else weight) / total
+        if p < 1e-24:
             continue
         if weight == 0:
             raise fock.ZeroStateError("bucket class cancels coherently")
         post = FockState(state.modes - len(modes), groups[counts]).scaled(1 / math.sqrt(weight))
-        out.append((tuple(zip(modes, counts)), p / total, post))
+        out.append((tuple(zip(modes, counts)), p, post))
     return out
 
 
