@@ -12,15 +12,18 @@ A branch whose probability, relative to the measured state, is below
 ``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
 ``postselect`` reports it with probability 0.
 
-A sampled detection behind a mode unitary (``_sample_detection``, used by
-the sampled Fourier teleportations) neither evolves nor groups the whole
-state: it draws an incoherent sector of the input, draws a count pattern
-of that sector by boson sampling, and builds the post-state of that one
-pattern from transition amplitudes. Its post-state equals the exact
-branch to rounding (1e-10), not bit for bit.
+Sampling draws one branch and projects only that one. Every protocol
+detection is one stage of ``protocols._detect``, and a sampled run draws
+stage by stage through one of two routes: one ``_drawer`` draw over the
+lazy records of ``measure_modes`` (as ``sample_outcome`` draws), or,
+behind a mode unitary (the Fourier multiports), ``_sample_detection``,
+which neither evolves nor groups the whole state: it draws an incoherent
+sector of the input, draws a count pattern of that sector by boson
+sampling, and builds the post-state of that one pattern from transition
+amplitudes. Its post-state equals the exact branch to rounding (1e-10),
+not bit for bit.
 """
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -368,11 +371,6 @@ def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> Condi
     return branches[_drawer([p for _, p, _ in branches])(rng.random())][2]()
 
 
-def sample_from_branches(branches, rng) -> ConditionalOutcome:
-    """Draw one of ``branches`` (anything with a ``probability``) with its probability."""
-    return branches[_drawer([br.probability for br in branches])(rng.random())]
-
-
 def _drawer(weights):
     """The draw over ``weights``: maps a uniform ``r`` to the index it selects.
 
@@ -391,7 +389,3 @@ def _drawer(weights):
         return min(bisect_right(cum, r), last)
 
     return draw
-
-
-def dump_outcome(outcome: ConditionalOutcome) -> str:
-    return json.dumps(outcome.to_json(), sort_keys=True, separators=(",", ":"))

@@ -7,13 +7,17 @@ Every gadget returns a ProtocolResult. With ``rng=None`` the gadget is
 evaluated analytically: the returned output is the post-selected success
 branch and ``details["branches"]`` enumerates every measurement outcome
 with its exact probability. With an ``rng`` the measurement outcomes are
-sampled instead, one trajectory end to end. Either way one resolver picks
-the branch (``_resolve``) and one builder turns it into the result
-(``_result``), and every protocol writes trace steps. A sampled Fourier
-detection (``teleport_tn`` and each stage of the teleported gates) draws
-its pattern through ``measure._sample_detection``, so the trajectory
-neither evolves nor groups the whole state; its branch equals the exact
-branch of the same pattern to 1e-10, not bit for bit.
+sampled instead, one trajectory end to end, drawn stage by stage. Every
+detection is one stage of ``_detect``: it counts some modes (after a
+mode unitary, for the Fourier multiports), classifies each count pattern
+into a branch with its feed-forward corrections, and returns every
+branch, or with an rng only the drawn one, so a sampled run projects one
+branch per stage. A sampled detection behind a unitary draws its pattern
+through ``measure._sample_detection``, so the trajectory neither evolves
+nor groups the whole state; its branch equals the exact branch of the
+same pattern to 1e-10, not bit for bit. One resolver picks the branch
+(``_resolve``) and one builder turns it into the result (``_result``),
+and every protocol writes trace steps.
 
 A branch is a plain dict. Every branch carries ``p`` (its exact
 probability), ``ok`` (whether the gadget succeeded on it) and ``state``
@@ -43,7 +47,6 @@ from .measure import (
     _sample_detection,
     _weight,
     measure_modes,
-    sample_from_branches,
 )
 from .optics import (
     BeamSplitter,
@@ -102,15 +105,46 @@ def _shift_index(index: int, measured_sorted) -> int:
     return index - drop
 
 
+def _detect(work, modes, classify, rng, unitary=None):
+    """One detection stage: count every mode of ``modes``, after ``unitary``
+    acts on them when one is given.
+
+    Returns the stage's branches, ``{"pattern": counts, "p": p,
+    **classify(counts, post_state)}``: with ``rng=None`` every count
+    pattern, in canonical order; with an rng the one drawn branch, drawn by
+    ``measure._sample_detection`` behind a unitary (``work`` is not
+    evolved) and otherwise by one draw over the grouped records. Only the
+    returned branches are projected.
+    """
+    if rng is not None and unitary is not None:
+        records = [_sample_detection(work, unitary, modes, rng)]
+    else:
+        if unitary is not None:
+            work = apply_unitary(work, unitary, modes)
+        records = measure_modes(work, modes, lazy=True)
+        if rng is not None:
+            records = [records[_drawer([p for _, p, _ in records])(rng.random())]]
+    return [{"pattern": pattern, "p": p, **classify(pattern, project().post_state)}
+            for pattern, p, project in records]
+
+
+def _corrected(state, corrections):
+    """``state`` after the feed-forward ``corrections``, in order."""
+    for kind, a, b in corrections:
+        state = fock.phase_on_mode(state, a, b) if kind == "phase" else fock.swap_modes(state, a, b)
+    return state
+
+
 def _resolve(branches, rng):
     """The branch a run lands on.
 
-    With an rng: one draw over the branches' ``p``. Without one: the
+    With an rng: the one branch the run drew. Without one: the
     post-selected view, the first branch with ``ok`` set, or the likeliest
     branch when none succeeds (an input with no success channel).
     """
     if rng is not None:
-        return branches[_drawer([b["p"] for b in branches])(rng.random())]
+        (chosen,) = branches
+        return chosen
     return next((b for b in branches if b["ok"]), None) or max(branches, key=lambda b: b["p"])
 
 
@@ -189,13 +223,6 @@ def factor_out(state: FockState, modes) -> FockState:
         raise FockError(f"state does not factor over modes {modes}")
     (amps,) = groups.values()
     return FockState(len(modes), amps)
-
-
-def qubit_amplitudes(state: FockState, q: BosonicQubit) -> tuple:
-    """(amplitude of |0>_q, amplitude of |1>_q); requires a factored qubit."""
-    pair = factor_out(state, [q.a, q.b])
-    require_coherent(pair, BosonicQubit(0, 1))
-    return pair.amplitude((0, 1)), pair.amplitude((1, 0))
 
 
 def qubit_rotation(state: FockState, q: BosonicQubit, theta: float) -> FockState:
@@ -352,11 +379,8 @@ def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     work = apply_unitary(work, _ns1_effective(), [mode, m, m + 1])
     trace = []
     _trace_step(trace, "ns1-network", "element", modes=[mode, m, m + 1])
-    branches = []
-    for br in measure_modes(work, [m, m + 1]):
-        pattern = tuple(c for _, c in br.outcome)
-        branches.append({"pattern": pattern, "p": br.probability,
-                         "ok": pattern == network.accept, "state": br.post_state})
+    branches = _detect(work, [m, m + 1], lambda pattern, post: {
+        "ok": pattern == network.accept, "state": post}, rng)
     chosen = _resolve(branches, rng)
     _trace_step(trace, "ns1-herald", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"accept": network.accept}
@@ -447,10 +471,8 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            branches = measure_modes(out, leftovers)
-            out = (branches[0] if rng is None else sample_from_branches(branches, rng)).post_state
-            tx = _shift_index(tx, leftovers)
-            ty = _shift_index(ty, leftovers)
+            out = _detect(out, leftovers, lambda pattern, post: {"state": post}, rng)[0]["state"]
+            tx, ty = (_shift_index(m, leftovers) for m in (tx, ty))
         # relabel so the teleported modes sit where the inputs were
         rest = iter(m for m in range(out.modes) if m not in (tx, ty))
         perm = [tx if m == mode_x else ty if m == mode_y else next(rest) for m in range(out.modes)]
@@ -492,65 +514,33 @@ def prepare_b4_prime(rng=None) -> ProtocolResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bm1Outcome:
-    pattern: tuple
-    total: int
-    parity: str
-    sign: str | None
-    probability: float
-    post_state: FockState
-
-
-def bm1_measure(state: FockState, m1: int, m2: int, rng=None):
-    """Balanced splitter on (m1, m2) then two counters.
-
-    Odd totals reveal the superposition sign: pattern (0,1) is '+',
-    (1,0) is '-'. Returns the full outcome list, or one sampled outcome
-    when rng is given.
-    """
-    work = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [m1, m2])
-    branches = measure_modes(work, [m1, m2])
-    outcomes = []
-    for br in branches:
-        pattern = tuple(c for _, c in br.outcome)
-        total = sum(pattern)
-        parity = "odd" if total % 2 else "even"
-        sign = None
-        if total == 1:
-            sign = "+" if pattern == (0, 1) else "-"
-        outcomes.append(Bm1Outcome(pattern, total, parity, sign, br.probability, br.post_state))
-    return outcomes if rng is None else sample_from_branches(outcomes, rng)
-
-
 def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
     """Teleport one mode (photon count <= 1) using the two-term resource.
 
-    Success probability 1/2; failures project the input onto a known
-    number state. The '-' outcome is fixed with a pi phase shift.
+    A balanced splitter and two counters measure the input against the
+    resource's first mode. An odd total (probability 1/2) succeeds and
+    reveals the sign: pattern (0,1) is '+', (1,0) is '-', fixed with a pi
+    phase shift. An even total projects the input onto a known number state.
     """
     if state.max_occupation(input_mode) > 1:
         raise UnsupportedInputError("input mode must carry at most one photon")
     m0 = state.modes
     resource = apply_unitary(number_state((1, 0)), element_matrix(BeamSplitter(0, 1, BALANCED)), [0, 1])
-    work = tensor(state, resource)
     trace = []
     _trace_step(trace, "adjoin-pair", "prep", modes=[m0, m0 + 1])
-    outcomes = bm1_measure(work, input_mode, m0, rng=None)
-    measured = sorted([input_mode, m0])
-    target = _shift_index(m0 + 1, measured)
-    branches = []
-    for o in outcomes:
-        entry = {"pattern": o.pattern, "p": o.probability, "total": o.total}
-        if o.total == 1:
-            corrections = [("phase", target, math.pi)] if o.sign == "-" else []
-            out = o.post_state
-            for _, mode, angle in corrections:
-                out = fock.phase_on_mode(out, mode, angle)
-            entry.update(ok=True, state=out, corrections=corrections, target_mode=target)
-        else:
-            entry.update(ok=False, projected=0 if o.total == 0 else 1, state=o.post_state)
-        branches.append(entry)
+    work = apply_unitary(tensor(state, resource), element_matrix(BeamSplitter(0, 1, BALANCED)),
+                         [input_mode, m0])
+    target = _shift_index(m0 + 1, sorted([input_mode, m0]))
+
+    def classify(pattern, post):
+        total = sum(pattern)
+        if total != 1:
+            return {"total": total, "ok": False, "projected": 0 if total == 0 else 1, "state": post}
+        corrections = [("phase", target, math.pi)] if pattern == (1, 0) else []
+        return {"total": total, "ok": True, "state": _corrected(post, corrections),
+                "corrections": corrections, "target_mode": target}
+
+    branches = _detect(work, [input_mode, m0], classify, rng)
     chosen = _resolve(branches, rng)
     _trace_step(trace, "bm1", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"target_mode": target}
@@ -570,21 +560,9 @@ def _projected(mode):
     return lambda b: {"projected_mode": mode, "value": b["projected"]}
 
 
-def _fourier_branches(work: FockState, fourier_modes, n: int, rng=None):
-    """Apply the (n+1)-point transform to fourier_modes and detect them all.
-
-    Returns (pattern, k, S, probability, project) records with S = sum_j j*r_j:
-    every count pattern, or with an ``rng`` the one pattern drawn by
-    ``measure._sample_detection``, which does not evolve ``work``.
-    ``project()`` gives the branch's outcome, so callers project only what they keep.
-    """
-    if rng is None:
-        evolved = apply_unitary(work, fourier_matrix(n), fourier_modes)
-        records = measure_modes(evolved, fourier_modes, lazy=True)
-    else:
-        records = [_sample_detection(work, fourier_matrix(n), fourier_modes, rng)]
-    return [(pattern, sum(pattern), sum(j * r for j, r in enumerate(pattern)), p, project)
-            for pattern, p, project in records]
+def _phase_index(pattern) -> int:
+    """S = sum_j j*r_j of a Fourier count pattern: its correction is omega^S."""
+    return sum(j * r for j, r in enumerate(pattern))
 
 
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
@@ -605,23 +583,20 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     fourier_modes = [input_mode] + [m0 + i for i in range(n)]
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
-    records = _fourier_branches(tensor(state, res.state), fourier_modes, n, rng)
-    branches = []
-    for pattern, k, s, p, _ in records:
-        entry = {"pattern": pattern, "k": k, "p": p}
-        if 0 < k < n + 1:
-            target = _shift_index(m0 + n + k - 1, measured)
-            angle = (omega * s) % (2 * math.pi)
-            entry.update(ok=True, target_mode=target, corrections=[("phase", target, angle)])
-        else:
-            entry.update(ok=False, projected=0 if k == 0 else 1)
-        branches.append(entry)
+
+    def classify(pattern, post):
+        k = sum(pattern)
+        if not 0 < k < n + 1:
+            return {"k": k, "ok": False, "projected": 0 if k == 0 else 1, "state": post}
+        target = _shift_index(m0 + n + k - 1, measured)
+        corrections = [("phase", target, (omega * _phase_index(pattern)) % (2 * math.pi))]
+        return {"k": k, "ok": True, "target_mode": target, "corrections": corrections,
+                "state": _corrected(post, corrections)}
+
+    branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
     trace = []
     _trace_step(trace, "fourier", "element", modes=fourier_modes)
-    chosen = branches[0] if rng is not None else _resolve(branches, None)
-    for b, (*_, project) in zip(branches, records):
-        post = project().post_state
-        b["state"] = fock.phase_on_mode(post, *b["corrections"][0][1:]) if b["ok"] else post
+    chosen = _resolve(branches, rng)
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"n": n}
     if chosen["ok"]:
@@ -675,64 +650,67 @@ class _TeleportLayout:
         return tx, ty, leftovers
 
 
-def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None):
+def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None,
+                              flavor=None):
     """Branch tree for gate teleportation through a 4n-mode resource.
 
     flip_x(k1, k2) / flip_y(k1, k2) give extra pi multiples applied to
     the target |1> components on top of the common pattern phases
     omega^(sum j r_j). Each branch keeps ``p1`` (and past stage 1 ``p2``),
-    the probabilities of its two detections. With an ``rng`` each stage
-    draws its one pattern, so the tree is the one branch drawn: stage 1,
-    then stage 2 on the projected stage-1 state. Returns (branches, layout).
+    the probabilities of its two detections; with a ``flavor`` (the parity
+    gadget's resource parity) a successful branch also carries its
+    ``parity``. With an ``rng`` each stage draws its one pattern, so the
+    tree is the one branch drawn: stage 1, then stage 2 on the projected
+    stage-1 state. Returns (branches, layout).
     """
-    m0 = state.modes
-    layout = _TeleportLayout(m0, mode_x, mode_y, n)
-    work = tensor(state, resource.state)
+    layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega = 2 * math.pi / (n + 1)
+    u = fourier_matrix(n)
     branches = []
-    for pat1, k1, s1, p1, project1 in _fourier_branches(work, layout.fourier_x, n, rng):
-        post1 = project1().post_state
+    for one in _detect(tensor(state, resource.state), layout.fourier_x,
+                       lambda pattern, post: {"state": post}, rng, u):
+        pat1, p1 = one["pattern"], one["p"]
+        k1, s1 = sum(pat1), _phase_index(pat1)
         if not 0 < k1 < n + 1:
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
-                             "p1": p1, "state": post1, "projected": 0 if k1 == 0 else 1})
+                             "p1": p1, "state": one["state"], "projected": 0 if k1 == 0 else 1})
             continue
-        for pat2, k2, s2, p2, project2 in _fourier_branches(post1, layout.fourier_y, n, rng):
-            post2 = project2().post_state
-            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p": p1 * p2,
-                     "p1": p1, "p2": p2}
-            tx = layout.target_x(k1)
+
+        def second(pat2, post2):
+            k2 = sum(pat2)
+            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1}
             if not 0 < k2 < n + 1:
                 # y projected; undo the sign the collapsed resource imprinted on x
+                tx = layout.target_x(k1)
                 w = n if k2 == 0 else 0
-                angle = (omega * s1 + math.pi * w) % (2 * math.pi)
-                entry.update(ok=False, stage=2, projected=0 if k2 == 0 else 1,
-                             state=fock.phase_on_mode(post2, tx, angle),
-                             target_x=tx, corrections=[("phase", tx, angle)])
-                branches.append(entry)
-                continue
-            tx2, ty, leftovers = layout.output_groups(k1, k2)
-            ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
-            ay = (omega * s2 + math.pi * flip_y(k1, k2)) % (2 * math.pi)
-            out = fock.phase_on_mode(post2, tx2, ax)
-            out = fock.phase_on_mode(out, ty, ay)
-            entry.update(ok=True, state=out, target_x=tx2, target_y=ty,
-                         leftover_modes=leftovers,
-                         corrections=[("phase", tx2, ax), ("phase", ty, ay)])
-            branches.append(entry)
+                corrections = [("phase", tx, (omega * s1 + math.pi * w) % (2 * math.pi))]
+                entry.update(ok=False, stage=2, projected=0 if k2 == 0 else 1, target_x=tx)
+            else:
+                tx, ty, leftovers = layout.output_groups(k1, k2)
+                ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
+                ay = (omega * _phase_index(pat2) + math.pi * flip_y(k1, k2)) % (2 * math.pi)
+                corrections = [("phase", tx, ax), ("phase", ty, ay)]
+                entry.update(ok=True, target_x=tx, target_y=ty, leftover_modes=leftovers)
+                if flavor is not None:
+                    entry["parity"] = (k1 + k2 + flavor) % 2
+            entry.update(state=_corrected(post2, corrections), corrections=corrections)
+            return entry
+
+        for two in _detect(one["state"], layout.fourier_y, second, rng, u):
+            del two["pattern"]
+            branches.append(dict(two, p=p1 * two["p"], p2=two["p"]))
     return branches, layout
 
 
-def _teleported_gate_result(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng):
-    branches, layout = _teleported_gate_branches(state, mode_x, mode_y, n, resource,
-                                                 flip_x, flip_y, rng)
-    chosen = branches[0] if rng is not None else _resolve(branches, None)
+def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
+    chosen = _resolve(branches, rng)
     trace = []
     _trace_step(trace, "fourier-x", "element", modes=layout.fourier_x)
     _trace_step(trace, "bm-x", "measure", p=chosen["p1"], outcome=list(chosen["pattern1"]))
     if "pattern2" in chosen:
         _trace_step(trace, "fourier-y", "element", modes=layout.fourier_y)
         _trace_step(trace, "bm-y", "measure", p=chosen["p2"], outcome=list(chosen["pattern2"]))
-    details = {"n": n, "layout": layout}
+    details = {"n": layout.n, "layout": layout}
     p_success = None
     if rng is None:
         p_success = sum(b["p"] for b in branches if b["ok"])
@@ -741,6 +719,8 @@ def _teleported_gate_result(state, mode_x, mode_y, n, resource, flip_x, flip_y, 
         details.update(target_x=chosen["target_x"], target_y=chosen["target_y"],
                        leftover_modes=chosen["leftover_modes"],
                        k1=chosen["k1"], k2=chosen["k2"])
+        if "parity" in chosen:
+            details["parity"] = chosen["parity"]
     else:
         details["branch"] = chosen
     return _result(chosen, p_success, details, trace, lambda b: {
@@ -765,7 +745,8 @@ def csign_teleported_modes(state: FockState, mode_x: int, mode_y: int, n: int,
         raise ProtocolError("resource size does not match n")
     flip_x = lambda k1, k2: (n - k2) % 2
     flip_y = lambda k1, k2: (n - k1) % 2
-    return _teleported_gate_result(state, mode_x, mode_y, n, res, flip_x, flip_y, rng)
+    branches, layout = _teleported_gate_branches(state, mode_x, mode_y, n, res, flip_x, flip_y, rng)
+    return _teleported_gate_result(branches, layout, mode_x, mode_y, rng)
 
 
 def csign_teleported(state: FockState, q1: BosonicQubit, q2: BosonicQubit, n: int,
@@ -925,23 +906,15 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     measured = sorted(anc_a + anc_b)
     b_modes_a = [_shift_index(n + i, measured) for i in range(n)]
     b_modes_b = [_shift_index(width + n + i, measured) for i in range(n)]
-    branches = []
-    for br in measure_modes(state, measured):
-        pattern = tuple(c for _, c in br.outcome)
-        flag_a = pattern[:2] == (1, 0)
-        flag_b = pattern[2:] == (1, 0)
-        out = br.post_state
-        corrections = []
-        if flag_a:
-            for m in b_modes_a:
-                out = fock.phase_on_mode(out, m, math.pi)
-                corrections.append(("phase", m, math.pi))
-        if flag_b:
-            for m in b_modes_b:
-                out = fock.phase_on_mode(out, m, math.pi)
-                corrections.append(("phase", m, math.pi))
-        branches.append({"pattern": pattern, "p": br.probability, "ok": True, "state": out,
-                         "corrections": corrections})
+
+    def classify(pattern, post):
+        # a half whose ancilla pair reads (1, 0) is flagged: pi on its b-modes
+        corrections = [("phase", m, math.pi) for half, b_modes in ((pattern[:2], b_modes_a),
+                                                                   (pattern[2:], b_modes_b))
+                       if half == (1, 0) for m in b_modes]
+        return {"ok": True, "state": _corrected(post, corrections), "corrections": corrections}
+
+    branches = _detect(state, measured, classify, rng)
     chosen = _resolve(branches, rng)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count}
@@ -981,12 +954,9 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
-    branches = []
-    for br in measure_modes(state, [anc1, anc2]):
-        pattern = tuple(c for _, c in br.outcome)
-        # both parities are usable; the even one is the post-selected view
-        branches.append({"pattern": pattern, "parity": 0 if pattern == (0, 1) else 1,
-                         "p": br.probability, "ok": True, "state": br.post_state})
+    # both parities are usable; the even one is the post-selected view
+    branches = _detect(state, [anc1, anc2], lambda pattern, post: {
+        "parity": 0 if pattern == (0, 1) else 1, "ok": True, "state": post}, rng)
     chosen = _resolve(branches, rng)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count, "parity": chosen["parity"]}
@@ -1010,20 +980,19 @@ def parity_measure(state: FockState, mode_x: int, mode_y: int, n: int, rng=None,
     n >= 2 for odd sectors to pass (the even-only resource at n = 1 has
     no odd detection channel). Details report parity and target modes.
     """
+    return _teleported_gate_result(*_parity_gadget(state, mode_x, mode_y, n, rng, resource),
+                                   mode_x, mode_y, rng)
+
+
+def _parity_gadget(state, mode_x, mode_y, n, rng, resource=None):
+    """The parity gadget's branch tree and layout; a successful branch carries
+    its ``parity``, the detected totals plus the resource's parity flavour."""
     res = resource or make_resource("pnprime", n)
     if res.state.modes != 4 * n:
         raise ProtocolError("resource size does not match n")
-    flavor = res.roles.get("parity", 0)
     flip = lambda k1, k2: 0
-    result = _teleported_gate_result(state, mode_x, mode_y, n, res, flip, flip, rng)
-    if result.succeeded:
-        parity = (result.details["k1"] + result.details["k2"] + flavor) % 2
-        result.details["parity"] = parity
-        if "branches" in result.details:
-            for b in result.details["branches"]:
-                if b["ok"]:
-                    b["parity"] = (b["k1"] + b["k2"] + flavor) % 2
-    return result
+    return _teleported_gate_branches(state, mode_x, mode_y, n, res, flip, flip, rng,
+                                     res.roles.get("parity", 0))
 
 
 def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
@@ -1045,25 +1014,24 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
     return out
 
 
-def _parity_check(state, mode_x, mode_y, n, ideal):
+def _parity_check(state, mode_x, mode_y, n, ideal, rng):
     """The parity check that teleport_with_e and distribute_entanglement build on.
 
-    Returns (branches, p_gadget): the oracle projection when ``ideal``,
-    else the teleported gadget's branches in its order, failures included.
-    A branch with ``ok`` also carries ``inner`` (where mode_x and mode_y now
-    sit), ``final`` (where any other input mode now sits) and ``leftovers``.
+    Returns (branches, final, p_gadget): the oracle projection when
+    ``ideal``, else the teleported gadget's branches in its order, failures
+    included; with an rng, the one branch drawn. A branch with ``ok``
+    carries ``parity``, ``target_x``/``target_y`` (where mode_x and mode_y
+    now sit) and ``leftover_modes``; ``final`` maps any other input mode to
+    where it now sits.
     """
     if ideal:
-        return [dict(b, ok=True, inner=(mode_x, mode_y), final=lambda m: m, leftovers=[])
-                for b in parity_project_ideal(state, mode_x, mode_y)], 1.0
-    res = parity_measure(state, mode_x, mode_y, n)
-    final = res.details["layout"].final
-    branches = [b if not b["ok"] else
-                {"parity": b["parity"], "p": b["p"], "ok": True, "state": b["state"],
-                 "inner": (b["target_x"], b["target_y"]), "final": final,
-                 "leftovers": b["leftover_modes"]}
-                for b in res.details["branches"]]
-    return branches, res.success_probability
+        checked = parity_project_ideal(state, mode_x, mode_y)
+        if rng is not None:
+            checked = [checked[_drawer([b["p"] for b in checked])(rng.random())]]
+        return [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
+                for b in checked], lambda m: m, 1.0
+    branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
+    return branches, layout.final, sum(b["p"] for b in branches if b["ok"])
 
 
 def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
@@ -1080,34 +1048,29 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
     _trace_step(trace, "adjoin-e", "prep")
-    checked, p_gadget = _parity_check(state, 1, 2, n, ideal_parity)
+    checked, final, p_gadget = _parity_check(state, 1, 2, n, ideal_parity, rng)
     bal = element_matrix(BeamSplitter(0, 1, BALANCED))
-    branches = []
-    for pb in checked:
-        if not pb["ok"]:
-            continue
-        inner1, inner2 = pb["inner"]
-        outer2 = pb["final"](3)
+    # end to end, the parity gadget can fail before the sign decode
+    branches = [b for b in checked if not b["ok"]]
+    for pb in filter(lambda b: b["ok"], checked):
+        inner1, inner2 = pb["target_x"], pb["target_y"]
+        outer2 = final(3)
         work = apply_unitary(pb["state"], bal, [0, inner1])
         work = apply_unitary(work, bal, [inner2, outer2])
         four = sorted([0, inner1, inner2, outer2])
-        oa, ob = (_shift_index(pb["final"](m), four) for m in (4, 5))
-        for br in measure_modes(work, four):
-            pattern = dict(br.outcome)
-            sign = "+" if (pattern[0] == 1) == (pattern[inner2] == 1) else "-"
-            out = br.post_state
-            corrections = []
-            if pb["parity"] % 2 == 1:
-                out = fock.swap_modes(out, oa, ob)
-                corrections.append(("swap", oa, ob))
-            if sign == "+":
-                out = fock.phase_on_mode(out, oa, math.pi)
-                corrections.append(("phase", oa, math.pi))
-            branches.append({"parity": pb["parity"], "pattern": tuple(br.outcome),
-                             "sign": sign, "p": pb["p"] * br.probability, "ok": True,
-                             "state": out, "out_pair": (oa, ob), "corrections": corrections})
-    # end to end, the parity gadget can fail before the sign decode
-    branches = [b for b in checked if not b["ok"]] + branches
+        oa, ob = (_shift_index(final(m), four) for m in (4, 5))
+        swap = [("swap", oa, ob)] if pb["parity"] % 2 == 1 else []
+
+        def classify(pattern, post):
+            sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
+            corrections = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
+            return {"parity": pb["parity"], "sign": sign, "ok": True,
+                    "state": _corrected(post, corrections), "out_pair": (oa, ob),
+                    "corrections": corrections}
+
+        for b in _detect(work, four, classify, rng):
+            b["p"] = pb["p"] * b["p"]
+            branches.append(b)
     chosen = _resolve(branches, rng)
     details = {"branches": branches} if rng is None else {"branch": chosen}
     return _result(chosen, p_gadget if rng is None else None, details, trace,
@@ -1122,7 +1085,8 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     (teleported) local pair. On even parity the local modes are measured
     out, collapsing the remote side to a product state. The branch list
     follows the parity gadget's order, its failures (parity None) included;
-    the acceptance probability is taken over the branches past the gadget.
+    the acceptance probability, reported by an exact run, is taken over
+    the branches past the gadget.
     """
     if method not in ("ideal", "gadget"):
         raise ProtocolError(f"unknown method {method!r}")
@@ -1134,31 +1098,33 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     trace = []
     _trace_step(trace, "split-photons", "prep")
     branches = []
-    for b in _parity_check(state, 0, 1, n, method == "ideal")[0]:
+    checked, final, _ = _parity_check(state, 0, 1, n, method == "ideal", rng)
+    for b in checked:
         if not b["ok"]:
             branches.append({"parity": None, "p": b["p"], "ok": False, "state": b["state"],
                              "accepted": False, "remote": None,
                              "gadget_failure": {"stage": b["stage"], "projected": b["projected"]}})
             continue
-        remote = (b["final"](2), b["final"](3))
+        remote = (final(2), final(3))
+        local = (b["target_x"], b["target_y"])
         if b["parity"] == 1:
             branches.append({"parity": 1, "p": b["p"], "ok": True, "state": b["state"],
-                             "accepted": True, "remote": remote, "local": b["inner"],
-                             "leftovers": b["leftovers"]})
+                             "accepted": True, "remote": remote, "local": local,
+                             "leftovers": b["leftover_modes"]})
             continue
-        meas = sorted(b["inner"])
-        for sub in measure_modes(b["state"], meas):
-            branches.append({"parity": 0, "p": b["p"] * sub.probability, "ok": False,
-                             "state": sub.post_state, "accepted": False,
-                             "remote": tuple(_shift_index(m, meas) for m in remote)})
-    reported = [b for b in branches if b["parity"] is not None]
-    p_accept = sum(b["p"] for b in reported if b["accepted"]) / sum(b["p"] for b in reported)
+        meas = sorted(local)
+        rest = tuple(_shift_index(m, meas) for m in remote)
+        for sub in _detect(b["state"], meas, lambda pattern, post: {
+                "parity": 0, "ok": False, "state": post, "accepted": False, "remote": rest}, rng):
+            sub["p"] = b["p"] * sub["p"]
+            branches.append(sub)
     chosen = _resolve(branches, rng)
     _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
-    details = {"acceptance_probability": p_accept}
+    details = {"branch": chosen}
+    p_accept = None
     if rng is None:
-        details["branches"] = branches
-    else:
-        details["branch"] = chosen
-    return _result(chosen, p_accept if rng is None else None, details, trace,
+        reported = [b for b in branches if b["parity"] is not None]
+        p_accept = sum(b["p"] for b in reported if b["accepted"]) / sum(b["p"] for b in reported)
+        details = {"acceptance_probability": p_accept, "branches": branches}
+    return _result(chosen, p_accept, details, trace,
                    lambda b: b.get("gadget_failure") or {"parity": 0})

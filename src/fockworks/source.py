@@ -39,7 +39,11 @@ def pair_amplitudes(p: SqueezeParam):
     Raises if the truncated tail weight exceeds the bound.
     """
     t = math.tanh(p.r)
-    c = [t ** n / math.cosh(p.r) for n in range(p.cutoff + 1)]
+    try:
+        cosh = math.cosh(p.r)
+    except OverflowError:  # r above about 710.5: every c_n underflows to 0
+        cosh = math.inf
+    c = [t ** n / cosh for n in range(p.cutoff + 1)]
     tail = 1.0 - sum(x * x for x in c)
     if tail > TAIL_BOUND:
         raise FockError(f"cutoff {p.cutoff} leaves tail weight {tail:.2e} > {TAIL_BOUND}")

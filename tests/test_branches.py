@@ -1,13 +1,16 @@
 """The branch core: what every measurement and every gadget enumerates.
 
 Detector models give branches whose probabilities sum to 1, bucket classes
-that merge several count patterns included. Every branch-producing gadget
-lists branch dicts carrying ``p``, ``ok`` and ``state``, and one resolver
-turns them into the result: the first successful branch analytically, one
-draw over ``p`` with an rng.
+that merge several count patterns included. Every gadget detects through
+one stage, ``protocols._detect``, which lists branch dicts carrying
+``pattern``, ``p``, ``ok`` and ``state``: every branch analytically, the
+one drawn branch with an rng, so a sampled run draws stage by stage. One
+resolver turns them into the result: the first successful branch
+analytically, the drawn branch with an rng.
 """
 
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockworks import costs, fock, measure, protocols
+from fockworks import costs, fock, measure, optics, protocols
 from fockworks.fock import FockState, tensor
 from fockworks.protocols import BosonicQubit, encode_qubit
 
@@ -95,11 +98,44 @@ class TestResolver:
         branches = [{"p": 0.2, "ok": False}, {"p": 0.7, "ok": False}, {"p": 0.1, "ok": False}]
         assert protocols._resolve(branches, None) is branches[1]
 
-    def test_sampled_draws_over_p(self):
-        branches = [{"p": 0.25, "ok": False}, {"p": 0.75, "ok": True}]
+    def test_sampled_takes_the_one_drawn_branch_without_a_draw(self):
+        branches = [{"p": 0.25, "ok": False}]
         rng = np.random.default_rng(3)
-        picks = [protocols._resolve(branches, rng)["ok"] for _ in range(4000)]
-        assert abs(sum(picks) / 4000 - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 4000)
+        before = rng.bit_generator.state
+        assert protocols._resolve(branches, rng) is branches[0]
+        assert rng.bit_generator.state == before
+
+
+def _keep(pattern, post):
+    return {"ok": pattern[0] == 0, "state": post}
+
+
+class TestDetect:
+    # the same detection with and without a splitter in front: without
+    # one, a draw over the grouped records; with one, boson sampling
+    STATE = FockState(3, {(1, 0, 0): 0.6, (0, 1, 1): 0.8j})
+    MIX = optics.element_matrix(optics.BeamSplitter(0, 1, 0.4))
+
+    @pytest.mark.parametrize("unitary", [None, MIX], ids=["grouped", "boson-sampled"])
+    def test_sampled_draws_over_p(self, unitary):
+        exact = {b["pattern"]: b for b in protocols._detect(self.STATE, [0, 1], _keep, None, unitary)}
+        assert abs(sum(b["p"] for b in exact.values()) - 1) < 1e-12
+        draws, rng = 4000, np.random.default_rng(3)
+        seen = collections.Counter()
+        for _ in range(draws):
+            (branch,) = protocols._detect(self.STATE, [0, 1], _keep, rng, unitary)
+            want = exact[branch["pattern"]]
+            assert branch["ok"] == want["ok"] and abs(branch["p"] - want["p"]) < 1e-12
+            assert fock.states_close(branch["state"], want["state"], 1e-10)
+            seen[branch["pattern"]] += 1
+        for pattern, b in exact.items():
+            p = b["p"]
+            assert abs(seen[pattern] - draws * p) <= 4.5 * math.sqrt(draws * p * (1 - p)), pattern
+
+    def test_exact_stage_lists_every_pattern_in_canonical_order(self):
+        branches = protocols._detect(self.STATE, [0, 1], _keep, None, self.MIX)
+        patterns = [b["pattern"] for b in branches]
+        assert patterns == [(0, 1), (1, 0)]
 
 
 def _plus_plus():

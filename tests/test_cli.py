@@ -118,6 +118,13 @@ class TestRun:
         report = json.loads(out)
         assert abs(report["analytic"]["fidelity"] - (1 - math.tanh(0.1) ** 2)) < 1e-10
 
+    @pytest.mark.parametrize("r", ["709", "711", "inf"])
+    def test_source_beyond_the_cutoff_exits_2(self, capsys, r):
+        code, out, err = run_cli(capsys, "run", "source", "--input", r)
+        assert code == 2
+        assert "tail weight" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestDecompose:
     def test_identity_gives_empty_netlist(self, capsys, tmp_path):

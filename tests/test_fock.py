@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockworks import fock
 from fockworks.fock import (
@@ -139,6 +141,25 @@ class TestJsonRoundTrip:
         assert again.modes == s.modes
         for occ, amp in s.terms():
             assert again.amplitude(occ) == amp
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_amplitude_survives_bit_for_bit(self, data):
+        # occupations of 64 photons and more, and amplitudes near 1e-300
+        # beside ones of order 1, are kept exactly
+        modes = data.draw(st.integers(1, 4))
+        part = st.one_of(st.floats(-1e3, 1e3),
+                         st.sampled_from([1e-300, -3e-300, 2.5e-308, 5e-324, -0.0]))
+        occs = data.draw(st.lists(st.tuples(*[st.integers(0, 300)] * modes), min_size=1,
+                                  max_size=8, unique=True))
+        amps = {occ: complex(data.draw(part), data.draw(part)) for occ in occs}
+        s = FockState(modes, amps, tol=0)
+        again = fock.load_state(fock.dump_state(s))
+
+        def bits(state):
+            return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms()]
+
+        assert again.modes == s.modes and bits(again) == bits(s)
 
     def test_canonical_term_order(self):
         s = FockState(2, {(1, 0): 1.0, (0, 1): 1.0}, tol=0)

@@ -213,12 +213,13 @@ class TestSampling:
     def test_sample_projects_only_the_drawn_branch(self, model, monkeypatch):
         state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
         branches = measure_modes(state, [0, 1], model)
+        draw = measure._drawer([p for _, p, _ in measure_modes(state, [0, 1], model, lazy=True)])
         calls = []
         projection = measure._projection
         monkeypatch.setattr(measure, "_projection", lambda *a: calls.append(1) or projection(*a))
         for seed in range(20):
             got = sample_outcome(state, [0, 1], model, seed)
-            want = measure.sample_from_branches(branches, np.random.default_rng(seed))
+            want = branches[draw(np.random.default_rng(seed).random())]
             assert (got.outcome, got.probability) == (want.outcome, want.probability)
             assert dict(got.post_state.terms()) == dict(want.post_state.terms())
         assert len(calls) == 20
@@ -239,9 +240,10 @@ class TestSampling:
         hits = 0
         trials = 100_000
         rng = np.random.default_rng(99)
-        branches = measure_modes(bell(), [0], Counter())
+        records = measure_modes(bell(), [0], Counter(), lazy=True)
+        draw = measure._drawer([p for _, p, _ in records])
         for _ in range(trials):
-            if measure.sample_from_branches(branches, rng).outcome == ((0, 1),):
+            if records[draw(rng.random())][0] == (1,):
                 hits += 1
         sigma = math.sqrt(0.25 / trials)
         assert abs(hits / trials - 0.5) <= 3 * sigma

@@ -234,6 +234,33 @@ class TestComposeDecompose:
             ModeUnitary(np.ones((2, 2)))
 
 
+@st.composite
+def unitaries(draw):
+    """1-6 mode unitaries: Haar-random, or a permutation with phases (exact zeros)."""
+    dim = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return random_unitary(dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    perm = draw(st.permutations(range(dim)))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=dim, max_size=dim))
+    mat = np.zeros((dim, dim), dtype=complex)
+    for row, (col, phi) in enumerate(zip(perm, phases)):
+        mat[row, col] = cmath.exp(1j * phi)
+    return ModeUnitary(mat)
+
+
+class TestReckProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(unitaries())
+    def test_compose_inverts_decompose(self, u):
+        assert np.abs(compose(decompose_reck(u)).matrix - u.matrix).max() < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(unitaries())
+    def test_netlist_json_round_trip(self, u):
+        seq = decompose_reck(u)
+        assert optics.load_sequence(optics.dump_sequence(seq)) == seq
+
+
 class TestNetlistJson:
     def test_round_trip(self, rng):
         u = random_unitary(3, rng)

@@ -41,6 +41,12 @@ class TestSqueezedVacuum:
         with pytest.raises(FockError):
             pair_amplitudes(SqueezeParam(0.5, cutoff=8))
 
+    @pytest.mark.parametrize("r", [709.0, 711.0, 1e6, math.inf])
+    def test_huge_squeezing_raises_the_cutoff_error(self, r):
+        # cosh(r) overflows above r ~ 710.5; the tail check must still report
+        with pytest.raises(FockError, match="tail weight"):
+            pair_amplitudes(SqueezeParam(r))
+
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             SqueezeParam(-0.1)

@@ -7,7 +7,8 @@ here; if the change is deliberate, regenerate the record with
 
     PYTHONPATH=src python tests/test_streams.py --write
 
-and say in the change log that the sample streams changed.
+which prints every (protocol, seed, field) it changes before it writes,
+and say in the change log that the sample streams changed and list them.
 """
 
 import json
@@ -130,8 +131,44 @@ def test_seeded_cli_stdout_matches_record(capsys):
     assert cli_stdout(capsys) == CLI_STDOUT.read_text()
 
 
+def changed_fields(old, new):
+    """(protocol, seed, field) of every recorded value that ``new`` changes.
+
+    Monte-Carlo counts report the field ``successes``; a protocol or a
+    seed missing on one side reports the field ``*``.
+    """
+    out = []
+    for name in sorted(set(old.get("monte_carlo", {})) | set(new["monte_carlo"])):
+        before, after = old.get("monte_carlo", {}).get(name), new["monte_carlo"].get(name)
+        for i, seed in enumerate(MC_SEEDS):
+            if before is None or after is None or before[i] != after[i]:
+                out.append((f"monte_carlo.{name}", seed, "successes"))
+    for name in sorted(set(old.get("sampled", {})) | set(new["sampled"])):
+        before, after = old.get("sampled", {}).get(name, []), new["sampled"].get(name, [])
+        for seed in range(max(len(before), len(after))):
+            if seed >= len(before) or seed >= len(after):
+                out.append((f"sampled.{name}", seed, "*"))
+                continue
+            out += [(f"sampled.{name}", seed, field)
+                    for field in sorted(set(before[seed]) | set(after[seed]))
+                    if before[seed].get(field) != after[seed].get(field)]
+    return out
+
+
+def test_changed_fields_lists_each_difference():
+    old = {"monte_carlo": {"ns1": [5, 6, 7]},
+           "sampled": {"a": [{"outcome": [1], "succeeded": True}], "gone": [{}]}}
+    new = {"monte_carlo": {"ns1": [5, 9, 7]},
+           "sampled": {"a": [{"outcome": [2], "succeeded": True}]}}
+    assert changed_fields(old, new) == [("monte_carlo.ns1", MC_SEEDS[1], "successes"),
+                                        ("sampled.a", 0, "outcome"), ("sampled.gone", 0, "*")]
+    assert changed_fields(new, new) == []
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     DATA.mkdir(exist_ok=True)
     record = {"monte_carlo": monte_carlo_counts(), "sampled": sampled_fingerprints()}
+    for protocol, seed, field in changed_fields(_golden() if STREAMS.exists() else {}, record):
+        print(f"{protocol} seed {seed}: {field}")
     STREAMS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     CLI_STDOUT.write_text(cli_stdout())

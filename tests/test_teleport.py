@@ -14,7 +14,6 @@ from fockworks.fock import FockState, fidelity, number_state, tensor
 from fockworks.protocols import (
     BosonicQubit,
     PreparedResource,
-    bm1_measure,
     csign_ideal_modes,
     csign_teleported,
     distribute_entanglement,
@@ -37,26 +36,30 @@ def random_single_rail(rng):
 
 
 class TestBm1:
-    def test_plus_bell_state(self):
-        bell = FockState(2, {(0, 1): INV_SQRT2, (1, 0): INV_SQRT2})
-        outcomes = bm1_measure(bell, 0, 1)
-        assert len(outcomes) == 1
-        assert outcomes[0].parity == "odd"
-        assert outcomes[0].sign == "+"
+    """The splitter-and-counters detection inside teleport_bm1, read off its branches."""
 
-    def test_minus_bell_state(self):
-        bell = FockState(2, {(0, 1): INV_SQRT2, (1, 0): -INV_SQRT2})
-        outcomes = bm1_measure(bell, 0, 1)
-        assert outcomes[0].sign == "-"
+    @staticmethod
+    def _branches(state):
+        return {b["pattern"]: b for b in teleport_bm1(state, 0).details["branches"]}
 
-    def test_vacuum_is_even(self):
-        outcomes = bm1_measure(number_state((0, 0)), 0, 1)
-        assert outcomes[0].parity == "even"
-        assert outcomes[0].sign is None
+    def test_plus_pattern_needs_no_correction(self, rng):
+        branch = self._branches(random_single_rail(rng))[(0, 1)]
+        assert branch["ok"] and branch["total"] == 1
+        assert branch["corrections"] == []
 
-    def test_bunched_pair_sign_unknown(self):
-        outcomes = bm1_measure(number_state((1, 1)), 0, 1)
-        assert all(o.total == 2 and o.sign is None for o in outcomes)
+    def test_minus_pattern_gets_a_pi_phase(self, rng):
+        branch = self._branches(random_single_rail(rng))[(1, 0)]
+        assert branch["ok"] and branch["total"] == 1
+        assert branch["corrections"] == [("phase", branch["target_mode"], math.pi)]
+
+    def test_vacuum_input_fails_even_on_the_empty_pattern(self):
+        fails = [b for b in self._branches(number_state((0,))).values() if not b["ok"]]
+        assert [(b["pattern"], b["total"] % 2, b["projected"]) for b in fails] == [((0, 0), 0, 0)]
+
+    def test_photon_input_fails_bunched_with_no_sign(self):
+        fails = [b for b in self._branches(number_state((1,))).values() if not b["ok"]]
+        assert fails and all(b["total"] == 2 and b["projected"] == 1 for b in fails)
+        assert all("corrections" not in b for b in fails)
 
 
 class TestTeleportBm1:
@@ -422,6 +425,77 @@ class TestTeleportWithE:
         for state, want in ((even_class, 0), (odd_class, 1)):
             res = parity_measure(state, 1, 2, 2)
             assert {b["parity"] for b in res.details["branches"] if b["ok"]} == {want}
+
+
+_BRANCH_KEYS = ("pattern", "pattern1", "pattern2", "parity", "sign", "accepted", "stage",
+                "projected", "k1", "k2", "ok")
+
+
+def _branch_class(branch):
+    """A branch's detected record: its pattern keys and its ``ok``."""
+    return tuple((k, branch[k]) for k in _BRANCH_KEYS if k in branch)
+
+
+def _parity_stages(res):
+    """The detection stages a sampled parity-check run went through: a
+    gadget failure stops at its stage, an accepted remote pair after the
+    gadget's two, and a sign decode or an even-parity readout adds a third."""
+    stage = (res.failure_info or {}).get("stage")
+    return stage or (3 if "pattern" in res.details["branch"] else 2)
+
+
+PARITY_RUNS = {
+    "teleport_with_e": lambda rng: teleport_with_e(0.6, 0.8j, n=2, rng=rng),
+    "teleport_with_e_ideal": lambda rng: teleport_with_e(0.6, 0.8j, n=2, rng=rng,
+                                                         ideal_parity=True),
+    "distribute_entanglement": lambda rng: distribute_entanglement(2, rng=rng),
+}
+
+
+class TestStagedParitySampling:
+    """A sampled parity check draws the gadget's stages, then its readout."""
+
+    @pytest.mark.parametrize("name,seed", [("teleport_with_e", 90), ("teleport_with_e_ideal", 91),
+                                           ("distribute_entanglement", 92)])
+    def test_branch_class_frequencies(self, name, seed):
+        run = PARITY_RUNS[name]
+        exact = Counter()
+        for b in run(None).details["branches"]:
+            exact[_branch_class(b)] += b["p"]
+        assert abs(sum(exact.values()) - 1) < 1e-10
+        draws, seen = 3000, Counter()
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            res = run(rng)
+            key = _branch_class(res.details["branch"])
+            assert key in exact, f"{key} is not an exact branch"
+            assert res.succeeded == res.details["branch"]["ok"]
+            seen[key] += 1
+        for key, p in exact.items():
+            assert abs(seen[key] - draws * p) <= 4.5 * math.sqrt(draws * p * (1 - p)), key
+
+    @pytest.mark.parametrize("name", ["teleport_with_e", "distribute_entanglement"])
+    def test_sampled_run_projects_once_per_stage(self, name, monkeypatch):
+        projections = _counting(monkeypatch, measure, "_projection")
+        stages = set()
+        for seed in range(24):
+            before = len(projections)
+            res = PARITY_RUNS[name](np.random.default_rng(seed))
+            stages.add(_parity_stages(res))
+            assert len(projections) - before == _parity_stages(res)
+        assert stages == {1, 2, 3}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_only_the_readout_groups_a_state(self, n, monkeypatch):
+        # the gadget's Fourier stages are boson-sampled; the sign decode or
+        # even-parity readout is the one stage grouped by measure_modes
+        groupings = _counting(monkeypatch, measure, "_groups")
+        for seed in range(6):
+            for run in (lambda rng: teleport_with_e(0.6, 0.8, n=n, rng=rng),
+                        lambda rng: distribute_entanglement(n, rng=rng)):
+                before = len(groupings)
+                res = run(np.random.default_rng(seed))
+                assert len(groupings) - before == (_parity_stages(res) == 3)
 
 
 class TestFailureReporting:
