@@ -1,10 +1,15 @@
 """Number-basis kernels: the Ryser permanent, the permanents of
 column-deleted minors, and the expansion of U|occ>.
 
-The permanent and the expansion are pure Python (the expansion on
-integer-packed occupation keys); the minors are one numpy pass over the
-column subsets. ``optics`` and ``measure`` reach them through
-``fockworks._backend.kernels``.
+The permanent is pure Python; the minors are one numpy pass over the
+column subsets. The expansion runs on integer-packed occupation keys in
+one of two forms with the same bits: a dict loop for the small
+expansions most evolutions need, and numpy steps (``arrays=True``) for
+the large ones. The numpy form merges equal keys with ``accumulate``,
+which sums them left to right from 0.0 in the order they first occur, as
+the dict loop does, and multiplies complex numbers in CPython's order on
+separate real arrays. ``optics`` and ``measure`` reach the kernels
+through ``fockworks._backend.kernels``.
 """
 
 import math
@@ -84,19 +89,47 @@ def permanent_minors(mat):
     return (-1) ** k * (rows.T @ terms.real + 1j * (rows.T @ terms.imag))
 
 
-def expand_basis_state(u, occ):
+def accumulate(keys, re, im):
+    """Sum the amplitudes ``re + i im`` of equal ``keys``.
+
+    Returns the distinct keys in the order they first occur and the sums
+    of their real and imaginary parts, each taken left to right from 0.0:
+    the bits of ``d[key] = d.get(key, 0j) + amp`` over the same sequence.
+    ``np.bincount`` adds its weights one by one in index order.
+    """
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    slot = rank[inverse]
+    return (distinct[order], np.bincount(slot, re, len(order)),
+            np.bincount(slot, im, len(order)))
+
+
+def expand_basis_state(u, occ, arrays=False):
     """Expand U|occ> in the number basis for an m-mode unitary ``u``.
 
     Each creation operator a_l^dag is replaced by sum_m u[m, l] a_m^dag and
     the resulting polynomial is expanded one photon at a time; occupation
     vectors are packed into integer keys during the convolution. Returns a
     dict mapping output occupation tuples to complex amplitudes.
+
+    With ``arrays`` the same steps run on numpy arrays and the result is
+    ``(counts, re, im)``: an (outputs x m) int64 array of the occupations
+    in the dict's order and the real and imaginary parts of their
+    amplitudes, equal to the dict's values bit for bit. The packed keys
+    must fit in 62 bits: m * bit_length(sum(occ)) <= 62.
     """
     m = len(occ)
     total = sum(occ)
     sqrt_fact = _sqrt_factorials(total)
     bits = max(total.bit_length(), 1)
     mask = (1 << bits) - 1
+    scale = 1.0
+    for n_l in occ:
+        scale *= sqrt_fact[n_l]
+    if arrays:
+        return _expand_arrays(u, occ, bits, sqrt_fact[:total + 1], scale)
     current = {0: 1.0 + 0.0j}
     for l in range(m):
         n_l = occ[l]
@@ -110,9 +143,6 @@ def expand_basis_state(u, occ):
                     new_key = key + step
                     nxt[new_key] = nxt.get(new_key, 0.0 + 0.0j) + amp * c
             current = nxt
-    scale = 1.0
-    for n_l in occ:
-        scale *= sqrt_fact[n_l]
     out = {}
     for key, amp in current.items():
         factor = 1.0
@@ -124,3 +154,31 @@ def expand_basis_state(u, occ):
             key >>= bits
         out[tuple(counts)] = amp * (factor / scale)
     return out
+
+
+def _expand_arrays(u, occ, bits, sqrt_fact, scale):
+    """The dict loop of ``expand_basis_state`` as numpy steps."""
+    m = len(occ)
+    u = np.asarray(u)
+    keys = np.zeros(1, dtype=np.int64)
+    re, im = np.ones(1), np.zeros(1)
+    for l in range(m):
+        if occ[l] == 0:
+            continue
+        rows = np.flatnonzero(u[:, l] != 0)
+        steps = np.left_shift(1, bits * rows, dtype=np.int64)
+        cr, ci = u[rows, l].real, u[rows, l].imag
+        for _ in range(occ[l]):
+            # key-major, step-minor: the order the dict loop visits them;
+            # amp * c as CPython forms it, (ar cr - ai ci, ar ci + ai cr)
+            ar, ai = re[:, None], im[:, None]
+            keys, re, im = accumulate((keys[:, None] + steps).ravel(),
+                                      (ar * cr - ai * ci).ravel(), (ar * ci + ai * cr).ravel())
+    counts = (keys[:, None] >> (bits * np.arange(m))) & ((1 << bits) - 1)
+    table = np.array(sqrt_fact)
+    factor = np.ones(len(keys))
+    for j in range(m):
+        factor *= table[counts[:, j]]
+    g = factor / scale
+    # amp * g for a float g is the product with complex(g, 0.0)
+    return counts, re * g - im * 0.0, re * 0.0 + im * g

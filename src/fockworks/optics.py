@@ -26,10 +26,23 @@ from ._backend import kernels
 from .fock import FockError, FockState, ModeMismatchError
 
 UNITARY_TOL = 1e-10
+#: Output bound from which apply_unitary takes the array route; below it
+#: numpy's per-call cost outweighs what the dict loops spend per term.
+ARRAY_MIN_TERMS = 4096
+#: Largest output bound apply_unitary expands.
+MAX_EVOLVED_TERMS = 2_000_000
+#: Bits of a packed array-route key; int64 keeps one spare below the sign.
+KEY_BITS = 62
+#: Keys decoded into occupation tuples per step of the array route.
+UNPACK_ROWS = 1 << 14
 
 
 class NonUnitaryError(FockError):
     """Matrix fails the unitarity check."""
+
+
+class BudgetExceeded(FockError):
+    """An evolution whose output bound exceeds MAX_EVOLVED_TERMS."""
 
 
 class ModeUnitary:
@@ -145,6 +158,15 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     With ``modes`` given, ``u`` acts on that subset (in the listed order)
     and the remaining modes are untouched; otherwise u.dim must equal the
     state's mode count. Photon number and norm are preserved.
+
+    Each distinct sub-occupation of ``modes`` is expanded once and merged
+    into the kept modes, by one of two routes that give the same state bit
+    for bit: dict loops, or numpy steps on packed int64 keys. The output
+    bound, the sum over input terms of C(k+d-1, d-1) for k photons on the
+    d evolved modes, picks the route: arrays from ``ARRAY_MIN_TERMS`` on,
+    when every mode's largest possible count fits a bit field of its own
+    and the fields take at most 62 bits; dict loops otherwise. Above
+    ``MAX_EVOLVED_TERMS`` it raises ``BudgetExceeded`` before expanding.
     """
     if modes is None:
         if u.dim != state.modes:
@@ -156,11 +178,44 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
             raise ModeMismatchError(f"{u.dim}-mode matrix applied to {len(modes)} modes")
         if len(set(modes)) != len(modes) or any(m < 0 or m >= state.modes for m in modes):
             raise ValueError(f"bad mode subset {modes}")
+    terms = list(state.terms())
+    subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
+    layout = _route(terms, subs, modes)
     mat = np.ascontiguousarray(u.matrix)
+    if layout is None:
+        result = _evolve_dicts(terms, subs, mat, modes)
+    else:
+        # the merge's arrays are freed before the output dict is built
+        result = _unpack(*_evolve_arrays(terms, subs, mat, modes, layout), layout)
+    return FockState(state.modes, result)
+
+
+def _route(terms, subs, modes):
+    """The array route's key layout, ``(bit offsets, bit widths)`` per mode,
+    or None for the dict route; raises BudgetExceeded past the budget."""
+    d = len(modes)
+    bound = sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs)
+    if bound > MAX_EVOLVED_TERMS:
+        raise BudgetExceeded(f"the evolution may produce {bound} terms; "
+                             f"the limit is {MAX_EVOLVED_TERMS}")
+    if bound < ARRAY_MIN_TERMS:
+        return None
+    # the largest count each mode can hold, in the input or the output
+    top = [max(column) for column in zip(*(occ for occ, _ in terms))]
+    photons = max(map(sum, subs))
+    for m in modes:
+        top[m] = photons
+    widths = [k.bit_length() for k in top]
+    if sum(widths) > KEY_BITS:
+        return None
+    return np.cumsum([0] + widths[:-1]), widths
+
+
+def _evolve_dicts(terms, subs, mat, modes):
+    """The merged amplitudes {occupation: amplitude}, one dict entry at a time."""
     expansions: dict = {}
     result: dict = {}
-    for occ, amp in state.terms():
-        sub = tuple(occ[m] for m in modes)
+    for (occ, amp), sub in zip(terms, subs):
         expansion = expansions.get(sub)
         if expansion is None:
             expansion = kernels.expand_basis_state(mat, sub)
@@ -171,7 +226,53 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
                 base[m] = k
             key = tuple(base)
             result[key] = result.get(key, 0j) + amp * coeff
-    return FockState(state.modes, result)
+    return result
+
+
+def _evolve_arrays(terms, subs, mat, modes, layout):
+    """``_evolve_dicts`` on packed keys: the output's keys in the dict's
+    order and the real and imaginary parts of its amplitudes, with the
+    same bits."""
+    shift, widths = layout
+    occ = np.array([o for o, _ in terms], dtype=np.int64)
+    amp = np.array([a for _, a in terms], dtype=complex)
+    kept = np.ones(len(widths), dtype=bool)
+    kept[modes] = False
+    base = (occ[:, kept] << shift[kept]).sum(axis=1)
+    index: dict = {}
+    parts = []
+    for sub in subs:
+        if sub not in index:
+            index[sub] = len(parts)
+            counts, re, im = kernels.expand_basis_state(mat, sub, arrays=True)
+            parts.append(((counts << shift[modes]).sum(axis=1), re, im))
+    which = np.array([index[sub] for sub in subs])
+    sizes = np.array([len(keys) for keys, _, _ in parts])
+    lengths = sizes[which]
+    # term t reads its expansion's entries in order, after term t - 1
+    term = np.repeat(np.arange(len(terms)), lengths)
+    skip = (np.cumsum(sizes) - sizes)[which] - (np.cumsum(lengths) - lengths)
+    pos = np.arange(len(term)) + np.repeat(skip, lengths)
+    sub_keys, cr, ci = (np.concatenate(column)[pos] for column in zip(*parts))
+    ar, ai = amp.real[term], amp.imag[term]
+    return kernels.accumulate(base[term] + sub_keys, ar * cr - ai * ci, ar * ci + ai * cr)
+
+
+def _unpack(keys, re, im, layout):
+    """{occupation tuple: complex} of packed keys, in their order; the
+    counts are decoded ``UNPACK_ROWS`` keys at a time, in the smallest
+    integer dtype that holds them."""
+    shift, widths = layout
+    masks = np.left_shift(1, widths, dtype=np.int64) - 1
+    dtype = np.min_scalar_type(int(masks.max()))
+    amps = np.empty(len(keys), dtype=complex)
+    amps.real, amps.imag = re, im
+    out: dict = {}
+    for start in range(0, len(keys), UNPACK_ROWS):
+        rows = slice(start, start + UNPACK_ROWS)
+        counts = ((keys[rows, None] >> shift) & masks).astype(dtype)
+        out.update(zip(map(tuple, counts.tolist()), amps[rows].tolist()))
+    return out
 
 
 def apply_mode_unitary(state: FockState, u: ModeUnitary) -> FockState:

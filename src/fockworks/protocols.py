@@ -25,7 +25,8 @@ probability), ``ok`` (whether the gadget succeeded on it) and ``state``
 (the ``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward applied)
 when a correction was applied. Gadgets add their own keys: the detected
 ``pattern`` (``pattern1``/``pattern2`` per teleportation stage), ``k1``/
-``k2``, ``parity``, ``sign``, ``accepted``, ``stage`` and ``projected``.
+``k2``, ``parity``, ``sign``, ``accepted``, ``stage`` and ``projected``, and
+the probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``).
 
 Phase corrections after Fourier-multiport measurements follow the
 detected pattern {r_j}: the |1> component of the target mode is rotated
@@ -995,23 +996,30 @@ def _parity_gadget(state, mode_x, mode_y, n, rng, resource=None):
                                      res.roles.get("parity", 0))
 
 
-def parity_project_ideal(state: FockState, mode_x: int, mode_y: int):
-    """Oracle parity projection (non-destructive, modes kept in place)."""
+def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
+    """Oracle parity projection (non-destructive, modes kept in place).
+
+    Returns the possible parity sectors, each with its probability and
+    projected state; with an ``rng``, only the one sector drawn by weight,
+    the only one projected.
+    """
     fock._check_mode(state.modes, mode_x)
     fock._check_mode(state.modes, mode_y)
     total = _weight(state)
     sectors = {0: {}, 1: {}}
     for occ, amp in state.terms():
         sectors[(occ[mode_x] + occ[mode_y]) % 2][occ] = amp
-    out = []
+    possible = []
     for parity in (0, 1):
         amps = sectors[parity]
         weight = sum(abs(a) ** 2 for a in amps.values())
-        if weight / total < IMPOSSIBLE:
-            continue
-        out.append({"parity": parity, "p": weight / total,
-                    "state": _projection(state.modes, amps, weight)})
-    return out
+        if weight / total >= IMPOSSIBLE:
+            possible.append((parity, amps, weight))
+    if rng is not None:
+        possible = [possible[_drawer([w / total for _, _, w in possible])(rng.random())]]
+    return [{"parity": parity, "p": weight / total,
+             "state": _projection(state.modes, amps, weight)}
+            for parity, amps, weight in possible]
 
 
 def _parity_check(state, mode_x, mode_y, n, ideal, rng):
@@ -1025,9 +1033,7 @@ def _parity_check(state, mode_x, mode_y, n, ideal, rng):
     where it now sits.
     """
     if ideal:
-        checked = parity_project_ideal(state, mode_x, mode_y)
-        if rng is not None:
-            checked = [checked[_drawer([b["p"] for b in checked])(rng.random())]]
+        checked = parity_project_ideal(state, mode_x, mode_y, rng)
         return [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
                 for b in checked], lambda m: m, 1.0
     branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
@@ -1043,7 +1049,11 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     four counters that fix the sign. Pauli-style corrections (a pi phase
     and/or a mode swap on the output pair) restore the input, and the
     whole thing succeeds exactly when the parity gadget does. The branch
-    list holds the gadget's failures first, then the sign-decode branches.
+    list holds the gadget's failures first, then the sign-decode branches,
+    which keep their two stages' probabilities as ``p_parity`` and
+    ``p_sign``. The trace has a ``parity`` step (outcome None when the
+    gadget fails) and, past it, a ``sign`` step with the four-counter
+    ``pattern`` and the decoded ``sign``.
     """
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
@@ -1069,9 +1079,15 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
                     "corrections": corrections}
 
         for b in _detect(work, four, classify, rng):
-            b["p"] = pb["p"] * b["p"]
+            b.update(p=pb["p"] * b["p"], p_parity=pb["p"], p_sign=b["p"])
             branches.append(b)
     chosen = _resolve(branches, rng)
+    if chosen["ok"]:
+        _trace_step(trace, "parity", "measure", p=chosen["p_parity"], outcome=chosen["parity"])
+        _trace_step(trace, "sign", "measure", p=chosen["p_sign"], pattern=list(chosen["pattern"]),
+                    sign=chosen["sign"])
+    else:
+        _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=None)
     details = {"branches": branches} if rng is None else {"branch": chosen}
     return _result(chosen, p_gadget if rng is None else None, details, trace,
                    lambda b: {"stage": b["stage"], "projected": b["projected"]})

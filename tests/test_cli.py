@@ -89,6 +89,13 @@ class TestRun:
         assert "does not support --trials" in err
         assert out == ""
 
+    def test_oversize_teleport_exits_2(self, capsys):
+        # output bound 15,600,899 terms, refused before any expansion
+        code, out, err = run_cli(capsys, "run", "teleport", "--n", "12")
+        assert code == 2
+        assert out == ""
+        assert "15600899" in err
+
     def test_monte_carlo_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")
         assert code == 2

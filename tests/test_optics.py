@@ -1,16 +1,19 @@
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockworks import fock, optics
+from fockworks import costs, fock, optics, verify
+from fockworks._backend import kernels
 from fockworks.fock import FockState, ModeMismatchError, number_state
 from fockworks.optics import (
     BeamSplitter,
+    BudgetExceeded,
     ElementSequence,
     ModeUnitary,
     NonUnitaryError,
@@ -25,6 +28,7 @@ from fockworks.optics import (
     random_unitary,
     transition_amplitude,
 )
+from fockworks.protocols import teleport_tn
 
 BAL = math.pi / 4
 
@@ -190,6 +194,107 @@ class TestEvolutionProperties:
         before, after = _photon_weights(state), _photon_weights(evolved)
         assert set(after) == set(before)
         assert all(abs(before[k] - after[k]) < 1e-10 for k in before)
+
+
+@st.composite
+def route_cases(draw):
+    """A state, a unitary on some of its modes, and whether the evolution is
+    large: 6-12 terms of 5 photons in 8 modes under an 8-mode unitary
+    (output bound 4,752-9,504), or up to five terms of at most 3 photons in
+    1-5 modes under a unitary on a subset (bound at most 175). Amplitude
+    parts and unitaries include exact and signed zeros."""
+    large = draw(st.booleans())
+    if large:
+        modes, photons, count = 8, 5, draw(st.integers(6, 12))
+        subset = draw(st.permutations(range(modes)))
+    else:
+        modes, photons, count = draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(1, 5))
+        subset = draw(st.permutations(range(modes)))[:draw(st.integers(1, modes))]
+    occupation = st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons).map(
+        lambda where: tuple(where.count(m) for m in range(modes)))
+    occs = draw(st.lists(occupation, min_size=6 if large else 1, max_size=count, unique=True))
+    part = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-1.0, 1.0)
+    # far above the construction prune, so every drawn term is kept
+    amp = st.tuples(part, part).filter(lambda parts: abs(complex(*parts)) > 1e-6)
+    amps = {occ: complex(*draw(amp)) for occ in occs}
+    d = len(subset)
+    seeded = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = draw(st.sampled_from([
+        lambda: random_unitary(d, seeded),
+        lambda: ModeUnitary(-np.eye(d)[seeded.permutation(d)]),
+        lambda: ModeUnitary(np.diag(np.exp(1j * seeded.uniform(0, 2 * math.pi, d)))),
+        lambda: fourier_matrix(d - 1) if d > 1 else ModeUnitary([[1j]]),
+    ]))()
+    return FockState(modes, amps), u, list(subset), large
+
+
+def _bits(state):
+    """Every term in insertion order, with float.hex of its amplitude."""
+    return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in state._amp.items()]
+
+
+def _routes(monkeypatch):
+    """The key layout of every apply_unitary from here on; None is the dict route."""
+    taken = []
+    route = optics._route
+    monkeypatch.setattr(optics, "_route", lambda *args: taken.append(route(*args)) or taken[-1])
+    return taken
+
+
+class TestEvolutionRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(route_cases())
+    def test_array_and_dict_routes_agree_bit_for_bit(self, case):
+        state, u, modes, large = case
+        taken = optics._route(list(state.terms()),
+                              [tuple(occ[m] for m in modes) for occ, _ in state.terms()], modes)
+        assert (taken is not None) == large
+        natural = apply_unitary(state, u, modes)
+        # the other route: arrays from any bound, or dicts for every bound
+        forced = optics.MAX_EVOLVED_TERMS + 1 if large else 1
+        with mock.patch.object(optics, "ARRAY_MIN_TERMS", forced):
+            other = apply_unitary(state, u, modes)
+        assert _bits(natural) == _bits(other)
+
+    def test_evolution_sized_input_takes_arrays(self, monkeypatch, rng):
+        basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
+        picks = rng.choice(len(basis), 40, replace=False)
+        state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks}).normalized()
+        taken = _routes(monkeypatch)
+        apply_unitary(state, random_unitary(8, rng))
+        assert len(taken) == 1 and taken[0] is not None
+
+    @pytest.mark.parametrize("run", [
+        lambda: costs.make_trial("ns1", seed_state=FockState(1, {(0,): 0.6, (1,): 0.8})),
+        lambda: costs.make_trial("csign_ns"),
+        lambda: apply_unitary(number_state(tuple([2] + [0] * 31)), fourier_matrix(31)),
+        lambda: apply_unitary(number_state((70, 0)), element_matrix(BeamSplitter(0, 1, BAL))),
+        lambda: apply_unitary(number_state((150, 0)), element_matrix(BeamSplitter(0, 1, BAL))),
+        verify.criterion_09_fanout,
+    ], ids=["ns1", "csign_ns", "fourier32", "splitter70", "splitter150", "criterion9"])
+    def test_small_or_wide_evolutions_take_dicts(self, run, monkeypatch):
+        taken = _routes(monkeypatch)
+        run()
+        assert taken and all(layout is None for layout in taken)
+
+
+class TestBudget:
+    def test_limit_is_inclusive(self, monkeypatch):
+        # nine photons on two modes: ten output terms
+        state, u = number_state((9, 0)), element_matrix(BeamSplitter(0, 1, BAL))
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 10)
+        assert apply_unitary(state, u).term_count() == 10
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 9)
+        with pytest.raises(BudgetExceeded):
+            apply_unitary(state, u)
+
+    def test_oversize_evolution_fails_before_expanding(self, monkeypatch):
+        calls = []
+        expand = kernels.expand_basis_state
+        monkeypatch.setattr(kernels, "expand_basis_state", lambda *a, **k: calls.append(1) or expand(*a, **k))
+        with pytest.raises(BudgetExceeded, match="15600899"):
+            teleport_tn(costs.encode_single_rail(1, 1), 0, 12)
+        assert not calls
 
 
 class TestComposeDecompose:

@@ -418,6 +418,27 @@ class TestTeleportWithE:
         assert 10 <= succ <= 40
         assert all(r.failure_info for r in runs if not r.succeeded)
 
+    def test_trace_records_the_parity_check_and_the_sign_decode(self):
+        exact = teleport_with_e(0.6, 0.8j, n=2)
+        runs = [(exact, next(b for b in exact.details["branches"] if b["ok"]))]
+        for seed in range(16):
+            res = teleport_with_e(0.6, 0.8j, n=2, rng=np.random.default_rng(seed))
+            runs.append((res, res.details["branch"]))
+        assert {res.succeeded for res, _ in runs} == {True, False}
+        for res, branch in runs:
+            steps = [(s["step"], s["kind"]) for s in res.trace]
+            parity = res.trace[1]
+            assert abs(res.trace[-1]["cum_p"] - branch["p"]) < 1e-12
+            if not branch["ok"]:
+                assert steps == [("adjoin-e", "prep"), ("parity", "measure")]
+                assert parity["outcome"] is None
+                continue
+            assert steps == [("adjoin-e", "prep"), ("parity", "measure"), ("sign", "measure")]
+            sign = res.trace[2]
+            assert (parity["outcome"], parity["p"]) == (branch["parity"], branch["p_parity"])
+            assert (sign["pattern"], sign["sign"]) == (list(branch["pattern"]), branch["sign"])
+            assert sign["p"] == branch["p_sign"]
+
     def test_parity_deterministic_per_bell_class(self):
         # the Bell measurement's parity step distinguishes the two classes
         even_class = FockState(4, {(0, 1, 1, 0): INV_SQRT2, (1, 0, 0, 1): INV_SQRT2})
@@ -484,6 +505,19 @@ class TestStagedParitySampling:
             stages.add(_parity_stages(res))
             assert len(projections) - before == _parity_stages(res)
         assert stages == {1, 2, 3}
+
+    @pytest.mark.parametrize("run", [PARITY_RUNS["teleport_with_e_ideal"],
+                                     lambda rng: distribute_entanglement(2, rng=rng, method="ideal")],
+                             ids=["teleport_with_e", "distribute_entanglement"])
+    def test_ideal_parity_projects_only_the_drawn_sector(self, run, monkeypatch):
+        # both parity sectors are possible; a sampled run projects the drawn
+        # one, then the sign decode or the even-parity readout if it has one
+        projections = _counting(monkeypatch, measure, "_projection")
+        monkeypatch.setattr(protocols, "_projection", measure._projection)
+        for seed in range(12):
+            before = len(projections)
+            res = run(np.random.default_rng(seed))
+            assert len(projections) - before == 1 + ("pattern" in res.details["branch"])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_only_the_readout_groups_a_state(self, n, monkeypatch):
