@@ -7,14 +7,15 @@ mutates after construction, so values can be shared freely.
 Validation happens once, at the public edge: ``FockState(...)``,
 ``scaled``, ``number_state`` and ``state_from_json`` check every
 occupation (integer, right length, no negative count) and every
-amplitude (finite). States built inside the package from keys sliced,
-joined or relabelled from valid states (measurement post-states, phase
-corrections, tensor products, permutations, sums, ``normalized``) go
-through the private ``FockState._trusted``, which skips only the key
-checks: it does the same arithmetic and still rejects non-finite
-amplitudes. ``optics.apply_unitary`` keeps the public constructor, one
-call per evolution, which is what the per-layer trace counts as
-``fock.construct``.
+amplitude (finite), in bulk when the keys are already tuples of ``int``
+and the amplitudes ``complex``, else key by key. States built inside the
+package from keys sliced, joined or relabelled from valid states
+(measurement post-states, phase corrections, tensor products,
+permutations, sums, ``normalized``) go through the private
+``FockState._trusted``, which skips only the key checks: it does the
+same arithmetic and still rejects non-finite amplitudes.
+``optics.apply_unitary`` keeps the public constructor, one call per
+evolution, which is what the per-layer trace counts as ``fock.construct``.
 
 Mode indices are 0-based throughout.
 """
@@ -22,6 +23,7 @@ Mode indices are 0-based throughout.
 import cmath
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -67,6 +69,14 @@ class FockState:
     def __init__(self, modes: int, amplitudes: dict, tol: float = DEFAULT_TOL):
         if modes < 0:
             raise InvalidOccupationError(f"mode count must be >= 0, got {modes}")
+        keys = amplitudes.keys()
+        if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {modes}
+                and {*map(type, amplitudes.values())} <= {complex}
+                and {*map(type, counts := [*chain.from_iterable(keys)])} <= {int}
+                and min(counts, default=0) >= 0):
+            # checked in bulk, nothing to convert or merge: the arithmetic of _trusted
+            self._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
+            return
         cleaned = {}
         for occ, amp in amplitudes.items():
             occ = tuple(map(int, occ))

@@ -12,22 +12,22 @@ A branch whose probability, relative to the measured state, is below
 ``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
 ``postselect`` reports it with probability 0.
 
-Sampling draws one branch and projects only that one. Every protocol
-detection is one stage of ``protocols._detect``, and a sampled run draws
-stage by stage through one of two routes: one ``_drawer`` draw over the
-lazy records of ``measure_modes`` (as ``sample_outcome`` draws), or,
-behind a mode unitary (the Fourier multiports), ``_sample_detection``,
-which neither evolves nor groups the whole state: it draws an incoherent
-sector of the input, draws a count pattern of that sector by boson
-sampling, and builds the post-state of that one pattern from transition
-amplitudes. Its post-state equals the exact branch to rounding (1e-10),
-not bit for bit.
+Every protocol detection is one stage of ``protocols._detect``. An exact
+stage builds a branch's post-state the first time it is read, from the
+kept amplitudes of its lazy record. A sampled run projects only the one
+branch it draws, stage by stage, through one of two routes: one
+``_drawer`` draw over the lazy records of ``measure_modes`` (as
+``sample_outcome`` draws), or, behind a mode unitary (the Fourier
+multiports), ``_sample_detection``, which neither evolves nor groups the
+whole state: it draws an incoherent sector of the input, draws a count
+pattern of that sector by boson sampling, and builds the post-state of
+that one pattern from transition amplitudes. Its post-state equals the
+exact branch to rounding (1e-10), not bit for bit.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 
@@ -152,6 +152,18 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), laz
     return out if lazy else [project() for _, _, project in out]
 
 
+class _Pending(tuple):
+    """``(modes, measured, counts, p, group, weight)`` of a branch not yet built:
+    the post-state's mode count, not the measured state, and the kept
+    amplitudes ``group`` of squared norm ``weight``. Calling it builds it."""
+
+    __slots__ = ()
+
+    def __call__(self) -> ConditionalOutcome:
+        modes, measured, counts, p, group, weight = self
+        return ConditionalOutcome(tuple(zip(measured, counts)), p, _projection(modes, group, weight))
+
+
 def _groups(state: FockState, modes, bucket):
     """Counter or Bucket branches of measure_modes as its lazy records."""
     measured, kept = _split(state, modes)
@@ -179,14 +191,8 @@ def _groups(state: FockState, modes, bucket):
             continue
         if weight == 0:
             raise ZeroStateError(f"bucket class {counts} cancels coherently")
-        out.append((counts, p, partial(_outcome, state, modes, counts, p, group, weight)))
+        out.append((counts, p, _Pending((state.modes - len(modes), modes, counts, p, group, weight))))
     return out
-
-
-def _outcome(state: FockState, modes, counts, p, group, weight) -> ConditionalOutcome:
-    """The branch of ``counts``: ``group``, kept amplitudes of squared norm ``weight``, projected."""
-    post = _projection(state.modes - len(modes), group, weight)
-    return ConditionalOutcome(tuple(zip(modes, counts)), p, post)
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
@@ -210,7 +216,7 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
     weight = sum(abs(a) ** 2 for a in amps.values())
     if weight / total < IMPOSSIBLE:
         return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
-    return _outcome(state, modes, counts, weight / total, amps, weight)
+    return _Pending((state.modes - len(modes), modes, counts, weight / total, amps, weight))()
 
 
 def _sample_detection(state: FockState, u, modes, rng):
@@ -259,7 +265,7 @@ def _sample_detection(state: FockState, u, modes, rng):
         weight = sum(abs(a) ** 2 for a in group.values())
         p = weight / total
         if p >= IMPOSSIBLE:
-            return counts, p, partial(_outcome, state, modes, counts, p, group, weight)
+            return counts, p, _Pending((state.modes - len(modes), modes, counts, p, group, weight))
 
 
 def _draw_index(weights, rng) -> int:

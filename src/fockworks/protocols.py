@@ -21,12 +21,13 @@ and every protocol writes trace steps.
 
 A branch is a plain dict. Every branch carries ``p`` (its exact
 probability), ``ok`` (whether the gadget succeeded on it) and ``state``
-(the post-measurement state, corrections applied), plus ``corrections``
-(the ``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward applied)
-when a correction was applied. Gadgets add their own keys: the detected
-``pattern`` (``pattern1``/``pattern2`` per teleportation stage), ``k1``/
-``k2``, ``parity``, ``sign``, ``accepted``, ``stage`` and ``projected``, and
-the probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``).
+(the post-measurement state, corrections applied, built when first read
+in an exact run), plus ``corrections`` (the ``("phase", mode, angle)`` /
+``("swap", a, b)`` feed-forward applied) when a correction was applied.
+Gadgets add their own keys: the detected ``pattern`` (``pattern1``/
+``pattern2`` per teleportation stage), ``k1``/``k2``, ``parity``,
+``sign``, ``accepted``, ``stage`` and ``projected``, and the
+probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``).
 
 Phase corrections after Fourier-multiport measurements follow the
 detected pattern {r_j}: the |1> component of the target mode is rotated
@@ -39,7 +40,7 @@ test suite before anything composes on top of them.
 import math
 from dataclasses import dataclass, field
 
-from . import fock
+from . import fock, measure
 from .fock import FockError, FockState, number_state, tensor
 from .measure import (
     IMPOSSIBLE,
@@ -111,11 +112,11 @@ def _detect(work, modes, classify, rng, unitary=None):
     acts on them when one is given.
 
     Returns the stage's branches, ``{"pattern": counts, "p": p,
-    **classify(counts, post_state)}``: with ``rng=None`` every count
-    pattern, in canonical order; with an rng the one drawn branch, drawn by
-    ``measure._sample_detection`` behind a unitary (``work`` is not
-    evolved) and otherwise by one draw over the grouped records. Only the
-    returned branches are projected.
+    **classify(counts), "state": post}``, ``post`` corrected by classify's
+    ``corrections``: with ``rng=None`` every count pattern, in canonical
+    order, each ``post`` built when first read; with an rng the one drawn
+    branch, built at once, drawn by ``measure._sample_detection`` behind a
+    unitary (``work`` is not evolved), else by one draw over the records.
     """
     if rng is not None and unitary is not None:
         records = [_sample_detection(work, unitary, modes, rng)]
@@ -125,8 +126,33 @@ def _detect(work, modes, classify, rng, unitary=None):
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
             records = [records[_drawer([p for _, p, _ in records])(rng.random())]]
-    return [{"pattern": pattern, "p": p, **classify(pattern, project().post_state)}
-            for pattern, p, project in records]
+    branches = [{"pattern": pattern, "p": p, **classify(pattern)} for pattern, p, _ in records]
+    for branch, (_, _, pending) in zip(branches, records):
+        corrections = branch.get("corrections", [])
+        branch["state"] = (_BranchState(pending, corrections) if rng is None
+                           else _corrected(pending().post_state, corrections))
+    return branches
+
+
+class _BranchState(FockState):
+    """An exact branch's post-state: its kept amplitudes ``group`` of squared
+    norm ``weight`` and its ``corrections`` until its terms are first read,
+    which runs a sampled branch's build, ``_corrected(_projection(...))``."""
+
+    __slots__ = ("_group", "_weight", "_corrections")
+
+    def __init__(self, pending, corrections):
+        self.modes, *_, self._group, self._weight = pending
+        self._corrections = corrections
+
+    def __getattr__(self, name):
+        # reached only while the ``_amp`` slot is unset
+        if name != "_amp":
+            raise AttributeError(name)
+        post = measure._projection(self.modes, self._group, self._weight)
+        self._amp = _corrected(post, self._corrections)._amp
+        del self._group, self._weight, self._corrections
+        return self._amp
 
 
 def _corrected(state, corrections):
@@ -150,9 +176,10 @@ def _resolve(branches, rng):
 
 
 def _result(chosen, p, details, trace, failure=None) -> ProtocolResult:
-    """The ProtocolResult of the resolved branch; ``failure(chosen)`` builds
-    the failure_info, for the chosen branch only."""
+    """The ProtocolResult of the resolved branch, its state built; ``failure(chosen)``
+    builds the failure_info, for the chosen branch only."""
     ok = chosen["ok"]
+    chosen["state"].term_count()
     return ProtocolResult(ok, p, chosen["state"], corrections=chosen.get("corrections", []),
                           failure_info=None if ok else failure(chosen), trace=trace,
                           details=details)
@@ -380,8 +407,7 @@ def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     work = apply_unitary(work, _ns1_effective(), [mode, m, m + 1])
     trace = []
     _trace_step(trace, "ns1-network", "element", modes=[mode, m, m + 1])
-    branches = _detect(work, [m, m + 1], lambda pattern, post: {
-        "ok": pattern == network.accept, "state": post}, rng)
+    branches = _detect(work, [m, m + 1], lambda pattern: {"ok": pattern == network.accept}, rng)
     chosen = _resolve(branches, rng)
     _trace_step(trace, "ns1-herald", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"accept": network.accept}
@@ -472,7 +498,7 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            out = _detect(out, leftovers, lambda pattern, post: {"state": post}, rng)[0]["state"]
+            out = _detect(out, leftovers, lambda pattern: {}, rng)[0]["state"]
             tx, ty = (_shift_index(m, leftovers) for m in (tx, ty))
         # relabel so the teleported modes sit where the inputs were
         rest = iter(m for m in range(out.modes) if m not in (tx, ty))
@@ -533,13 +559,12 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
                          [input_mode, m0])
     target = _shift_index(m0 + 1, sorted([input_mode, m0]))
 
-    def classify(pattern, post):
+    def classify(pattern):
         total = sum(pattern)
         if total != 1:
-            return {"total": total, "ok": False, "projected": 0 if total == 0 else 1, "state": post}
+            return {"total": total, "ok": False, "projected": 0 if total == 0 else 1}
         corrections = [("phase", target, math.pi)] if pattern == (1, 0) else []
-        return {"total": total, "ok": True, "state": _corrected(post, corrections),
-                "corrections": corrections, "target_mode": target}
+        return {"total": total, "ok": True, "corrections": corrections, "target_mode": target}
 
     branches = _detect(work, [input_mode, m0], classify, rng)
     chosen = _resolve(branches, rng)
@@ -585,14 +610,13 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
 
-    def classify(pattern, post):
+    def classify(pattern):
         k = sum(pattern)
         if not 0 < k < n + 1:
-            return {"k": k, "ok": False, "projected": 0 if k == 0 else 1, "state": post}
+            return {"k": k, "ok": False, "projected": 0 if k == 0 else 1}
         target = _shift_index(m0 + n + k - 1, measured)
         corrections = [("phase", target, (omega * _phase_index(pattern)) % (2 * math.pi))]
-        return {"k": k, "ok": True, "target_mode": target, "corrections": corrections,
-                "state": _corrected(post, corrections)}
+        return {"k": k, "ok": True, "target_mode": target, "corrections": corrections}
 
     branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
     trace = []
@@ -616,7 +640,8 @@ class _TeleportLayout:
     The resource's four n-mode groups sit after the host's m0 modes. Step
     one measures the x input with the first group; step two measures the
     (shifted) y input with the third group. ``final(i)`` maps an original
-    work index to its position after both measurements.
+    work index to its position after both measurements. ``output_groups``
+    is worked out once per (k1, k2); each call gets its own leftover list.
     """
 
     def __init__(self, m0, mode_x, mode_y, n):
@@ -626,16 +651,13 @@ class _TeleportLayout:
         self.y1 = _shift_index(mode_y, self.step1)
         self.fourier_y = [self.y1] + [_shift_index(m0 + 2 * n + i, self.step1) for i in range(n)]
         self.step2 = sorted(self.fourier_y)
-        self._final = {}
+        self._groups = {}
 
     def after_step1(self, index: int) -> int:
         return _shift_index(index, self.step1)
 
     def final(self, index: int) -> int:
-        out = self._final.get(index)
-        if out is None:
-            out = self._final[index] = _shift_index(_shift_index(index, self.step1), self.step2)
-        return out
+        return _shift_index(_shift_index(index, self.step1), self.step2)
 
     def target_x(self, k1: int) -> int:
         return self.final(self.m0 + self.n + k1 - 1)
@@ -644,11 +666,14 @@ class _TeleportLayout:
         return self.final(self.m0 + 3 * self.n + k2 - 1)
 
     def output_groups(self, k1: int, k2: int):
-        tx, ty = self.target_x(k1), self.target_y(k2)
-        last_x = [self.final(self.m0 + self.n + i) for i in range(self.n)]
-        last_y = [self.final(self.m0 + 3 * self.n + i) for i in range(self.n)]
-        leftovers = [m for m in last_x + last_y if m not in (tx, ty)]
-        return tx, ty, leftovers
+        groups = self._groups.get((k1, k2))
+        if groups is None:
+            tx, ty = self.target_x(k1), self.target_y(k2)
+            last_x = [self.final(self.m0 + self.n + i) for i in range(self.n)]
+            last_y = [self.final(self.m0 + 3 * self.n + i) for i in range(self.n)]
+            groups = self._groups[k1, k2] = (tx, ty, [m for m in last_x + last_y if m not in (tx, ty)])
+        tx, ty, leftovers = groups
+        return tx, ty, list(leftovers)
 
 
 def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None,
@@ -668,24 +693,23 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     omega = 2 * math.pi / (n + 1)
     u = fourier_matrix(n)
     branches = []
-    for one in _detect(tensor(state, resource.state), layout.fourier_x,
-                       lambda pattern, post: {"state": post}, rng, u):
+    for one in _detect(tensor(state, resource.state), layout.fourier_x, lambda pattern: {}, rng, u):
         pat1, p1 = one["pattern"], one["p"]
         k1, s1 = sum(pat1), _phase_index(pat1)
         if not 0 < k1 < n + 1:
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
                              "p1": p1, "state": one["state"], "projected": 0 if k1 == 0 else 1})
             continue
+        tx1 = layout.target_x(k1)
 
-        def second(pat2, post2):
+        def second(pat2):
             k2 = sum(pat2)
             entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1}
             if not 0 < k2 < n + 1:
                 # y projected; undo the sign the collapsed resource imprinted on x
-                tx = layout.target_x(k1)
                 w = n if k2 == 0 else 0
-                corrections = [("phase", tx, (omega * s1 + math.pi * w) % (2 * math.pi))]
-                entry.update(ok=False, stage=2, projected=0 if k2 == 0 else 1, target_x=tx)
+                corrections = [("phase", tx1, (omega * s1 + math.pi * w) % (2 * math.pi))]
+                entry.update(ok=False, stage=2, projected=0 if k2 == 0 else 1, target_x=tx1)
             else:
                 tx, ty, leftovers = layout.output_groups(k1, k2)
                 ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
@@ -694,7 +718,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
                 entry.update(ok=True, target_x=tx, target_y=ty, leftover_modes=leftovers)
                 if flavor is not None:
                     entry["parity"] = (k1 + k2 + flavor) % 2
-            entry.update(state=_corrected(post2, corrections), corrections=corrections)
+            entry["corrections"] = corrections
             return entry
 
         for two in _detect(one["state"], layout.fourier_y, second, rng, u):
@@ -908,12 +932,12 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     b_modes_a = [_shift_index(n + i, measured) for i in range(n)]
     b_modes_b = [_shift_index(width + n + i, measured) for i in range(n)]
 
-    def classify(pattern, post):
+    def classify(pattern):
         # a half whose ancilla pair reads (1, 0) is flagged: pi on its b-modes
         corrections = [("phase", m, math.pi) for half, b_modes in ((pattern[:2], b_modes_a),
                                                                    (pattern[2:], b_modes_b))
                        if half == (1, 0) for m in b_modes]
-        return {"ok": True, "state": _corrected(post, corrections), "corrections": corrections}
+        return {"ok": True, "corrections": corrections}
 
     branches = _detect(state, measured, classify, rng)
     chosen = _resolve(branches, rng)
@@ -956,8 +980,8 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
     # both parities are usable; the even one is the post-selected view
-    branches = _detect(state, [anc1, anc2], lambda pattern, post: {
-        "parity": 0 if pattern == (0, 1) else 1, "ok": True, "state": post}, rng)
+    branches = _detect(state, [anc1, anc2], lambda pattern: {
+        "parity": 0 if pattern == (0, 1) else 1, "ok": True}, rng)
     chosen = _resolve(branches, rng)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count, "parity": chosen["parity"]}
@@ -1053,7 +1077,7 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     which keep their two stages' probabilities as ``p_parity`` and
     ``p_sign``. The trace has a ``parity`` step (outcome None when the
     gadget fails) and, past it, a ``sign`` step with the four-counter
-    ``pattern`` and the decoded ``sign``.
+    pattern as its ``outcome`` and the decoded ``sign``.
     """
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
@@ -1071,11 +1095,10 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
         oa, ob = (_shift_index(final(m), four) for m in (4, 5))
         swap = [("swap", oa, ob)] if pb["parity"] % 2 == 1 else []
 
-        def classify(pattern, post):
+        def classify(pattern):
             sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
             corrections = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
-            return {"parity": pb["parity"], "sign": sign, "ok": True,
-                    "state": _corrected(post, corrections), "out_pair": (oa, ob),
+            return {"parity": pb["parity"], "sign": sign, "ok": True, "out_pair": (oa, ob),
                     "corrections": corrections}
 
         for b in _detect(work, four, classify, rng):
@@ -1084,7 +1107,7 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     chosen = _resolve(branches, rng)
     if chosen["ok"]:
         _trace_step(trace, "parity", "measure", p=chosen["p_parity"], outcome=chosen["parity"])
-        _trace_step(trace, "sign", "measure", p=chosen["p_sign"], pattern=list(chosen["pattern"]),
+        _trace_step(trace, "sign", "measure", p=chosen["p_sign"], outcome=list(chosen["pattern"]),
                     sign=chosen["sign"])
     else:
         _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=None)
@@ -1130,8 +1153,8 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
             continue
         meas = sorted(local)
         rest = tuple(_shift_index(m, meas) for m in remote)
-        for sub in _detect(b["state"], meas, lambda pattern, post: {
-                "parity": 0, "ok": False, "state": post, "accepted": False, "remote": rest}, rng):
+        for sub in _detect(b["state"], meas, lambda pattern: {
+                "parity": 0, "ok": False, "accepted": False, "remote": rest}, rng):
             sub["p"] = b["p"] * sub["p"]
             branches.append(sub)
     chosen = _resolve(branches, rng)

@@ -4,13 +4,15 @@ Detector models give branches whose probabilities sum to 1, bucket classes
 that merge several count patterns included. Every gadget detects through
 one stage, ``protocols._detect``, which lists branch dicts carrying
 ``pattern``, ``p``, ``ok`` and ``state``: every branch analytically, the
-one drawn branch with an rng, so a sampled run draws stage by stage. One
-resolver turns them into the result: the first successful branch
-analytically, the drawn branch with an rng.
+one drawn branch with an rng, so a sampled run draws stage by stage. An
+exact branch's state is built the first time its terms are read, bit for
+bit what an eager build gives. One resolver turns them into the result:
+the first successful branch analytically, the drawn branch with an rng.
 """
 
 import cmath
 import collections
+import gc
 import math
 
 import numpy as np
@@ -89,6 +91,57 @@ def test_analytic_gadget_branches_sum_to_one(name, a, b, n):
         assert res.succeeded and res.output_state is chosen["state"]
 
 
+def _bits(state):
+    """Every amplitude of ``state`` by ``float.hex``, in its dict order."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state._amp.items()]
+
+
+def _states_reachable_from(obj):
+    """Every FockState that ``obj``'s references reach, ``obj`` itself left out."""
+    seen, todo, found = {id(obj)}, [obj], []
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if isinstance(ref, type) or id(ref) in seen:
+                continue
+            seen.add(id(ref))
+            if isinstance(ref, FockState):
+                found.append(ref)
+            todo.append(ref)
+    return found
+
+
+class TestDeferredBranchStates:
+    """Exact branch states are built on first read, as an eager build builds them."""
+
+    @pytest.mark.parametrize("name", sorted(GADGETS))
+    def test_first_read_equals_the_eager_build(self, name):
+        res = GADGETS[name]((0.6, 0.8j), (0.28j, 0.96), 2)
+        states = [br["state"] for br in res.details["branches"]]
+        assert all(isinstance(state, FockState) for state in states)
+        assert not hasattr(res.output_state, "_group")  # the landed branch is built
+        pending = [state for state in states if hasattr(state, "_group")]
+        assert pending
+        for state in pending:
+            assert _states_reachable_from(state) == []
+            eager = protocols._corrected(
+                measure._projection(state.modes, state._group, state._weight), state._corrections)
+            assert _bits(state) == _bits(eager)
+            assert _bits(state) == _bits(eager)  # a second read gives the same
+            assert not hasattr(state, "_group") and _states_reachable_from(state) == []
+        for state in states:
+            back = fock.load_state(fock.dump_state(state))
+            assert back.modes == state.modes
+            assert [(o, a.real.hex(), a.imag.hex()) for o, a in back.terms()] == \
+                [(o, a.real.hex(), a.imag.hex()) for o, a in state.terms()]
+
+    def test_exact_teleport_corrects_only_the_landed_branch(self, monkeypatch):
+        calls = []
+        phase_on_mode = fock.phase_on_mode
+        monkeypatch.setattr(fock, "phase_on_mode", lambda *a: calls.append(1) or phase_on_mode(*a))
+        res = protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8), 0, 6)
+        assert len(calls) == 1 and res.succeeded
+
+
 class TestResolver:
     def test_analytic_takes_the_first_successful_branch(self):
         branches = [{"p": 0.5, "ok": False}, {"p": 0.2, "ok": True}, {"p": 0.3, "ok": True}]
@@ -106,8 +159,8 @@ class TestResolver:
         assert rng.bit_generator.state == before
 
 
-def _keep(pattern, post):
-    return {"ok": pattern[0] == 0, "state": post}
+def _keep(pattern):
+    return {"ok": pattern[0] == 0}
 
 
 class TestDetect:

@@ -186,7 +186,14 @@ class TestSampledTeleportTn:
         state = encode_single_rail(0.6, 0.8)
         teleport_tn(state, 0, n, rng=np.random.default_rng(n))
         assert len(calls) == 1
+        # an exact run builds the landed branch only; the rest on first read
         branches = teleport_tn(state, 0, n).details["branches"]
+        assert len(calls) == 2
+        for b in branches:
+            list(b["state"].terms())
+        assert len(calls) == 1 + len(branches)
+        for b in branches:
+            list(b["state"].terms())
         assert len(calls) == 1 + len(branches)
 
 
@@ -436,7 +443,7 @@ class TestTeleportWithE:
             assert steps == [("adjoin-e", "prep"), ("parity", "measure"), ("sign", "measure")]
             sign = res.trace[2]
             assert (parity["outcome"], parity["p"]) == (branch["parity"], branch["p_parity"])
-            assert (sign["pattern"], sign["sign"]) == (list(branch["pattern"]), branch["sign"])
+            assert (sign["outcome"], sign["sign"]) == (list(branch["pattern"]), branch["sign"])
             assert sign["p"] == branch["p_sign"]
 
     def test_parity_deterministic_per_bell_class(self):

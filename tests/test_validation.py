@@ -12,6 +12,7 @@ sites replaced; results are compared bit for bit.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,11 +244,22 @@ class TestPublicValidation:
         (2, {(1.0, 0.0): float("nan")}, "non-finite amplitude for (1, 0)"),
         (1, {(0,): complex(1, float("inf"))}, "non-finite amplitude for (0,)"),
         (-1, {}, "mode count must be >= 0, got -1"),
+        (2, {(0, 1): 1j, (1, -1): 1j}, "negative count in occupation (1, -1)"),
+        (1, {(0,): 1j, (0, 1): 1j}, "occupation (0, 1) has length 2, expected 1"),
     ])
     def test_constructor_errors_and_messages(self, modes, amps, message):
         with pytest.raises(InvalidOccupationError) as info:
             FockState(modes, amps)
         assert str(info.value) == message
+
+    @PROPERTY
+    @given(amp_dicts(), st.sampled_from([0.0, DEFAULT_TOL]))
+    def test_bulk_checked_input_matches_the_per_key_loop(self, data, tol):
+        # int keys with complex amplitudes are checked in bulk; numpy
+        # amplitudes send the same input through the per-key loop
+        modes, amps = data
+        looped = {occ: np.complex128(a) for occ, a in amps.items()}
+        assert _bits(FockState(modes, amps, tol)) == _bits(FockState(modes, looped, tol))
 
     @PROPERTY
     @given(amp_dicts(min_terms=1), st.data())
