@@ -79,6 +79,10 @@ def _csign(n):
         (b["p"], b["state"]) for b in res.details["branches"]]
 
 
+def _heralded(res):
+    return [(res.success_probability, res.output_state)]
+
+
 def _measured(model, modes):
     return [(br.probability, br.post_state) for br in measure.measure_modes(_evolved(), modes, model)]
 
@@ -96,6 +100,12 @@ CASES = {
     "measure_fanout4": lambda: _measured(measure.FanoutCounter(4), [1, 6]),
     "postselect": _postselect,
     "apply_unitary_5ph_8modes": lambda: [(1.0, _evolved())],
+    "csign_via_ns": lambda: _heralded(protocols.csign_via_ns(
+        fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.28j, 0.96)),
+        BosonicQubit(0, 1), BosonicQubit(2, 3))),
+    "prepare_b4_prime": lambda: _heralded(protocols.prepare_b4_prime()),
+    "apply_ns1": lambda: _heralded(protocols.apply_ns1(
+        fock.FockState(1, {(0,): 0.6, (1,): 0.48j, (2,): 0.64}), 0)),
 }
 
 

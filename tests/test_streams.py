@@ -53,6 +53,8 @@ SAMPLED = {
     "prepare_p_prime": lambda rng: protocols.prepare_p_prime(2, rng=rng),
     "teleport_with_e": lambda rng: protocols.teleport_with_e(0.6, 0.8, n=2, rng=rng),
     "distribute_entanglement": lambda rng: protocols.distribute_entanglement(2, rng=rng),
+    "csign_via_ns": lambda rng: protocols.csign_via_ns(
+        _plus_plus(), BosonicQubit(0, 1), BosonicQubit(2, 3), rng=rng),
 }
 
 _PATTERN_KEYS = ("pattern", "pattern1", "pattern2", "parity", "sign", "accepted",
