@@ -14,7 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,12 +48,29 @@ class RunConfig:
         return cls(**data)
 
 
+# the fields a flag or a config file sets, with their types
+_OPTIONS = {f.name: f.type for f in fields(RunConfig) if f.name not in ("command", "protocol")}
+
+
 def _load_config_defaults(path: str | None) -> dict:
+    """The options a config file sets, each a RunConfig option of its field's type."""
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} is not a JSON object")
+    for key, value in data.items():
+        if key not in _OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+        kind = _OPTIONS[key]
+        kinds = typing.get_args(kind) or (kind,)
+        kinds += (int,) if float in kinds else ()
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"config key {key!r} needs {getattr(kind, '__name__', kind)}, "
+                             f"got {value!r}")
+    return data
 
 
 def _emit(data: dict, out: str | None):
@@ -82,72 +100,59 @@ def _parse_amplitudes(text: str, count: int):
 
 
 def _analytic_report(cfg: RunConfig):
-    """Returns (ProtocolResult, analytic summary dict, trial factory or None)."""
-    name = cfg.protocol
+    """Returns (exact ProtocolResult, analytic summary dict)."""
+    name, extra = cfg.protocol, {}
     if name == "ns1":
         amps = _parse_amplitudes(cfg.input or "1,1,1", 3)
-        state = fock.FockState(1, {(k,): amps[k] for k in range(3)})
-        trial = costs.make_trial("ns1", seed_state=state)
-        return trial.result, {"success_probability": trial.analytic}, trial
-    if name == "csign":
+        res = protocols.apply_ns1(fock.FockState(1, {(k,): amps[k] for k in range(3)}), 0)
+    elif name == "csign":
         raw = (cfg.input or "1,0,0,1").split(",")
         if len(raw) != 4:
             raise ValueError("csign input needs 4 amplitudes: a0,a1,b0,b1")
         first = _parse_amplitudes(",".join(raw[:2]), 2)
         second = _parse_amplitudes(",".join(raw[2:]), 2)
-        q = fock.tensor(protocols.encode_qubit(*first),
-                        protocols.encode_qubit(*second))
+        q = fock.tensor(protocols.encode_qubit(*first), protocols.encode_qubit(*second))
+        q1, q2 = protocols.BosonicQubit(0, 1), protocols.BosonicQubit(2, 3)
         if cfg.strategy == "ideal":
             res = protocols.apply_csign_modes(q, 0, 2, strategy="ideal")
-            return res, {"success_probability": res.success_probability}, None
-        if cfg.strategy == "teleported":
-            trial = costs.make_trial("csign_teleported", n=cfg.n, seed_state=q)
+        elif cfg.strategy == "teleported":
+            res = protocols.csign_teleported(q, q1, q2, cfg.n)
         else:
-            trial = costs.make_trial("csign_ns", seed_state=q)
-        return trial.result, {"success_probability": trial.analytic}, trial
-    if name == "teleport":
+            res = protocols.csign_via_ns(q, q1, q2)
+    elif name == "teleport":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
-        state = costs.encode_single_rail(amps[0], amps[1])
-        trial = costs.make_trial("teleport", n=cfg.n, seed_state=state)
-        return trial.result, {
-            "success_probability": trial.analytic,
-            "failure_probability": trial.result.details["failure_probability"],
-        }, trial
-    if name == "b4prime":
+        res = protocols.teleport_tn(costs.encode_single_rail(amps[0], amps[1]), 0, cfg.n)
+        extra = {"failure_probability": res.details["failure_probability"]}
+    elif name == "b4prime":
         res = protocols.prepare_b4_prime()
-        return res, {"success_probability": res.success_probability}, None
-    if name == "tpn":
+    elif name == "tpn":
         res = protocols.prepare_tp_n(cfg.n, strategy=cfg.strategy)
-        return res, {"success_probability": res.success_probability,
-                     "csign_count": res.details["csign_count"]}, None
-    if name == "tprime":
+        extra = {"csign_count": res.details["csign_count"]}
+    elif name == "tprime":
         res = protocols.combine_tp_to_tprime(cfg.n, strategy=cfg.strategy)
-        return res, {"success_probability": res.success_probability}, None
-    if name == "parity":
+    elif name == "parity":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
         state = fock.FockState(2, {(0, 1): amps[0], (1, 0): amps[1]})
         res = protocols.parity_measure(state, 0, 1, max(cfg.n, 2))
-        parities = sorted({b["parity"] for b in res.details["branches"] if b["ok"]})
-        return res, {"success_probability": res.success_probability,
-                     "parities": parities}, None
-    if name == "distribute":
+        extra = {"parities": sorted({b["parity"] for b in res.details["branches"] if b["ok"]})}
+    elif name == "distribute":
         res = protocols.distribute_entanglement(max(cfg.n, 2))
-        return res, {"acceptance_probability": res.details["acceptance_probability"]}, None
-    if name == "teleport-e":
+        return res, {"acceptance_probability": res.details["acceptance_probability"]}
+    elif name == "teleport-e":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
         res = protocols.teleport_with_e(amps[0], amps[1], n=max(cfg.n, 2))
-        return res, {"success_probability": res.success_probability}, None
-    if name == "source":
+    elif name == "source":
         r = float(cfg.input or "0.1")
         det = measure.Counter() if cfg.detector == "counter" else measure.Bucket()
         prob, state, fid = source.heralded_single_photon(source.SqueezeParam(r), det)
-        res = protocols.ProtocolResult(True, prob, state)
-        return res, {"herald_probability": prob, "fidelity": fid}, None
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+        return protocols.ProtocolResult(True, prob, state), {"herald_probability": prob, "fidelity": fid}
+    else:
+        raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    return res, {"success_probability": res.success_probability, **extra}
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    res, analytic, trial = _analytic_report(cfg)
+    res, analytic = _analytic_report(cfg)
     report = {
         "protocol": cfg.protocol,
         "params": {"n": cfg.n, "strategy": cfg.strategy, "input": cfg.input},
@@ -161,9 +166,7 @@ def cmd_run(cfg: RunConfig) -> int:
         if cfg.seed is None:
             _say("error: --seed is required for sampling runs")
             return 2
-        if trial is None:
-            _say(f"error: protocol {cfg.protocol!r} does not support --trials")
-            return 2
+        trial = costs.trial_from(res)
         stats = costs.monte_carlo(trial, cfg.trials, cfg.seed)
         report["empirical"] = stats.to_json()
         _say(f"{cfg.protocol}: empirical rate {stats.rate:.6f} over {cfg.trials} trials "
@@ -269,22 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> RunConfig:
-    defaults = {"n": 1, "strategy": "ns", "tol": 1e-10, "seed": None,
-                "trials": None, "out": None, "input": None}
-    defaults.update(_load_config_defaults(args.config))
-    cfg = RunConfig(
-        command=args.command,
-        protocol=getattr(args, "protocol", None),
-        n=args.n if getattr(args, "n", None) is not None else defaults["n"],
-        strategy=getattr(args, "strategy", None) or defaults["strategy"],
-        seed=args.seed if getattr(args, "seed", None) is not None else defaults["seed"],
-        trials=args.trials if getattr(args, "trials", None) is not None else defaults["trials"],
-        tol=args.tol if getattr(args, "tol", None) is not None else defaults["tol"],
-        out=getattr(args, "out", None) or defaults["out"],
-        input=getattr(args, "input", None) or defaults["input"],
-        trace_out=getattr(args, "trace_out", None) or defaults.get("trace_out"),
-        detector=getattr(args, "detector", None) or defaults.get("detector", "bucket"),
-    )
+    """Flags over the config file over RunConfig's own defaults."""
+    cfg = RunConfig(command=args.command, protocol=getattr(args, "protocol", None),
+                    **_load_config_defaults(args.config))
+    for name in _OPTIONS:
+        if getattr(args, name, None) not in (None, ""):
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 

@@ -130,49 +130,53 @@ def _plus_plus() -> FockState:
     return tensor(plus, plus)
 
 
-def _branch_trial(result, weights, flags):
-    """A trial that maps an array of uniforms to the flags of the branches they draw."""
-    draw = _drawer(weights)
+def trial_from(result):
+    """A Monte-Carlo trial over the exact branches of ``result``.
+
+    ``trial(uniforms)`` draws one branch per uniform (``measure._drawer``)
+    and returns their ``ok`` flags; ``trial.result`` keeps the result and
+    ``trial.analytic`` its success probability. Refused (ProtocolError)
+    unless ``details["branches"]`` is the whole tree: its ``p`` sum to 1
+    and its ok mass equals ``success_probability``, each to 1e-10. A result
+    without branches fails that, and so does one whose success probability
+    is taken over more than its list (``tprime`` and ``p'`` with NS gates)
+    or is conditional (the acceptance of ``distribute``).
+    """
+    branches = result.details.get("branches") or []
+    p = result.success_probability
+    if (p is None or abs(sum(b["p"] for b in branches) - 1) > 1e-10
+            or abs(sum(b["p"] for b in branches if b["ok"]) - p) > 1e-10):
+        raise protocols.ProtocolError(
+            "a result whose branch list is not the whole tree does not support --trials")
+    draw = _drawer([b["p"] for b in branches])
+    flags = np.array([b["ok"] for b in branches])
 
     def trial(uniforms):
         return flags[draw(uniforms)]
 
-    trial.analytic = result.success_probability
+    trial.analytic = p
     trial.result = result
     return trial
 
 
 def make_trial(name: str, n: int = 3, seed_state=None):
-    """Named trial factories for the standard protocols.
-
-    The exact analysis runs once; it is kept as ``trial.result`` and its
-    success probability as ``trial.analytic``; ``trial(uniforms)`` draws one
-    branch of it per uniform (``measure._drawer``) and returns their success
-    flags. Supported: 'ns1' and 'csign_ns' (success = the heralds fired),
-    'teleport' (success = the Fourier measurement did not project the
-    input) and 'csign_teleported' (success = both teleportations went
-    through), the last two at resource size n.
-    """
+    """``trial_from`` the exact analysis of a standard protocol, run once:
+    'ns1', 'csign_ns', 'teleport' and 'csign_teleported', the last two at
+    resource size n, on ``seed_state`` or a fixed input."""
     name = name.lower()
     q1, q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
     if name == "ns1":
         amp = 1 / math.sqrt(3)
-        state = seed_state or FockState(1, {(0,): amp, (1,): amp, (2,): amp})
-        res = protocols.apply_ns1(state, 0, rng=None)
+        res = protocols.apply_ns1(seed_state or FockState(1, {(0,): amp, (1,): amp, (2,): amp}), 0)
     elif name == "csign_ns":
-        res = protocols.csign_via_ns(seed_state or _plus_plus(), q1, q2, rng=None)
+        res = protocols.csign_via_ns(seed_state or _plus_plus(), q1, q2)
     elif name == "teleport":
-        res = protocols.teleport_tn(seed_state or encode_single_rail(0.6, 0.8), 0, n, rng=None)
+        res = protocols.teleport_tn(seed_state or encode_single_rail(0.6, 0.8), 0, n)
     elif name == "csign_teleported":
-        res = protocols.csign_teleported(seed_state or _plus_plus(), q1, q2, n, rng=None)
+        res = protocols.csign_teleported(seed_state or _plus_plus(), q1, q2, n)
     else:
         raise protocols.ProtocolError(f"no trial factory for {name!r}")
-    if name in ("ns1", "csign_ns"):
-        # heralded gadgets: the success branch against all the rest
-        p = res.success_probability
-        return _branch_trial(res, [p, 1 - p], np.array([True, False]))
-    branches = res.details["branches"]
-    return _branch_trial(res, [b["p"] for b in branches], np.array([b["ok"] for b in branches]))
+    return trial_from(res)
 
 
 def encode_single_rail(alpha0: complex, alpha1: complex) -> FockState:

@@ -12,12 +12,14 @@ detection is one stage of ``_detect``: it counts some modes (after a
 mode unitary, for the Fourier multiports), classifies each count pattern
 into a branch with its feed-forward corrections, and returns every
 branch, or with an rng only the drawn one, so a sampled run projects one
-branch per stage. A sampled detection behind a unitary draws its pattern
-through ``measure._sample_detection``, so the trajectory neither evolves
-nor groups the whole state; its branch equals the exact branch of the
-same pattern to 1e-10, not bit for bit. One resolver picks the branch
-(``_resolve``) and one builder turns it into the result (``_result``),
-and every protocol writes trace steps.
+branch per stage. A gadget of two stages lists composite branches: the
+first stage's failures and the second stage's branches on each
+first-stage success, ``p`` the product of the two. A sampled detection
+behind a unitary draws its pattern through ``measure._sample_detection``,
+so the trajectory neither evolves nor groups the whole state; its branch
+equals the exact branch of the same pattern to 1e-10, not bit for bit.
+One resolver picks the branch (``_resolve``) and one builder turns it
+into the result (``_result``), and every protocol writes trace steps.
 
 A branch is a plain dict. Every branch carries ``p`` (its exact
 probability), ``ok`` (whether the gadget succeeded on it) and ``state``
@@ -27,7 +29,8 @@ in an exact run), plus ``corrections`` (the ``("phase", mode, angle)`` /
 Gadgets add their own keys: the detected ``pattern`` (``pattern1``/
 ``pattern2`` per teleportation stage), ``k1``/``k2``, ``parity``,
 ``sign``, ``accepted``, ``stage`` and ``projected``, and the
-probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``).
+probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``,
+the (p, pattern) ``heralds`` of the sign-flip pair).
 
 Phase corrections after Fourier-multiport measurements follow the
 detected pattern {r_j}: the |1> component of the target mode is rotated
@@ -190,15 +193,6 @@ def _trace_step(trace, label, kind, p=1.0, **extra):
     entry = {"step": label, "kind": kind, "p": p, "cum_p": cum}
     entry.update(extra)
     trace.append(entry)
-
-
-def _extend_trace(trace, sub):
-    """Append a sub-protocol's trace, rebasing its cumulative probabilities."""
-    base = trace[-1]["cum_p"] if trace else 1.0
-    for entry in sub:
-        rebased = dict(entry)
-        rebased["cum_p"] = base * entry["cum_p"]
-        trace.append(rebased)
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +387,38 @@ def _ns1_effective() -> ModeUnitary:
     return _NS1_CACHE["effective"]
 
 
+def _ns_stage(state: FockState, mode: int, rng):
+    """The sign flip's detection: its ancillas adjoined after ``state``'s
+    modes, the network run on ``mode`` and them, the ancillas counted.
+    Returns ``_detect``'s branches; ``ok`` is the accepted herald."""
+    if state.max_occupation(mode) > 2:
+        raise UnsupportedInputError(f"mode {mode} holds more than 2 photons")
+    m = state.modes
+    network = ns1_network()
+    work = apply_unitary(tensor(state, number_state(network.ancilla_counts)), _ns1_effective(),
+                         [mode, m, m + 1])
+    return _detect(work, [m, m + 1], lambda pattern: {"ok": pattern == network.accept}, rng)
+
+
+def _ns_trace(trace, mode, m, p, pattern):
+    """The trace steps of one sign flip on ``mode`` of an ``m``-mode state."""
+    _trace_step(trace, "ns1-network", "element", modes=[mode, m, m + 1])
+    _trace_step(trace, "ns1-herald", "measure", p=p, outcome=list(pattern))
+
+
 def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     """Nonlinear sign flip on one mode, heralded by the ancilla detectors.
 
     On success the mode's |2> amplitude changes sign; the success
     probability is exactly 1/4 for any admissible (<= 2 photon) input.
     """
-    if state.max_occupation(mode) > 2:
-        raise UnsupportedInputError(f"mode {mode} holds more than 2 photons")
-    m = state.modes
-    network = ns1_network()
-    work = tensor(state, number_state(network.ancilla_counts))
-    work = apply_unitary(work, _ns1_effective(), [mode, m, m + 1])
-    trace = []
-    _trace_step(trace, "ns1-network", "element", modes=[mode, m, m + 1])
-    branches = _detect(work, [m, m + 1], lambda pattern: {"ok": pattern == network.accept}, rng)
+    branches = _ns_stage(state, mode, rng)
     chosen = _resolve(branches, rng)
-    _trace_step(trace, "ns1-herald", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
-    details = {"accept": network.accept}
-    if rng is None:
-        details["branches"] = branches
+    trace = []
+    _ns_trace(trace, mode, state.modes, chosen["p"], chosen["pattern"])
     return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
-                   details, trace, lambda b: {"detector": "ns1-ancilla", "outcome": b["pattern"]})
+                   {"branches": branches} if rng is None else {}, trace,
+                   lambda b: {"detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
 # ---------------------------------------------------------------------------
@@ -427,35 +431,31 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
 
     Success branch: amplitude sign flips exactly when both modes hold a
     photon. Works on the dual-rail a-modes to give the two-qubit gate.
+    The branch list holds the ns-x failures, then the ns-y branches on
+    the ns-x success; each keeps its ``stage`` and its ``heralds``, the
+    (p, pattern) of each detection it passed through.
     """
-    bal = element_matrix(BeamSplitter(0, 1, BALANCED))
-    work = apply_unitary(state, bal, [mode_x, mode_y])
+    work = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [mode_x, mode_y])
+    xs = _ns_stage(work, mode_x, rng)
+    branches = [dict(b, stage="ns-x", heralds=[(b["p"], b["pattern"])]) for b in xs if not b["ok"]]
+    for bx in filter(lambda b: b["ok"], xs):
+        for by in _ns_stage(bx["state"], mode_y, rng):
+            by.update(stage="ns-y", p=bx["p"] * by["p"],
+                      heralds=[(bx["p"], bx["pattern"]), (by["p"], by["pattern"])])
+            if by["ok"]:
+                by["state"] = apply_unitary(by["state"], element_matrix(BeamSplitter(0, 1, -BALANCED)),
+                                            [mode_x, mode_y])
+            branches.append(by)
+    chosen = _resolve(branches, rng)
     trace = []
     _trace_step(trace, "mix", "element", modes=[mode_x, mode_y])
-    prob = 1.0
-    for step, m in (("ns-x", mode_x), ("ns-y", mode_y)):
-        res = apply_ns1(work, m, rng=rng)
-        _extend_trace(trace, res.trace)
-        if not res.succeeded:
-            return ProtocolResult(
-                succeeded=False,
-                success_probability=None,
-                output_state=res.output_state,
-                failure_info={"stage": step, **res.failure_info},
-                trace=trace,
-            )
-        if res.success_probability is not None:
-            prob *= res.success_probability
-        work = res.output_state
-    bal_inv = element_matrix(BeamSplitter(0, 1, -BALANCED))
-    work = apply_unitary(work, bal_inv, [mode_x, mode_y])
-    _trace_step(trace, "unmix", "element", modes=[mode_x, mode_y])
-    return ProtocolResult(
-        succeeded=True,
-        success_probability=prob if rng is None else None,
-        output_state=work,
-        trace=trace,
-    )
+    for mode, (p, pattern) in zip((mode_x, mode_y), chosen["heralds"]):
+        _ns_trace(trace, mode, state.modes, p, pattern)
+    if chosen["ok"]:
+        _trace_step(trace, "unmix", "element", modes=[mode_x, mode_y])
+    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
+                   {"branches": branches} if rng is None else {}, trace,
+                   lambda b: {"stage": b["stage"], "detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
 def csign_via_ns(state: FockState, q1: BosonicQubit, q2: BosonicQubit, rng=None) -> ProtocolResult:

@@ -73,6 +73,11 @@ GADGETS = {
     "distribute_entanglement_ideal": lambda a, b, n: protocols.distribute_entanglement(
         method="ideal"),
     "distribute_entanglement": lambda a, b, n: protocols.distribute_entanglement(n + 1),
+    "csign_via_ns": lambda a, b, n: protocols.csign_via_ns(
+        tensor(encode_qubit(*a), encode_qubit(*b)), Q1, Q2),
+    "apply_csign_modes_ns": lambda a, b, n: protocols.apply_csign_modes(
+        tensor(encode_qubit(*a), encode_qubit(*b)), 0, 2, strategy="ns"),
+    "prepare_b4_prime": lambda a, b, n: protocols.prepare_b4_prime(),
 }
 
 qubits = st.builds(lambda t, f: (math.cos(t), cmath.exp(1j * f) * math.sin(t)),
@@ -86,6 +91,8 @@ def test_analytic_gadget_branches_sum_to_one(name, a, b, n):
     branches = res.details["branches"]
     assert all({"p", "ok", "state"} <= set(br) for br in branches)
     assert abs(sum(br["p"] for br in branches) - 1) < 1e-10
+    if name != "distribute_entanglement":  # reports the acceptance past the gadget instead
+        assert abs(sum(br["p"] for br in branches if br["ok"]) - res.success_probability) < 1e-10
     chosen = next((br for br in branches if br["ok"]), None)
     if chosen is not None:
         assert res.succeeded and res.output_state is chosen["state"]

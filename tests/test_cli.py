@@ -89,6 +89,25 @@ class TestRun:
         assert "does not support --trials" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["b4prime"], ["parity"], ["teleport-e"],
+                                      ["tprime", "--strategy", "ideal"]])
+    def test_trials_run_on_any_whole_branch_tree(self, capsys, argv):
+        args = ["run", *argv, "--trials", "4000", "--seed", "5"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        report = json.loads(out)
+        p, rate = report["analytic"]["success_probability"], report["empirical"]["rate"]
+        assert abs(rate - p) <= 6 * math.sqrt(p * (1 - p) / 4000)
+        assert run_cli(capsys, *args)[1] == out
+
+    @pytest.mark.parametrize("argv", [["distribute"], ["tpn"], ["tprime"], ["source"],
+                                      ["csign", "--strategy", "ideal"]])
+    def test_trials_refused_without_a_whole_branch_tree(self, capsys, argv):
+        code, out, err = run_cli(capsys, "run", *argv, "--trials", "100", "--seed", "1")
+        assert code == 2
+        assert "does not support --trials" in err
+        assert out == ""
+
     def test_oversize_teleport_exits_2(self, capsys):
         # output bound 15,600,899 terms, refused before any expansion
         code, out, err = run_cli(capsys, "run", "teleport", "--n", "12")
@@ -188,6 +207,22 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "run", "teleport")
         report = json.loads(out)
         assert abs(report["analytic"]["failure_probability"] - 0.25) < 1e-10
+
+    @pytest.mark.parametrize("content, named", [
+        ("[1]", "not a JSON object"),
+        ('{"n": "abc"}', "'n'"),
+        ('{"trials": 5.5, "seed": 1}', "'trials'"),
+        ('{"input": 7}', "'input'"),
+        ('{"bogus": 1}', "'bogus'"),
+        ('{"seed": true}', "'seed'"),
+    ], ids=["list", "n-str", "trials-float", "input-int", "unknown-key", "seed-bool"])
+    def test_bad_config_exits_2(self, capsys, tmp_path, content, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        code, out, err = run_cli(capsys, "--config", str(cfg_path), "run", "teleport")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
 
     def test_flag_beats_config(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fockworks import costs, measure
+from fockworks import costs, measure, protocols
 from fockworks.costs import (
     CostModel,
     TrialStats,
@@ -15,6 +15,7 @@ from fockworks.costs import (
     make_trial,
     monte_carlo,
     s_recursion_table,
+    trial_from,
     trial_stats_csv,
 )
 
@@ -104,6 +105,17 @@ class TestMonteCarlo:
 
         with pytest.raises(ProtocolError):
             make_trial("warp-drive")
+
+
+class TestTrialFrom:
+    @pytest.mark.parametrize("run", [
+        lambda: protocols.prepare_tp_n(1),  # no branch list
+        lambda: protocols.combine_tp_to_tprime(1, strategy="ns"),  # ok mass 1, p = 1/16
+        lambda: protocols.distribute_entanglement(2),  # conditional acceptance
+    ], ids=["no-branches", "heralded-inner-gate", "conditional"])
+    def test_refuses_a_result_that_is_not_the_whole_tree(self, run):
+        with pytest.raises(protocols.ProtocolError, match="does not support --trials"):
+            trial_from(run())
 
 
 def _scalar_count(trial, trials, seed):
