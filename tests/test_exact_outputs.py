@@ -8,9 +8,14 @@ probability or amplitude fails here. Inputs are built without LAPACK
 (the "random" unitary is a Fourier matrix between seeded diagonal
 phases), so the record does not depend on the linear-algebra library.
 
-Regenerate the record only for a deliberate change of arithmetic:
+Record a new case with
 
     PYTHONPATH=src python tests/test_exact_outputs.py --write
+
+which writes only the cases the record lacks. If a recorded case would
+change, it writes nothing, names the case and exits 1: a record is never
+rewritten silently. To re-record a case after a deliberate change of
+arithmetic, delete its key from the record first.
 """
 
 import hashlib
@@ -66,17 +71,24 @@ def _evolved():
     return optics.apply_unitary(_random_state(5), _random_unitary(6))
 
 
-def _teleport(n):
-    res = protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, n)
+def _listed(res):
+    """The result's (success probability, output), then every branch's (p, state)."""
     return [(res.success_probability, res.output_state)] + [
         (b["p"], b["state"]) for b in res.details["branches"]]
+
+
+def _teleport(n):
+    return _listed(protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, n))
 
 
 def _csign(n):
     q = fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.28j, 0.96))
-    res = protocols.csign_teleported(q, BosonicQubit(0, 1), BosonicQubit(2, 3), n)
-    return [(res.success_probability, res.output_state)] + [
-        (b["p"], b["state"]) for b in res.details["branches"]]
+    return _listed(protocols.csign_teleported(q, BosonicQubit(0, 1), BosonicQubit(2, 3), n))
+
+
+def _parity(n):
+    pair = fock.tensor(costs.encode_single_rail(0.6, 0.8j), costs.encode_single_rail(0.28j, 0.96))
+    return _listed(protocols.parity_measure(pair, 0, 1, n))
 
 
 def _heralded(res):
@@ -94,7 +106,10 @@ def _postselect():
 
 CASES = {
     **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in range(1, 6)},
-    **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in range(1, 4)},
+    **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in range(1, 5)},
+    **{f"parity_measure_n{n}": (lambda n=n: _parity(n)) for n in (2, 3)},
+    "teleport_with_e_n3": lambda: _listed(protocols.teleport_with_e(0.6, 0.8j, n=3)),
+    "distribute_entanglement_n3": lambda: _listed(protocols.distribute_entanglement(3)),
     "measure_bucket": lambda: _measured(measure.Bucket(), [0, 3, 5]),
     "measure_counter": lambda: _measured(measure.Counter(), [1, 6]),
     "measure_fanout4": lambda: _measured(measure.FanoutCounter(4), [1, 6]),
@@ -115,6 +130,19 @@ def test_exact_outputs_match_record(name):
     assert _digest(CASES[name]()) == record[name]
 
 
+def _write():
+    """Record every case the record lacks; exit 1, writing nothing, if a
+    recorded case no longer matches."""
+    record = json.loads(RECORD.read_text())
+    changed = [name for name in sorted(record) if name in CASES
+               and _digest(CASES[name]()) != record[name]]
+    if changed:
+        sys.exit(f"recorded cases would change: {', '.join(changed)}; "
+                 "delete a key from the record to re-record it")
+    added = {name: _digest(f()) for name, f in CASES.items() if name not in record}
+    RECORD.write_text(json.dumps(record | added, indent=1, sort_keys=True) + "\n")
+    print("recorded:", ", ".join(sorted(added)) or "nothing new")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    RECORD.write_text(json.dumps({k: _digest(f()) for k, f in CASES.items()},
-                                 indent=1, sort_keys=True) + "\n")
+    _write()
