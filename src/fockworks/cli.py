@@ -61,6 +61,7 @@ def _load_config_defaults(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} is not a JSON object")
+    choices = _choices()
     for key, value in data.items():
         if key not in _OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
@@ -70,7 +71,19 @@ def _load_config_defaults(path: str | None) -> dict:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError(f"config key {key!r} needs {getattr(kind, '__name__', kind)}, "
                              f"got {value!r}")
+        allowed = choices.get(key)
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(allowed)}, "
+                             f"got {value!r}")
     return data
+
+
+def _choices() -> dict:
+    """The values each option's flag allows, read from ``build_parser``."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for sub in subparsers.choices.values() for a in sub._actions
+            if a.dest in _OPTIONS and a.choices is not None}
 
 
 def _emit(data: dict, out: str | None):

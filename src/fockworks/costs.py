@@ -134,10 +134,12 @@ def trial_from(result):
     """A Monte-Carlo trial over the exact branches of ``result``.
 
     ``trial(uniforms)`` draws one branch per uniform (``measure._drawer``)
-    and returns their ``ok`` flags; ``trial.result`` keeps the result and
-    ``trial.analytic`` its success probability. Refused (ProtocolError)
-    unless ``details["branches"]`` is the whole tree: its ``p`` sum to 1
-    and its ok mass equals ``success_probability``, each to 1e-10. A result
+    and returns their ``ok`` flags, searching each run of branches with
+    the same flag as one interval of the same cumulative sums;
+    ``trial.result`` keeps the result and ``trial.analytic`` its success
+    probability. Refused (ProtocolError) unless ``details["branches"]`` is
+    the whole tree: its ``p`` sum to 1 and its ok mass equals
+    ``success_probability``, each to 1e-10. A result
     without branches fails that, and so does one whose success probability
     is taken over more than its list (``tprime`` and ``p'`` with NS gates)
     or is conditional (the acceptance of ``distribute``).
@@ -148,8 +150,11 @@ def trial_from(result):
             or abs(sum(b["p"] for b in branches if b["ok"]) - p) > 1e-10):
         raise protocols.ProtocolError(
             "a result whose branch list is not the whole tree does not support --trials")
-    draw = _drawer([b["p"] for b in branches])
-    flags = np.array([b["ok"] for b in branches])
+    # a run of branches with the same flag is searched as one interval
+    ok = [b["ok"] for b in branches]
+    ends = [i for i in range(len(ok)) if i + 1 == len(ok) or ok[i] != ok[i + 1]]
+    draw = _drawer([b["p"] for b in branches], ends)
+    flags = np.array([ok[i] for i in ends])
 
     def trial(uniforms):
         return flags[draw(uniforms)]

@@ -14,7 +14,10 @@ A branch whose probability, relative to the measured state, is below
 
 Every protocol detection is one stage of ``protocols._detect``. An exact
 stage builds a branch's post-state the first time it is read, from the
-kept amplitudes of its lazy record. A sampled run projects only the one
+kept amplitudes of its lazy record. ``_evolved_groups`` gives the records
+of one such stage behind a mode unitary for many states at once, in one
+array pass, bit for bit; the teleported gates run their second detection
+through it. A sampled run projects only the one
 branch it draws, stage by stage, through one of two routes: one
 ``_drawer`` draw over the lazy records of ``measure_modes`` (as
 ``sample_outcome`` draws), or, behind a mode unitary (the Fourier
@@ -39,6 +42,9 @@ from .fock import FockState, ModeIndexError, ZeroStateError
 
 #: Relative probability below which a branch is impossible.
 IMPOSSIBLE = 1e-24
+#: Summed output bound of the states one pass of ``_evolved_groups``
+#: evolves together, which bounds the pass's arrays.
+_PASS_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,126 @@ def _groups(state: FockState, modes, bucket):
             raise ZeroStateError(f"bucket class {counts} cancels coherently")
         out.append((counts, p, _Pending((state.modes - len(modes), modes, counts, p, group, weight))))
     return out
+
+
+def _evolved_groups(states, u, modes):
+    """Yields ``measure_modes(apply_unitary(state, u, modes), modes,
+    lazy=True)`` of every state of ``states`` in turn, bit for bit, with each
+    group's kept amplitudes a ``_Segment`` read on demand.
+
+    The states are evaluated in passes: runs of states, in order, whose
+    summed output bound stays within ``_PASS_TERMS``. A pass stacks its
+    states' terms in ``terms()`` order, the state's index one more kept
+    column, and merges them with ``optics._evolve_arrays``, which expands
+    each distinct sub-occupation once. Its packed keys hold, most
+    significant first, the state's index, the measured counts in the
+    listed order and the kept modes in mode order, so one sort gives
+    ``_groups``' order and a group ends where ``key >> kept bits`` changes.
+    Each state then takes the arithmetic of the validated constructor and
+    of ``_groups``: |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is
+    ``abs(a) ** 2``, and every sum from 0.0 in dict order, by
+    ``np.bincount``. ``BudgetExceeded`` applies to each state, as
+    ``apply_unitary`` applies it. A state whose key does not fit
+    ``optics.KEY_BITS`` bits, and a pass that meets a zero or an
+    overflowing norm, are evolved and measured state by state, which
+    raises what the per-state calls raise.
+    """
+    modes = list(modes)
+    mat = np.ascontiguousarray(u.matrix)
+
+    def one(state):
+        return measure_modes(optics.apply_unitary(state, u, modes), modes, lazy=True)
+
+    def evaluated(run, top):
+        records = _pass_groups(run, top, mat, modes)
+        return records if records is not None else [one(state) for state, _, _ in run]
+
+    run, top, bound = [], [], 0
+    for state in states:
+        terms = list(state.terms())
+        subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
+        size = optics._bound(subs, len(modes))
+        wide = not terms or sum(widths := optics._widths(terms, subs, modes)) > optics.KEY_BITS
+        if run and (wide or bound + size > _PASS_TERMS or len(widths) != len(top)
+                    or sum(map(max, top, widths)) + len(run).bit_length() > optics.KEY_BITS):
+            yield from evaluated(run, top)
+            run, bound = [], 0
+        if wide:
+            yield one(state)
+            continue
+        top = list(map(max, top, widths)) if run else widths
+        run.append((state, terms, subs))
+        bound += size
+    if run:
+        yield from evaluated(run, top)
+
+
+def _pass_groups(run, top, mat, modes):
+    """The records of one pass of ``_evolved_groups``, or None if a state's
+    norm is zero or overflows: ``run`` holds each state's ``(state, terms,
+    subs)``, ``top`` the bit widths of their modes."""
+    m = len(top)
+    kept = [k for k in range(m) if k not in modes]
+    widths = top + [(len(run) - 1).bit_length()]
+    shift = np.zeros(m + 1, dtype=np.int64)
+    at = 0
+    for column in kept[::-1] + modes[::-1] + [m]:  # least significant first
+        shift[column] = at
+        at += widths[column]
+    mask = np.left_shift(1, widths, dtype=np.int64) - 1
+    terms = [(occ + (s,), amp) for s, (_, ts, _) in enumerate(run) for occ, amp in ts]
+    subs = [sub for _, _, ss in run for sub in ss]
+    keys, re, im = optics._evolve_arrays(terms, subs, mat, modes, (shift, widths))
+    # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
+    # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no -0.0)
+    nonzero = (re != 0) | (im != 0)
+    keys, re, im = keys[nonzero], re[nonzero], im[nonzero]
+    owner = keys >> shift[m]
+    size = np.hypot(re, im)
+    square = np.float_power(size, 2.0)
+    norm_sq = np.bincount(owner, square, len(run))
+    keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]
+    keys, re, im, owner, square = (a[keep] for a in (keys, re, im, owner, square))
+    # _groups: total = norm() ** 2, groups in key order
+    total = np.float_power(np.sqrt(np.bincount(owner, square, len(run))), 2.0)
+    if not (np.isfinite(norm_sq).all() and total.all()):
+        return None
+    order = np.argsort(keys)
+    keys, re, im, square = keys[order], re[order], im[order], square[order]
+    heads = keys >> sum(widths[k] for k in kept)  # (state, counts): the group
+    starts = np.concatenate(([True], heads[1:] != heads[:-1]))
+    first = np.flatnonzero(starts)
+    weight = np.bincount(np.cumsum(starts) - 1, square, len(first))
+    owners = owner[order][first]
+    p = weight / total[owners]
+    counts = (keys[first, None] >> shift[modes]) & mask[modes]
+    block = (keys, re, im, shift[kept], mask[kept])
+    ends = np.append(first[1:], len(keys))
+    possible = p >= IMPOSSIBLE
+    post = len(top) - len(modes)  # the states of a pass share their mode count
+    records = [[] for _ in run]
+    for s, c, pg, w, a, b in zip(*(column[possible].tolist() for column in
+                                   (owners, counts, p, weight, first, ends))):
+        c = tuple(c)
+        records[s].append((c, pg, _Pending((post, modes, c, pg, _Segment(block, a, b), w))))
+    return records
+
+
+class _Segment:
+    """One group's kept amplitudes in a pass of ``_evolved_groups``: rows
+    ``start:stop`` of its sorted keys and amplitudes, decoded by ``items()``
+    into the ``(kept occupation, amplitude)`` pairs of ``_groups``' dict."""
+
+    __slots__ = ("block", "start", "stop")
+
+    def __init__(self, block, start, stop):
+        self.block, self.start, self.stop = block, start, stop
+
+    def items(self):
+        keys, re, im, shift, mask = self.block
+        rows = slice(self.start, self.stop)
+        rests = ((keys[rows, None] >> shift) & mask).tolist()
+        return zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist()))
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
@@ -377,16 +503,21 @@ def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> Condi
     return branches[_drawer([p for _, p, _ in branches])(rng.random())][2]()
 
 
-def _drawer(weights):
+def _drawer(weights, ends=None):
     """The draw over ``weights``: maps a uniform ``r`` to the index it selects.
 
     The index is that of the first branch whose cumulative weight, summed
     left to right, exceeds r; a draw at or above the last sum (rounding
     leaves the sum short of 1) selects the last branch. The sums are taken
     once, so a trial that draws many times reuses them; ``r`` may be an
-    array (one index each). Every sampled path draws here.
+    array (one index each). Every sampled path draws here. With ``ends``,
+    the ascending last indices of runs of branches that cover the list,
+    the draw selects a run: only the same sums at those indices are kept,
+    so ``r`` selects the run that holds the branch it would select.
     """
     cum = list(accumulate(weights))
+    if ends is not None:
+        cum = [cum[i] for i in ends]
     last = len(cum) - 1
 
     def draw(r):

@@ -193,22 +193,32 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
 def _route(terms, subs, modes):
     """The array route's key layout, ``(bit offsets, bit widths)`` per mode,
     or None for the dict route; raises BudgetExceeded past the budget."""
-    d = len(modes)
+    if _bound(subs, len(modes)) < ARRAY_MIN_TERMS:
+        return None
+    widths = _widths(terms, subs, modes)
+    if sum(widths) > KEY_BITS:
+        return None
+    return np.cumsum([0] + widths[:-1]), widths
+
+
+def _bound(subs, d):
+    """The output bound of evolving sub-occupations ``subs`` of ``d`` modes;
+    raises BudgetExceeded past the budget."""
     bound = sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs)
     if bound > MAX_EVOLVED_TERMS:
         raise BudgetExceeded(f"the evolution may produce {bound} terms; "
                              f"the limit is {MAX_EVOLVED_TERMS}")
-    if bound < ARRAY_MIN_TERMS:
-        return None
-    # the largest count each mode can hold, in the input or the output
+    return bound
+
+
+def _widths(terms, subs, modes):
+    """The bit width of each mode's largest possible count, in the input or
+    the output of the evolution."""
     top = [max(column) for column in zip(*(occ for occ, _ in terms))]
     photons = max(map(sum, subs))
     for m in modes:
         top[m] = photons
-    widths = [k.bit_length() for k in top]
-    if sum(widths) > KEY_BITS:
-        return None
-    return np.cumsum([0] + widths[:-1]), widths
+    return [k.bit_length() for k in top]
 
 
 def _evolve_dicts(terms, subs, mat, modes):

@@ -14,7 +14,10 @@ into a branch with its feed-forward corrections, and returns every
 branch, or with an rng only the drawn one, so a sampled run projects one
 branch per stage. A gadget of two stages lists composite branches: the
 first stage's failures and the second stage's branches on each
-first-stage success, ``p`` the product of the two. A sampled detection
+first-stage success, ``p`` the product of the two. An exact teleported
+gate evolves and groups the second detection of every first-stage
+success in one array pass (``measure._evolved_groups``), with the records
+one stage per success would give, bit for bit. A sampled detection
 behind a unitary draws its pattern through ``measure._sample_detection``,
 so the trajectory neither evolves nor groups the whole state; its branch
 equals the exact branch of the same pattern to 1e-10, not bit for bit.
@@ -42,6 +45,7 @@ test suite before anything composes on top of them.
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import fock, measure
 from .fock import FockError, FockState, number_state, tensor
@@ -129,6 +133,12 @@ def _detect(work, modes, classify, rng, unitary=None):
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
             records = [records[_drawer([p for _, p, _ in records])(rng.random())]]
+    return _classified(records, classify, rng)
+
+
+def _classified(records, classify, rng):
+    """The branches of a stage's ``(counts, p, pending)`` records, as
+    ``_detect`` returns them."""
     branches = [{"pattern": pattern, "p": p, **classify(pattern)} for pattern, p, _ in records]
     for branch, (_, _, pending) in zip(branches, records):
         corrections = branch.get("corrections", [])
@@ -145,7 +155,7 @@ class _BranchState(FockState):
     __slots__ = ("_group", "_weight", "_corrections")
 
     def __init__(self, pending, corrections):
-        self.modes, *_, self._group, self._weight = pending
+        self.modes, _, _, _, self._group, self._weight = pending
         self._corrections = corrections
 
     def __getattr__(self, name):
@@ -588,7 +598,7 @@ def _projected(mode):
 
 def _phase_index(pattern) -> int:
     """S = sum_j j*r_j of a Fourier count pattern: its correction is omega^S."""
-    return sum(j * r for j, r in enumerate(pattern))
+    return sum(map(mul, range(len(pattern)), pattern))
 
 
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
@@ -685,15 +695,25 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     omega^(sum j r_j). Each branch keeps ``p1`` (and past stage 1 ``p2``),
     the probabilities of its two detections; with a ``flavor`` (the parity
     gadget's resource parity) a successful branch also carries its
-    ``parity``. With an ``rng`` each stage draws its one pattern, so the
-    tree is the one branch drawn: stage 1, then stage 2 on the projected
-    stage-1 state. Returns (branches, layout).
+    ``parity``. Without an rng, stage 1 is one ``_detect`` stage, and the
+    y detection of every stage-1 success runs in one array pass
+    (``measure._evolved_groups``): the same records, bit for bit, as one
+    evolution and one ``measure_modes`` per success, each branch's state
+    decoded from the pass's arrays when first read. With an ``rng`` each
+    stage draws its one pattern, so the tree is the one branch drawn:
+    stage 1, then stage 2 on the projected stage-1 state. Returns
+    (branches, layout).
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega = 2 * math.pi / (n + 1)
     u = fourier_matrix(n)
     branches = []
-    for one in _detect(tensor(state, resource.state), layout.fourier_x, lambda pattern: {}, rng, u):
+    ones = _detect(tensor(state, resource.state), layout.fourier_x, lambda pattern: {}, rng, u)
+    if rng is None:
+        # every stage-1 success's y detection, in one array pass
+        passed = [one["state"] for one in ones if 0 < sum(one["pattern"]) < n + 1]
+        seconds = measure._evolved_groups(passed, u, layout.fourier_y)
+    for one in ones:
         pat1, p1 = one["pattern"], one["p"]
         k1, s1 = sum(pat1), _phase_index(pat1)
         if not 0 < k1 < n + 1:
@@ -721,9 +741,12 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             entry["corrections"] = corrections
             return entry
 
-        for two in _detect(one["state"], layout.fourier_y, second, rng, u):
+        twos = (_classified(next(seconds), second, rng) if rng is None
+                else _detect(one["state"], layout.fourier_y, second, rng, u))
+        for two in twos:
             del two["pattern"]
-            branches.append(dict(two, p=p1 * two["p"], p2=two["p"]))
+            two.update(p=p1 * two["p"], p2=two["p"])
+            branches.append(two)
     return branches, layout
 
 

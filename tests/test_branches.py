@@ -128,6 +128,9 @@ class TestDeferredBranchStates:
         assert not hasattr(res.output_state, "_group")  # the landed branch is built
         pending = [state for state in states if hasattr(state, "_group")]
         assert pending
+        # the second stage of a teleported gate, evaluated in one pass, is checked too
+        stage2 = [br["state"] for br in res.details["branches"] if "pattern2" in br]
+        assert all(state in pending for state in stage2 if state is not res.output_state)
         for state in pending:
             assert _states_reachable_from(state) == []
             eager = protocols._corrected(

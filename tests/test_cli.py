@@ -224,6 +224,25 @@ class TestConfig:
         assert out == ""
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("key, value, protocol, allowed", [
+        ("strategy", "foo", "csign", "ideal, ns, teleported"),
+        ("detector", "x", "source", "bucket, counter"),
+    ])
+    def test_config_value_outside_the_choices_exits_2(self, capsys, tmp_path, key, value,
+                                                      protocol, allowed):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "--config", str(cfg_path), "run", protocol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and repr(key) in err and allowed in err
+
+    def test_config_value_inside_the_choices_runs(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": "ideal"}))
+        code, out, _ = run_cli(capsys, "--config", str(cfg_path), "run", "csign")
+        assert code == 0 and json.loads(out)["params"]["strategy"] == "ideal"
+
     def test_flag_beats_config(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 3}))

@@ -1,4 +1,6 @@
 import json
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +118,31 @@ class TestTrialFrom:
     def test_refuses_a_result_that_is_not_the_whole_tree(self, run):
         with pytest.raises(protocols.ProtocolError, match="does not support --trials"):
             trial_from(run())
+
+
+    @pytest.mark.parametrize("name, n", [("csign_ns", 1), ("teleport", 3), ("csign_teleported", 2)])
+    def test_run_draw_gives_the_per_branch_flag_at_every_boundary(self, name, n):
+        trial = costs.make_trial(name, n)
+        branches = trial.result.details["branches"]
+        weights = [b["p"] for b in branches]
+        sums = list(itertools.accumulate(weights))
+        uniforms = [0.0] + [v for s in sums
+                            for v in (math.nextafter(s, 0.0), s, math.nextafter(s, 2.0))]
+        uniforms = np.concatenate([uniforms, np.random.default_rng(11).random(65536)])
+        flags = np.array([b["ok"] for b in branches])
+        assert np.array_equal(trial(uniforms), flags[measure._drawer(weights)(uniforms)])
+
+    @given(st.lists(st.tuples(st.floats(0, 1), st.booleans()), min_size=1, max_size=12),
+           st.lists(st.floats(0, 2), max_size=20))
+    def test_run_draw_selects_the_run_of_the_per_branch_index(self, branches, uniforms):
+        weights, ok = zip(*branches)
+        ends = [i for i in range(len(ok)) if i + 1 == len(ok) or ok[i] != ok[i + 1]]
+        sums = list(itertools.accumulate(weights))
+        uniforms = np.array(uniforms + [v for s in sums for v in (math.nextafter(s, 0.0), s)])
+        runs = measure._drawer(weights, ends)(uniforms)
+        per_branch = measure._drawer(weights)(uniforms)
+        # the run that holds the branch: the first whose last index is at or past it
+        assert runs.tolist() == [bisect.bisect_left(ends, i) for i in per_branch]
 
 
 def _scalar_count(trial, trials, seed):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockworks import fock, measure, optics
 from fockworks.fock import FockState, number_state, tensor
@@ -317,3 +319,119 @@ class TestDraw:
                     expected = i
                     break
             assert measure._drawer(weights)(r) == expected
+
+
+def _record_bits(records):
+    """The lazy records of ``measure_modes(..., lazy=True)``, every float by
+    ``float.hex`` and every group in its dict order."""
+    return [(counts, p.hex(), modes, list(measured), again, p_again.hex(),
+             [(rest, a.real.hex(), a.imag.hex()) for rest, a in group.items()], weight.hex())
+            for counts, p, (modes, measured, again, p_again, group, weight) in records]
+
+
+def _batched(states, u, modes):
+    return list(measure._evolved_groups(states, u, modes))
+
+
+def _one_by_one(states, u, modes):
+    return [measure_modes(optics.apply_unitary(s, u, modes), modes, lazy=True) for s in states]
+
+
+#: a balanced splitter whose |1,1> output cancels to an exact zero
+HOM = optics.ModeUnitary([[INV_SQRT2, -INV_SQRT2], [INV_SQRT2, INV_SQRT2]])
+
+
+@st.composite
+def state_batches(draw):
+    """1-4 states on the same 2-5 modes, the modes to evolve and measure
+    (every mode, at times), and a seeded random unitary on them."""
+    modes = draw(st.integers(2, 5))
+    measured = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=min(modes, 3),
+                             unique=True))
+    part = st.sampled_from([0.0, -0.0, 1e-13]) | st.floats(-1, 1)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        occs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * modes), min_size=1, max_size=6,
+                             unique=True))
+        amps = {occ: complex(draw(part), draw(part)) for occ in occs}
+        if any(amps.values()):
+            states.append(FockState(modes, amps))
+    u = optics.random_unitary(len(measured), np.random.default_rng(draw(st.integers(0, 99))))
+    return [s for s in states if s.term_count()] or [number_state((1,) * modes)], u, measured
+
+
+class TestEvolvedGroups:
+    """One array pass over many states gives each state's records of
+    ``measure_modes(apply_unitary(state, u, modes), modes, lazy=True)``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(state_batches())
+    def test_batched_records_equal_the_per_state_records(self, batch):
+        states, u, modes = batch
+        try:
+            expected = [_record_bits(r) for r in _one_by_one(states, u, modes)]
+        except fock.FockError as exc:  # a norm that underflows to zero
+            with pytest.raises(type(exc), match=str(exc)):
+                _batched(states, u, modes)
+            return
+        assert [_record_bits(r) for r in _batched(states, u, modes)] == expected
+
+    def test_zeros_prunes_and_an_impossible_group(self):
+        cancels = FockState(3, {(1, 1, 0): 0.6, (1, 0, 1): complex(-0.0, 0.8),
+                                (0, 1, 2): 1e-13, (0, 2, 1): complex(0.3, -0.0)}, tol=0)
+        # the (0, 0) group's one amplitude passes the prune, but its square underflows
+        underflow = FockState(3, {(1, 0, 0): 1e-150, (0, 0, 3): 1.5e-162})
+        states = [cancels, underflow, cancels]
+        expected = _one_by_one(states, HOM, [0, 1])
+        got = _batched(states, HOM, [0, 1])
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+        evolved = optics.apply_unitary(cancels, HOM, [0, 1])
+        assert evolved.amplitude((1, 1, 0)) == 0  # cancelled
+        assert all(rest != (2,) for _, _, pending in expected[0] for rest, _ in pending[4].items())
+        patterns = {occ[:2] for occ, _ in optics.apply_unitary(underflow, HOM, [0, 1]).terms()}
+        assert len(patterns) == 3
+        assert [c for c, _, _ in expected[1]] == [(0, 1), (1, 0)]  # (0, 0) is impossible
+        # a squared norm that underflows: the pass is redone state by state
+        with pytest.raises(fock.ZeroStateError, match="cannot measure a zero state"):
+            _batched([cancels, FockState(3, {(1, 0, 0): 1e-200})], HOM, [0, 1])
+
+    def test_passes_split_at_the_cap(self, monkeypatch):
+        states = [FockState(4, {(1, k % 2, 1, 0): 0.6, (0, 1, k % 3, 1): 0.8j}) for k in range(7)]
+        u = optics.random_unitary(3, np.random.default_rng(4))
+        passes = []
+        run = measure._pass_groups
+        monkeypatch.setattr(measure, "_pass_groups", lambda *a: passes.append(1) or run(*a))
+        monkeypatch.setattr(measure, "_PASS_TERMS", 25)
+        got = _batched(states, u, [0, 1, 2])
+        assert len(passes) > 1
+        expected = _one_by_one(states, u, [0, 1, 2])
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+
+    def test_wide_keys_take_the_per_state_route(self, monkeypatch):
+        def state(kept):
+            return FockState(3, {(1, 0, kept): 0.6, (0, 1, kept): 0.8j})
+
+        # 61 key bits each: two share a pass with a 1-bit index, a third
+        # needs 2 bits and starts the next; 2**61 on a kept mode fits no
+        # key, so that state is measured alone and the last starts a pass
+        states = [state(2**58), state(2**58 + 1), state(3), state(2**61), state(2**58)]
+        passes = []
+        run = measure._pass_groups
+        monkeypatch.setattr(measure, "_pass_groups", lambda *a: passes.append(len(a[0])) or run(*a))
+        expected = _one_by_one(states, HOM, [0, 1])
+        alone = []
+        measure_one = measure.measure_modes
+        monkeypatch.setattr(measure, "measure_modes",
+                            lambda *a, **k: alone.append(1) or measure_one(*a, **k))
+        got = _batched(states, HOM, [0, 1])
+        assert passes == [2, 1, 1] and len(alone) == 1
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+
+    def test_budget_applies_to_each_state(self, monkeypatch):
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 20)
+        u = optics.fourier_matrix(2)
+        small = FockState(4, {(1, 1, 0, 1): 1.0})  # bound C(4, 2) = 6
+        large = FockState(4, {(2, 1, 1, 0): 1.0})  # bound C(6, 2) = 15
+        assert len(_batched([small, small, large], u, [0, 1, 2])) == 3
+        with pytest.raises(optics.BudgetExceeded, match="may produce 28 terms"):
+            _batched([small, FockState(4, {(3, 2, 1, 0): 1.0})], u, [0, 1, 2])

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fockworks import fock, measure, protocols
+from fockworks import fock, measure, optics, protocols
 from fockworks._backend import kernels
 from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, fidelity, number_state, tensor
@@ -293,6 +293,66 @@ class TestSampledDetection:
         expansions = _counting(monkeypatch, kernels, "expand_basis_state")
         self._check_frequencies(_teleport_run(2, state, resource), exact, 3000, seed=80)
         assert expansions
+
+
+def _stage_subs(state, kind, mode_x, mode_y, n):
+    """The distinct sub-occupations each Fourier stage of an exact
+    teleported gate evolves: stage 1's, then those of every stage-1 success."""
+    layout = protocols._TeleportLayout(state.modes, mode_x, mode_y, n)
+    work = tensor(state, make_resource(kind, n).state)
+    u = optics.fourier_matrix(n)
+    first = {tuple(occ[m] for m in layout.fourier_x) for occ, _ in work.terms()}
+    passed = [br.post_state for br in measure.measure_modes(
+        optics.apply_unitary(work, u, layout.fourier_x), layout.fourier_x)
+        if 0 < sum(c for _, c in br.outcome) < n + 1]
+    second = {tuple(occ[m] for m in layout.fourier_y) for s in passed for occ, _ in s.terms()}
+    return first, second
+
+
+class TestOnePassSecondStage:
+    """An exact teleported gate evolves and groups stage 1 once and the y
+    detection of every stage-1 success in one array pass."""
+
+    RUNS = {
+        "csign_teleported": (
+            lambda s, n: csign_teleported(s, BosonicQubit(0, 1), BosonicQubit(2, 3), n),
+            lambda: tensor(encode_qubit(0.6, 0.8), encode_qubit(0.28j, 0.96)), "tnprime", 0, 2),
+        "parity_measure": (
+            lambda s, n: parity_measure(s, 0, 1, n),
+            lambda: tensor(encode_single_rail(0.6, 0.8j), encode_single_rail(0.28j, 0.96)),
+            "pnprime", 0, 1),
+    }
+
+    @pytest.mark.parametrize("name, n", [("csign_teleported", 3), ("csign_teleported", 4),
+                                         ("parity_measure", 3)])
+    def test_one_evolution_and_one_grouping_per_stage(self, name, n, monkeypatch):
+        run, make_state, kind, mode_x, mode_y = self.RUNS[name]
+        state = make_state()
+        first, second = _stage_subs(state, kind, mode_x, mode_y, n)
+        evolutions = _counting(monkeypatch, protocols, "apply_unitary")
+        groupings = _counting(monkeypatch, protocols, "measure_modes")
+        expansions = _counting(monkeypatch, kernels, "expand_basis_state")
+        passes = _counting(monkeypatch, measure, "_pass_groups")
+        res = run(state, n)
+        assert res.succeeded and any("pattern2" in b for b in res.details["branches"])
+        assert len(evolutions) == 1 and len(groupings) == 1
+        # a pass expands each distinct sub-occupation of its states once
+        assert len(expansions) <= len(first) + len(passes) * len(second)
+        if n == 3:
+            assert len(passes) == 1 and len(expansions) == len(first) + len(second)
+
+    def test_passes_split_at_the_cap_give_the_same_branches(self, monkeypatch):
+        run, make_state, *_ = self.RUNS["csign_teleported"]
+
+        def bits():
+            res = run(make_state(), 3)
+            return [(b["p"].hex(), [(o, a.real.hex(), a.imag.hex()) for o, a in b["state"].terms()])
+                    for b in res.details["branches"]]
+
+        whole = bits()
+        passes = _counting(monkeypatch, measure, "_pass_groups")
+        monkeypatch.setattr(measure, "_PASS_TERMS", 500)
+        assert bits() == whole and len(passes) > 1
 
 
 class TestCsignTeleported:
