@@ -105,7 +105,7 @@ def _postselect():
 
 
 CASES = {
-    **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in range(1, 6)},
+    **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in range(1, 8)},
     **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in range(1, 5)},
     **{f"parity_measure_n{n}": (lambda n=n: _parity(n)) for n in (2, 3)},
     "teleport_with_e_n3": lambda: _listed(protocols.teleport_with_e(0.6, 0.8j, n=3)),
