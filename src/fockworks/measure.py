@@ -14,11 +14,14 @@ A branch whose probability, relative to the measured state, is below
 
 Every protocol detection is one stage of ``protocols._detect``. An exact
 stage builds a branch's post-state the first time it is read, from the
-kept amplitudes of its lazy record. ``_evolved_groups`` gives the records
-of one such stage behind a mode unitary for many states at once, in one
-array pass, bit for bit; the teleported gates run their second detection
-through it. A sampled run projects only the one
-branch it draws, stage by stage, through one of two routes: one
+kept amplitudes of its lazy record. Every exact stage behind a mode unitary
+takes its records from ``_evolved_groups``, bit for bit those of
+``measure_modes`` after ``apply_unitary``: a large single state
+(``teleport_tn``, stage 1 of the teleported gates) and the second
+detection of every stage-1 success of a teleported gate each run as one
+sort and reduce over packed keys, and a small single state takes
+``apply_unitary`` and ``measure_modes``. A sampled run projects only the
+one branch it draws, stage by stage, through one of two routes: one
 ``_drawer`` draw over the lazy records of ``measure_modes`` (as
 ``sample_outcome`` draws), or, behind a mode unitary (the Fourier
 multiports), ``_sample_detection``, which neither evolves nor groups the
@@ -203,41 +206,53 @@ def _groups(state: FockState, modes, bucket):
 
 def _evolved_groups(states, u, modes):
     """Yields ``measure_modes(apply_unitary(state, u, modes), modes,
-    lazy=True)`` of every state of ``states`` in turn, bit for bit, with each
-    group's kept amplitudes a ``_Segment`` read on demand.
+    lazy=True)`` of every state of the list ``states`` in turn, bit for bit,
+    with each group's kept amplitudes a ``_Segment`` read on demand.
 
-    The states are evaluated in passes: runs of states, in order, whose
-    summed output bound stays within ``_PASS_TERMS``. A pass stacks its
-    states' terms in ``terms()`` order, the state's index one more kept
-    column, and merges them with ``optics._evolve_arrays``, which expands
-    each distinct sub-occupation once. Its packed keys hold, most
+    ``BudgetExceeded`` applies to each state, as ``apply_unitary`` applies
+    it, and to the states' summed output bound, before the first pass. A
+    lone state takes a pass where ``apply_unitary`` would take its array
+    route, from an output bound of ``optics.ARRAY_MIN_TERMS`` on; below it,
+    it is evolved and measured on its own, the route decided from one scan
+    of its keys. Several states are evaluated in passes: runs of states, in
+    order, whose summed output bound stays within ``_PASS_TERMS``. A pass
+    stacks its states' terms in ``terms()`` order, the state's index one
+    more kept column, and merges them with ``optics._evolve_arrays``, which
+    expands each distinct sub-occupation once. Its packed keys hold, most
     significant first, the state's index, the measured counts in the
     listed order and the kept modes in mode order, so one sort gives
     ``_groups``' order and a group ends where ``key >> kept bits`` changes.
     Each state then takes the arithmetic of the validated constructor and
     of ``_groups``: |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is
     ``abs(a) ** 2``, and every sum from 0.0 in dict order, by
-    ``np.bincount``. ``BudgetExceeded`` applies to each state, as
-    ``apply_unitary`` applies it. A state whose key does not fit
-    ``optics.KEY_BITS`` bits, and a pass that meets a zero or an
-    overflowing norm, are evolved and measured state by state, which
-    raises what the per-state calls raise.
+    ``np.bincount``. A state whose key does not fit ``optics.KEY_BITS``
+    bits, and a pass that meets a zero or an overflowing norm, are evolved
+    and measured state by state, which raises what the per-state calls
+    raise.
     """
     modes = list(modes)
-    mat = np.ascontiguousarray(u.matrix)
 
     def one(state):
         return measure_modes(optics.apply_unitary(state, u, modes), modes, lazy=True)
+
+    picker = _picker(modes)
+    sizes = [optics._bound(map(picker, state._amp), len(modes)) for state in states]
+    if (total := sum(sizes)) > optics.MAX_EVOLVED_TERMS:
+        raise optics.BudgetExceeded(f"the evolutions of {len(states)} states may produce "
+                                    f"{total} terms; the limit is {optics.MAX_EVOLVED_TERMS}")
+    if len(states) == 1 and sizes[0] < optics.ARRAY_MIN_TERMS:
+        yield one(states[0])
+        return
+    mat = np.ascontiguousarray(u.matrix)
 
     def evaluated(run, top):
         records = _pass_groups(run, top, mat, modes)
         return records if records is not None else [one(state) for state, _, _ in run]
 
     run, top, bound = [], [], 0
-    for state in states:
+    for state, size in zip(states, sizes):
         terms = list(state.terms())
         subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
-        size = optics._bound(subs, len(modes))
         wide = not terms or sum(widths := optics._widths(terms, subs, modes)) > optics.KEY_BITS
         if run and (wide or bound + size > _PASS_TERMS or len(widths) != len(top)
                     or sum(map(max, top, widths)) + len(run).bit_length() > optics.KEY_BITS):

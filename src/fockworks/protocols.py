@@ -14,10 +14,12 @@ into a branch with its feed-forward corrections, and returns every
 branch, or with an rng only the drawn one, so a sampled run projects one
 branch per stage. A gadget of two stages lists composite branches: the
 first stage's failures and the second stage's branches on each
-first-stage success, ``p`` the product of the two. An exact teleported
-gate evolves and groups the second detection of every first-stage
-success in one array pass (``measure._evolved_groups``), with the records
-one stage per success would give, bit for bit. A sampled detection
+first-stage success, ``p`` the product of the two. An exact detection
+behind a unitary takes its records from ``measure._evolved_groups``: a
+large one, and the second detection of every first-stage success of a
+teleported gate together, in one array pass, with the records one
+evolution and one ``measure_modes`` per state would give, bit for bit.
+A sampled detection
 behind a unitary draws its pattern through ``measure._sample_detection``,
 so the trajectory neither evolves nor groups the whole state; its branch
 equals the exact branch of the same pattern to 1e-10, not bit for bit.
@@ -124,15 +126,18 @@ def _detect(work, modes, classify, rng, unitary=None):
     order, each ``post`` built when first read; with an rng the one drawn
     branch, built at once, drawn by ``measure._sample_detection`` behind a
     unitary (``work`` is not evolved), else by one draw over the records.
+    An exact detection behind a unitary takes its records from
+    ``measure._evolved_groups``, which runs a large one as one packed-key
+    pass and a small one as ``apply_unitary`` and ``measure_modes``.
     """
-    if rng is not None and unitary is not None:
-        records = [_sample_detection(work, unitary, modes, rng)]
-    else:
-        if unitary is not None:
-            work = apply_unitary(work, unitary, modes)
+    if unitary is None:
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
             records = [records[_drawer([p for _, p, _ in records])(rng.random())]]
+    elif rng is None:
+        records = next(measure._evolved_groups([work], unitary, modes))
+    else:
+        records = [_sample_detection(work, unitary, modes, rng)]
     return _classified(records, classify, rng)
 
 
@@ -619,12 +624,13 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     fourier_modes = [input_mode] + [m0 + i for i in range(n)]
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
+    targets = [None] + [_shift_index(m0 + n + k - 1, measured) for k in range(1, n + 1)]
 
     def classify(pattern):
         k = sum(pattern)
         if not 0 < k < n + 1:
             return {"k": k, "ok": False, "projected": 0 if k == 0 else 1}
-        target = _shift_index(m0 + n + k - 1, measured)
+        target = targets[k]
         corrections = [("phase", target, (omega * _phase_index(pattern)) % (2 * math.pi))]
         return {"k": k, "ok": True, "target_mode": target, "corrections": corrections}
 

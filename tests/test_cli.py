@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockworks
 from fockworks import optics
 from fockworks.cli import RunConfig, main
 
@@ -12,6 +17,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    argv = ["run", "teleport", "--n", "3"]
+    source = str(Path(fockworks.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "fockworks", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    code, out, _ = run_cli(capsys, *argv)
+    assert done.returncode == code == 0
+    assert done.stdout == out
 
 
 class TestRun:
@@ -114,6 +131,16 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "15600899" in err
+
+    @pytest.mark.parametrize("protocol, summed", [("csign", "1715 states may produce 5884165"),
+                                                  ("parity", "1715 states may produce 4564889")])
+    def test_oversize_teleported_gate_exits_2(self, capsys, protocol, summed):
+        # each stage-2 evolution fits the budget, all of them together do
+        # not: refused before the second detection expands anything
+        code, out, err = run_cli(capsys, "run", protocol, "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert f"the evolutions of {summed} terms" in err
 
     def test_monte_carlo_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from fockworks import fock, measure, optics
+from fockworks import fock, measure, optics, protocols
 from fockworks.fock import FockState, number_state, tensor
 from fockworks.measure import (
     Bucket,
@@ -428,10 +428,99 @@ class TestEvolvedGroups:
         assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
 
     def test_budget_applies_to_each_state(self, monkeypatch):
-        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 20)
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 27)
         u = optics.fourier_matrix(2)
         small = FockState(4, {(1, 1, 0, 1): 1.0})  # bound C(4, 2) = 6
         large = FockState(4, {(2, 1, 1, 0): 1.0})  # bound C(6, 2) = 15
-        assert len(_batched([small, small, large], u, [0, 1, 2])) == 3
-        with pytest.raises(optics.BudgetExceeded, match="may produce 28 terms"):
+        assert len(_batched([small, small, large], u, [0, 1, 2])) == 3  # 27, at the limit
+        passes = []
+        run = measure._pass_groups
+        monkeypatch.setattr(measure, "_pass_groups", lambda *a: passes.append(1) or run(*a))
+        # one state past the limit: the per-state message, as apply_unitary gives it
+        with pytest.raises(optics.BudgetExceeded, match="the evolution may produce 28 terms"):
             _batched([small, FockState(4, {(3, 2, 1, 0): 1.0})], u, [0, 1, 2])
+        # each state within it, their sum past it: refused before the first pass
+        with pytest.raises(optics.BudgetExceeded,
+                           match="the evolutions of 4 states may produce 33 terms"):
+            _batched([small, small, large, small], u, [0, 1, 2])
+        assert passes == []
+
+    def test_a_lone_state_takes_the_pass_from_the_array_route_bound(self, monkeypatch):
+        u = optics.fourier_matrix(7)
+        modes = list(range(8))
+        below, at = _bounded_state(4095), _bounded_state(4096)
+        assert [optics._bound([occ[:8] for occ, _ in s.terms()], 8) for s in (below, at)] == [
+            optics.ARRAY_MIN_TERMS - 1, optics.ARRAY_MIN_TERMS]
+        passes = []
+        run = measure._pass_groups
+        monkeypatch.setattr(measure, "_pass_groups", lambda *a: passes.append(1) or run(*a))
+        alone = []
+        measure_one = measure.measure_modes
+        monkeypatch.setattr(measure, "measure_modes",
+                            lambda *a, **k: alone.append(1) or measure_one(*a, **k))
+        for state, expected in ((below, ([], [1])), (at, ([1], []))):
+            passes.clear(), alone.clear()
+            got = _batched([state], u, modes)
+            assert (passes, alone) == expected
+            assert [_record_bits(r) for r in got] == [
+                _record_bits(r) for r in _one_by_one([state], u, modes)]
+
+
+def _bounded_state(bound):
+    """A state on 9 modes whose evolution on modes 0-7 has the output bound
+    4,095 or 4,096: five terms of 5 photons there (C(12, 7) = 792 each), one
+    of 3 (120) and one of 1 (8), then seven photonless terms (1 each) or
+    one more of 1 photon."""
+    occs = [tuple(4 * (i == 0) + (i == j) for i in range(8)) + (1,) for j in range(5)]
+    occs += [(3,) + (0,) * 7 + (1,), (1,) + (0,) * 7 + (1,)]
+    occs += {4095: [(0,) * 8 + (k,) for k in range(7)], 4096: [(0, 1) + (0,) * 6 + (1,)]}[bound]
+    return FockState(9, {occ: complex(1, k) for k, occ in enumerate(occs)})
+
+
+def _detect_records(work, u, modes):
+    """The ``(counts, p, pending)`` records an exact ``protocols._detect``
+    behind ``u`` classifies."""
+    seen = []
+    classified = protocols._classified
+    protocols._classified = lambda records, *rest: seen.append(records) or classified(records, *rest)
+    try:
+        protocols._detect(work, modes, lambda pattern: {}, None, u)
+    finally:
+        protocols._classified = classified
+    (records,) = seen
+    return records
+
+
+@st.composite
+def lone_detections(draw):
+    """One state on 9 modes whose first 8 a seeded random unitary evolves:
+    up to 8 terms of 5 photons there, each of output bound 792, so a bound
+    on both sides of ``optics.ARRAY_MIN_TERMS``."""
+    part = st.sampled_from([0.0, -0.0]) | st.floats(-1, 1)
+    amps = {}
+    for _ in range(draw(st.sampled_from(range(3, 9)))):
+        photons = draw(st.lists(st.integers(0, 7), min_size=5, max_size=5))
+        occ = tuple(photons.count(m) for m in range(8)) + (draw(st.integers(0, 1)),)
+        amps[occ] = complex(draw(part), draw(part))
+    if not any(amps.values()):
+        amps[occ] = 1.0
+    u = optics.random_unitary(8, np.random.default_rng(draw(st.integers(0, 99))))
+    return FockState(9, amps), u
+
+
+@settings(max_examples=30, deadline=None)
+@given(lone_detections())
+@example((_bounded_state(4095), optics.fourier_matrix(7)))  # per state
+@example((_bounded_state(4096), optics.fourier_matrix(7)))  # one pass
+def test_exact_detection_records_equal_the_per_state_records(detection):
+    work, u = detection
+    modes = list(range(8))
+    bound = optics._bound([occ[:8] for occ, _ in work.terms()], 8)
+    event("one pass" if bound >= optics.ARRAY_MIN_TERMS else "per state")
+    try:
+        expected = measure_modes(optics.apply_unitary(work, u, modes), modes, lazy=True)
+    except fock.FockError as exc:  # a norm that underflows to zero
+        with pytest.raises(type(exc), match=str(exc)):
+            _detect_records(work, u, modes)
+        return
+    assert _record_bits(_detect_records(work, u, modes)) == _record_bits(expected)

@@ -162,6 +162,17 @@ class TestTeleportTn:
                 back = fock.permute_modes(tri, [0, 2, 1])
                 assert fidelity(back.normalized(), w) > 1 - 1e-10
 
+    @pytest.mark.parametrize("n, route", [(4, (0, 1, 1)), (6, (1, 0, 0))])
+    def test_a_large_detection_is_one_pass(self, n, route, monkeypatch):
+        # output bounds 377 and 5,147: below optics.ARRAY_MIN_TERMS the state
+        # is evolved and grouped on its own, from it on in one packed-key pass
+        passes = _counting(monkeypatch, measure, "_pass_groups")
+        evolutions = _counting(monkeypatch, (protocols, optics), "apply_unitary")
+        groupings = _counting(monkeypatch, (protocols, measure), "measure_modes")
+        res = teleport_tn(encode_single_rail(0.6, 0.8j), 0, n)
+        assert (len(passes), len(evolutions), len(groupings)) == route
+        assert abs(res.details["failure_probability"] - 1 / (n + 1)) < 1e-10
+
 
 class TestSampledTeleportTn:
     """A sampled run projects and corrects only the branch it draws."""
@@ -198,10 +209,13 @@ class TestSampledTeleportTn:
 
 
 def _counting(monkeypatch, module, name):
-    """Count the calls of ``module.name`` from here on."""
+    """Count the calls of ``module.name`` from here on; ``module`` may be a
+    tuple of modules, each binding the function by that name."""
     calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    for owner in module if isinstance(module, tuple) else (module,):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _original=original, **k: calls.append(1) or _original(*a, **k))
     return calls
 
 
@@ -329,8 +343,10 @@ class TestOnePassSecondStage:
         run, make_state, kind, mode_x, mode_y = self.RUNS[name]
         state = make_state()
         first, second = _stage_subs(state, kind, mode_x, mode_y, n)
-        evolutions = _counting(monkeypatch, protocols, "apply_unitary")
-        groupings = _counting(monkeypatch, protocols, "measure_modes")
+        # stage 1's output bound is below optics.ARRAY_MIN_TERMS (832, 3,770
+        # and 416), so measure evolves and groups it on its own
+        evolutions = _counting(monkeypatch, (protocols, optics), "apply_unitary")
+        groupings = _counting(monkeypatch, (protocols, measure), "measure_modes")
         expansions = _counting(monkeypatch, kernels, "expand_basis_state")
         passes = _counting(monkeypatch, measure, "_pass_groups")
         res = run(state, n)

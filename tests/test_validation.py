@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockworks import costs, fock, measure, protocols
+from fockworks import costs, fock, measure, optics, protocols
 from fockworks.fock import DEFAULT_TOL, FockState, InvalidOccupationError
 from fockworks.protocols import BosonicQubit
 
@@ -302,22 +302,25 @@ def _count_validated(monkeypatch, fn):
 def test_teleport_tn_validates_a_fixed_number_of_states(monkeypatch):
     state = costs.encode_single_rail(0.6, 0.8)
     counts = {n: _count_validated(monkeypatch, lambda n=n: protocols.teleport_tn(state, 0, n))
-              for n in (4, 6)}
-    # the resource and the Fourier evolution; 153 and 1,962 branches
-    assert counts[4] == counts[6] <= 2
+              for n in (4, 5, 6, 7)}
+    # 152 to 6,979 branches: the resource and, below optics.ARRAY_MIN_TERMS
+    # (n <= 5), the Fourier evolution; a one-pass detection builds none
+    assert counts[4] == counts[5] == 2 and counts[6] == counts[7] == 1
 
 
 def test_csign_teleported_validates_one_state_per_evolution(monkeypatch):
     plus = protocols.encode_qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
     state = fock.tensor(plus, plus)
     evolutions = []
-    apply_unitary = protocols.apply_unitary
+    # gadgets evolve through protocols' binding, a small detection through optics'
+    for module in (protocols, optics):
+        apply_unitary = module.apply_unitary
 
-    def counting(*args, **kwargs):
-        evolutions.append(1)
-        return apply_unitary(*args, **kwargs)
+        def counting(*args, _apply=apply_unitary, **kwargs):
+            evolutions.append(1)
+            return _apply(*args, **kwargs)
 
-    monkeypatch.setattr(protocols, "apply_unitary", counting)
+        monkeypatch.setattr(module, "apply_unitary", counting)
     validated = _count_validated(monkeypatch, lambda: protocols.csign_teleported(
         state, BosonicQubit(0, 1), BosonicQubit(2, 3), 2))
     assert evolutions
