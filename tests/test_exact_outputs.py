@@ -4,7 +4,11 @@ For each case the record keeps, per branch, ``float.hex`` of the branch
 probability and of the real and imaginary part of every amplitude of its
 state, in ``terms()`` order. The record holds the branch count and a
 SHA-256 digest of those lines, so a change in any last bit of any
-probability or amplitude fails here. Inputs are built without LAPACK
+probability or amplitude fails here. For the large branch lists a second
+record, ``<case> fields``, digests every other field of every branch: its
+keys in order, a float by ``float.hex`` and any other value by ``repr``
+(which names a numpy scalar), so a correction angle, a count or a type
+cannot change unnoticed either. Inputs are built without LAPACK
 (the "random" unitary is a Fourier matrix between seeded diagonal
 phases), so the record does not depend on the linear-algebra library.
 
@@ -50,6 +54,21 @@ def _digest(branches):
     return [len(branches), h.hexdigest()]
 
 
+def _field_digest(branches):
+    """(count, sha256) over every branch's keys, in order, and its values
+    other than ``p`` and ``state``: a float by ``float.hex``, else by ``repr``."""
+    h = hashlib.sha256()
+    for branch in branches:
+        for key, value in branch.items():
+            if key in ("p", "state"):
+                line = key
+            else:
+                line = f"{key} {value.hex() if type(value) is float else repr(value)}"
+            h.update(line.encode() + b"\n")
+        h.update(b"--\n")
+    return [len(branches), h.hexdigest()]
+
+
 def _random_state(seed, photons=5, modes=8, terms=12):
     rng = np.random.default_rng(seed)
     amps = {}
@@ -78,17 +97,17 @@ def _listed(res):
 
 
 def _teleport(n):
-    return _listed(protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, n))
+    return protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, n)
 
 
 def _csign(n):
     q = fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.28j, 0.96))
-    return _listed(protocols.csign_teleported(q, BosonicQubit(0, 1), BosonicQubit(2, 3), n))
+    return protocols.csign_teleported(q, BosonicQubit(0, 1), BosonicQubit(2, 3), n)
 
 
 def _parity(n):
     pair = fock.tensor(costs.encode_single_rail(0.6, 0.8j), costs.encode_single_rail(0.28j, 0.96))
-    return _listed(protocols.parity_measure(pair, 0, 1, n))
+    return protocols.parity_measure(pair, 0, 1, n)
 
 
 def _heralded(res):
@@ -105,9 +124,9 @@ def _postselect():
 
 
 CASES = {
-    **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in range(1, 8)},
-    **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in range(1, 5)},
-    **{f"parity_measure_n{n}": (lambda n=n: _parity(n)) for n in (2, 3)},
+    **{f"teleport_tn_n{n}": (lambda n=n: _listed(_teleport(n))) for n in range(1, 8)},
+    **{f"csign_teleported_n{n}": (lambda n=n: _listed(_csign(n))) for n in range(1, 5)},
+    **{f"parity_measure_n{n}": (lambda n=n: _listed(_parity(n))) for n in (2, 3)},
     "teleport_with_e_n3": lambda: _listed(protocols.teleport_with_e(0.6, 0.8j, n=3)),
     "distribute_entanglement_n3": lambda: _listed(protocols.distribute_entanglement(3)),
     "measure_bucket": lambda: _measured(measure.Bucket(), [0, 3, 5]),
@@ -124,22 +143,44 @@ CASES = {
 }
 
 
+#: the results whose branch fields are recorded too, as ``<name> fields``
+FIELD_CASES = {
+    **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in (3, 6)},
+    **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in (2, 4)},
+    "parity_measure_n3": lambda: _parity(3),
+    "teleport_with_e_n3": lambda: protocols.teleport_with_e(0.6, 0.8j, n=3),
+}
+
+#: every record: its name and how to compute its digest
+DIGESTS = {
+    **{name: (lambda f=f: _digest(f())) for name, f in CASES.items()},
+    **{f"{name} fields": (lambda f=f: _field_digest(f().details["branches"]))
+       for name, f in FIELD_CASES.items()},
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exact_outputs_match_record(name):
     record = json.loads(RECORD.read_text())
     assert _digest(CASES[name]()) == record[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_branch_fields_match_record(name):
+    record = json.loads(RECORD.read_text())
+    assert DIGESTS[f"{name} fields"]() == record[f"{name} fields"]
+
+
 def _write():
     """Record every case the record lacks; exit 1, writing nothing, if a
     recorded case no longer matches."""
     record = json.loads(RECORD.read_text())
-    changed = [name for name in sorted(record) if name in CASES
-               and _digest(CASES[name]()) != record[name]]
+    changed = [name for name in sorted(record) if name in DIGESTS
+               and DIGESTS[name]() != record[name]]
     if changed:
         sys.exit(f"recorded cases would change: {', '.join(changed)}; "
                  "delete a key from the record to re-record it")
-    added = {name: _digest(f()) for name, f in CASES.items() if name not in record}
+    added = {name: digest() for name, digest in DIGESTS.items() if name not in record}
     RECORD.write_text(json.dumps(record | added, indent=1, sort_keys=True) + "\n")
     print("recorded:", ", ".join(sorted(added)) or "nothing new")
 
