@@ -32,6 +32,15 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
+def _squared_norm(amps) -> float:
+    """The sum of ``abs(a) ** 2`` over ``amps``, left to right from 0.0 as ``np.bincount``
+    adds, on every interpreter (the builtin ``sum`` of floats compensates from 3.12 on)."""
+    total = 0.0
+    for amp in amps:
+        total += abs(amp) ** 2
+    return total
+
+
 class FockError(Exception):
     """Base class for state-algebra errors."""
 
@@ -108,10 +117,8 @@ class FockState:
 
     def _prune(self, modes: int, cleaned: dict, tol: float):
         """Keep the nonzero terms of ``cleaned`` above ``tol`` times its norm."""
-        norm_sq = 0.0
         try:
-            for amp in cleaned.values():
-                norm_sq += abs(amp) ** 2
+            norm_sq = _squared_norm(cleaned.values())
         except OverflowError:
             norm_sq = math.inf
         if not math.isfinite(norm_sq):
@@ -137,7 +144,7 @@ class FockState:
         return len(self._amp)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
+        return math.sqrt(_squared_norm(self._amp.values()))
 
     def total_photons(self):
         """Set of total photon numbers present across terms."""

@@ -12,17 +12,18 @@ A branch whose probability, relative to the measured state, is below
 ``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
 ``postselect`` reports it with probability 0.
 
-Every protocol detection is one stage of ``protocols._detect``. An exact
-stage builds a branch's post-state the first time it is read, from the
-kept amplitudes of its lazy record. Every exact stage behind a mode unitary
-takes its records from ``_evolved_groups``, bit for bit those of
+Every protocol detection is one stage of ``protocols._detect``, which
+takes a state's branches as columns (``_Records``) and gives each exact
+branch one lazy post-state, decoded from the stage's shared block of kept
+amplitudes when first read. Every exact stage behind a mode unitary takes
+its records from ``_evolved_groups``, bit for bit those of
 ``measure_modes`` after ``apply_unitary``: a large single state
 (``teleport_tn``, stage 1 of the teleported gates) and the second
 detection of every stage-1 success of a teleported gate each run as one
 sort and reduce over packed keys, and a small single state takes
 ``apply_unitary`` and ``measure_modes``. A sampled run projects only the
 one branch it draws, stage by stage, through one of two routes: one
-``_drawer`` draw over the lazy records of ``measure_modes`` (as
+``_drawer`` draw over the records of ``measure_modes`` (as
 ``sample_outcome`` draws), or, behind a mode unitary (the Fourier
 multiports), ``_sample_detection``, which neither evolves nor groups the
 whole state: it draws an incoherent sector of the input, draws a count
@@ -33,7 +34,9 @@ exact branch to rounding (1e-10), not bit for bit.
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 
@@ -161,20 +164,43 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), laz
     return out if lazy else [project() for _, _, project in out]
 
 
-class _Pending(tuple):
-    """``(modes, measured, counts, p, group, weight)`` of a branch not yet built:
-    the post-state's mode count, not the measured state, and the kept
-    amplitudes ``group`` of squared norm ``weight``. Calling it builds it."""
+class _Records(Sequence):
+    """The branches of one measured state, column by column, in canonical
+    order: the count patterns, rows of the int array ``counts``, of the
+    ``measured`` modes; their probabilities ``p``; and the kept amplitudes
+    of each, the dict ``block(rows[i])`` of squared norm ``weight[i]``,
+    projected onto a post-state of ``modes`` modes. Indexed, it gives the
+    lazy records of ``measure_modes``, ``(counts, p, project)``; sliced,
+    the records of those branches alone."""
 
-    __slots__ = ()
+    __slots__ = ("modes", "measured", "counts", "p", "weight", "block", "rows")
 
-    def __call__(self) -> ConditionalOutcome:
-        modes, measured, counts, p, group, weight = self
-        return ConditionalOutcome(tuple(zip(measured, counts)), p, _projection(modes, group, weight))
+    def __init__(self, modes, measured, counts, p, weight, block, rows):
+        self.modes, self.measured, self.counts, self.p = modes, measured, counts, p
+        self.weight, self.block, self.rows = weight, block, rows
+
+    def __len__(self):
+        return len(self.p)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Records(self.modes, self.measured, self.counts[i], self.p[i], self.weight[i],
+                            self.block, self.rows[i])
+        return tuple(self.counts[i].tolist()), self.p[i], partial(self._outcome, i)
+
+    def _outcome(self, i) -> ConditionalOutcome:
+        return ConditionalOutcome(tuple(zip(self.measured, self.counts[i].tolist())), self.p[i],
+                                  _projection(self.modes, self.block(self.rows[i]), self.weight[i]))
+
+
+def _dict_records(modes, measured, counts, p, weight, groups):
+    """The ``_Records`` of groups held as dicts, ``groups[i]`` that of branch ``i``."""
+    patterns = np.array(counts, dtype=np.int64).reshape(len(p), len(measured))
+    return _Records(modes, measured, patterns, p, weight, groups.__getitem__, range(len(p)))
 
 
 def _groups(state: FockState, modes, bucket):
-    """Counter or Bucket branches of measure_modes as its lazy records."""
+    """Counter or Bucket branches of measure_modes as its ``_Records``."""
     measured, kept = _split(state, modes)
     total = _weight(state)
     groups: dict = {}
@@ -191,23 +217,24 @@ def _groups(state: FockState, modes, bucket):
         rest = kept(occ)
         rest = rests.setdefault(rest, rest)
         group[rest] = group.get(rest, 0j) + amp
-    out = []
+    listed, ps, weights, kept_groups = [], [], [], []
     for counts in sorted(groups):
         group = groups[counts]
-        weight = sum(abs(a) ** 2 for a in group.values())
+        weight = fock._squared_norm(group.values())
         p = (mass[counts] if bucket else weight) / total
         if p < IMPOSSIBLE:
             continue
         if weight == 0:
             raise ZeroStateError(f"bucket class {counts} cancels coherently")
-        out.append((counts, p, _Pending((state.modes - len(modes), modes, counts, p, group, weight))))
-    return out
+        listed.append(counts), ps.append(p), weights.append(weight), kept_groups.append(group)
+    return _dict_records(state.modes - len(modes), modes, listed, ps, weights, kept_groups)
 
 
 def _evolved_groups(states, u, modes):
     """Yields ``measure_modes(apply_unitary(state, u, modes), modes,
     lazy=True)`` of every state of the list ``states`` in turn, bit for bit,
-    with each group's kept amplitudes a ``_Segment`` read on demand.
+    as ``_Records``: the records of a pass share its sorted arrays, a
+    ``_Block``, from which a group's kept amplitudes are decoded on demand.
 
     ``BudgetExceeded`` applies to each state, as ``apply_unitary`` applies
     it, and to the states' summed output bound, before the first pass. A
@@ -301,39 +328,36 @@ def _pass_groups(run, top, mat, modes):
     order = np.argsort(keys)
     keys, re, im, square = keys[order], re[order], im[order], square[order]
     heads = keys >> sum(widths[k] for k in kept)  # (state, counts): the group
-    starts = np.concatenate(([True], heads[1:] != heads[:-1]))
-    first = np.flatnonzero(starts)
-    weight = np.bincount(np.cumsum(starts) - 1, square, len(first))
+    opens = np.concatenate(([True], heads[1:] != heads[:-1]))
+    first = np.flatnonzero(opens)
+    weight = np.bincount(np.cumsum(opens) - 1, square, len(first))
     owners = owner[order][first]
     p = weight / total[owners]
     counts = (keys[first, None] >> shift[modes]) & mask[modes]
-    block = (keys, re, im, shift[kept], mask[kept])
-    ends = np.append(first[1:], len(keys))
     possible = p >= IMPOSSIBLE
+    counts, p, weight, starts, stops = counts[possible], *(
+        column[possible].tolist() for column in (p, weight, first, np.append(first[1:], len(keys))))
+    # a state's groups are one run of rows: its index is the key's top field
+    bounds = np.searchsorted(owners[possible], np.arange(len(run) + 1)).tolist()
     post = len(top) - len(modes)  # the states of a pass share their mode count
-    records = [[] for _ in run]
-    for s, c, pg, w, a, b in zip(*(column[possible].tolist() for column in
-                                   (owners, counts, p, weight, first, ends))):
-        c = tuple(c)
-        records[s].append((c, pg, _Pending((post, modes, c, pg, _Segment(block, a, b), w))))
-    return records
+    block = _Block((keys, re, im, shift[kept], mask[kept], starts, stops))
+    return [_Records(post, modes, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
+            for a, b in zip(bounds, bounds[1:])]
 
 
-class _Segment:
-    """One group's kept amplitudes in a pass of ``_evolved_groups``: rows
-    ``start:stop`` of its sorted keys and amplitudes, decoded by ``items()``
-    into the ``(kept occupation, amplitude)`` pairs of ``_groups``' dict."""
+class _Block(tuple):
+    """``(keys, re, im, shift, mask, starts, stops)``: a pass's sorted keys and
+    amplitudes, the kept modes' fields of a key, and where each group's rows
+    start and stop. Called with a group's index, it decodes those rows into
+    the ``{kept occupation: amplitude}`` dict of ``_groups``."""
 
-    __slots__ = ("block", "start", "stop")
+    __slots__ = ()
 
-    def __init__(self, block, start, stop):
-        self.block, self.start, self.stop = block, start, stop
-
-    def items(self):
-        keys, re, im, shift, mask = self.block
-        rows = slice(self.start, self.stop)
+    def __call__(self, group):
+        keys, re, im, shift, mask, starts, stops = self
+        rows = slice(starts[group], stops[group])
         rests = ((keys[rows, None] >> shift) & mask).tolist()
-        return zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist()))
+        return dict(zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist())))
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
@@ -354,10 +378,11 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
         if measured(occ) == counts:
             rest = kept(occ)
             amps[rest] = amps.get(rest, 0j) + amp
-    weight = sum(abs(a) ** 2 for a in amps.values())
+    weight = fock._squared_norm(amps.values())
     if weight / total < IMPOSSIBLE:
         return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
-    return _Pending((state.modes - len(modes), modes, counts, weight / total, amps, weight))()
+    return ConditionalOutcome(tuple(zip(modes, counts)), weight / total,
+                              _projection(state.modes - len(modes), amps, weight))
 
 
 def _sample_detection(state: FockState, u, modes, rng):
@@ -365,15 +390,15 @@ def _sample_detection(state: FockState, u, modes, rng):
 
     Draws the record that ``measure_modes(apply_unitary(state, u, modes),
     modes, lazy=True)`` would draw, ``(counts, p, project)``, without
-    evolving ``state``. The unitary leaves the other modes alone, so the
-    input splits into incoherent sectors, one per (kept occupation, photons
-    in ``modes``), each weighted by its squared norm. A sector is drawn,
-    then a count pattern of it: by boson sampling when it is one Fock term,
-    else from that sector's own evolution. The branch is then built from
-    the transition amplitudes of every term with the pattern's photon
-    number, one permanent per distinct sub-occupation, pruned as
-    ``apply_unitary`` prunes. A pattern outside that support is drawn
-    again.
+    evolving ``state``, as one-record ``_Records``. The unitary leaves the
+    other modes alone, so the input splits into incoherent sectors, one per
+    (kept occupation, photons in ``modes``), each weighted by its squared
+    norm. A sector is drawn, then a count pattern of it: by boson sampling
+    when it is one Fock term, else from that sector's own evolution. The
+    branch is then built from the transition amplitudes of every term with
+    the pattern's photon number, one permanent per distinct sub-occupation,
+    pruned as ``apply_unitary`` prunes. A pattern outside that support is
+    drawn again.
     """
     modes = _check_modes(state, modes)
     measured, kept = _split(state, modes)
@@ -383,7 +408,7 @@ def _sample_detection(state: FockState, u, modes, rng):
         sub = measured(occ)
         sectors.setdefault((kept(occ), sum(sub)), {})[sub] = amp
     drawn = list(sectors.values())
-    pick = _drawer([sum(abs(a) ** 2 for a in terms.values()) / total for terms in drawn])
+    pick = _drawer([fock._squared_norm(terms.values()) / total for terms in drawn])
     cutoff = fock.DEFAULT_TOL * math.sqrt(total)
     while True:
         terms = drawn[pick(rng.random())]
@@ -403,10 +428,10 @@ def _sample_detection(state: FockState, u, modes, rng):
                     t = amplitudes[sub] = optics.transition_amplitude(u, sub, counts)
                 group[rest] = group.get(rest, 0j) + amp * t
         group = {rest: a for rest, a in group.items() if abs(a) > cutoff}
-        weight = sum(abs(a) ** 2 for a in group.values())
+        weight = fock._squared_norm(group.values())
         p = weight / total
         if p >= IMPOSSIBLE:
-            return counts, p, _Pending((state.modes - len(modes), modes, counts, p, group, weight))
+            return _dict_records(state.modes - len(modes), modes, [counts], [p], [weight], [group])
 
 
 def _draw_index(weights, rng) -> int:

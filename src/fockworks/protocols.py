@@ -47,7 +47,8 @@ test suite before anything composes on top of them.
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+
+import numpy as np
 
 from . import fock, measure
 from .fock import FockError, FockState, number_state, tensor
@@ -121,55 +122,70 @@ def _detect(work, modes, classify, rng, unitary=None):
     acts on them when one is given.
 
     Returns the stage's branches, ``{"pattern": counts, "p": p,
-    **classify(counts), "state": post}``, ``post`` corrected by classify's
-    ``corrections``: with ``rng=None`` every count pattern, in canonical
-    order, each ``post`` built when first read; with an rng the one drawn
-    branch, built at once, drawn by ``measure._sample_detection`` behind a
-    unitary (``work`` is not evolved), else by one draw over the records.
-    An exact detection behind a unitary takes its records from
+    **classify(counts, k, s), "state": post}``, ``k`` the photons counted
+    and ``s`` = sum_j j*r_j of the pattern {r_j}, ``post`` corrected by
+    classify's ``corrections``: with ``rng=None`` every count pattern, in
+    canonical order, each ``post`` built when first read; with an rng the
+    one drawn branch, built at once, drawn by ``measure._sample_detection``
+    behind a unitary (``work`` is not evolved), else by one draw over the
+    records. An exact detection behind a unitary takes its records from
     ``measure._evolved_groups``, which runs a large one as one packed-key
     pass and a small one as ``apply_unitary`` and ``measure_modes``.
     """
     if unitary is None:
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
-            records = [records[_drawer([p for _, p, _ in records])(rng.random())]]
+            i = _drawer(records.p)(rng.random())
+            records = records[i:i + 1]
     elif rng is None:
         records = next(measure._evolved_groups([work], unitary, modes))
     else:
-        records = [_sample_detection(work, unitary, modes, rng)]
+        records = _sample_detection(work, unitary, modes, rng)
     return _classified(records, classify, rng)
 
 
 def _classified(records, classify, rng):
-    """The branches of a stage's ``(counts, p, pending)`` records, as
-    ``_detect`` returns them."""
-    branches = [{"pattern": pattern, "p": p, **classify(pattern)} for pattern, p, _ in records]
-    for branch, (_, _, pending) in zip(branches, records):
-        corrections = branch.get("corrections", [])
-        branch["state"] = (_BranchState(pending, corrections) if rng is None
-                           else _corrected(pending().post_state, corrections))
+    """The branches of a stage's ``measure._Records``, as ``_detect``
+    returns them, built from the records' columns: ``k`` and ``s`` of every
+    pattern from one product over the count rows, one ``_BranchState`` per
+    exact branch."""
+    counts = records.counts
+    # k = sum_j r_j and s = sum_j j*r_j of every pattern, as one product
+    ks, ss = (np.array([[1] * counts.shape[1], range(counts.shape[1])]) @ counts.T).tolist()
+    # zip over the columns gives each pattern as a tuple, with no row lists
+    branches = [{"pattern": pattern, "p": p, **classify(pattern, k, s)}
+                for pattern, p, k, s in zip(zip(*counts.T.tolist()), records.p, ks, ss)]
+    modes, block = records.modes, records.block
+    for branch, weight, row in zip(branches, records.weight, records.rows):
+        fixes = branch.get("corrections", ())
+        branch["state"] = (_BranchState(modes, block, row, weight, fixes) if rng is None
+                           else _built(modes, block(row), weight, fixes))
     return branches
 
 
+def _built(modes, group, weight, corrections):
+    """A branch's kept amplitudes ``group``, of squared norm ``weight``, projected and corrected."""
+    return _corrected(measure._projection(modes, group, weight), corrections)
+
+
 class _BranchState(FockState):
-    """An exact branch's post-state: its kept amplitudes ``group`` of squared
-    norm ``weight`` and its ``corrections`` until its terms are first read,
-    which runs a sampled branch's build, ``_corrected(_projection(...))``."""
+    """An exact branch's post-state: until its terms are first read, the
+    stage's ``block`` and this branch's ``row`` in it, which decode its kept
+    amplitudes, their squared norm ``weight`` and its ``corrections``; the
+    first read builds it as a sampled branch is built, ``_built(...)``."""
 
-    __slots__ = ("_group", "_weight", "_corrections")
+    __slots__ = ("_block", "_row", "_weight", "_corrections")
 
-    def __init__(self, pending, corrections):
-        self.modes, _, _, _, self._group, self._weight = pending
-        self._corrections = corrections
+    def __init__(self, modes, block, row, weight, corrections):
+        self.modes, self._block, self._row = modes, block, row
+        self._weight, self._corrections = weight, corrections
 
     def __getattr__(self, name):
         # reached only while the ``_amp`` slot is unset
         if name != "_amp":
             raise AttributeError(name)
-        post = measure._projection(self.modes, self._group, self._weight)
-        self._amp = _corrected(post, self._corrections)._amp
-        del self._group, self._weight, self._corrections
+        self._amp = _built(self.modes, self._block(self._row), self._weight, self._corrections)._amp
+        del self._block, self._row, self._weight, self._corrections
         return self._amp
 
 
@@ -412,7 +428,7 @@ def _ns_stage(state: FockState, mode: int, rng):
     network = ns1_network()
     work = apply_unitary(tensor(state, number_state(network.ancilla_counts)), _ns1_effective(),
                          [mode, m, m + 1])
-    return _detect(work, [m, m + 1], lambda pattern: {"ok": pattern == network.accept}, rng)
+    return _detect(work, [m, m + 1], lambda pattern, *_: {"ok": pattern == network.accept}, rng)
 
 
 def _ns_trace(trace, mode, m, p, pattern):
@@ -513,7 +529,7 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            out = _detect(out, leftovers, lambda pattern: {}, rng)[0]["state"]
+            out = _detect(out, leftovers, lambda pattern, *_: {}, rng)[0]["state"]
             tx, ty = (_shift_index(m, leftovers) for m in (tx, ty))
         # relabel so the teleported modes sit where the inputs were
         rest = iter(m for m in range(out.modes) if m not in (tx, ty))
@@ -574,8 +590,7 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
                          [input_mode, m0])
     target = _shift_index(m0 + 1, sorted([input_mode, m0]))
 
-    def classify(pattern):
-        total = sum(pattern)
+    def classify(pattern, total, _):
         if total != 1:
             return {"total": total, "ok": False, "projected": 0 if total == 0 else 1}
         corrections = [("phase", target, math.pi)] if pattern == (1, 0) else []
@@ -601,11 +616,6 @@ def _projected(mode):
     return lambda b: {"projected_mode": mode, "value": b["projected"]}
 
 
-def _phase_index(pattern) -> int:
-    """S = sum_j j*r_j of a Fourier count pattern: its correction is omega^S."""
-    return sum(map(mul, range(len(pattern)), pattern))
-
-
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
                 resource: PreparedResource | None = None) -> ProtocolResult:
     """Teleport a {0,1}-photon mode through the 2n-mode resource.
@@ -626,12 +636,11 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     omega = 2 * math.pi / (n + 1)
     targets = [None] + [_shift_index(m0 + n + k - 1, measured) for k in range(1, n + 1)]
 
-    def classify(pattern):
-        k = sum(pattern)
+    def classify(pattern, k, s):
         if not 0 < k < n + 1:
             return {"k": k, "ok": False, "projected": 0 if k == 0 else 1}
         target = targets[k]
-        corrections = [("phase", target, (omega * _phase_index(pattern)) % (2 * math.pi))]
+        corrections = [("phase", target, (omega * s) % (2 * math.pi))]
         return {"k": k, "ok": True, "target_mode": target, "corrections": corrections}
 
     branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
@@ -714,22 +723,21 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     omega = 2 * math.pi / (n + 1)
     u = fourier_matrix(n)
     branches = []
-    ones = _detect(tensor(state, resource.state), layout.fourier_x, lambda pattern: {}, rng, u)
+    ones = _detect(tensor(state, resource.state), layout.fourier_x,
+                   lambda pattern, k, s: {"k": k, "s": s}, rng, u)
     if rng is None:
         # every stage-1 success's y detection, in one array pass
-        passed = [one["state"] for one in ones if 0 < sum(one["pattern"]) < n + 1]
+        passed = [one["state"] for one in ones if 0 < one["k"] < n + 1]
         seconds = measure._evolved_groups(passed, u, layout.fourier_y)
     for one in ones:
-        pat1, p1 = one["pattern"], one["p"]
-        k1, s1 = sum(pat1), _phase_index(pat1)
+        pat1, p1, k1, s1 = one["pattern"], one["p"], one["k"], one["s"]
         if not 0 < k1 < n + 1:
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
                              "p1": p1, "state": one["state"], "projected": 0 if k1 == 0 else 1})
             continue
         tx1 = layout.target_x(k1)
 
-        def second(pat2):
-            k2 = sum(pat2)
+        def second(pat2, k2, s2):
             entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1}
             if not 0 < k2 < n + 1:
                 # y projected; undo the sign the collapsed resource imprinted on x
@@ -739,7 +747,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             else:
                 tx, ty, leftovers = layout.output_groups(k1, k2)
                 ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
-                ay = (omega * _phase_index(pat2) + math.pi * flip_y(k1, k2)) % (2 * math.pi)
+                ay = (omega * s2 + math.pi * flip_y(k1, k2)) % (2 * math.pi)
                 corrections = [("phase", tx, ax), ("phase", ty, ay)]
                 entry.update(ok=True, target_x=tx, target_y=ty, leftover_modes=leftovers)
                 if flavor is not None:
@@ -961,7 +969,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     b_modes_a = [_shift_index(n + i, measured) for i in range(n)]
     b_modes_b = [_shift_index(width + n + i, measured) for i in range(n)]
 
-    def classify(pattern):
+    def classify(pattern, *_):
         # a half whose ancilla pair reads (1, 0) is flagged: pi on its b-modes
         corrections = [("phase", m, math.pi) for half, b_modes in ((pattern[:2], b_modes_a),
                                                                    (pattern[2:], b_modes_b))
@@ -1009,7 +1017,7 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
     # both parities are usable; the even one is the post-selected view
-    branches = _detect(state, [anc1, anc2], lambda pattern: {
+    branches = _detect(state, [anc1, anc2], lambda pattern, *_: {
         "parity": 0 if pattern == (0, 1) else 1, "ok": True}, rng)
     chosen = _resolve(branches, rng)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
@@ -1065,7 +1073,7 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
     possible = []
     for parity in (0, 1):
         amps = sectors[parity]
-        weight = sum(abs(a) ** 2 for a in amps.values())
+        weight = fock._squared_norm(amps.values())
         if weight / total >= IMPOSSIBLE:
             possible.append((parity, amps, weight))
     if rng is not None:
@@ -1124,7 +1132,7 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
         oa, ob = (_shift_index(final(m), four) for m in (4, 5))
         swap = [("swap", oa, ob)] if pb["parity"] % 2 == 1 else []
 
-        def classify(pattern):
+        def classify(pattern, *_):
             sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
             corrections = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
             return {"parity": pb["parity"], "sign": sign, "ok": True, "out_pair": (oa, ob),
@@ -1182,7 +1190,7 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
             continue
         meas = sorted(local)
         rest = tuple(_shift_index(m, meas) for m in remote)
-        for sub in _detect(b["state"], meas, lambda pattern: {
+        for sub in _detect(b["state"], meas, lambda pattern, *_: {
                 "parity": 0, "ok": False, "accepted": False, "remote": rest}, rng):
             sub["p"] = b["p"] * sub["p"]
             branches.append(sub)

@@ -125,19 +125,20 @@ class TestDeferredBranchStates:
         res = GADGETS[name]((0.6, 0.8j), (0.28j, 0.96), 2)
         states = [br["state"] for br in res.details["branches"]]
         assert all(isinstance(state, FockState) for state in states)
-        assert not hasattr(res.output_state, "_group")  # the landed branch is built
-        pending = [state for state in states if hasattr(state, "_group")]
+        assert not hasattr(res.output_state, "_block")  # the landed branch is built
+        pending = [state for state in states if hasattr(state, "_block")]
         assert pending
         # the second stage of a teleported gate, evaluated in one pass, is checked too
         stage2 = [br["state"] for br in res.details["branches"] if "pattern2" in br]
         assert all(state in pending for state in stage2 if state is not res.output_state)
         for state in pending:
             assert _states_reachable_from(state) == []
+            group = state._block(state._row)
             eager = protocols._corrected(
-                measure._projection(state.modes, state._group, state._weight), state._corrections)
+                measure._projection(state.modes, group, state._weight), state._corrections)
             assert _bits(state) == _bits(eager)
             assert _bits(state) == _bits(eager)  # a second read gives the same
-            assert not hasattr(state, "_group") and _states_reachable_from(state) == []
+            assert not hasattr(state, "_block") and _states_reachable_from(state) == []
         for state in states:
             back = fock.load_state(fock.dump_state(state))
             assert back.modes == state.modes
@@ -169,7 +170,7 @@ class TestResolver:
         assert rng.bit_generator.state == before
 
 
-def _keep(pattern):
+def _keep(pattern, *_):
     return {"ok": pattern[0] == 0}
 
 

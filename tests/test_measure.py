@@ -131,7 +131,7 @@ class TestImpossibilityRule:
         state = FockState(1, {(0,): 1.0, (1,): 1e-13}, tol=0)
         u = optics.ModeUnitary(np.eye(1))
         rng = np.random.default_rng(0)
-        assert {measure._sample_detection(state, u, [0], rng)[0] for _ in range(50)} == {(0,)}
+        assert {measure._sample_detection(state, u, [0], rng)[0][0] for _ in range(50)} == {(0,)}
 
 
 class _Uniforms:
@@ -154,7 +154,7 @@ class TestSampleDetection:
         # it is above 1e-12 of the branch itself
         state = FockState(2, {(0, 0): 1.0, (1, 0): 1e-3, (1, 1): 5e-13}, tol=0)
         u = optics.ModeUnitary(np.eye(1))
-        counts, p, project = measure._sample_detection(state, u, [0], _Uniforms(0.9999995, 0.5))
+        [(counts, p, project)] = measure._sample_detection(state, u, [0], _Uniforms(0.9999995, 0.5))
         exact = measure_modes(optics.apply_unitary(state, u, [0]), [0])
         assert counts == (1,) and exact[1].outcome == ((0, 1),)
         assert abs(p - exact[1].probability) < 1e-15
@@ -321,12 +321,21 @@ class TestDraw:
             assert measure._drawer(weights)(r) == expected
 
 
+def _groups(records):
+    """The kept amplitudes of every group of a ``measure._Records``."""
+    return [records.block(row) for row in records.rows]
+
+
 def _record_bits(records):
-    """The lazy records of ``measure_modes(..., lazy=True)``, every float by
-    ``float.hex`` and every group in its dict order."""
-    return [(counts, p.hex(), modes, list(measured), again, p_again.hex(),
-             [(rest, a.real.hex(), a.imag.hex()) for rest, a in group.items()], weight.hex())
-            for counts, p, (modes, measured, again, p_again, group, weight) in records]
+    """The records of ``measure_modes(..., lazy=True)``, a ``measure._Records``:
+    the post-state's mode count and the measured modes, then per group its
+    counts, every float by ``float.hex`` and its kept amplitudes in their
+    dict order."""
+    return [records.modes, list(records.measured)] + [
+        (counts, p.hex(), [(rest, a.real.hex(), a.imag.hex()) for rest, a in group.items()],
+         weight.hex())
+        for counts, p, group, weight in zip(map(tuple, records.counts.tolist()), records.p,
+                                            _groups(records), records.weight)]
 
 
 def _batched(states, u, modes):
@@ -387,7 +396,7 @@ class TestEvolvedGroups:
         assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
         evolved = optics.apply_unitary(cancels, HOM, [0, 1])
         assert evolved.amplitude((1, 1, 0)) == 0  # cancelled
-        assert all(rest != (2,) for _, _, pending in expected[0] for rest, _ in pending[4].items())
+        assert all(rest != (2,) for group in _groups(expected[0]) for rest in group)
         patterns = {occ[:2] for occ, _ in optics.apply_unitary(underflow, HOM, [0, 1]).terms()}
         assert len(patterns) == 3
         assert [c for c, _, _ in expected[1]] == [(0, 1), (1, 0)]  # (0, 0) is impossible
@@ -478,13 +487,13 @@ def _bounded_state(bound):
 
 
 def _detect_records(work, u, modes):
-    """The ``(counts, p, pending)`` records an exact ``protocols._detect``
-    behind ``u`` classifies."""
+    """The ``measure._Records`` an exact ``protocols._detect`` behind ``u``
+    classifies."""
     seen = []
     classified = protocols._classified
     protocols._classified = lambda records, *rest: seen.append(records) or classified(records, *rest)
     try:
-        protocols._detect(work, modes, lambda pattern: {}, None, u)
+        protocols._detect(work, modes, lambda *_: {}, None, u)
     finally:
         protocols._classified = classified
     (records,) = seen
@@ -524,3 +533,68 @@ def test_exact_detection_records_equal_the_per_state_records(detection):
             _detect_records(work, u, modes)
         return
     assert _record_bits(_detect_records(work, u, modes)) == _record_bits(expected)
+
+
+def _phase_classify(pattern, k, s):
+    """A classify that reads all three arguments, as teleport_tn's does."""
+    corrections = [("phase", 0, (0.7 * s) % (2 * math.pi))] if k % 2 else []
+    return {"k": k, "ok": k % 2 == 1, "corrections": corrections}
+
+
+def _branch_bits(branch):
+    """Every field of a branch, keys in order: floats by ``float.hex``, the
+    state by the ``float.hex`` of its amplitudes, anything else by ``repr``."""
+    def bits(value):
+        if type(value) is float:
+            return value.hex()
+        if isinstance(value, FockState):
+            return [value.modes] + [(occ, a.real.hex(), a.imag.hex()) for occ, a in value.terms()]
+        return repr(value)
+
+    return [(key, bits(value)) for key, value in branch.items()]
+
+
+def _per_pattern_branches(work, u, modes, classify):
+    """The branches of ``protocols._detect`` as a per-pattern loop over the
+    records of ``measure_modes(apply_unitary(...), lazy=True)`` gives them,
+    with k and s summed pattern by pattern."""
+    branches = []
+    for counts, p, project in measure_modes(optics.apply_unitary(work, u, modes), modes, lazy=True):
+        k, s = sum(counts), sum(j * r for j, r in enumerate(counts))
+        branch = {"pattern": counts, "p": p, **classify(counts, k, s)}
+        branch["state"] = protocols._corrected(project().post_state, branch.get("corrections", []))
+        branches.append(branch)
+    return branches
+
+
+@settings(max_examples=30, deadline=None)
+@given(lone_detections())
+@example((_bounded_state(4095), optics.fourier_matrix(7)))  # per state
+@example((_bounded_state(4096), optics.fourier_matrix(7)))  # one pass
+def test_exact_detection_branches_equal_the_per_pattern_classify(detection):
+    work, u = detection
+    modes = list(range(8))
+    bound = optics._bound([occ[:8] for occ, _ in work.terms()], 8)
+    event("one pass" if bound >= optics.ARRAY_MIN_TERMS else "per state")
+    try:
+        expected = _per_pattern_branches(work, u, modes, _phase_classify)
+    except fock.FockError as exc:  # a norm that underflows to zero
+        with pytest.raises(type(exc), match=str(exc)):
+            protocols._detect(work, modes, _phase_classify, None, u)
+        return
+    got = protocols._detect(work, modes, _phase_classify, None, u)
+    assert [_branch_bits(b) for b in got] == [_branch_bits(b) for b in expected]
+
+
+def test_group_weights_add_left_to_right_as_the_pass_adds():
+    # one group whose squares are 1.0, 1e-16 and 1e-16 in dict order: left
+    # to right (np.bincount) they add to 1.0, a compensated sum (the builtin
+    # sum of floats from Python 3.12 on) gives 1.0000000000000002
+    state = FockState(4, {(0, 0, 0, 1): 1.0, (0, 0, 1, 0): 1e-8, (0, 0, 1, 1): 1e-8})
+    u = optics.ModeUnitary(np.eye(1))
+    dicts, passed = _one_by_one([state, state], u, [0]), _batched([state, state], u, [0])
+    assert passed[0].weight == dicts[0].weight == [1.0]
+    assert [_record_bits(r) for r in passed] == [_record_bits(r) for r in dicts]
+    assert state.norm() == 1.0
+    assert postselect(state, [0], [0]).probability == 1.0
+    assert [b["p"] for b in protocols.parity_project_ideal(state, 0, 1)] == [1.0]

@@ -1,6 +1,7 @@
 """Teleportation gadgets: corrections validated against brute-force branch
 projection, failure accounting, and the measurement-record bookkeeping."""
 
+import gc
 import math
 from collections import Counter
 
@@ -369,6 +370,50 @@ class TestOnePassSecondStage:
         passes = _counting(monkeypatch, measure, "_pass_groups")
         monkeypatch.setattr(measure, "_PASS_TERMS", 500)
         assert bits() == whole and len(passes) > 1
+
+
+class TestBranchesFromColumns:
+    """An exact stage builds its branches from the columns of its records:
+    one lazy state per branch, holding the stage's shared block, and
+    nothing projected until a state is read."""
+
+    RUNS = {
+        "teleport_tn": lambda: teleport_tn(encode_single_rail(0.6, 0.8j), 0, 6),  # one pass
+        # stage 1 grouped by dicts, stage 2 in one pass
+        "csign_teleported": lambda: csign_teleported(_plus_plus(), BosonicQubit(0, 1),
+                                                     BosonicQubit(2, 3), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_one_lazy_state_per_branch(self, name, monkeypatch):
+        lazy = []
+        init = protocols._BranchState.__init__
+        monkeypatch.setattr(protocols._BranchState, "__init__",
+                            lambda state, *a: lazy.append(state) or init(state, *a))
+        projections = _counting(monkeypatch, measure, "_projection")
+        passes = _counting(monkeypatch, measure, "_pass_groups")
+        branches = self.RUNS[name]().details["branches"]
+        # every branch of every stage: stage 1 of the gate has a branch per
+        # success that its stage-2 branches replace
+        successes = {b["pattern1"] for b in branches if "pattern2" in b}
+        assert len(lazy) == len(branches) + len(successes)
+        assert {id(b["state"]) for b in branches} <= {id(state) for state in lazy}
+        # k and s come from the records' columns, not pattern by pattern
+        assert not hasattr(protocols, "_phase_index")
+        unread = [state for state in lazy if hasattr(state, "_block")]
+        # a lazy state holds a block shared by its stage, its bounds, its
+        # weight and its corrections, and nothing else of its own
+        assert len({id(state._block) for state in unread}) <= 1 + len(passes)
+        for state in unread:
+            own = [ref for ref in gc.get_referents(state)
+                   if ref is not state._block and not isinstance(ref, type)]
+            assert {type(ref) for ref in own} <= {int, float, list, tuple}
+        # read: the landed branch and the stage-1 successes the pass evolved
+        assert len(projections) == len(lazy) - len(unread) == 1 + len(successes)
+        for state in unread[:5]:
+            state.terms()
+            state.norm()
+        assert len(projections) == 6 + len(successes)
 
 
 class TestCsignTeleported:
