@@ -635,13 +635,13 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
     targets = [None] + [_shift_index(m0 + n + k - 1, measured) for k in range(1, n + 1)]
+    fixes = {}  # one correction per (k, s), shared by its branches: a tuple is immutable
 
     def classify(pattern, k, s):
         if not 0 < k < n + 1:
             return {"k": k, "ok": False, "projected": 0 if k == 0 else 1}
-        target = targets[k]
-        corrections = [("phase", target, (omega * s) % (2 * math.pi))]
-        return {"k": k, "ok": True, "target_mode": target, "corrections": corrections}
+        fix = fixes.setdefault((k, s), ("phase", targets[k], (omega * s) % (2 * math.pi)))
+        return {"k": k, "ok": True, "target_mode": targets[k], "corrections": [fix]}
 
     branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
     trace = []
@@ -735,31 +735,31 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
                              "p1": p1, "state": one["state"], "projected": 0 if k1 == 0 else 1})
             continue
-        tx1 = layout.target_x(k1)
+        tx1, fixes_x = layout.target_x(k1), {}
 
         def second(pat2, k2, s2):
-            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1}
             if not 0 < k2 < n + 1:
                 # y projected; undo the sign the collapsed resource imprinted on x
-                w = n if k2 == 0 else 0
-                corrections = [("phase", tx1, (omega * s1 + math.pi * w) % (2 * math.pi))]
-                entry.update(ok=False, stage=2, projected=0 if k2 == 0 else 1, target_x=tx1)
-            else:
-                tx, ty, leftovers = layout.output_groups(k1, k2)
-                ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
-                ay = (omega * s2 + math.pi * flip_y(k1, k2)) % (2 * math.pi)
-                corrections = [("phase", tx, ax), ("phase", ty, ay)]
-                entry.update(ok=True, target_x=tx, target_y=ty, leftover_modes=leftovers)
-                if flavor is not None:
-                    entry["parity"] = (k1 + k2 + flavor) % 2
-            entry["corrections"] = corrections
+                ax = (omega * s1 + math.pi * (n if k2 == 0 else 0)) % (2 * math.pi)
+                return {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1,
+                        "ok": False, "stage": 2, "projected": 0 if k2 == 0 else 1,
+                        "target_x": tx1, "corrections": [("phase", tx1, ax)]}
+            tx, ty, leftovers = layout.output_groups(k1, k2)
+            ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
+            ay = (omega * s2 + math.pi * flip_y(k1, k2)) % (2 * math.pi)
+            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1, "ok": True,
+                     "target_x": tx, "target_y": ty, "leftover_modes": leftovers}
+            if flavor is not None:
+                entry["parity"] = (k1 + k2 + flavor) % 2
+            # one x correction per k2, shared by its branches: a tuple is immutable
+            entry["corrections"] = [fixes_x.setdefault(k2, ("phase", tx, ax)), ("phase", ty, ay)]
             return entry
 
         twos = (_classified(next(seconds), second, rng) if rng is None
                 else _detect(one["state"], layout.fourier_y, second, rng, u))
         for two in twos:
             del two["pattern"]
-            two.update(p=p1 * two["p"], p2=two["p"])
+            two["p"], two["p2"] = p1 * two["p"], two["p"]
             branches.append(two)
     return branches, layout
 
