@@ -1,15 +1,16 @@
 """Number-basis kernels: the Ryser permanent, the permanents of
 column-deleted minors, and the expansion of U|occ>.
 
-The permanent is pure Python; the minors are one numpy pass over the
-column subsets. The expansion runs on integer-packed occupation keys in
-one of two forms with the same bits: a dict loop for the small
-expansions most evolutions need, and numpy steps (``arrays=True``) for
-the large ones. The numpy form merges equal keys with ``accumulate``,
-which sums them left to right from 0.0 in the order they first occur, as
-the dict loop does, and multiplies complex numbers in CPython's order on
-separate real arrays. ``optics`` and ``measure`` reach the kernels
-through ``fockworks._backend.kernels``.
+The minors are one numpy pass over the column subsets, walked in blocks
+past ``_SUBSET_BLOCK`` subsets; the permanent is their Laplace expansion
+along the matrix's last row. The expansion runs on integer-packed
+occupation keys in one of two forms with the same bits: a dict loop for
+the small expansions most evolutions need, and numpy steps
+(``arrays=True``) for the large ones. The numpy form merges equal keys
+with ``accumulate``, which sums them left to right from 0.0 in the order
+they first occur, as the dict loop does, and multiplies complex numbers
+in CPython's order on separate real arrays. ``optics`` and ``measure``
+reach the kernels through ``fockworks._backend.kernels``.
 """
 
 import math
@@ -29,40 +30,21 @@ def _sqrt_factorials(n):
     return _SQRT_FACT + [math.exp(0.5 * math.lgamma(k + 1)) for k in range(len(_SQRT_FACT), n + 1)]
 
 
-def permanent(mat):
-    """Permanent of a square complex matrix via Ryser's formula.
+#: Most column subsets ``permanent_minors`` holds at once, a power of two;
+#: larger matrices walk theirs in blocks of this many.
+_SUBSET_BLOCK = 1 << 16
 
-    Gray-code subset enumeration, O(2^n * n) arithmetic. The 0x0 matrix
-    has permanent 1 (empty product), matching the vacuum amplitude.
+
+def permanent(mat):
+    """Permanent of a square complex matrix: the Laplace expansion along its
+    last row over the column-deleted minors of the rows above, O(n^2 2^n).
+    The 0x0 matrix has permanent 1 (empty product), matching the vacuum
+    amplitude.
     """
-    n = len(mat)
-    if n == 0:
+    mat = np.asarray(mat, dtype=complex)
+    if len(mat) == 0:
         return 1.0 + 0.0j
-    rows = [[complex(mat[i][j]) for j in range(n)] for i in range(n)]
-    sums = [0.0 + 0.0j] * n
-    total = 0.0 + 0.0j
-    sign = -1 if n % 2 else 1
-    gray = 0
-    for k in range(1, 1 << n):
-        # bit flipped between consecutive Gray codes
-        new_gray = k ^ (k >> 1)
-        bit = new_gray ^ gray
-        j = bit.bit_length() - 1
-        if new_gray & bit:
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                sums[i] -= rows[i][j]
-        gray = new_gray
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= sums[i]
-        if new_gray.bit_count() % 2:
-            total -= prod
-        else:
-            total += prod
-    return sign * total
+    return complex(mat[-1] @ permanent_minors(mat[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -80,13 +62,28 @@ def permanent_minors(mat):
     k columns), so the minor without column l is (-1)^k times the sum of
     the subsets holding l: one O(k^2 2^k) pass gives all k at once. The
     products with the 0/1 subset table are taken on real and imaginary
-    parts apart, which keeps them real matrix products.
+    parts apart, which keeps them real matrix products. Past
+    ``_SUBSET_BLOCK`` subsets the table covers the low columns only, and
+    the pass walks one block per choice of the high columns, whose row
+    sums it adds to the table's.
     """
     mat = np.asarray(mat, dtype=complex)
     k = mat.shape[1]
-    rows, sign = _subsets(k)
-    terms = sign * np.prod(rows @ mat.real.T + 1j * (rows @ mat.imag.T), axis=1)
-    return (-1) ** k * (rows.T @ terms.real + 1j * (rows.T @ terms.imag))
+    low = min(k, _SUBSET_BLOCK.bit_length() - 1)
+    rows, sign = _subsets(low)
+    sums = rows @ mat[:, :low].real.T + 1j * (rows @ mat[:, :low].imag.T)
+    minors = np.zeros(k, dtype=complex)
+    for high in range(1 << (k - low)):
+        # the block of subsets holding, of the high columns, those set in ``high``
+        block = sums
+        if high:
+            picked = (high >> np.arange(k - low)) & 1
+            block = sums + mat[:, low:] @ picked
+        terms = (-1) ** high.bit_count() * sign * np.prod(block, axis=1)
+        minors[:low] += rows.T @ terms.real + 1j * (rows.T @ terms.imag)
+        if high:
+            minors[low:] += picked * terms.sum()
+    return (-1) ** k * minors
 
 
 def accumulate(keys, re, im):

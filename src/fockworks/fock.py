@@ -61,9 +61,15 @@ class ModeIndexError(FockError, ValueError):
     """A mode index outside 0..modes-1."""
 
 
-def _check_mode(modes: int, mode: int):
-    if not 0 <= mode < modes:
-        raise ModeIndexError(f"mode {mode} out of range for a {modes}-mode state")
+def _check_modes(modes: int, listed) -> list:
+    """``listed`` as a list of distinct mode indices of a ``modes``-mode state."""
+    listed = list(listed)
+    if len(set(listed)) != len(listed):
+        raise ValueError(f"duplicate modes in {listed}")
+    for mode in listed:
+        if not 0 <= mode < modes:
+            raise ModeIndexError(f"mode {mode} out of range for a {modes}-mode state")
+    return listed
 
 
 class FockState:
@@ -151,7 +157,7 @@ class FockState:
         return {sum(occ) for occ in self._amp}
 
     def max_occupation(self, mode: int) -> int:
-        _check_mode(self.modes, mode)
+        _check_modes(self.modes, [mode])
         if not self._amp:
             return 0
         return max(occ[mode] for occ in self._amp)
@@ -326,7 +332,7 @@ def load_state(text: str) -> FockState:
 
 def phase_on_mode(state: FockState, mode: int, angle: float) -> FockState:
     """Multiply each term by e^{i*angle*occ[mode]} (an ideal phase shifter)."""
-    _check_mode(state.modes, mode)
+    _check_modes(state.modes, [mode])
     rot = cmath.exp(1j * angle)
     amp = {occ: a * rot ** occ[mode] for occ, a in state._amp.items()}
     return FockState._trusted(state.modes, amp, tol=0.0)

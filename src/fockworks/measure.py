@@ -27,9 +27,10 @@ one branch it draws, stage by stage, through one of two routes: one
 ``sample_outcome`` draws), or, behind a mode unitary (the Fourier
 multiports), ``_sample_detection``, which neither evolves nor groups the
 whole state: it draws an incoherent sector of the input, draws a count
-pattern of that sector by boson sampling, and builds the post-state of
-that one pattern from transition amplitudes. Its post-state equals the
-exact branch to rounding (1e-10), not bit for bit.
+pattern of it (by boson sampling, or, for a coherent sector, by the first
+route after ``apply_unitary`` of it alone), and builds the post-state of
+that one pattern from transition amplitudes. Its post-state equals the exact
+branch to rounding (1e-10), not bit for bit.
 """
 
 import math
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import fock, optics
 from ._backend import kernels
-from .fock import FockState, ModeIndexError, ZeroStateError
+from .fock import FockState, ZeroStateError, _check_modes
 
 #: Relative probability below which a branch is impossible.
 IMPOSSIBLE = 1e-24
@@ -106,15 +107,6 @@ class ConditionalOutcome:
         }
 
 
-def _check_modes(state: FockState, modes):
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    if any(m < 0 or m >= state.modes for m in modes):
-        raise ModeIndexError(f"modes {modes} out of range for {state.modes}-mode state")
-    return modes
-
-
 def _picker(indices):
     """occ -> the tuple of its entries at ``indices``, in that order."""
     if len(indices) == 1:
@@ -155,7 +147,7 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), laz
     ``lazy`` the branches come as ``(counts, p, project)`` records, where
     ``project()`` builds the branch, so a caller keeping one projects one.
     """
-    modes = _check_modes(state, modes)
+    modes = _check_modes(state.modes, modes)
     if isinstance(model, FanoutCounter):
         out = [(tuple(c for _, c in br.outcome), br.probability, lambda br=br: br)
                for br in _measure_fanout(state, modes, model.n)]
@@ -361,28 +353,21 @@ class _Block(tuple):
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
-    """Project onto an exact count pattern.
+    """Project onto an exact count pattern: its branch of ``measure_modes``.
 
-    Probability 0 is a legitimate signal (is_impossible), not an error.
+    Probability 0 (is_impossible), for a pattern it does not list, is a
+    legitimate signal, not an error.
     """
-    modes = _check_modes(state, modes)
+    modes = _check_modes(state.modes, modes)
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
         raise ValueError(f"negative counts {counts}")
     if len(counts) != len(modes):
         raise ValueError("counts and modes differ in length")
-    measured, kept = _split(state, modes)
-    total = _weight(state)
-    amps: dict = {}
-    for occ, amp in state.terms():
-        if measured(occ) == counts:
-            rest = kept(occ)
-            amps[rest] = amps.get(rest, 0j) + amp
-    weight = fock._squared_norm(amps.values())
-    if weight / total < IMPOSSIBLE:
-        return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
-    return ConditionalOutcome(tuple(zip(modes, counts)), weight / total,
-                              _projection(state.modes - len(modes), amps, weight))
+    for listed, _, project in _groups(state, modes, False):
+        if listed == counts:
+            return project()
+    return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
 
 
 def _sample_detection(state: FockState, u, modes, rng):
@@ -394,13 +379,14 @@ def _sample_detection(state: FockState, u, modes, rng):
     other modes alone, so the input splits into incoherent sectors, one per
     (kept occupation, photons in ``modes``), each weighted by its squared
     norm. A sector is drawn, then a count pattern of it: by boson sampling
-    when it is one Fock term, else from that sector's own evolution. The
+    when it is one Fock term, else by one draw over the records of
+    ``measure_modes`` after ``apply_unitary`` of that sector. The
     branch is then built from the transition amplitudes of every term with
     the pattern's photon number, one permanent per distinct sub-occupation,
     pruned as ``apply_unitary`` prunes. A pattern outside that support is
     drawn again.
     """
-    modes = _check_modes(state, modes)
+    modes = _check_modes(state.modes, modes)
     measured, kept = _split(state, modes)
     total = _weight(state)
     sectors: dict = {}
@@ -415,7 +401,9 @@ def _sample_detection(state: FockState, u, modes, rng):
         if len(terms) == 1:
             counts = _boson_sample(u.matrix, next(iter(terms)), rng)
         else:
-            counts = _sector_sample(u.matrix, terms, rng)
+            evolved = optics.apply_unitary(FockState(len(modes), terms), u)
+            records = measure_modes(evolved, range(len(modes)), lazy=True)
+            counts = records[_drawer(records.p)(rng.random())][0]
         photons = sum(counts)
         amplitudes: dict = {}
         group: dict = {}
@@ -462,18 +450,6 @@ def _boson_sample(mat, occ, rng):
     return tuple(counts)
 
 
-def _sector_sample(mat, terms, rng):
-    """Count pattern of a coherent sector ``{sub: amp}``, from its exact evolution."""
-    evolved: dict = {}
-    for sub, amp in terms.items():
-        for out, coeff in kernels.expand_basis_state(mat, sub).items():
-            evolved[out] = evolved.get(out, 0j) + amp * coeff
-    patterns = sorted(evolved)
-    weights = [abs(evolved[out]) ** 2 for out in patterns]
-    total = sum(weights)
-    return patterns[_drawer([w / total for w in weights])(rng.random())]
-
-
 def _measure_fanout(state: FockState, modes, n):
     branches = [ConditionalOutcome((), 1.0, state)]
     mode_set = list(modes)
@@ -503,7 +479,7 @@ def fanout_count(state: FockState, mode: int, n: int):
     probability that some fan-out mode held two or more photons, which for
     a k-photon input equals 1 - (N)_k / N^k and is bounded by k(k-1)/2N.
     """
-    _check_modes(state, [mode])
+    _check_modes(state.modes, [mode])
     if n < 1:
         raise ValueError("fan-out requires N >= 1")
     if n == 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from .fock import FockError, FockState, ModeMismatchError
+from .fock import FockError, FockState, ModeMismatchError, _check_modes
 
 UNITARY_TOL = 1e-10
 #: Output bound from which apply_unitary takes the array route; below it
@@ -138,11 +138,7 @@ def embed(element: OpticalElement, modes: int) -> ModeUnitary:
 
 def embed_matrix(small: ModeUnitary, indices, modes: int) -> ModeUnitary:
     """Place a k-mode unitary at the given mode indices of an m-mode identity."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"duplicate mode indices {indices}")
-    if any(i < 0 or i >= modes for i in indices):
-        raise ValueError(f"mode indices {indices} out of range for {modes} modes")
+    indices = _check_modes(modes, indices)
     if len(indices) != small.dim:
         raise ModeMismatchError(f"{small.dim}-mode matrix placed on {len(indices)} indices")
     full = np.eye(modes, dtype=complex)
@@ -173,11 +169,9 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
             raise ModeMismatchError(f"{u.dim}x{u.dim} matrix on {state.modes}-mode state")
         modes = list(range(state.modes))
     else:
-        modes = list(modes)
+        modes = _check_modes(state.modes, modes)
         if len(modes) != u.dim:
             raise ModeMismatchError(f"{u.dim}-mode matrix applied to {len(modes)} modes")
-        if len(set(modes)) != len(modes) or any(m < 0 or m >= state.modes for m in modes):
-            raise ValueError(f"bad mode subset {modes}")
     terms = list(state.terms())
     subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
     layout = _route(terms, subs, modes)

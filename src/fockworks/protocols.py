@@ -47,6 +47,7 @@ test suite before anything composes on top of them.
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -402,20 +403,15 @@ def ns1_unitary() -> ModeUnitary:
     )
 
 
-_NS1_CACHE: dict = {}
-
-
+@cache
 def ns1_network() -> Ns1Network:
-    if "network" not in _NS1_CACHE:
-        _NS1_CACHE["network"] = Ns1Network(sequence=decompose_reck(ns1_unitary()))
-    return _NS1_CACHE["network"]
+    return Ns1Network(sequence=decompose_reck(ns1_unitary()))
 
 
+@cache
 def _ns1_effective() -> ModeUnitary:
     # gadgets run the recomposed element network, not the target matrix
-    if "effective" not in _NS1_CACHE:
-        _NS1_CACHE["effective"] = compose(ns1_network().sequence)
-    return _NS1_CACHE["effective"]
+    return compose(ns1_network().sequence)
 
 
 def _ns_stage(state: FockState, mode: int, rng):
@@ -498,8 +494,8 @@ def csign_via_ns(state: FockState, q1: BosonicQubit, q2: BosonicQubit, rng=None)
 
 def csign_ideal_modes(state: FockState, mode_x: int, mode_y: int) -> FockState:
     """Oracle conditional sign: phase (-1)^(n_x n_y)."""
-    fock._check_mode(state.modes, mode_x)
-    fock._check_mode(state.modes, mode_y)
+    fock._check_modes(state.modes, [mode_x])
+    fock._check_modes(state.modes, [mode_y])
     amps = {}
     for occ, amp in state.terms():
         sign = -1.0 if (occ[mode_x] * occ[mode_y]) % 2 else 1.0
@@ -665,8 +661,7 @@ class _TeleportLayout:
     The resource's four n-mode groups sit after the host's m0 modes. Step
     one measures the x input with the first group; step two measures the
     (shifted) y input with the third group. ``final(i)`` maps an original
-    work index to its position after both measurements. ``output_groups``
-    is worked out once per (k1, k2); each call gets its own leftover list.
+    work index to its position after both measurements.
     """
 
     def __init__(self, m0, mode_x, mode_y, n):
@@ -676,7 +671,6 @@ class _TeleportLayout:
         self.y1 = _shift_index(mode_y, self.step1)
         self.fourier_y = [self.y1] + [_shift_index(m0 + 2 * n + i, self.step1) for i in range(n)]
         self.step2 = sorted(self.fourier_y)
-        self._groups = {}
 
     def after_step1(self, index: int) -> int:
         return _shift_index(index, self.step1)
@@ -691,14 +685,10 @@ class _TeleportLayout:
         return self.final(self.m0 + 3 * self.n + k2 - 1)
 
     def output_groups(self, k1: int, k2: int):
-        groups = self._groups.get((k1, k2))
-        if groups is None:
-            tx, ty = self.target_x(k1), self.target_y(k2)
-            last_x = [self.final(self.m0 + self.n + i) for i in range(self.n)]
-            last_y = [self.final(self.m0 + 3 * self.n + i) for i in range(self.n)]
-            groups = self._groups[k1, k2] = (tx, ty, [m for m in last_x + last_y if m not in (tx, ty)])
-        tx, ty, leftovers = groups
-        return tx, ty, list(leftovers)
+        tx, ty = self.target_x(k1), self.target_y(k2)
+        last_x = [self.final(self.m0 + self.n + i) for i in range(self.n)]
+        last_y = [self.final(self.m0 + 3 * self.n + i) for i in range(self.n)]
+        return tx, ty, [m for m in last_x + last_y if m not in (tx, ty)]
 
 
 def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None,
@@ -729,6 +719,12 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
         # every stage-1 success's y detection, in one array pass
         passed = [one["state"] for one in ones if 0 < one["k"] < n + 1]
         seconds = measure._evolved_groups(passed, u, layout.fourier_y)
+
+    @cache
+    def output(k1, k2):
+        # the targets, leftover modes and pi flips of every (k1, k2) success
+        return (*layout.output_groups(k1, k2), math.pi * flip_x(k1, k2), math.pi * flip_y(k1, k2))
+
     for one in ones:
         pat1, p1, k1, s1 = one["pattern"], one["p"], one["k"], one["s"]
         if not 0 < k1 < n + 1:
@@ -744,11 +740,11 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
                 return {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1,
                         "ok": False, "stage": 2, "projected": 0 if k2 == 0 else 1,
                         "target_x": tx1, "corrections": [("phase", tx1, ax)]}
-            tx, ty, leftovers = layout.output_groups(k1, k2)
-            ax = (omega * s1 + math.pi * flip_x(k1, k2)) % (2 * math.pi)
-            ay = (omega * s2 + math.pi * flip_y(k1, k2)) % (2 * math.pi)
+            tx, ty, leftovers, pi_x, pi_y = output(k1, k2)
+            ax = (omega * s1 + pi_x) % (2 * math.pi)
+            ay = (omega * s2 + pi_y) % (2 * math.pi)
             entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1, "ok": True,
-                     "target_x": tx, "target_y": ty, "leftover_modes": leftovers}
+                     "target_x": tx, "target_y": ty, "leftover_modes": list(leftovers)}
             if flavor is not None:
                 entry["parity"] = (k1 + k2 + flavor) % 2
             # one x correction per k2, shared by its branches: a tuple is immutable
@@ -1064,8 +1060,8 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
     projected state; with an ``rng``, only the one sector drawn by weight,
     the only one projected.
     """
-    fock._check_mode(state.modes, mode_x)
-    fock._check_mode(state.modes, mode_y)
+    fock._check_modes(state.modes, [mode_x])
+    fock._check_modes(state.modes, [mode_y])
     total = _weight(state)
     sectors = {0: {}, 1: {}}
     for occ, amp in state.terms():

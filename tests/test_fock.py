@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockworks import fock
+from fockworks import fock, measure, optics
 from fockworks.fock import (
     FockState,
     InvalidOccupationError,
@@ -193,6 +193,19 @@ class TestModeOps:
         assert issubclass(ModeIndexError, fock.FockError)
         with pytest.raises(ValueError):
             number_state((0,)).max_occupation(1)
+
+    @pytest.mark.parametrize("call", [
+        lambda modes: optics.apply_unitary(number_state((1, 0)), optics.fourier_matrix(1), modes),
+        lambda modes: optics.embed_matrix(optics.fourier_matrix(1), modes, 2),
+        lambda modes: measure.measure_modes(number_state((1, 0)), modes),
+    ], ids=["apply_unitary", "embed_matrix", "measure_modes"])
+    def test_mode_lists_are_checked_alike(self, call):
+        for modes, bad in (([0, 5], 5), ([-1, 1], -1)):
+            with pytest.raises(ModeIndexError, match=f"mode {bad} out of range for a 2-mode state"):
+                call(modes)
+        with pytest.raises(ValueError, match="duplicate modes") as raised:
+            call([1, 1])
+        assert not isinstance(raised.value, ModeIndexError)
 
     def test_teleport_of_a_missing_mode_is_typed(self):
         from fockworks import costs, protocols

@@ -9,7 +9,14 @@ import pytest
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
 from fockworks.fock import number_state
-from fockworks.optics import BeamSplitter, apply_unitary, element_matrix, fourier_matrix, random_unitary
+from fockworks.optics import (
+    BeamSplitter,
+    apply_unitary,
+    element_matrix,
+    fourier_matrix,
+    random_unitary,
+    transition_amplitude,
+)
 
 # one kernel implementation; its name stays in the test ids
 ONE_KERNEL = pytest.mark.parametrize("kernels", [KERNELS], ids=lambda k: k.BACKEND)
@@ -52,6 +59,43 @@ class TestPermanent:
     def test_all_ones(self, kernels):
         # permanent of the all-ones n x n matrix is n!
         assert abs(kernels.permanent(np.ones((5, 5), dtype=complex)) - math.factorial(5)) < 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_blocks_of_subsets_match_enumeration(self, kernels, k, rng, monkeypatch):
+        # blocks of 4 subsets: past 2 columns the subsets are walked block by block
+        tables = []
+        subsets = kernels._subsets.__wrapped__
+        monkeypatch.setattr(kernels, "_SUBSET_BLOCK", 4)
+        monkeypatch.setattr(kernels, "_subsets", lambda j: tables.append(j) or subsets(j))
+        mat = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        assert abs(kernels.permanent(mat) - permanent_by_enumeration(mat)) < 1e-10
+        minors = kernels.permanent_minors(mat[1:])
+        for l in range(k):
+            want = permanent_by_enumeration(np.delete(mat[1:], l, axis=1))
+            assert abs(minors[l] - want) < 1e-10 * max(1.0, abs(want))
+        assert tables and max(tables) == 2
+
+
+class TestTransitionAmplitude:
+    def test_the_oracle_never_expands(self, monkeypatch, rng):
+        # transition_amplitude checks the expansion kernel, so it must not call it
+        def refuse(*args, **kwargs):
+            raise AssertionError("transition_amplitude called expand_basis_state")
+
+        monkeypatch.setattr(KERNELS, "expand_basis_state", refuse)
+        u = random_unitary(3, rng)
+        for out in [(3, 0, 0), (1, 1, 1), (0, 2, 1), (2, 0, 0)]:
+            transition_amplitude(u, (1, 2, 0), out)
+
+    def test_sixteen_photons_match_the_expansion(self):
+        # 16 photons on two modes: one 16 x 16 permanent per output pattern.
+        # Ryser's alternating sum over 2^16 subsets cancels, most on bunched
+        # outputs: the worst error here is 3.2e-9, at (13, 3)
+        u = element_matrix(BeamSplitter(0, 1, 0.3)) @ fourier_matrix(1)
+        evolved = apply_unitary(number_state((9, 7)), u)
+        for a in range(17):
+            out = (a, 16 - a)
+            assert abs(transition_amplitude(u, (9, 7), out) - evolved.amplitude(out)) < 1e-8
 
 
 @ONE_KERNEL

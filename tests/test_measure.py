@@ -93,6 +93,13 @@ class TestPostselect:
         assert out.probability == 0.0
         assert out.post_state is None
 
+    @pytest.mark.parametrize("counts", [(1, 1), (0, 0), (0, 2)])
+    def test_pattern_the_state_does_not_hold(self, counts):
+        # bell() holds (1, 0) and (0, 1) on modes 0, 1; no branch lists these
+        out = postselect(tensor(bell(), number_state((1,))), [0, 1], counts)
+        assert out.outcome == ((0, counts[0]), (1, counts[1]))
+        assert out.is_impossible and out.probability == 0.0
+
     def test_matches_counter_branch(self, rng):
         amps = {}
         for _ in range(5):
