@@ -3,14 +3,14 @@ column-deleted minors, and the expansion of U|occ>.
 
 The minors are one numpy pass over the column subsets, walked in blocks
 past ``_SUBSET_BLOCK`` subsets; the permanent is their Laplace expansion
-along the matrix's last row. The expansion runs on integer-packed
-occupation keys in one of two forms with the same bits: a dict loop for
-the small expansions most evolutions need, and numpy steps
-(``arrays=True``) for the large ones. The numpy form merges equal keys
-with ``accumulate``, which sums them left to right from 0.0 in the order
-they first occur, as the dict loop does, and multiplies complex numbers
-in CPython's order on separate real arrays. ``optics`` and ``measure``
-reach the kernels through ``fockworks._backend.kernels``.
+along the matrix's last row. The expansion runs in one of two forms with
+the same bits: a dict loop on integer-packed occupation keys for one
+occupation, and numpy steps (``arrays=True``) for all the occupations of
+one photon total at once. The numpy form sorts nothing: each photon
+step is one ``np.bincount`` through a cached rank table (``_level``),
+which sums left to right from 0.0 in the dict loop's order, multiplying
+complex numbers in CPython's order on separate real arrays. ``optics``
+and ``measure`` reach the kernels through ``fockworks._backend.kernels``.
 """
 
 import math
@@ -86,21 +86,61 @@ def permanent_minors(mat):
     return (-1) ** k * minors
 
 
-def accumulate(keys, re, im):
-    """Sum the amplitudes ``re + i im`` of equal ``keys``.
+#: Most entries (child slots and occupation counts) the rank tables keep
+#: cached; a level that would pass it is built for its call and dropped.
+_TABLE_ENTRIES = 1 << 22
 
-    Returns the distinct keys in the order they first occur and the sums
-    of their real and imaginary parts, each taken left to right from 0.0:
-    the bits of ``d[key] = d.get(key, 0j) + amp`` over the same sequence.
-    ``np.bincount`` adds its weights one by one in index order.
+# (modes, photons) -> that level's rank table; _table_entries is their size
+_TABLES: dict = {}
+_table_entries = 0
+
+
+def accumulate(keys):
+    """Rank ``keys`` by first occurrence.
+
+    Returns the distinct keys in the order they first occur and the slot
+    of each key among them. ``np.bincount(slot, w)`` then sums the weights
+    of equal keys left to right from 0.0, as ``d[key] = d.get(key, 0j) + w``
+    does over the same sequence: ``np.bincount`` adds its weights one by
+    one in index order.
     """
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    slot = rank[inverse]
-    return (distinct[order], np.bincount(slot, re, len(order)),
-            np.bincount(slot, im, len(order)))
+    return distinct[order], rank[inverse]
+
+
+def _level(m, t, below):
+    """The rank table of level ``t`` >= 1 of ``m`` modes, given ``below``,
+    the occupations of level t - 1 in rank order.
+
+    Returns ``(child, counts)``: ``child[k, r]`` is the rank at level t of
+    the occupation of rank r at level t - 1 plus one photon in mode
+    m - 1 - k, and ``counts`` are level t's occupations in rank order.
+    Ranks are the dict loop's order of first occurrence, which depends on
+    (m, t) alone while no column holds an exact zero: every photon step
+    adds the same m keys to each key in turn. It is the lexicographic
+    order of the modes' multisets, sorted ascending. Levels are cached up
+    to ``_TABLE_ENTRIES`` entries in all.
+    """
+    global _table_entries
+    table = _TABLES.get((m, t))
+    if table is None:
+        bits = t.bit_length()
+        steps = np.left_shift(1, bits * np.arange(m), dtype=np.int64)
+        keys = below.astype(np.int64) @ steps
+        distinct, slot = accumulate((keys[:, None] + steps).ravel())
+        counts = (distinct[:, None] >> (bits * np.arange(m))) & ((1 << bits) - 1)
+        child = np.ascontiguousarray(slot.astype(np.int32).reshape(len(below), m)[:, ::-1].T)
+        table = child, counts.astype(np.min_scalar_type(t))
+        for array in table:
+            array.setflags(write=False)
+        size = table[0].size + table[1].size
+        if _table_entries + size <= _TABLE_ENTRIES:
+            _TABLES[m, t] = table
+            _table_entries += size
+    return table
 
 
 def expand_basis_state(u, occ, arrays=False):
@@ -111,12 +151,17 @@ def expand_basis_state(u, occ, arrays=False):
     vectors are packed into integer keys during the convolution. Returns a
     dict mapping output occupation tuples to complex amplitudes.
 
-    With ``arrays`` the same steps run on numpy arrays and the result is
-    ``(counts, re, im)``: an (outputs x m) int64 array of the occupations
-    in the dict's order and the real and imaginary parts of their
-    amplitudes, equal to the dict's values bit for bit. The packed keys
-    must fit in 62 bits: m * bit_length(sum(occ)) <= 62.
+    With ``arrays``, ``occ`` is a sequence of occupations with one photon
+    total, all expanded together, and the result is ``(counts, re, im)``:
+    an (outputs x m) integer array of the output occupations in the
+    dicts' order and, one row per occupation, the real and imaginary parts
+    of its amplitudes, equal to its dict's values bit for bit. Each photon
+    step is one ``np.bincount`` through a cached rank table, so every
+    column of ``u`` that an occupation fills must be free of exact zeros
+    (the dict loop skips those), and m * bit_length(total) <= 62.
     """
+    if arrays:
+        return _expand_arrays(np.asarray(u), np.array(occ, dtype=np.int64).reshape(len(occ), -1))
     m = len(occ)
     total = sum(occ)
     sqrt_fact = _sqrt_factorials(total)
@@ -125,8 +170,6 @@ def expand_basis_state(u, occ, arrays=False):
     scale = 1.0
     for n_l in occ:
         scale *= sqrt_fact[n_l]
-    if arrays:
-        return _expand_arrays(u, occ, bits, sqrt_fact[:total + 1], scale)
     current = {0: 1.0 + 0.0j}
     for l in range(m):
         n_l = occ[l]
@@ -153,29 +196,40 @@ def expand_basis_state(u, occ, arrays=False):
     return out
 
 
-def _expand_arrays(u, occ, bits, sqrt_fact, scale):
-    """The dict loop of ``expand_basis_state`` as numpy steps."""
-    m = len(occ)
-    u = np.asarray(u)
-    keys = np.zeros(1, dtype=np.int64)
-    re, im = np.ones(1), np.zeros(1)
-    for l in range(m):
-        if occ[l] == 0:
-            continue
-        rows = np.flatnonzero(u[:, l] != 0)
-        steps = np.left_shift(1, bits * rows, dtype=np.int64)
-        cr, ci = u[rows, l].real, u[rows, l].imag
-        for _ in range(occ[l]):
-            # key-major, step-minor: the order the dict loop visits them;
-            # amp * c as CPython forms it, (ar cr - ai ci, ar ci + ai cr)
-            ar, ai = re[:, None], im[:, None]
-            keys, re, im = accumulate((keys[:, None] + steps).ravel(),
-                                      (ar * cr - ai * ci).ravel(), (ar * ci + ai * cr).ravel())
-    counts = (keys[:, None] >> (bits * np.arange(m))) & ((1 << bits) - 1)
-    table = np.array(sqrt_fact)
-    factor = np.ones(len(keys))
+def _expand_arrays(u, occs):
+    """The dict loop of ``expand_basis_state`` for every row of ``occs`` at
+    once: one ``np.bincount`` per photon step, at slot owner * n + child.
+
+    A slot takes one product per mode j its occupation holds, from the
+    parent without that photon, and the larger j, the lower that parent's
+    rank (ranks are lexicographic): summing modes descending, then parents
+    ascending, adds them in the dict loop's order.
+    """
+    owners, m = occs.shape
+    t = int(occs[0].sum())
+    if (occs.sum(axis=1) != t).any():
+        raise ValueError("the occupations expanded together must hold the same photon total")
+    if not u[:, occs.any(axis=0)].all():
+        raise ValueError("a filled column of the unitary holds an exact zero")
+    # the column of each photon, in the dict loop's order
+    cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
+    counts = np.zeros((1, m), dtype=np.uint8)
+    re, im = np.ones((owners, 1)), np.zeros((owners, 1))
+    for s in range(t):
+        child, counts = _level(m, s + 1, counts)
+        n = len(counts)
+        slot = (np.arange(owners)[:, None] * n + child.ravel()).ravel()
+        c = u[::-1, cols[:, s]].T[:, :, None]
+        # owner, mode descending, parent: amp * c as CPython forms it,
+        # (ar cr - ai ci, ar ci + ai cr)
+        ar, ai, cr, ci = re[:, None, :], im[:, None, :], c.real, c.imag
+        re = np.bincount(slot, (ar * cr - ai * ci).ravel(), owners * n).reshape(owners, n)
+        im = np.bincount(slot, (ar * ci + ai * cr).ravel(), owners * n).reshape(owners, n)
+    table = np.array(_sqrt_factorials(t)[:t + 1])
+    factor, scale = np.ones(len(counts)), np.ones((owners, 1))
     for j in range(m):
         factor *= table[counts[:, j]]
+        scale *= table[occs[:, j, None]]
     g = factor / scale
     # amp * g for a float g is the product with complex(g, 0.0)
     return counts, re * g - im * 0.0, re * 0.0 + im * g

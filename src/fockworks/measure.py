@@ -237,17 +237,18 @@ def _evolved_groups(states, u, modes):
     order, whose summed output bound stays within ``_PASS_TERMS``. A pass
     stacks its states' terms in ``terms()`` order, the state's index one
     more kept column, and merges them with ``optics._evolve_arrays``, which
-    expands each distinct sub-occupation once. Its packed keys hold, most
-    significant first, the state's index, the measured counts in the
-    listed order and the kept modes in mode order, so one sort gives
-    ``_groups``' order and a group ends where ``key >> kept bits`` changes.
-    Each state then takes the arithmetic of the validated constructor and
-    of ``_groups``: |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is
-    ``abs(a) ** 2``, and every sum from 0.0 in dict order, by
-    ``np.bincount``. A state whose key does not fit ``optics.KEY_BITS``
-    bits, and a pass that meets a zero or an overflowing norm, are evolved
-    and measured state by state, which raises what the per-state calls
-    raise.
+    expands the distinct sub-occupations of each photon total in one kernel
+    call. Its packed keys hold, most significant first, the state's index,
+    the measured counts in the listed order and the kept modes in mode
+    order, so one sort gives ``_groups``' order and a group ends where
+    ``key >> kept bits`` changes. Each state then takes the arithmetic of
+    the validated constructor and of ``_groups``: |a|^2 as
+    ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``, and
+    every sum from 0.0 in dict order, by ``np.bincount``. A state whose
+    key does not fit ``optics.KEY_BITS`` bits, and a pass that meets a zero
+    or an overflowing norm or an exact zero in a filled column of ``u``
+    (which the array route cannot take), are evolved and measured state by
+    state, which raises what the per-state calls raise.
     """
     modes = list(modes)
 
@@ -289,8 +290,12 @@ def _evolved_groups(states, u, modes):
 
 def _pass_groups(run, top, mat, modes):
     """The records of one pass of ``_evolved_groups``, or None if a state's
-    norm is zero or overflows: ``run`` holds each state's ``(state, terms,
-    subs)``, ``top`` the bit widths of their modes."""
+    norm is zero or overflows or a filled column of ``mat`` holds an exact
+    zero: ``run`` holds each state's ``(state, terms, subs)``, ``top`` the
+    bit widths of their modes."""
+    subs = [sub for _, _, ss in run for sub in ss]
+    if not optics._zero_free(mat, subs):
+        return None
     m = len(top)
     kept = [k for k in range(m) if k not in modes]
     widths = top + [(len(run) - 1).bit_length()]
@@ -301,7 +306,6 @@ def _pass_groups(run, top, mat, modes):
         at += widths[column]
     mask = np.left_shift(1, widths, dtype=np.int64) - 1
     terms = [(occ + (s,), amp) for s, (_, ts, _) in enumerate(run) for occ, amp in ts]
-    subs = [sub for _, _, ss in run for sub in ss]
     keys, re, im = optics._evolve_arrays(terms, subs, mat, modes, (shift, widths))
     # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
     # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no -0.0)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
@@ -121,6 +123,86 @@ class TestExpansion:
         occ = tuple([2] + [0] * 31)
         out = kernels.expand_basis_state(u, occ)
         assert abs(sum(abs(a) ** 2 for a in out.values()) - 1) < 1e-10
+
+
+def _dict_bits(u, occ):
+    """The dict form's outputs in order, with float.hex of each amplitude."""
+    return [(out, a.real.hex(), a.imag.hex()) for out, a in KERNELS.expand_basis_state(u, occ).items()]
+
+
+def _array_bits(u, occs):
+    """The array form of all ``occs`` at once, one row per occupation, as
+    ``_dict_bits`` lists it."""
+    counts, re, im = KERNELS.expand_basis_state(u, occs, arrays=True)
+    outs = list(map(tuple, counts.tolist()))
+    return [[(out, r.hex(), i.hex()) for out, r, i in zip(outs, row_re, row_im)]
+            for row_re, row_im in zip(re.tolist(), im.tolist())]
+
+
+@st.composite
+def batches(draw):
+    """An m-mode Haar or Fourier matrix, m = 1..9, and one to three distinct
+    occupations of one photon total, 0..8."""
+    m, total = draw(st.integers(1, 9)), draw(st.integers(0, 8))
+    occupation = st.lists(st.integers(0, m - 1), min_size=total, max_size=total).map(
+        lambda where: tuple(where.count(j) for j in range(m)))
+    occs = draw(st.lists(occupation, min_size=1, max_size=3, unique=True))
+    if m > 1 and draw(st.booleans()):
+        return fourier_matrix(m - 1).matrix, occs
+    return random_unitary(m, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).matrix, occs
+
+
+def _zero_columns(zero):
+    """A unitary whose column 0 holds no zero and whose column 1 holds
+    ``zero`` (0.0, -0.0 or complex(-0.0, -0.0))."""
+    return np.array([[3**-0.5, 2**-0.5, 6**-0.5],
+                     [3**-0.5, -(2**-0.5), 6**-0.5],
+                     [3**-0.5, zero, -2 * 6**-0.5]], dtype=complex)
+
+
+class TestArrayExpansion:
+    """The array form expands occupations of one photon total together,
+    one np.bincount per photon step through cached rank tables."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches())
+    def test_batched_arrays_equal_the_dicts_bit_for_bit(self, batch):
+        u, occs = batch
+        assert _array_bits(u, occs) == [_dict_bits(u, occ) for occ in occs]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, complex(-0.0, -0.0)])
+    def test_a_zero_in_a_filled_column_is_refused(self, zero):
+        u = _zero_columns(zero)
+        with pytest.raises(ValueError, match="exact zero"):
+            KERNELS.expand_basis_state(u, [(1, 1, 0)], arrays=True)
+        # a zero in a column no photon enters changes nothing
+        assert _array_bits(u, [(3, 0, 0)]) == [_dict_bits(u, (3, 0, 0))]
+
+    def test_mixed_photon_totals_are_refused(self):
+        with pytest.raises(ValueError, match="same photon total"):
+            KERNELS.expand_basis_state(np.eye(2, dtype=complex), [(1, 0), (1, 1)], arrays=True)
+
+    def test_a_warm_expansion_builds_no_table(self, monkeypatch, rng):
+        u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
+        cold = _array_bits(u, occs)
+        calls = []
+        accumulate = KERNELS.accumulate
+        monkeypatch.setattr(KERNELS, "accumulate", lambda keys: calls.append(1) or accumulate(keys))
+        assert _array_bits(u, occs) == cold and not calls
+
+    def test_the_table_cache_stays_within_its_cap(self, monkeypatch, rng):
+        u = random_unitary(3, rng).matrix
+        cases = [[(2, 1, 0)], [(1, 1, 1), (0, 0, 3)], [(6, 0, 1)], [(1, 0, 0)]]
+        expected = [_array_bits(u, occs) for occs in cases]
+        # of 3 modes, levels 1 and 2 take 12 and 27 entries, level 3 takes 48
+        monkeypatch.setattr(KERNELS, "_TABLE_ENTRIES", 60)
+        monkeypatch.setattr(KERNELS, "_TABLES", {})
+        monkeypatch.setattr(KERNELS, "_table_entries", 0)
+        for _ in range(2):
+            assert [_array_bits(u, occs) for occs in cases] == expected
+            held = sum(child.size + counts.size for child, counts in KERNELS._TABLES.values())
+            assert held == KERNELS._table_entries <= 60
+        assert set(KERNELS._TABLES) == {(3, 1), (3, 2)}
 
 
 class TestLargeOccupations:

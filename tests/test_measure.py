@@ -423,6 +423,23 @@ class TestEvolvedGroups:
         expected = _one_by_one(states, u, [0, 1, 2])
         assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
 
+    def test_a_zero_in_a_filled_column_goes_state_by_state(self, monkeypatch):
+        # column 1 holds an exact zero, which the array route cannot take
+        u = optics.ModeUnitary([[3**-0.5, 2**-0.5, 6**-0.5], [3**-0.5, -(2**-0.5), 6**-0.5],
+                                [3**-0.5, -0.0, -2 * 6**-0.5]])
+        clear = [FockState(4, {(k, 0, 0, 1): 0.6, (k + 1, 0, 0, 0): 0.8j}) for k in range(3)]
+        filled = clear[:1] + [FockState(4, {(1, 1, 0, 1): 0.6, (2, 0, 0, 1): 0.8j})]
+        for states, per_state in ((clear, 0), (filled, 2)):
+            expected = _one_by_one(states, u, [0, 1, 2])
+            alone = []
+            measure_one = measure.measure_modes
+            monkeypatch.setattr(measure, "measure_modes",
+                                lambda *a, **k: alone.append(1) or measure_one(*a, **k))
+            got = _batched(states, u, [0, 1, 2])
+            monkeypatch.undo()
+            assert len(alone) == per_state
+            assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+
     def test_wide_keys_take_the_per_state_route(self, monkeypatch):
         def state(kept):
             return FockState(3, {(1, 0, kept): 0.6, (0, 1, kept): 0.8j})

@@ -198,11 +198,13 @@ class TestEvolutionProperties:
 
 @st.composite
 def route_cases(draw):
-    """A state, a unitary on some of its modes, and whether the evolution is
-    large: 6-12 terms of 5 photons in 8 modes under an 8-mode unitary
-    (output bound 4,752-9,504), or up to five terms of at most 3 photons in
-    1-5 modes under a unitary on a subset (bound at most 175). Amplitude
-    parts and unitaries include exact and signed zeros."""
+    """A state, a unitary on some of its modes, and whether the evolution
+    takes arrays: 6-12 terms of 5 photons in 8 modes under an 8-mode unitary
+    (output bound 4,752-9,504) without an exact zero in a column an input
+    photon enters, where a column with one takes dicts, or up to five terms
+    of at most 3 photons in 1-5 modes under a unitary on a subset (bound at
+    most 175). Amplitude parts and unitaries include exact and signed
+    zeros."""
     large = draw(st.booleans())
     if large:
         modes, photons, count = 8, 5, draw(st.integers(6, 12))
@@ -225,7 +227,9 @@ def route_cases(draw):
         lambda: ModeUnitary(np.diag(np.exp(1j * seeded.uniform(0, 2 * math.pi, d)))),
         lambda: fourier_matrix(d - 1) if d > 1 else ModeUnitary([[1j]]),
     ]))()
-    return FockState(modes, amps), u, list(subset), large
+    filled = [l for l in range(d) if any(occ[subset[l]] for occ in occs)]
+    zero_free = all(u.matrix[j, l] != 0 for j in range(d) for l in filled)
+    return FockState(modes, amps), u, list(subset), large and zero_free
 
 
 def _bits(state):
@@ -233,12 +237,38 @@ def _bits(state):
     return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in state._amp.items()]
 
 
+def _recording(taken, route=optics._route):
+    """``optics._route`` that appends every layout it returns to ``taken``."""
+    return lambda *args: taken.append(route(*args)) or taken[-1]
+
+
 def _routes(monkeypatch):
     """The key layout of every apply_unitary from here on; None is the dict route."""
     taken = []
-    route = optics._route
-    monkeypatch.setattr(optics, "_route", lambda *args: taken.append(route(*args)) or taken[-1])
+    monkeypatch.setattr(optics, "_route", _recording(taken))
     return taken
+
+
+@st.composite
+def mixed_cases(draw):
+    """A state of 3-6 modes whose terms hold 0-4 photons on 1-4 evolved
+    modes and few kept occupations, so that terms share kept occupations
+    with the same or another photon total, and a Haar unitary on the
+    evolved modes."""
+    modes = draw(st.integers(3, 6))
+    subset = draw(st.permutations(range(modes)))[:draw(st.integers(1, min(4, modes - 1)))]
+    kept = [m for m in range(modes) if m not in subset]
+    rests = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(kept)), min_size=1, max_size=3))
+    subs = st.tuples(*[st.integers(0, 2)] * len(subset)).filter(lambda sub: sum(sub) <= 4)
+    amps = {}
+    for sub, rest in draw(st.lists(st.tuples(subs, st.sampled_from(rests)), min_size=1, max_size=12)):
+        occ = [0] * modes
+        for m, k in zip(subset + kept, sub + rest):
+            occ[m] = k
+        amps[tuple(occ)] = complex(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+                                         .filter(lambda parts: abs(complex(*parts)) > 1e-6)))
+    u = random_unitary(len(subset), np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return FockState(modes, amps), u, subset
 
 
 class TestEvolutionRoutes:
@@ -246,8 +276,8 @@ class TestEvolutionRoutes:
     @given(route_cases())
     def test_array_and_dict_routes_agree_bit_for_bit(self, case):
         state, u, modes, large = case
-        taken = optics._route(list(state.terms()),
-                              [tuple(occ[m] for m in modes) for occ, _ in state.terms()], modes)
+        taken = optics._route(list(state.terms()), [tuple(occ[m] for m in modes)
+                                                    for occ, _ in state.terms()], u.matrix, modes)
         assert (taken is not None) == large
         natural = apply_unitary(state, u, modes)
         # the other route: arrays from any bound, or dicts for every bound
@@ -255,6 +285,60 @@ class TestEvolutionRoutes:
         with mock.patch.object(optics, "ARRAY_MIN_TERMS", forced):
             other = apply_unitary(state, u, modes)
         assert _bits(natural) == _bits(other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_cases())
+    def test_mixed_totals_and_kept_modes_agree_bit_for_bit(self, case):
+        state, u, modes = case
+        with mock.patch.object(optics, "ARRAY_MIN_TERMS", 1):
+            with mock.patch.object(optics, "_route", _recording(routes := [])):
+                arrays = apply_unitary(state, u, modes)
+        with mock.patch.object(optics, "ARRAY_MIN_TERMS", optics.MAX_EVOLVED_TERMS + 1):
+            dicts = apply_unitary(state, u, modes)
+        assert len(routes) == 1 and routes[0] is not None
+        assert _bits(arrays) == _bits(dicts)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, complex(-0.0, -0.0)])
+    def test_exact_zeros_in_a_filled_column_take_dicts(self, zero, monkeypatch):
+        # column 1 holds the zero; 90 photons on 3 modes bound 4,186 outputs
+        u = ModeUnitary([[3**-0.5, 2**-0.5, 6**-0.5], [3**-0.5, -(2**-0.5), 6**-0.5],
+                         [3**-0.5, zero, -2 * 6**-0.5]])
+        taken = _routes(monkeypatch)
+        clear = apply_unitary(number_state((90, 0, 0)), u)
+        filled = apply_unitary(FockState(3, {(89, 1, 0): 0.6, (90, 0, 0): 0.8}), u)
+        assert taken[0] is not None and taken[1] is None
+        assert abs(filled.norm() - 1) < 1e-10
+        # a zero in a column no photon enters: the arrays give the dicts' bits
+        monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", optics.MAX_EVOLVED_TERMS + 1)
+        assert _bits(apply_unitary(number_state((90, 0, 0)), u)) == _bits(clear)
+
+    def test_a_warm_evolution_expands_once_without_a_sort(self, monkeypatch, rng):
+        basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
+        picks = rng.choice(len(basis), 40, replace=False)
+        state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks}).normalized()
+        u = random_unitary(8, rng)
+        warm = apply_unitary(state, u)
+        expansions, sorts = [], []
+        expand, accumulate = kernels.expand_basis_state, kernels.accumulate
+        monkeypatch.setattr(kernels, "expand_basis_state",
+                            lambda *a, **k: expansions.append(1) or expand(*a, **k))
+        monkeypatch.setattr(kernels, "accumulate", lambda *a: sorts.append(1) or accumulate(*a))
+        monkeypatch.setattr(np, "unique", None)
+        assert _bits(apply_unitary(state, u)) == _bits(warm)
+        assert len(expansions) == 1 and not sorts
+
+    def test_a_capped_table_cache_gives_the_same_bits(self, monkeypatch):
+        state, u = number_state((300, 0)), element_matrix(BeamSplitter(0, 1, BAL))
+        dicts = apply_unitary(state, u)
+        monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 5000)
+        monkeypatch.setattr(kernels, "_TABLES", {})
+        monkeypatch.setattr(kernels, "_table_entries", 0)
+        monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
+        taken = _routes(monkeypatch)
+        assert _bits(apply_unitary(state, u)) == _bits(dicts) and taken[0] is not None
+        # levels t of 2 modes hold 4t + 2 entries: those up to t = 49 fit
+        assert max(t for _, t in kernels._TABLES) == 49
+        assert sum(c.size + n.size for c, n in kernels._TABLES.values()) == kernels._table_entries <= 5000
 
     def test_evolution_sized_input_takes_arrays(self, monkeypatch, rng):
         basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
