@@ -135,7 +135,8 @@ def trial_from(result):
 
     ``trial(uniforms)`` draws one branch per uniform (``measure._drawer``)
     and returns their ``ok`` flags, searching each run of branches with
-    the same flag as one interval of the same cumulative sums;
+    the same flag as one interval of the same cumulative sums. It reads the
+    list's ``p`` and ``ok`` columns, so no branch dict is built;
     ``trial.result`` keeps the result and ``trial.analytic`` its success
     probability. Refused (ProtocolError) unless ``details["branches"]`` is
     the whole tree: its ``p`` sum to 1 and its ok mass equals
@@ -144,16 +145,15 @@ def trial_from(result):
     is taken over more than its list (``tprime`` and ``p'`` with NS gates)
     or is conditional (the acceptance of ``distribute``).
     """
-    branches = result.details.get("branches") or []
+    branches = result.details.get("branches") or protocols._Branches([], [], None)
     p = result.success_probability
-    if (p is None or abs(sum(b["p"] for b in branches) - 1) > 1e-10
-            or abs(sum(b["p"] for b in branches if b["ok"]) - p) > 1e-10):
+    if p is None or abs(sum(branches.p) - 1) > 1e-10 or abs(branches.mass() - p) > 1e-10:
         raise protocols.ProtocolError(
             "a result whose branch list is not the whole tree does not support --trials")
     # a run of branches with the same flag is searched as one interval
-    ok = [b["ok"] for b in branches]
+    ok = branches.ok
     ends = [i for i in range(len(ok)) if i + 1 == len(ok) or ok[i] != ok[i + 1]]
-    draw = _drawer([b["p"] for b in branches], ends)
+    draw = _drawer(branches.p, ends)
     flags = np.array([ok[i] for i in ends])
 
     def trial(uniforms):

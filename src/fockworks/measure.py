@@ -12,25 +12,25 @@ A branch whose probability, relative to the measured state, is below
 ``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
 ``postselect`` reports it with probability 0.
 
-Every protocol detection is one stage of ``protocols._detect``, which
-takes a state's branches as columns (``_Records``) and gives each exact
-branch one lazy post-state, decoded from the stage's shared block of kept
-amplitudes when first read. Every exact stage behind a mode unitary takes
-its records from ``_evolved_groups``, bit for bit those of
-``measure_modes`` after ``apply_unitary``: a large single state
-(``teleport_tn``, stage 1 of the teleported gates) and the second
-detection of every stage-1 success of a teleported gate each run as one
-sort and reduce over packed keys, and a small single state takes
-``apply_unitary`` and ``measure_modes``. A sampled run projects only the
-one branch it draws, stage by stage, through one of two routes: one
-``_drawer`` draw over the records of ``measure_modes`` (as
-``sample_outcome`` draws), or, behind a mode unitary (the Fourier
-multiports), ``_sample_detection``, which neither evolves nor groups the
-whole state: it draws an incoherent sector of the input, draws a count
-pattern of it (by boson sampling, or, for a coherent sector, by the first
-route after ``apply_unitary`` of it alone), and builds the post-state of
-that one pattern from transition amplitudes. Its post-state equals the exact
-branch to rounding (1e-10), not bit for bit.
+Every protocol detection is one stage of ``protocols._detect``: it takes
+a state's branches as columns (``_Records``), classifies them once per
+stage, and builds an exact branch's dict and lazy post-state (decoded from
+the shared block of kept amplitudes) only when the branch is read. Every
+exact stage behind a mode unitary takes its records from
+``_evolved_groups``, bit for bit those of ``measure_modes`` after
+``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
+teleported gates) and the second detection of every stage-1 success of a
+teleported gate each run as one sort and reduce over packed keys, and a
+small single state takes ``apply_unitary`` and ``measure_modes``. A
+sampled run projects only the one branch it draws, stage by stage, through
+one of two routes: one ``_drawer`` draw over the records of
+``measure_modes`` (as ``sample_outcome`` draws), or, behind a mode unitary
+(the Fourier multiports), ``_sample_detection``, which neither evolves nor
+groups the whole state: it draws an incoherent sector of the input, draws
+a count pattern of it (by boson sampling, or, for a coherent sector, by
+the first route after ``apply_unitary`` of it alone), and builds the
+post-state of that one pattern from transition amplitudes. Its post-state
+equals the exact branch to rounding (1e-10), not bit for bit.
 """
 
 import math

@@ -4,75 +4,57 @@ Qubit convention: logical |0> is one photon in the *second* mode of the
 pair (occupation 01), logical |1> is one photon in the first (10).
 
 Every gadget returns a ProtocolResult. With ``rng=None`` the gadget is
-evaluated analytically: the returned output is the post-selected success
-branch and ``details["branches"]`` enumerates every measurement outcome
-with its exact probability. With an ``rng`` the measurement outcomes are
-sampled instead, one trajectory end to end, drawn stage by stage. Every
-detection is one stage of ``_detect``: it counts some modes (after a
-mode unitary, for the Fourier multiports), classifies each count pattern
-into a branch with its feed-forward corrections, and returns every
-branch, or with an rng only the drawn one, so a sampled run projects one
-branch per stage. A gadget of two stages lists composite branches: the
-first stage's failures and the second stage's branches on each
-first-stage success, ``p`` the product of the two. An exact detection
-behind a unitary takes its records from ``measure._evolved_groups``: a
-large one, and the second detection of every first-stage success of a
-teleported gate together, in one array pass, with the records one
-evolution and one ``measure_modes`` per state would give, bit for bit.
-A sampled detection
-behind a unitary draws its pattern through ``measure._sample_detection``,
-so the trajectory neither evolves nor groups the whole state; its branch
-equals the exact branch of the same pattern to 1e-10, not bit for bit.
-One resolver picks the branch (``_resolve``) and one builder turns it
-into the result (``_result``), and every protocol writes trace steps.
+evaluated analytically: the output is the post-selected success branch and
+``details["branches"]`` lists every measurement outcome with its exact
+probability. With an ``rng`` the outcomes are sampled, one trajectory drawn
+stage by stage, so a sampled run projects one branch per stage. Every
+detection is one stage of ``_detect``: it counts some modes (after a mode
+unitary, for the Fourier multiports) into ``measure._Records`` columns and
+classifies the whole stage at once (``_classified``). An exact run's list
+is a ``_Branches``: the ``p`` and ``ok`` columns, from which the resolver
+(``_resolve``) and the probabilities are read, and a branch's dict, built
+only when the branch is read. A two-stage gadget lists the first stage's
+failures and the second stage's branches on each first-stage success,
+``p`` the product of the two. An exact detection behind a unitary takes
+its records from ``measure._evolved_groups`` (the second detections of a
+teleported gate in one array pass); a sampled one draws its pattern
+through ``measure._sample_detection``, equal to the exact branch to 1e-10.
 
-A branch is a plain dict. Every branch carries ``p`` (its exact
-probability), ``ok`` (whether the gadget succeeded on it) and ``state``
-(the post-measurement state, corrections applied, built when first read
-in an exact run), plus ``corrections`` (the ``("phase", mode, angle)`` /
-``("swap", a, b)`` feed-forward applied) when a correction was applied.
-Gadgets add their own keys: the detected ``pattern`` (``pattern1``/
-``pattern2`` per teleportation stage), ``k1``/``k2``, ``parity``,
-``sign``, ``accepted``, ``stage`` and ``projected``, and the
-probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``,
-the (p, pattern) ``heralds`` of the sign-flip pair).
+A branch dict carries ``p``, ``ok`` (whether the gadget succeeded) and
+``state`` (the post-measurement state, corrections applied, built when its
+terms are first read in an exact run), plus ``corrections`` (the
+``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward) when one was
+applied. Gadgets add their own keys: the detected ``pattern``
+(``pattern1``/``pattern2`` per teleportation stage), ``k1``/``k2``,
+``parity``, ``sign``, ``accepted``, ``stage``, ``projected`` and the
+probabilities of their stages (``p1``/``p2``, ``p_parity``/``p_sign``, the
+(p, pattern) ``heralds`` of the sign-flip pair).
 
-Phase corrections after Fourier-multiport measurements follow the
-detected pattern {r_j}: the |1> component of the target mode is rotated
-by prod_j w^{j r_j} (w the primitive (n+1)-th root of unity), plus pi
-flips keyed to the detected totals for the gate-teleportation variants.
-These formulas are exercised against brute-force branch projection in the
-test suite before anything composes on top of them.
+Phase corrections after Fourier-multiport measurements follow the detected
+pattern {r_j}: the |1> component of the target mode is rotated by
+prod_j w^{j r_j} (w the primitive (n+1)-th root of unity), plus pi flips
+keyed to the detected totals for the gate-teleportation variants; the test
+suite checks them against brute-force branch projection.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from itertools import chain, compress
 
 import numpy as np
 
 from . import fock, measure
 from .fock import FockError, FockState, number_state, tensor
-from .measure import (
-    IMPOSSIBLE,
-    _drawer,
-    _projection,
-    _sample_detection,
-    _weight,
-    measure_modes,
-)
-from .optics import (
-    BeamSplitter,
-    ElementSequence,
-    ModeUnitary,
-    apply_unitary,
-    compose,
-    decompose_reck,
-    element_matrix,
-    fourier_matrix,
-)
+from .measure import IMPOSSIBLE, _drawer, _projection, _sample_detection, _weight, measure_modes
+from .optics import (BeamSplitter, ElementSequence, ModeUnitary, apply_unitary, compose,
+                     decompose_reck, element_matrix, fourier_matrix)
 
 BALANCED = math.pi / 4
+#: Branches whose dicts an iteration of ``_Branches`` builds together.
+_RUN = 512
 
 
 class UnsupportedInputError(FockError):
@@ -83,9 +65,7 @@ class ProtocolError(FockError):
     """Unknown protocol, resource kind, or strategy."""
 
 
-# ---------------------------------------------------------------------------
-# results and bookkeeping
-# ---------------------------------------------------------------------------
+# -- results and bookkeeping --------------------------------------------------
 
 
 @dataclass
@@ -109,59 +89,112 @@ class ProtocolResult:
 
 def _shift_index(index: int, measured_sorted) -> int:
     """Index of a surviving mode after the given sorted modes are removed."""
-    drop = 0
-    for m in measured_sorted:
-        if m < index:
-            drop += 1
-        elif m == index:
-            raise ValueError(f"mode {index} was measured away")
-    return index - drop
+    if index in measured_sorted:
+        raise ValueError(f"mode {index} was measured away")
+    return index - sum(m < index for m in measured_sorted)
 
 
-def _detect(work, modes, classify, rng, unitary=None):
-    """One detection stage: count every mode of ``modes``, after ``unitary``
-    acts on them when one is given.
-
-    Returns the stage's branches, ``{"pattern": counts, "p": p,
-    **classify(counts, k, s), "state": post}``, ``k`` the photons counted
-    and ``s`` = sum_j j*r_j of the pattern {r_j}, ``post`` corrected by
-    classify's ``corrections``: with ``rng=None`` every count pattern, in
-    canonical order, each ``post`` built when first read; with an rng the
-    one drawn branch, built at once, drawn by ``measure._sample_detection``
-    behind a unitary (``work`` is not evolved), else by one draw over the
-    records. An exact detection behind a unitary takes its records from
-    ``measure._evolved_groups``, which runs a large one as one packed-key
-    pass and a small one as ``apply_unitary`` and ``measure_modes``.
-    """
+def _records(work, modes, rng, unitary=None):
+    """A detection's ``measure._Records``: every count pattern of ``modes``
+    (after ``unitary`` acts on them) with ``rng=None``, from
+    ``measure._evolved_groups`` behind a unitary; with an rng the one drawn,
+    by ``measure._sample_detection`` behind a unitary, else by one draw."""
     if unitary is None:
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
             i = _drawer(records.p)(rng.random())
             records = records[i:i + 1]
-    elif rng is None:
-        records = next(measure._evolved_groups([work], unitary, modes))
-    else:
-        records = _sample_detection(work, unitary, modes, rng)
-    return _classified(records, classify, rng)
+        return records
+    if rng is None:
+        return next(measure._evolved_groups([work], unitary, modes))
+    return _sample_detection(work, unitary, modes, rng)
+
+
+def _detect(work, modes, classify, rng, unitary=None):
+    """One detection stage: ``_classified(_records(work, modes, rng, unitary), classify, rng)``."""
+    return _classified(_records(work, modes, rng, unitary), classify, rng)
 
 
 def _classified(records, classify, rng):
-    """The branches of a stage's ``measure._Records``, as ``_detect``
-    returns them, built from the records' columns: ``k`` and ``s`` of every
-    pattern from one product over the count rows, one ``_BranchState`` per
-    exact branch."""
+    """The branches of a stage's records. ``classify(counts, p, state)`` is
+    called once with the count array (k and s of every row from
+    ``_totals``), the ``p`` column and ``state(i, corrections=())``, branch
+    ``i``'s ``_BranchState``; it returns the ``ok`` column and ``branch(i,
+    pattern)``, which makes branch ``i``'s dict: ``pattern``, ``p``, its own
+    keys, then ``state``. Exact, they are a ``_Branches`` over the columns;
+    with an rng, the list of the one drawn branch (``_drawn``)."""
     counts = records.counts
-    # k = sum_j r_j and s = sum_j j*r_j of every pattern, as one product
-    ks, ss = (np.array([[1] * counts.shape[1], range(counts.shape[1])]) @ counts.T).tolist()
-    # zip over the columns gives each pattern as a tuple, with no row lists
-    branches = [{"pattern": pattern, "p": p, **classify(pattern, k, s)}
-                for pattern, p, k, s in zip(zip(*counts.T.tolist()), records.p, ks, ss)]
-    modes, block = records.modes, records.block
-    for branch, weight, row in zip(branches, records.weight, records.rows):
-        fixes = branch.get("corrections", ())
-        branch["state"] = (_BranchState(modes, block, row, weight, fixes) if rng is None
-                           else _built(modes, block(row), weight, fixes))
+    ok, branch = classify(counts, records.p, partial(_BranchState, records))
+
+    def build(start, stop):
+        return list(map(branch, range(start, stop), _rows(counts[start:stop])))
+
+    return _Branches(records.p, ok, build) if rng is None else _drawn(build(0, 1))
+
+
+def _drawn(branches):
+    """A sampled stage's branch list, its one branch's state built at once."""
+    for branch in branches:
+        branch["state"] = branch["state"].built()
     return branches
+
+
+def _totals(counts):
+    """k = sum_j r_j and s = sum_j j*r_j of every pattern {r_j}, a row of ``counts``."""
+    return counts.sum(1), counts @ np.arange(counts.shape[1])
+
+
+def _rows(counts):
+    """The rows of the int array ``counts`` as tuples of ints."""
+    return list(zip(*counts.T.tolist())) if counts.shape[1] else [()] * len(counts)
+
+
+class _Branches(Sequence):
+    """An exact run's branch list as columns: ``p`` and ``ok``, every
+    branch's probability and success flag, and ``build(start, stop)``, which
+    makes the dicts of branches ``start`` to ``stop - 1``. A dict, with its
+    lazy state, is built when its branch is first read (iterating builds the
+    unread ones of a run of ``_RUN`` at once) and then kept:
+    ``branches[i] is branches[i]``, and an edit to a dict persists."""
+
+    __slots__ = ("p", "ok", "_build", "_dicts")
+
+    def __init__(self, p, ok, build):
+        self.p, self.ok, self._build, self._dicts = p, ok, build, [None] * len(p)
+
+    @classmethod
+    def of(cls, dicts):
+        """The list ``dicts`` of built branches."""
+        branches = cls([b["p"] for b in dicts], [b["ok"] for b in dicts], None)
+        branches._dicts = list(dicts)
+        return branches
+
+    def __len__(self):
+        return len(self.p)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.p))[i]]
+        i = range(len(self.p))[i]
+        if self._dicts[i] is None:
+            (self._dicts[i],) = self._build(i, i + 1)
+        return self._dicts[i]
+
+    def __iter__(self):
+        dicts = self._dicts
+        for start in range(0, len(dicts), _RUN):
+            stop = min(start + _RUN, len(dicts))
+            if None in dicts[start:stop]:  # build each stretch of unread branches at once
+                at = start
+                for i in [i for i in range(start, stop) if dicts[i] is not None] + [stop]:
+                    if at < i:
+                        dicts[at:i] = self._build(at, i)
+                    at = i + 1
+            yield from dicts[start:stop]
+
+    def mass(self, ok=True):
+        """The summed ``p`` of the branches whose ``ok`` is ``ok``, added left to right."""
+        return sum(compress(self.p, self.ok if ok else map(operator.not_, self.ok)))
 
 
 def _built(modes, group, weight, corrections):
@@ -170,22 +203,26 @@ def _built(modes, group, weight, corrections):
 
 
 class _BranchState(FockState):
-    """An exact branch's post-state: until its terms are first read, the
-    stage's ``block`` and this branch's ``row`` in it, which decode its kept
-    amplitudes, their squared norm ``weight`` and its ``corrections``; the
-    first read builds it as a sampled branch is built, ``_built(...)``."""
+    """Branch ``i`` of a stage's ``records``, projected and then corrected by
+    ``corrections``. Until its terms are first read it holds the stage's
+    ``block``, its ``row`` in it, which decodes its kept amplitudes, their
+    squared norm ``weight`` and the ``corrections``; ``built()`` gives the
+    state, as the first read builds it."""
 
     __slots__ = ("_block", "_row", "_weight", "_corrections")
 
-    def __init__(self, modes, block, row, weight, corrections):
-        self.modes, self._block, self._row = modes, block, row
-        self._weight, self._corrections = weight, corrections
+    def __init__(self, records, i, corrections=()):
+        self.modes, self._block, self._row = records.modes, records.block, records.rows[i]
+        self._weight, self._corrections = records.weight[i], corrections
+
+    def built(self) -> FockState:
+        return _built(self.modes, self._block(self._row), self._weight, self._corrections)
 
     def __getattr__(self, name):
         # reached only while the ``_amp`` slot is unset
         if name != "_amp":
             raise AttributeError(name)
-        self._amp = _built(self.modes, self._block(self._row), self._weight, self._corrections)._amp
+        self._amp = self.built()._amp
         del self._block, self._row, self._weight, self._corrections
         return self._amp
 
@@ -202,12 +239,14 @@ def _resolve(branches, rng):
 
     With an rng: the one branch the run drew. Without one: the
     post-selected view, the first branch with ``ok`` set, or the likeliest
-    branch when none succeeds (an input with no success channel).
+    branch when none succeeds (an input with no success channel), found
+    from the ``_Branches`` columns.
     """
     if rng is not None:
         (chosen,) = branches
         return chosen
-    return next((b for b in branches if b["ok"]), None) or max(branches, key=lambda b: b["p"])
+    ok, p = branches.ok, branches.p
+    return branches[ok.index(True) if True in ok else p.index(max(p))]
 
 
 def _result(chosen, p, details, trace, failure=None) -> ProtocolResult:
@@ -222,14 +261,10 @@ def _result(chosen, p, details, trace, failure=None) -> ProtocolResult:
 
 def _trace_step(trace, label, kind, p=1.0, **extra):
     cum = trace[-1]["cum_p"] * p if trace else p
-    entry = {"step": label, "kind": kind, "p": p, "cum_p": cum}
-    entry.update(extra)
-    trace.append(entry)
+    trace.append({"step": label, "kind": kind, "p": p, "cum_p": cum, **extra})
 
 
-# ---------------------------------------------------------------------------
-# dual-rail qubits
-# ---------------------------------------------------------------------------
+# -- dual-rail qubits ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -250,13 +285,8 @@ def encode_qubit(alpha0: complex, alpha1: complex) -> FockState:
 
 def qubit_coherence_weight(state: FockState, q: BosonicQubit) -> float:
     """Weight of the state inside the dual-rail span of (q.a, q.b)."""
-    total = state.norm() ** 2
-    good = sum(
-        abs(amp) ** 2
-        for occ, amp in state.terms()
-        if (occ[q.a], occ[q.b]) in ((0, 1), (1, 0))
-    )
-    return good / total
+    good = sum(abs(amp) ** 2 for occ, amp in state.terms() if (occ[q.a], occ[q.b]) in ((0, 1), (1, 0)))
+    return good / state.norm() ** 2
 
 
 def require_coherent(state: FockState, q: BosonicQubit, tol: float = 1e-10):
@@ -290,9 +320,7 @@ def hadamard(state: FockState, q: BosonicQubit) -> FockState:
     return fock.phase_on_mode(out, q.a, math.pi)
 
 
-# ---------------------------------------------------------------------------
-# resource states
-# ---------------------------------------------------------------------------
+# -- resource states ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -315,66 +343,38 @@ def make_resource(kind: str, n: int | None = None, parity: int = 0) -> PreparedR
     kind takes parity=0 for the even variant and 1 for the odd one.
     """
     kind = kind.lower()
+    bell = {"pair_a": (0, 1), "pair_b": (2, 3)}
     if kind == "e":
         amps = {(0, 1, 1, 0): 1 / math.sqrt(2), (1, 0, 0, 1): -1 / math.sqrt(2)}
-        return PreparedResource("e", None, FockState(4, amps), {"pair_a": (0, 1), "pair_b": (2, 3)})
+        return PreparedResource("e", None, FockState(4, amps), bell)
     if kind == "b4prime":
-        amps = {
-            (1, 0, 1, 0): 0.5,
-            (0, 1, 1, 0): 0.5,
-            (1, 0, 0, 1): 0.5,
-            (0, 1, 0, 1): -0.5,
-        }
-        return PreparedResource("b4prime", None, FockState(4, amps), {"pair_a": (0, 1), "pair_b": (2, 3)})
+        amps = {(1, 0, 1, 0): 0.5, (0, 1, 1, 0): 0.5, (1, 0, 0, 1): 0.5, (0, 1, 0, 1): -0.5}
+        return PreparedResource("b4prime", None, FockState(4, amps), bell)
     if n is None or n < 1:
         raise ProtocolError(f"resource {kind!r} needs n >= 1, got {n}")
+    groups = dict(zip(("first_x", "last_x", "first_y", "last_y"),
+                      (tuple(range(g * n, (g + 1) * n)) for g in range(4))))
     if kind == "tn":
         amps = {_unary_block(n, j): 1 / math.sqrt(n + 1) for j in range(n + 1)}
         roles = {"first": tuple(range(n)), "last": tuple(range(n, 2 * n))}
         return PreparedResource("tn", n, FockState(2 * n, amps), roles)
     if kind == "tnprime":
-        amps = {}
-        for j in range(n + 1):
-            for i in range(n + 1):
-                sign = -1.0 if ((n - j) * (n - i)) % 2 else 1.0
-                amps[_unary_block(n, j) + _unary_block(n, i)] = sign / (n + 1)
-        roles = {
-            "first_x": tuple(range(n)),
-            "last_x": tuple(range(n, 2 * n)),
-            "first_y": tuple(range(2 * n, 3 * n)),
-            "last_y": tuple(range(3 * n, 4 * n)),
-        }
-        return PreparedResource("tnprime", n, FockState(4 * n, amps), roles)
+        amps = {_unary_block(n, j) + _unary_block(n, i): (-1) ** ((n - j) * (n - i) % 2) / (n + 1)
+                for j in range(n + 1) for i in range(n + 1)}
+        return PreparedResource("tnprime", n, FockState(4 * n, amps), groups)
     if kind == "tpn":
-        amps = {}
-        for j in range(n + 1):
-            anc = ((n - j) % 2, (n - j + 1) % 2)
-            amps[_unary_block(n, j) + anc] = 1 / math.sqrt(n + 1)
-        roles = {
-            "first": tuple(range(n)),
-            "last": tuple(range(n, 2 * n)),
-            "ancilla": (2 * n, 2 * n + 1),
-        }
+        amps = {_unary_block(n, j) + ((n - j) % 2, (n - j + 1) % 2): 1 / math.sqrt(n + 1)
+                for j in range(n + 1)}
+        roles = dict(first=tuple(range(n)), last=tuple(range(n, 2 * n)), ancilla=(2 * n, 2 * n + 1))
         return PreparedResource("tpn", n, FockState(2 * n + 2, amps), roles)
     if kind == "pnprime":
         pairs = [(j, i) for j in range(n + 1) for i in range(n + 1) if (i + j) % 2 == parity % 2]
-        amps = {}
-        for j, i in pairs:
-            amps[_unary_block(n, j) + _unary_block(n, i)] = 1 / math.sqrt(len(pairs))
-        roles = {
-            "first_x": tuple(range(n)),
-            "last_x": tuple(range(n, 2 * n)),
-            "first_y": tuple(range(2 * n, 3 * n)),
-            "last_y": tuple(range(3 * n, 4 * n)),
-            "parity": parity % 2,
-        }
-        return PreparedResource("pnprime", n, FockState(4 * n, amps), roles)
+        amps = {_unary_block(n, j) + _unary_block(n, i): 1 / math.sqrt(len(pairs)) for j, i in pairs}
+        return PreparedResource("pnprime", n, FockState(4 * n, amps), {**groups, "parity": parity % 2})
     raise ProtocolError(f"unknown resource kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# the nondeterministic sign gate
-# ---------------------------------------------------------------------------
+# -- the nondeterministic sign gate -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -394,13 +394,9 @@ class Ns1Network:
 def ns1_unitary() -> ModeUnitary:
     """The symmetric 3x3 matrix whose post-selected action is diag(1/2, 1/2, -1/2)."""
     s2 = math.sqrt(2.0)
-    return ModeUnitary(
-        [
-            [1 - s2, 2 ** -0.25, math.sqrt(3 / s2 - 2)],
-            [2 ** -0.25, 0.5, 0.5 - 1 / s2],
-            [math.sqrt(3 / s2 - 2), 0.5 - 1 / s2, s2 - 0.5],
-        ]
-    )
+    return ModeUnitary([[1 - s2, 2 ** -0.25, math.sqrt(3 / s2 - 2)],
+                        [2 ** -0.25, 0.5, 0.5 - 1 / s2],
+                        [math.sqrt(3 / s2 - 2), 0.5 - 1 / s2, s2 - 0.5]])
 
 
 @cache
@@ -424,7 +420,12 @@ def _ns_stage(state: FockState, mode: int, rng):
     network = ns1_network()
     work = apply_unitary(tensor(state, number_state(network.ancilla_counts)), _ns1_effective(),
                          [mode, m, m + 1])
-    return _detect(work, [m, m + 1], lambda pattern, *_: {"ok": pattern == network.accept}, rng)
+
+    def classify(counts, p, state):
+        ok = [tuple(row) == network.accept for row in counts.tolist()]
+        return ok, lambda i, pattern: {"pattern": pattern, "p": p[i], "ok": ok[i], "state": state(i)}
+
+    return _detect(work, [m, m + 1], classify, rng)
 
 
 def _ns_trace(trace, mode, m, p, pattern):
@@ -443,25 +444,20 @@ def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     chosen = _resolve(branches, rng)
     trace = []
     _ns_trace(trace, mode, state.modes, chosen["p"], chosen["pattern"])
-    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
+    return _result(chosen, branches.mass() if rng is None else None,
                    {"branches": branches} if rng is None else {}, trace,
                    lambda b: {"detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
-# ---------------------------------------------------------------------------
-# conditional sign gates
-# ---------------------------------------------------------------------------
+# -- conditional sign gates ---------------------------------------------------
 
 
 def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> ProtocolResult:
-    """Mode-level conditional sign via two heralded sign flips (p = 1/16).
-
-    Success branch: amplitude sign flips exactly when both modes hold a
-    photon. Works on the dual-rail a-modes to give the two-qubit gate.
-    The branch list holds the ns-x failures, then the ns-y branches on
-    the ns-x success; each keeps its ``stage`` and its ``heralds``, the
-    (p, pattern) of each detection it passed through.
-    """
+    """Mode-level conditional sign via two heralded sign flips (p = 1/16): on
+    success the amplitude flips sign exactly when both modes hold a photon
+    (on the dual-rail a-modes, the two-qubit gate). The branch list holds the
+    ns-x failures, then the ns-y branches on the ns-x success, each with its
+    ``stage`` and ``heralds``, the (p, pattern) of each detection passed."""
     work = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [mode_x, mode_y])
     xs = _ns_stage(work, mode_x, rng)
     branches = [dict(b, stage="ns-x", heralds=[(b["p"], b["pattern"])]) for b in xs if not b["ok"]]
@@ -473,6 +469,8 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
                 by["state"] = apply_unitary(by["state"], element_matrix(BeamSplitter(0, 1, -BALANCED)),
                                             [mode_x, mode_y])
             branches.append(by)
+    if rng is None:
+        branches = _Branches.of(branches)
     chosen = _resolve(branches, rng)
     trace = []
     _trace_step(trace, "mix", "element", modes=[mode_x, mode_y])
@@ -480,7 +478,7 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
         _ns_trace(trace, mode, state.modes, p, pattern)
     if chosen["ok"]:
         _trace_step(trace, "unmix", "element", modes=[mode_x, mode_y])
-    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
+    return _result(chosen, branches.mass() if rng is None else None,
                    {"branches": branches} if rng is None else {}, trace,
                    lambda b: {"stage": b["stage"], "detector": "ns1-ancilla", "outcome": b["pattern"]})
 
@@ -525,7 +523,7 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            out = _detect(out, leftovers, lambda pattern, *_: {}, rng)[0]["state"]
+            out = _BranchState(_records(out, leftovers, rng), 0).built()
             tx, ty = (_shift_index(m, leftovers) for m in (tx, ty))
         # relabel so the teleported modes sit where the inputs were
         rest = iter(m for m in range(out.modes) if m not in (tx, ty))
@@ -557,15 +555,12 @@ def prepare_b4_prime(rng=None) -> ProtocolResult:
     state = apply_unitary(state, spread, [0, 1])
     state = apply_unitary(state, spread, [2, 3])
     res = csign_modes_ns(state, 1, 3, rng=rng)
-    trace = [{"step": "spread", "kind": "element", "p": 1.0, "cum_p": 1.0}] + res.trace
-    res.trace = trace
+    res.trace = [{"step": "spread", "kind": "element", "p": 1.0, "cum_p": 1.0}] + res.trace
     res.details["target"] = make_resource("b4prime")
     return res
 
 
-# ---------------------------------------------------------------------------
-# partial Bell measurement and basic teleportation
-# ---------------------------------------------------------------------------
+# -- partial Bell measurement and basic teleportation -------------------------
 
 
 def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
@@ -586,11 +581,18 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
                          [input_mode, m0])
     target = _shift_index(m0 + 1, sorted([input_mode, m0]))
 
-    def classify(pattern, total, _):
-        if total != 1:
-            return {"total": total, "ok": False, "projected": 0 if total == 0 else 1}
-        corrections = [("phase", target, math.pi)] if pattern == (1, 0) else []
-        return {"total": total, "ok": True, "corrections": corrections, "target_mode": target}
+    def classify(counts, p, state):
+        def branch(i, pattern):
+            total = sum(pattern)
+            if total != 1:
+                return {"pattern": pattern, "p": p[i], "total": total, "ok": False,
+                        "projected": 0 if total == 0 else 1, "state": state(i)}
+            corrections = [("phase", target, math.pi)] if pattern == (1, 0) else []
+            return {"pattern": pattern, "p": p[i], "total": total, "ok": True,
+                    "corrections": corrections, "target_mode": target,
+                    "state": state(i, corrections)}
+
+        return [total == 1 for total in counts.sum(1).tolist()], branch
 
     branches = _detect(work, [input_mode, m0], classify, rng)
     chosen = _resolve(branches, rng)
@@ -598,13 +600,11 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
     details = {"target_mode": target}
     if rng is None:
         details["branches"] = branches
-    return _result(chosen, sum(b["p"] for b in branches if b["ok"]) if rng is None else None,
-                   details, trace, _projected(input_mode))
+    return _result(chosen, branches.mass() if rng is None else None, details, trace,
+                   _projected(input_mode))
 
 
-# ---------------------------------------------------------------------------
-# near-deterministic teleportation through the Fourier multiport
-# ---------------------------------------------------------------------------
+# -- near-deterministic teleportation through the Fourier multiport -----------
 
 
 def _projected(mode):
@@ -631,13 +631,23 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     measured = sorted(fourier_modes)
     omega = 2 * math.pi / (n + 1)
     targets = [None] + [_shift_index(m0 + n + k - 1, measured) for k in range(1, n + 1)]
-    fixes = {}  # one correction per (k, s), shared by its branches: a tuple is immutable
 
-    def classify(pattern, k, s):
-        if not 0 < k < n + 1:
-            return {"k": k, "ok": False, "projected": 0 if k == 0 else 1}
-        fix = fixes.setdefault((k, s), ("phase", targets[k], (omega * s) % (2 * math.pi)))
-        return {"k": k, "ok": True, "target_mode": targets[k], "corrections": [fix]}
+    def classify(counts, p, state):
+        k, s = _totals(counts)
+        ok = ((0 < k) & (k <= n)).tolist()
+        k, angles = k.tolist(), ((omega * s) % (2 * math.pi)).tolist()
+        fixes = [{} for _ in targets]  # one correction per (k, angle): a tuple is immutable
+
+        def branch(i, pattern):
+            ki, angle = k[i], angles[i]
+            if not ok[i]:
+                return {"pattern": pattern, "p": p[i], "k": ki, "ok": False,
+                        "projected": 0 if ki == 0 else 1, "state": state(i)}
+            fix = [fixes[ki].get(angle) or fixes[ki].setdefault(angle, ("phase", targets[ki], angle))]
+            return {"pattern": pattern, "p": p[i], "k": ki, "ok": True, "target_mode": targets[ki],
+                    "corrections": fix, "state": state(i, fix)}
+
+        return ok, branch
 
     branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
     trace = []
@@ -649,20 +659,17 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
         details["target_mode"] = chosen["target_mode"]
     p_success = None
     if rng is None:
-        p_success = sum(b["p"] for b in branches if b["ok"])
-        details.update(branches=branches,
-                       failure_probability=sum(b["p"] for b in branches if not b["ok"]))
+        p_success = branches.mass()
+        details.update(branches=branches, failure_probability=branches.mass(False))
     return _result(chosen, p_success, details, trace, _projected(input_mode))
 
 
 class _TeleportLayout:
-    """Mode bookkeeping for the double-teleportation gadgets.
-
-    The resource's four n-mode groups sit after the host's m0 modes. Step
-    one measures the x input with the first group; step two measures the
-    (shifted) y input with the third group. ``final(i)`` maps an original
-    work index to its position after both measurements.
-    """
+    """Mode bookkeeping for the double-teleportation gadgets: the resource's four
+    n-mode groups sit after the host's m0 modes; step one measures the x input
+    with the first group, step two the (shifted) y input with the third.
+    ``final(i)`` maps a work index to its position after both; k photons
+    detected in a step land its input on the k-th of ``last_x``/``last_y``."""
 
     def __init__(self, m0, mode_x, mode_y, n):
         self.m0, self.n = m0, n
@@ -671,6 +678,8 @@ class _TeleportLayout:
         self.y1 = _shift_index(mode_y, self.step1)
         self.fourier_y = [self.y1] + [_shift_index(m0 + 2 * n + i, self.step1) for i in range(n)]
         self.step2 = sorted(self.fourier_y)
+        self.last_x = [self.final(m0 + n + i) for i in range(n)]
+        self.last_y = [self.final(m0 + 3 * n + i) for i in range(n)]
 
     def after_step1(self, index: int) -> int:
         return _shift_index(index, self.step1)
@@ -678,86 +687,95 @@ class _TeleportLayout:
     def final(self, index: int) -> int:
         return _shift_index(_shift_index(index, self.step1), self.step2)
 
-    def target_x(self, k1: int) -> int:
-        return self.final(self.m0 + self.n + k1 - 1)
-
-    def target_y(self, k2: int) -> int:
-        return self.final(self.m0 + 3 * self.n + k2 - 1)
-
-    def output_groups(self, k1: int, k2: int):
-        tx, ty = self.target_x(k1), self.target_y(k2)
-        last_x = [self.final(self.m0 + self.n + i) for i in range(self.n)]
-        last_y = [self.final(self.m0 + 3 * self.n + i) for i in range(self.n)]
-        return tx, ty, [m for m in last_x + last_y if m not in (tx, ty)]
-
 
 def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y, rng=None,
                               flavor=None):
-    """Branch tree for gate teleportation through a 4n-mode resource.
+    """(branches, layout) of gate teleportation through a 4n-mode resource.
 
-    flip_x(k1, k2) / flip_y(k1, k2) give extra pi multiples applied to
-    the target |1> components on top of the common pattern phases
-    omega^(sum j r_j). Each branch keeps ``p1`` (and past stage 1 ``p2``),
-    the probabilities of its two detections; with a ``flavor`` (the parity
-    gadget's resource parity) a successful branch also carries its
-    ``parity``. Without an rng, stage 1 is one ``_detect`` stage, and the
-    y detection of every stage-1 success runs in one array pass
-    (``measure._evolved_groups``): the same records, bit for bit, as one
-    evolution and one ``measure_modes`` per success, each branch's state
-    decoded from the pass's arrays when first read. With an ``rng`` each
-    stage draws its one pattern, so the tree is the one branch drawn:
-    stage 1, then stage 2 on the projected stage-1 state. Returns
-    (branches, layout).
+    flip_x(k1, k2) / flip_y(k1, k2), on int arrays, give the pi multiples
+    applied to the targets on top of the pattern phases omega^(sum j r_j).
+    The tree lists each stage-1 failure and, in place of each success, the
+    branches of its y detection, with ``p1`` (and ``p2``) and their product
+    ``p``; with a ``flavor`` (the parity resource's) a success carries its
+    ``parity``. Exact, the y detections run in one array pass
+    (``measure._evolved_groups``) and the tree is a ``_Branches`` whose
+    columns, correction angles included, are computed at once; with an
+    ``rng`` stage 2 draws on the projected stage-1 state.
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
-    omega = 2 * math.pi / (n + 1)
-    u = fourier_matrix(n)
-    branches = []
-    ones = _detect(tensor(state, resource.state), layout.fourier_x,
-                   lambda pattern, k, s: {"k": k, "s": s}, rng, u)
-    if rng is None:
-        # every stage-1 success's y detection, in one array pass
-        passed = [one["state"] for one in ones if 0 < one["k"] < n + 1]
-        seconds = measure._evolved_groups(passed, u, layout.fourier_y)
+    omega, u = 2 * math.pi / (n + 1), fourier_matrix(n)
+    ones = _records(tensor(state, resource.state), layout.fourier_x, rng, u)
+    k1, s1 = _totals(ones.counts)
+    passed = (0 < k1) & (k1 <= n)
+    firsts = [_built(ones.modes, ones.block(ones.rows[i]), ones.weight[i], ())
+              for i in np.flatnonzero(passed).tolist()]
+    seconds = (list(measure._evolved_groups(firsts, u, layout.fourier_y)) if rng is None
+               else [_records(first, layout.fourier_y, rng, u) for first in firsts])
+    # each branch's stage-1 row; past stage 1, the stage-2 rows of all successes in turn
+    sizes = [len(two) for two in seconds]
+    spans = np.ones(len(ones), dtype=np.int64)
+    spans[passed] = sizes
+    first = np.repeat(np.arange(len(ones)), spans)
+    staged = passed[first]
+    second = np.cumsum(staged) - staged  # the stage-2 rows before a branch: its own if staged
+    counts2 = np.concatenate([ones.counts[:0]] + [two.counts for two in seconds])
+    p2 = np.array(list(chain.from_iterable(two.p for two in seconds)))
+    k2, s2 = _totals(counts2)
+    ok2 = (0 < k2) & (k2 <= n)
+    p = np.array(ones.p)[first]
+    p[staged] *= p2
+    ok = np.zeros(len(first), dtype=bool)
+    ok[staged] = ok2
+    # a projected y (k2 = 0 or n + 1) undoes the sign the collapsed resource imprinted on x
+    k1s, x_phase = k1[first[staged]], omega * s1[first[staged]]
+    angle_x = np.where(ok2, x_phase + math.pi * flip_x(k1s, k2),
+                       x_phase + math.pi * np.where(k2 == 0, n, 0)) % (2 * math.pi)
+    angle_y = (omega * s2 + math.pi * flip_y(k1s, k2)) % (2 * math.pi)
+    owner = np.repeat(np.arange(len(seconds)), sizes)
+    local = np.arange(len(p2)) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
+    stage2 = (k2, ok2, angle_x, angle_y, p2, owner, local)
+    patterns1, k1, p, p1s = _rows(ones.counts), k1.tolist(), p.tolist(), ones.p
+    state1 = partial(_BranchState, ones)
+    states2 = [partial(_BranchState, two) for two in seconds]
+    last_x, last_y, fixes_x = [None] + layout.last_x, [None] + layout.last_y, {}
+    leftover = [[None] + [[m for m in last_x[1:] + last_y[1:] if m not in (tx, ty)]
+                          for ty in last_y[1:]] for tx in last_x]
 
-    @cache
-    def output(k1, k2):
-        # the targets, leftover modes and pi flips of every (k1, k2) success
-        return (*layout.output_groups(k1, k2), math.pi * flip_x(k1, k2), math.pi * flip_y(k1, k2))
-
-    for one in ones:
-        pat1, p1, k1, s1 = one["pattern"], one["p"], one["k"], one["s"]
-        if not 0 < k1 < n + 1:
-            branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": k1, "p": p1,
-                             "p1": p1, "state": one["state"], "projected": 0 if k1 == 0 else 1})
-            continue
-        tx1, fixes_x = layout.target_x(k1), {}
-
-        def second(pat2, k2, s2):
-            if not 0 < k2 < n + 1:
-                # y projected; undo the sign the collapsed resource imprinted on x
-                ax = (omega * s1 + math.pi * (n if k2 == 0 else 0)) % (2 * math.pi)
-                return {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1,
-                        "ok": False, "stage": 2, "projected": 0 if k2 == 0 else 1,
-                        "target_x": tx1, "corrections": [("phase", tx1, ax)]}
-            tx, ty, leftovers, pi_x, pi_y = output(k1, k2)
-            ax = (omega * s1 + pi_x) % (2 * math.pi)
-            ay = (omega * s2 + pi_y) % (2 * math.pi)
-            entry = {"pattern1": pat1, "k1": k1, "pattern2": pat2, "k2": k2, "p1": p1, "ok": True,
-                     "target_x": tx, "target_y": ty, "leftover_modes": list(leftovers)}
+    def build(start, stop):
+        # a run of branches holds one run of stage-2 rows, converted together
+        lo, hi = second[start], second[stop - 1] + staged[stop - 1]
+        rows2 = zip(_rows(counts2[lo:hi]), *(a[lo:hi].tolist() for a in stage2))
+        branches = []
+        for g, i, two in zip(range(start, stop), first[start:stop].tolist(),
+                             staged[start:stop].tolist()):
+            pat1, p1, ka = patterns1[i], p1s[i], k1[i]
+            if not two:
+                branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": ka, "p": p1,
+                                 "p1": p1, "state": state1(i), "projected": 0 if ka == 0 else 1})
+                continue
+            pat2, kb, ok_y, ax, ay, py, at, row = next(rows2)
+            tx = last_x[ka]
+            if not ok_y:
+                fixes = [("phase", tx, ax)]
+                branches.append({"p": p[g], "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb,
+                                 "p1": p1, "ok": False, "stage": 2, "projected": 0 if kb == 0 else 1,
+                                 "target_x": tx, "corrections": fixes,
+                                 "state": states2[at](row, fixes), "p2": py})
+                continue
+            # one x correction per (stage-1 row, k2), shared: a tuple is immutable
+            fixes = [fixes_x.get((i, kb)) or fixes_x.setdefault((i, kb), ("phase", tx, ax)),
+                     ("phase", last_y[kb], ay)]
+            branch = {"p": p[g], "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
+                      "ok": True, "target_x": tx, "target_y": last_y[kb],
+                      "leftover_modes": list(leftover[ka][kb])}
             if flavor is not None:
-                entry["parity"] = (k1 + k2 + flavor) % 2
-            # one x correction per k2, shared by its branches: a tuple is immutable
-            entry["corrections"] = [fixes_x.setdefault(k2, ("phase", tx, ax)), ("phase", ty, ay)]
-            return entry
+                branch["parity"] = (ka + kb + flavor) % 2
+            branch["corrections"], branch["state"] = fixes, states2[at](row, fixes)
+            branch["p2"] = py
+            branches.append(branch)
+        return branches
 
-        twos = (_classified(next(seconds), second, rng) if rng is None
-                else _detect(one["state"], layout.fourier_y, second, rng, u))
-        for two in twos:
-            del two["pattern"]
-            two["p"], two["p2"] = p1 * two["p"], two["p"]
-            branches.append(two)
-    return branches, layout
+    return (_Branches(p, ok.tolist(), build) if rng is None else _drawn(build(0, 1))), layout
 
 
 def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
@@ -771,14 +789,11 @@ def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
     details = {"n": layout.n, "layout": layout}
     p_success = None
     if rng is None:
-        p_success = sum(b["p"] for b in branches if b["ok"])
+        p_success = branches.mass()
         details.update(branches=branches, success_probability=p_success)
     if chosen["ok"]:
-        details.update(target_x=chosen["target_x"], target_y=chosen["target_y"],
-                       leftover_modes=chosen["leftover_modes"],
-                       k1=chosen["k1"], k2=chosen["k2"])
-        if "parity" in chosen:
-            details["parity"] = chosen["parity"]
+        details.update({key: chosen[key] for key in ("target_x", "target_y", "leftover_modes",
+                                                      "k1", "k2", "parity") if key in chosen})
     else:
         details["branch"] = chosen
     return _result(chosen, p_success, details, trace, lambda b: {
@@ -790,11 +805,10 @@ def csign_teleported_modes(state: FockState, mode_x: int, mode_y: int, n: int,
                            rng=None, resource: PreparedResource | None = None) -> ProtocolResult:
     """Mode-level conditional sign by double teleportation, p = (n/(n+1))^2.
 
-    The resource carries the gate pre-applied; on top of the pattern
-    phases, each target needs a pi flip keyed to the *other* side's
-    detected total. A first-step failure (probability 1/(n+1)) aborts
-    before touching mode_y; a second-step failure leaves the teleported
-    x restorable by a phase shift.
+    The resource carries the gate pre-applied; on top of the pattern phases,
+    each target needs a pi flip keyed to the *other* side's detected total. A
+    first-step failure (probability 1/(n+1)) aborts before touching mode_y; a
+    second-step failure leaves the teleported x restorable by a phase shift.
     """
     if state.max_occupation(mode_x) > 1 or state.max_occupation(mode_y) > 1:
         raise UnsupportedInputError("gate modes must carry at most one photon")
@@ -820,9 +834,7 @@ def csign_teleported(state: FockState, q1: BosonicQubit, q2: BosonicQubit, n: in
     return res
 
 
-# ---------------------------------------------------------------------------
-# parity-tagged state preparation
-# ---------------------------------------------------------------------------
+# -- parity-tagged state preparation ------------------------------------------
 
 
 class _GateLedger:
@@ -830,10 +842,7 @@ class _GateLedger:
 
     def __init__(self, strategy, n, rng):
         self.strategy, self.n, self.rng = strategy, n, rng
-        self.count = 0
-        self.probability = 1.0
-        self.failure = None
-        self.trace = []
+        self.count, self.probability, self.failure, self.trace = 0, 1.0, None, []
 
     def csign(self, state, mode_x, mode_y):
         self.count += 1
@@ -858,11 +867,9 @@ class _GateLedger:
 
 
 def _conditional_rotation(state, control_b, target_a, target_b, theta, ledger):
-    """Rotation of the target qubit conditioned on the control being |0>_q.
-
-    Built by conjugating the half-angle splitter with two conditional
-    signs (control's b-mode against the target's a-mode).
-    """
+    """Rotation of the target qubit conditioned on the control being |0>_q: the
+    half-angle splitter conjugated by two conditional signs (control's b-mode
+    against the target's a-mode)."""
     half = element_matrix(BeamSplitter(0, 1, theta / 2))
     half_inv = element_matrix(BeamSplitter(0, 1, -theta / 2))
     state = apply_unitary(state, half, [target_a, target_b])
@@ -875,13 +882,9 @@ def _conditional_rotation(state, control_b, target_a, target_b, theta, ledger):
 
 
 def _tp_gate_sequence(state, a_modes, b_modes, anc1, ledger):
-    """The parity-imprinting gate walk shared by tp_n and p'_n preparation.
-
-    a_modes/b_modes list the block's qubit modes (qubit i on
-    (a_modes[i], b_modes[i])); anc1 is the ancilla mode the conditional
-    signs couple to. Assumes the block was initialized with its two-term
-    seed superposition.
-    """
+    """The parity-imprinting gate walk shared by tp_n and p'_n preparation: qubit
+    i of the block sits on (a_modes[i], b_modes[i]), initialized with its
+    two-term seed superposition; the conditional signs couple to anc1."""
     n = len(a_modes)
     state = ledger.csign(state, b_modes[n - 1], anc1)
     if state is None:
@@ -916,9 +919,7 @@ def prepare_tp_n(n: int, strategy: str = "ideal", rng=None, teleport_n: int = 1)
     """
     if n < 1:
         raise ProtocolError("n >= 1 required")
-    a_modes = list(range(n))
-    b_modes = list(range(n, 2 * n))
-    anc1, anc2 = 2 * n, 2 * n + 1
+    a_modes, b_modes, anc1, anc2 = list(range(n)), list(range(n, 2 * n)), 2 * n, 2 * n + 1
     seed, theta_seed = _seed_block(n)
     state = tensor(seed, number_state((0, 1)))
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, theta_seed)),
@@ -931,11 +932,9 @@ def prepare_tp_n(n: int, strategy: str = "ideal", rng=None, teleport_n: int = 1)
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
-    return ProtocolResult(True, ledger.probability if rng is None else None, state,
-                          trace=ledger.trace,
-                          details={"csign_count": ledger.count,
-                                   "qubit_modes": list(zip(a_modes, b_modes)),
-                                   "ancilla": (anc1, anc2)})
+    return ProtocolResult(True, ledger.probability if rng is None else None, state, trace=ledger.trace,
+                          details={"csign_count": ledger.count, "ancilla": (anc1, anc2),
+                                   "qubit_modes": list(zip(a_modes, b_modes))})
 
 
 def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
@@ -947,13 +946,10 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     equiprobable outcomes; pi shifts on the b-modes of the flagged halves
     turn every outcome into the target resource.
     """
-    if copies is None:
-        tp = make_resource("tpn", n).state
-        copies = (tp, tp)
+    copies = copies or (make_resource("tpn", n).state,) * 2
     width = 2 * n + 2
     state = tensor(copies[0], copies[1])
-    anc_a = (2 * n, 2 * n + 1)
-    anc_b = (width + 2 * n, width + 2 * n + 1)
+    anc_a, anc_b = (2 * n, 2 * n + 1), (width + 2 * n, width + 2 * n + 1)
     ledger = _GateLedger(strategy, 1, rng)
     state = ledger.csign(state, anc_a[0], anc_b[0])
     if state is None:
@@ -965,12 +961,16 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     b_modes_a = [_shift_index(n + i, measured) for i in range(n)]
     b_modes_b = [_shift_index(width + n + i, measured) for i in range(n)]
 
-    def classify(pattern, *_):
-        # a half whose ancilla pair reads (1, 0) is flagged: pi on its b-modes
-        corrections = [("phase", m, math.pi) for half, b_modes in ((pattern[:2], b_modes_a),
-                                                                   (pattern[2:], b_modes_b))
-                       if half == (1, 0) for m in b_modes]
-        return {"ok": True, "corrections": corrections}
+    def classify(counts, p, state):
+        def branch(i, pattern):
+            # a half whose ancilla pair reads (1, 0) is flagged: pi on its b-modes
+            halves = ((pattern[:2], b_modes_a), (pattern[2:], b_modes_b))
+            fixes = [("phase", m, math.pi) for half, b_modes in halves if half == (1, 0)
+                     for m in b_modes]
+            return {"pattern": pattern, "p": p[i], "ok": True, "corrections": fixes,
+                    "state": state(i, fixes)}
+
+        return [True] * len(p), branch
 
     branches = _detect(state, measured, classify, rng)
     chosen = _resolve(branches, rng)
@@ -986,16 +986,13 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
 def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult:
     """Prepare the parity-projecting resource with a single shared ancilla.
 
-    Two parity-tagged blocks are walked against one ancilla qubit, which
-    then carries the total parity; measuring it collapses the 4n modes to
-    the even resource or the equally useful odd variant (details report
-    which).
+    Two parity-tagged blocks are walked against one ancilla qubit, which then
+    carries the total parity; measuring it collapses the 4n modes to the even
+    resource or the equally useful odd variant (details report which).
     """
     if n < 1:
         raise ProtocolError("n >= 1 required")
-    a_x, b_x = list(range(n)), list(range(n, 2 * n))
-    a_y = list(range(2 * n, 3 * n))
-    b_y = list(range(3 * n, 4 * n))
+    a_x, b_x, a_y, b_y = (list(range(g * n, (g + 1) * n)) for g in range(4))
     anc1, anc2 = 4 * n, 4 * n + 1
     seed, theta_seed = _seed_block(n)
     state = tensor(tensor(seed, seed), number_state((0, 1)))
@@ -1013,8 +1010,12 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
     # both parities are usable; the even one is the post-selected view
-    branches = _detect(state, [anc1, anc2], lambda pattern, *_: {
-        "parity": 0 if pattern == (0, 1) else 1, "ok": True}, rng)
+    def classify(counts, p, state):
+        return [True] * len(p), lambda i, pattern: {
+            "pattern": pattern, "p": p[i], "parity": 0 if pattern == (0, 1) else 1, "ok": True,
+            "state": state(i)}
+
+    branches = _detect(state, [anc1, anc2], classify, rng)
     chosen = _resolve(branches, rng)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"csign_count": ledger.count, "parity": chosen["parity"]}
@@ -1023,9 +1024,7 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     return _result(chosen, ledger.probability if rng is None else None, details, ledger.trace)
 
 
-# ---------------------------------------------------------------------------
-# nondestructive parity measurement and its applications
-# ---------------------------------------------------------------------------
+# -- nondestructive parity measurement and its applications -------------------
 
 
 def parity_measure(state: FockState, mode_x: int, mode_y: int, n: int, rng=None,
@@ -1066,12 +1065,8 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
     sectors = {0: {}, 1: {}}
     for occ, amp in state.terms():
         sectors[(occ[mode_x] + occ[mode_y]) % 2][occ] = amp
-    possible = []
-    for parity in (0, 1):
-        amps = sectors[parity]
-        weight = fock._squared_norm(amps.values())
-        if weight / total >= IMPOSSIBLE:
-            possible.append((parity, amps, weight))
+    weighed = [(parity, amps, fock._squared_norm(amps.values())) for parity, amps in sectors.items()]
+    possible = [sector for sector in weighed if sector[2] / total >= IMPOSSIBLE]
     if rng is not None:
         possible = [possible[_drawer([w / total for _, _, w in possible])(rng.random())]]
     return [{"parity": parity, "p": weight / total,
@@ -1080,37 +1075,31 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
 
 
 def _parity_check(state, mode_x, mode_y, n, ideal, rng):
-    """The parity check that teleport_with_e and distribute_entanglement build on.
-
-    Returns (branches, final, p_gadget): the oracle projection when
-    ``ideal``, else the teleported gadget's branches in its order, failures
-    included; with an rng, the one branch drawn. A branch with ``ok``
-    carries ``parity``, ``target_x``/``target_y`` (where mode_x and mode_y
-    now sit) and ``leftover_modes``; ``final`` maps any other input mode to
-    where it now sits.
-    """
+    """The parity check that teleport_with_e and distribute_entanglement build on:
+    (branches, final, p_gadget), the oracle projection when ``ideal``, else the
+    gadget's branches, failures included (with an rng, the one drawn). A branch
+    with ``ok`` carries ``parity``, ``target_x``/``target_y`` (where mode_x and
+    mode_y now sit) and ``leftover_modes``; ``final`` maps any other mode."""
     if ideal:
         checked = parity_project_ideal(state, mode_x, mode_y, rng)
         return [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
                 for b in checked], lambda m: m, 1.0
     branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
-    return branches, layout.final, sum(b["p"] for b in branches if b["ok"])
+    return branches, layout.final, branches.mass() if rng is None else None
 
 
 def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
                     ideal_parity: bool = False) -> ProtocolResult:
     """Full teleportation with the traditional entangled resource.
 
-    The Bell measurement is decomposed into the nondestructive parity
-    measurement on the two inner modes followed by balanced splitters and
-    four counters that fix the sign. Pauli-style corrections (a pi phase
-    and/or a mode swap on the output pair) restore the input, and the
-    whole thing succeeds exactly when the parity gadget does. The branch
-    list holds the gadget's failures first, then the sign-decode branches,
-    which keep their two stages' probabilities as ``p_parity`` and
-    ``p_sign``. The trace has a ``parity`` step (outcome None when the
-    gadget fails) and, past it, a ``sign`` step with the four-counter
-    pattern as its ``outcome`` and the decoded ``sign``.
+    The Bell measurement is the nondestructive parity measurement on the two
+    inner modes, then balanced splitters and four counters that fix the
+    sign; a pi phase and/or a mode swap on the output pair restores the
+    input, so the whole succeeds exactly when the parity gadget does. The
+    branch list holds the gadget's failures, then the sign-decode branches
+    with their stages' ``p_parity`` and ``p_sign``. The trace has a
+    ``parity`` step (outcome None when the gadget fails) and past it a
+    ``sign`` step: the four-counter pattern as ``outcome``, and the ``sign``.
     """
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
@@ -1128,15 +1117,21 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
         oa, ob = (_shift_index(final(m), four) for m in (4, 5))
         swap = [("swap", oa, ob)] if pb["parity"] % 2 == 1 else []
 
-        def classify(pattern, *_):
-            sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
-            corrections = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
-            return {"parity": pb["parity"], "sign": sign, "ok": True, "out_pair": (oa, ob),
-                    "corrections": corrections}
+        def classify(counts, p, state):
+            def branch(i, pattern):
+                sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
+                fixes = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
+                return {"pattern": pattern, "p": p[i], "parity": pb["parity"], "sign": sign,
+                        "ok": True, "out_pair": (oa, ob), "corrections": fixes,
+                        "state": state(i, fixes)}
+
+            return [True] * len(p), branch
 
         for b in _detect(work, four, classify, rng):
             b.update(p=pb["p"] * b["p"], p_parity=pb["p"], p_sign=b["p"])
             branches.append(b)
+    if rng is None:
+        branches = _Branches.of(branches)
     chosen = _resolve(branches, rng)
     if chosen["ok"]:
         _trace_step(trace, "parity", "measure", p=chosen["p_parity"], outcome=chosen["parity"])
@@ -1165,8 +1160,7 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     half_a = FockState(2, {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)})
     half_b = FockState(2, {(0, 1): 1 / math.sqrt(2), (1, 0): 1 / math.sqrt(2)})
     # photon A across (local 0, remote 2); photon B across (local 1, remote 3)
-    state = tensor(half_a, half_b)
-    state = fock.permute_modes(state, [0, 2, 1, 3])
+    state = fock.permute_modes(tensor(half_a, half_b), [0, 2, 1, 3])
     trace = []
     _trace_step(trace, "split-photons", "prep")
     branches = []
@@ -1186,10 +1180,13 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
             continue
         meas = sorted(local)
         rest = tuple(_shift_index(m, meas) for m in remote)
-        for sub in _detect(b["state"], meas, lambda pattern, *_: {
-                "parity": 0, "ok": False, "accepted": False, "remote": rest}, rng):
+        for sub in _detect(b["state"], meas, lambda _, p, state: ([False] * len(p), lambda i, pattern: {
+                "pattern": pattern, "p": p[i], "parity": 0, "ok": False, "accepted": False,
+                "remote": rest, "state": state(i)}), rng):
             sub["p"] = b["p"] * sub["p"]
             branches.append(sub)
+    if rng is None:
+        branches = _Branches.of(branches)
     chosen = _resolve(branches, rng)
     _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
     details = {"branch": chosen}

@@ -153,14 +153,82 @@ class TestDeferredBranchStates:
         assert len(calls) == 1 and res.succeeded
 
 
+#: the key order of every kind of branch dict an exact run lists
+_KEY_ORDERS = {
+    ("pattern", "p", "k", "ok", "projected", "state"),
+    ("pattern", "p", "k", "ok", "target_mode", "corrections", "state"),
+    ("ok", "stage", "pattern1", "k1", "p", "p1", "state", "projected"),
+    ("p", "pattern1", "k1", "pattern2", "k2", "p1", "ok", "stage", "projected", "target_x",
+     "corrections", "state", "p2"),
+    ("p", "pattern1", "k1", "pattern2", "k2", "p1", "ok", "target_x", "target_y",
+     "leftover_modes", "corrections", "state", "p2"),
+    ("p", "pattern1", "k1", "pattern2", "k2", "p1", "ok", "target_x", "target_y",
+     "leftover_modes", "parity", "corrections", "state", "p2"),
+    ("pattern", "p", "parity", "sign", "ok", "out_pair", "corrections", "state", "p_parity",
+     "p_sign"),
+}
+
+SEQUENCES = {
+    **{f"teleport_tn_n{n}": (lambda a, b, n=n: protocols.teleport_tn(
+        costs.encode_single_rail(*a), 0, n)) for n in range(1, 5)},
+    **{f"csign_teleported_n{n}": (lambda a, b, n=n: protocols.csign_teleported(
+        tensor(encode_qubit(*a), encode_qubit(*b)), Q1, Q2, n)) for n in (1, 2)},
+    "parity_measure": lambda a, b: GADGETS["parity_measure"](a, b, 2),
+    "teleport_with_e": lambda a, b: protocols.teleport_with_e(*a, n=2),
+}
+
+
+def _builtin(value):
+    """Whether ``value`` is built of Python scalars, tuples and lists (no numpy scalar)."""
+    if type(value) in (tuple, list):
+        return all(map(_builtin, value))
+    return value is None or type(value) in (bool, int, float, str)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SEQUENCES)), qubits, qubits, st.data())
+def test_branch_columns_act_as_the_eager_list(name, a, b, data):
+    branches = SEQUENCES[name](a, b).details["branches"]
+    size = len(branches)
+    # reads in a drawn order, negative indices included, before any iteration
+    reads = data.draw(st.lists(st.integers(-size, size - 1), max_size=6))
+    seen = {}
+    for i in reads:
+        branch = branches[i]
+        assert seen.setdefault(i % size, branch) is branch
+        assert branches[i % size] is branch and branches[i % size - size] is branch
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            branches[i]
+    with pytest.raises(TypeError):
+        branches[0] = {}
+    if reads:
+        branches[reads[0]]["edited"] = True
+    listed = list(branches)
+    assert len(listed) == size and list(branches) == listed
+    assert all(x is y for x, y in zip(listed, branches)) and listed[::-1] == branches[::-1]
+    assert all(listed[i] is branch for i, branch in seen.items())
+    assert not reads or branches[reads[0]].pop("edited")
+    # the columns are the dicts' p and ok, the sums those of the dicts
+    assert branches.p == [b["p"] for b in listed] and branches.ok == [b["ok"] for b in listed]
+    assert branches.mass() == sum(b["p"] for b in listed if b["ok"])
+    for branch in listed:
+        assert tuple(branch) in _KEY_ORDERS
+        assert all(_builtin(value) for key, value in branch.items() if key != "state")
+        assert isinstance(branch["state"], FockState)
+    # mutable values are fresh per dict
+    lists = [value for branch in listed for value in branch.values() if type(value) is list]
+    assert len({id(value) for value in lists}) == len(lists)
+
+
 class TestResolver:
     def test_analytic_takes_the_first_successful_branch(self):
         branches = [{"p": 0.5, "ok": False}, {"p": 0.2, "ok": True}, {"p": 0.3, "ok": True}]
-        assert protocols._resolve(branches, None) is branches[1]
+        assert protocols._resolve(protocols._Branches.of(branches), None) is branches[1]
 
     def test_analytic_without_success_takes_the_likeliest_branch(self):
         branches = [{"p": 0.2, "ok": False}, {"p": 0.7, "ok": False}, {"p": 0.1, "ok": False}]
-        assert protocols._resolve(branches, None) is branches[1]
+        assert protocols._resolve(protocols._Branches.of(branches), None) is branches[1]
 
     def test_sampled_takes_the_one_drawn_branch_without_a_draw(self):
         branches = [{"p": 0.25, "ok": False}]
@@ -170,8 +238,10 @@ class TestResolver:
         assert rng.bit_generator.state == before
 
 
-def _keep(pattern, *_):
-    return {"ok": pattern[0] == 0}
+def _keep(counts, p, state):
+    """A stage's classifier: ``ok`` where the first mode counts no photon."""
+    ok = (counts[:, 0] == 0).tolist()
+    return ok, lambda i, pattern: {"pattern": pattern, "p": p[i], "ok": ok[i], "state": state(i)}
 
 
 class TestDetect:

@@ -517,7 +517,7 @@ def _detect_records(work, u, modes):
     classified = protocols._classified
     protocols._classified = lambda records, *rest: seen.append(records) or classified(records, *rest)
     try:
-        protocols._detect(work, modes, lambda *_: {}, None, u)
+        protocols._detect(work, modes, lambda counts, p, state: (None, None), None, u)
     finally:
         protocols._classified = classified
     (records,) = seen
@@ -565,6 +565,19 @@ def _phase_classify(pattern, k, s):
     return {"k": k, "ok": k % 2 == 1, "corrections": corrections}
 
 
+def _phase_columns(counts, p, state):
+    """``_phase_classify`` as a stage's classifier (``protocols._classified``),
+    k and s summed row by row."""
+    ks = [sum(row) for row in counts.tolist()]
+    ss = [sum(j * r for j, r in enumerate(row)) for row in counts.tolist()]
+
+    def branch(i, pattern):
+        fields = _phase_classify(pattern, ks[i], ss[i])
+        return {"pattern": pattern, "p": p[i], **fields, "state": state(i, fields["corrections"])}
+
+    return [k % 2 == 1 for k in ks], branch
+
+
 def _branch_bits(branch):
     """Every field of a branch, keys in order: floats by ``float.hex``, the
     state by the ``float.hex`` of its amplitudes, anything else by ``repr``."""
@@ -604,9 +617,9 @@ def test_exact_detection_branches_equal_the_per_pattern_classify(detection):
         expected = _per_pattern_branches(work, u, modes, _phase_classify)
     except fock.FockError as exc:  # a norm that underflows to zero
         with pytest.raises(type(exc), match=str(exc)):
-            protocols._detect(work, modes, _phase_classify, None, u)
+            protocols._detect(work, modes, _phase_columns, None, u)
         return
-    got = protocols._detect(work, modes, _phase_classify, None, u)
+    got = protocols._detect(work, modes, _phase_columns, None, u)
     assert [_branch_bits(b) for b in got] == [_branch_bits(b) for b in expected]
 
 

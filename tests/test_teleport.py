@@ -375,9 +375,9 @@ class TestOnePassSecondStage:
 
 
 class TestBranchesFromColumns:
-    """An exact stage builds its branches from the columns of its records:
-    one lazy state per branch, holding the stage's shared block, and
-    nothing projected until a state is read."""
+    """An exact run lists its branches as columns: a branch's dict and its
+    lazy state, which holds the stage's shared block, are made when the
+    branch is read, and nothing is projected until a state is read."""
 
     RUNS = {
         "teleport_tn": lambda: teleport_tn(encode_single_rail(0.6, 0.8j), 0, 6),  # one pass
@@ -387,35 +387,59 @@ class TestBranchesFromColumns:
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_one_lazy_state_per_branch(self, name, monkeypatch):
+    def test_a_state_is_made_only_for_a_read_branch(self, name, monkeypatch):
         lazy = []
         init = protocols._BranchState.__init__
         monkeypatch.setattr(protocols._BranchState, "__init__",
                             lambda state, *a: lazy.append(state) or init(state, *a))
         projections = _counting(monkeypatch, measure, "_projection")
         passes = _counting(monkeypatch, measure, "_pass_groups")
-        branches = self.RUNS[name]().details["branches"]
-        # every branch of every stage: stage 1 of the gate has a branch per
-        # success that its stage-2 branches replace
-        successes = {b["pattern1"] for b in branches if "pattern2" in b}
-        assert len(lazy) == len(branches) + len(successes)
-        assert {id(b["state"]) for b in branches} <= {id(state) for state in lazy}
+        res = self.RUNS[name]()
+        branches = res.details["branches"]
+        # the op made one lazy state, the landed branch's, and built it
+        assert lazy == [res.output_state] and not hasattr(res.output_state, "_block")
+        projected = len(projections)
+        # reading a branch makes its dict and one lazy state; reading it again makes none
+        landed = branches.ok.index(True)
+        read = [i for i in (0, len(branches) // 2, len(branches) - 1) if i != landed]
+        for count, i in enumerate(read, start=2):
+            branch = branches[i - len(branches)]
+            assert branches[i] is branch and len(lazy) == count and lazy[-1] is branch["state"]
+        assert len(projections) == projected
         # k and s come from the records' columns, not pattern by pattern
         assert not hasattr(protocols, "_phase_index")
-        unread = [state for state in lazy if hasattr(state, "_block")]
-        # a lazy state holds a block shared by its stage, its bounds, its
-        # weight and its corrections, and nothing else of its own
+        # a lazy state holds a block shared by its stage, its row, its weight
+        # and its corrections, and nothing else of its own
+        unread = lazy[1:]
+        assert all(hasattr(state, "_block") for state in unread)
         assert len({id(state._block) for state in unread}) <= 1 + len(passes)
         for state in unread:
             own = [ref for ref in gc.get_referents(state)
                    if ref is not state._block and not isinstance(ref, type)]
             assert {type(ref) for ref in own} <= {int, float, list, tuple}
-        # read: the landed branch and the stage-1 successes the pass evolved
-        assert len(projections) == len(lazy) - len(unread) == 1 + len(successes)
-        for state in unread[:5]:
+        # reading every dict projects nothing; the op projected the landed
+        # branch and the stage-1 successes that the gate's pass evolved
+        successes = {b["pattern1"] for b in branches if "pattern2" in b}
+        assert len(lazy) == len(branches) and len(projections) == projected == 1 + len(successes)
+        for state in unread:
             state.terms()
             state.norm()
-        assert len(projections) == 6 + len(successes)
+        assert len(projections) == projected + len(unread)
+
+    def test_tracked_objects_grow_with_the_stages_not_the_branches(self):
+        # clock-free: an exact teleport_tn keeps columns, not per-branch objects
+        def grown(n):
+            state = encode_single_rail(0.6, 0.8j)
+            teleport_tn(state, 0, n)  # fills the caches the first run fills
+            gc.collect()
+            before = len(gc.get_objects())
+            res = teleport_tn(state, 0, n)
+            gc.collect()
+            return len(gc.get_objects()) - before, len(res.details["branches"])
+
+        (small, few), (large, many) = grown(4), grown(8)
+        assert many > 50 * few
+        assert large - small < 10 and large < 100
 
 
 class TestCsignTeleported:
