@@ -311,3 +311,61 @@ def test_teleport_with_e_reports_the_corrections_of_a_gadget_failure():
             assert res.corrections == branch.get("corrections", [])
             seen += branch["stage"] == 2
     assert seen
+
+
+def _single_rail_pair():
+    return tensor(costs.encode_single_rail(0.6, 0.8j), costs.encode_single_rail(0.28j, 0.96))
+
+
+def _e_input():
+    return tensor(encode_qubit(0.6, 0.8j), protocols.make_resource("e").state)
+
+
+#: every gadget entry point, run with an rng or without, and the success
+#: probability its exact run reports: the ok mass of its branch list unless
+#: the gadget reports another probability
+ENTRY_POINTS = {
+    "apply_ns1": (lambda rng: protocols.apply_ns1(FockState(1, {(0,): 0.6, (1,): 0.48j, (2,): 0.64}),
+                                                  0, rng=rng), None),
+    "csign_via_ns": (lambda rng: protocols.csign_via_ns(_plus_plus(), Q1, Q2, rng=rng), None),
+    "teleport_bm1": (lambda rng: protocols.teleport_bm1(costs.encode_single_rail(0.6, 0.8j), 0,
+                                                        rng=rng), None),
+    "teleport_tn": (lambda rng: protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, 3,
+                                                      rng=rng), None),
+    "csign_teleported": (lambda rng: protocols.csign_teleported(_plus_plus(), Q1, Q2, 2, rng=rng),
+                         None),
+    "parity_measure": (lambda rng: protocols.parity_measure(_single_rail_pair(), 0, 1, 2, rng=rng),
+                       None),
+    # the probability of the NS gates the preparation passed, each 1/16
+    "combine_tp_to_tprime": (lambda rng: protocols.combine_tp_to_tprime(1, "ns", rng=rng),
+                             lambda res: 16.0 ** -res.details["csign_count"]),
+    "prepare_p_prime": (lambda rng: protocols.prepare_p_prime(1, "ns", rng=rng),
+                        lambda res: 16.0 ** -res.details["csign_count"]),
+    # the parity gadget's success probability
+    "teleport_with_e": (lambda rng: protocols.teleport_with_e(0.6, 0.8j, n=2, rng=rng),
+                        lambda res: protocols.parity_measure(_e_input(), 1, 2, 2).success_probability),
+    "distribute_entanglement": (lambda rng: protocols.distribute_entanglement(2, rng=rng),
+                                lambda res: res.details["acceptance_probability"]),
+}
+
+
+class TestResultAssembly:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_exact_result_lists_its_branches(self, name):
+        run, reported = ENTRY_POINTS[name]
+        res = run(None)
+        branches = res.details["branches"]
+        assert isinstance(branches, protocols._Branches)
+        if reported is None:
+            assert res.success_probability == branches.mass()
+        else:
+            assert res.success_probability == pytest.approx(reported(res), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_sampled_result_reports_no_probability_and_no_list(self, name, seed):
+        res = ENTRY_POINTS[name][0](np.random.default_rng(seed))
+        assert res.success_probability is None
+        assert "branches" not in res.details
+        if name in ("teleport_with_e", "distribute_entanglement"):
+            assert res.details["branch"]["ok"] == res.succeeded

@@ -143,12 +143,28 @@ CASES = {
 }
 
 
+#: small branch lists, each recorded branch by branch and field by field
+SMALL = {
+    "apply_ns1 branches": lambda: protocols.apply_ns1(
+        fock.FockState(1, {(0,): 0.6, (1,): 0.48j, (2,): 0.64}), 0),
+    "csign_via_ns branches": lambda: protocols.csign_via_ns(
+        fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.28j, 0.96)),
+        BosonicQubit(0, 1), BosonicQubit(2, 3)),
+    "teleport_bm1": lambda: protocols.teleport_bm1(costs.encode_single_rail(0.6, 0.8j), 0),
+    "combine_tp_to_tprime_n2": lambda: protocols.combine_tp_to_tprime(2),
+    "prepare_p_prime_n2": lambda: protocols.prepare_p_prime(2),
+    "teleport_with_e_n3_ideal": lambda: protocols.teleport_with_e(0.6, 0.8j, n=3, ideal_parity=True),
+    "distribute_entanglement_n3_ideal": lambda: protocols.distribute_entanglement(3, method="ideal"),
+}
+CASES |= {name: (lambda f=f: _listed(f())) for name, f in SMALL.items()}
+
 #: the results whose branch fields are recorded too, as ``<name> fields``
 FIELD_CASES = {
     **{f"teleport_tn_n{n}": (lambda n=n: _teleport(n)) for n in (3, 6)},
     **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in (2, 4)},
     "parity_measure_n3": lambda: _parity(3),
     "teleport_with_e_n3": lambda: protocols.teleport_with_e(0.6, 0.8j, n=3),
+    **SMALL,
 }
 
 #: every record: its name and how to compute its digest
