@@ -4,25 +4,28 @@ Qubit convention: logical |0> is one photon in the *second* mode of the
 pair (occupation 01), logical |1> is one photon in the first (10).
 
 Every gadget returns a ProtocolResult. With ``rng=None`` the gadget is
-evaluated analytically: the output is the post-selected success branch and
-``details["branches"]`` lists every measurement outcome with its exact
-probability. With an ``rng`` the outcomes are sampled, one trajectory drawn
-stage by stage, so a sampled run projects one branch per stage. Every
-detection is one stage of ``_detect``: it counts some modes (after a mode
-unitary, for the Fourier multiports) into ``measure._Records`` columns and
-classifies the whole stage at once (``_classified``). An exact run's list
-is a ``_Branches``: the ``p`` and ``ok`` columns, from which the resolver
-(``_resolve``) and the probabilities are read, and a branch's dict, built
-only when the branch is read. A two-stage gadget lists the first stage's
-failures and the second stage's branches on each first-stage success,
-``p`` the product of the two. An exact detection behind a unitary takes
-its records from ``measure._evolved_groups`` (the second detections of a
-teleported gate in one array pass); a sampled one draws its pattern
-through ``measure._sample_detection``, equal to the exact branch to 1e-10.
+evaluated analytically: every outcome of every detection is listed with its
+exact probability. With an ``rng`` one trajectory is drawn stage by stage,
+and each stage lists only its drawn outcome. Every detection is one stage
+of ``_detect``: it counts some modes (after a mode unitary, for the Fourier
+multiports) into ``measure._Records`` columns and classifies the whole
+stage at once (``_classified``) into a ``_Branches``, exact or sampled: the
+``p`` and ``ok`` columns, from which the resolver (``_resolve``) and the
+probabilities are read, and a branch's dict, built only when the branch
+is read. A sampled list is the same type with one row. A two-stage gadget
+lists the first stage's failures and the second stage's branches on each
+first-stage success, ``p`` the product of the two. The output is the
+resolved branch, the first success (the post-selected view), and
+``_result`` assembles the result: exact, it reports the success
+probability and the whole list as ``details["branches"]``; sampled,
+neither. An exact detection behind a unitary takes its records from
+``measure._evolved_groups`` (the second detections of a teleported gate in
+one array pass); a sampled one draws its pattern through
+``measure._sample_detection``, equal to the exact branch to 1e-10.
 
 A branch dict carries ``p``, ``ok`` (whether the gadget succeeded) and
 ``state`` (the post-measurement state, corrections applied, built when its
-terms are first read in an exact run), plus ``corrections`` (the
+terms are first read), plus ``corrections`` (the
 ``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward) when one was
 applied. Gadgets add their own keys: the detected ``pattern``
 (``pattern1``/``pattern2`` per teleportation stage), ``k1``/``k2``,
@@ -111,32 +114,24 @@ def _records(work, modes, rng, unitary=None):
 
 
 def _detect(work, modes, classify, rng, unitary=None):
-    """One detection stage: ``_classified(_records(work, modes, rng, unitary), classify, rng)``."""
-    return _classified(_records(work, modes, rng, unitary), classify, rng)
+    """One detection stage: ``_classified(_records(work, modes, rng, unitary), classify)``."""
+    return _classified(_records(work, modes, rng, unitary), classify)
 
 
-def _classified(records, classify, rng):
-    """The branches of a stage's records. ``classify(counts, p, state)`` is
-    called once with the count array (k and s of every row from
-    ``_totals``), the ``p`` column and ``state(i, corrections=())``, branch
-    ``i``'s ``_BranchState``; it returns the ``ok`` column and ``branch(i,
-    pattern)``, which makes branch ``i``'s dict: ``pattern``, ``p``, its own
-    keys, then ``state``. Exact, they are a ``_Branches`` over the columns;
-    with an rng, the list of the one drawn branch (``_drawn``)."""
+def _classified(records, classify):
+    """The ``_Branches`` of a stage's records, every pattern or the one
+    drawn. ``classify(counts, p, state)`` is called once with the count
+    array (k and s of every row from ``_totals``), the ``p`` column and
+    ``state(i, corrections=())``, branch ``i``'s ``_BranchState``; it
+    returns the ``ok`` column and ``branch(i, pattern)``, which makes branch
+    ``i``'s dict: ``pattern``, ``p``, its own keys, then ``state``."""
     counts = records.counts
     ok, branch = classify(counts, records.p, partial(_BranchState, records))
 
     def build(start, stop):
         return list(map(branch, range(start, stop), _rows(counts[start:stop])))
 
-    return _Branches(records.p, ok, build) if rng is None else _drawn(build(0, 1))
-
-
-def _drawn(branches):
-    """A sampled stage's branch list, its one branch's state built at once."""
-    for branch in branches:
-        branch["state"] = branch["state"].built()
-    return branches
+    return _Branches(records.p, ok, build)
 
 
 def _totals(counts):
@@ -150,7 +145,7 @@ def _rows(counts):
 
 
 class _Branches(Sequence):
-    """An exact run's branch list as columns: ``p`` and ``ok``, every
+    """A branch list as columns (a sampled run's has one row): ``p`` and ``ok``, every
     branch's probability and success flag, and ``build(start, stop)``, which
     makes the dicts of branches ``start`` to ``stop - 1``. A dict, with its
     lazy state, is built when its branch is first read (iterating builds the
@@ -234,24 +229,26 @@ def _corrected(state, corrections):
     return state
 
 
-def _resolve(branches, rng):
-    """The branch a run lands on.
-
-    With an rng: the one branch the run drew. Without one: the
-    post-selected view, the first branch with ``ok`` set, or the likeliest
-    branch when none succeeds (an input with no success channel), found
-    from the ``_Branches`` columns.
-    """
-    if rng is not None:
-        (chosen,) = branches
-        return chosen
+def _resolve(branches):
+    """The branch a run lands on: the post-selected view, the first branch
+    with ``ok`` set, or the likeliest branch when none succeeds (an input
+    with no success channel), found from the ``_Branches`` columns. A
+    sampled run's one-row list resolves to its row, with no draw."""
     ok, p = branches.ok, branches.p
     return branches[ok.index(True) if True in ok else p.index(max(p))]
 
 
-def _result(chosen, p, details, trace, failure=None) -> ProtocolResult:
-    """The ProtocolResult of the resolved branch, its state built; ``failure(chosen)``
-    builds the failure_info, for the chosen branch only."""
+def _result(chosen, branches, rng, details, trace, failure=None, p=None) -> ProtocolResult:
+    """The ProtocolResult of the resolved branch, its state built. Exact
+    (``rng=None``), ``details["branches"]`` is the list and the success
+    probability ``p``, by default the ok mass of ``branches``; a sampled
+    run, which knows only its drawn rows, reports neither.
+    ``failure(chosen)`` builds the failure_info, for the chosen branch only."""
+    if rng is None:
+        details["branches"] = branches
+        p = branches.mass() if p is None else p
+    else:
+        p = None
     ok = chosen["ok"]
     chosen["state"].term_count()
     return ProtocolResult(ok, p, chosen["state"], corrections=chosen.get("corrections", []),
@@ -441,11 +438,10 @@ def apply_ns1(state: FockState, mode: int, rng=None) -> ProtocolResult:
     probability is exactly 1/4 for any admissible (<= 2 photon) input.
     """
     branches = _ns_stage(state, mode, rng)
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     trace = []
     _ns_trace(trace, mode, state.modes, chosen["p"], chosen["pattern"])
-    return _result(chosen, branches.mass() if rng is None else None,
-                   {"branches": branches} if rng is None else {}, trace,
+    return _result(chosen, branches, rng, {}, trace,
                    lambda b: {"detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
@@ -469,17 +465,15 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
                 by["state"] = apply_unitary(by["state"], element_matrix(BeamSplitter(0, 1, -BALANCED)),
                                             [mode_x, mode_y])
             branches.append(by)
-    if rng is None:
-        branches = _Branches.of(branches)
-    chosen = _resolve(branches, rng)
+    branches = _Branches.of(branches)
+    chosen = _resolve(branches)
     trace = []
     _trace_step(trace, "mix", "element", modes=[mode_x, mode_y])
     for mode, (p, pattern) in zip((mode_x, mode_y), chosen["heralds"]):
         _ns_trace(trace, mode, state.modes, p, pattern)
     if chosen["ok"]:
         _trace_step(trace, "unmix", "element", modes=[mode_x, mode_y])
-    return _result(chosen, branches.mass() if rng is None else None,
-                   {"branches": branches} if rng is None else {}, trace,
+    return _result(chosen, branches, rng, {}, trace,
                    lambda b: {"stage": b["stage"], "detector": "ns1-ancilla", "outcome": b["pattern"]})
 
 
@@ -595,13 +589,9 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
         return [total == 1 for total in counts.sum(1).tolist()], branch
 
     branches = _detect(work, [input_mode, m0], classify, rng)
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     _trace_step(trace, "bm1", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
-    details = {"target_mode": target}
-    if rng is None:
-        details["branches"] = branches
-    return _result(chosen, branches.mass() if rng is None else None, details, trace,
-                   _projected(input_mode))
+    return _result(chosen, branches, rng, {"target_mode": target}, trace, _projected(input_mode))
 
 
 # -- near-deterministic teleportation through the Fourier multiport -----------
@@ -652,16 +642,14 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     branches = _detect(tensor(state, res.state), fourier_modes, classify, rng, fourier_matrix(n))
     trace = []
     _trace_step(trace, "fourier", "element", modes=fourier_modes)
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     _trace_step(trace, "bm-n", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
     details = {"n": n}
     if chosen["ok"]:
         details["target_mode"] = chosen["target_mode"]
-    p_success = None
     if rng is None:
-        p_success = branches.mass()
-        details.update(branches=branches, failure_probability=branches.mass(False))
-    return _result(chosen, p_success, details, trace, _projected(input_mode))
+        details["failure_probability"] = branches.mass(False)
+    return _result(chosen, branches, rng, details, trace, _projected(input_mode))
 
 
 class _TeleportLayout:
@@ -697,10 +685,10 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     The tree lists each stage-1 failure and, in place of each success, the
     branches of its y detection, with ``p1`` (and ``p2``) and their product
     ``p``; with a ``flavor`` (the parity resource's) a success carries its
-    ``parity``. Exact, the y detections run in one array pass
-    (``measure._evolved_groups``) and the tree is a ``_Branches`` whose
-    columns, correction angles included, are computed at once; with an
-    ``rng`` stage 2 draws on the projected stage-1 state.
+    ``parity``. The tree is a ``_Branches`` whose columns, correction
+    angles included, are computed at once. Exact, the y detections run in
+    one array pass (``measure._evolved_groups``); with an ``rng`` stage 2
+    draws on the projected stage-1 state, and the tree has one row.
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega, u = 2 * math.pi / (n + 1), fourier_matrix(n)
@@ -775,11 +763,11 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             branches.append(branch)
         return branches
 
-    return (_Branches(p, ok.tolist(), build) if rng is None else _drawn(build(0, 1))), layout
+    return _Branches(p, ok.tolist(), build), layout
 
 
 def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     trace = []
     _trace_step(trace, "fourier-x", "element", modes=layout.fourier_x)
     _trace_step(trace, "bm-x", "measure", p=chosen["p1"], outcome=list(chosen["pattern1"]))
@@ -787,16 +775,12 @@ def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
         _trace_step(trace, "fourier-y", "element", modes=layout.fourier_y)
         _trace_step(trace, "bm-y", "measure", p=chosen["p2"], outcome=list(chosen["pattern2"]))
     details = {"n": layout.n, "layout": layout}
-    p_success = None
-    if rng is None:
-        p_success = branches.mass()
-        details.update(branches=branches, success_probability=p_success)
     if chosen["ok"]:
         details.update({key: chosen[key] for key in ("target_x", "target_y", "leftover_modes",
                                                       "k1", "k2", "parity") if key in chosen})
     else:
         details["branch"] = chosen
-    return _result(chosen, p_success, details, trace, lambda b: {
+    return _result(chosen, branches, rng, details, trace, lambda b: {
         "projected_mode": mode_x if b["stage"] == 1 else mode_y,
         "value": b["projected"], "stage": b["stage"]})
 
@@ -973,14 +957,10 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
         return [True] * len(p), branch
 
     branches = _detect(state, measured, classify, rng)
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
-    details = {"csign_count": ledger.count}
-    if rng is None:
-        details["branches"] = branches
-    else:
-        details["pattern"] = chosen["pattern"]
-    return _result(chosen, ledger.probability if rng is None else None, details, ledger.trace)
+    return _result(chosen, branches, rng, {"csign_count": ledger.count, "pattern": chosen["pattern"]},
+                   ledger.trace, p=ledger.probability)
 
 
 def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult:
@@ -1016,12 +996,10 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
             "state": state(i)}
 
     branches = _detect(state, [anc1, anc2], classify, rng)
-    chosen = _resolve(branches, rng)
+    chosen = _resolve(branches)
     _trace_step(ledger.trace, "bm-ancilla", "measure", p=chosen["p"], outcome=list(chosen["pattern"]))
-    details = {"csign_count": ledger.count, "parity": chosen["parity"]}
-    if rng is None:
-        details["branches"] = branches
-    return _result(chosen, ledger.probability if rng is None else None, details, ledger.trace)
+    return _result(chosen, branches, rng, {"csign_count": ledger.count, "parity": chosen["parity"]},
+                   ledger.trace, p=ledger.probability)
 
 
 # -- nondestructive parity measurement and its applications -------------------
@@ -1085,7 +1063,7 @@ def _parity_check(state, mode_x, mode_y, n, ideal, rng):
         return [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
                 for b in checked], lambda m: m, 1.0
     branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
-    return branches, layout.final, branches.mass() if rng is None else None
+    return branches, layout.final, branches.mass()
 
 
 def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
@@ -1130,18 +1108,16 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
         for b in _detect(work, four, classify, rng):
             b.update(p=pb["p"] * b["p"], p_parity=pb["p"], p_sign=b["p"])
             branches.append(b)
-    if rng is None:
-        branches = _Branches.of(branches)
-    chosen = _resolve(branches, rng)
+    branches = _Branches.of(branches)
+    chosen = _resolve(branches)
     if chosen["ok"]:
         _trace_step(trace, "parity", "measure", p=chosen["p_parity"], outcome=chosen["parity"])
         _trace_step(trace, "sign", "measure", p=chosen["p_sign"], outcome=list(chosen["pattern"]),
                     sign=chosen["sign"])
     else:
         _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=None)
-    details = {"branches": branches} if rng is None else {"branch": chosen}
-    return _result(chosen, p_gadget if rng is None else None, details, trace,
-                   lambda b: {"stage": b["stage"], "projected": b["projected"]})
+    return _result(chosen, branches, rng, {"branch": chosen}, trace,
+                   lambda b: {"stage": b["stage"], "projected": b["projected"]}, p_gadget)
 
 
 def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> ProtocolResult:
@@ -1185,15 +1161,14 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
                 "remote": rest, "state": state(i)}), rng):
             sub["p"] = b["p"] * sub["p"]
             branches.append(sub)
-    if rng is None:
-        branches = _Branches.of(branches)
-    chosen = _resolve(branches, rng)
+    branches = _Branches.of(branches)
+    chosen = _resolve(branches)
     _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
     details = {"branch": chosen}
-    p_accept = None
     if rng is None:
         reported = [b for b in branches if b["parity"] is not None]
-        p_accept = sum(b["p"] for b in reported if b["accepted"]) / sum(b["p"] for b in reported)
-        details = {"acceptance_probability": p_accept, "branches": branches}
-    return _result(chosen, p_accept, details, trace,
-                   lambda b: b.get("gadget_failure") or {"parity": 0})
+        details["acceptance_probability"] = (sum(b["p"] for b in reported if b["accepted"])
+                                             / sum(b["p"] for b in reported))
+    return _result(chosen, branches, rng, details, trace,
+                   lambda b: b.get("gadget_failure") or {"parity": 0},
+                   details.get("acceptance_probability"))

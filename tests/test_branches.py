@@ -4,10 +4,10 @@ Detector models give branches whose probabilities sum to 1, bucket classes
 that merge several count patterns included. Every gadget detects through
 one stage, ``protocols._detect``, which lists branch dicts carrying
 ``pattern``, ``p``, ``ok`` and ``state``: every branch analytically, the
-one drawn branch with an rng, so a sampled run draws stage by stage. An
-exact branch's state is built the first time its terms are read, bit for
-bit what an eager build gives. One resolver turns them into the result:
-the first successful branch analytically, the drawn branch with an rng.
+one drawn branch with an rng, so a sampled run draws stage by stage. A
+branch's state is built the first time its terms are read, bit for bit
+what an eager build gives. One resolver turns them into the result: the
+first successful branch, which is the one drawn branch with an rng.
 """
 
 import cmath
@@ -224,18 +224,20 @@ def test_branch_columns_act_as_the_eager_list(name, a, b, data):
 class TestResolver:
     def test_analytic_takes_the_first_successful_branch(self):
         branches = [{"p": 0.5, "ok": False}, {"p": 0.2, "ok": True}, {"p": 0.3, "ok": True}]
-        assert protocols._resolve(protocols._Branches.of(branches), None) is branches[1]
+        assert protocols._resolve(protocols._Branches.of(branches)) is branches[1]
 
     def test_analytic_without_success_takes_the_likeliest_branch(self):
         branches = [{"p": 0.2, "ok": False}, {"p": 0.7, "ok": False}, {"p": 0.1, "ok": False}]
-        assert protocols._resolve(protocols._Branches.of(branches), None) is branches[1]
+        assert protocols._resolve(protocols._Branches.of(branches)) is branches[1]
 
     def test_sampled_takes_the_one_drawn_branch_without_a_draw(self):
         branches = [{"p": 0.25, "ok": False}]
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        assert protocols._resolve(branches, rng) is branches[0]
-        assert rng.bit_generator.state == before
+        assert protocols._resolve(protocols._Branches.of(branches)) is branches[0]
+        # a sampled sign flip draws its one detection and nothing more
+        rng, drawn = np.random.default_rng(3), np.random.default_rng(3)
+        protocols.apply_ns1(FockState(1, {(0,): 0.6, (1,): 0.8}), 0, rng=rng)
+        drawn.random()
+        assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def _keep(counts, p, state):
