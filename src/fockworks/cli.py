@@ -197,30 +197,39 @@ def cmd_run(cfg: RunConfig) -> int:
 # -- decompose ----------------------------------------------------------------
 
 
+def _entry(cell) -> complex:
+    """A matrix entry: a number (or numeric string), [re, im] or {"re": .., "im": ..}."""
+    try:
+        if isinstance(cell, list):
+            re, im = cell
+            return complex(re, im)
+        if isinstance(cell, dict):
+            return complex(cell.get("re", 0.0), cell.get("im", 0.0))
+        return complex(cell)
+    except (TypeError, ValueError):
+        raise ValueError(f"not a matrix entry: {cell!r}") from None
+
+
 def _parse_matrix(data) -> np.ndarray:
+    """A non-empty square matrix: a list of rows of entries, or {"matrix": rows}."""
     if isinstance(data, dict):
-        data = data["matrix"]
-    rows = []
-    for row in data:
-        entries = []
-        for cell in row:
-            if isinstance(cell, (int, float)):
-                entries.append(complex(cell))
-            elif isinstance(cell, (list, tuple)):
-                entries.append(complex(cell[0], cell[1]))
-            elif isinstance(cell, dict):
-                entries.append(complex(cell.get("re", 0.0), cell.get("im", 0.0)))
-            else:
-                entries.append(complex(cell))
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+        data = data.get("matrix")
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError('expected a matrix: a list of rows, or {"matrix": rows}')
+    lengths = [len(row) for row in data]
+    if len(set(lengths)) > 1:
+        raise optics.NonUnitaryError(f"expected a square matrix, got rows of lengths {lengths}")
+    shape = (len(data), *lengths[:1])
+    if shape != (len(data),) * 2:
+        raise optics.NonUnitaryError(f"expected a square matrix, got shape {shape}")
+    return np.array([[_entry(cell) for cell in row] for row in data], dtype=complex)
 
 
 def cmd_decompose(path: str, tol: float, out: str | None) -> int:
     with open(path) as fh:
         mat = _parse_matrix(json.load(fh))
     residual = optics.unitarity_residual(mat)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual (NaN or inf entries) fails too
         _say(f"error: input is not unitary (residual {residual:.3e} > {tol:.1e})")
         return 2
     seq = optics.decompose_reck(optics.ModeUnitary(mat, tol=tol))

@@ -59,7 +59,7 @@ class ModeUnitary:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonUnitaryError(f"expected a square matrix, got shape {m.shape}")
         residual = unitarity_residual(m)
-        if residual > tol:
+        if not residual <= tol:  # a NaN residual (NaN or inf entries) fails too
             raise NonUnitaryError(f"unitarity residual {residual:.3e} exceeds {tol:.1e}")
         m.setflags(write=False)
         self.matrix = m
@@ -77,7 +77,8 @@ class ModeUnitary:
 
 def unitarity_residual(matrix) -> float:
     m = np.asarray(matrix, dtype=complex)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries give NaN or inf
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,31 @@ class TestDecompose:
         assert code == 2
         assert "not unitary" in err
 
+    @pytest.mark.parametrize("matrix", ['[["nan"]]', "[[1e400, 0], [0, 1]]"], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, capsys, tmp_path, matrix):
+        path = tmp_path / "bad.json"
+        path.write_text(matrix)
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert "not unitary" in err
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([], "expected a square matrix, got shape (0,)"),
+        ([[]], "expected a square matrix, got shape (1, 0)"),
+        ([[1, 0], [0]], "expected a square matrix, got rows of lengths [2, 1]"),
+        ([[1, 0], [0, 1], [0, 0]], "expected a square matrix, got shape (3, 2)"),
+        ({"re": 1.0}, "expected a matrix"),
+        ([1, 0], "expected a matrix"),
+        ([[None]], "not a matrix entry: None"),
+        ([[[1]]], "not a matrix entry: [1]"),
+    ], ids=["empty", "empty-row", "ragged", "3x2", "no-matrix-key", "flat", "null", "short-pair"])
+    def test_malformed_matrix_is_named(self, capsys, tmp_path, matrix, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(matrix))
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "/nonexistent.json")
         assert code == 2

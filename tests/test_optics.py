@@ -48,6 +48,16 @@ class TestElementMatrices:
         with pytest.raises(ValueError):
             BeamSplitter(2, 2, 0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ModeUnitary([[math.nan]]),
+        lambda: ModeUnitary([[math.inf, 0], [0, 1]]),
+        lambda: element_matrix(BeamSplitter(0, 1, math.nan)),
+        lambda: element_matrix(PhaseShifter(0, math.inf)),
+    ], ids=["nan", "inf", "nan-splitter", "inf-phase"])
+    def test_non_finite_matrix_rejected(self, make):
+        with pytest.raises(NonUnitaryError):
+            make()
+
 
 class TestFourier:
     def test_n1_matrix(self):
