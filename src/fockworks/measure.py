@@ -14,8 +14,8 @@ A branch whose probability, relative to the measured state, is below
 
 Every protocol detection is one stage of ``protocols._detect``: it takes
 a state's branches as columns (``_Records``), classifies them once per
-stage, and builds an exact branch's dict and lazy post-state (decoded from
-the shared block of kept amplitudes) only when the branch is read. Every
+stage, and builds a branch's dict and lazy post-state (decoded from the
+shared block of kept amplitudes) only when the branch is read. Every
 exact stage behind a mode unitary takes its records from
 ``_evolved_groups``, bit for bit those of ``measure_modes`` after
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
