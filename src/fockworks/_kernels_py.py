@@ -1,16 +1,21 @@
-"""Number-basis kernels: the Ryser permanent, the permanents of
+"""Number-basis kernels: Glynn's permanent, the permanents of
 column-deleted minors, and the expansion of U|occ>.
 
-The minors are one numpy pass over the column subsets, walked in blocks
-past ``_SUBSET_BLOCK`` subsets; the permanent is their Laplace expansion
-along the matrix's last row. The expansion runs in one of two forms with
-the same bits: a dict loop on integer-packed occupation keys for one
-occupation, and numpy steps (``arrays=True``) for all the occupations of
-one photon total at once. The numpy form sorts nothing: each photon
-step is one ``np.bincount`` through a cached rank table (``_level``),
-which sums left to right from 0.0 in the dict loop's order, multiplying
-complex numbers in CPython's order on separate real arrays. ``optics``
-and ``measure`` reach the kernels through ``fockworks._backend.kernels``.
+Both permanent forms read one walk (``_glynn_blocks``) over a cached table
+of sign vectors (``_signs``), in blocks of ``_SUBSET_BLOCK`` vectors past
+17 rows: the permanent is the weighted sum of the products of the column
+sums, and the minors take the same products less one column, from prefix
+and suffix products. Glynn's sum is D. G. Glynn, "The permanent of a
+square matrix", European J. Combin. 31 (2010).
+
+The expansion runs in one of two forms with the same bits: a dict loop
+on integer-packed occupation keys for one occupation, and numpy steps
+(``arrays=True``) for all the occupations of one photon total at once.
+The numpy form sorts nothing: each photon step is one ``np.bincount``
+through a cached rank table (``_level``), which sums left to right from
+0.0 in the dict loop's order, multiplying complex numbers in CPython's
+order on separate real arrays. ``optics`` and ``measure`` reach the
+kernels through ``fockworks._backend.kernels``.
 """
 
 import math
@@ -30,60 +35,91 @@ def _sqrt_factorials(n):
     return _SQRT_FACT + [math.exp(0.5 * math.lgamma(k + 1)) for k in range(len(_SQRT_FACT), n + 1)]
 
 
-#: Most column subsets ``permanent_minors`` holds at once, a power of two;
-#: larger matrices walk theirs in blocks of this many.
+#: Most sign vectors one block of the Glynn walk holds, a power of two:
+#: the sign table covers 17 rows, and matrices with more rows walk theirs
+#: in blocks of this many.
 _SUBSET_BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=None)
+def _signs(r):
+    """Glynn's sign vectors of r rows and their weights.
+
+    Returns ``(d, weights)``: the 2^(r-1) vectors delta with delta_0 = +1
+    as the columns of an (r x 2^(r-1)) array, and each vector's sign
+    product over 2^(r-1), a power of two, so exact. For r = 0 it is the
+    one empty vector, of weight 1.
+    """
+    cols = np.arange(1 << max(r - 1, 0))
+    d = np.ones((r, len(cols)))
+    for i in range(1, r):
+        d[i] -= 2 * ((cols >> (i - 1)) & 1)
+    weights = np.multiply.reduce(d, axis=0) / len(cols)
+    for array in (d, weights):
+        array.setflags(write=False)
+    return d, weights
+
+
+def _glynn_blocks(mat):
+    """Walk Glynn's sign vectors over the rows of an (r x k) ``mat``.
+
+    Yields ``(sums, weights)``: the (k x block) column sums ``mat.T @ d``
+    for a block of sign vectors d and the weight of each. Up to 17 rows
+    (``_SUBSET_BLOCK`` vectors) that is one block; past them the table
+    covers the first 17 rows, and each choice of the signs of the other
+    rows shifts its sums by one column of ``shifts``. The yielded sums
+    are overwritten by the next block.
+    """
+    low = min(len(mat), _SUBSET_BLOCK.bit_length())
+    d, weights = _signs(low)
+    sums = mat[:low].T @ d
+    if low == len(mat):
+        yield sums, weights
+        return
+    # the rows past the table take both signs: the columns of a table one row longer, less its first row
+    high, high_weights = _signs(len(mat) - low + 1)
+    shifts = mat[low:].T @ high[1:]
+    block = np.empty_like(sums)
+    for c, w in enumerate(high_weights):
+        yield np.add(sums, shifts[:, c, None], out=block), weights * w
+
+
 def permanent(mat):
-    """Permanent of a square complex matrix: the Laplace expansion along its
-    last row over the column-deleted minors of the rows above, O(n^2 2^n).
+    """Permanent of a square complex matrix by Glynn's formula, O(n^2 2^n):
+    the sum over the sign vectors delta (delta_0 = +1) of
+    prod(delta) prod_j (sum_i delta_i mat[i, j]), over 2^(n-1). Unlike
+    Ryser's sum over column subsets it cancels little: 16 photons stay
+    within 1e-10 of the expansion.
     The 0x0 matrix has permanent 1 (empty product), matching the vacuum
     amplitude.
     """
     mat = np.asarray(mat, dtype=complex)
-    if len(mat) == 0:
-        return 1.0 + 0.0j
-    return complex(mat[-1] @ permanent_minors(mat[:-1]))
-
-
-@lru_cache(maxsize=None)
-def _subsets(k):
-    """The 2^k subsets of k columns as 0/1 rows, and Ryser's sign (-1)^|S| of each."""
-    rows = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return rows.astype(float), 1.0 - 2.0 * (rows.sum(axis=1) % 2)
+    return complex(sum(np.multiply.reduce(sums, axis=0) @ w for sums, w in _glynn_blocks(mat)))
 
 
 def permanent_minors(mat):
     """Permanents of the k column-deleted minors of a (k-1) x k matrix.
 
-    Entry l is the permanent of ``mat`` without column l. Ryser's sum over
-    the column subsets S of all k columns vanishes (k-1 rows cannot cover
-    k columns), so the minor without column l is (-1)^k times the sum of
-    the subsets holding l: one O(k^2 2^k) pass gives all k at once. The
-    products with the 0/1 subset table are taken on real and imaginary
-    parts apart, which keeps them real matrix products. Past
-    ``_SUBSET_BLOCK`` subsets the table covers the low columns only, and
-    the pass walks one block per choice of the high columns, whose row
-    sums it adds to the table's.
+    Entry l is the permanent of ``mat`` without column l: Glynn's sum over
+    the same sign vectors of the rows, of the product of every column sum
+    but column l's. That product is the product of the sums before l times
+    those after it, prefix and suffix products without a division, so one
+    O(k^2 2^k) walk gives all k at once.
     """
     mat = np.asarray(mat, dtype=complex)
     k = mat.shape[1]
-    low = min(k, _SUBSET_BLOCK.bit_length() - 1)
-    rows, sign = _subsets(low)
-    sums = rows @ mat[:, :low].real.T + 1j * (rows @ mat[:, :low].imag.T)
     minors = np.zeros(k, dtype=complex)
-    for high in range(1 << (k - low)):
-        # the block of subsets holding, of the high columns, those set in ``high``
-        block = sums
-        if high:
-            picked = (high >> np.arange(k - low)) & 1
-            block = sums + mat[:, low:] @ picked
-        terms = (-1) ** high.bit_count() * sign * np.prod(block, axis=1)
-        minors[:low] += rows.T @ terms.real + 1j * (rows.T @ terms.imag)
-        if high:
-            minors[low:] += picked * terms.sum()
-    return (-1) ** k * minors
+    for sums, w in _glynn_blocks(mat):
+        # row l: the prefix product of the sums before column l, then times the suffix after it
+        terms = np.ones_like(sums)
+        for l in range(1, k):
+            np.multiply(terms[l - 1], sums[l - 1], out=terms[l])
+        suffix = np.ones_like(w, dtype=complex)
+        for l in range(k - 1, 0, -1):
+            suffix *= sums[l]
+            terms[l - 1] *= suffix
+        minors += terms @ w
+    return minors
 
 
 #: Most entries (child slots and occupation counts) the rank tables keep

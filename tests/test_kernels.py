@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ ONE_KERNEL = pytest.mark.parametrize("kernels", [KERNELS], ids=lambda k: k.BACKE
 
 
 def permanent_by_enumeration(mat):
-    # independent of Ryser: direct sum over permutations
+    # independent of Glynn: direct sum over permutations
     n = len(mat)
     total = 0j
     for perm in itertools.permutations(range(n)):
@@ -64,18 +65,61 @@ class TestPermanent:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_blocks_of_subsets_match_enumeration(self, kernels, k, rng, monkeypatch):
-        # blocks of 4 subsets: past 2 columns the subsets are walked block by block
-        tables = []
-        subsets = kernels._subsets.__wrapped__
+        # blocks of 4 sign vectors: the table covers 3 rows, and each row
+        # past them doubles the blocks of the walk
+        blocks = []
+        walk = kernels._glynn_blocks
+
+        def counted(mat):
+            for sums, weights in walk(mat):
+                blocks.append((len(mat), sums.shape[1]))
+                yield sums, weights
+
         monkeypatch.setattr(kernels, "_SUBSET_BLOCK", 4)
-        monkeypatch.setattr(kernels, "_subsets", lambda j: tables.append(j) or subsets(j))
+        monkeypatch.setattr(kernels, "_glynn_blocks", counted)
         mat = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         assert abs(kernels.permanent(mat) - permanent_by_enumeration(mat)) < 1e-10
         minors = kernels.permanent_minors(mat[1:])
         for l in range(k):
             want = permanent_by_enumeration(np.delete(mat[1:], l, axis=1))
             assert abs(minors[l] - want) < 1e-10 * max(1.0, abs(want))
-        assert tables and max(tables) == 2
+        assert all(size <= 4 for _, size in blocks)
+        for rows in (k, k - 1):
+            assert [r for r, _ in blocks].count(rows) == max(1, 2 ** (rows - 3))
+
+    def test_twenty_rows_keep_their_precision_and_memory_bound(self, kernels):
+        # 2^19 sign vectors walked in eight blocks; the sign table is built
+        # inside the measurement
+        kernels._signs.cache_clear()
+        tracemalloc.start()
+        try:
+            value = kernels.permanent(np.ones((20, 20), dtype=complex))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value / math.factorial(20) - 1) < 1e-12
+        assert peak < 64 * 2**20
+
+
+@st.composite
+def square_matrices(draw):
+    """A k x k complex Gaussian matrix, k = 1..6, and a row and a column
+    permutation of it."""
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return mat, draw(st.permutations(range(k))), draw(st.permutations(range(k)))
+
+
+@ONE_KERNEL
+class TestPermanentInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices())
+    def test_minors_expand_the_permanent_and_permutations_keep_it(self, kernels, case):
+        mat, row_order, col_order = case
+        value = kernels.permanent(mat)
+        assert abs(mat[-1] @ kernels.permanent_minors(mat[:-1]) - value) < 1e-10
+        assert abs(kernels.permanent(mat[row_order][:, col_order]) - value) < 1e-10
 
 
 class TestTransitionAmplitude:
@@ -91,13 +135,13 @@ class TestTransitionAmplitude:
 
     def test_sixteen_photons_match_the_expansion(self):
         # 16 photons on two modes: one 16 x 16 permanent per output pattern.
-        # Ryser's alternating sum over 2^16 subsets cancels, most on bunched
-        # outputs: the worst error here is 3.2e-9, at (13, 3)
+        # Bunched outputs are where a permanent's sum cancels most (Ryser's
+        # lost eight digits here); Glynn's stays near 1e-13
         u = element_matrix(BeamSplitter(0, 1, 0.3)) @ fourier_matrix(1)
         evolved = apply_unitary(number_state((9, 7)), u)
         for a in range(17):
             out = (a, 16 - a)
-            assert abs(transition_amplitude(u, (9, 7), out) - evolved.amplitude(out)) < 1e-8
+            assert abs(transition_amplitude(u, (9, 7), out) - evolved.amplitude(out)) < 1e-10
 
 
 @ONE_KERNEL

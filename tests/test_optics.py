@@ -58,6 +58,14 @@ class TestElementMatrices:
         with pytest.raises(NonUnitaryError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: ModeUnitary(np.zeros((0, 0))),
+        lambda: optics.unitarity_residual(np.zeros((0, 0))),
+    ], ids=["unitary", "residual"])
+    def test_empty_matrix_rejected(self, make):
+        with pytest.raises(NonUnitaryError, match="at least one mode"):
+            make()
+
 
 class TestFourier:
     def test_n1_matrix(self):
@@ -154,6 +162,11 @@ class TestPermanentOracle:
     def test_photon_conservation_zero(self):
         u = element_matrix(BeamSplitter(0, 1, 0.3))
         assert transition_amplitude(u, (1, 0), (2, 0)) == 0
+
+    @pytest.mark.parametrize("occ_in, occ_out", [((-1, 1), (0, 0)), ((1, 0), (2, -1))])
+    def test_negative_occupation_rejected(self, occ_in, occ_out):
+        with pytest.raises(fock.InvalidOccupationError, match="negative count"):
+            transition_amplitude(ModeUnitary(np.eye(2)), occ_in, occ_out)
 
     def test_matches_expansion(self, rng):
         # oracle equivalence on a haphazard sample (full sweep in acceptance)
