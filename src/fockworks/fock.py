@@ -46,7 +46,7 @@ class FockError(Exception):
 
 
 class InvalidOccupationError(FockError):
-    """Negative photon count or inconsistent occupation length."""
+    """Negative or non-integral photon count, or inconsistent occupation length."""
 
 
 class ModeMismatchError(FockError):
@@ -59,6 +59,14 @@ class ZeroStateError(FockError):
 
 class ModeIndexError(FockError, ValueError):
     """A mode index outside 0..modes-1."""
+
+
+def _integers(occ) -> tuple:
+    """``occ`` as a tuple of ``int``; a fractional count raises InvalidOccupationError."""
+    occ = tuple(occ)
+    if (counts := tuple(map(int, occ))) != occ:
+        raise InvalidOccupationError(f"non-integral count in occupation {occ}")
+    return counts
 
 
 def _check_modes(modes: int, listed) -> list:
@@ -94,7 +102,7 @@ class FockState:
             return
         cleaned = {}
         for occ, amp in amplitudes.items():
-            occ = tuple(map(int, occ))
+            occ = _integers(occ)
             if len(occ) != modes:
                 raise InvalidOccupationError(
                     f"occupation {occ} has length {len(occ)}, expected {modes}"
@@ -191,7 +199,7 @@ class FockState:
 
 def number_state(counts) -> FockState:
     """|k_0 k_1 ... k_{m-1}> with amplitude 1."""
-    counts = tuple(int(k) for k in counts)
+    counts = _integers(counts)
     return FockState(len(counts), {counts: 1.0 + 0j})
 
 

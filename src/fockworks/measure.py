@@ -2,9 +2,13 @@
 
 Measured modes are removed from the state (detection destroys the
 photons); non-destructive projections are built by tensoring fresh
-ancilla modes. Bucket and fan-out detectors merge count patterns into
-outcome classes. A class's probability is the incoherent sum of the
-probabilities of its count patterns; its post_state is the renormalized
+ancilla modes. A fan-out counter spreads each measured mode over N
+bucket detectors (the mode and N - 1 vacuum modes behind an N-port
+Fourier multiport) and reports how many fired; a bucket detector is a
+fan-out onto one detector. Every measured mode is fanned out first, then
+the terms are grouped once by clicks per measured mode: a class's
+probability is the exact joint Born-rule sum over every detector pattern
+it holds, and its post_state the coherent merge, the renormalized
 projection onto the class, which keeps coherence between merged patterns
 (adequate for the heralding diagnostics this package needs).
 
@@ -39,13 +43,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
 
 from . import fock, optics
 from ._backend import kernels
-from .fock import FockState, ZeroStateError, _check_modes
+from .fock import FockError, FockState, ZeroStateError, _check_modes
 
 #: Relative probability below which a branch is impossible.
 IMPOSSIBLE = 1e-24
@@ -64,6 +69,10 @@ class Bucket:
     """Click/no-click detector: outcome 0 or 1 (one or more photons)."""
 
 
+class DetectorModelError(FockError, ValueError):
+    """Not a detector model, or a fan-out onto fewer than one detector."""
+
+
 @dataclass(frozen=True)
 class FanoutCounter:
     """Approximate counter: 1/sqrt(N) fan-out into N modes, each with a bucket.
@@ -75,8 +84,8 @@ class FanoutCounter:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("fan-out requires N >= 1")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise DetectorModelError(f"fan-out requires an integer N >= 1, got {self.n!r}")
 
 
 DetectorModel = Counter | Bucket | FanoutCounter
@@ -143,17 +152,37 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), laz
 
     Branch probabilities sum to 1 (the input is normalized internally). A
     branch whose probability is below ``IMPOSSIBLE`` is left out; a
-    bucket class whose merged amplitudes cancel raises ZeroStateError. With
-    ``lazy`` the branches come as ``(counts, p, project)`` records, where
-    ``project()`` builds the branch, so a caller keeping one projects one.
+    click class whose merged amplitudes cancel raises ZeroStateError. With
+    ``lazy`` the branches come as ``_Records`` of ``(counts, p, project)``,
+    where ``project()`` builds the branch, so a caller keeping one projects
+    one. A model other than the three raises DetectorModelError.
     """
     modes = _check_modes(state.modes, modes)
-    if isinstance(model, FanoutCounter):
-        out = [(tuple(c for _, c in br.outcome), br.probability, lambda br=br: br)
-               for br in _measure_fanout(state, modes, model.n)]
+    if isinstance(model, Bucket):
+        model = FanoutCounter(1)
+    if isinstance(model, Counter):
+        out = _groups(state, modes)
+    elif isinstance(model, FanoutCounter):
+        out = _groups(*_fanned(state, modes, model.n), model.n)
     else:
-        out = _groups(state, modes, isinstance(model, Bucket))
+        raise DetectorModelError(f"unknown detector model {model!r}")
     return out if lazy else [project() for _, _, project in out]
+
+
+def _fanned(state: FockState, modes, n):
+    """``state`` with every mode of ``modes`` fanned out onto n detectors, and
+    those detectors: the mode and its spread, n - 1 vacuum modes appended
+    after the state's own, run by one n-port Fourier multiport per mode."""
+    if n == 1:
+        return state, modes
+    first = state.modes
+    state = fock.tensor(state, fock.vacuum(len(modes) * (n - 1)))
+    detectors = []
+    for i, mode in enumerate(modes):
+        spread = [mode, *range(first + i * (n - 1), first + (i + 1) * (n - 1))]
+        state = optics.apply_unitary(state, optics.fourier_matrix(n - 1), spread)
+        detectors += spread
+    return state, detectors
 
 
 class _Records(Sequence):
@@ -191,17 +220,22 @@ def _dict_records(modes, measured, counts, p, weight, groups):
     return _Records(modes, measured, patterns, p, weight, groups.__getitem__, range(len(p)))
 
 
-def _groups(state: FockState, modes, bucket):
-    """Counter or Bucket branches of measure_modes as its ``_Records``."""
-    measured, kept = _split(state, modes)
+def _groups(state: FockState, detectors, n=None):
+    """The branches of measure_modes as its ``_Records``: Counter ones of the
+    modes ``detectors``, or, with ``n``, the click classes of a state that
+    ``_fanned`` fanned out onto the runs of n ``detectors``, each run's
+    class the number of its detectors that fired."""
+    measured, kept = _split(state, detectors)
+    modes = detectors if n is None else detectors[::n]  # a run starts at its mode
+    runs = range(0, len(detectors), n or 1)
     total = _weight(state)
     groups: dict = {}
-    mass: dict = {}  # bucket classes: the summed |amp|^2 of their count patterns
+    mass: dict = {}  # click classes: the summed |amp|^2 of their detector patterns
     rests: dict = {}  # one tuple per kept occupation, shared by every post-state
     for occ, amp in state.terms():
         counts = measured(occ)
-        if bucket:
-            counts = tuple(min(c, 1) for c in counts)
+        if n:
+            counts = tuple(sum(c > 0 for c in counts[a:a + n]) for a in runs)
             mass[counts] = mass.get(counts, 0.0) + abs(amp) ** 2
         group = groups.get(counts)
         if group is None:
@@ -213,13 +247,13 @@ def _groups(state: FockState, modes, bucket):
     for counts in sorted(groups):
         group = groups[counts]
         weight = fock._squared_norm(group.values())
-        p = (mass[counts] if bucket else weight) / total
+        p = (mass[counts] if n else weight) / total
         if p < IMPOSSIBLE:
             continue
         if weight == 0:
-            raise ZeroStateError(f"bucket class {counts} cancels coherently")
+            raise ZeroStateError(f"click class {counts} cancels coherently")
         listed.append(counts), ps.append(p), weights.append(weight), kept_groups.append(group)
-    return _dict_records(state.modes - len(modes), modes, listed, ps, weights, kept_groups)
+    return _dict_records(state.modes - len(detectors), modes, listed, ps, weights, kept_groups)
 
 
 def _evolved_groups(states, u, modes):
@@ -363,12 +397,12 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
     legitimate signal, not an error.
     """
     modes = _check_modes(state.modes, modes)
-    counts = tuple(int(c) for c in counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"negative counts {counts}")
+    given = tuple(counts)
+    if (counts := tuple(map(int, given))) != given or any(c < 0 for c in counts):
+        raise ValueError(f"counts {given} are not nonnegative integers")
     if len(counts) != len(modes):
         raise ValueError("counts and modes differ in length")
-    for listed, _, project in _groups(state, modes, False):
+    for listed, _, project in _groups(state, modes):
         if listed == counts:
             return project()
     return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
@@ -454,73 +488,29 @@ def _boson_sample(mat, occ, rng):
     return tuple(counts)
 
 
-def _measure_fanout(state: FockState, modes, n):
-    branches = [ConditionalOutcome((), 1.0, state)]
-    mode_set = list(modes)
-    for i, mode in enumerate(mode_set):
-        # earlier measurements removed modes before this one
-        shift = sum(1 for m in mode_set[:i] if m < mode)
-        new = []
-        for br in branches:
-            outcomes, _ = fanout_count(br.post_state, mode - shift, n)
-            for sub in outcomes:
-                new.append(
-                    ConditionalOutcome(
-                        br.outcome + ((mode, sub.outcome[0][1]),),
-                        br.probability * sub.probability,
-                        sub.post_state,
-                    )
-                )
-        branches = new
-    return sorted(branches, key=lambda b: b.outcome)
-
-
 def fanout_count(state: FockState, mode: int, n: int):
     """Approximate particle counting by 1/sqrt(N) fan-out onto N buckets.
 
     Returns (outcomes, misdetect_probability): outcomes list the branches
-    by number of detectors that fired; misdetect_probability is the
-    probability that some fan-out mode held two or more photons, which for
-    a k-photon input equals 1 - (N)_k / N^k and is bounded by k(k-1)/2N.
+    of ``measure_modes(state, [mode], FanoutCounter(n))``, by number of
+    detectors that fired; misdetect_probability is the probability that
+    some fan-out mode held two or more photons, read from the same
+    fanned-out state, which for a k-photon input equals 1 - (N)_k / N^k
+    and is bounded by k(k-1)/2N.
     """
-    _check_modes(state.modes, [mode])
-    if n < 1:
-        raise ValueError("fan-out requires N >= 1")
-    if n == 1:
-        work = state
-        detector_modes = [mode]
-    else:
-        work = fock.tensor(state, fock.vacuum(n - 1))
-        spread = list(range(state.modes, state.modes + n - 1))
-        work = optics.apply_unitary(work, optics.fourier_matrix(n - 1), [mode] + spread)
-        detector_modes = [mode] + spread
-    fine = measure_modes(work, detector_modes, Counter())
-    misdetect = 0.0
-    classes: dict = {}
-    for br in fine:
-        counts = [c for _, c in br.outcome]
-        if max(counts) >= 2:
-            misdetect += br.probability
-        clicks = sum(1 for c in counts if c >= 1)
-        bucket = classes.setdefault(clicks, [0.0, {}])
-        bucket[0] += br.probability
-        scale = math.sqrt(br.probability)
-        for occ, amp in br.post_state.terms():
-            bucket[1][occ] = bucket[1].get(occ, 0j) + amp * scale
-    outcomes = []
-    rest_modes = state.modes - 1
-    for clicks in sorted(classes):
-        p, amps = classes[clicks]
-        post = FockState._trusted(rest_modes, amps).normalized()
-        outcomes.append(ConditionalOutcome(((mode, clicks),), p, post))
-    return outcomes, misdetect
+    n = FanoutCounter(n).n
+    work, detectors = _fanned(state, _check_modes(state.modes, [mode]), n)
+    fired = _picker(detectors)
+    bunched = fock._squared_norm(amp for occ, amp in work.terms() if max(fired(occ)) >= 2)
+    outcomes = [project() for _, _, project in _groups(work, detectors, n)]
+    return outcomes, bunched / _weight(work)
 
 
 def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> ConditionalOutcome:
     """Draw one branch with its exact probability; deterministic per seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     branches = measure_modes(state, modes, model, lazy=True)
-    return branches[_drawer([p for _, p, _ in branches])(rng.random())][2]()
+    return branches[_drawer(branches.p)(rng.random())][2]()
 
 
 def _drawer(weights, ends=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from .fock import FockError, FockState, InvalidOccupationError, ModeMismatchError, _check_modes
+from .fock import FockError, FockState, InvalidOccupationError, ModeMismatchError, _check_modes, _integers
 
 UNITARY_TOL = 1e-10
 #: Output bound from which apply_unitary takes the array route; below it
@@ -329,8 +329,7 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     perm(U[out, in]) / sqrt(prod in_i! prod out_j!) where rows/columns are
     repeated according to the occupations.
     """
-    occ_in = tuple(int(k) for k in occ_in)
-    occ_out = tuple(int(k) for k in occ_out)
+    occ_in, occ_out = _integers(occ_in), _integers(occ_out)
     if len(occ_in) != u.dim or len(occ_out) != u.dim:
         raise ModeMismatchError("occupation length does not match matrix dimension")
     if min(occ_in + occ_out) < 0:

@@ -28,15 +28,16 @@ Q1, Q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
 
 
 @st.composite
-def measured_states(draw):
-    """A state and the modes to measure, with a bucket-class collision.
+def measured_states(draw, min_measured=1):
+    """A state and at least ``min_measured`` modes to measure, with a
+    bucket-class collision.
 
     Two terms differ only in a measured count of 1 against 2, so a bucket
     detector merges them into one class over the same surviving modes.
     """
-    modes = draw(st.integers(1, 4))
+    modes = draw(st.integers(min_measured, 4))
     occs = set(draw(st.lists(st.tuples(*[st.integers(0, 3)] * modes), max_size=6)))
-    measured = draw(st.lists(st.integers(0, modes - 1), min_size=1, unique=True))
+    measured = draw(st.lists(st.integers(0, modes - 1), min_size=min_measured, unique=True))
     base = list(draw(st.tuples(*[st.integers(0, 3)] * modes)))
     for count in (1, 2):
         base[measured[0]] = count
@@ -55,6 +56,37 @@ def test_detector_branch_probabilities_sum_to_one(data, model):
     branches = measure.measure_modes(state, modes, model)
     assert all(br.probability > 0 for br in branches)
     assert abs(sum(br.probability for br in branches) - 1) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(measured_states(min_measured=2), st.integers(2, 3))
+def test_fanout_classes_sum_the_counter_patterns_of_the_fanned_state(data, n):
+    # the oracle fans every measured mode out by hand, counts every detector
+    # and sums the probabilities of the patterns of each click class
+    state, modes = data
+    fanned, runs = fock.tensor(state, fock.vacuum(len(modes) * (n - 1))), []
+    for i, mode in enumerate(modes):
+        runs.append([mode] + [state.modes + i * (n - 1) + j for j in range(n - 1)])
+        fanned = optics.apply_unitary(fanned, optics.fourier_matrix(n - 1), runs[-1])
+    detectors = [d for run in runs for d in run]
+    want = collections.Counter()
+    for br in measure.measure_modes(fanned, detectors, measure.Counter()):
+        counts = dict(br.outcome)
+        want[tuple(sum(counts[d] > 0 for d in run) for run in runs)] += br.probability
+    got = {tuple(c for _, c in br.outcome): br.probability
+           for br in measure.measure_modes(state, modes, measure.FanoutCounter(n))}
+    assert got.keys() == {clicks for clicks, p in want.items() if p >= measure.IMPOSSIBLE}
+    assert all(abs(p - want[clicks]) < 1e-12 for clicks, p in got.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(measured_states())
+def test_one_detector_fanout_is_the_bucket_detector(data):
+    state, modes = data
+    bucket = measure.measure_modes(state, modes, measure.Bucket())
+    fanout = measure.measure_modes(state, modes, measure.FanoutCounter(1))
+    assert [(br.outcome, br.probability.hex(), list(br.post_state.terms())) for br in bucket] == \
+        [(br.outcome, br.probability.hex(), list(br.post_state.terms())) for br in fanout]
 
 
 GADGETS = {

@@ -47,6 +47,11 @@ class TestNumberState:
         with pytest.raises(InvalidOccupationError):
             number_state((1, -1))
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(InvalidOccupationError, match=r"non-integral count in occupation \(1.9, 0\)"):
+            number_state((1.9, 0))
+        assert number_state((np.int64(2), 0.0)).amplitude((2, 0)) == 1
+
     @pytest.mark.parametrize("amps", [
         {(0,): 1e200},  # the square alone overflows
         {(0,): 1.3e154, (1,): 1.3e154},  # each square is finite, their sum is not

@@ -100,6 +100,11 @@ class TestPostselect:
         assert out.outcome == ((0, counts[0]), (1, counts[1]))
         assert out.is_impossible and out.probability == 0.0
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="not nonnegative integers"):
+            postselect(number_state((1, 0)), [0], (1.5,))
+        assert postselect(number_state((1, 0)), [0], (np.int64(1),)).probability == 1
+
     def test_matches_counter_branch(self, rng):
         amps = {}
         for _ in range(5):
@@ -207,6 +212,37 @@ class TestFanout:
         assert all(o.outcome == ((0, 1), (2, 1)) for o in outcomes)
         assert outcomes[0].post_state.amplitude((0,)) == 1
 
+    def test_one_evolution_per_measured_mode(self, monkeypatch):
+        calls = []
+        apply_unitary = optics.apply_unitary
+        monkeypatch.setattr(optics, "apply_unitary", lambda *a: calls.append(1) or apply_unitary(*a))
+        state = FockState(3, {(2, 1, 1): 0.6, (1, 0, 2): 0.8})
+        outcomes, _ = fanout_count(state, 0, 4)
+        assert len(calls) == 1
+        assert [o.outcome for o in outcomes] == [((0, 1),), ((0, 2),)]
+        measure_modes(state, [0, 2], FanoutCounter(4))
+        assert len(calls) == 3
+
+
+class TestDetectorModels:
+    @pytest.mark.parametrize("model", ["bucket", object(), None, Counter])
+    def test_unknown_model_is_typed(self, model):
+        with pytest.raises(measure.DetectorModelError, match="unknown detector model"):
+            measure_modes(bell(), [0], model)
+        with pytest.raises(fock.FockError):
+            sample_outcome(bell(), [0], model, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "3"])
+    def test_fanout_needs_an_integer_n_of_at_least_one(self, n):
+        with pytest.raises(measure.DetectorModelError, match="fan-out requires"):
+            FanoutCounter(n)
+        with pytest.raises(measure.DetectorModelError, match="fan-out requires"):
+            fanout_count(number_state((1,)), 0, n)
+
+    def test_integral_numpy_n_is_accepted(self):
+        outcomes, mis = fanout_count(number_state((2,)), 0, np.int64(10))
+        assert abs(mis - 0.1) < 1e-10 and len(outcomes) == 2
+
 
 class TestSampling:
     def test_deterministic_state(self):
@@ -218,7 +254,7 @@ class TestSampling:
         b = sample_outcome(bell(), [0], Counter(), seed=11)
         assert a.outcome == b.outcome
 
-    @pytest.mark.parametrize("model", [Counter(), Bucket()])
+    @pytest.mark.parametrize("model", [Counter(), Bucket(), FanoutCounter(3)])
     def test_sample_projects_only_the_drawn_branch(self, model, monkeypatch):
         state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
         branches = measure_modes(state, [0, 1], model)
@@ -238,7 +274,7 @@ class TestSampling:
         state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
         branches = measure_modes(state, [0, 1], model)
         records = measure_modes(state, [0, 1], model, lazy=True)
-        assert len(records) == len(branches)
+        assert isinstance(records, measure._Records) and len(records) == len(branches)
         for (counts, p, project), br in zip(records, branches):
             got = project()
             assert counts == tuple(c for _, c in br.outcome)

@@ -168,6 +168,12 @@ class TestPermanentOracle:
         with pytest.raises(fock.InvalidOccupationError, match="negative count"):
             transition_amplitude(ModeUnitary(np.eye(2)), occ_in, occ_out)
 
+    @pytest.mark.parametrize("occ_in, occ_out", [((1.7, 0), (1, 0)), ((1, 0), (0, 0.5))])
+    def test_fractional_occupation_rejected(self, occ_in, occ_out):
+        with pytest.raises(fock.InvalidOccupationError, match="non-integral count"):
+            transition_amplitude(ModeUnitary(np.eye(2)), occ_in, occ_out)
+        assert transition_amplitude(ModeUnitary(np.eye(2)), (np.int64(1), 0), (1, 0)) == 1
+
     def test_matches_expansion(self, rng):
         # oracle equivalence on a haphazard sample (full sweep in acceptance)
         u = random_unitary(4, rng)

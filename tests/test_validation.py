@@ -241,6 +241,8 @@ class TestPublicValidation:
     @pytest.mark.parametrize("modes, amps, message", [
         (1, {(0, 1): 1.0}, "occupation (0, 1) has length 2, expected 1"),
         (2, {(1, -1): 1.0}, "negative count in occupation (1, -1)"),
+        (2, {(1.7, 0): 1.0}, "non-integral count in occupation (1.7, 0)"),
+        (2, {(0, 1): 1j, (1, 0.5): 1j}, "non-integral count in occupation (1, 0.5)"),
         (2, {(1.0, 0.0): float("nan")}, "non-finite amplitude for (1, 0)"),
         (1, {(0,): complex(1, float("inf"))}, "non-finite amplitude for (0,)"),
         (-1, {}, "mode count must be >= 0, got -1"),
@@ -270,6 +272,11 @@ class TestPublicValidation:
         amps[tuple(occ)] = 1.0
         with pytest.raises(InvalidOccupationError, match="negative count in occupation"):
             FockState(modes, amps)
+
+    def test_integral_numpy_counts_are_accepted(self):
+        state = FockState(2, {(np.int64(2), np.int32(0)): 1.0, (1.0, 1): 1.0})
+        assert dict(state.terms()) == {(1, 1): 1, (2, 0): 1}
+        assert all(type(c) is int for occ, _ in state.terms() for c in occ)
 
     def test_number_state_and_json_stay_validated(self):
         with pytest.raises(InvalidOccupationError, match="negative count"):
