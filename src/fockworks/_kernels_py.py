@@ -14,11 +14,18 @@ on integer-packed occupation keys for one occupation, and numpy steps
 The numpy form sorts nothing: each photon step is one ``np.bincount``
 through a cached rank table (``_level``), which sums left to right from
 0.0 in the dict loop's order, multiplying complex numbers in CPython's
-order on separate real arrays. ``optics`` and ``measure`` reach the
-kernels through ``fockworks._backend.kernels``.
+order on separate real arrays. The numpy form keeps the rows it computes
+(``_ROWS``, one occupation under one unitary each, least recently used
+dropped first past ``_ROW_FLOATS``), storing a row at the second request
+of its key within the last ``_RECENT_KEYS`` missed keys, so a fixed
+interferometer (the Fourier multiports of the gates) is expanded once
+while a unitary seen once takes no memory; the dict form keeps nothing.
+``optics`` and ``measure`` reach the kernels through
+``fockworks._backend.kernels``, one call per expansion, hit or not.
 """
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -130,6 +137,20 @@ _TABLE_ENTRIES = 1 << 22
 _TABLES: dict = {}
 _table_entries = 0
 
+#: Most floats the stored expansion rows hold, real and imaginary parts.
+_ROW_FLOATS = 1 << 18
+#: Missed row keys remembered, so that a second request stores its row.
+_RECENT_KEYS = 256
+
+# (unitary, occupation) -> its row (re, im), least recently used first, and
+# _row_floats their size; _recent is a ring of the hashes of the last missed
+# keys, written at _recent_at: one array, where a dict of them would pin
+# small objects all over the heap (a hash collision only stores a row early)
+_ROWS: OrderedDict = OrderedDict()
+_row_floats = 0
+_recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
+_recent_at = 0
+
 
 def accumulate(keys):
     """Rank ``keys`` by first occurrence.
@@ -194,10 +215,11 @@ def expand_basis_state(u, occ, arrays=False):
     of its amplitudes, equal to its dict's values bit for bit. Each photon
     step is one ``np.bincount`` through a cached rank table, so every
     column of ``u`` that an occupation fills must be free of exact zeros
-    (the dict loop skips those), and m * bit_length(total) <= 62.
+    (the dict loop skips those), and m * bit_length(total) <= 62. Rows
+    requested before are read from ``_ROWS`` (``_expand_rows``).
     """
     if arrays:
-        return _expand_arrays(np.asarray(u), np.array(occ, dtype=np.int64).reshape(len(occ), -1))
+        return _expand_rows(np.asarray(u), np.array(occ, dtype=np.int64).reshape(len(occ), -1))
     m = len(occ)
     total = sum(occ)
     sqrt_fact = _sqrt_factorials(total)
@@ -230,6 +252,63 @@ def expand_basis_state(u, occ, arrays=False):
             key >>= bits
         out[tuple(counts)] = amp * (factor / scale)
     return out
+
+
+def _expand_rows(u, occs):
+    """The array form of ``expand_basis_state``: each occupation's row is
+    read from ``_ROWS`` when held there, and the others are expanded
+    together.
+
+    A row has the same bits whichever occupations share its call, so a
+    held row stands for a fresh one; a hit needs its level's counts in
+    ``_TABLES``.
+    """
+    owners, m = occs.shape
+    t = int(occs[0].sum())
+    if (occs.sum(axis=1) != t).any():
+        raise ValueError("the occupations expanded together must hold the same photon total")
+    level = _TABLES.get((m, t)) if t else (None, np.zeros((1, m), dtype=np.uint8))
+    matrix = (u.shape, u.dtype.str, u.tobytes())
+    keys = [(matrix, occ) for occ in map(tuple, occs.tolist())]
+    rows = [_ROWS.get(key) for key in keys] if level else [None] * owners
+    missing = [i for i, row in enumerate(rows) if row is None]
+    for key, row in zip(keys, rows):
+        if row is not None:
+            _ROWS.move_to_end(key)
+    if missing:
+        counts, re, im = _expand_arrays(u, occs[missing] if len(missing) < owners else occs)
+        _remember([keys[i] for i in missing], re, im)
+        if len(missing) == owners:
+            return counts, re, im
+        for i, r, c in zip(missing, re, im):
+            rows[i] = r, c
+    return level[1], np.array([r for r, _ in rows]), np.array([c for _, c in rows])
+
+
+def _remember(keys, re, im):
+    """Store the row ``(re[i], im[i])`` of each missed ``keys[i]`` whose
+    key was among the last ``_RECENT_KEYS`` missed keys, and note the
+    others: a unitary seen once takes no memory. Past ``_ROW_FLOATS`` the
+    least recently used rows are dropped."""
+    global _row_floats, _recent_at
+    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
+    seen = (hashes[:, None] == _recent).any(axis=1)
+    fresh = hashes[~seen]
+    _recent[(_recent_at + np.arange(len(fresh))) % len(_recent)] = fresh
+    _recent_at = (_recent_at + len(fresh)) % len(_recent)
+    for i in np.flatnonzero(seen).tolist():
+        key, r, c = keys[i], re[i], im[i]
+        _recent[_recent == hashes[i]] = 0
+        # stored already (a repeated occupation, or a level dropped from _TABLES) or too large
+        if key in _ROWS or 2 * r.size > _ROW_FLOATS:
+            continue
+        _ROWS[key] = r.copy(), c.copy()
+        for array in _ROWS[key]:
+            array.setflags(write=False)
+        _row_floats += 2 * r.size
+        while _row_floats > _ROW_FLOATS:
+            old, _ = _ROWS.popitem(last=False)[1]
+            _row_floats -= 2 * old.size
 
 
 def _expand_arrays(u, occs):

@@ -112,6 +112,15 @@ def _parse_amplitudes(text: str, count: int):
 # -- run ---------------------------------------------------------------------
 
 
+def _at_least_two(cfg: RunConfig) -> int:
+    """The size a gadget that needs n >= 2 runs at: n = 1 runs at 2, which
+    ``cfg.n`` then reports; n < 1 is refused."""
+    if cfg.n < 1:
+        raise ValueError(f"{cfg.protocol} needs n >= 1, got {cfg.n}")
+    cfg.n = max(cfg.n, 2)
+    return cfg.n
+
+
 def _analytic_report(cfg: RunConfig):
     """Returns (exact ProtocolResult, analytic summary dict)."""
     name, extra = cfg.protocol, {}
@@ -146,14 +155,14 @@ def _analytic_report(cfg: RunConfig):
     elif name == "parity":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
         state = fock.FockState(2, {(0, 1): amps[0], (1, 0): amps[1]})
-        res = protocols.parity_measure(state, 0, 1, max(cfg.n, 2))
+        res = protocols.parity_measure(state, 0, 1, _at_least_two(cfg))
         extra = {"parities": sorted({b["parity"] for b in res.details["branches"] if b["ok"]})}
     elif name == "distribute":
-        res = protocols.distribute_entanglement(max(cfg.n, 2))
+        res = protocols.distribute_entanglement(_at_least_two(cfg))
         return res, {"acceptance_probability": res.details["acceptance_probability"]}
     elif name == "teleport-e":
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
-        res = protocols.teleport_with_e(amps[0], amps[1], n=max(cfg.n, 2))
+        res = protocols.teleport_with_e(amps[0], amps[1], n=_at_least_two(cfg))
     elif name == "source":
         r = float(cfg.input or "0.1")
         det = measure.Counter() if cfg.detector == "counter" else measure.Bucket()

@@ -25,7 +25,10 @@ exact stage behind a mode unitary takes its records from
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
 teleported gates) and the second detection of every stage-1 success of a
 teleported gate each run as one sort and reduce over packed keys, and a
-small single state takes ``apply_unitary`` and ``measure_modes``. A
+small single state takes ``apply_unitary`` and ``measure_modes``. The
+stage-1 successes reach the second detection as stacked arrays
+(``_projected``, a ``_Terms``), with the bits their projected post-states
+would have, so none is built as a state unless its branch is read. A
 sampled run projects only the one branch it draws, stage by stage, through
 one of two routes: one ``_drawer`` draw over the records of
 ``measure_modes`` (as ``sample_outcome`` draws), or, behind a mode unitary
@@ -42,7 +45,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from numbers import Integral
 from operator import itemgetter
 
@@ -217,7 +220,30 @@ class _Records(Sequence):
 def _dict_records(modes, measured, counts, p, weight, groups):
     """The ``_Records`` of groups held as dicts, ``groups[i]`` that of branch ``i``."""
     patterns = np.array(counts, dtype=np.int64).reshape(len(p), len(measured))
-    return _Records(modes, measured, patterns, p, weight, groups.__getitem__, range(len(p)))
+    return _Records(modes, measured, patterns, p, weight, _Groups(groups), range(len(p)))
+
+
+class _Groups(list):
+    """Kept amplitudes held as dicts; called with a group's index, it gives
+    that group's ``{kept occupation: amplitude}`` dict."""
+
+    __slots__ = ()
+
+    __call__ = list.__getitem__
+
+    def terms(self, groups, modes):
+        """The terms of ``groups``, stacked group after group in dict order:
+        the int64 rows of their ``modes``-mode occupations, the real and
+        imaginary parts of their amplitudes, each group's term count, and
+        False: a group's dict order need not be ``terms()`` order. Counts
+        past int64 raise OverflowError."""
+        dicts = [self[g] for g in groups]
+        lengths = list(map(len, dicts))
+        occ = np.fromiter(chain.from_iterable(chain.from_iterable(dicts)), dtype=np.int64,
+                          count=sum(lengths) * modes).reshape(sum(lengths), modes)
+        amp = np.fromiter(chain.from_iterable(map(dict.values, dicts)), dtype=complex,
+                          count=sum(lengths))
+        return occ, amp.real, amp.imag, lengths, False
 
 
 def _groups(state: FockState, detectors, n=None):
@@ -256,79 +282,178 @@ def _groups(state: FockState, detectors, n=None):
     return _dict_records(state.modes - len(detectors), modes, listed, ps, weights, kept_groups)
 
 
+class _Terms(tuple):
+    """``(modes, occ, re, im, starts, state)``: the terms of states on
+    ``modes`` modes, stacked state after state, each in ``terms()`` order:
+    the int64 rows of ``occ`` (object rows, for counts past int64), the real
+    and imaginary parts ``re`` and ``im`` of their amplitudes, and
+    ``starts``, each state's first row and then the end. ``state(i)`` gives
+    state i as a ``FockState``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, states):
+        """The stacked terms of the list ``states``, all on one mode count."""
+        terms = [list(state.terms()) for state in states]
+        flat = list(chain.from_iterable(terms))
+        modes = states[0].modes if states else 0
+        occs = [occ for occ, _ in flat]
+        try:
+            occ = np.array(occs, dtype=np.int64).reshape(len(flat), modes)
+        except OverflowError:  # such counts fit no packed key
+            occ = np.array(occs, dtype=object).reshape(len(flat), modes)
+        amp = np.array([a for _, a in flat], dtype=complex)
+        starts = list(accumulate(map(len, terms), initial=0))
+        return cls((modes, occ, amp.real, amp.imag, starts, states.__getitem__))
+
+
+def _projected(records, indices):
+    """The post-states of branches ``indices`` of ``records`` as ``_Terms``,
+    each that of ``_projection(records.modes, group, weight)``, bit for bit,
+    without building it: a group's kept amplitudes, read from the records'
+    block as arrays, take the arithmetic of ``FockState._trusted`` (``0j +
+    amp``, exact zeros dropped, pruned at ``fock.DEFAULT_TOL`` times the
+    group's own norm, summed in dict order), then the product by
+    ``1 / sqrt(weight)`` as CPython multiplies a complex by a float, and
+    ``_trusted`` again at tolerance 0, then their rows are put in
+    ``terms()`` order. A count past int64 or a norm that is not finite
+    projects every branch through ``_projection``, which raises what it
+    raises.
+    """
+    modes = records.modes
+    groups = [records.rows[i] for i in indices]
+    weight = [records.weight[i] for i in indices]
+
+    def state(j):
+        return _projection(modes, records.block(groups[j]), weight[j])
+
+    def states():
+        return _Terms.of([state(j) for j in range(len(groups))])
+
+    try:
+        occ, re, im, lengths, ordered = records.block.terms(groups, modes)
+    except OverflowError:
+        return states()
+    owner = np.repeat(np.arange(len(groups)), lengths)
+    re, im = 0.0 + re, 0.0 + im
+    size = np.hypot(re, im)
+    norm_sq = np.bincount(owner, np.float_power(size, 2.0), len(groups))
+    if not np.isfinite(norm_sq).all():
+        return states()
+    keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]  # exact zeros too
+    factor = (1 / np.sqrt(np.array(weight)))[owner]
+    # |amp * factor| <= 1: the second norm cannot overflow
+    re, im = 0.0 + (re * factor - im * 0.0), 0.0 + (re * 0.0 + im * factor)
+    keep &= (re != 0) | (im != 0)
+    if not ordered:
+        keep = np.flatnonzero(keep)
+        keep = keep[np.lexsort(np.column_stack([occ[keep, ::-1], owner[keep]]).T)]
+    occ, re, im, owner = occ[keep], re[keep], im[keep], owner[keep]
+    starts = np.searchsorted(owner, np.arange(len(groups) + 1)).tolist()
+    return _Terms((modes, occ, re, im, starts, state))
+
+
 def _evolved_groups(states, u, modes):
     """Yields ``measure_modes(apply_unitary(state, u, modes), modes,
-    lazy=True)`` of every state of the list ``states`` in turn, bit for bit,
-    as ``_Records``: the records of a pass share its sorted arrays, a
+    lazy=True)`` of every state of ``states`` in turn, bit for bit, as
+    ``_Records``: the records of a pass share its sorted arrays, a
     ``_Block``, from which a group's kept amplitudes are decoded on demand.
+    ``states`` is a list of states on one mode count or their ``_Terms``
+    (``_projected`` hands a stage's branches over so).
 
     ``BudgetExceeded`` applies to each state, as ``apply_unitary`` applies
     it, and to the states' summed output bound, before the first pass. A
-    lone state takes a pass where ``apply_unitary`` would take its array
-    route, from an output bound of ``optics.ARRAY_MIN_TERMS`` on; below it,
-    it is evolved and measured on its own, the route decided from one scan
-    of its keys. Several states are evaluated in passes: runs of states, in
-    order, whose summed output bound stays within ``_PASS_TERMS``. A pass
-    stacks its states' terms in ``terms()`` order, the state's index one
-    more kept column, and merges them with ``optics._evolve_arrays``, which
-    expands the distinct sub-occupations of each photon total in one kernel
-    call. Its packed keys hold, most significant first, the state's index,
-    the measured counts in the listed order and the kept modes in mode
-    order, so one sort gives ``_groups``' order and a group ends where
-    ``key >> kept bits`` changes. Each state then takes the arithmetic of
-    the validated constructor and of ``_groups``: |a|^2 as
-    ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``, and
-    every sum from 0.0 in dict order, by ``np.bincount``. A state whose
-    key does not fit ``optics.KEY_BITS`` bits, and a pass that meets a zero
-    or an overflowing norm or an exact zero in a filled column of ``u``
-    (which the array route cannot take), are evolved and measured state by
-    state, which raises what the per-state calls raise.
+    list of one state takes a pass where ``apply_unitary`` would take its
+    array route, from an output bound of ``optics.ARRAY_MIN_TERMS`` on;
+    below it, it is evolved and measured on its own, its bound read from
+    its keys before anything is stacked. Other states are evaluated in
+    passes: runs of states, in order, whose summed output bound stays
+    within ``_PASS_TERMS``. A pass takes its states' stacked terms, the
+    state's index one more kept column, and merges them with
+    ``optics._evolve_arrays``, which expands the distinct sub-occupations
+    of each photon total in one kernel call. Its packed keys hold, most
+    significant first, the state's index, the measured counts in the
+    listed order and the kept modes in mode order, so one sort gives
+    ``_groups``' order and a group ends where ``key >> kept bits`` changes.
+    Each state then takes the arithmetic of the validated constructor and
+    of ``_groups``: |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is
+    ``abs(a) ** 2``, and every sum from 0.0 in dict order, by
+    ``np.bincount``. A state without terms or whose key does not fit
+    ``optics.KEY_BITS`` bits, and a pass that meets a zero or an
+    overflowing norm or an exact zero in a filled column of ``u`` (which
+    the array route cannot take), are evolved and measured state by state,
+    which raises what the per-state calls raise.
     """
     modes = list(modes)
 
     def one(state):
         return measure_modes(optics.apply_unitary(state, u, modes), modes, lazy=True)
 
-    picker = _picker(modes)
-    sizes = [optics._bound(map(picker, state._amp), len(modes)) for state in states]
-    if (total := sum(sizes)) > optics.MAX_EVOLVED_TERMS:
-        raise optics.BudgetExceeded(f"the evolutions of {len(states)} states may produce "
-                                    f"{total} terms; the limit is {optics.MAX_EVOLVED_TERMS}")
-    if len(states) == 1 and sizes[0] < optics.ARRAY_MIN_TERMS:
+    lone = not isinstance(states, _Terms) and len(states) == 1
+    if lone and optics._bound(map(_picker(modes), states[0]._amp),
+                              len(modes)) < optics.ARRAY_MIN_TERMS:
         yield one(states[0])
         return
+    terms = states if isinstance(states, _Terms) else _Terms.of(states)
+    _, occ, _, _, starts, state = terms
+    count, d = len(starts) - 1, len(modes)
+    lengths = np.diff(starts)
+    owner = np.repeat(np.arange(count), lengths)
+    # photon totals as Python ints where int64 sums could overflow
+    exact = object if occ.dtype == object or (occ.size and occ.max() >> 32) else None
+    photons = occ[:, modes].sum(axis=1, dtype=exact)
+    # each term's output bound, capped past the budget: exact sums within it
+    values, which = np.unique(photons, return_inverse=True)
+    cap = optics.MAX_EVOLVED_TERMS + 1
+    bounds = [min(math.comb(k + d - 1, d - 1), cap) for k in values.tolist()]
+    sizes = np.bincount(owner, np.array(bounds, dtype=float)[which], count)
+    if (sizes >= cap).any():  # the first state past the budget raises its own message
+        optics._bound(map(_picker(modes), state(int(np.argmax(sizes >= cap)))._amp), d)
+    sizes = sizes.astype(np.int64).tolist()
+    if (total := sum(sizes)) > optics.MAX_EVOLVED_TERMS:
+        raise optics.BudgetExceeded(f"the evolutions of {count} states may produce "
+                                    f"{total} terms; the limit is {optics.MAX_EVOLVED_TERMS}")
     mat = np.ascontiguousarray(u.matrix)
+    # each state's bit widths: its largest count per mode, its most photons on the evolved modes
+    full = np.flatnonzero(lengths)
+    tops = np.zeros((count, occ.shape[1]), dtype=photons.dtype)
+    if len(full):
+        tops[full] = np.maximum.reduceat(occ, np.array(starts)[full])
+        tops[full[:, None], modes] = np.maximum.reduceat(photons, np.array(starts)[full])[:, None]
+    widths = [[int(k).bit_length() for k in top] if n else None
+              for top, n in zip(tops.tolist(), lengths.tolist())]
 
     def evaluated(run, top):
-        records = _pass_groups(run, top, mat, modes)
-        return records if records is not None else [one(state) for state, _, _ in run]
+        records = _pass_groups(run, terms, top, mat, modes)
+        return records if records is not None else [one(state(i)) for i in run]
 
-    run, top, bound = [], [], 0
-    for state, size in zip(states, sizes):
-        terms = list(state.terms())
-        subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
-        wide = not terms or sum(widths := optics._widths(terms, subs, modes)) > optics.KEY_BITS
-        if run and (wide or bound + size > _PASS_TERMS or len(widths) != len(top)
-                    or sum(map(max, top, widths)) + len(run).bit_length() > optics.KEY_BITS):
-            yield from evaluated(run, top)
-            run, bound = [], 0
+    lo, top, bound = 0, [], 0
+    for i, (size, width) in enumerate(zip(sizes, widths)):
+        wide = width is None or sum(width) > optics.KEY_BITS
+        if lo < i and (wide or bound + size > _PASS_TERMS
+                       or sum(map(max, top, width)) + (i - lo).bit_length() > optics.KEY_BITS):
+            yield from evaluated(range(lo, i), top)
+            lo, bound = i, 0
         if wide:
-            yield one(state)
+            yield one(state(i))
+            lo = i + 1
             continue
-        top = list(map(max, top, widths)) if run else widths
-        run.append((state, terms, subs))
+        top = list(map(max, top, width)) if lo < i else width
         bound += size
-    if run:
-        yield from evaluated(run, top)
+    if lo < count:
+        yield from evaluated(range(lo, count), top)
 
 
-def _pass_groups(run, top, mat, modes):
+def _pass_groups(run, terms, top, mat, modes):
     """The records of one pass of ``_evolved_groups``, or None if a state's
     norm is zero or overflows or a filled column of ``mat`` holds an exact
-    zero: ``run`` holds each state's ``(state, terms, subs)``, ``top`` the
-    bit widths of their modes."""
-    subs = [sub for _, _, ss in run for sub in ss]
-    if not optics._zero_free(mat, subs):
+    zero: ``run`` is the range of the states of ``terms`` (a ``_Terms``)
+    it evaluates, ``top`` the bit widths of their modes."""
+    _, occ, re, im, offsets, _ = terms
+    lo, hi = offsets[run.start], offsets[run.stop]
+    occ = np.asarray(occ[lo:hi], dtype=np.int64)
+    if not optics._zero_free(mat, occ[:, modes]):
         return None
     m = len(top)
     kept = [k for k in range(m) if k not in modes]
@@ -339,12 +464,12 @@ def _pass_groups(run, top, mat, modes):
         shift[column] = at
         at += widths[column]
     mask = np.left_shift(1, widths, dtype=np.int64) - 1
-    terms = [(occ + (s,), amp) for s, (_, ts, _) in enumerate(run) for occ, amp in ts]
-    keys, re, im = optics._evolve_arrays(terms, subs, mat, modes, (shift, widths))
+    index = np.repeat(np.arange(len(run)), np.diff(offsets[run.start:run.stop + 1]))
+    keys, re, im = optics._evolve_arrays(np.column_stack([occ, index]), re[lo:hi], im[lo:hi],
+                                         mat, modes, (shift, widths))
     # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
-    # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no -0.0)
-    nonzero = (re != 0) | (im != 0)
-    keys, re, im = keys[nonzero], re[nonzero], im[nonzero]
+    # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no
+    # -0.0); a zero adds 0.0 to its norm and never passes the cutoff
     owner = keys >> shift[m]
     size = np.hypot(re, im)
     square = np.float_power(size, 2.0)
@@ -365,8 +490,8 @@ def _pass_groups(run, top, mat, modes):
     p = weight / total[owners]
     counts = (keys[first, None] >> shift[modes]) & mask[modes]
     possible = p >= IMPOSSIBLE
-    counts, p, weight, starts, stops = counts[possible], *(
-        column[possible].tolist() for column in (p, weight, first, np.append(first[1:], len(keys))))
+    counts, p, weight = counts[possible], p[possible].tolist(), weight[possible].tolist()
+    starts, stops = first[possible], np.append(first[1:], len(keys))[possible]
     # a state's groups are one run of rows: its index is the key's top field
     bounds = np.searchsorted(owners[possible], np.arange(len(run) + 1)).tolist()
     post = len(top) - len(modes)  # the states of a pass share their mode count
@@ -388,6 +513,16 @@ class _Block(tuple):
         rows = slice(starts[group], stops[group])
         rests = ((keys[rows, None] >> shift) & mask).tolist()
         return dict(zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist())))
+
+    def terms(self, groups, modes):
+        """``_Groups.terms`` of these groups; a group's rows are already in
+        ``terms()`` order: its keys are sorted, the kept modes' fields most
+        significant first in mode order."""
+        keys, re, im, shift, mask, starts, stops = self
+        first = starts[groups]
+        lengths = stops[groups] - first
+        rows = np.repeat(first - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        return (keys[rows, None] >> shift) & mask, re[rows], im[rows], lengths, True
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:

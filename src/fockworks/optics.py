@@ -19,6 +19,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -120,8 +122,10 @@ def element_matrix(element: OpticalElement) -> ModeUnitary:
     return ModeUnitary([[c, -s], [s, c]])
 
 
+@cache
 def fourier_matrix(n: int) -> ModeUnitary:
-    """(n+1)-point Fourier transform, entries w^{kl} / sqrt(n+1)."""
+    """(n+1)-point Fourier transform, entries w^{kl} / sqrt(n+1); built and
+    checked once per n, then shared (a ModeUnitary is never mutated)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = n + 1
@@ -186,8 +190,10 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     if layout is None:
         result = _evolve_dicts(terms, subs, mat, modes)
     else:
+        occ = np.array([o for o, _ in terms], dtype=np.int64)
+        amp = np.array([a for _, a in terms], dtype=complex)
         # the merge's arrays are freed before the output dict is built
-        result = _unpack(*_evolve_arrays(terms, subs, mat, modes, layout), layout)
+        result = _unpack(*_evolve_arrays(occ, amp.real, amp.imag, mat, modes, layout), layout)
     return FockState(state.modes, result)
 
 
@@ -246,10 +252,12 @@ def _evolve_dicts(terms, subs, mat, modes):
     return result
 
 
-def _evolve_arrays(terms, subs, mat, modes, layout):
-    """``_evolve_dicts`` on packed keys: the output's keys in the dict's
-    order and the real and imaginary parts of its amplitudes, with the
-    same bits.
+def _evolve_arrays(occ, re, im, mat, modes, layout):
+    """``_evolve_dicts`` on packed keys, for terms stacked as the int64 rows
+    of ``occ`` (a column per mode of the layout) and the real and imaginary
+    parts ``re`` and ``im`` of their amplitudes: the output's keys in the
+    dict's order and the real and imaginary parts of its amplitudes, with
+    the same bits.
 
     The distinct sub-occupations of each photon total are expanded in one
     kernel call, and every expansion of a total lists the same outputs in
@@ -260,37 +268,39 @@ def _evolve_arrays(terms, subs, mat, modes, layout):
     and one ``np.bincount`` sums them in term order.
     """
     shift, widths = layout
-    occ = np.array([o for o, _ in terms], dtype=np.int64)
-    amp = np.array([a for _, a in terms], dtype=complex)
     kept = np.ones(len(widths), dtype=bool)
     kept[modes] = False
+    subs = occ[:, modes]
     base = (occ[:, kept] << shift[kept]).sum(axis=1)
-    totals = occ[:, modes].sum(axis=1)
+    totals = subs.sum(axis=1)
+    # a sub-occupation packed into its own fields; a group, its photon total in the first one's
+    packed = (subs << shift[modes]).sum(axis=1).tolist()
+    grouped = (base + (totals << shift[modes[0]])).tolist()
+    totals_list = totals.tolist()
+    # each distinct sub: its first term, its row in its total's call (dicts keep first appearance)
+    first = dict(zip(packed[::-1], range(len(packed) - 1, -1, -1)))
     rows, same_total = {}, {}
-    for sub in subs:
-        if sub not in rows:
-            same = same_total.setdefault(sum(sub), [])
-            rows[sub] = len(same)
-            same.append(sub)
-    expanded = {t: kernels.expand_basis_state(mat, same, arrays=True)
-                for t, same in same_total.items()}
-    groups: dict = {}
-    offset = []
-    size = 0
-    for group in zip(base.tolist(), totals.tolist()):
-        if group not in groups:
-            groups[group] = size
-            size += len(expanded[group[1]][0])
-        offset.append(groups[group])
-    offset, row = np.array(offset), np.array([rows[sub] for sub in subs])
+    for sub, t in dict(zip(packed, totals_list)).items():
+        same = same_total.setdefault(t, [])
+        rows[sub] = len(same)
+        same.append(first[sub])
+    expanded = {t: kernels.expand_basis_state(mat, subs[firsts], arrays=True)
+                for t, firsts in same_total.items()}
+    group_total = dict(zip(grouped, totals_list))
+    outputs = {t: len(counts) for t, (counts, _, _) in expanded.items()}
+    ends = list(accumulate(map(outputs.__getitem__, group_total.values())))
+    at, size = dict(zip(group_total, [0] + ends)), ends[-1]
+    offset = np.array(list(map(at.__getitem__, grouped)))
+    row = np.array(list(map(rows.__getitem__, packed)))
     keys = np.empty(size, dtype=np.int64)
+    fields = np.left_shift(1, shift[modes], dtype=np.int64)  # an output's key: counts @ fields
     slots, real, imag = [], [], []
-    for t, (counts, re, im) in expanded.items():
+    for t, (counts, cre, cim) in expanded.items():
         mine = totals == t
         slot = (offset[mine, None] + np.arange(len(counts))).ravel()
-        keys[slot] = (base[mine, None] + (counts.astype(np.int64) << shift[modes]).sum(axis=1)).ravel()
-        ar, ai = amp.real[mine, None], amp.imag[mine, None]
-        cr, ci = re[row[mine]], im[row[mine]]
+        keys[slot] = (base[mine, None] + counts @ fields).ravel()
+        ar, ai = re[mine, None], im[mine, None]
+        cr, ci = cre[row[mine]], cim[row[mine]]
         slots.append(slot)
         real.append((ar * cr - ai * ci).ravel())
         imag.append((ar * ci + ai * cr).ravel())

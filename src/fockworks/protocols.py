@@ -20,7 +20,8 @@ resolved branch, the first success (the post-selected view), and
 probability and the whole list as ``details["branches"]``; sampled,
 neither. An exact detection behind a unitary takes its records from
 ``measure._evolved_groups`` (the second detections of a teleported gate in
-one array pass); a sampled one draws its pattern through
+one array pass, handed the first stage's successes as arrays by
+``measure._projected``); a sampled one draws its pattern through
 ``measure._sample_detection``, equal to the exact branch to 1e-10.
 
 A branch dict carries ``p``, ``ok`` (whether the gadget succeeded) and
@@ -687,18 +688,23 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     ``p``; with a ``flavor`` (the parity resource's) a success carries its
     ``parity``. The tree is a ``_Branches`` whose columns, correction
     angles included, are computed at once. Exact, the y detections run in
-    one array pass (``measure._evolved_groups``); with an ``rng`` stage 2
-    draws on the projected stage-1 state, and the tree has one row.
+    one array pass (``measure._evolved_groups``) over the stage-1 successes
+    handed over as arrays (``measure._projected``), none projected into a
+    state; with an ``rng`` stage 2 draws on the projected stage-1 state,
+    and the tree has one row.
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega, u = 2 * math.pi / (n + 1), fourier_matrix(n)
     ones = _records(tensor(state, resource.state), layout.fourier_x, rng, u)
     k1, s1 = _totals(ones.counts)
     passed = (0 < k1) & (k1 <= n)
-    firsts = [_built(ones.modes, ones.block(ones.rows[i]), ones.weight[i], ())
-              for i in np.flatnonzero(passed).tolist()]
-    seconds = (list(measure._evolved_groups(firsts, u, layout.fourier_y)) if rng is None
-               else [_records(first, layout.fourier_y, rng, u) for first in firsts])
+    succeeded = np.flatnonzero(passed).tolist()
+    if rng is None:
+        firsts = measure._projected(ones, succeeded)
+        seconds = list(measure._evolved_groups(firsts, u, layout.fourier_y))
+    else:
+        seconds = [_records(_built(ones.modes, ones.block(ones.rows[i]), ones.weight[i], ()),
+                            layout.fourier_y, rng, u) for i in succeeded]
     # each branch's stage-1 row; past stage 1, the stage-2 rows of all successes in turn
     sizes = [len(two) for two in seconds]
     spans = np.ones(len(ones), dtype=np.int64)

@@ -142,6 +142,24 @@ class TestRun:
         assert out == ""
         assert f"the evolutions of {summed} terms" in err
 
+    @pytest.mark.parametrize("protocol", ["parity", "distribute", "teleport-e"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sizes_below_one_exit_2(self, capsys, protocol, n):
+        code, out, err = run_cli(capsys, "run", protocol, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert f"error: {protocol} needs n >= 1, got {n}" in err
+
+    @pytest.mark.parametrize("argv", [["parity"], ["distribute", "--n", "1"], ["teleport-e"]])
+    def test_the_reported_size_is_the_size_run(self, capsys, argv):
+        # these gadgets need n >= 2: n = 1 runs, and reports, n = 2
+        code, out, _ = run_cli(capsys, "run", *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"]["n"] == 2
+        again = run_cli(capsys, "run", argv[0], "--n", "2")[1]
+        assert json.loads(again)["analytic"] == report["analytic"]
+
     def test_monte_carlo_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")
         assert code == 2

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
-from fockworks.fock import number_state
+from fockworks.costs import encode_single_rail
+from fockworks.fock import FockState, number_state
 from fockworks.optics import (
     BeamSplitter,
     apply_unitary,
@@ -20,6 +21,7 @@ from fockworks.optics import (
     random_unitary,
     transition_amplitude,
 )
+from fockworks.protocols import teleport_tn
 
 # one kernel implementation; its name stays in the test ids
 ONE_KERNEL = pytest.mark.parametrize("kernels", [KERNELS], ids=lambda k: k.BACKEND)
@@ -227,6 +229,7 @@ class TestArrayExpansion:
             KERNELS.expand_basis_state(np.eye(2, dtype=complex), [(1, 0), (1, 1)], arrays=True)
 
     def test_a_warm_expansion_builds_no_table(self, monkeypatch, rng):
+        _empty_rows(monkeypatch)
         u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
         cold = _array_bits(u, occs)
         calls = []
@@ -235,6 +238,7 @@ class TestArrayExpansion:
         assert _array_bits(u, occs) == cold and not calls
 
     def test_the_table_cache_stays_within_its_cap(self, monkeypatch, rng):
+        _empty_rows(monkeypatch)
         u = random_unitary(3, rng).matrix
         cases = [[(2, 1, 0)], [(1, 1, 1), (0, 0, 3)], [(6, 0, 1)], [(1, 0, 0)]]
         expected = [_array_bits(u, occs) for occs in cases]
@@ -247,6 +251,137 @@ class TestArrayExpansion:
             held = sum(child.size + counts.size for child, counts in KERNELS._TABLES.values())
             assert held == KERNELS._table_entries <= 60
         assert set(KERNELS._TABLES) == {(3, 1), (3, 2)}
+
+
+def _empty_rows(monkeypatch, floats=None):
+    """Start the stored expansion rows empty (their budget ``floats``)."""
+    monkeypatch.setattr(KERNELS, "_ROWS", type(KERNELS._ROWS)())
+    monkeypatch.setattr(KERNELS, "_recent", np.zeros_like(KERNELS._recent))
+    monkeypatch.setattr(KERNELS, "_recent_at", 0)
+    monkeypatch.setattr(KERNELS, "_row_floats", 0)
+    if floats is not None:
+        monkeypatch.setattr(KERNELS, "_ROW_FLOATS", floats)
+
+
+def _held():
+    """The floats the stored rows hold, counted from the rows themselves."""
+    return sum(re.size + im.size for re, im in KERNELS._ROWS.values())
+
+
+def _computed(monkeypatch):
+    """Record the occupations each array expansion computes, and the calls of the entry point."""
+    rows, calls = [], []
+    compute, expand = KERNELS._expand_arrays, KERNELS.expand_basis_state
+    monkeypatch.setattr(KERNELS, "_expand_arrays",
+                        lambda u, occs: rows.extend(map(tuple, occs.tolist())) or compute(u, occs))
+    monkeypatch.setattr(KERNELS, "expand_basis_state",
+                        lambda *a, **k: calls.append(1) or expand(*a, **k))
+    return rows, calls
+
+
+class TestExpansionRows:
+    """Array expansion rows are stored on their second request and reused:
+    the same bits, read-only, within the float budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), st.data())
+    def test_warm_rows_equal_cold_rows_bit_for_bit(self, batch, data):
+        u, occs = batch
+        cold = [_dict_bits(u, occ) for occ in occs]
+        for _ in range(3):  # computed, stored, read: in the order drawn and with other rows
+            shuffled = data.draw(st.permutations(occs))
+            assert _array_bits(u, shuffled) == [cold[occs.index(occ)] for occ in shuffled]
+        counts, _, _ = KERNELS.expand_basis_state(u, occs, arrays=True)
+        assert counts.dtype == KERNELS._expand_arrays(u, np.array(occs))[0].dtype
+
+    def test_a_row_is_stored_on_its_second_request(self, monkeypatch, rng):
+        _empty_rows(monkeypatch)
+        u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
+        computed, _ = _computed(monkeypatch)
+        for held in (0, 2, 2):
+            cold = _array_bits(u, occs)
+            assert len(KERNELS._ROWS) == held
+        assert computed == occs * 2  # the third request reads both rows
+        assert _array_bits(u, [(1, 1, 1, 1)] + occs) == _array_bits(u, [(1, 1, 1, 1)]) + cold
+        assert computed[4:] == [(1, 1, 1, 1)] * 2
+
+    def test_a_warm_teleportation_computes_no_row(self, monkeypatch):
+        _empty_rows(monkeypatch)
+        inputs = [encode_single_rail(a, b) for a, b in ((0.6, 0.8), (0.8, -0.6j), (0.28, 0.96j))]
+        for state in inputs[:2]:
+            teleport_tn(state, 0, 8)
+        computed, calls = _computed(monkeypatch)
+        warm = teleport_tn(inputs[2], 0, 8)
+        assert computed == [] and len(calls) == 10  # one call per photon total, 0..9
+        monkeypatch.undo()
+        _empty_rows(monkeypatch)
+        cold = teleport_tn(inputs[2], 0, 8)
+        assert len(warm.details["branches"]) == len(cold.details["branches"])
+        assert _state_bits(warm.output_state) == _state_bits(cold.output_state)
+        assert [b["p"].hex() for b in warm.details["branches"]] == [
+            b["p"].hex() for b in cold.details["branches"]]
+
+    def test_a_unitary_seen_once_takes_no_memory(self):
+        rng = np.random.default_rng(7)
+        basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
+        picks = rng.choice(len(basis), 40, replace=False)
+        state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks})
+        held, rows = KERNELS._row_floats, dict(KERNELS._ROWS)
+        for _ in range(3):  # each under a fresh Haar unitary, as the evolution benchmark runs
+            apply_unitary(state, random_unitary(8, rng))
+        assert KERNELS._row_floats == held and dict(KERNELS._ROWS) == rows
+        assert KERNELS._recent.shape == (KERNELS._RECENT_KEYS,)
+
+    def test_the_rows_stay_within_their_budget(self, monkeypatch, rng):
+        # rows of 2 photons on 4 modes hold 2 * 10 floats, of 3 photons 2 * 20
+        _empty_rows(monkeypatch, floats=100)
+        u = random_unitary(4, rng).matrix
+        cases = [[(2, 0, 0, 0)], [(1, 1, 0, 0), (0, 0, 1, 1)], [(3, 0, 0, 0)], [(1, 1, 1, 0)],
+                 [(0, 2, 0, 0)], [(2, 0, 0, 0)], [(0, 0, 0, 3)]]
+        expected = [_array_bits(u, occs) for occs in cases]
+        for _ in range(3):
+            assert [_array_bits(u, occs) for occs in cases] == expected
+            assert _held() == KERNELS._row_floats <= 100
+        assert 0 < len(KERNELS._ROWS) < 8
+        # the least recently used row goes first
+        _empty_rows(monkeypatch, floats=100)
+        # rows of 20, 40, 40 and 40 floats
+        a, b, c, d = (2, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)
+        for occ in (a, a, b, b, c, c, a, d, d):
+            _array_bits(u, [occ])
+        assert [occ for _, occ in KERNELS._ROWS] == [c, a, d] and KERNELS._row_floats == 100
+        # a row past the whole budget is never stored
+        _empty_rows(monkeypatch, floats=30)
+        for _ in range(3):
+            _array_bits(u, [(0, 3, 0, 0)])
+        assert not KERNELS._ROWS and KERNELS._row_floats == 0
+
+    def test_stored_rows_are_read_only(self, monkeypatch, rng):
+        _empty_rows(monkeypatch)
+        u, occs = random_unitary(3, rng).matrix, [(1, 1, 0), (0, 2, 0)]
+        for _ in range(2):
+            KERNELS.expand_basis_state(u, occs, arrays=True)
+        assert len(KERNELS._ROWS) == 2
+        for re, im in KERNELS._ROWS.values():
+            for array in (re, im):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        # what a call returns is its own
+        counts, re, im = KERNELS.expand_basis_state(u, occs, arrays=True)
+        re[:] = 0.0
+        assert _array_bits(u, occs) == [_dict_bits(u, occ) for occ in occs]
+
+    def test_the_dict_form_is_not_stored(self, monkeypatch, rng):
+        _empty_rows(monkeypatch)
+        u = random_unitary(3, rng).matrix
+        for _ in range(3):
+            KERNELS.expand_basis_state(u, (1, 2, 0))
+        assert not KERNELS._ROWS and not KERNELS._recent.any()
+
+
+def _state_bits(state):
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms()]
 
 
 class TestLargeOccupations:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,6 +534,111 @@ class TestEvolvedGroups:
             assert (passes, alone) == expected
             assert [_record_bits(r) for r in got] == [
                 _record_bits(r) for r in _one_by_one([state], u, modes)]
+
+
+def _terms_bits(terms):
+    """The stacked terms of a ``measure._Terms``, state by state, as
+    ``(occupation, float.hex of re, float.hex of im)``."""
+    modes, occ, re, im, starts, _ = terms
+    return [modes] + [[(tuple(occ[k].tolist()), re[k].hex(), im[k].hex()) for k in range(a, b)]
+                      for a, b in zip(starts, starts[1:])]
+
+
+def _projections(records, indices):
+    """The old route of a stage's hand-off: each branch projected into a state."""
+    return [measure._projection(records.modes, records.block(records.rows[i]), records.weight[i])
+            for i in indices]
+
+
+class TestHandOff:
+    """A teleported gate hands its stage-1 successes to the stage-2 pass as
+    arrays (``measure._projected``), with the bits of the projected states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(state_batches(), st.booleans())
+    def test_projected_terms_equal_the_projected_states(self, batch, pass_records):
+        states, u, modes = batch
+        # the records of a pass hold a _Block; those of measure_modes, dicts
+        cut = 1 if pass_records else optics.MAX_EVOLVED_TERMS + 1
+        try:
+            with mock.patch.object(optics, "ARRAY_MIN_TERMS", cut):
+                records = next(measure._evolved_groups(states[:1], u, modes))
+        except fock.FockError:  # a norm that underflows to zero
+            return
+        event(type(records.block).__name__)
+        indices = list(range(len(records)))[::-2]  # some rows, in any order
+        expected = measure._Terms.of(_projections(records, indices))
+        assert _terms_bits(measure._projected(records, indices)) == _terms_bits(expected)
+
+    def test_counts_past_int64_take_the_state_route(self):
+        huge = FockState(3, {(1, 0, 2**70): 0.6, (0, 1, 2**70): 0.8j, (1, 1, 3): 1e-13})
+        states = [FockState(3, {(1, 0, 1): 0.6, (0, 1, 2): 0.8j}), huge, number_state((1, 1, 0))]
+        got = _batched(states, HOM, [0, 1])
+        assert [_record_bits(r) for r in got] == [
+            _record_bits(r) for r in _one_by_one(states, HOM, [0, 1])]
+        # evolved counts whose total passes int64: over the budget, as apply_unitary finds
+        with pytest.raises(optics.BudgetExceeded, match="may produce 9223372036854775809 terms"):
+            _batched([FockState(3, {(2**62, 2**62, 1): 1.0}), huge], HOM, [0, 1])
+        # a stage whose post-states hold such a count hands them over as states
+        records = measure_modes(tensor(huge, number_state((1,))), [0, 1], lazy=True)
+        projected = measure._projected(records, [1, 0])
+        assert projected[1].dtype == object
+        assert _terms_bits(projected) == _terms_bits(
+            measure._Terms.of(_projections(records, [1, 0])))
+        phase = optics.ModeUnitary([[1j]])
+        assert [_record_bits(r) for r in measure._evolved_groups(projected, phase, [1])] == [
+            _record_bits(r) for r in _one_by_one(_projections(records, [1, 0]), phase, [1])]
+
+    GATES = [("csign", n) for n in range(1, 5)] + [("parity", 2), ("parity", 3)]
+
+    @pytest.mark.parametrize("gate, n", GATES)
+    @pytest.mark.parametrize("stage1", ["dicts", "pass"])
+    @pytest.mark.parametrize("pass_terms", [measure._PASS_TERMS, 500])
+    def test_stage_two_records_equal_the_projected_route(self, monkeypatch, gate, n, stage1,
+                                                         pass_terms):
+        if stage1 == "pass":  # stage 1 grouped by a pass too: its records hold a _Block
+            monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
+        monkeypatch.setattr(measure, "_PASS_TERMS", pass_terms)
+        seen = []
+        project, evolve = measure._projected, measure._evolved_groups
+        monkeypatch.setattr(measure, "_projected",
+                            lambda records, indices: seen.append((records, indices))
+                            or project(records, indices))
+        monkeypatch.setattr(measure, "_evolved_groups",
+                            lambda states, u, modes: seen.append((states, u, modes))
+                            or iter(list(evolve(states, u, modes))))
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if gate == "csign":
+            pair = tensor(protocols.encode_qubit(*amps[:2] / np.linalg.norm(amps[:2])),
+                          protocols.encode_qubit(*amps[2:] / np.linalg.norm(amps[2:])))
+            res = protocols.csign_teleported(pair, protocols.BosonicQubit(0, 1),
+                                             protocols.BosonicQubit(2, 3), n)
+        else:
+            state = FockState(2, {(0, 1): amps[0], (1, 0): amps[1]})
+            res = protocols.parity_measure(state, 0, 1, n)
+        (records, indices), (_, u, modes) = seen[-2:]
+        assert isinstance(records.block, measure._Block if stage1 == "pass" else measure._Groups)
+        seconds = list(res.details["branches"])
+        old = list(evolve(_projections(records, indices), u, modes))
+        assert [_record_bits(r) for r in evolve(project(records, indices), u, modes)] == [
+            _record_bits(r) for r in old]
+        # the tree's stage-2 columns are those records'
+        stage2 = [b for b in seconds if "pattern2" in b]
+        assert [(b["pattern2"], b["p2"].hex()) for b in stage2] == [
+            (tuple(c), p.hex()) for r in old for c, p in zip(r.counts.tolist(), r.p)]
+
+    def test_no_stage_one_success_is_projected(self, monkeypatch):
+        made = []
+        project = measure._projection
+        for owner in (measure, protocols):
+            monkeypatch.setattr(owner, "_projection",
+                                lambda modes, *a: made.append(modes) or project(modes, *a))
+        pair = tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.8j, 0.6))
+        res = protocols.csign_teleported(pair, protocols.BosonicQubit(0, 1),
+                                         protocols.BosonicQubit(2, 3), 4)
+        # the landed branch alone, on the modes left after both detections
+        assert made == [res.output_state.modes] == [4 + 16 - 10]
 
 
 def _bounded_state(bound):

@@ -85,6 +85,11 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier_matrix(0)
 
+    def test_repeated_calls_share_one_matrix(self):
+        f = fourier_matrix(4)
+        assert fourier_matrix(4) is f and fourier_matrix(3) is not f
+        assert not f.matrix.flags.writeable
+
 
 class TestEmbed:
     def test_phase_in_three_modes(self):
