@@ -14,19 +14,21 @@ on integer-packed occupation keys for one occupation, and numpy steps
 The numpy form sorts nothing: each photon step is one ``np.bincount``
 through a cached rank table (``_level``), which sums left to right from
 0.0 in the dict loop's order, multiplying complex numbers in CPython's
-order on separate real arrays. The numpy form keeps the rows it computes
-(``_ROWS``, one occupation under one unitary each, least recently used
-dropped first past ``_ROW_FLOATS``), storing a row at the second request
-of its key within the last ``_RECENT_KEYS`` missed keys, so a fixed
-interferometer (the Fourier multiports of the gates) is expanded once
-while a unitary seen once takes no memory; the dict form keeps nothing.
-``optics`` and ``measure`` reach the kernels through
-``fockworks._backend.kernels``, one call per expansion, hit or not.
+order on separate real arrays. Both forms keep the rows they compute in
+one store (``_ROWS``, one occupation under one unitary in one form each,
+least recently used dropped first past ``_ROW_FLOATS``), storing a row at
+the second request of its key within the last ``_RECENT_KEYS`` missed
+keys, so a fixed interferometer (the NS sign flip, the balanced splitters
+and the Fourier multiports of the gates) is expanded once while a unitary
+seen once takes no memory. ``optics`` and ``measure`` reach the kernels
+through ``fockworks._backend.kernels``, one call per expansion, hit or not.
 """
 
 import math
+import sys
 from collections import OrderedDict
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -137,15 +139,17 @@ _TABLE_ENTRIES = 1 << 22
 _TABLES: dict = {}
 _table_entries = 0
 
-#: Most floats the stored expansion rows hold, real and imaginary parts.
+#: Most floats' worth of memory (8 bytes each) the stored expansion rows
+#: hold, with their keys and the store's own table (``_floats``).
 _ROW_FLOATS = 1 << 18
 #: Missed row keys remembered, so that a second request stores its row.
 _RECENT_KEYS = 256
 
-# (unitary, occupation) -> its row (re, im), least recently used first, and
-# _row_floats their size; _recent is a ring of the hashes of the last missed
-# keys, written at _recent_at: one array, where a dict of them would pin
-# small objects all over the heap (a hash collision only stores a row early)
+# (unitary, occupation, arrays) -> its row, (re, im) or a dict, least
+# recently used first, and _row_floats the rows' charge; _recent is a ring
+# of the hashes of the last missed keys, written at _recent_at: one array,
+# where a dict of them would pin small objects all over the heap (a hash
+# collision only stores a row early)
 _ROWS: OrderedDict = OrderedDict()
 _row_floats = 0
 _recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
@@ -206,7 +210,8 @@ def expand_basis_state(u, occ, arrays=False):
     Each creation operator a_l^dag is replaced by sum_m u[m, l] a_m^dag and
     the resulting polynomial is expanded one photon at a time; occupation
     vectors are packed into integer keys during the convolution. Returns a
-    dict mapping output occupation tuples to complex amplitudes.
+    read-only mapping of output occupation tuples to complex amplitudes,
+    read from ``_ROWS`` when requested before.
 
     With ``arrays``, ``occ`` is a sequence of occupations with one photon
     total, all expanded together, and the result is ``(counts, re, im)``:
@@ -218,8 +223,28 @@ def expand_basis_state(u, occ, arrays=False):
     (the dict loop skips those), and m * bit_length(total) <= 62. Rows
     requested before are read from ``_ROWS`` (``_expand_rows``).
     """
+    u = np.asarray(u)
     if arrays:
-        return _expand_rows(np.asarray(u), np.array(occ, dtype=np.int64).reshape(len(occ), -1))
+        return _expand_rows(u, np.array(occ, dtype=np.int64).reshape(len(occ), -1))
+    occ = tuple(occ)
+    key = (_matrix(u), occ, False)
+    row = _ROWS.get(key)
+    if row is None:
+        row = _expand_dict(u, occ)
+        _remember([key], lambda _: row)
+    else:
+        _ROWS.move_to_end(key)
+    return MappingProxyType(row)
+
+
+def _matrix(u):
+    """The part of a ``_ROWS`` key that names the unitary ``u``: its shape,
+    dtype (a shared object) and bytes."""
+    return u.shape, u.dtype, u.tobytes()
+
+
+def _expand_dict(u, occ):
+    """The dict form of ``expand_basis_state``, computed: a new dict."""
     m = len(occ)
     total = sum(occ)
     sqrt_fact = _sqrt_factorials(total)
@@ -268,8 +293,8 @@ def _expand_rows(u, occs):
     if (occs.sum(axis=1) != t).any():
         raise ValueError("the occupations expanded together must hold the same photon total")
     level = _TABLES.get((m, t)) if t else (None, np.zeros((1, m), dtype=np.uint8))
-    matrix = (u.shape, u.dtype.str, u.tobytes())
-    keys = [(matrix, occ) for occ in map(tuple, occs.tolist())]
+    matrix = _matrix(u)
+    keys = [(matrix, occ, True) for occ in map(tuple, occs.tolist())]
     rows = [_ROWS.get(key) for key in keys] if level else [None] * owners
     missing = [i for i, row in enumerate(rows) if row is None]
     for key, row in zip(keys, rows):
@@ -277,7 +302,7 @@ def _expand_rows(u, occs):
             _ROWS.move_to_end(key)
     if missing:
         counts, re, im = _expand_arrays(u, occs[missing] if len(missing) < owners else occs)
-        _remember([keys[i] for i in missing], re, im)
+        _remember([keys[i] for i in missing], lambda j: _frozen(re[j].copy(), im[j].copy()))
         if len(missing) == owners:
             return counts, re, im
         for i, r, c in zip(missing, re, im):
@@ -285,11 +310,18 @@ def _expand_rows(u, occs):
     return level[1], np.array([r for r, _ in rows]), np.array([c for _, c in rows])
 
 
-def _remember(keys, re, im):
-    """Store the row ``(re[i], im[i])`` of each missed ``keys[i]`` whose
-    key was among the last ``_RECENT_KEYS`` missed keys, and note the
-    others: a unitary seen once takes no memory. Past ``_ROW_FLOATS`` the
-    least recently used rows are dropped."""
+def _frozen(*arrays):
+    """The ``arrays``, made read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _remember(keys, row):
+    """Store the row ``row(i)`` of each missed ``keys[i]`` whose key was
+    among the last ``_RECENT_KEYS`` missed keys, and note the others: a
+    unitary seen once takes no memory. Past ``_ROW_FLOATS`` the least
+    recently used rows, of either form, are dropped."""
     global _row_floats, _recent_at
     hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
     seen = (hashes[:, None] == _recent).any(axis=1)
@@ -297,18 +329,33 @@ def _remember(keys, re, im):
     _recent[(_recent_at + np.arange(len(fresh))) % len(_recent)] = fresh
     _recent_at = (_recent_at + len(fresh)) % len(_recent)
     for i in np.flatnonzero(seen).tolist():
-        key, r, c = keys[i], re[i], im[i]
+        key, stored = keys[i], row(i)
         _recent[_recent == hashes[i]] = 0
+        floats = _floats(key, stored)
         # stored already (a repeated occupation, or a level dropped from _TABLES) or too large
-        if key in _ROWS or 2 * r.size > _ROW_FLOATS:
+        if key in _ROWS or floats > _ROW_FLOATS:
             continue
-        _ROWS[key] = r.copy(), c.copy()
-        for array in _ROWS[key]:
-            array.setflags(write=False)
-        _row_floats += 2 * r.size
-        while _row_floats > _ROW_FLOATS:
-            old, _ = _ROWS.popitem(last=False)[1]
-            _row_floats -= 2 * old.size
+        _ROWS[key] = stored
+        _row_floats += floats
+        # the store's own table, as sys.getsizeof measures it, counts too
+        while _ROWS and _row_floats + sys.getsizeof(_ROWS) // 8 > _ROW_FLOATS:
+            _row_floats -= _floats(*_ROWS.popitem(last=False))
+
+
+def _floats(key, row):
+    """The memory the stored ``row`` of ``key`` holds, in floats of 8
+    bytes, as ``sys.getsizeof`` measures it: an array row's pair and its
+    two arrays, or a dict row's dict and one output tuple of m counts and
+    one complex per entry (the counts are interned small ints); and the
+    key's own objects, unitary bytes and all (not the shared dtype)."""
+    matrix, occ, arrays = key
+    shape, _, data = matrix
+    size = sum(map(sys.getsizeof, (key, matrix, shape, data, occ, row)))
+    if arrays:
+        size += sum(map(sys.getsizeof, row))
+    else:
+        size += len(row) * (sys.getsizeof(occ) + sys.getsizeof(0j))
+    return -(-size // 8)
 
 
 def _expand_arrays(u, occs):

@@ -190,7 +190,16 @@ class _Branches(Sequence):
 
     def mass(self, ok=True):
         """The summed ``p`` of the branches whose ``ok`` is ``ok``, added left to right."""
-        return sum(compress(self.p, self.ok if ok else map(operator.not_, self.ok)))
+        return _added(compress(self.p, self.ok if ok else map(operator.not_, self.ok)))
+
+
+def _added(values):
+    """The float ``values`` added left to right from 0.0, as ``sum`` adds
+    them before CPython 3.12, whose ``sum`` compensates the rounding:
+    ``np.add.accumulate`` adds one term at a time."""
+    total = np.add.accumulate(np.fromiter(values, dtype=float))
+    # 0.0 + x is x, but for x = -0.0
+    return float(total[-1]) + 0.0 if len(total) else 0.0
 
 
 def _built(modes, group, weight, corrections):
@@ -1173,8 +1182,8 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     details = {"branch": chosen}
     if rng is None:
         reported = [b for b in branches if b["parity"] is not None]
-        details["acceptance_probability"] = (sum(b["p"] for b in reported if b["accepted"])
-                                             / sum(b["p"] for b in reported))
+        details["acceptance_probability"] = (_added(b["p"] for b in reported if b["accepted"])
+                                             / _added(b["p"] for b in reported))
     return _result(chosen, branches, rng, details, trace,
                    lambda b: b.get("gadget_failure") or {"parity": 0},
                    details.get("acceptance_probability"))

@@ -13,6 +13,7 @@ first successful branch, which is the one drawn branch with an rng.
 import cmath
 import collections
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -243,7 +244,7 @@ def test_branch_columns_act_as_the_eager_list(name, a, b, data):
     assert not reads or branches[reads[0]].pop("edited")
     # the columns are the dicts' p and ok, the sums those of the dicts
     assert branches.p == [b["p"] for b in listed] and branches.ok == [b["ok"] for b in listed]
-    assert branches.mass() == sum(b["p"] for b in listed if b["ok"])
+    assert branches.mass() == _left_to_right(b["p"] for b in listed if b["ok"])
     for branch in listed:
         assert tuple(branch) in _KEY_ORDERS
         assert all(_builtin(value) for key, value in branch.items() if key != "state")
@@ -251,6 +252,29 @@ def test_branch_columns_act_as_the_eager_list(name, a, b, data):
     # mutable values are fresh per dict
     lists = [value for branch in listed for value in branch.values() if type(value) is list]
     assert len({id(value) for value in lists}) == len(lists)
+
+
+def _left_to_right(values):
+    """``values`` added left to right from 0.0: the last running sum."""
+    return list(itertools.accumulate(values, initial=0.0))[-1]
+
+
+class TestMass:
+    """Branch masses add left to right on every interpreter; CPython 3.12's
+    ``sum`` compensates the rounding of floats."""
+
+    def test_mass_adds_left_to_right(self):
+        p = [0.1] * 10 + [1e-17] * 5
+        left = _left_to_right(p)
+        assert left.hex() == "0x1.fffffffffffffp-1" and math.fsum(p) == 1.0  # the two sums differ
+        branches = protocols._Branches(p + [0.5, 0.25], [True] * 15 + [False] * 2, None)
+        assert branches.mass().hex() == left.hex()
+        assert branches.mass(False) == 0.75
+        assert protocols._added(p).hex() == left.hex()
+
+    def test_an_empty_or_signed_zero_mass_is_zero(self):
+        for p in ([], [-0.0], [-0.0, -0.0]):
+            assert protocols._Branches(p, [True] * len(p), None).mass().hex() == "0x0.0p+0"
 
 
 class TestResolver:

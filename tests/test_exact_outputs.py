@@ -175,16 +175,22 @@ DIGESTS = {
 }
 
 
+# each case runs three times from empty expansion stores: its rows
+# computed, stored on their second request, then read
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_exact_outputs_match_record(name):
+def test_exact_outputs_match_record(name, empty_rows):
     record = json.loads(RECORD.read_text())
-    assert _digest(CASES[name]()) == record[name]
+    for _ in range(3):
+        assert _digest(CASES[name]()) == record[name]
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_CASES))
-def test_branch_fields_match_record(name):
+def test_branch_fields_match_record(name, empty_rows):
     record = json.loads(RECORD.read_text())
-    assert DIGESTS[f"{name} fields"]() == record[f"{name} fields"]
+    for _ in range(3):
+        assert DIGESTS[f"{name} fields"]() == record[f"{name} fields"]
 
 
 def _write():

@@ -1,7 +1,9 @@
 """Independent checks of the number-basis kernels."""
 
+import gc
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
+from fockworks import costs
 from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, number_state
 from fockworks.optics import (
@@ -228,8 +231,7 @@ class TestArrayExpansion:
         with pytest.raises(ValueError, match="same photon total"):
             KERNELS.expand_basis_state(np.eye(2, dtype=complex), [(1, 0), (1, 1)], arrays=True)
 
-    def test_a_warm_expansion_builds_no_table(self, monkeypatch, rng):
-        _empty_rows(monkeypatch)
+    def test_a_warm_expansion_builds_no_table(self, empty_rows, monkeypatch, rng):
         u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
         cold = _array_bits(u, occs)
         calls = []
@@ -237,8 +239,7 @@ class TestArrayExpansion:
         monkeypatch.setattr(KERNELS, "accumulate", lambda keys: calls.append(1) or accumulate(keys))
         assert _array_bits(u, occs) == cold and not calls
 
-    def test_the_table_cache_stays_within_its_cap(self, monkeypatch, rng):
-        _empty_rows(monkeypatch)
+    def test_the_table_cache_stays_within_its_cap(self, empty_rows, monkeypatch, rng):
         u = random_unitary(3, rng).matrix
         cases = [[(2, 1, 0)], [(1, 1, 1), (0, 0, 3)], [(6, 0, 1)], [(1, 0, 0)]]
         expected = [_array_bits(u, occs) for occs in cases]
@@ -253,35 +254,61 @@ class TestArrayExpansion:
         assert set(KERNELS._TABLES) == {(3, 1), (3, 2)}
 
 
-def _empty_rows(monkeypatch, floats=None):
-    """Start the stored expansion rows empty (their budget ``floats``)."""
-    monkeypatch.setattr(KERNELS, "_ROWS", type(KERNELS._ROWS)())
-    monkeypatch.setattr(KERNELS, "_recent", np.zeros_like(KERNELS._recent))
-    monkeypatch.setattr(KERNELS, "_recent_at", 0)
-    monkeypatch.setattr(KERNELS, "_row_floats", 0)
-    if floats is not None:
-        monkeypatch.setattr(KERNELS, "_ROW_FLOATS", floats)
-
-
 def _held():
-    """The floats the stored rows hold, counted from the rows themselves."""
-    return sum(re.size + im.size for re, im in KERNELS._ROWS.values())
+    """The floats the stored rows hold, counted from the rows themselves
+    as ``sys.getsizeof`` measures them: an array row's pair and arrays, a
+    dict row's dict and every entry's tuple and complex, and each key's
+    objects but the shared dtype."""
+    floats = 0
+    for key, row in KERNELS._ROWS.items():
+        (shape, _, data), occ, arrays = key
+        size = sum(map(sys.getsizeof, (key, key[0], shape, data, occ)))
+        if arrays:
+            size += sum(map(sys.getsizeof, (row, *row)))
+        else:
+            size += sys.getsizeof(row) + sum(map(sys.getsizeof, itertools.chain(*row.items())))
+        floats += math.ceil(size / 8)
+    return floats
+
+
+def _table():
+    """The floats the store's own table takes, as ``sys.getsizeof`` measures it."""
+    return sys.getsizeof(KERNELS._ROWS) // 8
 
 
 def _computed(monkeypatch):
-    """Record the occupations each array expansion computes, and the calls of the entry point."""
+    """Record the occupations each expansion computes, in either form, and
+    the calls of the entry point."""
     rows, calls = [], []
-    compute, expand = KERNELS._expand_arrays, KERNELS.expand_basis_state
+    arrays, dicts, expand = KERNELS._expand_arrays, KERNELS._expand_dict, KERNELS.expand_basis_state
     monkeypatch.setattr(KERNELS, "_expand_arrays",
-                        lambda u, occs: rows.extend(map(tuple, occs.tolist())) or compute(u, occs))
+                        lambda u, occs: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs))
+    monkeypatch.setattr(KERNELS, "_expand_dict", lambda u, occ: rows.append(occ) or dicts(u, occ))
     monkeypatch.setattr(KERNELS, "expand_basis_state",
                         lambda *a, **k: calls.append(1) or expand(*a, **k))
     return rows, calls
 
 
+@st.composite
+def zero_columns(draw):
+    """An m-mode unitary, m = 1..6, that may hold exact zeros in every
+    column (a Haar unitary of k <= m modes beside the identity of the
+    others, in shuffled modes, its zeros -0.0 when negated), and an
+    occupation of 0..6 photons."""
+    m = draw(st.integers(1, 6))
+    u = np.eye(m, dtype=complex)
+    k = draw(st.integers(1, m))
+    u[:k, :k] = random_unitary(k, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).matrix
+    modes = draw(st.permutations(range(m)))
+    u = u[modes][:, modes] * draw(st.sampled_from([1, -1]))
+    total = draw(st.integers(0, 6))
+    where = draw(st.lists(st.integers(0, m - 1), min_size=total, max_size=total))
+    return u, tuple(where.count(j) for j in range(m))
+
+
 class TestExpansionRows:
-    """Array expansion rows are stored on their second request and reused:
-    the same bits, read-only, within the float budget."""
+    """Expansion rows of either form are stored on their second request
+    and reused: the same bits, read-only, within the one budget."""
 
     @settings(max_examples=60, deadline=None)
     @given(batches(), st.data())
@@ -294,8 +321,16 @@ class TestExpansionRows:
         counts, _, _ = KERNELS.expand_basis_state(u, occs, arrays=True)
         assert counts.dtype == KERNELS._expand_arrays(u, np.array(occs))[0].dtype
 
-    def test_a_row_is_stored_on_its_second_request(self, monkeypatch, rng):
-        _empty_rows(monkeypatch)
+    @settings(max_examples=80, deadline=None)
+    @given(zero_columns())
+    def test_warm_dict_rows_equal_cold_rows_bit_for_bit(self, case):
+        u, occ = case
+        cold = [(out, a.real.hex(), a.imag.hex()) for out, a in KERNELS._expand_dict(u, occ).items()]
+        for _ in range(3):  # computed, stored, read
+            assert _dict_bits(u, occ) == cold
+        assert (KERNELS._matrix(u), occ, False) in KERNELS._ROWS
+
+    def test_a_row_is_stored_on_its_second_request(self, empty_rows, monkeypatch, rng):
         u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
         computed, _ = _computed(monkeypatch)
         for held in (0, 2, 2):
@@ -305,8 +340,22 @@ class TestExpansionRows:
         assert _array_bits(u, [(1, 1, 1, 1)] + occs) == _array_bits(u, [(1, 1, 1, 1)]) + cold
         assert computed[4:] == [(1, 1, 1, 1)] * 2
 
-    def test_a_warm_teleportation_computes_no_row(self, monkeypatch):
-        _empty_rows(monkeypatch)
+    def test_a_dict_row_is_stored_on_its_second_request(self, empty_rows, monkeypatch, rng):
+        u, occ = random_unitary(3, rng).matrix, (1, 2, 0)
+        computed, calls = _computed(monkeypatch)
+        cold = _dict_bits(u, occ)
+        assert not KERNELS._ROWS and KERNELS._recent.any()
+        for _ in range(2):
+            assert _dict_bits(u, occ) == cold
+            assert list(KERNELS._ROWS) == [(KERNELS._matrix(u), occ, False)]
+        assert computed == [occ] * 2 and len(calls) == 3  # the third request reads the row
+        assert KERNELS._row_floats == _held() > 0
+        # the array form of the same occupation is a row of its own
+        for _ in range(2):
+            assert _array_bits(u, [occ]) == [cold]
+        assert [arrays for _, _, arrays in KERNELS._ROWS] == [False, True]
+
+    def test_a_warm_teleportation_computes_no_row(self, empty_rows, monkeypatch):
         inputs = [encode_single_rail(a, b) for a, b in ((0.6, 0.8), (0.8, -0.6j), (0.28, 0.96j))]
         for state in inputs[:2]:
             teleport_tn(state, 0, 8)
@@ -314,50 +363,122 @@ class TestExpansionRows:
         warm = teleport_tn(inputs[2], 0, 8)
         assert computed == [] and len(calls) == 10  # one call per photon total, 0..9
         monkeypatch.undo()
-        _empty_rows(monkeypatch)
+        empty_rows()
         cold = teleport_tn(inputs[2], 0, 8)
         assert len(warm.details["branches"]) == len(cold.details["branches"])
         assert _state_bits(warm.output_state) == _state_bits(cold.output_state)
         assert [b["p"].hex() for b in warm.details["branches"]] == [
             b["p"].hex() for b in cold.details["branches"]]
 
-    def test_a_unitary_seen_once_takes_no_memory(self):
+    def test_a_warm_trial_set_up_computes_no_row(self, empty_rows, monkeypatch):
+        for _ in range(2):
+            for name in ("ns1", "csign_ns", "teleport"):
+                costs.make_trial(name, n=3)
+        computed, calls = _computed(monkeypatch)
+        for name in ("ns1", "csign_ns", "teleport"):
+            costs.make_trial(name, n=3)
+        assert computed == [] and calls
+        assert not any(arrays for _, _, arrays in KERNELS._ROWS)  # small evolutions take dicts
+
+    def test_a_unitary_seen_once_takes_no_memory(self, empty_rows):
         rng = np.random.default_rng(7)
         basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
         picks = rng.choice(len(basis), 40, replace=False)
         state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks})
-        held, rows = KERNELS._row_floats, dict(KERNELS._ROWS)
+        small = FockState(3, {(1, 1, 0): 0.6, (0, 2, 1): 0.8})
         for _ in range(3):  # each under a fresh Haar unitary, as the evolution benchmark runs
             apply_unitary(state, random_unitary(8, rng))
-        assert KERNELS._row_floats == held and dict(KERNELS._ROWS) == rows
+            apply_unitary(small, random_unitary(3, rng))  # the dict form
+        assert KERNELS._recent.any()
+        assert KERNELS._row_floats == 0 and not KERNELS._ROWS
         assert KERNELS._recent.shape == (KERNELS._RECENT_KEYS,)
 
-    def test_the_rows_stay_within_their_budget(self, monkeypatch, rng):
-        # rows of 2 photons on 4 modes hold 2 * 10 floats, of 3 photons 2 * 20
-        _empty_rows(monkeypatch, floats=100)
+    def test_the_rows_stay_within_their_budget(self, empty_rows, rng):
         u = random_unitary(4, rng).matrix
         cases = [[(2, 0, 0, 0)], [(1, 1, 0, 0), (0, 0, 1, 1)], [(3, 0, 0, 0)], [(1, 1, 1, 0)],
                  [(0, 2, 0, 0)], [(2, 0, 0, 0)], [(0, 0, 0, 3)]]
         expected = [_array_bits(u, occs) for occs in cases]
+        empty_rows(floats=1000)
         for _ in range(3):
             assert [_array_bits(u, occs) for occs in cases] == expected
-            assert _held() == KERNELS._row_floats <= 100
+            assert _held() == KERNELS._row_floats <= 1000 - _table()
         assert 0 < len(KERNELS._ROWS) < 8
-        # the least recently used row goes first
-        _empty_rows(monkeypatch, floats=100)
-        # rows of 20, 40, 40 and 40 floats
-        a, b, c, d = (2, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)
-        for occ in (a, a, b, b, c, c, a, d, d):
-            _array_bits(u, [occ])
-        assert [occ for _, occ in KERNELS._ROWS] == [c, a, d] and KERNELS._row_floats == 100
         # a row past the whole budget is never stored
-        _empty_rows(monkeypatch, floats=30)
+        empty_rows()
+        for _ in range(2):
+            _array_bits(u, [(0, 3, 0, 0)])
+        empty_rows(floats=KERNELS._row_floats - 1)
         for _ in range(3):
             _array_bits(u, [(0, 3, 0, 0)])
         assert not KERNELS._ROWS and KERNELS._row_floats == 0
 
-    def test_stored_rows_are_read_only(self, monkeypatch, rng):
-        _empty_rows(monkeypatch)
+    def test_mixed_rows_are_dropped_least_recently_used_first(self, empty_rows, rng):
+        u = random_unitary(4, rng).matrix
+        a, b, c = (2, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0)  # array rows
+        d = (1, 1, 1, 0)  # a dict row
+
+        def request(occ, arrays, times=1):
+            for _ in range(times):
+                if arrays:
+                    assert _array_bits(u, [occ]) == [cold[occ]]
+                else:
+                    assert _dict_bits(u, occ) == cold[occ]
+
+        cold = {occ: _dict_bits(u, occ) for occ in (a, b, c, d)}
+        charge = {}
+        for occ, arrays in ((a, True), (d, False), (b, True), (c, True)):
+            empty_rows()
+            request(occ, arrays, times=2)
+            charge[occ] = KERNELS._row_floats
+        assert charge[d] > charge[b] > charge[a]
+        empty_rows()
+        request(a, True, times=2)
+        request(d, False, times=2)
+        request(b, True, times=2)
+        # room for a, d, b and the table that holds three rows (measured
+        # before the store is emptied), and not for c as well
+        empty_rows(floats=charge[a] + charge[d] + charge[b] + _table())
+        request(a, True, times=2)
+        request(d, False, times=2)
+        request(b, True, times=2)
+        assert [occ for _, occ, _ in KERNELS._ROWS] == [a, d, b]
+        request(a, True)  # read: the dict row is now the least recently used
+        request(c, True, times=2)
+        assert [occ for _, occ, _ in KERNELS._ROWS] == [b, a, c]
+        request(d, False, times=2)  # stored again, past the array row b
+        assert [occ for _, occ, _ in KERNELS._ROWS] == [a, c, d]
+        assert _held() == KERNELS._row_floats <= KERNELS._ROW_FLOATS - _table()
+
+    def test_the_budget_bounds_the_memory_the_rows_take(self, empty_rows):
+        # every row of 1-3 photons on 2-4 modes under 18 unitaries, each
+        # requested twice, in either form: about four budgets' worth
+        rng = np.random.default_rng(3)
+        unitaries = [random_unitary(m, rng).matrix for m in (2, 3, 4) for _ in range(6)]
+        cases = [(u, occ, arrays) for u in unitaries for t in (1, 2, 3)
+                 for occ in itertools.islice(_occupations(len(u), t), 4) for arrays in (True, False)]
+        for u, occ, _ in cases[::6]:  # the rank tables, built outside the trace
+            KERNELS._expand_arrays(u, np.array([occ]))
+        empty_rows(floats=1 << 14)
+        tracemalloc.start()
+        try:
+            gc.collect()  # empties the free lists, so that every object is traced
+            base = tracemalloc.get_traced_memory()[0]
+            for u, occ, arrays in cases:
+                for _ in range(2):
+                    KERNELS.expand_basis_state(u, [occ] if arrays else occ, arrays=arrays)
+            gc.collect()
+            taken = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        charged = KERNELS._row_floats + _table()
+        assert {arrays for _, _, arrays in KERNELS._ROWS} == {True, False}
+        assert _held() == KERNELS._row_floats and charged <= KERNELS._ROW_FLOATS
+        # the trace sees the charge to within 1%: numpy's cache of small
+        # shape buffers is not charged, and the caller's own occupation
+        # tuple, which a dict row's key holds, is charged but not allocated here
+        assert 0.95 * 8 * charged <= taken <= 1.01 * 8 * charged
+
+    def test_stored_rows_are_read_only(self, empty_rows, rng):
         u, occs = random_unitary(3, rng).matrix, [(1, 1, 0), (0, 2, 0)]
         for _ in range(2):
             KERNELS.expand_basis_state(u, occs, arrays=True)
@@ -372,12 +493,21 @@ class TestExpansionRows:
         re[:] = 0.0
         assert _array_bits(u, occs) == [_dict_bits(u, occ) for occ in occs]
 
-    def test_the_dict_form_is_not_stored(self, monkeypatch, rng):
-        _empty_rows(monkeypatch)
-        u = random_unitary(3, rng).matrix
-        for _ in range(3):
-            KERNELS.expand_basis_state(u, (1, 2, 0))
-        assert not KERNELS._ROWS and not KERNELS._recent.any()
+    def test_a_dict_row_rejects_writes(self, empty_rows, rng):
+        u, occ = random_unitary(3, rng).matrix, (1, 1, 0)
+        cold = _dict_bits(u, occ)
+        for _ in range(3):  # computed, stored, read
+            out = KERNELS.expand_basis_state(u, occ)
+            with pytest.raises(TypeError):
+                out[(2, 0, 0)] = 0j
+            with pytest.raises(AttributeError):
+                out.pop((2, 0, 0))
+        assert len(KERNELS._ROWS) == 1 and _dict_bits(u, occ) == cold
+
+
+def _occupations(m, t):
+    """The occupations of ``t`` photons in ``m`` modes."""
+    return (c for c in itertools.product(range(t + 1), repeat=m) if sum(c) == t)
 
 
 def _state_bits(state):

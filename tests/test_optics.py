@@ -346,7 +346,7 @@ class TestEvolutionRoutes:
         monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", optics.MAX_EVOLVED_TERMS + 1)
         assert _bits(apply_unitary(number_state((90, 0, 0)), u)) == _bits(clear)
 
-    def test_a_warm_evolution_expands_once_without_a_sort(self, monkeypatch, rng):
+    def test_a_warm_evolution_expands_once_without_a_sort(self, empty_rows, monkeypatch, rng):
         basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
         picks = rng.choice(len(basis), 40, replace=False)
         state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks}).normalized()
@@ -361,12 +361,10 @@ class TestEvolutionRoutes:
         assert _bits(apply_unitary(state, u)) == _bits(warm)
         assert len(expansions) == 1 and not sorts
 
-    def test_a_capped_table_cache_gives_the_same_bits(self, monkeypatch):
+    def test_a_capped_table_cache_gives_the_same_bits(self, empty_rows, monkeypatch):
         state, u = number_state((300, 0)), element_matrix(BeamSplitter(0, 1, BAL))
         dicts = apply_unitary(state, u)
         monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 5000)
-        monkeypatch.setattr(kernels, "_TABLES", {})
-        monkeypatch.setattr(kernels, "_table_entries", 0)
         monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
         taken = _routes(monkeypatch)
         assert _bits(apply_unitary(state, u)) == _bits(dicts) and taken[0] is not None
@@ -406,7 +404,7 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             apply_unitary(state, u)
 
-    def test_oversize_evolution_fails_before_expanding(self, monkeypatch):
+    def test_oversize_evolution_fails_before_expanding(self, empty_rows, monkeypatch):
         calls = []
         expand = kernels.expand_basis_state
         monkeypatch.setattr(kernels, "expand_basis_state", lambda *a, **k: calls.append(1) or expand(*a, **k))

@@ -256,7 +256,7 @@ class TestSampledDetection:
 
     @pytest.mark.parametrize("run", [_teleport_run(2), _teleport_run(4), _teleport_run(6),
                                      _csign_run(1), _csign_run(2)])
-    def test_sampled_run_neither_evolves_nor_groups(self, run, monkeypatch):
+    def test_sampled_run_neither_evolves_nor_groups(self, run, empty_rows, monkeypatch):
         expansions = _counting(monkeypatch, kernels, "expand_basis_state")
         groupings = _counting(monkeypatch, measure, "_groups")
         projections = _counting(monkeypatch, measure, "_projection")
@@ -300,7 +300,7 @@ class TestSampledDetection:
                  for b in res.details["branches"]}
         self._check_frequencies(_csign_run(n, state), exact, 3000, seed=70 + n)
 
-    def test_coherent_sector_falls_back_to_its_own_evolution(self, monkeypatch):
+    def test_coherent_sector_falls_back_to_its_own_evolution(self, empty_rows, monkeypatch):
         resource = _coherent_resource()
         state = encode_single_rail(0.6, 0.8)
         exact = {(b["pattern"],): b
@@ -340,7 +340,7 @@ class TestOnePassSecondStage:
 
     @pytest.mark.parametrize("name, n", [("csign_teleported", 3), ("csign_teleported", 4),
                                          ("parity_measure", 3)])
-    def test_one_evolution_and_one_grouping_per_stage(self, name, n, monkeypatch):
+    def test_one_evolution_and_one_grouping_per_stage(self, name, n, empty_rows, monkeypatch):
         run, make_state, kind, mode_x, mode_y = self.RUNS[name]
         state = make_state()
         first, second = _stage_subs(state, kind, mode_x, mode_y, n)
