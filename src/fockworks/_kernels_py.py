@@ -20,8 +20,11 @@ least recently used dropped first past ``_ROW_FLOATS``), storing a row at
 the second request of its key within the last ``_RECENT_KEYS`` missed
 keys, so a fixed interferometer (the NS sign flip, the balanced splitters
 and the Fourier multiports of the gates) is expanded once while a unitary
-seen once takes no memory. ``optics`` and ``measure`` reach the kernels
-through ``fockworks._backend.kernels``, one call per expansion, hit or not.
+seen once takes no memory. ``stored`` keeps any other value there under
+the same rule and the same budget: ``measure`` keeps the plans of its
+detection passes (keys, sort order and groups of a stack of occupations)
+in it. ``optics`` and ``measure`` reach the kernels through
+``fockworks._backend.kernels``, one call per expansion, hit or not.
 """
 
 import math
@@ -140,16 +143,20 @@ _TABLES: dict = {}
 _table_entries = 0
 
 #: Most floats' worth of memory (8 bytes each) the stored expansion rows
-#: hold, with their keys and the store's own table (``_floats``).
-_ROW_FLOATS = 1 << 18
+#: and pass plans hold, with their keys and the store's own table
+#: (``_floats``): 6 MiB, the next MiB past the 5.7 MiB that the exact
+#: Fourier detections of ``teleport_tn`` n=8 and ``csign_teleported`` n=4
+#: keep between them.
+_ROW_FLOATS = 6 << 17
 #: Missed row keys remembered, so that a second request stores its row.
 _RECENT_KEYS = 256
 
-# (unitary, occupation, arrays) -> its row, (re, im) or a dict, least
-# recently used first, and _row_floats the rows' charge; _recent is a ring
-# of the hashes of the last missed keys, written at _recent_at: one array,
-# where a dict of them would pin small objects all over the heap (a hash
-# collision only stores a row early)
+# (unitary, occupation, arrays) -> its row, (re, im) or a dict, and the
+# keys of ``stored`` -> their values, least recently used first, and
+# _row_floats their charge; _recent is a ring of the hashes of the last
+# missed keys, written at _recent_at: one array, where a dict of them
+# would pin small objects all over the heap (a hash collision only stores
+# a row early)
 _ROWS: OrderedDict = OrderedDict()
 _row_floats = 0
 _recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
@@ -204,6 +211,16 @@ def _level(m, t, below):
     return table
 
 
+def outputs(m, t):
+    """The output occupations of ``t`` photons on ``m`` modes, in the order
+    in which the array form lists them: the counts of
+    ``expand_basis_state(u, occs, arrays=True)``, without expanding."""
+    counts = np.zeros((1, m), dtype=np.uint8)
+    for s in range(t):
+        counts = _level(m, s + 1, counts)[1]
+    return counts
+
+
 def expand_basis_state(u, occ, arrays=False):
     """Expand U|occ> in the number basis for an m-mode unitary ``u``.
 
@@ -227,14 +244,19 @@ def expand_basis_state(u, occ, arrays=False):
     if arrays:
         return _expand_rows(u, np.array(occ, dtype=np.int64).reshape(len(occ), -1))
     occ = tuple(occ)
-    key = (_matrix(u), occ, False)
-    row = _ROWS.get(key)
-    if row is None:
-        row = _expand_dict(u, occ)
-        _remember([key], lambda _: row)
+    return MappingProxyType(stored((_matrix(u), occ, False), lambda: _expand_dict(u, occ)))
+
+
+def stored(key, compute):
+    """The value held in ``_ROWS`` under ``key``, else ``compute()``, which
+    is held from the key's second request on, as a row is."""
+    value = _ROWS.get(key)
+    if value is None:
+        value = compute()
+        _remember([key], lambda _: value)
     else:
         _ROWS.move_to_end(key)
-    return MappingProxyType(row)
+    return value
 
 
 def _matrix(u):
@@ -323,19 +345,26 @@ def _remember(keys, row):
     unitary seen once takes no memory. Past ``_ROW_FLOATS`` the least
     recently used rows, of either form, are dropped."""
     global _row_floats, _recent_at
-    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
-    seen = (hashes[:, None] == _recent).any(axis=1)
-    fresh = hashes[~seen]
-    _recent[(_recent_at + np.arange(len(fresh))) % len(_recent)] = fresh
-    _recent_at = (_recent_at + len(fresh)) % len(_recent)
-    for i in np.flatnonzero(seen).tolist():
-        key, stored = keys[i], row(i)
-        _recent[_recent == hashes[i]] = 0
-        floats = _floats(key, stored)
+    hashes = list(map(hash, keys))
+    if len(keys) == 1:
+        # one key (the dict form's): its hash is in the ring when its bytes
+        # are, a search that builds no array (bytes that span two hashes
+        # match as a hash collision does)
+        seen = [hashes[0].to_bytes(8, sys.byteorder, signed=True) in _recent.tobytes()]
+    else:
+        seen = (np.array(hashes, dtype=np.int64)[:, None] == _recent).any(axis=1).tolist()
+    for i, (h, old) in enumerate(zip(hashes, seen)):
+        if not old:
+            _recent[_recent_at] = h
+            _recent_at = (_recent_at + 1) % len(_recent)
+            continue
+        key, stored_row = keys[i], row(i)
+        _recent[_recent == h] = 0
+        floats = _floats(key, stored_row)
         # stored already (a repeated occupation, or a level dropped from _TABLES) or too large
         if key in _ROWS or floats > _ROW_FLOATS:
             continue
-        _ROWS[key] = stored
+        _ROWS[key] = stored_row
         _row_floats += floats
         # the store's own table, as sys.getsizeof measures it, counts too
         while _ROWS and _row_floats + sys.getsizeof(_ROWS) // 8 > _ROW_FLOATS:
@@ -344,18 +373,24 @@ def _remember(keys, row):
 
 def _floats(key, row):
     """The memory the stored ``row`` of ``key`` holds, in floats of 8
-    bytes, as ``sys.getsizeof`` measures it: an array row's pair and its
-    two arrays, or a dict row's dict and one output tuple of m counts and
-    one complex per entry (the counts are interned small ints); and the
-    key's own objects, unitary bytes and all (not the shared dtype)."""
-    matrix, occ, arrays = key
-    shape, _, data = matrix
-    size = sum(map(sys.getsizeof, (key, matrix, shape, data, occ, row)))
-    if arrays:
-        size += sum(map(sys.getsizeof, row))
-    else:
-        size += len(row) * (sys.getsizeof(occ) + sys.getsizeof(0j))
-    return -(-size // 8)
+    bytes, as ``sys.getsizeof`` measures it (``_size``)."""
+    return -(-(_size(key) + _size(row)) // 8)
+
+
+def _size(value):
+    """The bytes ``value`` holds as ``sys.getsizeof`` measures them: a
+    tuple and each of its items, an array's or a bytes object's buffer,
+    or a dict row's dict and one output tuple of m counts and one complex
+    per entry. Ints, bools and dtypes are shared (small ints interned),
+    and not counted."""
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(_size, value))
+    if isinstance(value, dict):
+        entry = sys.getsizeof(next(iter(value))) + sys.getsizeof(0j) if value else 0
+        return sys.getsizeof(value) + len(value) * entry
+    if isinstance(value, (bytes, np.ndarray)):
+        return sys.getsizeof(value)
+    return 0
 
 
 def _expand_arrays(u, occs):

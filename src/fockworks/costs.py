@@ -147,14 +147,15 @@ def trial_from(result):
     """
     branches = result.details.get("branches") or protocols._Branches([], [], None)
     p = result.success_probability
-    if p is None or abs(sum(branches.p) - 1) > 1e-10 or abs(branches.mass() - p) > 1e-10:
+    total = protocols._added(branches.p)
+    if p is None or abs(total - 1) > 1e-10 or abs(branches.mass() - p) > 1e-10:
         raise protocols.ProtocolError(
             "a result whose branch list is not the whole tree does not support --trials")
     # a run of branches with the same flag is searched as one interval
     ok = branches.ok
-    ends = [i for i in range(len(ok)) if i + 1 == len(ok) or ok[i] != ok[i + 1]]
-    draw = _drawer(branches.p, ends)
-    flags = np.array([ok[i] for i in ends])
+    ends = np.flatnonzero(ok[1:] != ok[:-1]).tolist() + [len(ok) - 1]
+    draw = _drawer(branches.p.tolist(), ends)
+    flags = ok[ends]
 
     def trial(uniforms):
         return flags[draw(uniforms)]

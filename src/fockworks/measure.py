@@ -24,12 +24,15 @@ exact stage behind a mode unitary takes its records from
 ``_evolved_groups``, bit for bit those of ``measure_modes`` after
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
 teleported gates) and the second detection of every stage-1 success of a
-teleported gate each run as one sort and reduce over packed keys, and a
-small single state takes ``apply_unitary`` and ``measure_modes``. The
-stage-1 successes reach the second detection as stacked arrays
-(``_projected``, a ``_Terms``), with the bits their projected post-states
-would have, so none is built as a state unless its branch is read. A
-sampled run projects only the one branch it draws, stage by stage, through
+teleported gate each run as one pass over packed keys, whose sort and
+groups are planned once per stack of occupations and reused by every pass
+on them (the amplitudes change from call to call, the occupations do
+not), and a small single state takes ``apply_unitary`` and
+``measure_modes``. The stage-1 successes reach the second detection as
+stacked arrays (``_projected``, a ``_Terms``), with the bits their
+projected post-states would have, so none is built as a state unless its
+branch is read. A sampled run projects only the one branch it draws,
+stage by stage, through
 one of two routes: one ``_drawer`` draw over the records of
 ``measure_modes`` (as ``sample_outcome`` draws), or, behind a mode unitary
 (the Fourier multiports), ``_sample_detection``, which neither evolves nor
@@ -190,9 +193,10 @@ def _fanned(state: FockState, modes, n):
 
 class _Records(Sequence):
     """The branches of one measured state, column by column, in canonical
-    order: the count patterns, rows of the int array ``counts``, of the
-    ``measured`` modes; their probabilities ``p``; and the kept amplitudes
-    of each, the dict ``block(rows[i])`` of squared norm ``weight[i]``,
+    order: the count patterns, rows of the unsigned or int64 array
+    ``counts``, of the ``measured`` modes; their probabilities, the float64
+    array ``p``; and the kept amplitudes of each, the dict
+    ``block(rows[i])`` of squared norm ``weight[i]`` (float64 too),
     projected onto a post-state of ``modes`` modes. Indexed, it gives the
     lazy records of ``measure_modes``, ``(counts, p, project)``; sliced,
     the records of those branches alone."""
@@ -210,17 +214,19 @@ class _Records(Sequence):
         if isinstance(i, slice):
             return _Records(self.modes, self.measured, self.counts[i], self.p[i], self.weight[i],
                             self.block, self.rows[i])
-        return tuple(self.counts[i].tolist()), self.p[i], partial(self._outcome, i)
+        return tuple(self.counts[i].tolist()), self.p.item(i), partial(self._outcome, i)
 
     def _outcome(self, i) -> ConditionalOutcome:
-        return ConditionalOutcome(tuple(zip(self.measured, self.counts[i].tolist())), self.p[i],
-                                  _projection(self.modes, self.block(self.rows[i]), self.weight[i]))
+        return ConditionalOutcome(
+            tuple(zip(self.measured, self.counts[i].tolist())), self.p.item(i),
+            _projection(self.modes, self.block(self.rows[i]), self.weight.item(i)))
 
 
 def _dict_records(modes, measured, counts, p, weight, groups):
     """The ``_Records`` of groups held as dicts, ``groups[i]`` that of branch ``i``."""
     patterns = np.array(counts, dtype=np.int64).reshape(len(p), len(measured))
-    return _Records(modes, measured, patterns, p, weight, _Groups(groups), range(len(p)))
+    return _Records(modes, measured, patterns, np.array(p, dtype=float),
+                    np.array(weight, dtype=float), _Groups(groups), range(len(p)))
 
 
 class _Groups(list):
@@ -323,10 +329,10 @@ def _projected(records, indices):
     """
     modes = records.modes
     groups = [records.rows[i] for i in indices]
-    weight = [records.weight[i] for i in indices]
+    weight = records.weight[indices]
 
     def state(j):
-        return _projection(modes, records.block(groups[j]), weight[j])
+        return _projection(modes, records.block(groups[j]), weight.item(j))
 
     def states():
         return _Terms.of([state(j) for j in range(len(groups))])
@@ -342,7 +348,7 @@ def _projected(records, indices):
     if not np.isfinite(norm_sq).all():
         return states()
     keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]  # exact zeros too
-    factor = (1 / np.sqrt(np.array(weight)))[owner]
+    factor = (1 / np.sqrt(weight))[owner]
     # |amp * factor| <= 1: the second norm cannot overflow
     re, im = 0.0 + (re * factor - im * 0.0), 0.0 + (re * 0.0 + im * factor)
     keep &= (re != 0) | (im != 0)
@@ -370,16 +376,22 @@ def _evolved_groups(states, u, modes):
     its keys before anything is stacked. Other states are evaluated in
     passes: runs of states, in order, whose summed output bound stays
     within ``_PASS_TERMS``. A pass takes its states' stacked terms, the
-    state's index one more kept column, and merges them with
-    ``optics._evolve_arrays``, which expands the distinct sub-occupations
-    of each photon total in one kernel call. Its packed keys hold, most
-    significant first, the state's index, the measured counts in the
-    listed order and the kept modes in mode order, so one sort gives
-    ``_groups``' order and a group ends where ``key >> kept bits`` changes.
-    Each state then takes the arithmetic of the validated constructor and
-    of ``_groups``: |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is
-    ``abs(a) ** 2``, and every sum from 0.0 in dict order, by
-    ``np.bincount``. A state without terms or whose key does not fit
+    state's index one more kept column, and merges them as ``apply_unitary``
+    does on packed keys, expanding the distinct sub-occupations of each
+    photon total in one kernel call. Its keys hold, most significant
+    first, the state's index, the measured counts in the listed order and
+    the kept modes in mode order, so sorted they are in ``_groups``' order
+    and a group ends where ``key >> kept bits`` changes. The keys, their
+    sort and their groups depend on the stacked occupations alone: they
+    are a pass's plan (``_pass_plan``), built once and held in the kernels'
+    store, so that the passes of a fixed network on the same occupations
+    (every exact ``teleport_tn`` at one n, every second detection of a
+    teleported gate) only evaluate it (``_pass_groups``). Each state then
+    takes the arithmetic of the validated constructor and of ``_groups``:
+    |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``,
+    and every sum from 0.0 in dict order, by ``np.bincount``; the pruned
+    terms are dropped from the sorted rows, and a group left with none is
+    impossible. A state without terms or whose key does not fit
     ``optics.KEY_BITS`` bits, and a pass that meets a zero or an
     overflowing norm or an exact zero in a filled column of ``u`` (which
     the array route cannot take), are evolved and measured state by state,
@@ -449,7 +461,15 @@ def _pass_groups(run, terms, top, mat, modes):
     """The records of one pass of ``_evolved_groups``, or None if a state's
     norm is zero or overflows or a filled column of ``mat`` holds an exact
     zero: ``run`` is the range of the states of ``terms`` (a ``_Terms``)
-    it evaluates, ``top`` the bit widths of their modes."""
+    it evaluates, ``top`` the bit widths of their modes.
+
+    The pass's plan (``_pass_plan``), which the amplitudes and the
+    unitary's values leave alone, is held in the kernels' store
+    (``kernels.stored``, from its second request on) under the stacked
+    occupations, the evolved modes and the widths. Each pass evaluates it:
+    the products and their merge (``optics._evolved``), the prune, the
+    group weights and ``p``, kept as float64 arrays. It sorts nothing and
+    decodes no count pattern."""
     _, occ, re, im, offsets, _ = terms
     lo, hi = offsets[run.start], offsets[run.stop]
     occ = np.asarray(occ[lo:hi], dtype=np.int64)
@@ -465,8 +485,13 @@ def _pass_groups(run, terms, top, mat, modes):
         at += widths[column]
     mask = np.left_shift(1, widths, dtype=np.int64) - 1
     index = np.repeat(np.arange(len(run)), np.diff(offsets[run.start:run.stop + 1]))
-    keys, re, im = optics._evolve_arrays(np.column_stack([occ, index]), re[lo:hi], im[lo:hi],
-                                         mat, modes, (shift, widths))
+    stacked = np.column_stack([occ, index])
+    small = stacked.astype(np.min_scalar_type(int(stacked.max())))
+    key = (small.tobytes(), small.shape, small.dtype.char, tuple(modes), tuple(widths))
+    plan = kernels.stored(key, lambda: _pass_plan(stacked, len(run), modes, (shift, widths)))
+    evolution, order, group, counts, firsts = plan
+    keys = evolution[0]
+    re, im = optics._evolved(evolution, re[lo:hi], im[lo:hi], mat)
     # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
     # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no
     # -0.0); a zero adds 0.0 to its norm and never passes the cutoff
@@ -475,29 +500,58 @@ def _pass_groups(run, terms, top, mat, modes):
     square = np.float_power(size, 2.0)
     norm_sq = np.bincount(owner, square, len(run))
     keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]
-    keys, re, im, owner, square = (a[keep] for a in (keys, re, im, owner, square))
-    # _groups: total = norm() ** 2, groups in key order
-    total = np.float_power(np.sqrt(np.bincount(owner, square, len(run))), 2.0)
+    # _groups: total = norm() ** 2 of the kept terms; a pruned one adds +0.0, which changes no sum
+    total = np.float_power(np.sqrt(np.bincount(owner, np.where(keep, square, 0.0), len(run))), 2.0)
     if not (np.isfinite(norm_sq).all() and total.all()):
         return None
-    order = np.argsort(keys)
-    keys, re, im, square = keys[order], re[order], im[order], square[order]
-    heads = keys >> sum(widths[k] for k in kept)  # (state, counts): the group
-    opens = np.concatenate(([True], heads[1:] != heads[:-1]))
-    first = np.flatnonzero(opens)
-    weight = np.bincount(np.cumsum(opens) - 1, square, len(first))
-    owners = owner[order][first]
-    p = weight / total[owners]
-    counts = (keys[first, None] >> shift[modes]) & mask[modes]
+    # the kept rows in key order, and their groups: a group that keeps none weighs 0.0, impossible
+    sorted_keep = keep[order]
+    rows, group = order[sorted_keep], group[sorted_keep]
+    weight = np.bincount(group, square[rows], len(counts))
+    p = weight / np.repeat(total, np.diff(firsts))
     possible = p >= IMPOSSIBLE
-    counts, p, weight = counts[possible], p[possible].tolist(), weight[possible].tolist()
-    starts, stops = first[possible], np.append(first[1:], len(keys))[possible]
-    # a state's groups are one run of rows: its index is the key's top field
-    bounds = np.searchsorted(owners[possible], np.arange(len(run) + 1)).tolist()
+    held = np.bincount(group, minlength=len(counts))
+    stops = np.cumsum(held)
+    starts = stops - held
+    # each state's first possible group, then their end
+    bounds = np.concatenate(([0], np.cumsum(possible)))[firsts].tolist()
+    counts, p, weight = counts[possible], p[possible], weight[possible]
     post = len(top) - len(modes)  # the states of a pass share their mode count
-    block = _Block((keys, re, im, shift[kept], mask[kept], starts, stops))
+    block = _Block((keys[rows], re[rows], im[rows], shift[kept], mask[kept], starts[possible],
+                    stops[possible]))
     return [_Records(post, modes, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
             for a, b in zip(bounds, bounds[1:])]
+
+
+def _pass_plan(occ, count, modes, layout):
+    """The plan of a pass over the stacked occupations ``occ`` of ``count``
+    states (the state's index the last column) in the key ``layout``:
+    ``(evolution, order, group, counts, firsts)``, the evolution's keys,
+    slots and parts (``optics._evolution_plan``), the permutation that
+    sorts the keys (int32), the group of each sorted key (int32), each
+    group's count pattern (the smallest unsigned type that holds them) and
+    where each state's groups start, then their end. A group is the keys
+    of one state and one count pattern, equal past the kept modes' fields;
+    the state's index is the key's top field, so a state's groups are one
+    run. Read-only.
+    """
+    shift, widths = layout
+    mask = np.left_shift(1, widths, dtype=np.int64) - 1
+    evolution = optics._evolution_plan(occ, modes, layout)
+    keys = evolution[0]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    heads = ranked >> int(shift[modes[-1]])  # (state, counts): the group
+    opens = np.concatenate(([True], heads[1:] != heads[:-1]))
+    leads = ranked[opens]  # each group's first key
+    counts = ((leads[:, None] >> shift[modes]) & mask[modes]).astype(
+        np.min_scalar_type(int(mask[modes].max())))
+    firsts = np.searchsorted(leads >> int(shift[-1]), np.arange(count + 1))
+    plan = (evolution, order.astype(np.int32), (np.cumsum(opens) - 1).astype(np.int32), counts,
+            firsts)
+    for array in (*evolution[:2], *plan[1:], *(a for part in evolution[2] for a in part)):
+        array.setflags(write=False)
+    return plan
 
 
 class _Block(tuple):
@@ -576,7 +630,7 @@ def _sample_detection(state: FockState, u, modes, rng):
         else:
             evolved = optics.apply_unitary(FockState(len(modes), terms), u)
             records = measure_modes(evolved, range(len(modes)), lazy=True)
-            counts = records[_drawer(records.p)(rng.random())][0]
+            counts = records[_drawer(records.p.tolist())(rng.random())][0]
         photons = sum(counts)
         amplitudes: dict = {}
         group: dict = {}
@@ -645,7 +699,7 @@ def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> Condi
     """Draw one branch with its exact probability; deterministic per seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     branches = measure_modes(state, modes, model, lazy=True)
-    return branches[_drawer(branches.p)(rng.random())][2]()
+    return branches[_drawer(branches.p.tolist())(rng.random())][2]()
 
 
 def _drawer(weights, ends=None):

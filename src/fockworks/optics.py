@@ -192,8 +192,10 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     else:
         occ = np.array([o for o, _ in terms], dtype=np.int64)
         amp = np.array([a for _, a in terms], dtype=complex)
-        # the merge's arrays are freed before the output dict is built
-        result = _unpack(*_evolve_arrays(occ, amp.real, amp.imag, mat, modes, layout), layout)
+        plan = _evolution_plan(occ, modes, layout)
+        re, im = _evolved(plan, amp.real, amp.imag, mat)
+        keys, plan = plan[0], None  # the rest freed before the output dict is built
+        result = _unpack(keys, re, im, layout)
     return FockState(state.modes, result)
 
 
@@ -252,20 +254,23 @@ def _evolve_dicts(terms, subs, mat, modes):
     return result
 
 
-def _evolve_arrays(occ, re, im, mat, modes, layout):
-    """``_evolve_dicts`` on packed keys, for terms stacked as the int64 rows
-    of ``occ`` (a column per mode of the layout) and the real and imaginary
-    parts ``re`` and ``im`` of their amplitudes: the output's keys in the
-    dict's order and the real and imaginary parts of its amplitudes, with
-    the same bits.
+def _evolution_plan(occ, modes, layout):
+    """What ``_evolve_dicts`` does on packed keys that the amplitudes and
+    the unitary's values leave alone, for terms stacked as the int64 rows
+    of ``occ`` (a column per mode of the layout): ``(keys, slot, parts)``,
+    the output's keys in the dict's order, the slot of every product in
+    that order, and per photon total, in order of first appearance,
+    ``(occs, terms, rows)``: its distinct sub-occupations, to be expanded
+    in one kernel call, the rows of its terms and each term's row in that
+    call. A total's products follow its terms in row order, each term's
+    outputs in rank order, and the totals follow one another.
 
-    The distinct sub-occupations of each photon total are expanded in one
-    kernel call, and every expansion of a total lists the same outputs in
-    the same order. Two terms reach one output only with the same kept
-    occupation and photon total, so the dict's order is the (kept, total)
-    groups in order of first appearance, each group's outputs in that
-    order: a term's products land at its group's offset plus their rank,
-    and one ``np.bincount`` sums them in term order.
+    Every expansion of a total lists the same outputs in the same order
+    (``kernels.outputs``). Two terms reach one output only with the same
+    kept occupation and photon total, so the dict's order is the (kept,
+    total) groups in order of first appearance, each group's outputs in
+    that order: a term's products land at its group's offset plus their
+    rank.
     """
     shift, widths = layout
     kept = np.ones(len(widths), dtype=bool)
@@ -284,29 +289,40 @@ def _evolve_arrays(occ, re, im, mat, modes, layout):
         same = same_total.setdefault(t, [])
         rows[sub] = len(same)
         same.append(first[sub])
-    expanded = {t: kernels.expand_basis_state(mat, subs[firsts], arrays=True)
-                for t, firsts in same_total.items()}
+    counts = {t: kernels.outputs(len(modes), t) for t in same_total}
     group_total = dict(zip(grouped, totals_list))
-    outputs = {t: len(counts) for t, (counts, _, _) in expanded.items()}
-    ends = list(accumulate(map(outputs.__getitem__, group_total.values())))
-    at, size = dict(zip(group_total, [0] + ends)), ends[-1]
+    ends = list(accumulate(len(counts[t]) for t in group_total.values()))
+    at = dict(zip(group_total, [0] + ends))
     offset = np.array(list(map(at.__getitem__, grouped)))
     row = np.array(list(map(rows.__getitem__, packed)))
-    keys = np.empty(size, dtype=np.int64)
+    keys = np.empty(ends[-1], dtype=np.int64)
     fields = np.left_shift(1, shift[modes], dtype=np.int64)  # an output's key: counts @ fields
-    slots, real, imag = [], [], []
-    for t, (counts, cre, cim) in expanded.items():
-        mine = totals == t
-        slot = (offset[mine, None] + np.arange(len(counts))).ravel()
-        keys[slot] = (base[mine, None] + counts @ fields).ravel()
-        ar, ai = re[mine, None], im[mine, None]
-        cr, ci = cre[row[mine]], cim[row[mine]]
+    slots, parts = [], []
+    for t, firsts in same_total.items():
+        terms = np.arange(len(totals))[totals == t]
+        slot = (offset[terms, None] + np.arange(len(counts[t]))).ravel()
+        keys[slot] = (base[terms, None] + counts[t] @ fields).ravel()
         slots.append(slot)
+        parts.append((subs[firsts], terms, row[terms]))
+    return keys, np.concatenate(slots), tuple(parts)
+
+
+def _evolved(plan, re, im, mat):
+    """The real and imaginary parts of the output's amplitudes, in the
+    order of the keys of ``plan`` (``_evolution_plan``), for terms whose
+    amplitudes have the real and imaginary parts ``re`` and ``im``, with
+    the bits of ``_evolve_dicts``: each total's products, amp * coeff as
+    CPython forms it, in term order, summed from 0.0 by one ``np.bincount``."""
+    keys, slot, parts = plan
+    real, imag = [], []
+    for occs, terms, rows in parts:
+        _, cre, cim = kernels.expand_basis_state(mat, occs, arrays=True)
+        ar, ai = re[terms, None], im[terms, None]
+        cr, ci = cre[rows], cim[rows]
         real.append((ar * cr - ai * ci).ravel())
         imag.append((ar * ci + ai * cr).ravel())
-    slot = np.concatenate(slots)
-    return (keys, np.bincount(slot, np.concatenate(real), size),
-            np.bincount(slot, np.concatenate(imag), size))
+    return (np.bincount(slot, np.concatenate(real), len(keys)),
+            np.bincount(slot, np.concatenate(imag), len(keys)))
 
 
 def _unpack(keys, re, im, layout):

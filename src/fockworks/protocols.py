@@ -42,11 +42,9 @@ suite checks them against brute-force branch projection.
 """
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, compress
 
 import numpy as np
 
@@ -106,7 +104,7 @@ def _records(work, modes, rng, unitary=None):
     if unitary is None:
         records = measure_modes(work, modes, lazy=True)
         if rng is not None:
-            i = _drawer(records.p)(rng.random())
+            i = _drawer(records.p.tolist())(rng.random())
             records = records[i:i + 1]
         return records
     if rng is None:
@@ -125,9 +123,11 @@ def _classified(records, classify):
     array (k and s of every row from ``_totals``), the ``p`` column and
     ``state(i, corrections=())``, branch ``i``'s ``_BranchState``; it
     returns the ``ok`` column and ``branch(i, pattern)``, which makes branch
-    ``i``'s dict: ``pattern``, ``p``, its own keys, then ``state``."""
+    ``i``'s dict: ``pattern``, ``p``, its own keys, then ``state``. The
+    ``p`` column it gets is a memoryview of the float64 array, so ``p[i]``
+    is a Python float, as a branch dict holds."""
     counts = records.counts
-    ok, branch = classify(counts, records.p, partial(_BranchState, records))
+    ok, branch = classify(counts, memoryview(records.p), partial(_BranchState, records))
 
     def build(start, stop):
         return list(map(branch, range(start, stop), _rows(counts[start:stop])))
@@ -136,8 +136,9 @@ def _classified(records, classify):
 
 
 def _totals(counts):
-    """k = sum_j r_j and s = sum_j j*r_j of every pattern {r_j}, a row of ``counts``."""
-    return counts.sum(1), counts @ np.arange(counts.shape[1])
+    """k = sum_j r_j and s = sum_j j*r_j of every pattern {r_j}, a row of
+    ``counts``, as int64 arrays."""
+    return counts.sum(1, dtype=np.int64), counts @ np.arange(counts.shape[1])
 
 
 def _rows(counts):
@@ -146,17 +147,19 @@ def _rows(counts):
 
 
 class _Branches(Sequence):
-    """A branch list as columns (a sampled run's has one row): ``p`` and ``ok``, every
-    branch's probability and success flag, and ``build(start, stop)``, which
-    makes the dicts of branches ``start`` to ``stop - 1``. A dict, with its
-    lazy state, is built when its branch is first read (iterating builds the
-    unread ones of a run of ``_RUN`` at once) and then kept:
-    ``branches[i] is branches[i]``, and an edit to a dict persists."""
+    """A branch list as columns (a sampled run's has one row): ``p`` and
+    ``ok``, every branch's probability and success flag as float64 and bool
+    arrays, and ``build(start, stop)``, which makes the dicts of branches
+    ``start`` to ``stop - 1``. A dict, with its lazy state, is built when
+    its branch is first read (iterating builds the unread ones of a run of
+    ``_RUN`` at once) and then kept: ``branches[i] is branches[i]``, and an
+    edit to a dict persists."""
 
     __slots__ = ("p", "ok", "_build", "_dicts")
 
     def __init__(self, p, ok, build):
-        self.p, self.ok, self._build, self._dicts = p, ok, build, [None] * len(p)
+        self.p, self.ok = np.asarray(p, dtype=float), np.asarray(ok, dtype=bool)
+        self._build, self._dicts = build, [None] * len(p)
 
     @classmethod
     def of(cls, dicts):
@@ -190,14 +193,14 @@ class _Branches(Sequence):
 
     def mass(self, ok=True):
         """The summed ``p`` of the branches whose ``ok`` is ``ok``, added left to right."""
-        return _added(compress(self.p, self.ok if ok else map(operator.not_, self.ok)))
+        return _added(self.p[self.ok if ok else ~self.ok])
 
 
 def _added(values):
-    """The float ``values`` added left to right from 0.0, as ``sum`` adds
-    them before CPython 3.12, whose ``sum`` compensates the rounding:
-    ``np.add.accumulate`` adds one term at a time."""
-    total = np.add.accumulate(np.fromiter(values, dtype=float))
+    """The float ``values`` (a sequence or an array) added left to right
+    from 0.0, as ``sum`` adds them before CPython 3.12, whose ``sum``
+    compensates the rounding: ``np.add.accumulate`` adds one term at a time."""
+    total = np.add.accumulate(np.asarray(values, dtype=float))
     # 0.0 + x is x, but for x = -0.0
     return float(total[-1]) + 0.0 if len(total) else 0.0
 
@@ -218,7 +221,7 @@ class _BranchState(FockState):
 
     def __init__(self, records, i, corrections=()):
         self.modes, self._block, self._row = records.modes, records.block, records.rows[i]
-        self._weight, self._corrections = records.weight[i], corrections
+        self._weight, self._corrections = records.weight.item(i), corrections
 
     def built(self) -> FockState:
         return _built(self.modes, self._block(self._row), self._weight, self._corrections)
@@ -245,7 +248,8 @@ def _resolve(branches):
     with no success channel), found from the ``_Branches`` columns. A
     sampled run's one-row list resolves to its row, with no draw."""
     ok, p = branches.ok, branches.p
-    return branches[ok.index(True) if True in ok else p.index(max(p))]
+    first = ok.argmax()  # the first success, or 0 when none succeeds
+    return branches[int(first if ok[first] else p.argmax())]
 
 
 def _result(chosen, branches, rng, details, trace, failure=None, p=None) -> ProtocolResult:
@@ -634,7 +638,7 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
 
     def classify(counts, p, state):
         k, s = _totals(counts)
-        ok = ((0 < k) & (k <= n)).tolist()
+        ok = (0 < k) & (k <= n)
         k, angles = k.tolist(), ((omega * s) % (2 * math.pi)).tolist()
         fixes = [{} for _ in targets]  # one correction per (k, angle): a tuple is immutable
 
@@ -712,7 +716,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
         firsts = measure._projected(ones, succeeded)
         seconds = list(measure._evolved_groups(firsts, u, layout.fourier_y))
     else:
-        seconds = [_records(_built(ones.modes, ones.block(ones.rows[i]), ones.weight[i], ()),
+        seconds = [_records(_built(ones.modes, ones.block(ones.rows[i]), ones.weight.item(i), ()),
                             layout.fourier_y, rng, u) for i in succeeded]
     # each branch's stage-1 row; past stage 1, the stage-2 rows of all successes in turn
     sizes = [len(two) for two in seconds]
@@ -722,10 +726,10 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     staged = passed[first]
     second = np.cumsum(staged) - staged  # the stage-2 rows before a branch: its own if staged
     counts2 = np.concatenate([ones.counts[:0]] + [two.counts for two in seconds])
-    p2 = np.array(list(chain.from_iterable(two.p for two in seconds)))
+    p2 = np.concatenate([ones.p[:0]] + [two.p for two in seconds])
     k2, s2 = _totals(counts2)
     ok2 = (0 < k2) & (k2 <= n)
-    p = np.array(ones.p)[first]
+    p = ones.p[first]
     p[staged] *= p2
     ok = np.zeros(len(first), dtype=bool)
     ok[staged] = ok2
@@ -737,7 +741,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     owner = np.repeat(np.arange(len(seconds)), sizes)
     local = np.arange(len(p2)) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
     stage2 = (k2, ok2, angle_x, angle_y, p2, owner, local)
-    patterns1, k1, p, p1s = _rows(ones.counts), k1.tolist(), p.tolist(), ones.p
+    patterns1, k1, p1s = _rows(ones.counts), k1.tolist(), ones.p.tolist()
     state1 = partial(_BranchState, ones)
     states2 = [partial(_BranchState, two) for two in seconds]
     last_x, last_y, fixes_x = [None] + layout.last_x, [None] + layout.last_y, {}
@@ -749,8 +753,8 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
         lo, hi = second[start], second[stop - 1] + staged[stop - 1]
         rows2 = zip(_rows(counts2[lo:hi]), *(a[lo:hi].tolist() for a in stage2))
         branches = []
-        for g, i, two in zip(range(start, stop), first[start:stop].tolist(),
-                             staged[start:stop].tolist()):
+        for pg, i, two in zip(p[start:stop].tolist(), first[start:stop].tolist(),
+                              staged[start:stop].tolist()):
             pat1, p1, ka = patterns1[i], p1s[i], k1[i]
             if not two:
                 branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": ka, "p": p1,
@@ -760,7 +764,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             tx = last_x[ka]
             if not ok_y:
                 fixes = [("phase", tx, ax)]
-                branches.append({"p": p[g], "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb,
+                branches.append({"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb,
                                  "p1": p1, "ok": False, "stage": 2, "projected": 0 if kb == 0 else 1,
                                  "target_x": tx, "corrections": fixes,
                                  "state": states2[at](row, fixes), "p2": py})
@@ -768,7 +772,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             # one x correction per (stage-1 row, k2), shared: a tuple is immutable
             fixes = [fixes_x.get((i, kb)) or fixes_x.setdefault((i, kb), ("phase", tx, ax)),
                      ("phase", last_y[kb], ay)]
-            branch = {"p": p[g], "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
+            branch = {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
                       "ok": True, "target_x": tx, "target_y": last_y[kb],
                       "leftover_modes": list(leftover[ka][kb])}
             if flavor is not None:
@@ -778,7 +782,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             branches.append(branch)
         return branches
 
-    return _Branches(p, ok.tolist(), build), layout
+    return _Branches(p, ok, build), layout
 
 
 def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
@@ -1182,8 +1186,8 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     details = {"branch": chosen}
     if rng is None:
         reported = [b for b in branches if b["parity"] is not None]
-        details["acceptance_probability"] = (_added(b["p"] for b in reported if b["accepted"])
-                                             / _added(b["p"] for b in reported))
+        details["acceptance_probability"] = (_added([b["p"] for b in reported if b["accepted"]])
+                                             / _added([b["p"] for b in reported]))
     return _result(chosen, branches, rng, details, trace,
                    lambda b: b.get("gadget_failure") or {"parity": 0},
                    details.get("acceptance_probability"))

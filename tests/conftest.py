@@ -1,8 +1,9 @@
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
 
+from fockworks import measure
 from fockworks._backend import kernels
 
 
@@ -13,11 +14,11 @@ def rng():
 
 @pytest.fixture
 def empty_rows(monkeypatch):
-    """Start the kernels' stores empty: the expansion rows, the ring of
-    missed row keys, the rank tables and their counters; the module's own
-    are restored after the test. Returns ``empty(floats=None)``, which
-    empties the rows and the ring again (not the tables), with a row
-    budget of ``floats`` if given."""
+    """Start the kernels' stores empty: the expansion rows and the pass
+    plans, which share one store, the ring of missed keys, the rank tables
+    and their counters; the module's own are restored after the test.
+    Returns ``empty(floats=None)``, which empties the rows, the plans and
+    the ring again (not the tables), with a budget of ``floats`` if given."""
     def empty(floats=None):
         monkeypatch.setattr(kernels, "_ROWS", OrderedDict())
         monkeypatch.setattr(kernels, "_row_floats", 0)
@@ -30,3 +31,21 @@ def empty_rows(monkeypatch):
     monkeypatch.setattr(kernels, "_table_entries", 0)
     empty()
     return empty
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Count the detection passes that run (``measure._pass_groups``) and
+    the pass plans built (``measure._pass_plan``). Returns ``taken()``,
+    which gives ``(passes, plans built)`` since its last call."""
+    counts = Counter()
+    for name in ("_pass_groups", "_pass_plan"):
+        monkeypatch.setattr(measure, name, lambda *a, run=getattr(measure, name), name=name:
+                            counts.update([name]) or run(*a))
+
+    def taken():
+        out = counts["_pass_groups"], counts["_pass_plan"]
+        counts.clear()
+        return out
+
+    return taken

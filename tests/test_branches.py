@@ -242,8 +242,10 @@ def test_branch_columns_act_as_the_eager_list(name, a, b, data):
     assert all(x is y for x, y in zip(listed, branches)) and listed[::-1] == branches[::-1]
     assert all(listed[i] is branch for i, branch in seen.items())
     assert not reads or branches[reads[0]].pop("edited")
-    # the columns are the dicts' p and ok, the sums those of the dicts
-    assert branches.p == [b["p"] for b in listed] and branches.ok == [b["ok"] for b in listed]
+    # the columns, float64 and bool arrays, are the dicts' p and ok, the sums those of the dicts
+    assert branches.p.dtype == float and branches.ok.dtype == bool
+    assert branches.p.tolist() == [b["p"] for b in listed]
+    assert branches.ok.tolist() == [b["ok"] for b in listed]
     assert branches.mass() == _left_to_right(b["p"] for b in listed if b["ok"])
     for branch in listed:
         assert tuple(branch) in _KEY_ORDERS

@@ -175,22 +175,39 @@ DIGESTS = {
 }
 
 
-# each case runs three times from empty expansion stores: its rows
-# computed, stored on their second request, then read
+# each case runs three times from empty expansion stores: its rows and
+# the plans of its detection passes computed, stored on their second
+# request, then read; the third run builds no plan, so the records pin the
+# bits of every pass evaluated through a stored plan
+
+
+def _thrice(digest, expected, pass_counts):
+    taken = []
+    for _ in range(3):
+        assert digest() == expected
+        taken.append(pass_counts())
+    # the third run reads a stored plan for every pass the first ran
+    assert taken[2] == (taken[0][0], 0)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_exact_outputs_match_record(name, empty_rows):
+def test_exact_outputs_match_record(name, empty_rows, pass_counts):
     record = json.loads(RECORD.read_text())
-    for _ in range(3):
-        assert _digest(CASES[name]()) == record[name]
+    _thrice(DIGESTS[name], record[name], pass_counts)
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_CASES))
-def test_branch_fields_match_record(name, empty_rows):
+def test_branch_fields_match_record(name, empty_rows, pass_counts):
     record = json.loads(RECORD.read_text())
-    for _ in range(3):
-        assert DIGESTS[f"{name} fields"]() == record[f"{name} fields"]
+    _thrice(DIGESTS[f"{name} fields"], record[f"{name} fields"], pass_counts)
+
+
+@pytest.mark.parametrize("name", ["csign_teleported_n2", "teleport_tn_n7"])
+def test_a_recorded_case_runs_a_pass(name, pass_counts):
+    """The checks above pin passes: the teleported gates' second detections
+    run one, and so does teleport_tn from n = 6 on."""
+    CASES[name]()
+    assert pass_counts()[0] >= 1
 
 
 def _write():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
-from fockworks import costs
+from fockworks import costs, measure
 from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, number_state
 from fockworks.optics import (
@@ -255,20 +255,31 @@ class TestArrayExpansion:
 
 
 def _held():
-    """The floats the stored rows hold, counted from the rows themselves
-    as ``sys.getsizeof`` measures them: an array row's pair and arrays, a
-    dict row's dict and every entry's tuple and complex, and each key's
-    objects but the shared dtype."""
+    """The floats the stored rows and pass plans hold, counted from
+    themselves as ``sys.getsizeof`` measures them: an array row's pair and
+    arrays, a dict row's dict and every entry's tuple and complex, a plan's
+    tuples and arrays, and each key's objects but the shared dtype and the
+    small ints."""
     floats = 0
     for key, row in KERNELS._ROWS.items():
-        (shape, _, data), occ, arrays = key
-        size = sum(map(sys.getsizeof, (key, key[0], shape, data, occ)))
-        if arrays:
-            size += sum(map(sys.getsizeof, (row, *row)))
+        if isinstance(key[0], bytes):  # a plan: (occupations, shape, dtype, modes, widths)
+            size = _tuples_and_arrays(key) + _tuples_and_arrays(row)
         else:
-            size += sys.getsizeof(row) + sum(map(sys.getsizeof, itertools.chain(*row.items())))
+            (shape, _, data), occ, arrays = key
+            size = sum(map(sys.getsizeof, (key, key[0], shape, data, occ)))
+            if arrays:
+                size += sum(map(sys.getsizeof, (row, *row)))
+            else:
+                size += sys.getsizeof(row) + sum(map(sys.getsizeof, itertools.chain(*row.items())))
         floats += math.ceil(size / 8)
     return floats
+
+
+def _tuples_and_arrays(value):
+    """``sys.getsizeof`` of every tuple, array and bytes object in ``value``."""
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(_tuples_and_arrays, value))
+    return sys.getsizeof(value) if isinstance(value, (bytes, np.ndarray)) else 0
 
 
 def _table():
@@ -476,6 +487,36 @@ class TestExpansionRows:
         # the trace sees the charge to within 1%: numpy's cache of small
         # shape buffers is not charged, and the caller's own occupation
         # tuple, which a dict row's key holds, is charged but not allocated here
+        assert 0.95 * 8 * charged <= taken <= 1.01 * 8 * charged
+
+    def test_the_budget_bounds_the_memory_plans_and_rows_take(self, empty_rows):
+        # detection passes over 44 pairs of 5-mode states, each run twice:
+        # a plan of 5,376 keys each (every term keeps a mode count of its
+        # own), about four budgets' worth, and the rows of 48 sub-occupations
+        u = random_unitary(4, np.random.default_rng(5))
+        subs = list(itertools.islice(_occupations(4, 5), 48))
+        batches = [[FockState(5, {sub + (k + 48 * j + i,): complex(1, i) for i, sub in enumerate(subs)})
+                    for j in (0, 1)] for k in range(0, 44 * 96, 96)]
+        for t in range(6):  # the rank tables, built outside the trace
+            KERNELS.outputs(4, t)
+        empty_rows(floats=1 << 17)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for states in batches:
+                for _ in range(2):
+                    list(measure._evolved_groups(states, u, [0, 1, 2, 3]))
+            gc.collect()
+            taken = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        charged = KERNELS._row_floats + _table()
+        plans = sum(isinstance(key[0], bytes) for key in KERNELS._ROWS)
+        assert 0 < plans < len(batches) / 2 and len(KERNELS._ROWS) > plans
+        assert _held() == KERNELS._row_floats and charged <= KERNELS._ROW_FLOATS
+        # within 1%, as for rows alone: a few small buffers per stored array
+        # (numpy's shape and strides) and per entry are not charged
         assert 0.95 * 8 * charged <= taken <= 1.01 * 8 * charged
 
     def test_stored_rows_are_read_only(self, empty_rows, rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from fockworks import fock, measure, optics, protocols
+from fockworks import costs, fock, measure, optics, protocols
 from fockworks.fock import FockState, number_state, tensor
 from fockworks.measure import (
     Bucket,
@@ -394,6 +394,10 @@ def _one_by_one(states, u, modes):
 HOM = optics.ModeUnitary([[INV_SQRT2, -INV_SQRT2], [INV_SQRT2, INV_SQRT2]])
 
 
+#: a part of an amplitude: signed zeros among the floats in [-1, 1]
+PART = st.sampled_from([0.0, -0.0]) | st.floats(-1, 1)
+
+
 @st.composite
 def state_batches(draw):
     """1-4 states on the same 2-5 modes, the modes to evolve and measure
@@ -401,7 +405,7 @@ def state_batches(draw):
     modes = draw(st.integers(2, 5))
     measured = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=min(modes, 3),
                              unique=True))
-    part = st.sampled_from([0.0, -0.0, 1e-13]) | st.floats(-1, 1)
+    part = PART | st.sampled_from([1e-13])
     states = []
     for _ in range(draw(st.integers(1, 4))):
         occs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * modes), min_size=1, max_size=6,
@@ -418,8 +422,8 @@ class TestEvolvedGroups:
     ``measure_modes(apply_unitary(state, u, modes), modes, lazy=True)``."""
 
     @settings(max_examples=80, deadline=None)
-    @given(state_batches())
-    def test_batched_records_equal_the_per_state_records(self, batch):
+    @given(state_batches(), st.data())
+    def test_batched_records_equal_the_per_state_records(self, batch, data):
         states, u, modes = batch
         try:
             expected = [_record_bits(r) for r in _one_by_one(states, u, modes)]
@@ -427,9 +431,17 @@ class TestEvolvedGroups:
             with pytest.raises(type(exc), match=str(exc)):
                 _batched(states, u, modes)
             return
-        assert [_record_bits(r) for r in _batched(states, u, modes)] == expected
+        for _ in range(2):  # a pass's plan is built, then stored
+            assert [_record_bits(r) for r in _batched(states, u, modes)] == expected
+        # other amplitudes on the same occupations, evaluated through the stored plans
+        redrawn = [FockState(s.modes, {occ: complex(data.draw(st.floats(0.5, 1)), data.draw(PART))
+                                       for occ, _ in s.terms()}) for s in states]
+        expected = [_record_bits(r) for r in _one_by_one(redrawn, u, modes)]
+        with mock.patch.object(measure, "_pass_plan", wraps=measure._pass_plan) as built:
+            assert [_record_bits(r) for r in _batched(redrawn, u, modes)] == expected
+        assert not built.called
 
-    def test_zeros_prunes_and_an_impossible_group(self):
+    def test_zeros_prunes_and_an_impossible_group(self, empty_rows, pass_counts):
         cancels = FockState(3, {(1, 1, 0): 0.6, (1, 0, 1): complex(-0.0, 0.8),
                                 (0, 1, 2): 1e-13, (0, 2, 1): complex(0.3, -0.0)}, tol=0)
         # the (0, 0) group's one amplitude passes the prune, but its square underflows
@@ -447,6 +459,43 @@ class TestEvolvedGroups:
         # a squared norm that underflows: the pass is redone state by state
         with pytest.raises(fock.ZeroStateError, match="cannot measure a zero state"):
             _batched([cancels, FockState(3, {(1, 0, 0): 1e-200})], HOM, [0, 1])
+        pass_counts()
+
+        # a warm plan, evaluated on cancellations other than those it was
+        # built on: (1, 0, 1) and (0, 1, 1) reach the outputs (1, 0) and
+        # (0, 1) of the splitter together, so equal amplitudes cancel the
+        # first, opposite ones the second, others neither
+        def pair(a, b):
+            return FockState(3, {(1, 0, 1): a, (0, 1, 1): b, (1, 1, 0): 0.6, (0, 0, 2): 0.3j})
+
+        built_on = [pair(0.5, 0.5), pair(0.5, 0.5j)]
+        for run, states in enumerate([built_on, built_on, [pair(0.5, -0.5), pair(0.5, 0.5)],
+                                      [pair(0.4j, 0.5), pair(-0.5, 0.5)]]):
+            expected = [_record_bits(r) for r in _one_by_one(states, HOM, [0, 1])]
+            assert [_record_bits(r) for r in _batched(states, HOM, [0, 1])] == expected
+            # one pass each time: its plan built twice, then read
+            assert pass_counts() == (1, 1 if run < 2 else 0)
+        cancelled = [{occ for occ, _ in optics.apply_unitary(pair(a, b), HOM, [0, 1]).terms()}
+                     for a, b in ((0.5, 0.5), (0.5, -0.5))]
+        assert (1, 0, 1) not in cancelled[0] and (0, 1, 1) in cancelled[0]
+        assert (0, 1, 1) not in cancelled[1] and (1, 0, 1) in cancelled[1]
+
+    def test_a_warm_exact_teleportation_builds_no_plan(self, empty_rows, pass_counts,
+                                                        monkeypatch):
+        # n = 4 stays below the array route's bound; the bound lowered, it takes a pass
+        monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
+        inputs = [costs.encode_single_rail(a, b)
+                  for a, b in ((0.6, 0.8), (0.8, -0.6j), (0.28, 0.96j))]
+        for state in inputs[:2]:
+            protocols.teleport_tn(state, 0, 4)
+        assert pass_counts() == (2, 2)
+        warm = protocols.teleport_tn(inputs[2], 0, 4)
+        assert pass_counts() == (1, 0)
+        empty_rows()
+        cold = protocols.teleport_tn(inputs[2], 0, 4)
+        assert pass_counts() == (1, 1)
+        assert [_branch_bits(b) for b in warm.details["branches"]] == [
+            _branch_bits(b) for b in cold.details["branches"]]
 
     def test_passes_split_at_the_cap(self, monkeypatch):
         states = [FockState(4, {(1, k % 2, 1, 0): 0.6, (0, 1, k % 3, 1): 0.8j}) for k in range(7)]

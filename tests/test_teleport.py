@@ -400,7 +400,7 @@ class TestBranchesFromColumns:
         assert lazy == [res.output_state] and not hasattr(res.output_state, "_block")
         projected = len(projections)
         # reading a branch makes its dict and one lazy state; reading it again makes none
-        landed = branches.ok.index(True)
+        landed = int(np.argmax(branches.ok))
         read = [i for i in (0, len(branches) // 2, len(branches) - 1) if i != landed]
         for count, i in enumerate(read, start=2):
             branch = branches[i - len(branches)]
