@@ -8,23 +8,22 @@ sums, and the minors take the same products less one column, from prefix
 and suffix products. Glynn's sum is D. G. Glynn, "The permanent of a
 square matrix", European J. Combin. 31 (2010).
 
-The expansion runs in one of two forms with the same bits: a dict loop
-on integer-packed occupation keys for one occupation, and numpy steps
-(``arrays=True``) for all the occupations of one photon total at once.
-The numpy form sorts nothing: each photon step is one ``np.bincount``
-through a cached rank table (``_level``), which sums left to right from
-0.0 in the dict loop's order, multiplying complex numbers in CPython's
-order on separate real arrays. Both forms keep the rows they compute in
-one store (``_ROWS``, one occupation under one unitary in one form each,
-least recently used dropped first past ``_ROW_FLOATS``), storing a row at
-the second request of its key within the last ``_RECENT_KEYS`` missed
-keys, so a fixed interferometer (the NS sign flip, the balanced splitters
-and the Fourier multiports of the gates) is expanded once while a unitary
-seen once takes no memory. ``stored`` keeps any other value there under
-the same rule and the same budget: ``measure`` keeps the plans of its
-detection passes (keys, sort order and groups of a stack of occupations)
-in it. ``optics`` and ``measure`` reach the kernels through
-``fockworks._backend.kernels``, one call per expansion, hit or not.
+The expansion is one computation (``_expand_arrays``), each photon step
+one ``np.bincount`` through a cached rank table built from a closed form
+(``_level``), read in two forms: arrays for the occupations of one
+photon total (``arrays=True``), and a dict for one occupation, expanded
+on the rows of the unitary that its filled columns reach. Both forms
+keep the rows they compute in one store (``_ROWS``, one occupation under
+one unitary in one form each, least recently used dropped first past
+``_ROW_FLOATS``), storing a row at the second request of its key within
+the last ``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS
+sign flip, the balanced splitters and the Fourier multiports of the
+gates) is expanded once while a unitary seen once takes no memory.
+``stored`` keeps any other value there under the same rule and the same
+budget: ``measure`` keeps the plans of its detection passes (keys, sort
+order and groups of a stack of occupations) in it. ``optics`` and
+``measure`` reach the kernels through ``fockworks._backend.kernels``,
+one call per expansion, hit or not.
 """
 
 import math
@@ -36,6 +35,10 @@ from types import MappingProxyType
 import numpy as np
 
 BACKEND = "python"
+
+#: Outputs read out into occupation tuples per step, by the dict form and
+#: by ``optics`` from the packed keys of its array route.
+UNPACK_ROWS = 1 << 14
 
 _SQRT_FACT = [math.sqrt(math.factorial(k)) for k in range(64)]
 
@@ -163,45 +166,38 @@ _recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
 _recent_at = 0
 
 
-def accumulate(keys):
-    """Rank ``keys`` by first occurrence.
-
-    Returns the distinct keys in the order they first occur and the slot
-    of each key among them. ``np.bincount(slot, w)`` then sums the weights
-    of equal keys left to right from 0.0, as ``d[key] = d.get(key, 0j) + w``
-    does over the same sequence: ``np.bincount`` adds its weights one by
-    one in index order.
-    """
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return distinct[order], rank[inverse]
-
-
 def _level(m, t, below):
     """The rank table of level ``t`` >= 1 of ``m`` modes, given ``below``,
     the occupations of level t - 1 in rank order.
 
     Returns ``(child, counts)``: ``child[k, r]`` is the rank at level t of
     the occupation of rank r at level t - 1 plus one photon in mode
-    m - 1 - k, and ``counts`` are level t's occupations in rank order.
-    Ranks are the dict loop's order of first occurrence, which depends on
-    (m, t) alone while no column holds an exact zero: every photon step
-    adds the same m keys to each key in turn. It is the lexicographic
-    order of the modes' multisets, sorted ascending. Levels are cached up
-    to ``_TABLE_ENTRIES`` entries in all.
+    m - 1 - k, and ``counts`` are level t's occupations in rank order, the
+    lexicographic order of the modes' multisets. With s_j the photons in
+    the modes after j, a rank is the sum over j < m - 1 of
+    C(s_j + m - 2 - j, m - 1 - j); a photon added to mode q raises it by
+    the sum over j < q of C(s_j + m - 2 - j, m - 2 - j), one ``cumsum``
+    of Pascal entries no larger than the level. Levels are cached up to
+    ``_TABLE_ENTRIES`` entries in all.
     """
     global _table_entries
     table = _TABLES.get((m, t))
     if table is None:
-        bits = t.bit_length()
-        steps = np.left_shift(1, bits * np.arange(m), dtype=np.int64)
-        keys = below.astype(np.int64) @ steps
-        distinct, slot = accumulate((keys[:, None] + steps).ravel())
-        counts = (distinct[:, None] >> (bits * np.arange(m))) & ((1 << bits) - 1)
-        child = np.ascontiguousarray(slot.astype(np.int32).reshape(len(below), m)[:, ::-1].T)
-        table = child, counts.astype(np.min_scalar_type(t))
+        # pascal[s, a] = C(s + a, a): each row the running sum of the one above
+        pascal = np.ones((t, m - 1), dtype=np.int64)
+        for s in range(1, t):
+            np.cumsum(pascal[s - 1], out=pascal[s])
+        after = np.cumsum(below[:, :0:-1], axis=1, dtype=np.intp)[:, ::-1]
+        ranks = np.zeros((len(below), m), dtype=np.int64)
+        ranks[:, 1:] = pascal[after, np.arange(m - 2, -1, -1)]
+        np.cumsum(ranks, axis=1, out=ranks)
+        ranks += np.arange(len(below))[:, None]
+        # every occupation of level t is some parent's child: scatter them
+        counts = np.empty((int(ranks[-1, -1]) + 1, m), dtype=np.min_scalar_type(t))
+        for q in range(m):
+            counts[ranks[:, q]] = below
+            counts[ranks[:, q], q] += 1
+        table = np.ascontiguousarray(ranks[:, ::-1].T, dtype=np.int32), counts
         for array in table:
             array.setflags(write=False)
         size = table[0].size + table[1].size
@@ -225,20 +221,17 @@ def expand_basis_state(u, occ, arrays=False):
     """Expand U|occ> in the number basis for an m-mode unitary ``u``.
 
     Each creation operator a_l^dag is replaced by sum_m u[m, l] a_m^dag and
-    the resulting polynomial is expanded one photon at a time; occupation
-    vectors are packed into integer keys during the convolution. Returns a
+    the resulting polynomial is expanded one photon at a time. Returns a
     read-only mapping of output occupation tuples to complex amplitudes,
-    read from ``_ROWS`` when requested before.
+    read from ``_ROWS`` when requested before: every output on the rows of
+    ``u`` that a filled column reaches, in rank order, some maybe zero.
 
     With ``arrays``, ``occ`` is a sequence of occupations with one photon
     total, all expanded together, and the result is ``(counts, re, im)``:
-    an (outputs x m) integer array of the output occupations in the
-    dicts' order and, one row per occupation, the real and imaginary parts
-    of its amplitudes, equal to its dict's values bit for bit. Each photon
-    step is one ``np.bincount`` through a cached rank table, so every
-    column of ``u`` that an occupation fills must be free of exact zeros
-    (the dict loop skips those), and m * bit_length(total) <= 62. Rows
-    requested before are read from ``_ROWS`` (``_expand_rows``).
+    ``outputs(m, t)`` and, one row per occupation, the real and imaginary
+    parts of its amplitudes, equal to its dict's values bit for bit. Every
+    column of ``u`` that an occupation fills must be free of exact zeros.
+    Rows requested before are read from ``_ROWS`` (``_expand_rows``).
     """
     u = np.asarray(u)
     if arrays:
@@ -266,38 +259,20 @@ def _matrix(u):
 
 
 def _expand_dict(u, occ):
-    """The dict form of ``expand_basis_state``, computed: a new dict."""
-    m = len(occ)
-    total = sum(occ)
-    sqrt_fact = _sqrt_factorials(total)
-    bits = max(total.bit_length(), 1)
-    mask = (1 << bits) - 1
-    scale = 1.0
-    for n_l in occ:
-        scale *= sqrt_fact[n_l]
-    current = {0: 1.0 + 0.0j}
-    for l in range(m):
-        n_l = occ[l]
-        if n_l == 0:
-            continue
-        col = [(1 << (bits * j), complex(u[j][l])) for j in range(m) if u[j][l] != 0]
-        for _ in range(n_l):
-            nxt = {}
-            for key, amp in current.items():
-                for step, c in col:
-                    new_key = key + step
-                    nxt[new_key] = nxt.get(new_key, 0.0 + 0.0j) + amp * c
-            current = nxt
-    out = {}
-    for key, amp in current.items():
-        factor = 1.0
-        counts = []
-        for _ in range(m):
-            k = key & mask
-            counts.append(k)
-            factor *= sqrt_fact[k]
-            key >>= bits
-        out[tuple(counts)] = amp * (factor / scale)
+    """The dict form of ``expand_basis_state``, computed: the array form of
+    ``occ`` on the rows of ``u`` that its filled columns reach, its counts
+    padded back to every mode ``UNPACK_ROWS`` outputs at a time, in their
+    own dtype, as a new dict."""
+    occs = np.array([occ], dtype=np.int64)
+    support = np.flatnonzero(u[:, occs[0] > 0].any(axis=1))
+    counts, re, im = _expand_arrays(u[support], occs)
+    out: dict = {}
+    for start in range(0, len(counts), UNPACK_ROWS):
+        rows = slice(start, start + UNPACK_ROWS)
+        padded = np.zeros((len(counts[rows]), len(occ)), dtype=counts.dtype)
+        padded[:, support] = counts[rows]
+        amps = map(complex, re[0, rows].tolist(), im[0, rows].tolist())
+        out.update(zip(map(tuple, padded.tolist()), amps))
     return out
 
 
@@ -323,6 +298,8 @@ def _expand_rows(u, occs):
         if row is not None:
             _ROWS.move_to_end(key)
     if missing:
+        if not u[:, occs.any(axis=0)].all():
+            raise ValueError("a filled column of the unitary holds an exact zero")
         counts, re, im = _expand_arrays(u, occs[missing] if len(missing) < owners else occs)
         _remember([keys[i] for i in missing], lambda j: _frozen(re[j].copy(), im[j].copy()))
         if len(missing) == owners:
@@ -394,26 +371,23 @@ def _size(value):
 
 
 def _expand_arrays(u, occs):
-    """The dict loop of ``expand_basis_state`` for every row of ``occs`` at
-    once: one ``np.bincount`` per photon step, at slot owner * n + child.
+    """``(counts, re, im)`` of every row of ``occs`` under ``u``, whose
+    rows are the output modes: one ``np.bincount`` per photon step, at
+    slot owner * n + child, exact zeros multiplied in.
 
     A slot takes one product per mode j its occupation holds, from the
     parent without that photon, and the larger j, the lower that parent's
-    rank (ranks are lexicographic): summing modes descending, then parents
-    ascending, adds them in the dict loop's order.
+    rank: summing modes descending, then parents ascending, adds them from
+    0.0 in rank order, complex products formed as CPython forms them.
     """
     owners, m = occs.shape
     t = int(occs[0].sum())
-    if (occs.sum(axis=1) != t).any():
-        raise ValueError("the occupations expanded together must hold the same photon total")
-    if not u[:, occs.any(axis=0)].all():
-        raise ValueError("a filled column of the unitary holds an exact zero")
-    # the column of each photon, in the dict loop's order
+    # the column of each photon, columns ascending
     cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
-    counts = np.zeros((1, m), dtype=np.uint8)
+    counts = np.zeros((1, len(u)), dtype=np.uint8)
     re, im = np.ones((owners, 1)), np.zeros((owners, 1))
     for s in range(t):
-        child, counts = _level(m, s + 1, counts)
+        child, counts = _level(len(u), s + 1, counts)
         n = len(counts)
         slot = (np.arange(owners)[:, None] * n + child.ravel()).ravel()
         c = u[::-1, cols[:, s]].T[:, :, None]
@@ -424,8 +398,9 @@ def _expand_arrays(u, occs):
         im = np.bincount(slot, (ar * ci + ai * cr).ravel(), owners * n).reshape(owners, n)
     table = np.array(_sqrt_factorials(t)[:t + 1])
     factor, scale = np.ones(len(counts)), np.ones((owners, 1))
-    for j in range(m):
+    for j in range(len(u)):
         factor *= table[counts[:, j]]
+    for j in range(m):
         scale *= table[occs[:, j, None]]
     g = factor / scale
     # amp * g for a float g is the product with complex(g, 0.0)

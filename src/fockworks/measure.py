@@ -425,7 +425,8 @@ def _evolved_groups(states, u, modes):
     sizes = sizes.astype(np.int64).tolist()
     if (total := sum(sizes)) > optics.MAX_EVOLVED_TERMS:
         raise optics.BudgetExceeded(f"the evolutions of {count} states may produce "
-                                    f"{total} terms; the limit is {optics.MAX_EVOLVED_TERMS}")
+                                    f"{optics._terms(total)} terms; "
+                                    f"the limit is {optics.MAX_EVOLVED_TERMS}")
     mat = np.ascontiguousarray(u.matrix)
     # each state's bit widths: its largest count per mode, its most photons on the evolved modes
     full = np.flatnonzero(lengths)

@@ -29,14 +29,12 @@ from .fock import FockError, FockState, InvalidOccupationError, ModeMismatchErro
 
 UNITARY_TOL = 1e-10
 #: Output bound from which apply_unitary takes the array route; below it
-#: numpy's per-call cost outweighs what the dict loops spend per term.
+#: numpy's per-call cost outweighs what the dict route spends per term.
 ARRAY_MIN_TERMS = 4096
 #: Largest output bound apply_unitary expands.
 MAX_EVOLVED_TERMS = 2_000_000
 #: Bits of a packed array-route key; int64 keeps one spare below the sign.
 KEY_BITS = 62
-#: Keys decoded into occupation tuples per step of the array route.
-UNPACK_ROWS = 1 << 14
 
 
 class NonUnitaryError(FockError):
@@ -164,16 +162,16 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
 
     Each distinct sub-occupation of ``modes`` is expanded once and merged
     into the kept modes, by one of two routes that give the same state bit
-    for bit: dict loops, or numpy arrays on packed int64 keys, which
-    expand the sub-occupations of each photon total in one kernel call and
-    merge everything with one ``np.bincount``, without a sort. The output
+    for bit: dicts, or numpy arrays on packed int64 keys, which expand the
+    sub-occupations of each photon total in one kernel call and merge
+    everything with one ``np.bincount``, without a sort. The output
     bound, the sum over input terms of C(k+d-1, d-1) for k photons on the
     d evolved modes, picks the route: arrays from ``ARRAY_MIN_TERMS`` on,
     when every mode's largest possible count fits a bit field of its own,
     the fields take at most 62 bits and no column of ``u`` that an input
-    photon enters holds an exact zero (0.0 or -0.0, which the dict loops
-    skip); dict loops otherwise. Above ``MAX_EVOLVED_TERMS`` it raises
-    ``BudgetExceeded`` before expanding.
+    photon enters holds an exact zero (0.0 or -0.0, which the dict form
+    expands on fewer output modes); dicts otherwise. Above
+    ``MAX_EVOLVED_TERMS`` it raises ``BudgetExceeded`` before expanding.
     """
     if modes is None:
         if u.dim != state.modes:
@@ -221,9 +219,18 @@ def _bound(subs, d):
     raises BudgetExceeded past the budget."""
     bound = sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs)
     if bound > MAX_EVOLVED_TERMS:
-        raise BudgetExceeded(f"the evolution may produce {bound} terms; "
+        raise BudgetExceeded(f"the evolution may produce {_terms(bound)} terms; "
                              f"the limit is {MAX_EVOLVED_TERMS}")
     return bound
+
+
+def _terms(count):
+    """A term count as a budget message gives it: exact below 10^30, past
+    that (``str`` raises ``ValueError`` past 4,300 digits) its order of
+    magnitude."""
+    if count < 10**30:
+        return str(count)
+    return f"more than 10^{int((count.bit_length() - 1) * math.log10(2))}"
 
 
 def _widths(terms, subs, modes):
@@ -327,7 +334,7 @@ def _evolved(plan, re, im, mat):
 
 def _unpack(keys, re, im, layout):
     """{occupation tuple: complex} of packed keys, in their order; the
-    counts are decoded ``UNPACK_ROWS`` keys at a time, in the smallest
+    counts are decoded ``kernels.UNPACK_ROWS`` keys at a time, in the smallest
     integer dtype that holds them."""
     shift, widths = layout
     masks = np.left_shift(1, widths, dtype=np.int64) - 1
@@ -335,8 +342,8 @@ def _unpack(keys, re, im, layout):
     amps = np.empty(len(keys), dtype=complex)
     amps.real, amps.imag = re, im
     out: dict = {}
-    for start in range(0, len(keys), UNPACK_ROWS):
-        rows = slice(start, start + UNPACK_ROWS)
+    for start in range(0, len(keys), kernels.UNPACK_ROWS):
+        rows = slice(start, start + kernels.UNPACK_ROWS)
         counts = ((keys[rows, None] >> shift) & masks).astype(dtype)
         out.update(zip(map(tuple, counts.tolist()), amps[rows].tolist()))
     return out

@@ -48,7 +48,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import fock, measure
+from . import fock, measure, optics
 from .fock import FockError, FockState, number_state, tensor
 from .measure import IMPOSSIBLE, _drawer, _projection, _sample_detection, _weight, measure_modes
 from .optics import (BeamSplitter, ElementSequence, ModeUnitary, apply_unitary, compose,
@@ -616,6 +616,20 @@ def _projected(mode):
     return lambda b: {"projected_mode": mode, "value": b["projected"]}
 
 
+def _standard_resource(kind, n, rng):
+    """The standard resource ``kind`` of size n; for an exact run (``rng``
+    None), ``BudgetExceeded`` before it is built if its term with all n
+    photons in the measured group alone has more than ``MAX_EVOLVED_TERMS``
+    outputs, C(2n, n), computed one n at a time."""
+    bound = 1
+    for k in range(1, n + 1 if rng is None else 1):
+        bound = bound * 2 * (2 * k - 1) // k
+        if bound > optics.MAX_EVOLVED_TERMS:
+            raise optics.BudgetExceeded(f"the evolution at n = {n} may produce at least {bound} "
+                                        f"terms; the limit is {optics.MAX_EVOLVED_TERMS}")
+    return make_resource(kind, n)
+
+
 def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
                 resource: PreparedResource | None = None) -> ProtocolResult:
     """Teleport a {0,1}-photon mode through the 2n-mode resource.
@@ -627,7 +641,7 @@ def teleport_tn(state: FockState, input_mode: int, n: int, rng=None,
     """
     if state.max_occupation(input_mode) > 1:
         raise UnsupportedInputError("input mode must carry at most one photon")
-    res = resource or make_resource("tn", n)
+    res = resource or _standard_resource("tn", n, rng)
     if res.state.modes != 2 * n:
         raise ProtocolError("resource size does not match n")
     m0 = state.modes
@@ -815,7 +829,7 @@ def csign_teleported_modes(state: FockState, mode_x: int, mode_y: int, n: int,
     """
     if state.max_occupation(mode_x) > 1 or state.max_occupation(mode_y) > 1:
         raise UnsupportedInputError("gate modes must carry at most one photon")
-    res = resource or make_resource("tnprime", n)
+    res = resource or _standard_resource("tnprime", n, rng)
     if res.state.modes != 4 * n:
         raise ProtocolError("resource size does not match n")
     flip_x = lambda k1, k2: (n - k2) % 2
@@ -1041,7 +1055,7 @@ def parity_measure(state: FockState, mode_x: int, mode_y: int, n: int, rng=None,
 def _parity_gadget(state, mode_x, mode_y, n, rng, resource=None):
     """The parity gadget's branch tree and layout; a successful branch carries
     its ``parity``, the detected totals plus the resource's parity flavour."""
-    res = resource or make_resource("pnprime", n)
+    res = resource or _standard_resource("pnprime", n, rng)
     if res.state.modes != 4 * n:
         raise ProtocolError("resource size does not match n")
     flip = lambda k1, k2: 0

@@ -49,3 +49,19 @@ def pass_counts(monkeypatch):
         return out
 
     return taken
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Record the (modes, photons) of every rank table built during the
+    test, not read from the cache; returns the list, in build order."""
+    builds = []
+    level = kernels._level
+
+    def counted(m, t, below):
+        if (m, t) not in kernels._TABLES:
+            builds.append((m, t))
+        return level(m, t, below)
+
+    monkeypatch.setattr(kernels, "_level", counted)
+    return builds

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +127,21 @@ class TestRun:
         assert out == ""
 
     def test_oversize_teleport_exits_2(self, capsys):
-        # output bound 15,600,899 terms, refused before any expansion
+        # one resource term alone bounds C(24, 12) = 2,704,156 outputs:
+        # refused before the resource is built
         code, out, err = run_cli(capsys, "run", "teleport", "--n", "12")
         assert code == 2
         assert out == ""
-        assert "15600899" in err
+        assert "at n = 12 may produce at least 2704156 terms" in err
+
+    @pytest.mark.parametrize("protocol", ["teleport", "csign", "parity", "distribute", "teleport-e"])
+    def test_a_huge_exact_gadget_exits_2_at_once(self, capsys, protocol):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", protocol, "--n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "error: the evolution at n = 1000000000 may produce at least 2704156 terms" in err
 
     @pytest.mark.parametrize("protocol, summed", [("csign", "1715 states may produce 5884165"),
                                                   ("parity", "1715 states may produce 4564889")])

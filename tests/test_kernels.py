@@ -152,9 +152,11 @@ class TestTransitionAmplitude:
 @ONE_KERNEL
 class TestExpansion:
     def test_identity_passthrough(self, kernels):
+        # the outputs on the filled modes, all but one of them exact zeros
         out = kernels.expand_basis_state(np.eye(3, dtype=complex), (2, 0, 1))
-        assert set(out) == {(2, 0, 1)}
+        assert {occ for occ, a in out.items() if a} == {(2, 0, 1)}
         assert abs(out[(2, 0, 1)] - 1) < 1e-12
+        assert set(out) == {(3 - k, 0, k) for k in range(4)}
 
     def test_norm_preserved(self, kernels, rng):
         u = random_unitary(4, rng).matrix
@@ -167,16 +169,59 @@ class TestExpansion:
         assert all(sum(occ) == 3 for occ in out)
 
     def test_wide_state_fallback_agrees(self, kernels):
-        # 32 modes cannot pack into 64-bit keys; exercises the tuple path
+        # 32 modes of 2 photons take 64 bits as a packed key; the rank tables have no width limit
         u = fourier_matrix(31).matrix
         occ = tuple([2] + [0] * 31)
         out = kernels.expand_basis_state(u, occ)
         assert abs(sum(abs(a) ** 2 for a in out.values()) - 1) < 1e-10
 
 
+def _loop(u, occ):
+    """U|occ> expanded one photon at a time in a dict of integer-packed
+    occupation keys, skipping the exact zeros of ``u``: the reference the
+    kernel's two forms are checked against."""
+    m = len(occ)
+    total = sum(occ)
+    sqrt_fact = _sqrt_factorials(total)
+    bits = max(total.bit_length(), 1)
+    mask = (1 << bits) - 1
+    scale = 1.0
+    for n_l in occ:
+        scale *= sqrt_fact[n_l]
+    current = {0: 1.0 + 0.0j}
+    for l in range(m):
+        col = [(1 << (bits * j), complex(u[j][l])) for j in range(m) if u[j][l] != 0]
+        for _ in range(occ[l]):
+            nxt = {}
+            for key, amp in current.items():
+                for step, c in col:
+                    nxt[key + step] = nxt.get(key + step, 0.0 + 0.0j) + amp * c
+            current = nxt
+    out = {}
+    for key, amp in current.items():
+        factor = 1.0
+        counts = []
+        for _ in range(m):
+            counts.append(key & mask)
+            factor *= sqrt_fact[key & mask]
+            key >>= bits
+        out[tuple(counts)] = amp * (factor / scale)
+    return out
+
+
+def _bits_of(row):
+    """A dict's outputs in order, with float.hex of each amplitude."""
+    return [(out, a.real.hex(), a.imag.hex()) for out, a in row.items()]
+
+
+def _loop_bits(u, occ):
+    """The reference loop's outputs in order, as ``_bits_of`` lists them."""
+    return _bits_of(_loop(u, occ))
+
+
 def _dict_bits(u, occ):
-    """The dict form's outputs in order, with float.hex of each amplitude."""
-    return [(out, a.real.hex(), a.imag.hex()) for out, a in KERNELS.expand_basis_state(u, occ).items()]
+    """The dict form's outputs in order, as ``_bits_of`` lists them."""
+    return _bits_of(KERNELS.expand_basis_state(u, occ))
 
 
 def _array_bits(u, occs):
@@ -209,6 +254,29 @@ def _zero_columns(zero):
                      [3**-0.5, zero, -2 * 6**-0.5]], dtype=complex)
 
 
+class TestRankTables:
+    """A level's ranks are the lexicographic order of the output multisets,
+    built from their closed form: no packed key, so no width limit."""
+
+    def test_outputs_are_the_multisets_in_lexicographic_order(self, empty_rows):
+        # (32, 4) and (70, 2) would need 96 and 140 bits as packed keys
+        for m, t in [(m, t) for m in range(1, 9) for t in range(7)] + [(32, 4), (70, 2)]:
+            counts = KERNELS.outputs(m, t)
+            assert counts.dtype == np.min_scalar_type(t)
+            assert [tuple(np.repeat(np.arange(m), row)) for row in counts.tolist()] == list(
+                itertools.combinations_with_replacement(range(m), t)), (m, t)
+
+    @pytest.mark.parametrize("m, t", [(1, 5), (3, 4), (5, 3), (32, 3)])
+    def test_a_child_is_its_parent_plus_one_photon(self, empty_rows, m, t):
+        below = KERNELS.outputs(m, t - 1)
+        child, counts = KERNELS._level(m, t, below)
+        assert child.dtype == np.int32 and child.shape == (m, len(below))
+        for k in range(m):
+            grown = below.astype(int)
+            grown[:, m - 1 - k] += 1
+            assert (counts[child[k]] == grown).all()
+
+
 class TestArrayExpansion:
     """The array form expands occupations of one photon total together,
     one np.bincount per photon step through cached rank tables."""
@@ -216,8 +284,11 @@ class TestArrayExpansion:
     @settings(max_examples=80, deadline=None)
     @given(batches())
     def test_batched_arrays_equal_the_dicts_bit_for_bit(self, batch):
+        # the reference loop, the dict form and the array form: one order, one set of bits
         u, occs = batch
-        assert _array_bits(u, occs) == [_dict_bits(u, occ) for occ in occs]
+        reference = [_loop_bits(u, occ) for occ in occs]
+        assert [_dict_bits(u, occ) for occ in occs] == reference
+        assert _array_bits(u, occs) == reference
 
     @pytest.mark.parametrize("zero", [0.0, -0.0, complex(-0.0, -0.0)])
     def test_a_zero_in_a_filled_column_is_refused(self, zero):
@@ -231,13 +302,12 @@ class TestArrayExpansion:
         with pytest.raises(ValueError, match="same photon total"):
             KERNELS.expand_basis_state(np.eye(2, dtype=complex), [(1, 0), (1, 1)], arrays=True)
 
-    def test_a_warm_expansion_builds_no_table(self, empty_rows, monkeypatch, rng):
+    def test_a_warm_expansion_builds_no_table(self, empty_rows, table_builds, rng):
         u, occs = random_unitary(4, rng).matrix, [(2, 1, 0, 1), (0, 0, 4, 0)]
         cold = _array_bits(u, occs)
-        calls = []
-        accumulate = KERNELS.accumulate
-        monkeypatch.setattr(KERNELS, "accumulate", lambda keys: calls.append(1) or accumulate(keys))
-        assert _array_bits(u, occs) == cold and not calls
+        assert table_builds == [(4, t) for t in range(1, 5)]
+        table_builds.clear()
+        assert _array_bits(u, occs) == cold and not table_builds
 
     def test_the_table_cache_stays_within_its_cap(self, empty_rows, monkeypatch, rng):
         u = random_unitary(3, rng).matrix
@@ -288,13 +358,13 @@ def _table():
 
 
 def _computed(monkeypatch):
-    """Record the occupations each expansion computes, in either form, and
-    the calls of the entry point."""
+    """Record the occupations each expansion computes, in either form (the
+    dict form computes its row with ``_expand_arrays`` too), and the calls
+    of the entry point."""
     rows, calls = [], []
-    arrays, dicts, expand = KERNELS._expand_arrays, KERNELS._expand_dict, KERNELS.expand_basis_state
+    arrays, expand = KERNELS._expand_arrays, KERNELS.expand_basis_state
     monkeypatch.setattr(KERNELS, "_expand_arrays",
                         lambda u, occs: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs))
-    monkeypatch.setattr(KERNELS, "_expand_dict", lambda u, occ: rows.append(occ) or dicts(u, occ))
     monkeypatch.setattr(KERNELS, "expand_basis_state",
                         lambda *a, **k: calls.append(1) or expand(*a, **k))
     return rows, calls
@@ -331,6 +401,19 @@ class TestExpansionRows:
             assert _array_bits(u, shuffled) == [cold[occs.index(occ)] for occ in shuffled]
         counts, _, _ = KERNELS.expand_basis_state(u, occs, arrays=True)
         assert counts.dtype == KERNELS._expand_arrays(u, np.array(occs))[0].dtype
+
+    @settings(max_examples=80, deadline=None)
+    @given(zero_columns())
+    def test_dict_rows_with_exact_zeros_equal_the_loop_in_value(self, case):
+        # the dict form expands on the rows the filled columns reach and
+        # multiplies the zeros in, where the loop skips them: every output
+        # the loop reaches has its value, in the rank order of the support,
+        # and every other output is zero
+        u, occ = case
+        reference, row = _loop(u, occ), KERNELS._expand_dict(u, occ)
+        assert [out for out in row if out in reference] == sorted(reference, reverse=True)
+        assert all(row[out] == a for out, a in reference.items())
+        assert not any(a for out, a in row.items() if out not in reference)
 
     @settings(max_examples=80, deadline=None)
     @given(zero_columns())

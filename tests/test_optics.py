@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockworks import costs, fock, optics, verify
+from fockworks import costs, fock, optics, protocols, verify
 from fockworks._backend import kernels
 from fockworks.fock import FockState, ModeMismatchError, number_state
 from fockworks.optics import (
@@ -28,7 +28,7 @@ from fockworks.optics import (
     random_unitary,
     transition_amplitude,
 )
-from fockworks.protocols import teleport_tn
+from fockworks.protocols import make_resource, teleport_tn
 
 BAL = math.pi / 4
 
@@ -346,25 +346,28 @@ class TestEvolutionRoutes:
         monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", optics.MAX_EVOLVED_TERMS + 1)
         assert _bits(apply_unitary(number_state((90, 0, 0)), u)) == _bits(clear)
 
-    def test_a_warm_evolution_expands_once_without_a_sort(self, empty_rows, monkeypatch, rng):
+    def test_a_warm_evolution_expands_once_without_a_sort(self, empty_rows, table_builds, monkeypatch,
+                                                           rng):
         basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]
         picks = rng.choice(len(basis), 40, replace=False)
         state = FockState(8, {basis[j]: complex(*rng.normal(size=2)) for j in picks}).normalized()
         u = random_unitary(8, rng)
         warm = apply_unitary(state, u)
-        expansions, sorts = [], []
-        expand, accumulate = kernels.expand_basis_state, kernels.accumulate
+        assert table_builds == [(8, t) for t in range(1, 6)]
+        table_builds.clear()
+        expansions = []
+        expand = kernels.expand_basis_state
         monkeypatch.setattr(kernels, "expand_basis_state",
                             lambda *a, **k: expansions.append(1) or expand(*a, **k))
-        monkeypatch.setattr(kernels, "accumulate", lambda *a: sorts.append(1) or accumulate(*a))
         monkeypatch.setattr(np, "unique", None)
         assert _bits(apply_unitary(state, u)) == _bits(warm)
-        assert len(expansions) == 1 and not sorts
+        assert len(expansions) == 1 and not table_builds
 
     def test_a_capped_table_cache_gives_the_same_bits(self, empty_rows, monkeypatch):
+        # the dict route builds rank tables too: cap them before either route runs
+        monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 5000)
         state, u = number_state((300, 0)), element_matrix(BeamSplitter(0, 1, BAL))
         dicts = apply_unitary(state, u)
-        monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 5000)
         monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
         taken = _routes(monkeypatch)
         assert _bits(apply_unitary(state, u)) == _bits(dicts) and taken[0] is not None
@@ -394,6 +397,20 @@ class TestEvolutionRoutes:
         assert taken and all(layout is None for layout in taken)
 
 
+    def test_an_embedded_splitter_expands_on_its_support_rows(self, monkeypatch):
+        # a 20-mode embed holds exact zeros in every column: the dict route,
+        # each term expanded on the rows its filled columns reach (the first
+        # term's five photons on five rows: 126 outputs, three of them not
+        # zero), with the amplitudes of the splitter on its own two modes
+        state = FockState(20, {(1, 1, 0, 1, 0, 0, 2) + (0,) * 13: 0.6,
+                               (2, 0, 1) + (0,) * 16 + (2,): 0.8j})
+        taken = _routes(monkeypatch)
+        full = apply_unitary(state, embed(BeamSplitter(5, 6, 0.3), 20))
+        assert taken == [None]
+        part = apply_unitary(state, element_matrix(BeamSplitter(0, 1, 0.3)), [5, 6])
+        assert full._amp == part._amp and len(full._amp) == 4
+
+
 class TestBudget:
     def test_limit_is_inclusive(self, monkeypatch):
         # nine photons on two modes: ten output terms
@@ -405,12 +422,38 @@ class TestBudget:
             apply_unitary(state, u)
 
     def test_oversize_evolution_fails_before_expanding(self, empty_rows, monkeypatch):
+        # a caller's resource is built already: the evolution's own bound refuses it
         calls = []
         expand = kernels.expand_basis_state
         monkeypatch.setattr(kernels, "expand_basis_state", lambda *a, **k: calls.append(1) or expand(*a, **k))
         with pytest.raises(BudgetExceeded, match="15600899"):
-            teleport_tn(costs.encode_single_rail(1, 1), 0, 12)
+            teleport_tn(costs.encode_single_rail(1, 1), 0, 12, resource=make_resource("tn", 12))
         assert not calls
+
+    def test_an_oversize_standard_resource_is_never_built(self, monkeypatch):
+        # its term of n photons in the measured group alone bounds C(2n, n)
+        # outputs; C(24, 12) = 2,704,156 is the first past the budget. A
+        # sampled run evolves no such term, and builds it
+        state = costs.encode_single_rail(1, 1)
+        assert teleport_tn(state, 0, 18, rng=np.random.default_rng(1)).details["n"] == 18
+        built = []
+        monkeypatch.setattr(protocols, "make_resource", lambda *a: built.append(a))
+        for n in (12, 10**9):
+            with pytest.raises(BudgetExceeded, match=f"at n = {n} may produce at least 2704156 terms"):
+                teleport_tn(state, 0, n)
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 6)  # C(4, 2) = 6 fits, C(6, 3) = 20 does not
+        with pytest.raises(BudgetExceeded, match="at least 20 terms; the limit is 6"):
+            teleport_tn(state, 0, 3)
+        assert built == []
+
+    def test_a_budget_message_stays_short_and_typed(self):
+        # 15,999 choose 7,999 outputs: 4,814 digits, past str()'s 4,300
+        with pytest.raises(BudgetExceeded, match=r"may produce more than 10\^4813 terms; the limit is 2000000$"):
+            optics._bound([(8000,) + (0,) * 7999], 8000)
+        assert optics._terms(10**30 - 1) == "9" * 30
+        assert optics._terms(10**30) == "more than 10^29"
+        assert optics._terms(2**64 + 1) == "18446744073709551617"
+        assert optics._terms(10**5000) == "more than 10^4999"
 
 
 class TestComposeDecompose:
