@@ -12,18 +12,19 @@ The expansion is one computation (``_expand_arrays``), each photon step
 one ``np.bincount`` through a cached rank table built from a closed form
 (``_level``), read in two forms: arrays for the occupations of one
 photon total (``arrays=True``), and a dict for one occupation, expanded
-on the rows of the unitary that its filled columns reach. Both forms
-keep the rows they compute in one store (``_ROWS``, one occupation under
-one unitary in one form each, least recently used dropped first past
-``_ROW_FLOATS``), storing a row at the second request of its key within
-the last ``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS
-sign flip, the balanced splitters and the Fourier multiports of the
-gates) is expanded once while a unitary seen once takes no memory.
-``stored`` keeps any other value there under the same rule and the same
-budget: ``measure`` keeps the plans of its detection passes (keys, sort
-order and groups of a stack of occupations) in it. ``optics`` and
-``measure`` reach the kernels through ``fockworks._backend.kernels``,
-one call per expansion, hit or not.
+on the rows of the unitary that its filled columns reach, listing the
+outputs that its nonzero entries reach. Both forms keep the rows they
+compute in one store (``_ROWS``, one occupation under one unitary in one
+form each, least recently used dropped first past ``_ROW_FLOATS``),
+storing a row at the second request of its key within the last
+``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS sign
+flip, the balanced splitters and the Fourier multiports of the gates) is
+expanded once while a unitary seen once takes no memory. ``stored``
+keeps any other value there under the same rule and the same budget:
+``measure`` keeps the plans of its detection passes (keys, sort order and
+groups of a stack of occupations) in it. ``optics`` and ``measure`` reach
+the kernels through ``fockworks._backend.kernels``, one call per
+expansion, hit or not.
 """
 
 import math
@@ -166,7 +167,7 @@ _recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
 _recent_at = 0
 
 
-def _level(m, t, below):
+def _level(m, t, below, keep=True):
     """The rank table of level ``t`` >= 1 of ``m`` modes, given ``below``,
     the occupations of level t - 1 in rank order.
 
@@ -177,8 +178,8 @@ def _level(m, t, below):
     the modes after j, a rank is the sum over j < m - 1 of
     C(s_j + m - 2 - j, m - 1 - j); a photon added to mode q raises it by
     the sum over j < q of C(s_j + m - 2 - j, m - 2 - j), one ``cumsum``
-    of Pascal entries no larger than the level. Levels are cached up to
-    ``_TABLE_ENTRIES`` entries in all.
+    of Pascal entries no larger than the level. With ``keep``, levels are
+    cached up to ``_TABLE_ENTRIES`` entries in all.
     """
     global _table_entries
     table = _TABLES.get((m, t))
@@ -201,7 +202,7 @@ def _level(m, t, below):
         for array in table:
             array.setflags(write=False)
         size = table[0].size + table[1].size
-        if _table_entries + size <= _TABLE_ENTRIES:
+        if keep and _table_entries + size <= _TABLE_ENTRIES:
             _TABLES[m, t] = table
             _table_entries += size
     return table
@@ -223,8 +224,10 @@ def expand_basis_state(u, occ, arrays=False):
     Each creation operator a_l^dag is replaced by sum_m u[m, l] a_m^dag and
     the resulting polynomial is expanded one photon at a time. Returns a
     read-only mapping of output occupation tuples to complex amplitudes,
-    read from ``_ROWS`` when requested before: every output on the rows of
-    ``u`` that a filled column reaches, in rank order, some maybe zero.
+    read from ``_ROWS`` when requested before: every output that the
+    nonzero entries of the filled columns reach, in the order in which a
+    photon-by-photon loop over them first reaches it (the rank order when
+    those columns hold no exact zero).
 
     With ``arrays``, ``occ`` is a sequence of occupations with one photon
     total, all expanded together, and the result is ``(counts, re, im)``:
@@ -260,12 +263,15 @@ def _matrix(u):
 
 def _expand_dict(u, occ):
     """The dict form of ``expand_basis_state``, computed: the array form of
-    ``occ`` on the rows of ``u`` that its filled columns reach, its counts
-    padded back to every mode ``UNPACK_ROWS`` outputs at a time, in their
-    own dtype, as a new dict."""
+    ``occ`` on the rows of ``u`` that its filled columns reach, padded back
+    to every mode ``UNPACK_ROWS`` outputs at a time, in the counts' dtype,
+    as a new dict. A row that ``_size`` would charge past ``_ROW_FLOATS``
+    (C(t + s, s) outputs bound it) is never stored: nor are its tables."""
     occs = np.array([occ], dtype=np.int64)
     support = np.flatnonzero(u[:, occs[0] > 0].any(axis=1))
-    counts, re, im = _expand_arrays(u[support], occs)
+    outputs = math.comb(sum(occ) + len(support), len(support))
+    keep = outputs * (sys.getsizeof(occ) + sys.getsizeof(0j)) <= 8 * _ROW_FLOATS
+    counts, re, im = _expand_arrays(u[support], occs, keep)
     out: dict = {}
     for start in range(0, len(counts), UNPACK_ROWS):
         rows = slice(start, start + UNPACK_ROWS)
@@ -370,15 +376,17 @@ def _size(value):
     return 0
 
 
-def _expand_arrays(u, occs):
+def _expand_arrays(u, occs, keep=True):
     """``(counts, re, im)`` of every row of ``occs`` under ``u``, whose
     rows are the output modes: one ``np.bincount`` per photon step, at
-    slot owner * n + child, exact zeros multiplied in.
+    slot owner * n + child, exact zeros multiplied in, over rank tables
+    cached with ``keep`` (``_level``).
 
-    A slot takes one product per mode j its occupation holds, from the
-    parent without that photon, and the larger j, the lower that parent's
-    rank: summing modes descending, then parents ascending, adds them from
-    0.0 in rank order, complex products formed as CPython forms them.
+    Each slot adds its products from 0.0, formed as CPython forms them, in
+    the order in which a photon-by-photon loop over the nonzero entries of
+    ``u`` first reaches their parents: the rank order, every output listed,
+    while the filled columns hold no exact zero; past one, only the outputs
+    the loop reaches, in its order (a zero product changes no sum).
     """
     owners, m = occs.shape
     t = int(occs[0].sum())
@@ -386,21 +394,34 @@ def _expand_arrays(u, occs):
     cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
     counts = np.zeros((1, len(u)), dtype=np.uint8)
     re, im = np.ones((owners, 1)), np.zeros((owners, 1))
+    filled = np.flatnonzero(occs.any(axis=0))
+    # each step's parents in the loop's order: all of them, in rank order, without a zero
+    order, zeros = slice(None), not u[:, filled].all()
     for s in range(t):
-        child, counts = _level(len(u), s + 1, counts)
+        child, counts = _level(len(u), s + 1, counts, keep)
         n = len(counts)
-        slot = (np.arange(owners)[:, None] * n + child.ravel()).ravel()
         c = u[::-1, cols[:, s]].T[:, :, None]
         # owner, mode descending, parent: amp * c as CPython forms it,
         # (ar cr - ai ci, ar ci + ai cr)
-        ar, ai, cr, ci = re[:, None, :], im[:, None, :], c.real, c.imag
+        parts = child[:, order], re[:, None, order], im[:, None, order], c.real, c.imag
+        if zeros:
+            # one owner, parent by parent: a slot adds its products in its parents' order
+            parts = [np.swapaxes(part, -1, -2) for part in parts]
+        kids, ar, ai, cr, ci = parts
+        slot = (np.arange(owners)[:, None] * n + kids.ravel()).ravel()
         re = np.bincount(slot, (ar * cr - ai * ci).ravel(), owners * n).reshape(owners, n)
         im = np.bincount(slot, (ar * ci + ai * cr).ravel(), owners * n).reshape(owners, n)
+        if zeros:
+            # the children through a nonzero entry as the loop reaches them,
+            # parents in order, modes ascending: first reached first
+            ranks, first = np.unique(kids[:, ::-1][:, u[:, cols[0, s]] != 0], return_index=True)
+            order = ranks[np.argsort(first)]
+    counts, re, im = counts[order], re[:, order], im[:, order]
     table = np.array(_sqrt_factorials(t)[:t + 1])
     factor, scale = np.ones(len(counts)), np.ones((owners, 1))
     for j in range(len(u)):
         factor *= table[counts[:, j]]
-    for j in range(m):
+    for j in filled:
         scale *= table[occs[:, j, None]]
     g = factor / scale
     # amp * g for a float g is the product with complex(g, 0.0)

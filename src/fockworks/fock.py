@@ -95,8 +95,8 @@ class FockState:
         keys = amplitudes.keys()
         if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {modes}
                 and {*map(type, amplitudes.values())} <= {complex}
-                and {*map(type, counts := [*chain.from_iterable(keys)])} <= {int}
-                and min(counts, default=0) >= 0):
+                and {*map(type, chain.from_iterable(keys))} <= {int}
+                and min(chain.from_iterable(keys), default=0) >= 0):
             # checked in bulk, nothing to convert or merge: the arithmetic of _trusted
             self._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
             return

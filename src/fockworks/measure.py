@@ -417,16 +417,12 @@ def _evolved_groups(states, u, modes):
     photons = occ[:, modes].sum(axis=1, dtype=exact)
     # each term's output bound, capped past the budget: exact sums within it
     values, which = np.unique(photons, return_inverse=True)
-    cap = optics.MAX_EVOLVED_TERMS + 1
-    bounds = [min(math.comb(k + d - 1, d - 1), cap) for k in values.tolist()]
+    bounds = [optics._capped_comb(k + d - 1, d - 1) for k in values.tolist()]
     sizes = np.bincount(owner, np.array(bounds, dtype=float)[which], count)
-    if (sizes >= cap).any():  # the first state past the budget raises its own message
-        optics._bound(map(_picker(modes), state(int(np.argmax(sizes >= cap)))._amp), d)
+    if (past := sizes > optics.MAX_EVOLVED_TERMS).any():  # the first past it raises its own message
+        optics._bound(map(_picker(modes), state(int(np.argmax(past)))._amp), d)
     sizes = sizes.astype(np.int64).tolist()
-    if (total := sum(sizes)) > optics.MAX_EVOLVED_TERMS:
-        raise optics.BudgetExceeded(f"the evolutions of {count} states may produce "
-                                    f"{optics._terms(total)} terms; "
-                                    f"the limit is {optics.MAX_EVOLVED_TERMS}")
+    optics._within_budget(sum(sizes), f"the evolutions of {count} states")
     mat = np.ascontiguousarray(u.matrix)
     # each state's bit widths: its largest count per mode, its most photons on the evolved modes
     full = np.flatnonzero(lengths)

@@ -169,8 +169,8 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     d evolved modes, picks the route: arrays from ``ARRAY_MIN_TERMS`` on,
     when every mode's largest possible count fits a bit field of its own,
     the fields take at most 62 bits and no column of ``u`` that an input
-    photon enters holds an exact zero (0.0 or -0.0, which the dict form
-    expands on fewer output modes); dicts otherwise. Above
+    photon enters holds an exact zero (0.0 or -0.0: the dict form lists
+    only the outputs that nonzero entries reach); dicts otherwise. Above
     ``MAX_EVOLVED_TERMS`` it raises ``BudgetExceeded`` before expanding.
     """
     if modes is None:
@@ -217,20 +217,31 @@ def _zero_free(mat, subs):
 def _bound(subs, d):
     """The output bound of evolving sub-occupations ``subs`` of ``d`` modes;
     raises BudgetExceeded past the budget."""
-    bound = sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs)
-    if bound > MAX_EVOLVED_TERMS:
-        raise BudgetExceeded(f"the evolution may produce {_terms(bound)} terms; "
-                             f"the limit is {MAX_EVOLVED_TERMS}")
-    return bound
+    return _within_budget(sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs))
 
 
-def _terms(count):
-    """A term count as a budget message gives it: exact below 10^30, past
-    that (``str`` raises ``ValueError`` past 4,300 digits) its order of
-    magnitude."""
-    if count < 10**30:
-        return str(count)
-    return f"more than 10^{int((count.bit_length() - 1) * math.log10(2))}"
+def _capped_comb(n, k):
+    """C(n, k) as C(n - k + i, i), i = 1..min(k, n - k), stopped at the
+    first past ``MAX_EVOLVED_TERMS`` (a lower bound then): each step at
+    least doubles it, so n may be of any size."""
+    count, k = 1, min(k, n - k)
+    for i in range(1, k + 1):
+        count = count * (n - k + i) // i
+        if count > MAX_EVOLVED_TERMS:
+            break
+    return count
+
+
+def _within_budget(count, what="the evolution", least=False):
+    """``count`` terms, or ``BudgetExceeded`` past ``MAX_EVOLVED_TERMS``
+    saying that ``what`` may produce (at ``least``) that many: exactly
+    below 10^30, past that (``str`` raises ``ValueError`` past 4,300
+    digits) as an order of magnitude."""
+    if count <= MAX_EVOLVED_TERMS:
+        return count
+    shown = str(count) if count < 10**30 else f"more than 10^{int((count.bit_length() - 1) * math.log10(2))}"
+    raise BudgetExceeded(f"{what} may produce {'at least ' * least}{shown} terms; "
+                         f"the limit is {MAX_EVOLVED_TERMS}")
 
 
 def _widths(terms, subs, modes):

@@ -620,13 +620,9 @@ def _standard_resource(kind, n, rng):
     """The standard resource ``kind`` of size n; for an exact run (``rng``
     None), ``BudgetExceeded`` before it is built if its term with all n
     photons in the measured group alone has more than ``MAX_EVOLVED_TERMS``
-    outputs, C(2n, n), computed one n at a time."""
-    bound = 1
-    for k in range(1, n + 1 if rng is None else 1):
-        bound = bound * 2 * (2 * k - 1) // k
-        if bound > optics.MAX_EVOLVED_TERMS:
-            raise optics.BudgetExceeded(f"the evolution at n = {n} may produce at least {bound} "
-                                        f"terms; the limit is {optics.MAX_EVOLVED_TERMS}")
+    outputs, C(2n, n)."""
+    if rng is None:
+        optics._within_budget(optics._capped_comb(2 * n, n), f"the evolution at n = {n}", least=True)
     return make_resource(kind, n)
 
 

@@ -58,10 +58,10 @@ def table_builds(monkeypatch):
     builds = []
     level = kernels._level
 
-    def counted(m, t, below):
+    def counted(m, t, below, keep=True):
         if (m, t) not in kernels._TABLES:
             builds.append((m, t))
-        return level(m, t, below)
+        return level(m, t, below, keep)
 
     monkeypatch.setattr(kernels, "_level", counted)
     return builds

@@ -141,7 +141,7 @@ class TestRun:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "error: the evolution at n = 1000000000 may produce at least 2704156 terms" in err
+        assert "error: the evolution at n = 1000000000 may produce at least 1000000001 terms" in err
 
     @pytest.mark.parametrize("protocol, summed", [("csign", "1715 states may produce 5884165"),
                                                   ("parity", "1715 states may produce 4564889")])

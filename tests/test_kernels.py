@@ -18,8 +18,10 @@ from fockworks.costs import encode_single_rail
 from fockworks.fock import FockState, number_state
 from fockworks.optics import (
     BeamSplitter,
+    PhaseShifter,
     apply_unitary,
     element_matrix,
+    embed,
     fourier_matrix,
     random_unitary,
     transition_amplitude,
@@ -152,11 +154,9 @@ class TestTransitionAmplitude:
 @ONE_KERNEL
 class TestExpansion:
     def test_identity_passthrough(self, kernels):
-        # the outputs on the filled modes, all but one of them exact zeros
         out = kernels.expand_basis_state(np.eye(3, dtype=complex), (2, 0, 1))
-        assert {occ for occ, a in out.items() if a} == {(2, 0, 1)}
+        assert set(out) == {(2, 0, 1)}
         assert abs(out[(2, 0, 1)] - 1) < 1e-12
-        assert set(out) == {(3 - k, 0, k) for k in range(4)}
 
     def test_norm_preserved(self, kernels, rng):
         u = random_unitary(4, rng).matrix
@@ -323,6 +323,19 @@ class TestArrayExpansion:
             assert held == KERNELS._table_entries <= 60
         assert set(KERNELS._TABLES) == {(3, 1), (3, 2)}
 
+    def test_a_dict_row_too_large_to_store_keeps_no_table(self, empty_rows, rng):
+        # 4 photons on 9 modes: 495 outputs of a 9-tuple and a complex each,
+        # past a budget of 5,000 floats, so the row is computed at each
+        # request and its tables are built for the call; a budget that
+        # holds the row keeps them
+        u, occ = random_unitary(9, rng).matrix, (2, 1, 0, 1, 0, 0, 0, 0, 0)
+        empty_rows(5000)
+        cold = _dict_bits(u, occ)
+        assert not KERNELS._TABLES
+        empty_rows(1 << 20)
+        assert _dict_bits(u, occ) == cold
+        assert set(KERNELS._TABLES) == {(9, t) for t in range(1, 5)}
+
 
 def _held():
     """The floats the stored rows and pass plans hold, counted from
@@ -364,7 +377,7 @@ def _computed(monkeypatch):
     rows, calls = [], []
     arrays, expand = KERNELS._expand_arrays, KERNELS.expand_basis_state
     monkeypatch.setattr(KERNELS, "_expand_arrays",
-                        lambda u, occs: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs))
+                        lambda u, occs, *keep: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs, *keep))
     monkeypatch.setattr(KERNELS, "expand_basis_state",
                         lambda *a, **k: calls.append(1) or expand(*a, **k))
     return rows, calls
@@ -387,6 +400,23 @@ def zero_columns(draw):
     return u, tuple(where.count(j) for j in range(m))
 
 
+@st.composite
+def splitter_networks(draw):
+    """An m-mode product of one to three beam splitters, m = 2..6, each
+    followed by a phase on one of its modes, on mode pairs that may
+    overlap: exact zeros that are no block of the identity, as ``compose``
+    leaves them; and an occupation of 0..6 photons."""
+    m = draw(st.integers(2, 6))
+    u = np.eye(m, dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        u = embed(BeamSplitter(a, b, draw(st.floats(0.1, 1.4))), m).matrix @ u
+        u = embed(PhaseShifter(a, draw(st.floats(0.0, 6.0))), m).matrix @ u
+    total = draw(st.integers(0, 6))
+    where = draw(st.lists(st.integers(0, m - 1), min_size=total, max_size=total))
+    return u, tuple(where.count(j) for j in range(m))
+
+
 class TestExpansionRows:
     """Expansion rows of either form are stored on their second request
     and reused: the same bits, read-only, within the one budget."""
@@ -403,17 +433,13 @@ class TestExpansionRows:
         assert counts.dtype == KERNELS._expand_arrays(u, np.array(occs))[0].dtype
 
     @settings(max_examples=80, deadline=None)
-    @given(zero_columns())
-    def test_dict_rows_with_exact_zeros_equal_the_loop_in_value(self, case):
-        # the dict form expands on the rows the filled columns reach and
-        # multiplies the zeros in, where the loop skips them: every output
-        # the loop reaches has its value, in the rank order of the support,
-        # and every other output is zero
+    @given(st.one_of(zero_columns(), splitter_networks()))
+    def test_dict_rows_with_exact_zeros_equal_the_loop_bit_for_bit(self, case):
+        # the dict form multiplies the zeros in, where the loop skips them:
+        # it lists the outputs the loop reaches, in the loop's order, each
+        # summed in that order
         u, occ = case
-        reference, row = _loop(u, occ), KERNELS._expand_dict(u, occ)
-        assert [out for out in row if out in reference] == sorted(reference, reverse=True)
-        assert all(row[out] == a for out, a in reference.items())
-        assert not any(a for out, a in row.items() if out not in reference)
+        assert _bits_of(KERNELS._expand_dict(u, occ)) == _loop_bits(u, occ)
 
     @settings(max_examples=80, deadline=None)
     @given(zero_columns())

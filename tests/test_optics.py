@@ -396,12 +396,12 @@ class TestEvolutionRoutes:
         run()
         assert taken and all(layout is None for layout in taken)
 
-
     def test_an_embedded_splitter_expands_on_its_support_rows(self, monkeypatch):
         # a 20-mode embed holds exact zeros in every column: the dict route,
         # each term expanded on the rows its filled columns reach (the first
-        # term's five photons on five rows: 126 outputs, three of them not
-        # zero), with the amplitudes of the splitter on its own two modes
+        # term's five photons on five rows, 126 rank slots) and listing the
+        # outputs its nonzero entries reach (three), with the amplitudes of
+        # the splitter on its own two modes
         state = FockState(20, {(1, 1, 0, 1, 0, 0, 2) + (0,) * 13: 0.6,
                                (2, 0, 1) + (0,) * 16 + (2,): 0.8j})
         taken = _routes(monkeypatch)
@@ -409,6 +409,9 @@ class TestEvolutionRoutes:
         assert taken == [None]
         part = apply_unitary(state, element_matrix(BeamSplitter(0, 1, 0.3)), [5, 6])
         assert full._amp == part._amp and len(full._amp) == 4
+        rows = [kernels.expand_basis_state(embed(BeamSplitter(5, 6, 0.3), 20).matrix, occ)
+                for occ in state._amp]
+        assert sorted(map(len, rows)) == [1, 3]
 
 
 class TestBudget:
@@ -432,28 +435,39 @@ class TestBudget:
 
     def test_an_oversize_standard_resource_is_never_built(self, monkeypatch):
         # its term of n photons in the measured group alone bounds C(2n, n)
-        # outputs; C(24, 12) = 2,704,156 is the first past the budget. A
+        # outputs, built as C(n + i, i) up to the first past the budget:
+        # C(24, 12) = 2,704,156 at n = 12, C(10^9 + 1, 1) at n = 10^9. A
         # sampled run evolves no such term, and builds it
         state = costs.encode_single_rail(1, 1)
         assert teleport_tn(state, 0, 18, rng=np.random.default_rng(1)).details["n"] == 18
         built = []
         monkeypatch.setattr(protocols, "make_resource", lambda *a: built.append(a))
-        for n in (12, 10**9):
-            with pytest.raises(BudgetExceeded, match=f"at n = {n} may produce at least 2704156 terms"):
+        for n, least in [(12, 2704156), (10**9, 10**9 + 1)]:
+            with pytest.raises(BudgetExceeded, match=f"at n = {n} may produce at least {least} terms"):
                 teleport_tn(state, 0, n)
-        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 6)  # C(4, 2) = 6 fits, C(6, 3) = 20 does not
-        with pytest.raises(BudgetExceeded, match="at least 20 terms; the limit is 6"):
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 6)  # C(4, 2) = 6 fits; C(6, 3) passes at C(5, 2)
+        with pytest.raises(BudgetExceeded, match="at least 10 terms; the limit is 6"):
             teleport_tn(state, 0, 3)
         assert built == []
+
+    def test_a_capped_binomial_is_exact_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 10**6)
+        for n, k in itertools.product(range(40), repeat=2):
+            if k <= n and math.comb(n, k) <= 10**6:
+                assert optics._capped_comb(n, k) == math.comb(n, k), (n, k)
+            elif k <= n:
+                assert 10**6 < optics._capped_comb(n, k) <= math.comb(n, k), (n, k)
+        assert optics._capped_comb(2 * 10**18, 10**18) == 10**18 + 1
 
     def test_a_budget_message_stays_short_and_typed(self):
         # 15,999 choose 7,999 outputs: 4,814 digits, past str()'s 4,300
         with pytest.raises(BudgetExceeded, match=r"may produce more than 10\^4813 terms; the limit is 2000000$"):
             optics._bound([(8000,) + (0,) * 7999], 8000)
-        assert optics._terms(10**30 - 1) == "9" * 30
-        assert optics._terms(10**30) == "more than 10^29"
-        assert optics._terms(2**64 + 1) == "18446744073709551617"
-        assert optics._terms(10**5000) == "more than 10^4999"
+        for count, shown in [(10**30 - 1, "9" * 30), (10**30, "more than 10^29"),
+                             (2**64 + 1, "18446744073709551617"), (10**5000, "more than 10^4999")]:
+            with pytest.raises(BudgetExceeded) as refused:
+                optics._within_budget(count)
+            assert str(refused.value) == f"the evolution may produce {shown} terms; the limit is 2000000"
 
 
 class TestComposeDecompose:
