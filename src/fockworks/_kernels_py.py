@@ -35,20 +35,25 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .fock import BudgetExceeded
+
 BACKEND = "python"
 
 #: Outputs read out into occupation tuples per step, by the dict form and
-#: by ``optics`` from the packed keys of its array route.
+#: by ``optics`` from the rank keys of its array route.
 UNPACK_ROWS = 1 << 14
 
 _SQRT_FACT = [math.sqrt(math.factorial(k)) for k in range(64)]
 
 
 def _sqrt_factorials(n):
-    """sqrt(k!) for k = 0..n: the exact table, extended from lgamma past 64."""
+    """sqrt(k!) for k = 0..n: the exact table, extended from lgamma past 64; n > 300 is refused."""
     if n < len(_SQRT_FACT):
         return _SQRT_FACT
-    return _SQRT_FACT + [math.exp(0.5 * math.lgamma(k + 1)) for k in range(len(_SQRT_FACT), n + 1)]
+    try:
+        return _SQRT_FACT + [math.exp(0.5 * math.lgamma(k + 1)) for k in range(len(_SQRT_FACT), n + 1)]
+    except OverflowError:
+        raise BudgetExceeded(f"{n} photons in one occupation: sqrt({n}!) passes the float range") from None
 
 
 #: Most sign vectors one block of the Glynn walk holds, a power of two:
@@ -390,6 +395,7 @@ def _expand_arrays(u, occs, keep=True):
     """
     owners, m = occs.shape
     t = int(occs[0].sum())
+    table = np.array(_sqrt_factorials(t)[:t + 1])  # before expanding: it raises past the float range
     # the column of each photon, columns ascending
     cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
     counts = np.zeros((1, len(u)), dtype=np.uint8)
@@ -417,7 +423,6 @@ def _expand_arrays(u, occs, keep=True):
             ranks, first = np.unique(kids[:, ::-1][:, u[:, cols[0, s]] != 0], return_index=True)
             order = ranks[np.argsort(first)]
     counts, re, im = counts[order], re[:, order], im[:, order]
-    table = np.array(_sqrt_factorials(t)[:t + 1])
     factor, scale = np.ones(len(counts)), np.ones((owners, 1))
     for j in range(len(u)):
         factor *= table[counts[:, j]]

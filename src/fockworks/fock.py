@@ -57,6 +57,10 @@ class ZeroStateError(FockError):
     """An operation produced or received a state with no support."""
 
 
+class BudgetExceeded(FockError):
+    """An output bound past ``optics.MAX_EVOLVED_TERMS``, or k > 300 photons (sqrt(k!) is no float)."""
+
+
 class ModeIndexError(FockError, ValueError):
     """A mode index outside 0..modes-1."""
 

@@ -24,7 +24,7 @@ exact stage behind a mode unitary takes its records from
 ``_evolved_groups``, bit for bit those of ``measure_modes`` after
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
 teleported gates) and the second detection of every stage-1 success of a
-teleported gate each run as one pass over packed keys, whose sort and
+teleported gate each run as one pass over rank keys, whose sort and
 groups are planned once per stack of occupations and reused by every pass
 on them (the amplitudes change from call to call, the occupations do
 not), and a small single state takes ``apply_unitary`` and
@@ -307,7 +307,7 @@ class _Terms(tuple):
         occs = [occ for occ, _ in flat]
         try:
             occ = np.array(occs, dtype=np.int64).reshape(len(flat), modes)
-        except OverflowError:  # such counts fit no packed key
+        except OverflowError:  # such counts fit no rank key
             occ = np.array(occs, dtype=object).reshape(len(flat), modes)
         amp = np.array([a for _, a in flat], dtype=complex)
         starts = list(accumulate(map(len, terms), initial=0))
@@ -375,27 +375,26 @@ def _evolved_groups(states, u, modes):
     below it, it is evolved and measured on its own, its bound read from
     its keys before anything is stacked. Other states are evaluated in
     passes: runs of states, in order, whose summed output bound stays
-    within ``_PASS_TERMS``. A pass takes its states' stacked terms, the
-    state's index one more kept column, and merges them as ``apply_unitary``
-    does on packed keys, expanding the distinct sub-occupations of each
-    photon total in one kernel call. Its keys hold, most significant
-    first, the state's index, the measured counts in the listed order and
-    the kept modes in mode order, so sorted they are in ``_groups``' order
-    and a group ends where ``key >> kept bits`` changes. The keys, their
-    sort and their groups depend on the stacked occupations alone: they
-    are a pass's plan (``_pass_plan``), built once and held in the kernels'
-    store, so that the passes of a fixed network on the same occupations
-    (every exact ``teleport_tn`` at one n, every second detection of a
-    teleported gate) only evaluate it (``_pass_groups``). Each state then
-    takes the arithmetic of the validated constructor and of ``_groups``:
-    |a|^2 as ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``,
-    and every sum from 0.0 in dict order, by ``np.bincount``; the pruned
-    terms are dropped from the sorted rows, and a group left with none is
-    impossible. A state without terms or whose key does not fit
-    ``optics.KEY_BITS`` bits, and a pass that meets a zero or an
-    overflowing norm or an exact zero in a filled column of ``u`` (which
-    the array route cannot take), are evolved and measured state by state,
-    which raises what the per-state calls raise.
+    within ``_PASS_TERMS``. A pass merges its states' stacked terms as
+    ``apply_unitary`` does, expanding the distinct sub-occupations of each
+    photon total in one kernel call, on rank keys (``optics._Keys``) that
+    sort by state, then measured counts in the listed order, then kept
+    occupation: sorted, they are in ``_groups``' order, a group one key
+    head. The keys, their sort and their groups depend on the stacked
+    occupations alone: they are a pass's plan (``_pass_plan``), built once
+    and held in the kernels' store, so that the passes of a fixed network
+    on the same occupations (every exact ``teleport_tn`` at one n, every
+    second detection of a teleported gate) only evaluate it
+    (``_pass_groups``). Each state then takes the arithmetic of the
+    validated constructor and of ``_groups``: |a|^2 as
+    ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``, and
+    every sum from 0.0 in dict order, by ``np.bincount``; the pruned terms
+    are dropped from the sorted rows, and a group left with none is
+    impossible. A state without terms, every state of a stack with a count
+    past int64, and a pass that meets a zero or an overflowing norm or an
+    exact zero in a filled column of ``u`` (which the array route cannot
+    take), are evolved and measured state by state, which raises what the
+    per-state calls raise.
     """
     modes = list(modes)
 
@@ -423,76 +422,52 @@ def _evolved_groups(states, u, modes):
         optics._bound(map(_picker(modes), state(int(np.argmax(past)))._amp), d)
     sizes = sizes.astype(np.int64).tolist()
     optics._within_budget(sum(sizes), f"the evolutions of {count} states")
-    mat = np.ascontiguousarray(u.matrix)
-    # each state's bit widths: its largest count per mode, its most photons on the evolved modes
-    full = np.flatnonzero(lengths)
-    tops = np.zeros((count, occ.shape[1]), dtype=photons.dtype)
-    if len(full):
-        tops[full] = np.maximum.reduceat(occ, np.array(starts)[full])
-        tops[full[:, None], modes] = np.maximum.reduceat(photons, np.array(starts)[full])[:, None]
-    widths = [[int(k).bit_length() for k in top] if n else None
-              for top, n in zip(tops.tolist(), lengths.tolist())]
 
-    def evaluated(run, top):
-        records = _pass_groups(run, terms, top, mat, modes)
-        return records if records is not None else [one(state(i)) for i in run]
+    def evaluated(run):  # a pass gives a record per state, or None
+        return _pass_groups(run, terms, np.ascontiguousarray(u.matrix), modes) or [one(state(i)) for i in run]
 
-    lo, top, bound = 0, [], 0
-    for i, (size, width) in enumerate(zip(sizes, widths)):
-        wide = width is None or sum(width) > optics.KEY_BITS
-        if lo < i and (wide or bound + size > _PASS_TERMS
-                       or sum(map(max, top, width)) + (i - lo).bit_length() > optics.KEY_BITS):
-            yield from evaluated(range(lo, i), top)
+    alone = (lengths == 0) | (occ.dtype == object)  # no terms, or a stack with counts past int64
+    lo, bound = 0, 0
+    for i, (size, single) in enumerate(zip(sizes, alone.tolist())):
+        if lo < i and (single or bound + size > _PASS_TERMS):
+            yield from evaluated(range(lo, i))
             lo, bound = i, 0
-        if wide:
+        if single:
             yield one(state(i))
             lo = i + 1
-            continue
-        top = list(map(max, top, width)) if lo < i else width
-        bound += size
+        bound += size  # 0 for a state without terms; a stack past int64 passes nothing
     if lo < count:
-        yield from evaluated(range(lo, count), top)
+        yield from evaluated(range(lo, count))
 
 
-def _pass_groups(run, terms, top, mat, modes):
+def _pass_groups(run, terms, mat, modes):
     """The records of one pass of ``_evolved_groups``, or None if a state's
     norm is zero or overflows or a filled column of ``mat`` holds an exact
-    zero: ``run`` is the range of the states of ``terms`` (a ``_Terms``)
-    it evaluates, ``top`` the bit widths of their modes.
-
-    The pass's plan (``_pass_plan``), which the amplitudes and the
+    zero: ``run`` is the range of the states of ``terms`` (a ``_Terms`` of
+    int64 rows) it evaluates. The pass's plan (``_pass_plan``), which the amplitudes and the
     unitary's values leave alone, is held in the kernels' store
     (``kernels.stored``, from its second request on) under the stacked
-    occupations, the evolved modes and the widths. Each pass evaluates it:
-    the products and their merge (``optics._evolved``), the prune, the
-    group weights and ``p``, kept as float64 arrays. It sorts nothing and
-    decodes no count pattern."""
+    occupations and the evolved modes. Each pass evaluates it: the products
+    and their merge (``optics._evolved``), the prune, the group weights and
+    ``p``, kept as float64 arrays. It sorts nothing and decodes no count
+    pattern."""
     _, occ, re, im, offsets, _ = terms
     lo, hi = offsets[run.start], offsets[run.stop]
-    occ = np.asarray(occ[lo:hi], dtype=np.int64)
+    occ = occ[lo:hi]
     if not optics._zero_free(mat, occ[:, modes]):
         return None
-    m = len(top)
-    kept = [k for k in range(m) if k not in modes]
-    widths = top + [(len(run) - 1).bit_length()]
-    shift = np.zeros(m + 1, dtype=np.int64)
-    at = 0
-    for column in kept[::-1] + modes[::-1] + [m]:  # least significant first
-        shift[column] = at
-        at += widths[column]
-    mask = np.left_shift(1, widths, dtype=np.int64) - 1
     index = np.repeat(np.arange(len(run)), np.diff(offsets[run.start:run.stop + 1]))
     stacked = np.column_stack([occ, index])
     small = stacked.astype(np.min_scalar_type(int(stacked.max())))
-    key = (small.tobytes(), small.shape, small.dtype.char, tuple(modes), tuple(widths))
-    plan = kernels.stored(key, lambda: _pass_plan(stacked, len(run), modes, (shift, widths)))
+    key = (small.tobytes(), small.shape, small.dtype.char, tuple(modes))
+    plan = kernels.stored(key, lambda: _pass_plan(occ, index, len(run), modes))
     evolution, order, group, counts, firsts = plan
-    keys = evolution[0]
+    keys, layout = evolution[0], evolution[3]
     re, im = optics._evolved(evolution, re[lo:hi], im[lo:hi], mat)
     # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
     # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no
     # -0.0); a zero adds 0.0 to its norm and never passes the cutoff
-    owner = keys >> shift[m]
+    owner = layout.states(keys)
     size = np.hypot(re, im)
     square = np.float_power(size, 2.0)
     norm_sq = np.bincount(owner, square, len(run))
@@ -513,67 +488,60 @@ def _pass_groups(run, terms, top, mat, modes):
     # each state's first possible group, then their end
     bounds = np.concatenate(([0], np.cumsum(possible)))[firsts].tolist()
     counts, p, weight = counts[possible], p[possible], weight[possible]
-    post = len(top) - len(modes)  # the states of a pass share their mode count
-    block = _Block((keys[rows], re[rows], im[rows], shift[kept], mask[kept], starts[possible],
-                    stops[possible]))
+    post = occ.shape[1] - len(modes)  # the states of a pass share their mode count
+    block = _Block((keys[rows], re[rows], im[rows], layout, starts[possible], stops[possible]))
     return [_Records(post, modes, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
             for a, b in zip(bounds, bounds[1:])]
 
 
-def _pass_plan(occ, count, modes, layout):
+def _pass_plan(occ, states, count, modes):
     """The plan of a pass over the stacked occupations ``occ`` of ``count``
-    states (the state's index the last column) in the key ``layout``:
-    ``(evolution, order, group, counts, firsts)``, the evolution's keys,
-    slots and parts (``optics._evolution_plan``), the permutation that
-    sorts the keys (int32), the group of each sorted key (int32), each
-    group's count pattern (the smallest unsigned type that holds them) and
-    where each state's groups start, then their end. A group is the keys
-    of one state and one count pattern, equal past the kept modes' fields;
-    the state's index is the key's top field, so a state's groups are one
-    run. Read-only.
-    """
-    shift, widths = layout
-    mask = np.left_shift(1, widths, dtype=np.int64) - 1
-    evolution = optics._evolution_plan(occ, modes, layout)
-    keys = evolution[0]
+    states, ``states`` the state of each row: ``(evolution, order, group,
+    counts, firsts)``, the evolution's keys, slots, parts and layout
+    (``optics._evolution_plan``), the permutation that sorts the keys
+    (int32), the group of each sorted key (int32), each group's count
+    pattern and where each state's groups start, then their end. A group is
+    the keys of one head (``optics._Keys``), one state and count pattern; a
+    state's groups are one run. Read-only."""
+    evolution = optics._evolution_plan(occ, modes, states)
+    keys, layout = evolution[0], evolution[3]
     order = np.argsort(keys)
     ranked = keys[order]
-    heads = ranked >> int(shift[modes[-1]])  # (state, counts): the group
+    heads = layout.heads(ranked)
     opens = np.concatenate(([True], heads[1:] != heads[:-1]))
-    leads = ranked[opens]  # each group's first key
-    counts = ((leads[:, None] >> shift[modes]) & mask[modes]).astype(
-        np.min_scalar_type(int(mask[modes].max())))
-    firsts = np.searchsorted(leads >> int(shift[-1]), np.arange(count + 1))
+    counts = layout.counts(heads[opens])
+    firsts = np.searchsorted(layout.states(ranked[opens]), np.arange(count + 1))
+    evolution = (*evolution[:3], layout.bare())  # its pattern table, repeated in counts, dropped
     plan = (evolution, order.astype(np.int32), (np.cumsum(opens) - 1).astype(np.int32), counts,
             firsts)
-    for array in (*evolution[:2], *plan[1:], *(a for part in evolution[2] for a in part)):
+    for array in (*evolution[:2], *layout[:2], *plan[1:], *(a for part in evolution[2] for a in part)):
         array.setflags(write=False)
     return plan
 
 
 class _Block(tuple):
-    """``(keys, re, im, shift, mask, starts, stops)``: a pass's sorted keys and
-    amplitudes, the kept modes' fields of a key, and where each group's rows
-    start and stop. Called with a group's index, it decodes those rows into
-    the ``{kept occupation: amplitude}`` dict of ``_groups``."""
+    """``(keys, re, im, layout, starts, stops)``: a pass's sorted keys and
+    amplitudes, how they read (``optics._Keys``), and where each group's
+    rows start and stop. Called with a group's index, it decodes those rows
+    into the ``{kept occupation: amplitude}`` dict of ``_groups``."""
 
     __slots__ = ()
 
     def __call__(self, group):
-        keys, re, im, shift, mask, starts, stops = self
+        keys, re, im, layout, starts, stops = self
         rows = slice(starts[group], stops[group])
-        rests = ((keys[rows, None] >> shift) & mask).tolist()
+        rests = layout.rests(keys[rows]).tolist()
         return dict(zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist())))
 
     def terms(self, groups, modes):
         """``_Groups.terms`` of these groups; a group's rows are already in
-        ``terms()`` order: its keys are sorted, the kept modes' fields most
-        significant first in mode order."""
-        keys, re, im, shift, mask, starts, stops = self
+        ``terms()`` order: its sorted keys differ only in the rank of their
+        kept occupation among the sorted ones."""
+        keys, re, im, layout, starts, stops = self
         first = starts[groups]
         lengths = stops[groups] - first
         rows = np.repeat(first - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        return (keys[rows, None] >> shift) & mask, re[rows], im[rows], lengths, True
+        return layout.rests(keys[rows]), re[rows], im[rows], lengths, True
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:

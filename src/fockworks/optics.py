@@ -25,7 +25,8 @@ from itertools import accumulate
 import numpy as np
 
 from ._backend import kernels
-from .fock import FockError, FockState, InvalidOccupationError, ModeMismatchError, _check_modes, _integers
+from .fock import (BudgetExceeded, FockError, FockState, InvalidOccupationError, ModeMismatchError,
+                   _check_modes, _integers)
 
 UNITARY_TOL = 1e-10
 #: Output bound from which apply_unitary takes the array route; below it
@@ -33,16 +34,10 @@ UNITARY_TOL = 1e-10
 ARRAY_MIN_TERMS = 4096
 #: Largest output bound apply_unitary expands.
 MAX_EVOLVED_TERMS = 2_000_000
-#: Bits of a packed array-route key; int64 keeps one spare below the sign.
-KEY_BITS = 62
 
 
 class NonUnitaryError(FockError):
     """Matrix fails the unitarity check."""
-
-
-class BudgetExceeded(FockError):
-    """An evolution whose output bound exceeds MAX_EVOLVED_TERMS."""
 
 
 class ModeUnitary:
@@ -162,16 +157,15 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
 
     Each distinct sub-occupation of ``modes`` is expanded once and merged
     into the kept modes, by one of two routes that give the same state bit
-    for bit: dicts, or numpy arrays on packed int64 keys, which expand the
-    sub-occupations of each photon total in one kernel call and merge
-    everything with one ``np.bincount``, without a sort. The output
+    for bit: dicts, or numpy arrays on int64 rank keys (``_Keys``), which
+    expand the sub-occupations of each photon total in one kernel call and
+    merge everything with one ``np.bincount``, without a sort. The output
     bound, the sum over input terms of C(k+d-1, d-1) for k photons on the
     d evolved modes, picks the route: arrays from ``ARRAY_MIN_TERMS`` on,
-    when every mode's largest possible count fits a bit field of its own,
-    the fields take at most 62 bits and no column of ``u`` that an input
-    photon enters holds an exact zero (0.0 or -0.0: the dict form lists
-    only the outputs that nonzero entries reach); dicts otherwise. Above
-    ``MAX_EVOLVED_TERMS`` it raises ``BudgetExceeded`` before expanding.
+    unless a count passes int64 or a column of ``u`` that an input photon
+    enters holds an exact zero (0.0 or -0.0: the dict form lists only the
+    outputs that nonzero entries reach). It raises ``BudgetExceeded``
+    before expanding past ``MAX_EVOLVED_TERMS`` outputs or 300 photons.
     """
     if modes is None:
         if u.dim != state.modes:
@@ -184,28 +178,27 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     terms = list(state.terms())
     subs = [tuple(occ[m] for m in modes) for occ, _ in terms]
     mat = np.ascontiguousarray(u.matrix)
-    layout = _route(terms, subs, mat, modes)
-    if layout is None:
+    occ = _route(terms, subs, mat, modes)
+    if occ is None:
         result = _evolve_dicts(terms, subs, mat, modes)
     else:
-        occ = np.array([o for o, _ in terms], dtype=np.int64)
         amp = np.array([a for _, a in terms], dtype=complex)
-        plan = _evolution_plan(occ, modes, layout)
+        plan = _evolution_plan(occ, modes)
         re, im = _evolved(plan, amp.real, amp.imag, mat)
-        keys, plan = plan[0], None  # the rest freed before the output dict is built
+        keys, layout, plan = plan[0], plan[3], None  # the rest freed before the output dict is built
         result = _unpack(keys, re, im, layout)
     return FockState(state.modes, result)
 
 
 def _route(terms, subs, mat, modes):
-    """The array route's key layout, ``(bit offsets, bit widths)`` per mode,
-    or None for the dict route; raises BudgetExceeded past the budget."""
-    if _bound(subs, len(modes)) < ARRAY_MIN_TERMS:
+    """The occupations of ``terms`` as int64 rows for the array route, or
+    None for the dict route (``apply_unitary``); raises BudgetExceeded."""
+    if _bound(subs, len(modes)) < ARRAY_MIN_TERMS or not _zero_free(mat, subs):
         return None
-    widths = _widths(terms, subs, modes)
-    if sum(widths) > KEY_BITS or not _zero_free(mat, subs):
+    try:
+        return np.array([occ for occ, _ in terms], dtype=np.int64)
+    except OverflowError:
         return None
-    return np.cumsum([0] + widths[:-1]), widths
 
 
 def _zero_free(mat, subs):
@@ -216,8 +209,11 @@ def _zero_free(mat, subs):
 
 def _bound(subs, d):
     """The output bound of evolving sub-occupations ``subs`` of ``d`` modes;
-    raises BudgetExceeded past the budget."""
-    return _within_budget(sum(math.comb(sum(sub) + d - 1, d - 1) for sub in subs))
+    raises BudgetExceeded past the budget or past 300 photons."""
+    totals = list(map(sum, subs))
+    bound = _within_budget(sum(math.comb(t + d - 1, d - 1) for t in totals))
+    kernels._sqrt_factorials(max(totals, default=0))
+    return bound
 
 
 def _capped_comb(n, k):
@@ -244,16 +240,6 @@ def _within_budget(count, what="the evolution", least=False):
                          f"the limit is {MAX_EVOLVED_TERMS}")
 
 
-def _widths(terms, subs, modes):
-    """The bit width of each mode's largest possible count, in the input or
-    the output of the evolution."""
-    top = [max(column) for column in zip(*(occ for occ, _ in terms))]
-    photons = max(map(sum, subs))
-    for m in modes:
-        top[m] = photons
-    return [k.bit_length() for k in top]
-
-
 def _evolve_dicts(terms, subs, mat, modes):
     """The merged amplitudes {occupation: amplitude}, one dict entry at a time."""
     expansions: dict = {}
@@ -272,57 +258,92 @@ def _evolve_dicts(terms, subs, mat, modes):
     return result
 
 
-def _evolution_plan(occ, modes, layout):
-    """What ``_evolve_dicts`` does on packed keys that the amplitudes and
-    the unitary's values leave alone, for terms stacked as the int64 rows
-    of ``occ`` (a column per mode of the layout): ``(keys, slot, parts)``,
-    the output's keys in the dict's order, the slot of every product in
-    that order, and per photon total, in order of first appearance,
-    ``(occs, terms, rows)``: its distinct sub-occupations, to be expanded
-    in one kernel call, the rows of its terms and each term's row in that
-    call. A total's products follow its terms in row order, each term's
-    outputs in rank order, and the totals follow one another.
+def _evolution_plan(occ, modes, states=None):
+    """What ``_evolve_dicts`` does, on keys that the amplitudes and the
+    unitary's values leave alone, for terms stacked as the int64 rows of
+    ``occ``: ``(keys, slot, parts, layout)``, the output's keys in the
+    dict's order, the slot of every product in that order, per photon
+    total, in order of first appearance, ``(occs, terms, rows)``: its
+    distinct sub-occupations, to be expanded in one kernel call, the rows
+    of its terms and each term's row in that call, and how the keys read
+    (``_Keys``). A total's products follow its terms in row order, each
+    term's outputs in rank order, and the totals follow one another.
 
     Every expansion of a total lists the same outputs in the same order
     (``kernels.outputs``). Two terms reach one output only with the same
     kept occupation and photon total, so the dict's order is the (kept,
     total) groups in order of first appearance, each group's outputs in
     that order: a term's products land at its group's offset plus their
-    rank.
+    rank. With ``states``, each term's state in a pass, the patterns are
+    sorted, so that keys sort by state, evolved counts, kept occupation;
+    without, each total's outputs follow the total before, unsorted.
     """
-    shift, widths = layout
-    kept = np.ones(len(widths), dtype=bool)
-    kept[modes] = False
     subs = occ[:, modes]
-    base = (occ[:, kept] << shift[kept]).sum(axis=1)
     totals = subs.sum(axis=1)
-    # a sub-occupation packed into its own fields; a group, its photon total in the first one's
-    packed = (subs << shift[modes]).sum(axis=1).tolist()
-    grouped = (base + (totals << shift[modes[0]])).tolist()
     totals_list = totals.tolist()
-    # each distinct sub: its first term, its row in its total's call (dicts keep first appearance)
-    first = dict(zip(packed[::-1], range(len(packed) - 1, -1, -1)))
+    tuples = list(map(tuple, subs.tolist()))
+    # each distinct sub's row in its total's call, which lists the subs in order of first term
     rows, same_total = {}, {}
-    for sub, t in dict(zip(packed, totals_list)).items():
-        same = same_total.setdefault(t, [])
-        rows[sub] = len(same)
-        same.append(first[sub])
+    for i, (sub, t) in enumerate(zip(tuples, totals_list)):
+        if sub not in rows:
+            rows[sub] = len(same_total.setdefault(t, []))
+            same_total[t].append(i)
     counts = {t: kernels.outputs(len(modes), t) for t in same_total}
-    group_total = dict(zip(grouped, totals_list))
-    ends = list(accumulate(len(counts[t]) for t in group_total.values()))
-    at = dict(zip(group_total, [0] + ends))
-    offset = np.array(list(map(at.__getitem__, grouped)))
-    row = np.array(list(map(rows.__getitem__, packed)))
+    at = dict(zip(counts, accumulate(map(len, counts.values()), initial=0)))
+    patterns = np.concatenate(list(counts.values()))
+    # the kept occupations, sorted, and each term's position among them
+    kept = list(map(tuple, np.delete(occ, modes, axis=1).tolist()))
+    rests = {rest: i for i, rest in enumerate(sorted(set(kept)))}
+    rest = np.array(list(map(rests.__getitem__, kept)))
+    rests = np.array(list(rests), dtype=np.int64).reshape(len(rests), occ.shape[1] - len(modes))
+    # a key is (state * P + pattern) * K + kept; S, P and K are each at most
+    # the output bound B <= MAX_EVOLVED_TERMS (every term adds at least 1 to
+    # it), so keys stay below B^3 <= 8.0e18 < 2^63 and fit int64
+    position, base = np.arange(len(patterns)), rest
+    if states is not None:
+        order = np.lexsort(patterns.T[::-1])
+        patterns, position[order] = patterns[order], np.arange(len(patterns))
+        base = states * (len(patterns) * len(rests)) + rest
+    grouped = list(zip(base.tolist(), totals_list))
+    groups = dict.fromkeys(grouped)
+    ends = list(accumulate(len(counts[t]) for _, t in groups))
+    offset = np.array(list(map(dict(zip(groups, [0] + ends)).__getitem__, grouped)))
+    row = np.array(list(map(rows.__getitem__, tuples)))
     keys = np.empty(ends[-1], dtype=np.int64)
-    fields = np.left_shift(1, shift[modes], dtype=np.int64)  # an output's key: counts @ fields
     slots, parts = [], []
     for t, firsts in same_total.items():
-        terms = np.arange(len(totals))[totals == t]
+        terms = np.flatnonzero(totals == t)
         slot = (offset[terms, None] + np.arange(len(counts[t]))).ravel()
-        keys[slot] = (base[terms, None] + counts[t] @ fields).ravel()
+        keys[slot] = (base[terms, None] + position[at[t]:at[t] + len(counts[t])] * len(rests)).ravel()
         slots.append(slot)
         parts.append((subs[firsts], terms, row[terms]))
-    return keys, np.concatenate(slots), tuple(parts)
+    return keys, np.concatenate(slots), tuple(parts), _Keys((patterns, rests, modes))
+
+
+class _Keys(tuple):
+    """``(patterns, rests, modes)``: how the keys of an array evolution
+    (``_evolution_plan``) read. A key is (state * P + pattern) * K + kept,
+    its head state * P + pattern: ``pattern`` a row of ``patterns``, counts
+    of the evolved ``modes`` in their listed order, ``kept`` a row of the
+    sorted ``rests``, the kept modes' counts, ``state`` 0 out of a pass."""
+
+    __slots__ = ()
+
+    def states(self, keys):
+        return keys // (len(self[0]) * len(self[1]))
+
+    def heads(self, keys):
+        return keys // len(self[1])
+
+    def counts(self, heads):
+        return self[0][heads % len(self[0])]
+
+    def rests(self, keys):
+        return self[1][keys % len(self[1])]
+
+    def bare(self):
+        """These keys' format with a pattern table of no columns: all but ``counts`` still reads."""
+        return _Keys((np.empty((len(self[0]), 0), np.uint8), *self[1:]))
 
 
 def _evolved(plan, re, im, mat):
@@ -331,7 +352,7 @@ def _evolved(plan, re, im, mat):
     amplitudes have the real and imaginary parts ``re`` and ``im``, with
     the bits of ``_evolve_dicts``: each total's products, amp * coeff as
     CPython forms it, in term order, summed from 0.0 by one ``np.bincount``."""
-    keys, slot, parts = plan
+    keys, slot, parts, _ = plan
     real, imag = [], []
     for occs, terms, rows in parts:
         _, cre, cim = kernels.expand_basis_state(mat, occs, arrays=True)
@@ -344,18 +365,19 @@ def _evolved(plan, re, im, mat):
 
 
 def _unpack(keys, re, im, layout):
-    """{occupation tuple: complex} of packed keys, in their order; the
-    counts are decoded ``kernels.UNPACK_ROWS`` keys at a time, in the smallest
-    integer dtype that holds them."""
-    shift, widths = layout
-    masks = np.left_shift(1, widths, dtype=np.int64) - 1
-    dtype = np.min_scalar_type(int(masks.max()))
+    """{occupation tuple: complex} of the keys of one state's evolution, in their order,
+    decoded ``kernels.UNPACK_ROWS`` at a time in the smallest integer dtype that holds them."""
+    patterns, rests, modes = layout
+    kept = np.delete(np.arange(len(modes) + rests.shape[1]), modes)
+    dtype = np.min_scalar_type(max(patterns.max(), rests.max(initial=0)))
     amps = np.empty(len(keys), dtype=complex)
     amps.real, amps.imag = re, im
     out: dict = {}
     for start in range(0, len(keys), kernels.UNPACK_ROWS):
         rows = slice(start, start + kernels.UNPACK_ROWS)
-        counts = ((keys[rows, None] >> shift) & masks).astype(dtype)
+        pattern, rest = np.divmod(keys[rows], len(rests))
+        counts = np.empty((len(rest), len(modes) + len(kept)), dtype=dtype)
+        counts[:, modes], counts[:, kept] = patterns[pattern], rests[rest]
         out.update(zip(map(tuple, counts.tolist()), amps[rows].tolist()))
     return out
 

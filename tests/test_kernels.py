@@ -168,8 +168,8 @@ class TestExpansion:
         out = kernels.expand_basis_state(u, (1, 2, 0))
         assert all(sum(occ) == 3 for occ in out)
 
-    def test_wide_state_fallback_agrees(self, kernels):
-        # 32 modes of 2 photons take 64 bits as a packed key; the rank tables have no width limit
+    def test_thirty_two_modes_keep_the_norm(self, kernels):
+        # 32 modes of 2 photons: the rank tables have no width limit
         u = fourier_matrix(31).matrix
         occ = tuple([2] + [0] * 31)
         out = kernels.expand_basis_state(u, occ)

@@ -526,25 +526,27 @@ class TestEvolvedGroups:
             assert len(alone) == per_state
             assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
 
-    def test_wide_keys_take_the_per_state_route(self, monkeypatch):
+    def test_wide_kept_counts_share_a_pass(self, monkeypatch):
         def state(kept):
             return FockState(3, {(1, 0, kept): 0.6, (0, 1, kept): 0.8j})
 
-        # 61 key bits each: two share a pass with a 1-bit index, a third
-        # needs 2 bits and starts the next; 2**61 on a kept mode fits no
-        # key, so that state is measured alone and the last starts a pass
+        # kept counts up to 2**61 index a sorted table of kept occupations:
+        # the states share one pass. A count past int64 makes the stack an
+        # object array, which fits no key: every state of it goes alone
         states = [state(2**58), state(2**58 + 1), state(3), state(2**61), state(2**58)]
         passes = []
         run = measure._pass_groups
         monkeypatch.setattr(measure, "_pass_groups", lambda *a: passes.append(len(a[0])) or run(*a))
-        expected = _one_by_one(states, HOM, [0, 1])
         alone = []
         measure_one = measure.measure_modes
         monkeypatch.setattr(measure, "measure_modes",
                             lambda *a, **k: alone.append(1) or measure_one(*a, **k))
-        got = _batched(states, HOM, [0, 1])
-        assert passes == [2, 1, 1] and len(alone) == 1
-        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+        for batch, routes in ((states, ([5], 0)), (states + [state(2**64)], ([], 6))):
+            expected = _one_by_one(batch, HOM, [0, 1])
+            passes.clear(), alone.clear()
+            got = _batched(batch, HOM, [0, 1])
+            assert (passes, len(alone)) == routes
+            assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
 
     def test_budget_applies_to_each_state(self, monkeypatch):
         monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 27)

@@ -272,12 +272,14 @@ def _bits(state):
 
 
 def _recording(taken, route=optics._route):
-    """``optics._route`` that appends every layout it returns to ``taken``."""
+    """``optics._route`` that appends what it returns to ``taken``: the
+    array route's int64 occupations, or None for the dict route."""
     return lambda *args: taken.append(route(*args)) or taken[-1]
 
 
 def _routes(monkeypatch):
-    """The key layout of every apply_unitary from here on; None is the dict route."""
+    """What ``optics._route`` returns for every apply_unitary from here on;
+    None is the dict route."""
     taken = []
     monkeypatch.setattr(optics, "_route", _recording(taken))
     return taken
@@ -285,15 +287,22 @@ def _routes(monkeypatch):
 
 @st.composite
 def mixed_cases(draw):
-    """A state of 3-6 modes whose terms hold 0-4 photons on 1-4 evolved
-    modes and few kept occupations, so that terms share kept occupations
-    with the same or another photon total, and a Haar unitary on the
-    evolved modes."""
-    modes = draw(st.integers(3, 6))
-    subset = draw(st.permutations(range(modes)))[:draw(st.integers(1, min(4, modes - 1)))]
+    """A state whose terms share kept occupations with the same or another
+    photon total, and a Haar unitary on the evolved modes: 3-6 modes whose
+    terms hold 0-4 photons on 1-4 evolved modes and kept counts of 0-2, or
+    a wide state, past 62 bits as one bit field per mode: up to 34 modes,
+    at most 3 photons on up to 32 evolved modes and kept counts up to 2^62."""
+    wide = draw(st.booleans())
+    modes = draw(st.integers(3, 34 if wide else 6))
+    subset = draw(st.permutations(range(modes)))[:draw(st.integers(1, min(32 if wide else 4, modes - 1)))]
     kept = [m for m in range(modes) if m not in subset]
-    rests = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(kept)), min_size=1, max_size=3))
-    subs = st.tuples(*[st.integers(0, 2)] * len(subset)).filter(lambda sub: sum(sub) <= 4)
+    count = st.sampled_from([0, 1, 2**61, 2**62]) if wide else st.integers(0, 2)
+    rests = draw(st.lists(st.tuples(*[count] * len(kept)), min_size=1, max_size=3))
+    if wide:  # a multiset of at most 3 of the evolved modes
+        subs = st.lists(st.integers(0, len(subset) - 1), max_size=3).map(
+            lambda photons: tuple(map(photons.count, range(len(subset)))))
+    else:
+        subs = st.tuples(*[st.integers(0, 2)] * len(subset)).filter(lambda sub: sum(sub) <= 4)
     amps = {}
     for sub, rest in draw(st.lists(st.tuples(subs, st.sampled_from(rests)), min_size=1, max_size=12)):
         occ = [0] * modes
@@ -389,12 +398,25 @@ class TestEvolutionRoutes:
         lambda: apply_unitary(number_state(tuple([2] + [0] * 31)), fourier_matrix(31)),
         lambda: apply_unitary(number_state((70, 0)), element_matrix(BeamSplitter(0, 1, BAL))),
         lambda: apply_unitary(number_state((150, 0)), element_matrix(BeamSplitter(0, 1, BAL))),
-        verify.criterion_09_fanout,
-    ], ids=["ns1", "csign_ns", "fourier32", "splitter70", "splitter150", "criterion9"])
-    def test_small_or_wide_evolutions_take_dicts(self, run, monkeypatch):
+    ], ids=["ns1", "csign_ns", "fourier32", "splitter70", "splitter150"])
+    def test_small_evolutions_take_dicts(self, run, monkeypatch):
         taken = _routes(monkeypatch)
         run()
-        assert taken and all(layout is None for layout in taken)
+        assert taken and all(occ is None for occ in taken)
+
+    def test_criterion9_fanouts_take_arrays(self, monkeypatch):
+        # 32-way fan-outs of 3 and 4 photons: 64 and 96 bits as per-mode
+        # fields, yet their rank keys are below 5,984 and 52,360
+        taken = _routes(monkeypatch)
+        verify.criterion_09_fanout()
+        large = [occ.tolist() for occ in taken if occ is not None]
+        assert large == [[[3] + [0] * 31], [[4] + [0] * 31]]
+        for k, outputs in ((3, 5984), (4, 52360)):
+            state = number_state((k,) + (0,) * 31)
+            arrays = apply_unitary(state, fourier_matrix(31))
+            with mock.patch.object(optics, "ARRAY_MIN_TERMS", optics.MAX_EVOLVED_TERMS + 1):
+                dicts = apply_unitary(state, fourier_matrix(31))
+            assert arrays.term_count() == outputs and _bits(arrays) == _bits(dicts)
 
     def test_an_embedded_splitter_expands_on_its_support_rows(self, monkeypatch):
         # a 20-mode embed holds exact zeros in every column: the dict route,
@@ -415,6 +437,35 @@ class TestEvolutionRoutes:
 
 
 class TestBudget:
+    def test_photons_past_the_float_range_are_refused_before_expanding(self, empty_rows, monkeypatch):
+        split, phase = element_matrix(BeamSplitter(0, 1, 0.3)), element_matrix(PhaseShifter(0, 0.3))
+        # sqrt(300!) is a float: the evolution keeps its norm and the expansion's
+        # values (a permanent of 300 photons is out of the oracle's reach)
+        out = apply_unitary(number_state((300, 0)), split)
+        row = kernels.expand_basis_state(split.matrix, (300, 0))
+        assert abs(out.norm() - 1) < 1e-12 and all(row[occ] == a for occ, a in out.terms())
+        assert abs(apply_unitary(number_state((300,)), phase).amplitude((300,))
+                   - cmath.exp(300j * 0.3)) < 1e-12
+        # sqrt(301!) is not: refused, naming the photons, before any expansion or permanent
+        expansions = []
+        level = kernels._level
+        monkeypatch.setattr(kernels, "_level", lambda *a: expansions.append(1) or level(*a))
+        expand = kernels.expand_basis_state
+        monkeypatch.setattr(kernels, "expand_basis_state",
+                            lambda *a, **k: expansions.append(1) or expand(*a, **k))
+        for run, photons in [
+            (lambda: apply_unitary(FockState(2, {(1, 0): 0.6, (301, 0): 0.8}), split), 301),
+            (lambda: apply_unitary(number_state((400,)), phase), 400),
+            (lambda: transition_amplitude(split, (301, 0), (0, 301)), 301),
+        ]:
+            with pytest.raises(BudgetExceeded, match=f"^{photons} photons"):
+                run()
+            assert not expansions
+        for occ in ((301, 0), [(301, 0), (300, 1)]):
+            with pytest.raises(BudgetExceeded, match="^301 photons"):
+                expand(split.matrix, occ, arrays=isinstance(occ, list))
+        assert expansions == []
+
     def test_limit_is_inclusive(self, monkeypatch):
         # nine photons on two modes: ten output terms
         state, u = number_state((9, 0)), element_matrix(BeamSplitter(0, 1, BAL))

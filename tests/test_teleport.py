@@ -166,7 +166,7 @@ class TestTeleportTn:
     @pytest.mark.parametrize("n, route", [(4, (0, 1, 1)), (6, (1, 0, 0))])
     def test_a_large_detection_is_one_pass(self, n, route, monkeypatch):
         # output bounds 377 and 5,147: below optics.ARRAY_MIN_TERMS the state
-        # is evolved and grouped on its own, from it on in one packed-key pass
+        # is evolved and grouped on its own, from it on in one rank-key pass
         passes = _counting(monkeypatch, measure, "_pass_groups")
         evolutions = _counting(monkeypatch, (protocols, optics), "apply_unitary")
         groupings = _counting(monkeypatch, (protocols, measure), "measure_modes")
