@@ -16,6 +16,19 @@ A branch whose probability, relative to the measured state, is below
 ``IMPOSSIBLE`` is impossible: no branch list or sampler reports it, and
 ``postselect`` reports it with probability 0.
 
+Every grouping of a state into branches (``measure_modes`` under any
+model, ``postselect``, ``fanout_count``) runs through ``_groups``. A
+state of at least ``ARRAY_MIN_GROUP_TERMS`` terms is grouped on arrays
+(``_array_groups``): one sort into the order the dict loop meets its
+terms, every sum by ``np.bincount`` in that order, so the bits are the
+loop's. Smaller states, and states with a count past int64, take the
+dict loop (``_dict_groups``): below the cut numpy's fixed cost per call,
+and per branch read, outweighs what the loop spends per term. Arrays
+give their records a ``_Block``, the format of a pass's records, so
+stage 1 of a teleported gate (one ``measure_modes`` of a few thousand
+terms) reaches stage 2 through ``_projected`` with no dict read back
+into arrays.
+
 Every protocol detection is one stage of ``protocols._detect``: it takes
 a state's branches as columns (``_Records``), classifies them once per
 stage, and builds a branch's dict and lazy post-state (decoded from the
@@ -60,6 +73,11 @@ from .fock import FockError, FockState, ZeroStateError, _check_modes
 
 #: Relative probability below which a branch is impossible.
 IMPOSSIBLE = 1e-24
+#: Terms from which ``_groups`` groups a state on arrays. Forced each way,
+#: grouping alone was level near 50 terms, but a branch read from arrays
+#: costs about 5 us more to decode than a dict, so grouping and then
+#: projecting every branch was level near 800-1,300 terms.
+ARRAY_MIN_GROUP_TERMS = 1024
 #: Summed output bound of the states one pass of ``_evolved_groups``
 #: evolves together, which bounds the pass's arrays.
 _PASS_TERMS = 1 << 16
@@ -256,7 +274,18 @@ def _groups(state: FockState, detectors, n=None):
     """The branches of measure_modes as its ``_Records``: Counter ones of the
     modes ``detectors``, or, with ``n``, the click classes of a state that
     ``_fanned`` fanned out onto the runs of n ``detectors``, each run's
-    class the number of its detectors that fired."""
+    class the number of its detectors that fired. A state of at least
+    ``ARRAY_MIN_GROUP_TERMS`` terms is grouped on arrays, bit for bit as
+    the dict loop groups it, unless a count passes int64."""
+    if len(state._amp) >= ARRAY_MIN_GROUP_TERMS:
+        records = _array_groups(state, detectors, n)
+        if records is not None:
+            return records
+    return _dict_groups(state, detectors, n)
+
+
+def _dict_groups(state: FockState, detectors, n=None):
+    """``_groups`` one term at a time, in ``terms()`` order."""
     measured, kept = _split(state, detectors)
     modes = detectors if n is None else detectors[::n]  # a run starts at its mode
     runs = range(0, len(detectors), n or 1)
@@ -286,6 +315,120 @@ def _groups(state: FockState, detectors, n=None):
             raise ZeroStateError(f"click class {counts} cancels coherently")
         listed.append(counts), ps.append(p), weights.append(weight), kept_groups.append(group)
     return _dict_records(state.modes - len(detectors), modes, listed, ps, weights, kept_groups)
+
+
+def _array_groups(state: FockState, detectors, n=None):
+    """``_groups`` on arrays, or None for a count past int64. The terms,
+    read once in dict order, are sorted into the order the dict loop meets
+    them in each group: by pattern (the measured counts in their listed
+    order, or a fan-out's clicks per run), then occupation. Every sum runs
+    from 0.0 in that order, by ``np.bincount``, as the loop adds: the kept
+    amplitudes (a fan-out class merges the detector patterns that share a
+    kept occupation, listed where the class first meets it), the weights
+    and a fan-out's class masses; the total runs in dict order, as
+    ``_weight`` adds. The records hold a ``_Block`` on rank keys
+    (``optics._Keys``): a pattern's rank among the sorted distinct ones is
+    its head, and a kept occupation's among the sorted distinct ones its
+    kept rank."""
+    size = len(state._amp)
+    try:  # counts below 256 read as bytes, in half the time and an eighth of the memory
+        occ = np.frombuffer(bytearray(chain.from_iterable(state._amp)), np.uint8)
+    except ValueError:
+        try:
+            occ = np.fromiter(chain.from_iterable(state._amp), np.int64, size * state.modes)
+        except OverflowError:
+            return None
+    occ = occ.reshape(size, state.modes)
+    amp = np.fromiter(state._amp.values(), complex, size)
+    square = np.float_power(np.hypot(amp.real, amp.imag), 2.0)  # abs(a) ** 2
+    total = math.sqrt(np.bincount(np.zeros(size, np.intp), square, 1).item()) ** 2
+    if total == 0:
+        raise ZeroStateError("cannot measure a zero state")
+    pattern = occ[:, detectors]
+    if n:
+        pattern = (pattern > 0).reshape(size, len(detectors) // n, n).sum(axis=2)
+    head, patterns = _ranked(pattern)
+    rest, rests = _ranked(np.delete(occ, detectors, axis=1))
+    modes = detectors if n is None else detectors[::n]
+    layout = optics._Keys((patterns, rests, modes))
+    pair = layout.keys(head, rest)
+    if n:  # a class meets its terms in terms() order, and its kept occupations in first appearance
+        order = np.lexsort([*_packed(occ)[::-1], head])
+        keys, first, slot = np.unique(pair[order], return_index=True, return_inverse=True)
+        listed = np.argsort(first)
+        keys, slot = keys[listed], np.argsort(listed)[slot]
+        re = np.bincount(slot, amp.real[order], len(keys))
+        im = np.bincount(slot, amp.imag[order], len(keys))
+        squares = np.float_power(np.hypot(re, im), 2.0)
+        mass = np.bincount(head[order], square[order], len(patterns))
+    else:  # one term per kept occupation of a pattern, its amplitude 0j + amp
+        order = np.argsort(pair)
+        keys, re, im = pair[order], 0.0 + amp.real[order], 0.0 + amp.imag[order]
+        squares, mass = square[order], None
+    return _block_records(state.modes - len(detectors), modes, patterns, layout.heads(keys),
+                          squares, (keys, re, im, layout), total, [0, len(patterns)], mass)[0]
+
+
+def _packed(rows):
+    """Int64 columns, most significant first, that order the nonnegative
+    integer ``rows`` lexicographically as their own columns do: runs of
+    adjacent columns in mixed radix (a column's radix its maximum plus
+    one), a run closed before the product of its radices would pass 2^63.
+    Columns of zeros are left out; without any other, one column of zeros."""
+    keys, span = [], 0
+    for column, top in zip(rows.T, rows.max(axis=0, initial=0).tolist()):
+        if not top:
+            continue
+        if keys and span * (top + 1) <= 1 << 63:
+            keys[-1], span = keys[-1] * (top + 1) + column, span * (top + 1)
+        else:
+            keys.append(column.astype(np.int64))
+            span = top + 1
+    return keys or [np.zeros(len(rows), np.int64)]
+
+
+def _ranked(rows):
+    """Each row's rank among the distinct rows of the nonnegative integer
+    array ``rows`` in lexicographic order, and those rows in that order, as
+    int64."""
+    keys = _packed(rows)
+    # one key needs no stable sort: equal keys rank alike
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    opens = np.zeros(len(order), bool)
+    opens[:1] = True
+    for key in keys:
+        key = key[order]
+        opens[1:] |= key[1:] != key[:-1]
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.cumsum(opens) - 1
+    return rank, rows[order[opens]].astype(np.int64)
+
+
+def _block_records(post, measured, counts, group, square, block, total, firsts, mass=None):
+    """The ``_Records`` of the states of one block of grouped rows:
+    ``block`` is ``(keys, re, im, layout)``, the rows of every group in
+    turn (a ``_Block`` without its spans), ``group`` each row's group and
+    ``square`` its |amp|^2, ``counts`` each group's pattern, and ``firsts``
+    where each state's groups start, then their end. A group weighs its
+    squares summed from 0.0 in row order; it is impossible where its
+    weight, or its ``mass`` if given (a fan-out class's), over ``total``
+    (its state's, or per group) is below ``IMPOSSIBLE``, and a possible
+    group that weighs 0 raises ZeroStateError, as ``_dict_groups`` does."""
+    weight = np.bincount(group, square, len(counts))
+    p = (weight if mass is None else mass) / total
+    possible = p >= IMPOSSIBLE
+    if (cancels := possible & (weight == 0)).any():
+        pattern = tuple(counts[np.argmax(cancels)].tolist())
+        raise ZeroStateError(f"click class {pattern} cancels coherently")
+    held = np.bincount(group, minlength=len(counts))
+    stops = np.cumsum(held)
+    starts = stops - held
+    # each state's first possible group, then their end
+    bounds = np.concatenate(([0], np.cumsum(possible)))[firsts].tolist()
+    counts, p, weight = counts[possible], p[possible], weight[possible]
+    block = _Block((*block, starts[possible], stops[possible]))
+    return [_Records(post, measured, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 class _Terms(tuple):
@@ -479,19 +622,10 @@ def _pass_groups(run, terms, mat, modes):
     # the kept rows in key order, and their groups: a group that keeps none weighs 0.0, impossible
     sorted_keep = keep[order]
     rows, group = order[sorted_keep], group[sorted_keep]
-    weight = np.bincount(group, square[rows], len(counts))
-    p = weight / np.repeat(total, np.diff(firsts))
-    possible = p >= IMPOSSIBLE
-    held = np.bincount(group, minlength=len(counts))
-    stops = np.cumsum(held)
-    starts = stops - held
-    # each state's first possible group, then their end
-    bounds = np.concatenate(([0], np.cumsum(possible)))[firsts].tolist()
-    counts, p, weight = counts[possible], p[possible], weight[possible]
     post = occ.shape[1] - len(modes)  # the states of a pass share their mode count
-    block = _Block((keys[rows], re[rows], im[rows], layout, starts[possible], stops[possible]))
-    return [_Records(post, modes, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
-            for a, b in zip(bounds, bounds[1:])]
+    return _block_records(post, modes, counts, group, square[rows],
+                          (keys[rows], re[rows], im[rows], layout),
+                          np.repeat(total, np.diff(firsts)), firsts)
 
 
 def _pass_plan(occ, states, count, modes):
@@ -534,14 +668,17 @@ class _Block(tuple):
         return dict(zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist())))
 
     def terms(self, groups, modes):
-        """``_Groups.terms`` of these groups; a group's rows are already in
-        ``terms()`` order: its sorted keys differ only in the rank of their
-        kept occupation among the sorted ones."""
+        """``_Groups.terms`` of these groups. Rows in ascending keys are in
+        ``terms()`` order: a group's keys differ only in the rank of their
+        kept occupation among the sorted ones. The keys of a pass, and of a
+        Counter's groups, ascend; a fan-out class lists its kept
+        occupations as it meets them."""
         keys, re, im, layout, starts, stops = self
         first = starts[groups]
         lengths = stops[groups] - first
         rows = np.repeat(first - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        return layout.rests(keys[rows]), re[rows], im[rows], lengths, True
+        keys = keys[rows]
+        return layout.rests(keys), re[rows], im[rows], lengths, bool((keys[1:] > keys[:-1]).all())
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:

@@ -341,6 +341,10 @@ class _Keys(tuple):
     def rests(self, keys):
         return self[1][keys % len(self[1])]
 
+    def keys(self, heads, kept):
+        """The keys of heads ``heads`` and kept ranks ``kept``."""
+        return heads * len(self[1]) + kept
+
     def bare(self):
         """These keys' format with a pattern table of no columns: all but ``counts`` still reads."""
         return _Keys((np.empty((len(self[0]), 0), np.uint8), *self[1:]))
@@ -393,7 +397,9 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     Independent of the multinomial expansion used by apply_unitary; serves
     as the cross-validation oracle. Equals
     perm(U[out, in]) / sqrt(prod in_i! prod out_j!) where rows/columns are
-    repeated according to the occupations.
+    repeated according to the occupations. The permanent of r photons
+    walks 2^(r-1) sign vectors: past ``MAX_EVOLVED_TERMS`` of them (from
+    22 photons on) it raises BudgetExceeded.
     """
     occ_in, occ_out = _integers(occ_in), _integers(occ_out)
     if len(occ_in) != u.dim or len(occ_out) != u.dim:
@@ -403,6 +409,9 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     total = sum(occ_in)
     if total != sum(occ_out):
         return 0j
+    if total and 1 << (total - 1) > MAX_EVOLVED_TERMS:
+        raise BudgetExceeded(f"{total} photons: their permanent walks 2^{total - 1} sign vectors; "
+                             f"the limit is {MAX_EVOLVED_TERMS}")
     cols = [l for l, k in enumerate(occ_in) for _ in range(k)]
     rows = [m for m, k in enumerate(occ_out) for _ in range(k)]
     sqrt_fact = kernels._sqrt_factorials(total)

@@ -89,6 +89,13 @@ class ProtocolResult:
     details: dict = field(default_factory=dict)
 
 
+@cache
+def _balanced(sign: int) -> ModeUnitary:
+    """The balanced splitter (``sign`` 1) or its inverse (-1), built and
+    checked once, then shared, as ``fourier_matrix`` is per n."""
+    return element_matrix(BeamSplitter(0, 1, sign * BALANCED))
+
+
 def _shift_index(index: int, measured_sorted) -> int:
     """Index of a surviving mode after the given sorted modes are removed."""
     if index in measured_sorted:
@@ -137,8 +144,14 @@ def _classified(records, classify):
 
 def _totals(counts):
     """k = sum_j r_j and s = sum_j j*r_j of every pattern {r_j}, a row of
-    ``counts``, as int64 arrays."""
-    return counts.sum(1, dtype=np.int64), counts @ np.arange(counts.shape[1])
+    ``counts``, as int64 arrays: from one float64 product, exact while
+    both stay below 2^53 (the largest count times 0 + 1 + ... + m bounds
+    them), else in int64."""
+    m = counts.shape[1]
+    if int(counts.max(initial=0)) * (m * (m + 1) // 2) >> 53:
+        return counts.sum(1, dtype=np.int64), counts @ np.arange(m)
+    both = (counts @ np.arange(m)[:, None] ** np.array([0.0, 1.0])).astype(np.int64)  # [1, j]
+    return both[:, 0], both[:, 1]
 
 
 def _rows(counts):
@@ -327,7 +340,7 @@ def qubit_rotation(state: FockState, q: BosonicQubit, theta: float) -> FockState
 
 def hadamard(state: FockState, q: BosonicQubit) -> FockState:
     """Exact logical Hadamard: balanced splitter then a pi phase on mode a."""
-    out = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [q.a, q.b])
+    out = apply_unitary(state, _balanced(1), [q.a, q.b])
     return fock.phase_on_mode(out, q.a, math.pi)
 
 
@@ -468,7 +481,7 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
     (on the dual-rail a-modes, the two-qubit gate). The branch list holds the
     ns-x failures, then the ns-y branches on the ns-x success, each with its
     ``stage`` and ``heralds``, the (p, pattern) of each detection passed."""
-    work = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [mode_x, mode_y])
+    work = apply_unitary(state, _balanced(1), [mode_x, mode_y])
     xs = _ns_stage(work, mode_x, rng)
     branches = [dict(b, stage="ns-x", heralds=[(b["p"], b["pattern"])]) for b in xs if not b["ok"]]
     for bx in filter(lambda b: b["ok"], xs):
@@ -476,8 +489,7 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
             by.update(stage="ns-y", p=bx["p"] * by["p"],
                       heralds=[(bx["p"], bx["pattern"]), (by["p"], by["pattern"])])
             if by["ok"]:
-                by["state"] = apply_unitary(by["state"], element_matrix(BeamSplitter(0, 1, -BALANCED)),
-                                            [mode_x, mode_y])
+                by["state"] = apply_unitary(by["state"], _balanced(-1), [mode_x, mode_y])
             branches.append(by)
     branches = _Branches.of(branches)
     chosen = _resolve(branches)
@@ -559,7 +571,7 @@ def prepare_b4_prime(rng=None) -> ProtocolResult:
     resource exactly.
     """
     state = number_state((0, 1, 0, 1))
-    spread = element_matrix(BeamSplitter(0, 1, -BALANCED))
+    spread = _balanced(-1)
     state = apply_unitary(state, spread, [0, 1])
     state = apply_unitary(state, spread, [2, 3])
     res = csign_modes_ns(state, 1, 3, rng=rng)
@@ -582,11 +594,10 @@ def teleport_bm1(state: FockState, input_mode: int, rng=None) -> ProtocolResult:
     if state.max_occupation(input_mode) > 1:
         raise UnsupportedInputError("input mode must carry at most one photon")
     m0 = state.modes
-    resource = apply_unitary(number_state((1, 0)), element_matrix(BeamSplitter(0, 1, BALANCED)), [0, 1])
+    resource = apply_unitary(number_state((1, 0)), _balanced(1), [0, 1])
     trace = []
     _trace_step(trace, "adjoin-pair", "prep", modes=[m0, m0 + 1])
-    work = apply_unitary(tensor(state, resource), element_matrix(BeamSplitter(0, 1, BALANCED)),
-                         [input_mode, m0])
+    work = apply_unitary(tensor(state, resource), _balanced(1), [input_mode, m0])
     target = _shift_index(m0 + 1, sorted([input_mode, m0]))
 
     def classify(counts, p, state):
@@ -937,12 +948,12 @@ def prepare_tp_n(n: int, strategy: str = "ideal", rng=None, teleport_n: int = 1)
     state = tensor(seed, number_state((0, 1)))
     state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, theta_seed)),
                           [a_modes[n - 1], b_modes[n - 1]])
-    state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, -BALANCED)), [anc1, anc2])
+    state = apply_unitary(state, _balanced(-1), [anc1, anc2])
     ledger = _GateLedger(strategy, teleport_n, rng)
     state = _tp_gate_sequence(state, a_modes, b_modes, anc1, ledger)
     if state is None:
         return ledger.failed()
-    state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
+    state = apply_unitary(state, _balanced(1), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
     return ProtocolResult(True, ledger.probability if rng is None else None, state, trace=ledger.trace,
@@ -967,7 +978,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     state = ledger.csign(state, anc_a[0], anc_b[0])
     if state is None:
         return ledger.failed()
-    bal = element_matrix(BeamSplitter(0, 1, BALANCED))
+    bal = _balanced(1)
     state = apply_unitary(state, bal, list(anc_a))
     state = apply_unitary(state, bal, list(anc_b))
     measured = sorted(anc_a + anc_b)
@@ -1008,14 +1019,14 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     bs_seed = element_matrix(BeamSplitter(0, 1, theta_seed))
     state = apply_unitary(state, bs_seed, [a_x[n - 1], b_x[n - 1]])
     state = apply_unitary(state, bs_seed, [a_y[n - 1], b_y[n - 1]])
-    state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, -BALANCED)), [anc1, anc2])
+    state = apply_unitary(state, _balanced(-1), [anc1, anc2])
     ledger = _GateLedger(strategy, 1, rng)
     state = _tp_gate_sequence(state, a_x, b_x, anc1, ledger)
     if state is not None:
         state = _tp_gate_sequence(state, a_y, b_y, anc1, ledger)
     if state is None:
         return ledger.failed()
-    state = apply_unitary(state, element_matrix(BeamSplitter(0, 1, BALANCED)), [anc1, anc2])
+    state = apply_unitary(state, _balanced(1), [anc1, anc2])
     state = fock.phase_on_mode(state, anc1, math.pi)
     _trace_step(ledger.trace, "unspread-ancilla", "element", modes=[anc1, anc2])
     # both parities are usable; the even one is the post-selected view
@@ -1112,7 +1123,7 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     trace = []
     _trace_step(trace, "adjoin-e", "prep")
     checked, final, p_gadget = _parity_check(state, 1, 2, n, ideal_parity, rng)
-    bal = element_matrix(BeamSplitter(0, 1, BALANCED))
+    bal = _balanced(1)
     # end to end, the parity gadget can fail before the sign decode
     branches = [b for b in checked if not b["ok"]]
     for pb in filter(lambda b: b["ok"], checked):

@@ -15,7 +15,7 @@ from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
 from fockworks import costs, measure
 from fockworks.costs import encode_single_rail
-from fockworks.fock import FockState, number_state
+from fockworks.fock import BudgetExceeded, FockState, number_state
 from fockworks.optics import (
     BeamSplitter,
     PhaseShifter,
@@ -149,6 +149,18 @@ class TestTransitionAmplitude:
         for a in range(17):
             out = (a, 16 - a)
             assert abs(transition_amplitude(u, (9, 7), out) - evolved.amplitude(out)) < 1e-10
+
+    def test_a_walk_past_the_budget_is_refused_before_the_permanent(self, monkeypatch):
+        # r photons walk 2^(r - 1) sign vectors: 21 photons take 2^20, within
+        # MAX_EVOLVED_TERMS; from 22 on the oracle refuses, naming the photons
+        walked = []
+        monkeypatch.setattr(KERNELS, "permanent", lambda mat: walked.append(len(mat)) or 0j)
+        u = element_matrix(BeamSplitter(0, 1, 0.3))
+        assert transition_amplitude(u, (21, 0), (0, 21)) == 0j and walked == [21]
+        for photons in (22, 300):
+            with pytest.raises(BudgetExceeded, match=f"^{photons} photons"):
+                transition_amplitude(u, (photons, 0), (1, photons - 1))
+        assert walked == [21]
 
 
 @ONE_KERNEL

@@ -643,11 +643,13 @@ class TestHandOff:
     GATES = [("csign", n) for n in range(1, 5)] + [("parity", 2), ("parity", 3)]
 
     @pytest.mark.parametrize("gate, n", GATES)
-    @pytest.mark.parametrize("stage1", ["dicts", "pass"])
+    @pytest.mark.parametrize("stage1", ["dicts", "arrays", "pass"])
     @pytest.mark.parametrize("pass_terms", [measure._PASS_TERMS, 500])
     def test_stage_two_records_equal_the_projected_route(self, monkeypatch, gate, n, stage1,
                                                          pass_terms):
-        if stage1 == "pass":  # stage 1 grouped by a pass too: its records hold a _Block
+        # stage 1 grouped by the dict loop, on arrays or by a pass: the last two hold a _Block
+        monkeypatch.setattr(measure, "ARRAY_MIN_GROUP_TERMS", 1 if stage1 == "arrays" else 1 << 62)
+        if stage1 == "pass":
             monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
         monkeypatch.setattr(measure, "_PASS_TERMS", pass_terms)
         seen = []
@@ -669,7 +671,7 @@ class TestHandOff:
             state = FockState(2, {(0, 1): amps[0], (1, 0): amps[1]})
             res = protocols.parity_measure(state, 0, 1, n)
         (records, indices), (_, u, modes) = seen[-2:]
-        assert isinstance(records.block, measure._Block if stage1 == "pass" else measure._Groups)
+        assert isinstance(records.block, measure._Groups if stage1 == "dicts" else measure._Block)
         seconds = list(res.details["branches"])
         old = list(evolve(_projections(records, indices), u, modes))
         assert [_record_bits(r) for r in evolve(project(records, indices), u, modes)] == [
@@ -828,3 +830,105 @@ def test_group_weights_add_left_to_right_as_the_pass_adds():
     assert state.norm() == 1.0
     assert postselect(state, [0], [0]).probability == 1.0
     assert [b["p"] for b in protocols.parity_project_ideal(state, 0, 1)] == [1.0]
+
+
+@st.composite
+def groupings(draw):
+    """A state, the modes it measures, in any order, and a detector model:
+    Counter on 1-3,000 terms of up to 20 modes, or a fan-out onto 1-4
+    detectors of up to two of up to 8 modes on up to 200 terms (the
+    fan-out multiplies them). Amplitude parts hold signed zeros; one kept
+    mode's counts reach up to a drawn ceiling (the byte range, 2^31 or
+    2^62); at times one count passes int64."""
+    model = draw(st.just(Counter()) | st.builds(FanoutCounter, st.integers(1, 4)))
+    fanout = isinstance(model, FanoutCounter)
+    modes = draw(st.integers(1, 8 if fanout else 20))
+    order = draw(st.permutations(range(modes)))
+    measured = order[:draw(st.integers(1, min(modes, 2) if fanout else modes))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(rng.integers(1, 200 if fanout else 3000, endpoint=True))
+    occs = rng.integers(0, 3, (size, modes)).tolist()
+    kept = order[len(measured):]
+    if kept:
+        ceiling = draw(st.sampled_from([2, 255, 256, 2**31, 2**62]))
+        for occ in occs:
+            occ[kept[0]] = int(rng.integers(0, ceiling, endpoint=True))
+    if draw(st.integers(0, 9)) == 0:
+        occs[0][draw(st.sampled_from(order))] = 2**63 + 5
+    parts = [rng.normal(size=size) for _ in range(2)]
+    for part in parts:
+        part[rng.random(size) < 0.1] = 0.0
+        part[rng.random(size) < 0.1] = -0.0
+    amps = {tuple(occ): complex(a, b) for occ, a, b in zip(occs, *parts)}
+    return FockState(modes, amps), measured, model
+
+
+def _grouped(cut, state, measured, model):
+    """With the array cut at ``cut``: the type of the records' block, then
+    their bits, the dict order and bits of some of their post-states, and
+    the bits of those post-states handed over as arrays (``_projected``);
+    or the error raised, by type and message."""
+    with mock.patch.object(measure, "ARRAY_MIN_GROUP_TERMS", cut):
+        try:
+            records = measure_modes(state, measured, model, lazy=True)
+        except (fock.FockError, OverflowError) as exc:
+            return None, type(exc), str(exc)
+    shown = list(range(0, len(records), max(1, len(records) // 40)))
+    posts = [records[i][2]() for i in shown]
+    return (type(records.block).__name__, records.counts.dtype, _record_bits(records),
+            [(o.outcome, o.probability.hex(),
+              [(occ, a.real.hex(), a.imag.hex()) for occ, a in o.post_state._amp.items()])
+             for o in posts],
+            _terms_bits(measure._projected(records, shown[::-1])))
+
+
+class TestArrayGroups:
+    """A state of ``measure.ARRAY_MIN_GROUP_TERMS`` terms or more is grouped
+    on arrays, bit for bit as the dict loop groups it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(groupings())
+    @example((FockState(3, {}), [2, 0], Counter()))
+    @example((FockState(3, {}), [1], FanoutCounter(3)))
+    @example((FockState(2, {(1, 0): 1.0, (2, 0): -1.0}), [0], FanoutCounter(1)))  # cancels
+    @example((FockState(3, {(1, 0, 0): 0.6, (0, 1, 2**62): 0.8j}), [0, 1], FanoutCounter(2)))
+    def test_forced_arrays_equal_the_dict_loop(self, grouping):
+        state, measured, model = grouping
+        arrays, dicts = _grouped(0, *grouping), _grouped(1 << 62, *grouping)
+        assert arrays[1:] == dicts[1:]
+        past_int64 = any(c >> 63 for occ in state._amp for c in occ)
+        event(f"error {dicts[1].__name__}" if dicts[0] is None else "count past int64" if past_int64 else type(model).__name__)
+        if dicts[0] is not None:
+            assert (arrays[0], dicts[0]) == ("_Groups" if past_int64 else "_Block", "_Groups")
+
+    def test_the_cut_is_a_term_count(self, monkeypatch):
+        loops = []
+        dict_groups = measure._dict_groups
+        monkeypatch.setattr(measure, "_dict_groups", lambda *a: loops.append(1) or dict_groups(*a))
+        cut = measure.ARRAY_MIN_GROUP_TERMS
+        state = FockState(2, {(k, 2 * cut - k): 1.0 for k in range(cut - 1)})
+        assert isinstance(measure_modes(state, [0], lazy=True).block, measure._Groups)
+        state = FockState(2, {(k, 2 * cut - k): 1.0 for k in range(cut)})
+        for records in (measure_modes(state, [0], lazy=True),
+                        measure_modes(state, [1], Bucket(), lazy=True)):
+            assert isinstance(records.block, measure._Block)
+        assert postselect(state, [0], [3]).probability == pytest.approx(1 / len(state._amp))
+        assert loops == [1]
+
+    def test_an_exact_teleported_csign_groups_no_state_in_the_dict_loop(self, monkeypatch):
+        # stage 1 of n = 4 is one 2,770-term state, grouped on arrays and
+        # handed to stage 2 from its block, without a dict round trip
+        calls = []
+        for owner, name in ((measure, "_dict_groups"), (measure._Groups, "terms")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, original=original, name=name:
+                                calls.append(name) or original(*a))
+        groupings = []
+        groups = measure._groups
+        monkeypatch.setattr(measure, "_groups",
+                            lambda state, *a: groupings.append(len(state._amp)) or groups(state, *a))
+        pair = tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.8j, 0.6))
+        res = protocols.csign_teleported(pair, protocols.BosonicQubit(0, 1),
+                                         protocols.BosonicQubit(2, 3), 4)
+        assert res.succeeded is not None and groupings == [2770]
+        assert calls == []

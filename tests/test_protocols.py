@@ -90,6 +90,39 @@ class TestSingleQubitGates:
         assert abs(out.amplitude((0, 1)) - math.cos(theta)) < 1e-12
         assert abs(out.amplitude((1, 0)) - math.sin(theta)) < 1e-12
 
+    def test_balanced_splitters_are_built_once(self, monkeypatch):
+        made = []
+        build = protocols.element_matrix
+        monkeypatch.setattr(protocols, "element_matrix", lambda e: made.append(e) or build(e))
+        protocols._balanced.cache_clear()
+        pair = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.8, 0.6))
+        for _ in range(3):
+            hadamard(encode_qubit(0.6, 0.8), BosonicQubit(0, 1))
+            protocols.csign_modes_ns(pair, 0, 2)
+        assert [e.theta for e in made] == [protocols.BALANCED, -protocols.BALANCED]
+        for sign in (1, -1):
+            shared = protocols._balanced(sign)
+            assert not shared.matrix.flags.writeable
+            assert shared.matrix.tobytes() == build(
+                protocols.BeamSplitter(0, 1, sign * protocols.BALANCED)).matrix.tobytes()
+
+
+class TestPatternTotals:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_float_product_gives_the_integer_sums(self, dtype, rng):
+        counts = rng.integers(0, 200, (500, 9)).astype(dtype)
+        k, s = protocols._totals(counts)
+        assert k.dtype == s.dtype == np.int64
+        assert k.tolist() == [sum(row) for row in counts.tolist()]
+        assert s.tolist() == [sum(j * r for j, r in enumerate(row)) for row in counts.tolist()]
+
+    def test_sums_from_2_to_the_53_are_summed_in_int64(self):
+        # s = 1 + 2 (2^52 + 1) = 2^53 + 3, which no float64 holds
+        counts = np.array([[0, 1, 2**52 + 1], [0, 3, 0]], dtype=np.int64)
+        k, s = protocols._totals(counts)
+        assert k.tolist() == [2**52 + 2, 3] and s.tolist() == [2**53 + 3, 3]
+        assert [t.tolist() for t in protocols._totals(counts[:0])] == [[], []]
+
 
 class TestNs1:
     def test_network_matches_target_matrix(self):
