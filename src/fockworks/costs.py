@@ -77,6 +77,11 @@ class TrialStats:
     trials: int
     successes: int
 
+    def __post_init__(self):
+        if self.trials < 1 or not 0 <= self.successes <= self.trials:
+            raise ValueError(f"trials must be >= 1 and successes in 0..trials, got {self.successes} "
+                             f"of {self.trials}")
+
     @property
     def rate(self) -> float:
         return self.successes / self.trials
@@ -115,9 +120,8 @@ def monte_carlo(trial, trials: int, seed: int) -> TrialStats:
     Trial i takes the i-th double of the one stream default_rng(seed), which
     Generator(PCG64(seed).advance(i)).random() reproduces, so runs are
     reproducible and can be split by index. ``trial`` gets the uniforms in
-    chunks of at most _CHUNK; chunking leaves the stream unchanged."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    chunks of at most _CHUNK; chunking leaves the stream unchanged. Fewer
+    than one trial raises ValueError (``TrialStats``)."""
     rng = np.random.default_rng(seed)
     successes = 0
     for start in range(0, trials, _CHUNK):

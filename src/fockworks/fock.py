@@ -5,10 +5,10 @@ mode) to complex amplitudes. All operations are pure: a FockState never
 mutates after construction, so values can be shared freely.
 
 Validation happens once, at the public edge: ``FockState(...)``,
-``scaled``, ``number_state`` and ``state_from_json`` check every
-occupation (integer, right length, no negative count) and every
-amplitude (finite), in bulk when the keys are already tuples of ``int``
-and the amplitudes ``complex``, else key by key. States built inside the
+``scaled``, ``number_state`` and ``state_from_json`` check the mode count,
+every occupation (right length, counts as ``FockState`` states them) and
+every amplitude (finite), in bulk when the keys are already tuples of
+``int`` and the amplitudes ``complex``, else key by key. States built inside the
 package from keys sliced, joined or relabelled from valid states
 (measurement post-states, phase corrections, tensor products,
 permutations, sums, ``normalized``) go through the private
@@ -24,6 +24,7 @@ import cmath
 import json
 import math
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class FockError(Exception):
 
 
 class InvalidOccupationError(FockError):
-    """Negative or non-integral photon count, or inconsistent occupation length."""
+    """A count not an integer in 0..2^63 - 1, a mode count not an integer >= 0, or a wrong length."""
 
 
 class ModeMismatchError(FockError):
@@ -73,6 +74,16 @@ def _integers(occ) -> tuple:
     return counts
 
 
+def _in_range(keys) -> bool:
+    """Whether every count of ``keys``, tuples of ``int``, is in 0..2^63 - 1:
+    one ``bytearray`` pass proves 0..255, the common case; min and max decide past it."""
+    try:
+        bytearray(chain.from_iterable(keys))
+    except ValueError:
+        return min(chain.from_iterable(keys)) >= 0 and not max(chain.from_iterable(keys)) >> 63
+    return True
+
+
 def _check_modes(modes: int, listed) -> list:
     """``listed`` as a list of distinct mode indices of a ``modes``-mode state."""
     listed = list(listed)
@@ -88,19 +99,24 @@ class FockState:
     """Sparse state on a fixed number of bosonic modes.
 
     Amplitudes with magnitude <= tol * norm are dropped at construction;
-    non-finite amplitudes are rejected.
+    non-finite amplitudes are rejected. Every photon count is an integer in
+    0..2^63 - 1, so every occupation reads as a row of int64 counts: a
+    count outside that range raises InvalidOccupationError here, and no
+    code past this constructor handles one.
     """
 
     __slots__ = ("modes", "_amp")
 
     def __init__(self, modes: int, amplitudes: dict, tol: float = DEFAULT_TOL):
+        if not isinstance(modes, (int, Integral)):  # int first: it skips the slower ABC check
+            raise InvalidOccupationError(f"mode count must be an integer, got {modes!r}")
         if modes < 0:
             raise InvalidOccupationError(f"mode count must be >= 0, got {modes}")
+        modes = int(modes)
         keys = amplitudes.keys()
         if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {modes}
                 and {*map(type, amplitudes.values())} <= {complex}
-                and {*map(type, chain.from_iterable(keys))} <= {int}
-                and min(chain.from_iterable(keys), default=0) >= 0):
+                and {*map(type, chain.from_iterable(keys))} <= {int} and _in_range(keys)):
             # checked in bulk, nothing to convert or merge: the arithmetic of _trusted
             self._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
             return
@@ -111,8 +127,12 @@ class FockState:
                 raise InvalidOccupationError(
                     f"occupation {occ} has length {len(occ)}, expected {modes}"
                 )
-            if occ and min(occ) < 0:
-                raise InvalidOccupationError(f"negative count in occupation {occ}")
+            try:
+                bytearray(occ)  # proves 0..255 at once: min and max decide past it
+            except ValueError:
+                if min(occ) < 0 or max(occ) >> 63:
+                    what = "negative count" if min(occ) < 0 else "count past 2^63 - 1"
+                    raise InvalidOccupationError(f"{what} in occupation {occ}") from None
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise InvalidOccupationError(f"non-finite amplitude for {occ}")

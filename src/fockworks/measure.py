@@ -21,9 +21,9 @@ model, ``postselect``, ``fanout_count``) runs through ``_groups``. A
 state of at least ``ARRAY_MIN_GROUP_TERMS`` terms is grouped on arrays
 (``_array_groups``): one sort into the order the dict loop meets its
 terms, every sum by ``np.bincount`` in that order, so the bits are the
-loop's. Smaller states, and states with a count past int64, take the
-dict loop (``_dict_groups``): below the cut numpy's fixed cost per call,
-and per branch read, outweighs what the loop spends per term. Arrays
+loop's. Smaller states take the dict loop (``_dict_groups``): below the
+cut numpy's fixed cost per call, and per branch read, outweighs what the
+loop spends per term. Arrays
 give their records a ``_Block``, the format of a pass's records, so
 stage 1 of a teleported gate (one ``measure_modes`` of a few thousand
 terms) reaches stage 2 through ``_projected`` with no dict read back
@@ -199,6 +199,9 @@ def _fanned(state: FockState, modes, n):
     after the state's own, run by one n-port Fourier multiport per mode."""
     if n == 1:
         return state, modes
+    if n * n > optics.MAX_EVOLVED_TERMS:  # the multiport, n^2 entries, is built and kept per n
+        raise fock.BudgetExceeded(f"a fan-out onto {n} detectors needs an {n}-port multiport of "
+                                  f"{n * n} entries; the limit is {optics.MAX_EVOLVED_TERMS}")
     first = state.modes
     state = fock.tensor(state, fock.vacuum(len(modes) * (n - 1)))
     detectors = []
@@ -257,17 +260,14 @@ class _Groups(list):
 
     def terms(self, groups, modes):
         """The terms of ``groups``, stacked group after group in dict order:
-        the int64 rows of their ``modes``-mode occupations, the real and
-        imaginary parts of their amplitudes, each group's term count, and
-        False: a group's dict order need not be ``terms()`` order. Counts
-        past int64 raise OverflowError."""
+        the rows of their ``modes``-mode occupations (``optics._as_rows``), the
+        real and imaginary parts of their amplitudes, each group's term
+        count, and False: a group's dict order need not be ``terms()``
+        order."""
         dicts = [self[g] for g in groups]
-        lengths = list(map(len, dicts))
-        occ = np.fromiter(chain.from_iterable(chain.from_iterable(dicts)), dtype=np.int64,
-                          count=sum(lengths) * modes).reshape(sum(lengths), modes)
-        amp = np.fromiter(chain.from_iterable(map(dict.values, dicts)), dtype=complex,
-                          count=sum(lengths))
-        return occ, amp.real, amp.imag, lengths, False
+        occ = optics._as_rows(list(chain.from_iterable(dicts)), modes)
+        amp = np.fromiter(chain.from_iterable(map(dict.values, dicts)), complex, len(occ))
+        return occ, amp.real, amp.imag, list(map(len, dicts)), False
 
 
 def _groups(state: FockState, detectors, n=None):
@@ -276,11 +276,9 @@ def _groups(state: FockState, detectors, n=None):
     ``_fanned`` fanned out onto the runs of n ``detectors``, each run's
     class the number of its detectors that fired. A state of at least
     ``ARRAY_MIN_GROUP_TERMS`` terms is grouped on arrays, bit for bit as
-    the dict loop groups it, unless a count passes int64."""
+    the dict loop groups it."""
     if len(state._amp) >= ARRAY_MIN_GROUP_TERMS:
-        records = _array_groups(state, detectors, n)
-        if records is not None:
-            return records
+        return _array_groups(state, detectors, n)
     return _dict_groups(state, detectors, n)
 
 
@@ -318,8 +316,8 @@ def _dict_groups(state: FockState, detectors, n=None):
 
 
 def _array_groups(state: FockState, detectors, n=None):
-    """``_groups`` on arrays, or None for a count past int64. The terms,
-    read once in dict order, are sorted into the order the dict loop meets
+    """``_groups`` on arrays. The terms, read once in dict order
+    (``optics._as_rows``), are sorted into the order the dict loop meets
     them in each group: by pattern (the measured counts in their listed
     order, or a fan-out's clicks per run), then occupation. Every sum runs
     from 0.0 in that order, by ``np.bincount``, as the loop adds: the kept
@@ -331,14 +329,7 @@ def _array_groups(state: FockState, detectors, n=None):
     its head, and a kept occupation's among the sorted distinct ones its
     kept rank."""
     size = len(state._amp)
-    try:  # counts below 256 read as bytes, in half the time and an eighth of the memory
-        occ = np.frombuffer(bytearray(chain.from_iterable(state._amp)), np.uint8)
-    except ValueError:
-        try:
-            occ = np.fromiter(chain.from_iterable(state._amp), np.int64, size * state.modes)
-        except OverflowError:
-            return None
-    occ = occ.reshape(size, state.modes)
+    occ = optics._as_rows(state._amp, state.modes)
     amp = np.fromiter(state._amp.values(), complex, size)
     square = np.float_power(np.hypot(amp.real, amp.imag), 2.0)  # abs(a) ** 2
     total = math.sqrt(np.bincount(np.zeros(size, np.intp), square, 1).item()) ** 2
@@ -347,13 +338,13 @@ def _array_groups(state: FockState, detectors, n=None):
     pattern = occ[:, detectors]
     if n:
         pattern = (pattern > 0).reshape(size, len(detectors) // n, n).sum(axis=2)
-    head, patterns = _ranked(pattern)
-    rest, rests = _ranked(np.delete(occ, detectors, axis=1))
+    head, patterns = optics._ranked(pattern)
+    rest, rests = optics._ranked(np.delete(occ, detectors, axis=1))
     modes = detectors if n is None else detectors[::n]
     layout = optics._Keys((patterns, rests, modes))
     pair = layout.keys(head, rest)
     if n:  # a class meets its terms in terms() order, and its kept occupations in first appearance
-        order = np.lexsort([*_packed(occ)[::-1], head])
+        order = np.lexsort([*optics._packed(occ)[::-1], head])
         keys, first, slot = np.unique(pair[order], return_index=True, return_inverse=True)
         listed = np.argsort(first)
         keys, slot = keys[listed], np.argsort(listed)[slot]
@@ -367,41 +358,6 @@ def _array_groups(state: FockState, detectors, n=None):
         squares, mass = square[order], None
     return _block_records(state.modes - len(detectors), modes, patterns, layout.heads(keys),
                           squares, (keys, re, im, layout), total, [0, len(patterns)], mass)[0]
-
-
-def _packed(rows):
-    """Int64 columns, most significant first, that order the nonnegative
-    integer ``rows`` lexicographically as their own columns do: runs of
-    adjacent columns in mixed radix (a column's radix its maximum plus
-    one), a run closed before the product of its radices would pass 2^63.
-    Columns of zeros are left out; without any other, one column of zeros."""
-    keys, span = [], 0
-    for column, top in zip(rows.T, rows.max(axis=0, initial=0).tolist()):
-        if not top:
-            continue
-        if keys and span * (top + 1) <= 1 << 63:
-            keys[-1], span = keys[-1] * (top + 1) + column, span * (top + 1)
-        else:
-            keys.append(column.astype(np.int64))
-            span = top + 1
-    return keys or [np.zeros(len(rows), np.int64)]
-
-
-def _ranked(rows):
-    """Each row's rank among the distinct rows of the nonnegative integer
-    array ``rows`` in lexicographic order, and those rows in that order, as
-    int64."""
-    keys = _packed(rows)
-    # one key needs no stable sort: equal keys rank alike
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    opens = np.zeros(len(order), bool)
-    opens[:1] = True
-    for key in keys:
-        key = key[order]
-        opens[1:] |= key[1:] != key[:-1]
-    rank = np.empty(len(order), np.int64)
-    rank[order] = np.cumsum(opens) - 1
-    return rank, rows[order[opens]].astype(np.int64)
 
 
 def _block_records(post, measured, counts, group, square, block, total, firsts, mass=None):
@@ -434,10 +390,9 @@ def _block_records(post, measured, counts, group, square, block, total, firsts, 
 class _Terms(tuple):
     """``(modes, occ, re, im, starts, state)``: the terms of states on
     ``modes`` modes, stacked state after state, each in ``terms()`` order:
-    the int64 rows of ``occ`` (object rows, for counts past int64), the real
-    and imaginary parts ``re`` and ``im`` of their amplitudes, and
-    ``starts``, each state's first row and then the end. ``state(i)`` gives
-    state i as a ``FockState``."""
+    the rows of ``occ`` (``optics._as_rows``), the real and imaginary parts
+    ``re`` and ``im`` of their amplitudes, ``starts``, each state's first
+    row and then the end, and ``state(i)``, state i as a ``FockState``."""
 
     __slots__ = ()
 
@@ -447,11 +402,7 @@ class _Terms(tuple):
         terms = [list(state.terms()) for state in states]
         flat = list(chain.from_iterable(terms))
         modes = states[0].modes if states else 0
-        occs = [occ for occ, _ in flat]
-        try:
-            occ = np.array(occs, dtype=np.int64).reshape(len(flat), modes)
-        except OverflowError:  # such counts fit no rank key
-            occ = np.array(occs, dtype=object).reshape(len(flat), modes)
+        occ = optics._as_rows([occ for occ, _ in flat], modes)
         amp = np.array([a for _, a in flat], dtype=complex)
         starts = list(accumulate(map(len, terms), initial=0))
         return cls((modes, occ, amp.real, amp.imag, starts, states.__getitem__))
@@ -466,9 +417,8 @@ def _projected(records, indices):
     group's own norm, summed in dict order), then the product by
     ``1 / sqrt(weight)`` as CPython multiplies a complex by a float, and
     ``_trusted`` again at tolerance 0, then their rows are put in
-    ``terms()`` order. A count past int64 or a norm that is not finite
-    projects every branch through ``_projection``, which raises what it
-    raises.
+    ``terms()`` order. A norm that is not finite projects every branch
+    through ``_projection``, which raises what it raises.
     """
     modes = records.modes
     groups = [records.rows[i] for i in indices]
@@ -477,19 +427,13 @@ def _projected(records, indices):
     def state(j):
         return _projection(modes, records.block(groups[j]), weight.item(j))
 
-    def states():
-        return _Terms.of([state(j) for j in range(len(groups))])
-
-    try:
-        occ, re, im, lengths, ordered = records.block.terms(groups, modes)
-    except OverflowError:
-        return states()
+    occ, re, im, lengths, ordered = records.block.terms(groups, modes)
     owner = np.repeat(np.arange(len(groups)), lengths)
     re, im = 0.0 + re, 0.0 + im
     size = np.hypot(re, im)
     norm_sq = np.bincount(owner, np.float_power(size, 2.0), len(groups))
     if not np.isfinite(norm_sq).all():
-        return states()
+        return _Terms.of([state(j) for j in range(len(groups))])
     keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]  # exact zeros too
     factor = (1 / np.sqrt(weight))[owner]
     # |amp * factor| <= 1: the second norm cannot overflow
@@ -512,7 +456,7 @@ def _evolved_groups(states, u, modes):
     (``_projected`` hands a stage's branches over so).
 
     ``BudgetExceeded`` applies to each state, as ``apply_unitary`` applies
-    it, and to the states' summed output bound, before the first pass. A
+    it, and to the states' summed output bound, all before the first pass. A
     list of one state takes a pass where ``apply_unitary`` would take its
     array route, from an output bound of ``optics.ARRAY_MIN_TERMS`` on;
     below it, it is evolved and measured on its own, its bound read from
@@ -533,11 +477,10 @@ def _evolved_groups(states, u, modes):
     ``float_power(hypot(re, im), 2.0)``, which is ``abs(a) ** 2``, and
     every sum from 0.0 in dict order, by ``np.bincount``; the pruned terms
     are dropped from the sorted rows, and a group left with none is
-    impossible. A state without terms, every state of a stack with a count
-    past int64, and a pass that meets a zero or an overflowing norm or an
-    exact zero in a filled column of ``u`` (which the array route cannot
-    take), are evolved and measured state by state, which raises what the
-    per-state calls raise.
+    impossible. A state without terms, and a pass that meets a zero or an
+    overflowing norm or an exact zero in a filled column of ``u`` (which the
+    array route cannot take), are evolved and measured state by state, which
+    raises what the per-state calls raise.
     """
     modes = list(modes)
 
@@ -554,12 +497,12 @@ def _evolved_groups(states, u, modes):
     count, d = len(starts) - 1, len(modes)
     lengths = np.diff(starts)
     owner = np.repeat(np.arange(count), lengths)
-    # photon totals as Python ints where int64 sums could overflow
-    exact = object if occ.dtype == object or (occ.size and occ.max() >> 32) else None
-    photons = occ[:, modes].sum(axis=1, dtype=exact)
-    # each term's output bound, capped past the budget: exact sums within it
+    # each term's output bound, capped past the budget; _bound refuses past 300
+    # photons whatever the bound: counts clipped at 301 mark that, and no sum wraps
+    photons = np.minimum(occ[:, modes], 301, dtype=np.int64).sum(axis=1)
     values, which = np.unique(photons, return_inverse=True)
-    bounds = [optics._capped_comb(k + d - 1, d - 1) for k in values.tolist()]
+    bounds = [optics._capped_comb(k + d - 1, d - 1) if k <= 300 else math.inf
+              for k in values.tolist()]
     sizes = np.bincount(owner, np.array(bounds, dtype=float)[which], count)
     if (past := sizes > optics.MAX_EVOLVED_TERMS).any():  # the first past it raises its own message
         optics._bound(map(_picker(modes), state(int(np.argmax(past)))._amp), d)
@@ -569,16 +512,15 @@ def _evolved_groups(states, u, modes):
     def evaluated(run):  # a pass gives a record per state, or None
         return _pass_groups(run, terms, np.ascontiguousarray(u.matrix), modes) or [one(state(i)) for i in run]
 
-    alone = (lengths == 0) | (occ.dtype == object)  # no terms, or a stack with counts past int64
     lo, bound = 0, 0
-    for i, (size, single) in enumerate(zip(sizes, alone.tolist())):
+    for i, (size, single) in enumerate(zip(sizes, (lengths == 0).tolist())):
         if lo < i and (single or bound + size > _PASS_TERMS):
             yield from evaluated(range(lo, i))
             lo, bound = i, 0
         if single:
             yield one(state(i))
             lo = i + 1
-        bound += size  # 0 for a state without terms; a stack past int64 passes nothing
+        bound += size  # 0 for a state without terms
     if lo < count:
         yield from evaluated(range(lo, count))
 
@@ -586,8 +528,8 @@ def _evolved_groups(states, u, modes):
 def _pass_groups(run, terms, mat, modes):
     """The records of one pass of ``_evolved_groups``, or None if a state's
     norm is zero or overflows or a filled column of ``mat`` holds an exact
-    zero: ``run`` is the range of the states of ``terms`` (a ``_Terms`` of
-    int64 rows) it evaluates. The pass's plan (``_pass_plan``), which the amplitudes and the
+    zero: ``run`` is the range of the states of ``terms`` (a ``_Terms``) it
+    evaluates. The pass's plan (``_pass_plan``), which the amplitudes and the
     unitary's values leave alone, is held in the kernels' store
     (``kernels.stored``, from its second request on) under the stacked
     occupations and the evolved modes. Each pass evaluates it: the products

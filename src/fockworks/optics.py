@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -162,9 +162,9 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
     merge everything with one ``np.bincount``, without a sort. The output
     bound, the sum over input terms of C(k+d-1, d-1) for k photons on the
     d evolved modes, picks the route: arrays from ``ARRAY_MIN_TERMS`` on,
-    unless a count passes int64 or a column of ``u`` that an input photon
-    enters holds an exact zero (0.0 or -0.0: the dict form lists only the
-    outputs that nonzero entries reach). It raises ``BudgetExceeded``
+    unless a column of ``u`` that an input photon enters holds an exact
+    zero (0.0 or -0.0: the dict form lists only the outputs that nonzero
+    entries reach). It raises ``BudgetExceeded``
     before expanding past ``MAX_EVOLVED_TERMS`` outputs or 300 photons.
     """
     if modes is None:
@@ -191,14 +191,22 @@ def apply_unitary(state: FockState, u: ModeUnitary, modes=None) -> FockState:
 
 
 def _route(terms, subs, mat, modes):
-    """The occupations of ``terms`` as int64 rows for the array route, or
-    None for the dict route (``apply_unitary``); raises BudgetExceeded."""
+    """The occupations of ``terms`` as rows (``_as_rows``) for the array route,
+    or None for the dict route (``apply_unitary``); raises BudgetExceeded."""
     if _bound(subs, len(modes)) < ARRAY_MIN_TERMS or not _zero_free(mat, subs):
         return None
+    return _as_rows([occ for occ, _ in terms], len(terms[0][0]))
+
+
+def _as_rows(keys, modes):
+    """The occupations ``keys``, a sized collection of ``modes``-tuples of a
+    ``FockState``'s counts, as array rows: uint8, read as bytes in half the
+    time, when every count is below 256, else int64."""
     try:
-        return np.array([occ for occ, _ in terms], dtype=np.int64)
-    except OverflowError:
-        return None
+        flat = np.frombuffer(bytearray(chain.from_iterable(keys)), np.uint8)
+    except ValueError:
+        flat = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * modes)
+    return flat.reshape(len(keys), modes)
 
 
 def _zero_free(mat, subs):
@@ -260,11 +268,11 @@ def _evolve_dicts(terms, subs, mat, modes):
 
 def _evolution_plan(occ, modes, states=None):
     """What ``_evolve_dicts`` does, on keys that the amplitudes and the
-    unitary's values leave alone, for terms stacked as the int64 rows of
-    ``occ``: ``(keys, slot, parts, layout)``, the output's keys in the
+    unitary's values leave alone, for terms stacked as the rows of ``occ``
+    (``_as_rows``): ``(keys, slot, parts, layout)``, the output's keys in the
     dict's order, the slot of every product in that order, per photon
     total, in order of first appearance, ``(occs, terms, rows)``: its
-    distinct sub-occupations, to be expanded in one kernel call, the rows
+    distinct sub-occupations, sorted, expanded in one kernel call, the rows
     of its terms and each term's row in that call, and how the keys read
     (``_Keys``). A total's products follow its terms in row order, each
     term's outputs in rank order, and the totals follow one another.
@@ -281,21 +289,12 @@ def _evolution_plan(occ, modes, states=None):
     subs = occ[:, modes]
     totals = subs.sum(axis=1)
     totals_list = totals.tolist()
-    tuples = list(map(tuple, subs.tolist()))
-    # each distinct sub's row in its total's call, which lists the subs in order of first term
-    rows, same_total = {}, {}
-    for i, (sub, t) in enumerate(zip(tuples, totals_list)):
-        if sub not in rows:
-            rows[sub] = len(same_total.setdefault(t, []))
-            same_total[t].append(i)
-    counts = {t: kernels.outputs(len(modes), t) for t in same_total}
+    sub, distinct = _ranked(subs)  # a total's distinct subs share one call, sorted
+    sums = distinct.sum(axis=1)
+    counts = {t: kernels.outputs(len(modes), t) for t in dict.fromkeys(totals_list)}
     at = dict(zip(counts, accumulate(map(len, counts.values()), initial=0)))
     patterns = np.concatenate(list(counts.values()))
-    # the kept occupations, sorted, and each term's position among them
-    kept = list(map(tuple, np.delete(occ, modes, axis=1).tolist()))
-    rests = {rest: i for i, rest in enumerate(sorted(set(kept)))}
-    rest = np.array(list(map(rests.__getitem__, kept)))
-    rests = np.array(list(rests), dtype=np.int64).reshape(len(rests), occ.shape[1] - len(modes))
+    rest, rests = _ranked(np.delete(occ, modes, axis=1))
     # a key is (state * P + pattern) * K + kept; S, P and K are each at most
     # the output bound B <= MAX_EVOLVED_TERMS (every term adds at least 1 to
     # it), so keys stay below B^3 <= 8.0e18 < 2^63 and fit int64
@@ -308,15 +307,14 @@ def _evolution_plan(occ, modes, states=None):
     groups = dict.fromkeys(grouped)
     ends = list(accumulate(len(counts[t]) for _, t in groups))
     offset = np.array(list(map(dict(zip(groups, [0] + ends)).__getitem__, grouped)))
-    row = np.array(list(map(rows.__getitem__, tuples)))
     keys = np.empty(ends[-1], dtype=np.int64)
     slots, parts = [], []
-    for t, firsts in same_total.items():
-        terms = np.flatnonzero(totals == t)
+    for t in counts:
+        terms, ids = np.flatnonzero(totals == t), np.flatnonzero(sums == t)
         slot = (offset[terms, None] + np.arange(len(counts[t]))).ravel()
         keys[slot] = (base[terms, None] + position[at[t]:at[t] + len(counts[t])] * len(rests)).ravel()
         slots.append(slot)
-        parts.append((subs[firsts], terms, row[terms]))
+        parts.append((distinct[ids], terms, np.searchsorted(ids, sub[terms])))
     return keys, np.concatenate(slots), tuple(parts), _Keys((patterns, rests, modes))
 
 
@@ -348,6 +346,41 @@ class _Keys(tuple):
     def bare(self):
         """These keys' format with a pattern table of no columns: all but ``counts`` still reads."""
         return _Keys((np.empty((len(self[0]), 0), np.uint8), *self[1:]))
+
+
+def _packed(rows):
+    """Int64 columns, most significant first, that order the nonnegative
+    integer ``rows`` lexicographically as their own columns do: runs of
+    adjacent columns in mixed radix (a column's radix its maximum plus
+    one), a run closed before the product of its radices would pass 2^63.
+    Columns of zeros are left out; without any other, one column of zeros."""
+    keys, span = [], 0
+    for column, top in zip(rows.T, rows.max(axis=0, initial=0).tolist()):
+        if not top:
+            continue
+        if keys and span * (top + 1) <= 1 << 63:
+            keys[-1], span = keys[-1] * (top + 1) + column, span * (top + 1)
+        else:
+            keys.append(column.astype(np.int64))
+            span = top + 1
+    return keys or [np.zeros(len(rows), np.int64)]
+
+
+def _ranked(rows):
+    """Each row's rank among the distinct rows of the nonnegative integer
+    array ``rows`` in lexicographic order, and those rows in that order, as
+    int64."""
+    keys = _packed(rows)
+    # one key needs no stable sort: equal keys rank alike
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    opens = np.zeros(len(order), bool)
+    opens[:1] = True
+    for key in keys:
+        key = key[order]
+        opens[1:] |= key[1:] != key[:-1]
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.cumsum(opens) - 1
+    return rank, rows[order[opens]].astype(np.int64)
 
 
 def _evolved(plan, re, im, mat):

@@ -1,3 +1,4 @@
+import zlib
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -8,8 +9,10 @@ from fockworks._backend import kernels
 
 
 @pytest.fixture
-def rng():
-    return np.random.default_rng(12345)
+def rng(request):
+    """A generator seeded from the test's node id: each test draws its own
+    inputs, the same on every run."""
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 @pytest.fixture

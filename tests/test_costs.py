@@ -97,6 +97,13 @@ class TestMonteCarlo:
         data = stats.to_json()
         assert data["trials"] == 100 and data["successes"] == 25
 
+    def test_stats_refuse_impossible_counts(self):
+        for trials, successes in [(0, 0), (-1, 0), (10, -1), (10, 11)]:
+            with pytest.raises(ValueError, match="trials must be >= 1 and successes in 0..trials"):
+                TrialStats(trials, successes)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            monte_carlo(lambda uniforms: uniforms < 0.5, 0, seed=1)
+
     def test_stats_csv(self):
         rows = trial_stats_csv([TrialStats(10, 5), TrialStats(4, 1)]).strip().splitlines()
         assert rows[0] == "trials,successes,rate,ci95"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,26 @@ class TestNumberState:
         with pytest.raises(InvalidOccupationError, match=r"non-integral count in occupation \(1.9, 0\)"):
             number_state((1.9, 0))
         assert number_state((np.int64(2), 0.0)).amplitude((2, 0)) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda occ: FockState(len(occ), {occ: 1.0}),  # key by key: a float amplitude
+        lambda occ: FockState(len(occ), {occ: 1 + 0j}),  # in bulk
+        number_state,
+        lambda occ: fock.load_state(json.dumps(
+            {"modes": len(occ), "terms": [{"occ": list(occ), "re": 1.0, "im": 0.0}]})),
+    ])
+    @pytest.mark.parametrize("count", [2**63, 2**70])
+    def test_counts_past_int64_rejected(self, make, count):
+        with pytest.raises(InvalidOccupationError, match=r"count past 2\^63 - 1"):
+            make((1, count))
+        assert make((1, 2**63 - 1)).amplitude((1, 2**63 - 1)) == 1
+
+    @pytest.mark.parametrize("modes", [1.5, "3", None])
+    def test_mode_count_must_be_an_integer(self, modes):
+        with pytest.raises(InvalidOccupationError, match="mode count must be an integer"):
+            FockState(modes, {})
+        state = FockState(np.int64(2), {(1, 0): 1.0})
+        assert type(state.modes) is int and state.modes == 2
 
     @pytest.mark.parametrize("amps", [
         {(0,): 1e200},  # the square alone overflows

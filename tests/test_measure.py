@@ -224,6 +224,18 @@ class TestFanout:
         measure_modes(state, [0, 2], FanoutCounter(4))
         assert len(calls) == 3
 
+    def test_a_multiport_past_the_budget_is_refused_before_it_is_built(self, monkeypatch):
+        built = []
+        fourier = optics.fourier_matrix
+        monkeypatch.setattr(optics, "fourier_matrix", lambda n: built.append(n + 1) or fourier(n))
+        with pytest.raises(fock.BudgetExceeded, match="fan-out onto 100000 detectors"):
+            measure_modes(number_state((1,)), [0], FanoutCounter(10**5))
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 16)  # n^2 entries: 4 ports at most
+        assert len(fanout_count(number_state((1,)), 0, 4)[0]) == 1
+        with pytest.raises(fock.BudgetExceeded, match="5-port multiport of 25 entries"):
+            fanout_count(number_state((1,)), 0, 5)
+        assert built == [4]
+
 
 class TestDetectorModels:
     @pytest.mark.parametrize("model", ["bucket", object(), None, Counter])
@@ -531,8 +543,7 @@ class TestEvolvedGroups:
             return FockState(3, {(1, 0, kept): 0.6, (0, 1, kept): 0.8j})
 
         # kept counts up to 2**61 index a sorted table of kept occupations:
-        # the states share one pass. A count past int64 makes the stack an
-        # object array, which fits no key: every state of it goes alone
+        # the states share one pass
         states = [state(2**58), state(2**58 + 1), state(3), state(2**61), state(2**58)]
         passes = []
         run = measure._pass_groups
@@ -541,12 +552,11 @@ class TestEvolvedGroups:
         measure_one = measure.measure_modes
         monkeypatch.setattr(measure, "measure_modes",
                             lambda *a, **k: alone.append(1) or measure_one(*a, **k))
-        for batch, routes in ((states, ([5], 0)), (states + [state(2**64)], ([], 6))):
-            expected = _one_by_one(batch, HOM, [0, 1])
-            passes.clear(), alone.clear()
-            got = _batched(batch, HOM, [0, 1])
-            assert (passes, len(alone)) == routes
-            assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
+        expected = _one_by_one(states, HOM, [0, 1])
+        passes.clear(), alone.clear()
+        got = _batched(states, HOM, [0, 1])
+        assert (passes, len(alone)) == ([5], 0)
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in expected]
 
     def test_budget_applies_to_each_state(self, monkeypatch):
         monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 27)
@@ -621,24 +631,18 @@ class TestHandOff:
         expected = measure._Terms.of(_projections(records, indices))
         assert _terms_bits(measure._projected(records, indices)) == _terms_bits(expected)
 
-    def test_counts_past_int64_take_the_state_route(self):
-        huge = FockState(3, {(1, 0, 2**70): 0.6, (0, 1, 2**70): 0.8j, (1, 1, 3): 1e-13})
-        states = [FockState(3, {(1, 0, 1): 0.6, (0, 1, 2): 0.8j}), huge, number_state((1, 1, 0))]
-        got = _batched(states, HOM, [0, 1])
-        assert [_record_bits(r) for r in got] == [
-            _record_bits(r) for r in _one_by_one(states, HOM, [0, 1])]
-        # evolved counts whose total passes int64: over the budget, as apply_unitary finds
+    def test_counts_past_int64_are_refused(self, pass_counts):
+        with pytest.raises(fock.InvalidOccupationError, match=r"count past 2\^63 - 1"):
+            FockState(3, {(1, 0, 2**70): 0.6, (0, 1, 2**70): 0.8j})
+        small = FockState(3, {(1, 0, 1): 0.6, (0, 1, 2): 0.8j})
+        # evolved counts whose total passes int64: over the budget, as
+        # apply_unitary finds, before any pass and before an int64 sum wraps
         with pytest.raises(optics.BudgetExceeded, match="may produce 9223372036854775809 terms"):
-            _batched([FockState(3, {(2**62, 2**62, 1): 1.0}), huge], HOM, [0, 1])
-        # a stage whose post-states hold such a count hands them over as states
-        records = measure_modes(tensor(huge, number_state((1,))), [0, 1], lazy=True)
-        projected = measure._projected(records, [1, 0])
-        assert projected[1].dtype == object
-        assert _terms_bits(projected) == _terms_bits(
-            measure._Terms.of(_projections(records, [1, 0])))
-        phase = optics.ModeUnitary([[1j]])
-        assert [_record_bits(r) for r in measure._evolved_groups(projected, phase, [1])] == [
-            _record_bits(r) for r in _one_by_one(_projections(records, [1, 0]), phase, [1])]
+            _batched([small, FockState(3, {(2**62, 2**62, 1): 1.0})], HOM, [0, 1])
+        # one evolved mode: an output bound of 1, past 300 photons all the same
+        with pytest.raises(optics.BudgetExceeded, match=f"{2**62} photons in one occupation"):
+            _batched([small, FockState(3, {(0, 2**62, 1): 1.0})], optics.ModeUnitary([[1j]]), [1])
+        assert pass_counts() == (0, 0)
 
     GATES = [("csign", n) for n in range(1, 5)] + [("parity", 2), ("parity", 3)]
 
@@ -839,7 +843,7 @@ def groupings(draw):
     detectors of up to two of up to 8 modes on up to 200 terms (the
     fan-out multiplies them). Amplitude parts hold signed zeros; one kept
     mode's counts reach up to a drawn ceiling (the byte range, 2^31 or
-    2^62); at times one count passes int64."""
+    2^62)."""
     model = draw(st.just(Counter()) | st.builds(FanoutCounter, st.integers(1, 4)))
     fanout = isinstance(model, FanoutCounter)
     modes = draw(st.integers(1, 8 if fanout else 20))
@@ -853,8 +857,6 @@ def groupings(draw):
         ceiling = draw(st.sampled_from([2, 255, 256, 2**31, 2**62]))
         for occ in occs:
             occ[kept[0]] = int(rng.integers(0, ceiling, endpoint=True))
-    if draw(st.integers(0, 9)) == 0:
-        occs[0][draw(st.sampled_from(order))] = 2**63 + 5
     parts = [rng.normal(size=size) for _ in range(2)]
     for part in parts:
         part[rng.random(size) < 0.1] = 0.0
@@ -871,7 +873,7 @@ def _grouped(cut, state, measured, model):
     with mock.patch.object(measure, "ARRAY_MIN_GROUP_TERMS", cut):
         try:
             records = measure_modes(state, measured, model, lazy=True)
-        except (fock.FockError, OverflowError) as exc:
+        except fock.FockError as exc:
             return None, type(exc), str(exc)
     shown = list(range(0, len(records), max(1, len(records) // 40)))
     posts = [records[i][2]() for i in shown]
@@ -893,13 +895,25 @@ class TestArrayGroups:
     @example((FockState(2, {(1, 0): 1.0, (2, 0): -1.0}), [0], FanoutCounter(1)))  # cancels
     @example((FockState(3, {(1, 0, 0): 0.6, (0, 1, 2**62): 0.8j}), [0, 1], FanoutCounter(2)))
     def test_forced_arrays_equal_the_dict_loop(self, grouping):
-        state, measured, model = grouping
+        model = grouping[2]
         arrays, dicts = _grouped(0, *grouping), _grouped(1 << 62, *grouping)
         assert arrays[1:] == dicts[1:]
-        past_int64 = any(c >> 63 for occ in state._amp for c in occ)
-        event(f"error {dicts[1].__name__}" if dicts[0] is None else "count past int64" if past_int64 else type(model).__name__)
+        event(f"error {dicts[1].__name__}" if dicts[0] is None else type(model).__name__)
         if dicts[0] is not None:
-            assert (arrays[0], dicts[0]) == ("_Groups" if past_int64 else "_Block", "_Groups")
+            assert (arrays[0], dicts[0]) == ("_Block", "_Groups")
+
+    def test_the_largest_count_takes_every_array_route(self, monkeypatch):
+        # 2^63 - 1 in a kept mode: grouped, evolved and passed on arrays with
+        # the bits of the dict routes
+        top = 2**63 - 1
+        state = FockState(4, {(1, 0, 2, top): 0.6, (0, 1, 1, top - 1): 0.8j, (2, 0, 0, 7): 0.1})
+        for model in (Counter(), FanoutCounter(2)):
+            assert _grouped(0, state, [0, 1], model)[1:] == _grouped(1 << 62, state, [0, 1], model)[1:]
+        states, u = [state, FockState(4, {(1, 0, 0, top): 1.0})], optics.fourier_matrix(2)
+        expected = [_record_bits(r) for r in _one_by_one(states, u, [0, 1, 2])]
+        assert [_record_bits(r) for r in _batched(states, u, [0, 1, 2])] == expected
+        monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
+        assert [_record_bits(r) for r in _one_by_one(states, u, [0, 1, 2])] == expected
 
     def test_the_cut_is_a_term_count(self, monkeypatch):
         loops = []

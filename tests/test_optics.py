@@ -273,7 +273,7 @@ def _bits(state):
 
 def _recording(taken, route=optics._route):
     """``optics._route`` that appends what it returns to ``taken``: the
-    array route's int64 occupations, or None for the dict route."""
+    array route's occupation rows, or None for the dict route."""
     return lambda *args: taken.append(route(*args)) or taken[-1]
 
 
