@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -121,7 +122,9 @@ def monte_carlo(trial, trials: int, seed: int) -> TrialStats:
     Generator(PCG64(seed).advance(i)).random() reproduces, so runs are
     reproducible and can be split by index. ``trial`` gets the uniforms in
     chunks of at most _CHUNK; chunking leaves the stream unchanged. Fewer
-    than one trial raises ValueError (``TrialStats``)."""
+    than one trial, or a count that is not an integer, raises ValueError."""
+    if not isinstance(trials, Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     rng = np.random.default_rng(seed)
     successes = 0
     for start in range(0, trials, _CHUNK):

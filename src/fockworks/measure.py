@@ -29,10 +29,14 @@ stage 1 of a teleported gate (one ``measure_modes`` of a few thousand
 terms) reaches stage 2 through ``_projected`` with no dict read back
 into arrays.
 
-Every protocol detection is one stage of ``protocols._detect``: it takes
-a state's branches as columns (``_Records``), classifies them once per
-stage, and builds a branch's dict and lazy post-state (decoded from the
-shared block of kept amplitudes) only when the branch is read. Every
+A measured state's branches are one record, ``_Records``: count
+patterns, probabilities and weights as columns, over a store of kept
+amplitudes (``_Groups`` of dicts, or a ``_Block`` of arrays).
+``records[i]`` is a ``ConditionalOutcome`` made on first read, and
+``records.state(i, corrections)`` a post-state projected (and corrected)
+when its terms are first read. Every protocol detection is one stage of
+``protocols._detect``, which builds a branch's dict from ``counts``,
+``p`` and ``state`` only when the branch is read. Every
 exact stage behind a mode unitary takes its records from
 ``_evolved_groups``, bit for bit those of ``measure_modes`` after
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
@@ -45,15 +49,14 @@ not), and a small single state takes ``apply_unitary`` and
 stacked arrays (``_projected``, a ``_Terms``), with the bits their
 projected post-states would have, so none is built as a state unless its
 branch is read. A sampled run projects only the one branch it draws,
-stage by stage, through
-one of two routes: one ``_drawer`` draw over the records of
-``measure_modes`` (as ``sample_outcome`` draws), or, behind a mode unitary
-(the Fourier multiports), ``_sample_detection``, which neither evolves nor
-groups the whole state: it draws an incoherent sector of the input, draws
-a count pattern of it (by boson sampling, or, for a coherent sector, by
-the first route after ``apply_unitary`` of it alone), and builds the
-post-state of that one pattern from transition amplitudes. Its post-state
-equals the exact branch to rounding (1e-10), not bit for bit.
+stage by stage: ``_Records.drawn``, one ``_drawer`` draw over the records
+of ``measure_modes``, or, behind a mode unitary (the Fourier
+multiports), ``_sample_detection``, which neither evolves nor groups the
+whole state: it draws an incoherent sector of the input, draws a count
+pattern of it (by boson sampling, or, for a coherent sector, by the
+first route after ``apply_unitary`` of it alone), and builds the
+post-state of that one pattern from transition amplitudes. Its
+post-state equals the exact branch to rounding (1e-10), not bit for bit.
 """
 
 import math
@@ -171,26 +174,25 @@ def _weight(state: FockState) -> float:
     return total
 
 
-def measure_modes(state: FockState, modes, model: DetectorModel = Counter(), lazy=False):
-    """Exhaustive list of measurement branches, in canonical outcome order.
+def measure_modes(state: FockState, modes, model: DetectorModel = Counter()) -> "_Records":
+    """Every measurement branch, in canonical outcome order, as ``_Records``.
 
     Branch probabilities sum to 1 (the input is normalized internally). A
     branch whose probability is below ``IMPOSSIBLE`` is left out; a
-    click class whose merged amplitudes cancel raises ZeroStateError. With
-    ``lazy`` the branches come as ``_Records`` of ``(counts, p, project)``,
-    where ``project()`` builds the branch, so a caller keeping one projects
-    one. A model other than the three raises DetectorModelError.
+    click class whose merged amplitudes cancel raises ZeroStateError.
+    ``records[i]`` is branch i's ``ConditionalOutcome``, made on first read
+    and kept; its post-state is projected when its terms are first read,
+    so a caller reading one branch projects one. A model other than the
+    three raises DetectorModelError.
     """
     modes = _check_modes(state.modes, modes)
     if isinstance(model, Bucket):
         model = FanoutCounter(1)
     if isinstance(model, Counter):
-        out = _groups(state, modes)
-    elif isinstance(model, FanoutCounter):
-        out = _groups(*_fanned(state, modes, model.n), model.n)
-    else:
-        raise DetectorModelError(f"unknown detector model {model!r}")
-    return out if lazy else [project() for _, _, project in out]
+        return _groups(state, modes)
+    if isinstance(model, FanoutCounter):
+        return _groups(*_fanned(state, modes, model.n), model.n)
+    raise DetectorModelError(f"unknown detector model {model!r}")
 
 
 def _fanned(state: FockState, modes, n):
@@ -218,15 +220,15 @@ class _Records(Sequence):
     ``counts``, of the ``measured`` modes; their probabilities, the float64
     array ``p``; and the kept amplitudes of each, the dict
     ``block(rows[i])`` of squared norm ``weight[i]`` (float64 too),
-    projected onto a post-state of ``modes`` modes. Indexed, it gives the
-    lazy records of ``measure_modes``, ``(counts, p, project)``; sliced,
-    the records of those branches alone."""
+    projected onto a post-state of ``modes`` modes. Indexed, it gives branch
+    i's ``ConditionalOutcome``, made on first read and kept, of post-state
+    ``state(i)``; sliced, the records of those branches alone."""
 
-    __slots__ = ("modes", "measured", "counts", "p", "weight", "block", "rows")
+    __slots__ = ("modes", "measured", "counts", "p", "weight", "block", "rows", "_read")
 
     def __init__(self, modes, measured, counts, p, weight, block, rows):
         self.modes, self.measured, self.counts, self.p = modes, measured, counts, p
-        self.weight, self.block, self.rows = weight, block, rows
+        self.weight, self.block, self.rows, self._read = weight, block, rows, {}
 
     def __len__(self):
         return len(self.p)
@@ -235,12 +237,50 @@ class _Records(Sequence):
         if isinstance(i, slice):
             return _Records(self.modes, self.measured, self.counts[i], self.p[i], self.weight[i],
                             self.block, self.rows[i])
-        return tuple(self.counts[i].tolist()), self.p.item(i), partial(self._outcome, i)
+        i = range(len(self.p))[i]
+        if (outcome := self._read.get(i)) is None:
+            pattern = tuple(zip(self.measured, self.counts[i].tolist()))
+            outcome = ConditionalOutcome(pattern, self.p.item(i), _BranchState(self, i))
+            self._read[i] = outcome
+        return outcome
 
-    def _outcome(self, i) -> ConditionalOutcome:
-        return ConditionalOutcome(
-            tuple(zip(self.measured, self.counts[i].tolist())), self.p.item(i),
-            _projection(self.modes, self.block(self.rows[i]), self.weight.item(i)))
+    @property
+    def state(self):
+        """``state(i, fixes=())``: branch i's lazy post-state, then ``fixes``, in one call."""
+        return partial(_BranchState, self)
+
+    def drawn(self, rng) -> "_Records":
+        """The one-row records of the branch one ``_drawer`` draw of ``rng`` selects."""
+        i = _drawer(self.p.tolist())(rng.random())
+        return self[i:i + 1]
+
+
+class _BranchState(FockState):
+    """Branch ``i`` of ``records``, projected, then ``_corrected``. Until its
+    terms are first read it holds the records' ``block``, its ``row``, its
+    ``weight`` and the ``corrections``, and no state."""
+
+    __slots__ = ("_block", "_row", "_weight", "_corrections")
+
+    def __init__(self, records, i, corrections=()):
+        self.modes, self._block, self._row = records.modes, records.block, records.rows[i]
+        self._weight, self._corrections = records.weight.item(i), corrections
+
+    def __getattr__(self, name):
+        # reached only while the ``_amp`` slot is unset
+        if name != "_amp":
+            raise AttributeError(name)
+        built = _projection(self.modes, self._block(self._row), self._weight)
+        self._amp = _corrected(built, self._corrections)._amp
+        del self._block, self._row, self._weight, self._corrections
+        return self._amp
+
+
+def _corrected(state, corrections):
+    """``state`` after the feed-forward ``corrections``, in order."""
+    for kind, a, b in corrections:
+        state = fock.phase_on_mode(state, a, b) if kind == "phase" else fock.swap_modes(state, a, b)
+    return state
 
 
 def _dict_records(modes, measured, counts, p, weight, groups):
@@ -261,13 +301,12 @@ class _Groups(list):
     def terms(self, groups, modes):
         """The terms of ``groups``, stacked group after group in dict order:
         the rows of their ``modes``-mode occupations (``optics._as_rows``), the
-        real and imaginary parts of their amplitudes, each group's term
-        count, and False: a group's dict order need not be ``terms()``
-        order."""
+        real and imaginary parts of their amplitudes and each group's term
+        count."""
         dicts = [self[g] for g in groups]
         occ = optics._as_rows(list(chain.from_iterable(dicts)), modes)
         amp = np.fromiter(chain.from_iterable(map(dict.values, dicts)), complex, len(occ))
-        return occ, amp.real, amp.imag, list(map(len, dicts)), False
+        return occ, amp.real, amp.imag, list(map(len, dicts))
 
 
 def _groups(state: FockState, detectors, n=None):
@@ -409,16 +448,17 @@ class _Terms(tuple):
 
 
 def _projected(records, indices):
-    """The post-states of branches ``indices`` of ``records`` as ``_Terms``,
-    each that of ``_projection(records.modes, group, weight)``, bit for bit,
-    without building it: a group's kept amplitudes, read from the records'
-    block as arrays, take the arithmetic of ``FockState._trusted`` (``0j +
-    amp``, exact zeros dropped, pruned at ``fock.DEFAULT_TOL`` times the
-    group's own norm, summed in dict order), then the product by
-    ``1 / sqrt(weight)`` as CPython multiplies a complex by a float, and
-    ``_trusted`` again at tolerance 0, then their rows are put in
-    ``terms()`` order. A norm that is not finite projects every branch
-    through ``_projection``, which raises what it raises.
+    """The post-states of branches ``indices`` of the Counter ``records`` as
+    ``_Terms``, each that of ``_projection(records.modes, group, weight)``,
+    bit for bit, without building it: a group's kept amplitudes, read from
+    the records' block as arrays, take the arithmetic of
+    ``FockState._trusted`` (``0j + amp``, exact zeros dropped, pruned at
+    ``fock.DEFAULT_TOL`` times the group's own norm, summed in dict order),
+    then the product by ``1 / sqrt(weight)`` as CPython multiplies a complex
+    by a float, and ``_trusted`` again at tolerance 0. Either store holds a
+    Counter group's rows in ``terms()`` order (the dict loop meets them so,
+    a ``_Block``'s keys ascend). A norm that is not finite projects every
+    branch through ``_projection``, which raises what it raises.
     """
     modes = records.modes
     groups = [records.rows[i] for i in indices]
@@ -427,7 +467,7 @@ def _projected(records, indices):
     def state(j):
         return _projection(modes, records.block(groups[j]), weight.item(j))
 
-    occ, re, im, lengths, ordered = records.block.terms(groups, modes)
+    occ, re, im, lengths = records.block.terms(groups, modes)
     owner = np.repeat(np.arange(len(groups)), lengths)
     re, im = 0.0 + re, 0.0 + im
     size = np.hypot(re, im)
@@ -439,19 +479,16 @@ def _projected(records, indices):
     # |amp * factor| <= 1: the second norm cannot overflow
     re, im = 0.0 + (re * factor - im * 0.0), 0.0 + (re * 0.0 + im * factor)
     keep &= (re != 0) | (im != 0)
-    if not ordered:
-        keep = np.flatnonzero(keep)
-        keep = keep[np.lexsort(np.column_stack([occ[keep, ::-1], owner[keep]]).T)]
     occ, re, im, owner = occ[keep], re[keep], im[keep], owner[keep]
     starts = np.searchsorted(owner, np.arange(len(groups) + 1)).tolist()
     return _Terms((modes, occ, re, im, starts, state))
 
 
 def _evolved_groups(states, u, modes):
-    """Yields ``measure_modes(apply_unitary(state, u, modes), modes,
-    lazy=True)`` of every state of ``states`` in turn, bit for bit, as
-    ``_Records``: the records of a pass share its sorted arrays, a
-    ``_Block``, from which a group's kept amplitudes are decoded on demand.
+    """Yields ``measure_modes(apply_unitary(state, u, modes), modes)`` of
+    every state of ``states`` in turn, bit for bit: the records of a pass
+    share its sorted arrays, a ``_Block``, from which a group's kept
+    amplitudes are decoded on demand.
     ``states`` is a list of states on one mode count or their ``_Terms``
     (``_projected`` hands a stage's branches over so).
 
@@ -485,7 +522,7 @@ def _evolved_groups(states, u, modes):
     modes = list(modes)
 
     def one(state):
-        return measure_modes(optics.apply_unitary(state, u, modes), modes, lazy=True)
+        return measure_modes(optics.apply_unitary(state, u, modes), modes)
 
     lone = not isinstance(states, _Terms) and len(states) == 1
     if lone and optics._bound(map(_picker(modes), states[0]._amp),
@@ -610,17 +647,12 @@ class _Block(tuple):
         return dict(zip(map(tuple, rests), map(complex, re[rows].tolist(), im[rows].tolist())))
 
     def terms(self, groups, modes):
-        """``_Groups.terms`` of these groups. Rows in ascending keys are in
-        ``terms()`` order: a group's keys differ only in the rank of their
-        kept occupation among the sorted ones. The keys of a pass, and of a
-        Counter's groups, ascend; a fan-out class lists its kept
-        occupations as it meets them."""
+        """``_Groups.terms`` of these groups."""
         keys, re, im, layout, starts, stops = self
         first = starts[groups]
         lengths = stops[groups] - first
         rows = np.repeat(first - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        keys = keys[rows]
-        return layout.rests(keys), re[rows], im[rows], lengths, bool((keys[1:] > keys[:-1]).all())
+        return layout.rests(keys[rows]), re[rows], im[rows], lengths
 
 
 def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
@@ -635,27 +667,26 @@ def postselect(state: FockState, modes, counts) -> ConditionalOutcome:
         raise ValueError(f"counts {given} are not nonnegative integers")
     if len(counts) != len(modes):
         raise ValueError("counts and modes differ in length")
-    for listed, _, project in _groups(state, modes):
-        if listed == counts:
-            return project()
+    records = _groups(state, modes)
+    if (pattern := list(counts)) in (listed := records.counts.tolist()):
+        return records[listed.index(pattern)]
     return ConditionalOutcome(tuple(zip(modes, counts)), 0.0, None)
 
 
 def _sample_detection(state: FockState, u, modes, rng):
     """One Counter detection of every mode of ``modes`` after ``u`` acts on them.
 
-    Draws the record that ``measure_modes(apply_unitary(state, u, modes),
-    modes, lazy=True)`` would draw, ``(counts, p, project)``, without
-    evolving ``state``, as one-record ``_Records``. The unitary leaves the
-    other modes alone, so the input splits into incoherent sectors, one per
-    (kept occupation, photons in ``modes``), each weighted by its squared
-    norm. A sector is drawn, then a count pattern of it: by boson sampling
-    when it is one Fock term, else by one draw over the records of
-    ``measure_modes`` after ``apply_unitary`` of that sector. The
-    branch is then built from the transition amplitudes of every term with
-    the pattern's photon number, one permanent per distinct sub-occupation,
-    pruned as ``apply_unitary`` prunes. A pattern outside that support is
-    drawn again.
+    Draws the branch that ``measure_modes(apply_unitary(state, u, modes),
+    modes).drawn(rng)`` would draw, without evolving ``state``, as one-row
+    ``_Records``. The unitary leaves the other modes alone, so the input
+    splits into incoherent sectors, one per (kept occupation, photons in
+    ``modes``), each weighted by its squared norm. A sector is drawn, then
+    a count pattern of it: by boson sampling when it is one Fock term, else
+    by one draw (``_Records.drawn``) over ``measure_modes`` after
+    ``apply_unitary`` of that sector. The branch is then built from the
+    transition amplitudes of every term with the pattern's photon number,
+    one permanent per distinct sub-occupation, pruned as ``apply_unitary``
+    prunes. A pattern outside that support is drawn again.
     """
     modes = _check_modes(state.modes, modes)
     measured, kept = _split(state, modes)
@@ -673,8 +704,7 @@ def _sample_detection(state: FockState, u, modes, rng):
             counts = _boson_sample(u.matrix, next(iter(terms)), rng)
         else:
             evolved = optics.apply_unitary(FockState(len(modes), terms), u)
-            records = measure_modes(evolved, range(len(modes)), lazy=True)
-            counts = records[_drawer(records.p.tolist())(rng.random())][0]
+            counts = tuple(measure_modes(evolved, range(len(modes))).drawn(rng).counts[0].tolist())
         photons = sum(counts)
         amplitudes: dict = {}
         group: dict = {}
@@ -724,7 +754,7 @@ def _boson_sample(mat, occ, rng):
 def fanout_count(state: FockState, mode: int, n: int):
     """Approximate particle counting by 1/sqrt(N) fan-out onto N buckets.
 
-    Returns (outcomes, misdetect_probability): outcomes list the branches
+    Returns (outcomes, misdetect_probability): outcomes are the records
     of ``measure_modes(state, [mode], FanoutCounter(n))``, by number of
     detectors that fired; misdetect_probability is the probability that
     some fan-out mode held two or more photons, read from the same
@@ -733,17 +763,18 @@ def fanout_count(state: FockState, mode: int, n: int):
     """
     n = FanoutCounter(n).n
     work, detectors = _fanned(state, _check_modes(state.modes, [mode]), n)
-    fired = _picker(detectors)
-    bunched = fock._squared_norm(amp for occ, amp in work.terms() if max(fired(occ)) >= 2)
-    outcomes = [project() for _, _, project in _groups(work, detectors, n)]
-    return outcomes, bunched / _weight(work)
+    occ = optics._as_rows(work._amp, work.modes)
+    order = np.lexsort(optics._packed(occ)[::-1])  # terms() order
+    order = order[(occ[order][:, detectors] >= 2).any(axis=1)]  # the bunched terms
+    amp = np.fromiter(work._amp.values(), complex, len(occ))[order]
+    square = np.float_power(np.hypot(amp.real, amp.imag), 2.0)  # abs(a) ** 2, added left to right
+    bunched = np.bincount(np.zeros(len(order), np.intp), square, 1).item()
+    return _groups(work, detectors, n), bunched / _weight(work)
 
 
 def sample_outcome(state: FockState, modes, model: DetectorModel, seed) -> ConditionalOutcome:
     """Draw one branch with its exact probability; deterministic per seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    branches = measure_modes(state, modes, model, lazy=True)
-    return branches[_drawer(branches.p.tolist())(rng.random())][2]()
+    return measure_modes(state, modes, model).drawn(np.random.default_rng(seed))[0]
 
 
 def _drawer(weights, ends=None):

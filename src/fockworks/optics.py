@@ -442,7 +442,7 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     total = sum(occ_in)
     if total != sum(occ_out):
         return 0j
-    if total and 1 << (total - 1) > MAX_EVOLVED_TERMS:
+    if total - 1 >= MAX_EVOLVED_TERMS.bit_length():  # 2^(total - 1) > MAX_EVOLVED_TERMS
         raise BudgetExceeded(f"{total} photons: their permanent walks 2^{total - 1} sign vectors; "
                              f"the limit is {MAX_EVOLVED_TERMS}")
     cols = [l for l, k in enumerate(occ_in) for _ in range(k)]

@@ -8,10 +8,11 @@ evaluated analytically: every outcome of every detection is listed with its
 exact probability. With an ``rng`` one trajectory is drawn stage by stage,
 and each stage lists only its drawn outcome. Every detection is one stage
 of ``_detect``: it counts some modes (after a mode unitary, for the Fourier
-multiports) into ``measure._Records`` columns and classifies the whole
-stage at once (``_classified``) into a ``_Branches``, exact or sampled: the
-``p`` and ``ok`` columns, from which the resolver (``_resolve``) and the
-probabilities are read, and a branch's dict, built only when the branch
+multiports) into ``measure._Records``, the branch record, and classifies
+the whole stage at once (``_classified``) into a ``_Branches``, exact or
+sampled: the ``p`` and ``ok`` columns, from which the resolver
+(``_resolve``) and the probabilities are read, and a branch's dict, built
+from the records' ``counts``, ``p`` and ``state`` only when the branch
 is read. A sampled list is the same type with one row. A two-stage gadget
 lists the first stage's failures and the second stage's branches on each
 first-stage success, ``p`` the product of the two. The output is the
@@ -26,7 +27,7 @@ one array pass, handed the first stage's successes as arrays by
 
 A branch dict carries ``p``, ``ok`` (whether the gadget succeeded) and
 ``state`` (the post-measurement state, corrections applied, built when its
-terms are first read), plus ``corrections`` (the
+terms are first read: ``measure._Records.state``), plus ``corrections`` (the
 ``("phase", mode, angle)`` / ``("swap", a, b)`` feed-forward) when one was
 applied. Gadgets add their own keys: the detected ``pattern``
 (``pattern1``/``pattern2`` per teleportation stage), ``k1``/``k2``,
@@ -44,7 +45,8 @@ suite checks them against brute-force branch projection.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -109,11 +111,8 @@ def _records(work, modes, rng, unitary=None):
     ``measure._evolved_groups`` behind a unitary; with an rng the one drawn,
     by ``measure._sample_detection`` behind a unitary, else by one draw."""
     if unitary is None:
-        records = measure_modes(work, modes, lazy=True)
-        if rng is not None:
-            i = _drawer(records.p.tolist())(rng.random())
-            records = records[i:i + 1]
-        return records
+        records = measure_modes(work, modes)
+        return records if rng is None else records.drawn(rng)
     if rng is None:
         return next(measure._evolved_groups([work], unitary, modes))
     return _sample_detection(work, unitary, modes, rng)
@@ -128,13 +127,13 @@ def _classified(records, classify):
     """The ``_Branches`` of a stage's records, every pattern or the one
     drawn. ``classify(counts, p, state)`` is called once with the count
     array (k and s of every row from ``_totals``), the ``p`` column and
-    ``state(i, corrections=())``, branch ``i``'s ``_BranchState``; it
+    ``state(i, corrections=())``, branch ``i``'s lazy post-state; it
     returns the ``ok`` column and ``branch(i, pattern)``, which makes branch
     ``i``'s dict: ``pattern``, ``p``, its own keys, then ``state``. The
     ``p`` column it gets is a memoryview of the float64 array, so ``p[i]``
     is a Python float, as a branch dict holds."""
     counts = records.counts
-    ok, branch = classify(counts, memoryview(records.p), partial(_BranchState, records))
+    ok, branch = classify(counts, memoryview(records.p), records.state)
 
     def build(start, stop):
         return list(map(branch, range(start, stop), _rows(counts[start:stop])))
@@ -216,43 +215,6 @@ def _added(values):
     total = np.add.accumulate(np.asarray(values, dtype=float))
     # 0.0 + x is x, but for x = -0.0
     return float(total[-1]) + 0.0 if len(total) else 0.0
-
-
-def _built(modes, group, weight, corrections):
-    """A branch's kept amplitudes ``group``, of squared norm ``weight``, projected and corrected."""
-    return _corrected(measure._projection(modes, group, weight), corrections)
-
-
-class _BranchState(FockState):
-    """Branch ``i`` of a stage's ``records``, projected and then corrected by
-    ``corrections``. Until its terms are first read it holds the stage's
-    ``block``, its ``row`` in it, which decodes its kept amplitudes, their
-    squared norm ``weight`` and the ``corrections``; ``built()`` gives the
-    state, as the first read builds it."""
-
-    __slots__ = ("_block", "_row", "_weight", "_corrections")
-
-    def __init__(self, records, i, corrections=()):
-        self.modes, self._block, self._row = records.modes, records.block, records.rows[i]
-        self._weight, self._corrections = records.weight.item(i), corrections
-
-    def built(self) -> FockState:
-        return _built(self.modes, self._block(self._row), self._weight, self._corrections)
-
-    def __getattr__(self, name):
-        # reached only while the ``_amp`` slot is unset
-        if name != "_amp":
-            raise AttributeError(name)
-        self._amp = self.built()._amp
-        del self._block, self._row, self._weight, self._corrections
-        return self._amp
-
-
-def _corrected(state, corrections):
-    """``state`` after the feed-forward ``corrections``, in order."""
-    for kind, a, b in corrections:
-        state = fock.phase_on_mode(state, a, b) if kind == "phase" else fock.swap_modes(state, a, b)
-    return state
 
 
 def _resolve(branches):
@@ -360,6 +322,12 @@ def _unary_block(n: int, j: int) -> tuple:
     return (1,) * j + (0,) * (n - j) + (0,) * j + (1,) * (n - j)
 
 
+def _check_size(n, what):
+    """ProtocolError unless the resource size ``n`` is an integer >= 1."""
+    if not isinstance(n, Integral) or n < 1:
+        raise ProtocolError(f"{what} needs an integer n >= 1, got {n!r}")
+
+
 def make_resource(kind: str, n: int | None = None, parity: int = 0) -> PreparedResource:
     """Entangled resource states by closed formula (normalized).
 
@@ -374,8 +342,7 @@ def make_resource(kind: str, n: int | None = None, parity: int = 0) -> PreparedR
     if kind == "b4prime":
         amps = {(1, 0, 1, 0): 0.5, (0, 1, 1, 0): 0.5, (1, 0, 0, 1): 0.5, (0, 1, 0, 1): -0.5}
         return PreparedResource("b4prime", None, FockState(4, amps), bell)
-    if n is None or n < 1:
-        raise ProtocolError(f"resource {kind!r} needs n >= 1, got {n}")
+    _check_size(n, f"resource {kind!r}")
     groups = dict(zip(("first_x", "last_x", "first_y", "last_y"),
                       (tuple(range(g * n, (g + 1) * n)) for g in range(4))))
     if kind == "tn":
@@ -543,7 +510,7 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
         tx, ty = res.details["target_x"], res.details["target_y"]
         leftovers = sorted(res.details["leftover_modes"])
         if leftovers:
-            out = _BranchState(_records(out, leftovers, rng), 0).built()
+            out = _records(out, leftovers, rng).state(0)
             tx, ty = (_shift_index(m, leftovers) for m in (tx, ty))
         # relabel so the teleported modes sit where the inputs were
         rest = iter(m for m in range(out.modes) if m not in (tx, ty))
@@ -632,6 +599,7 @@ def _standard_resource(kind, n, rng):
     None), ``BudgetExceeded`` before it is built if its term with all n
     photons in the measured group alone has more than ``MAX_EVOLVED_TERMS``
     outputs, C(2n, n)."""
+    _check_size(n, f"resource {kind!r}")
     if rng is None:
         optics._within_budget(optics._capped_comb(2 * n, n), f"the evolution at n = {n}", least=True)
     return make_resource(kind, n)
@@ -737,8 +705,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
         firsts = measure._projected(ones, succeeded)
         seconds = list(measure._evolved_groups(firsts, u, layout.fourier_y))
     else:
-        seconds = [_records(_built(ones.modes, ones.block(ones.rows[i]), ones.weight.item(i), ()),
-                            layout.fourier_y, rng, u) for i in succeeded]
+        seconds = [_records(ones.state(i), layout.fourier_y, rng, u) for i in succeeded]
     # each branch's stage-1 row; past stage 1, the stage-2 rows of all successes in turn
     sizes = [len(two) for two in seconds]
     spans = np.ones(len(ones), dtype=np.int64)
@@ -763,8 +730,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     local = np.arange(len(p2)) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
     stage2 = (k2, ok2, angle_x, angle_y, p2, owner, local)
     patterns1, k1, p1s = _rows(ones.counts), k1.tolist(), ones.p.tolist()
-    state1 = partial(_BranchState, ones)
-    states2 = [partial(_BranchState, two) for two in seconds]
+    state1, states2 = ones.state, [two.state for two in seconds]
     last_x, last_y, fixes_x = [None] + layout.last_x, [None] + layout.last_y, {}
     leftover = [[None] + [[m for m in last_x[1:] + last_y[1:] if m not in (tx, ty)]
                           for ty in last_y[1:]] for tx in last_x]
@@ -941,8 +907,7 @@ def prepare_tp_n(n: int, strategy: str = "ideal", rng=None, teleport_n: int = 1)
     matches the closed form; with strategy 'ns' each conditional sign
     succeeds with probability 1/16 (3n-2 of them in total).
     """
-    if n < 1:
-        raise ProtocolError("n >= 1 required")
+    _check_size(n, "prepare_tp_n")
     a_modes, b_modes, anc1, anc2 = list(range(n)), list(range(n, 2 * n)), 2 * n, 2 * n + 1
     seed, theta_seed = _seed_block(n)
     state = tensor(seed, number_state((0, 1)))
@@ -1010,8 +975,7 @@ def prepare_p_prime(n: int, strategy: str = "ideal", rng=None) -> ProtocolResult
     carries the total parity; measuring it collapses the 4n modes to the even
     resource or the equally useful odd variant (details report which).
     """
-    if n < 1:
-        raise ProtocolError("n >= 1 required")
+    _check_size(n, "prepare_p_prime")
     a_x, b_x, a_y, b_y = (list(range(g * n, (g + 1) * n)) for g in range(4))
     anc1, anc2 = 4 * n, 4 * n + 1
     seed, theta_seed = _seed_block(n)

@@ -9,6 +9,7 @@ term, which the validation oracle accounts for explicitly.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class SqueezeParam:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("squeezing strength must be >= 0")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        if not isinstance(self.cutoff, Integral) or self.cutoff < 1:
+            raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
 
 
 TAIL_BOUND = 1e-12

@@ -167,7 +167,7 @@ class TestDeferredBranchStates:
         for state in pending:
             assert _states_reachable_from(state) == []
             group = state._block(state._row)
-            eager = protocols._corrected(
+            eager = measure._corrected(
                 measure._projection(state.modes, group, state._weight), state._corrections)
             assert _bits(state) == _bits(eager)
             assert _bits(state) == _bits(eager)  # a second read gives the same

@@ -157,7 +157,7 @@ class TestTransitionAmplitude:
         monkeypatch.setattr(KERNELS, "permanent", lambda mat: walked.append(len(mat)) or 0j)
         u = element_matrix(BeamSplitter(0, 1, 0.3))
         assert transition_amplitude(u, (21, 0), (0, 21)) == 0j and walked == [21]
-        for photons in (22, 300):
+        for photons in (22, 300, 2**62):
             with pytest.raises(BudgetExceeded, match=f"^{photons} photons"):
                 transition_amplitude(u, (photons, 0), (1, photons - 1))
         assert walked == [21]

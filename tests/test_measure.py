@@ -144,7 +144,8 @@ class TestImpossibilityRule:
         state = FockState(1, {(0,): 1.0, (1,): 1e-13}, tol=0)
         u = optics.ModeUnitary(np.eye(1))
         rng = np.random.default_rng(0)
-        assert {measure._sample_detection(state, u, [0], rng)[0][0] for _ in range(50)} == {(0,)}
+        assert {measure._sample_detection(state, u, [0], rng)[0].outcome
+                for _ in range(50)} == {((0, 0),)}
 
 
 class _Uniforms:
@@ -167,11 +168,11 @@ class TestSampleDetection:
         # it is above 1e-12 of the branch itself
         state = FockState(2, {(0, 0): 1.0, (1, 0): 1e-3, (1, 1): 5e-13}, tol=0)
         u = optics.ModeUnitary(np.eye(1))
-        [(counts, p, project)] = measure._sample_detection(state, u, [0], _Uniforms(0.9999995, 0.5))
+        [drawn] = measure._sample_detection(state, u, [0], _Uniforms(0.9999995, 0.5))
         exact = measure_modes(optics.apply_unitary(state, u, [0]), [0])
-        assert counts == (1,) and exact[1].outcome == ((0, 1),)
-        assert abs(p - exact[1].probability) < 1e-15
-        post = project().post_state
+        assert drawn.outcome == exact[1].outcome == ((0, 1),)
+        assert abs(drawn.probability - exact[1].probability) < 1e-15
+        post = drawn.post_state
         assert dict(post.terms()).keys() == dict(exact[1].post_state.terms()).keys() == {(0,)}
 
 
@@ -271,7 +272,9 @@ class TestSampling:
     def test_sample_projects_only_the_drawn_branch(self, model, monkeypatch):
         state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
         branches = measure_modes(state, [0, 1], model)
-        draw = measure._drawer([p for _, p, _ in measure_modes(state, [0, 1], model, lazy=True)])
+        draw = measure._drawer(branches.p.tolist())
+        for br in branches:  # projected before the count starts
+            br.post_state.term_count()
         calls = []
         projection = measure._projection
         monkeypatch.setattr(measure, "_projection", lambda *a: calls.append(1) or projection(*a))
@@ -285,23 +288,23 @@ class TestSampling:
     @pytest.mark.parametrize("model", [Counter(), Bucket(), FanoutCounter(3)])
     def test_lazy_records_project_to_the_branches(self, model):
         state = fock.FockState(3, {(2, 0, 1): 0.5, (1, 1, 1): 0.5j, (0, 1, 2): -0.5, (1, 0, 2): 0.5})
-        branches = measure_modes(state, [0, 1], model)
-        records = measure_modes(state, [0, 1], model, lazy=True)
-        assert isinstance(records, measure._Records) and len(records) == len(branches)
-        for (counts, p, project), br in zip(records, branches):
-            got = project()
-            assert counts == tuple(c for _, c in br.outcome)
-            assert (got.outcome, got.probability) == (br.outcome, br.probability) and p == br.probability
-            assert dict(got.post_state.terms()) == dict(br.post_state.terms())
+        records = measure_modes(state, [0, 1], model)
+        assert isinstance(records, measure._Records)
+        for i, br in enumerate(records):
+            assert records[i] is br and br.probability == records.p[i]
+            assert br.outcome == tuple(zip(records.measured, records.counts[i].tolist()))
+            eager = measure._projection(records.modes, records.block(records.rows[i]),
+                                        records.weight.item(i))
+            assert dict(br.post_state.terms()) == dict(eager.terms())
 
     def test_empirical_frequency(self):
         hits = 0
         trials = 100_000
         rng = np.random.default_rng(99)
-        records = measure_modes(bell(), [0], Counter(), lazy=True)
-        draw = measure._drawer([p for _, p, _ in records])
+        records = measure_modes(bell(), [0], Counter())
+        draw = measure._drawer(records.p.tolist())
         for _ in range(trials):
-            if records[draw(rng.random())][0] == (1,):
+            if records[draw(rng.random())].outcome == ((0, 1),):
                 hits += 1
         sigma = math.sqrt(0.25 / trials)
         assert abs(hits / trials - 0.5) <= 3 * sigma
@@ -383,7 +386,7 @@ def _groups(records):
 
 
 def _record_bits(records):
-    """The records of ``measure_modes(..., lazy=True)``, a ``measure._Records``:
+    """The records of ``measure_modes``, a ``measure._Records``:
     the post-state's mode count and the measured modes, then per group its
     counts, every float by ``float.hex`` and its kept amplitudes in their
     dict order."""
@@ -399,7 +402,7 @@ def _batched(states, u, modes):
 
 
 def _one_by_one(states, u, modes):
-    return [measure_modes(optics.apply_unitary(s, u, modes), modes, lazy=True) for s in states]
+    return [measure_modes(optics.apply_unitary(s, u, modes), modes) for s in states]
 
 
 #: a balanced splitter whose |1,1> output cancels to an exact zero
@@ -431,7 +434,7 @@ def state_batches(draw):
 
 class TestEvolvedGroups:
     """One array pass over many states gives each state's records of
-    ``measure_modes(apply_unitary(state, u, modes), modes, lazy=True)``."""
+    ``measure_modes(apply_unitary(state, u, modes), modes)``."""
 
     @settings(max_examples=80, deadline=None)
     @given(state_batches(), st.data())
@@ -467,7 +470,7 @@ class TestEvolvedGroups:
         assert all(rest != (2,) for group in _groups(expected[0]) for rest in group)
         patterns = {occ[:2] for occ, _ in optics.apply_unitary(underflow, HOM, [0, 1]).terms()}
         assert len(patterns) == 3
-        assert [c for c, _, _ in expected[1]] == [(0, 1), (1, 0)]  # (0, 0) is impossible
+        assert expected[1].counts.tolist() == [[0, 1], [1, 0]]  # (0, 0) is impossible
         # a squared norm that underflows: the pass is redone state by state
         with pytest.raises(fock.ZeroStateError, match="cannot measure a zero state"):
             _batched([cancels, FockState(3, {(1, 0, 0): 1e-200})], HOM, [0, 1])
@@ -750,7 +753,7 @@ def test_exact_detection_records_equal_the_per_state_records(detection):
     bound = optics._bound([occ[:8] for occ, _ in work.terms()], 8)
     event("one pass" if bound >= optics.ARRAY_MIN_TERMS else "per state")
     try:
-        expected = measure_modes(optics.apply_unitary(work, u, modes), modes, lazy=True)
+        expected = measure_modes(optics.apply_unitary(work, u, modes), modes)
     except fock.FockError as exc:  # a norm that underflows to zero
         with pytest.raises(type(exc), match=str(exc)):
             _detect_records(work, u, modes)
@@ -792,13 +795,14 @@ def _branch_bits(branch):
 
 def _per_pattern_branches(work, u, modes, classify):
     """The branches of ``protocols._detect`` as a per-pattern loop over the
-    records of ``measure_modes(apply_unitary(...), lazy=True)`` gives them,
-    with k and s summed pattern by pattern."""
+    outcomes of ``measure_modes(apply_unitary(...))`` gives them, with k and
+    s summed pattern by pattern."""
     branches = []
-    for counts, p, project in measure_modes(optics.apply_unitary(work, u, modes), modes, lazy=True):
+    for outcome in measure_modes(optics.apply_unitary(work, u, modes), modes):
+        counts = tuple(c for _, c in outcome.outcome)
         k, s = sum(counts), sum(j * r for j, r in enumerate(counts))
-        branch = {"pattern": counts, "p": p, **classify(counts, k, s)}
-        branch["state"] = protocols._corrected(project().post_state, branch.get("corrections", []))
+        branch = {"pattern": counts, "p": outcome.probability, **classify(counts, k, s)}
+        branch["state"] = measure._corrected(outcome.post_state, branch.get("corrections", []))
         branches.append(branch)
     return branches
 
@@ -868,20 +872,25 @@ def groupings(draw):
 def _grouped(cut, state, measured, model):
     """With the array cut at ``cut``: the type of the records' block, then
     their bits, the dict order and bits of some of their post-states, and
-    the bits of those post-states handed over as arrays (``_projected``);
+    the bits of those post-states handed over as arrays (``_projected``, for
+    Counter records, which alone reach it, the indices in a shuffled order);
     or the error raised, by type and message."""
     with mock.patch.object(measure, "ARRAY_MIN_GROUP_TERMS", cut):
         try:
-            records = measure_modes(state, measured, model, lazy=True)
+            records = measure_modes(state, measured, model)
         except fock.FockError as exc:
             return None, type(exc), str(exc)
     shown = list(range(0, len(records), max(1, len(records) // 40)))
-    posts = [records[i][2]() for i in shown]
+    handed = np.random.default_rng(len(records)).permutation(shown).tolist()
     return (type(records.block).__name__, records.counts.dtype, _record_bits(records),
-            [(o.outcome, o.probability.hex(),
-              [(occ, a.real.hex(), a.imag.hex()) for occ, a in o.post_state._amp.items()])
-             for o in posts],
-            _terms_bits(measure._projected(records, shown[::-1])))
+            [(o.outcome, o.probability.hex(), _state_bits(o.post_state))
+             for o in map(records.__getitem__, shown)],
+            isinstance(model, Counter) and _terms_bits(measure._projected(records, handed)))
+
+
+def _state_bits(state):
+    """A state's terms in its dict order, every float by ``float.hex``."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state._amp.items()]
 
 
 class TestArrayGroups:
@@ -921,10 +930,9 @@ class TestArrayGroups:
         monkeypatch.setattr(measure, "_dict_groups", lambda *a: loops.append(1) or dict_groups(*a))
         cut = measure.ARRAY_MIN_GROUP_TERMS
         state = FockState(2, {(k, 2 * cut - k): 1.0 for k in range(cut - 1)})
-        assert isinstance(measure_modes(state, [0], lazy=True).block, measure._Groups)
+        assert isinstance(measure_modes(state, [0]).block, measure._Groups)
         state = FockState(2, {(k, 2 * cut - k): 1.0 for k in range(cut)})
-        for records in (measure_modes(state, [0], lazy=True),
-                        measure_modes(state, [1], Bucket(), lazy=True)):
+        for records in (measure_modes(state, [0]), measure_modes(state, [1], Bucket())):
             assert isinstance(records.block, measure._Block)
         assert postselect(state, [0], [3]).probability == pytest.approx(1 / len(state._amp))
         assert loops == [1]
@@ -946,3 +954,47 @@ class TestArrayGroups:
                                          protocols.BosonicQubit(2, 3), 4)
         assert res.succeeded is not None and groupings == [2770]
         assert calls == []
+
+
+class TestRecords:
+    """``measure_modes`` returns its ``_Records``: ``records[i]`` is made on
+    first read and kept, and its post-state, ``records.state(i)``, is
+    projected when its terms are first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(groupings(), st.booleans(), st.booleans(), st.data())
+    def test_read_outcomes_equal_the_eager_projection(self, grouping, arrays, bucket, data):
+        state, measured, model = grouping
+        if bucket and isinstance(model, FanoutCounter):
+            model = Bucket()
+        with mock.patch.object(measure, "ARRAY_MIN_GROUP_TERMS", 0 if arrays else 1 << 62):
+            try:
+                records = measure_modes(state, measured, model)
+            except fock.FockError:
+                return
+        assert isinstance(records.block, measure._Block if arrays else measure._Groups)
+        event(f"{type(model).__name__} on {type(records.block).__name__}")
+        i = data.draw(st.integers(0, len(records) - 1))
+        outcome = records[i]
+        assert records[i] is outcome and records[i - len(records)] is outcome
+        assert outcome.outcome == tuple(zip(records.measured, records.counts[i].tolist()))
+        assert outcome.probability.hex() == records.p[i].hex()
+        eager = measure._projection(records.modes, records.block(records.rows[i]),
+                                    records.weight.item(i))
+        assert _state_bits(outcome.post_state) == _state_bits(eager)
+        fixes = [("phase", 0, 0.7), ("swap", 0, records.modes - 1)] if records.modes else []
+        assert _state_bits(records.state(i, fixes)) == _state_bits(measure._corrected(eager, fixes))
+
+    def test_no_state_is_projected_until_a_post_state_is_read(self, monkeypatch):
+        calls = []
+        projection = measure._projection
+        monkeypatch.setattr(measure, "_projection", lambda *a: calls.append(1) or projection(*a))
+        state = FockState(2, {(k, 9 - k): complex(1, k) for k in range(10)})
+        records = measure_modes(state, [0])
+        outcomes = list(records)
+        assert len(outcomes) == 10 and sum(o.probability for o in outcomes) == pytest.approx(1)
+        assert calls == []
+        read = outcomes[3].post_state
+        assert dict(read.terms()) == {(6,): pytest.approx(complex(1, 3) / abs(complex(1, 3)))}
+        read.norm()
+        assert records[3].post_state is read and calls == [1]

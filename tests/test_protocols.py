@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fockworks import fock, protocols
+from fockworks import costs, fock, protocols, source
 from fockworks.fock import FockState, fidelity, number_state, tensor
 from fockworks.protocols import (
     BosonicQubit,
@@ -275,6 +275,35 @@ class TestResources:
     def test_unknown_kind(self):
         with pytest.raises(protocols.ProtocolError):
             make_resource("nope", 1)
+
+
+_RAIL = FockState(1, {(0,): 0.6, (1,): 0.8})
+_PAIR = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.8, 0.6))
+
+#: every entry point of a size, a cutoff or a trial count that is not an integer
+NOT_INTEGERS = {
+    "make_resource": lambda: make_resource("tn", 2.5),
+    "teleport_tn": lambda: protocols.teleport_tn(_RAIL, 0, 2.5),
+    "teleport_tn sampled": lambda: protocols.teleport_tn(_RAIL, 0, 2.5, rng=np.random.default_rng(1)),
+    "csign_teleported": lambda: protocols.csign_teleported(_PAIR, BosonicQubit(0, 1),
+                                                           BosonicQubit(2, 3), 2.5),
+    "parity_measure": lambda: protocols.parity_measure(_PAIR, 0, 2, 2.5),
+    "teleport_with_e": lambda: protocols.teleport_with_e(0.6, 0.8, n=2.5),
+    "distribute_entanglement": lambda: protocols.distribute_entanglement(2.5),
+    "prepare_tp_n": lambda: prepare_tp_n(1.5),
+    "prepare_p_prime": lambda: protocols.prepare_p_prime(1.5),
+    "combine_tp_to_tprime": lambda: protocols.combine_tp_to_tprime(1.5),
+    "make_trial": lambda: costs.make_trial("teleport", 2.5),
+    "SqueezeParam": lambda: source.SqueezeParam(0.3, cutoff=2.5),
+    "monte_carlo": lambda: costs.monte_carlo(lambda u: u < 0.5, 2.5, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_a_non_integer_size_is_refused_where_it_enters(name):
+    error = ValueError if name in ("SqueezeParam", "monte_carlo") else protocols.ProtocolError
+    with pytest.raises(error, match=r"integer.*got (2|1)\.5$"):
+        NOT_INTEGERS[name]()
 
 
 class TestTpPreparation:

@@ -389,8 +389,8 @@ class TestBranchesFromColumns:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_a_state_is_made_only_for_a_read_branch(self, name, monkeypatch):
         lazy = []
-        init = protocols._BranchState.__init__
-        monkeypatch.setattr(protocols._BranchState, "__init__",
+        init = measure._BranchState.__init__
+        monkeypatch.setattr(measure._BranchState, "__init__",
                             lambda state, *a: lazy.append(state) or init(state, *a))
         projections = _counting(monkeypatch, measure, "_projection")
         passes = _counting(monkeypatch, measure, "_pass_groups")
