@@ -1,34 +1,35 @@
 """Number-basis kernels: Glynn's permanent, the permanents of
 column-deleted minors, and the expansion of U|occ>.
 
-Both permanent forms read one walk (``_glynn_blocks``) over a cached table
-of sign vectors (``_signs``), in blocks of ``_SUBSET_BLOCK`` vectors past
-17 rows: the permanent is the weighted sum of the products of the column
-sums, and the minors take the same products less one column, from prefix
-and suffix products. Glynn's sum is D. G. Glynn, "The permanent of a
-square matrix", European J. Combin. 31 (2010).
+Both permanent forms read a cached table of sign vectors (``_signs``),
+walked (``_glynn_blocks``) in blocks of ``_SUBSET_BLOCK`` vectors past 17
+rows: the permanent is the weighted sum of the products of the column
+sums, one expression up to 17 rows, and the minors take the same products
+less one column, from prefix and suffix products. Glynn's sum is D. G.
+Glynn, "The permanent of a square matrix", European J. Combin. 31 (2010).
 
 The expansion is one computation (``_expand_arrays``), each photon step
 one ``np.bincount`` through a cached rank table built from a closed form
-(``_level``), read in two forms: arrays for the occupations of one
-photon total (``arrays=True``), and a dict for one occupation, expanded
-on the rows of the unitary that its filled columns reach, listing the
-outputs that its nonzero entries reach. Both forms keep the rows they
-compute in one store (``_ROWS``, one occupation under one unitary in one
-form each, least recently used dropped first past ``_ROW_FLOATS``),
-storing a row at the second request of its key within the last
-``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS sign
-flip, the balanced splitters and the Fourier multiports of the gates) is
-expanded once while a unitary seen once takes no memory. ``stored``
-keeps any other value there under the same rule and the same budget:
-``measure`` keeps the plans of its detection passes (keys, sort order and
-groups of a stack of occupations) in it. ``optics`` and ``measure`` reach
-the kernels through ``fockworks._backend.kernels``, one call per
-expansion, hit or not.
+(``_level``), over blocks of occupations whose products and slots fit one
+fixed workspace per thread (``_scratch``). It is read in two forms: arrays
+for the occupations of one photon total (``arrays=True``), and a dict for
+one occupation, expanded on the rows of the unitary that its filled
+columns reach, listing the outputs that its nonzero entries reach. Both
+forms keep their rows in one store (``_ROWS``, one occupation under one
+unitary in one form each, least recently used dropped first past
+``_ROW_FLOATS``), storing a row at the second request of its key within
+the last ``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS
+sign flip, the balanced splitters and the Fourier multiports of the
+gates) is expanded once while a unitary seen once takes no memory.
+``stored`` keeps any other value there under the same rule and budget:
+``measure`` keeps the plans of its detection passes in it. ``optics`` and
+``measure`` reach the kernels through ``fockworks._backend.kernels``, one
+call per expansion, hit or not.
 """
 
 import math
 import sys
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 from types import MappingProxyType
@@ -112,9 +113,12 @@ def permanent(mat):
     Ryser's sum over column subsets it cancels little: 16 photons stay
     within 1e-10 of the expansion.
     The 0x0 matrix has permanent 1 (empty product), matching the vacuum
-    amplitude.
+    amplitude. Up to 17 rows one expression has the walk's bits (its 0 + too).
     """
     mat = np.asarray(mat, dtype=complex)
+    if len(mat) <= _SUBSET_BLOCK.bit_length():
+        d, w = _signs(len(mat))
+        return complex(0 + np.multiply.reduce(mat.T @ d, axis=0) @ w)
     return complex(sum(np.multiply.reduce(sums, axis=0) @ w for sums, w in _glynn_blocks(mat)))
 
 
@@ -143,6 +147,20 @@ def permanent_minors(mat):
     return minors
 
 
+#: Floats in each thread's workspace (``_scratch``), 512 KiB, which an L2
+#: cache holds: ``_expand_arrays`` and ``optics._evolved`` work in blocks of it.
+_STEP_BLOCK = 1 << 16
+
+
+class _Workspace(threading.local):
+    """A thread's own ``_STEP_BLOCK`` floats (numpy writes them without the GIL)."""
+
+    def __init__(self):
+        self.floats = np.empty(_STEP_BLOCK)
+
+
+_WORK = _Workspace()
+
 #: Most entries (child slots and occupation counts) the rank tables keep
 #: cached; a level that would pass it is built for its call and dropped.
 _TABLE_ENTRIES = 1 << 22
@@ -153,9 +171,9 @@ _table_entries = 0
 
 #: Most floats' worth of memory (8 bytes each) the stored expansion rows
 #: and pass plans hold, with their keys and the store's own table
-#: (``_floats``): 6 MiB, the next MiB past the 5.7 MiB that the exact
-#: Fourier detections of ``teleport_tn`` n=8 and ``csign_teleported`` n=4
-#: keep between them.
+#: (``_floats``): 6 MiB, past the 4.4 MiB that the exact Fourier
+#: detections of ``teleport_tn`` n=8 and ``csign_teleported`` n=4 keep
+#: between them.
 _ROW_FLOATS = 6 << 17
 #: Missed row keys remembered, so that a second request stores its row.
 _RECENT_KEYS = 256
@@ -385,49 +403,68 @@ def _expand_arrays(u, occs, keep=True):
     """``(counts, re, im)`` of every row of ``occs`` under ``u``, whose
     rows are the output modes: one ``np.bincount`` per photon step, at
     slot owner * n + child, exact zeros multiplied in, over rank tables
-    cached with ``keep`` (``_level``).
+    cached with ``keep`` (``_level``), in blocks of owners whose widest step
+    (the last: two products and a slot per owner, mode and parent) fits the
+    thread's workspace (``_scratch``; a wider owner's wide steps allocate).
 
-    Each slot adds its products from 0.0, formed as CPython forms them, in
-    the order in which a photon-by-photon loop over the nonzero entries of
-    ``u`` first reaches their parents: the rank order, every output listed,
-    while the filled columns hold no exact zero; past one, only the outputs
-    the loop reaches, in its order (a zero product changes no sum).
+    Each slot, an owner's own, adds its products from 0.0, formed as CPython
+    forms them, in the order in which a photon-by-photon loop over the
+    nonzero entries of ``u`` first reaches their parents: the rank order,
+    every output listed, while the filled columns hold no exact zero; past
+    one (one owner), only the outputs the loop reaches, in its order.
     """
     owners, m = occs.shape
     t = int(occs[0].sum())
     table = np.array(_sqrt_factorials(t)[:t + 1])  # before expanding: it raises past the float range
-    # the column of each photon, columns ascending
+    # the column of each photon, columns ascending, and each step's rank table and size
     cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
-    counts = np.zeros((1, len(u)), dtype=np.uint8)
-    re, im = np.ones((owners, 1)), np.zeros((owners, 1))
-    filled = np.flatnonzero(occs.any(axis=0))
-    # each step's parents in the loop's order: all of them, in rank order, without a zero
-    order, zeros = slice(None), not u[:, filled].all()
+    counts, levels = np.zeros((1, len(u)), dtype=np.uint8), []
     for s in range(t):
         child, counts = _level(len(u), s + 1, counts, keep)
-        n = len(counts)
-        c = u[::-1, cols[:, s]].T[:, :, None]
-        # owner, mode descending, parent: amp * c as CPython forms it,
-        # (ar cr - ai ci, ar ci + ai cr)
-        parts = child[:, order], re[:, None, order], im[:, None, order], c.real, c.imag
-        if zeros:
-            # one owner, parent by parent: a slot adds its products in its parents' order
-            parts = [np.swapaxes(part, -1, -2) for part in parts]
-        kids, ar, ai, cr, ci = parts
-        slot = (np.arange(owners)[:, None] * n + kids.ravel()).ravel()
-        re = np.bincount(slot, (ar * cr - ai * ci).ravel(), owners * n).reshape(owners, n)
-        im = np.bincount(slot, (ar * ci + ai * cr).ravel(), owners * n).reshape(owners, n)
-        if zeros:
-            # the children through a nonzero entry as the loop reaches them,
-            # parents in order, modes ascending: first reached first
-            ranks, first = np.unique(kids[:, ::-1][:, u[:, cols[0, s]] != 0], return_index=True)
-            order = ranks[np.argsort(first)]
-    counts, re, im = counts[order], re[:, order], im[:, order]
-    factor, scale = np.ones(len(counts)), np.ones((owners, 1))
-    for j in range(len(u)):
-        factor *= table[counts[:, j]]
+        levels.append((child, len(counts)))
+    filled = np.flatnonzero(occs.any(axis=0))
+    zeros, scale = not u[:, filled].all(), np.ones((owners, 1))
     for j in filled:
         scale *= table[occs[:, j, None]]
-    g = factor / scale
-    # amp * g for a float g is the product with complex(g, 0.0)
-    return counts, re * g - im * 0.0, re * 0.0 + im * g
+    block = max(1, _STEP_BLOCK // max(3 * len(u) * (levels[-1][0].shape[1] if t else 1), 1))
+    for start in range(0, owners, block):
+        rows, b = slice(start, start + block), min(block, owners - start)
+        # each step's parents in the loop's order: all of them, in rank order, without a zero
+        re, im, order = np.ones((b, 1)), np.zeros((b, 1)), slice(None)
+        for s, (child, n) in enumerate(levels):
+            c = u[::-1, cols[rows, s]].T[:, :, None]
+            # owner, mode descending, parent: amp * c as CPython forms it,
+            # (ar cr - ai ci, ar ci + ai cr)
+            parts = child[:, order], re[:, None, order], im[:, None, order], c.real, c.imag
+            if zeros:
+                # parent by parent: a slot adds its products in its parents' order
+                parts = [np.swapaxes(part, -1, -2) for part in parts]
+            kids, ar, ai, cr, ci = parts
+            x, y, slot = _scratch(b * kids.size).reshape(3, b, *kids.shape)
+            slot = np.add(np.arange(0, b * n, n)[:, None, None], kids, out=slot.view(np.int64)).ravel()
+            np.subtract(np.multiply(ar, cr, out=x), np.multiply(ai, ci, out=y), out=x)
+            sums = np.bincount(slot, x.ravel(), b * n).reshape(b, n)
+            np.add(np.multiply(ar, ci, out=x), np.multiply(ai, cr, out=y), out=x)
+            re, im = sums, np.bincount(slot, x.ravel(), b * n).reshape(b, n)
+            if zeros:
+                # the children through a nonzero entry as the loop reaches them,
+                # parents in order, modes ascending: first reached first
+                ranks, first = np.unique(kids[:, ::-1][:, u[:, cols[start, s]] != 0], return_index=True)
+                order = ranks[np.argsort(first)]
+        if not start:
+            counts = counts[order]
+            factor = np.multiply.reduce(table[counts], axis=1)  # mode by mode, as a loop multiplies
+            re_out, im_out = np.empty((owners, len(counts))), np.empty((owners, len(counts)))
+        # amp * g for a float g is the product with complex(g, 0.0): (re g - im 0.0, re 0.0 + im g)
+        re, im = re[:, order], im[:, order]
+        g, re0, im0 = _scratch(re.size).reshape(3, *re.shape)
+        np.divide(factor, scale[rows], out=g)
+        np.subtract(np.multiply(re, g, out=re_out[rows]), np.multiply(im, 0.0, out=im0), out=re_out[rows])
+        np.add(np.multiply(re, 0.0, out=re0), np.multiply(im, g, out=im_out[rows]), out=im_out[rows])
+    return counts, re_out, im_out
+
+
+def _scratch(size, count=3):
+    """``count`` rows of ``size`` floats: in this thread's workspace if they fit, else fresh."""
+    work = _WORK.floats if count * size <= _STEP_BLOCK else np.empty(count * size)
+    return work[:count * size].reshape(count, size)

@@ -11,7 +11,7 @@ from numbers import Integral
 import numpy as np
 
 from . import optics, protocols
-from .fock import FockState, tensor
+from .fock import BudgetExceeded, FockState, tensor
 from .measure import _drawer
 from .protocols import BosonicQubit, encode_qubit
 
@@ -68,6 +68,9 @@ def cost_model(name: str, n: int = 1) -> CostModel:
     if name == "b4prime":
         return CostModel("b4prime", 4 + 2 * ns1_elements, 4, 4, 1 / 16)
     if name == "teleport":
+        if n >= 1 and (n + 1) ** 2 > optics.MAX_EVOLVED_TERMS:  # the multiport is built and kept per n
+            raise BudgetExceeded(f"the teleport cost model at n = {n} decomposes a multiport of "
+                                 f"{(n + 1) ** 2} entries; the limit is {optics.MAX_EVOLVED_TERMS}")
         fourier = len(optics.decompose_reck(optics.fourier_matrix(n)).elements)
         return CostModel(f"teleport(n={n})", fourier, n + 1, n, n / (n + 1))
     raise ValueError(f"no cost model for {name!r}")
@@ -270,8 +273,8 @@ def s_recursion_table(n_max: int, c1: float = 1.0, c2: float = 1.0,
     for the crossover comparison. Growth is subexponential: log S(n)/n is
     eventually decreasing.
     """
-    if n_max < 1 or c1 <= 0 or c2 <= 0 or base <= 0:
-        raise ValueError("need n_max >= 1 and positive constants")
+    if not isinstance(n_max, Integral) or n_max < 1 or c1 <= 0 or c2 <= 0 or base <= 0:
+        raise ValueError(f"need an integer n_max >= 1 and positive constants, got n_max = {n_max!r}")
     log_s = [0.0] * (n_max + 1)
     log_s[1] = math.log(base)
     for n in range(2, n_max + 1):

@@ -610,7 +610,7 @@ def _pass_groups(run, terms, mat, modes):
 def _pass_plan(occ, states, count, modes):
     """The plan of a pass over the stacked occupations ``occ`` of ``count``
     states, ``states`` the state of each row: ``(evolution, order, group,
-    counts, firsts)``, the evolution's keys, slots, parts and layout
+    counts, firsts)``, the evolution's keys, offsets, parts and layout
     (``optics._evolution_plan``), the permutation that sorts the keys
     (int32), the group of each sorted key (int32), each group's count
     pattern and where each state's groups start, then their end. A group is

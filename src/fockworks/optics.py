@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
+from numbers import Integral
 
 import numpy as np
 
@@ -119,8 +120,8 @@ def element_matrix(element: OpticalElement) -> ModeUnitary:
 def fourier_matrix(n: int) -> ModeUnitary:
     """(n+1)-point Fourier transform, entries w^{kl} / sqrt(n+1); built and
     checked once per n, then shared (a ModeUnitary is never mutated)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1, got {n!r}")
     dim = n + 1
     k = np.arange(dim)
     mat = np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
@@ -269,8 +270,8 @@ def _evolve_dicts(terms, subs, mat, modes):
 def _evolution_plan(occ, modes, states=None):
     """What ``_evolve_dicts`` does, on keys that the amplitudes and the
     unitary's values leave alone, for terms stacked as the rows of ``occ``
-    (``_as_rows``): ``(keys, slot, parts, layout)``, the output's keys in the
-    dict's order, the slot of every product in that order, per photon
+    (``_as_rows``): ``(keys, offset, parts, layout)``, the output's keys in
+    the dict's order, the slot of each term's first product, per photon
     total, in order of first appearance, ``(occs, terms, rows)``: its
     distinct sub-occupations, sorted, expanded in one kernel call, the rows
     of its terms and each term's row in that call, and how the keys read
@@ -304,18 +305,16 @@ def _evolution_plan(occ, modes, states=None):
         patterns, position[order] = patterns[order], np.arange(len(patterns))
         base = states * (len(patterns) * len(rests)) + rest
     grouped = list(zip(base.tolist(), totals_list))
-    groups = dict.fromkeys(grouped)
+    groups = dict(zip(grouped, range(len(grouped))))  # a term of each group, any: its keys are the group's
     ends = list(accumulate(len(counts[t]) for _, t in groups))
     offset = np.array(list(map(dict(zip(groups, [0] + ends)).__getitem__, grouped)))
-    keys = np.empty(ends[-1], dtype=np.int64)
-    slots, parts = [], []
+    keys, leads, parts = np.empty(ends[-1], dtype=np.int64), np.array(list(groups.values())), []
     for t in counts:
-        terms, ids = np.flatnonzero(totals == t), np.flatnonzero(sums == t)
-        slot = (offset[terms, None] + np.arange(len(counts[t]))).ravel()
-        keys[slot] = (base[terms, None] + position[at[t]:at[t] + len(counts[t])] * len(rests)).ravel()
-        slots.append(slot)
+        terms, ids, lead = np.flatnonzero(totals == t), np.flatnonzero(sums == t), leads[totals[leads] == t]
+        slot = (offset[lead, None] + np.arange(len(counts[t]))).ravel()
+        keys[slot] = (base[lead, None] + position[at[t]:at[t] + len(counts[t])] * len(rests)).ravel()
         parts.append((distinct[ids], terms, np.searchsorted(ids, sub[terms])))
-    return keys, np.concatenate(slots), tuple(parts), _Keys((patterns, rests, modes))
+    return keys, offset, tuple(parts), _Keys((patterns, rests, modes))
 
 
 class _Keys(tuple):
@@ -388,17 +387,28 @@ def _evolved(plan, re, im, mat):
     order of the keys of ``plan`` (``_evolution_plan``), for terms whose
     amplitudes have the real and imaginary parts ``re`` and ``im``, with
     the bits of ``_evolve_dicts``: each total's products, amp * coeff as
-    CPython forms it, in term order, summed from 0.0 by one ``np.bincount``."""
-    keys, slot, parts, _ = plan
-    real, imag = [], []
+    CPython forms it, in term order, added from 0.0 at their term's offset
+    plus their rank by ``np.add.at``, formed a block of terms at a time in
+    the kernels' workspace (``kernels._scratch``)."""
+    keys, offset, parts, _ = plan
+    real, imag = np.zeros(len(keys)), np.zeros(len(keys))
     for occs, terms, rows in parts:
         _, cre, cim = kernels.expand_basis_state(mat, occs, arrays=True)
-        ar, ai = re[terms, None], im[terms, None]
-        cr, ci = cre[rows], cim[rows]
-        real.append((ar * cr - ai * ci).ravel())
-        imag.append((ar * ci + ai * cr).ravel())
-    return (np.bincount(slot, np.concatenate(real), len(keys)),
-            np.bincount(slot, np.concatenate(imag), len(keys)))
+        n = cre.shape[1]
+        block = max(1, kernels._STEP_BLOCK // (5 * n))
+        for start in range(0, len(terms), block):
+            which, row = terms[start:start + block], rows[start:start + block]
+            cr, ci, x, y, slot = kernels._scratch(len(row) * n, 5).reshape(5, len(row), n)
+            slot = np.add(offset[which, None], np.arange(n), out=slot.view(np.int64)).ravel()
+            # mode "clip" takes into ``out`` unbuffered: the rows are in range
+            np.take(cre, row, axis=0, out=cr, mode="clip")
+            np.take(cim, row, axis=0, out=ci, mode="clip")
+            ar, ai = re[which, None], im[which, None]
+            np.subtract(np.multiply(ar, cr, out=x), np.multiply(ai, ci, out=y), out=x)
+            np.add.at(real, slot, x.ravel())
+            np.add(np.multiply(ar, ci, out=x), np.multiply(ai, cr, out=y), out=x)
+            np.add.at(imag, slot, x.ravel())
+    return real, imag
 
 
 def _unpack(keys, re, im, layout):
@@ -445,13 +455,8 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     if total - 1 >= MAX_EVOLVED_TERMS.bit_length():  # 2^(total - 1) > MAX_EVOLVED_TERMS
         raise BudgetExceeded(f"{total} photons: their permanent walks 2^{total - 1} sign vectors; "
                              f"the limit is {MAX_EVOLVED_TERMS}")
-    cols = [l for l, k in enumerate(occ_in) for _ in range(k)]
-    rows = [m for m, k in enumerate(occ_out) for _ in range(k)]
-    sqrt_fact = kernels._sqrt_factorials(total)
-    scale = 1.0
-    for k in occ_in + occ_out:
-        scale *= sqrt_fact[k]
-    return kernels.permanent(u.matrix.take(rows, 0).take(cols, 1)) / scale
+    scale = math.prod(map(kernels._sqrt_factorials(total).__getitem__, occ_in + occ_out))
+    return kernels.permanent(u.matrix.repeat(occ_out, axis=0).repeat(occ_in, axis=1)) / scale
 
 
 def compose(seq: ElementSequence) -> ModeUnitary:

@@ -935,6 +935,7 @@ def combine_tp_to_tprime(n: int, strategy: str = "ideal", rng=None,
     equiprobable outcomes; pi shifts on the b-modes of the flagged halves
     turn every outcome into the target resource.
     """
+    _check_size(n, "combine_tp_to_tprime")
     copies = copies or (make_resource("tpn", n).state,) * 2
     width = 2 * n + 2
     state = tensor(copies[0], copies[1])

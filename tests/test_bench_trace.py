@@ -1,4 +1,5 @@
-"""The benchmark's traced pass over exact branches, checked without a clock."""
+"""The benchmark's traced passes, checked without a clock: the ops of each
+workload reach every span its pass requires."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +37,39 @@ def test_exact_gates_reach_every_span_the_traced_pass_requires():
     assert {"optics.apply_unitary", "optics.expand", "measure.measure_modes", "fock.construct",
             "fock.phase_on_mode"} <= set(required)
     assert [name for name in required if not tracer.count[name]] == []
+
+
+def _traced_cycle(workload, spans):
+    """One cycle of ``workload``'s ops, traced as perfbench's traced pass
+    traces them: after its warm-up op and one untraced cycle, with the
+    checks run once the tracer is removed. Returns the tracer."""
+    cycle = len(workload.cycle)
+    warm = workload.warmup()
+    warm.check(warm.run())
+    for i in range(cycle):
+        op = workload.op(i)
+        op.check(op.run())
+    ops = [workload.op(i) for i in range(cycle, 2 * cycle)]
+    with spans.Tracer() as tracer:
+        outs = []
+        for op in ops:
+            tracer.sampled = op.sampled
+            outs.append(op.run())
+    for op, out in zip(ops, outs):
+        op.check(out)
+    return tracer
+
+
+def test_evolution_and_sampling_reach_every_span_the_traced_pass_requires():
+    """One full-size op of perfbench's ``evolution`` (a 40-term, 5-photon,
+    8-mode ``apply_unitary`` and its 160 permanent oracle calls) and one
+    full-size cycle of ``sampling`` (a Monte-Carlo batch of each protocol and
+    two sampled ``teleport_tn`` n=6 trajectories) call every span their
+    traced passes must record (``Evolution.must_hit``,
+    ``Sampling.must_hit``): a kernel or oracle change that would make either
+    pass exit 1 fails here first."""
+    spans, workloads = _bench_module("spans"), _bench_module("workloads")
+    for workload in (workloads.Evolution(1, 0, "full"), workloads.Sampling(1, 0, "full")):
+        tracer = _traced_cycle(workload, spans)
+        assert {"optics.apply_unitary", "optics.expand"} <= set(workload.must_hit)
+        assert [name for name in workload.must_hit if not tracer.count[name]] == [], workload.name

@@ -20,6 +20,8 @@ from fockworks.costs import (
     trial_from,
     trial_stats_csv,
 )
+from fockworks.fock import BudgetExceeded
+from fockworks.optics import fourier_matrix
 
 
 class TestExpectedTrials:
@@ -53,6 +55,22 @@ class TestCostModel:
         small, large = cost_model("teleport", n=1), cost_model("teleport", n=3)
         assert large.detectors == 4 and small.detectors == 2
         assert abs(large.success_probability - 0.75) < 1e-12
+
+    def test_a_teleport_multiport_past_the_budget_is_refused_before_it_is_built(self, monkeypatch):
+        # (n + 1)^2 entries: n = 1413 builds 1,999,396 of them, within the
+        # budget; n = 1414 and beyond are refused without building
+        built = []
+        monkeypatch.setattr(costs.optics, "fourier_matrix", lambda n: built.append(n) or fourier_matrix(1))
+        cost_model("teleport", 1413)
+        for n in (1414, 10**6, 2**62):
+            with pytest.raises(BudgetExceeded, match=f"^the teleport cost model at n = {n} decomposes "
+                                                      f"a multiport of {(n + 1) ** 2} entries"):
+                cost_model("teleport", n)
+        assert built == [1413]
+
+    def test_a_non_integer_teleport_size_is_refused_before_the_multiport_is_built(self):
+        with pytest.raises(ValueError, match=r"integer n >= 1, got 2\.5$"):
+            cost_model("teleport", 2.5)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -235,6 +253,10 @@ class TestRecursionTable:
         data = json.loads(json.dumps(table.to_json()))
         assert data["n_max"] == 10
         assert len(data["log_s"]) == 10
+
+    def test_rejects_a_non_integer_size(self):
+        with pytest.raises(ValueError, match=r"integer n_max >= 1 .*got n_max = 2\.5$"):
+            s_recursion_table(2.5)
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -73,7 +74,8 @@ class TestPermanent:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_blocks_of_subsets_match_enumeration(self, kernels, k, rng, monkeypatch):
         # blocks of 4 sign vectors: the table covers 3 rows, and each row
-        # past them doubles the blocks of the walk
+        # past them doubles the blocks of the walk; a permanent of at most 3
+        # rows is one expression over the table and walks no block
         blocks = []
         walk = kernels._glynn_blocks
 
@@ -91,8 +93,9 @@ class TestPermanent:
             want = permanent_by_enumeration(np.delete(mat[1:], l, axis=1))
             assert abs(minors[l] - want) < 1e-10 * max(1.0, abs(want))
         assert all(size <= 4 for _, size in blocks)
-        for rows in (k, k - 1):
-            assert [r for r, _ in blocks].count(rows) == max(1, 2 ** (rows - 3))
+        walked = [r for r, _ in blocks]
+        assert walked.count(k) == (2 ** (k - 3) if k > 3 else 0)
+        assert walked.count(k - 1) == max(1, 2 ** (k - 4))
 
     def test_twenty_rows_keep_their_precision_and_memory_bound(self, kernels):
         # 2^19 sign vectors walked in eight blocks; the sign table is built
@@ -127,6 +130,30 @@ class TestPermanentInvariants:
         value = kernels.permanent(mat)
         assert abs(mat[-1] @ kernels.permanent_minors(mat[:-1]) - value) < 1e-10
         assert abs(kernels.permanent(mat[row_order][:, col_order]) - value) < 1e-10
+
+
+@st.composite
+def zeroed_matrices(draw):
+    """An r x r complex Gaussian matrix, r = 0..8, some of whose entries are
+    exact zeros, each part +0.0 or -0.0."""
+    r = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    zeros = [None, complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for i, zero in enumerate(draw(st.lists(st.sampled_from(zeros), min_size=r * r, max_size=r * r))):
+        if zero is not None:
+            mat.flat[i] = zero
+    return mat
+
+
+class TestSmallPermanent:
+    @settings(max_examples=200, deadline=None)
+    @given(zeroed_matrices())
+    def test_one_expression_has_the_walks_bits(self, mat):
+        # the walk's sum, 0 + its one block: a -0.0 part comes out +0.0
+        walked = complex(sum(np.multiply.reduce(sums, axis=0) @ w for sums, w in KERNELS._glynn_blocks(mat)))
+        value = KERNELS.permanent(mat)
+        assert (value.real.hex(), value.imag.hex()) == (walked.real.hex(), walked.imag.hex())
 
 
 class TestTransitionAmplitude:
@@ -670,6 +697,110 @@ class TestExpansionRows:
 def _occupations(m, t):
     """The occupations of ``t`` photons in ``m`` modes."""
     return (c for c in itertools.product(range(t + 1), repeat=m) if sum(c) == t)
+
+
+def _rows_bits(counts, re, im):
+    """``_expand_arrays``' result, one row per occupation, as ``_array_bits`` lists it."""
+    outs = list(map(tuple, counts.tolist()))
+    return [[(out, r.hex(), i.hex()) for out, r, i in zip(outs, row_re, row_im)]
+            for row_re, row_im in zip(re.tolist(), im.tolist())]
+
+
+def _stack(rng, m, t, owners):
+    """A Haar unitary of ``m`` modes and ``owners`` distinct occupations of ``t`` photons."""
+    basis = list(_occupations(m, t))
+    picks = rng.choice(len(basis), owners, replace=False)
+    return random_unitary(m, rng).matrix, np.array([basis[j] for j in picks])
+
+
+class TestBlocks:
+    """A stack's owners are expanded in blocks that fit the workspace of
+    ``_STEP_BLOCK`` floats: their bits do not depend on the block."""
+
+    # 7 occupations of 3 photons on 4 modes: the last step takes 3 * 4 * 10 =
+    # 120 floats per owner, and the block sizes each scaling call reports
+    @pytest.mark.parametrize("floats, blocks", [(120, [1] * 7), (240, [2, 2, 2, 1]), (360, [3, 3, 1]),
+                                                (100, [1] * 7), (1 << 16, [7])],
+                             ids=["one owner", "two", "uneven last", "owner wider than the block", "default"])
+    def test_blocks_equal_the_loop_bit_for_bit(self, monkeypatch, rng, floats, blocks):
+        u, occs = _stack(rng, 4, 3, 7)
+        reference = [_loop_bits(u, occ) for occ in occs.tolist()]
+        work, calls, scratch = KERNELS._WORK.floats, [], KERNELS._scratch
+        monkeypatch.setattr(KERNELS, "_STEP_BLOCK", floats)
+        monkeypatch.setattr(KERNELS, "_scratch", lambda size: calls.append(size) or scratch(size))
+        assert _rows_bits(*KERNELS._expand_arrays(u, occs)) == reference
+        # three steps and a scaling per block, 20 outputs per owner; the workspace is never grown
+        assert [size // 20 for size in calls[3::4]] == blocks
+        assert KERNELS._WORK.floats is work and len(work) == 1 << 16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(zero_columns(), splitter_networks()), st.sampled_from([1, 12, 100]))
+    def test_dict_rows_in_small_blocks_equal_the_loop_bit_for_bit(self, case, floats):
+        # one owner with exact zeros, 0..6 photons, a vacuum sub-occupation
+        # among them; 1 float fits no step, so every step allocates
+        u, occ = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KERNELS, "_STEP_BLOCK", floats)
+            assert _bits_of(KERNELS._expand_dict(u, occ)) == _loop_bits(u, occ)
+
+    def test_a_vacuum_and_no_photons_in_small_blocks(self, monkeypatch, rng):
+        u = random_unitary(3, rng).matrix
+        monkeypatch.setattr(KERNELS, "_STEP_BLOCK", 1)
+        # a vacuum's support is empty: the dict row of no mode
+        assert _bits_of(KERNELS._expand_dict(u, (0, 0, 0))) == _loop_bits(u, (0, 0, 0))
+        # t = 0: no step, one output per owner, in blocks of one
+        assert _rows_bits(*KERNELS._expand_arrays(u, np.zeros((3, 3), dtype=np.int64))) == [
+            _loop_bits(u, (0, 0, 0))] * 3
+
+    def test_uncached_levels_in_blocks(self, empty_rows, monkeypatch, rng):
+        u, occs = _stack(rng, 4, 3, 7)
+        monkeypatch.setattr(KERNELS, "_STEP_BLOCK", 240)
+        assert _rows_bits(*KERNELS._expand_arrays(u, occs, keep=False)) == [
+            _loop_bits(u, occ) for occ in occs.tolist()]
+        assert not KERNELS._TABLES
+
+    def test_two_threads_expand_their_own_stacks_with_the_serial_bits(self):
+        rng = np.random.default_rng(11)
+        stacks = [_stack(rng, 8, 5, 40) for _ in range(6)]
+        serial = [_rows_bits(*KERNELS._expand_arrays(u, occs)) for u, occs in stacks]  # builds the tables
+        results, works = {}, {}
+
+        def run(i):
+            works[i] = KERNELS._WORK.floats
+            results[i] = [[_rows_bits(*KERNELS._expand_arrays(u, occs)) for u, occs in stacks[i::2]]
+                          for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not np.shares_memory(works[0], works[1])
+        assert results == {i: [serial[i::2]] * 3 for i in range(2)}
+
+    def test_a_cold_stack_takes_its_outputs_and_a_fixed_slack(self, rng):
+        """One cold expansion of 40 occupations of 5 photons on 8 modes (the
+        stack of perfbench's ``evolution``) peaks at its two output arrays,
+        506,880 bytes, and at most 320 KiB more: the sums of one block's last
+        two steps and numpy's cast buffers (254 KiB here). The whole stack
+        at once, the products and slots of every owner, peaked at 3,136,436
+        bytes."""
+        u, occs = _stack(rng, 8, 5, 40)
+        KERNELS.outputs(8, 5)  # the rank tables, built outside the trace
+        tracemalloc.start()
+        try:
+            counts, re, im = KERNELS._expand_arrays(u, occs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert re.nbytes + im.nbytes == 506_880
+        assert peak <= re.nbytes + im.nbytes + 320 * 1024
 
 
 def _state_bits(state):

@@ -85,6 +85,12 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier_matrix(0)
 
+    def test_requires_an_integer_n_before_building(self, monkeypatch):
+        # a 2.5-point transform is no unitary: refused before np.exp builds it
+        monkeypatch.setattr(np, "exp", None)
+        with pytest.raises(ValueError, match=r"^need an integer n >= 1, got 2\.5$"):
+            fourier_matrix(2.5)
+
     def test_repeated_calls_share_one_matrix(self):
         f = fourier_matrix(4)
         assert fourier_matrix(4) is f and fourier_matrix(3) is not f

@@ -293,6 +293,8 @@ NOT_INTEGERS = {
     "prepare_tp_n": lambda: prepare_tp_n(1.5),
     "prepare_p_prime": lambda: protocols.prepare_p_prime(1.5),
     "combine_tp_to_tprime": lambda: protocols.combine_tp_to_tprime(1.5),
+    "combine_tp_to_tprime copies": lambda: protocols.combine_tp_to_tprime(
+        1.5, copies=(make_resource("tpn", 1).state,) * 2),
     "make_trial": lambda: costs.make_trial("teleport", 2.5),
     "SqueezeParam": lambda: source.SqueezeParam(0.3, cutoff=2.5),
     "monte_carlo": lambda: costs.monte_carlo(lambda u: u < 0.5, 2.5, 1),
