@@ -164,6 +164,7 @@ FIELD_CASES = {
     **{f"csign_teleported_n{n}": (lambda n=n: _csign(n)) for n in (2, 4)},
     "parity_measure_n3": lambda: _parity(3),
     "teleport_with_e_n3": lambda: protocols.teleport_with_e(0.6, 0.8j, n=3),
+    "distribute_entanglement_n3": lambda: protocols.distribute_entanglement(3),
     **SMALL,
 }
 
