@@ -6,16 +6,17 @@ pair (occupation 01), logical |1> is one photon in the first (10).
 Every gadget returns a ProtocolResult. With ``rng=None`` the gadget is
 evaluated analytically: every outcome of every detection is listed with its
 exact probability. With an ``rng`` one trajectory is drawn stage by stage,
-and each stage lists only its drawn outcome. Every detection is one stage
-of ``_detect``: it counts some modes (after a mode unitary, for the Fourier
-multiports) into ``measure._Records``, the branch record, and classifies
-the whole stage at once (``_classified``) into a ``_Branches``, exact or
-sampled: the ``p`` and ``ok`` columns, from which the resolver
-(``_resolve``) and the probabilities are read, and a branch's dict, built
-from the records' ``counts``, ``p`` and ``state`` only when the branch
-is read. A sampled list is the same type with one row. A two-stage gadget
-lists the first stage's failures and the second stage's branches on each
-first-stage success, ``p`` the product of the two. The output is the
+and each stage lists only its drawn outcome. A detection counts some modes
+(after a mode unitary, for the Fourier multiports) into ``measure._Records``,
+the branch record; one stage is classified at once (``_detect``) into a
+``_Branches``, exact or sampled: the ``p`` and ``ok`` columns, from which
+the resolver (``_resolve``) and the probabilities are read, and a branch's
+dict, built from the records only when the branch is read. A sampled list
+is the same type with one row. A two-stage gadget (the sign-flip pair, a
+teleported gate, the sign decode or local readout after a parity check)
+runs stage 2 on each stage-1 row it expands, in row order, and ``_splice``
+lists both as one ``_Branches``: each expanded row gives way to its stage-2
+rows, ``p`` the product of the two. The output is the
 resolved branch, the first success (the post-selected view), and
 ``_result`` assembles the result: exact, it reports the success
 probability and the whole list as ``details["branches"]``; sampled,
@@ -173,13 +174,6 @@ class _Branches(Sequence):
         self.p, self.ok = np.asarray(p, dtype=float), np.asarray(ok, dtype=bool)
         self._build, self._dicts = build, [None] * len(p)
 
-    @classmethod
-    def of(cls, dicts):
-        """The list ``dicts`` of built branches."""
-        branches = cls([b["p"] for b in dicts], [b["ok"] for b in dicts], None)
-        branches._dicts = list(dicts)
-        return branches
-
     def __len__(self):
         return len(self.p)
 
@@ -215,6 +209,38 @@ def _added(values):
     total = np.add.accumulate(np.asarray(values, dtype=float))
     # 0.0 + x is x, but for x = -0.0
     return float(total[-1]) + 0.0 if len(total) else 0.0
+
+
+def _splice(p1, ok1, expand, seconds, row, kept_first=False, ok2=None, columns=()):
+    """(branches, first): a two-stage gadget's ``_Branches`` and each row's
+    stage-1 row. The stage-1 rows (``p1``, ``ok1``) keep their order (with
+    ``kept_first``, those not expanded go first); a row with ``expand`` set
+    gives way to the rows of the next of ``seconds``, its stage-2 list, whose
+    ``p`` is p1 * p2 and ``ok`` their own (or ``ok2``). ``row(p, i, two)``
+    makes a row's dict from stage-1 row i: ``two`` is None, or (at, j, ...)
+    for row j of ``seconds[at]`` and its entries of the stage-2 ``columns``."""
+    sizes = np.array([len(two) for two in seconds], dtype=np.int64)
+    spans = np.ones(len(p1), dtype=np.int64)
+    spans[expand] = sizes
+    order = np.argsort(expand, kind="stable") if kept_first else np.arange(len(p1))
+    first = np.repeat(order, spans[order])
+    staged = expand[first]
+    second = np.cumsum(staged) - staged  # the stage-2 rows before a row: its own if staged
+    p, ok = p1[first], ok1[first]
+    p[staged] *= np.concatenate([p[:0]] + [two.p for two in seconds])
+    ok[staged] = np.concatenate([ok[:0]] + [two.ok for two in seconds]) if ok2 is None else ok2
+    # each stage-2 row's list and its row there
+    where = (np.repeat(np.arange(len(sizes)), sizes),
+             np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+
+    def build(start, stop):
+        # a run of rows holds one run of stage-2 rows, converted together
+        lo, hi = second[start], second[stop - 1] + staged[stop - 1]
+        twos = zip(*(column[lo:hi].tolist() for column in where + columns))
+        return [row(pg, i, next(twos) if two else None) for pg, i, two in
+                zip(p[start:stop].tolist(), first[start:stop].tolist(), staged[start:stop].tolist())]
+
+    return _Branches(p, ok, build), first
 
 
 def _resolve(branches):
@@ -450,15 +476,19 @@ def csign_modes_ns(state: FockState, mode_x: int, mode_y: int, rng=None) -> Prot
     ``stage`` and ``heralds``, the (p, pattern) of each detection passed."""
     work = apply_unitary(state, _balanced(1), [mode_x, mode_y])
     xs = _ns_stage(work, mode_x, rng)
-    branches = [dict(b, stage="ns-x", heralds=[(b["p"], b["pattern"])]) for b in xs if not b["ok"]]
-    for bx in filter(lambda b: b["ok"], xs):
-        for by in _ns_stage(bx["state"], mode_y, rng):
-            by.update(stage="ns-y", p=bx["p"] * by["p"],
-                      heralds=[(bx["p"], bx["pattern"]), (by["p"], by["pattern"])])
-            if by["ok"]:
-                by["state"] = apply_unitary(by["state"], _balanced(-1), [mode_x, mode_y])
-            branches.append(by)
-    branches = _Branches.of(branches)
+    seconds = [_ns_stage(bx["state"], mode_y, rng) for bx in xs if bx["ok"]]
+
+    def row(p, i, two):
+        bx = xs[i]
+        if two is None:
+            return dict(bx, stage="ns-x", heralds=[(bx["p"], bx["pattern"])])
+        by = seconds[two[0]][two[1]]
+        by.update(stage="ns-y", p=p, heralds=[(bx["p"], bx["pattern"]), (by["p"], by["pattern"])])
+        if by["ok"]:
+            by["state"] = apply_unitary(by["state"], _balanced(-1), [mode_x, mode_y])
+        return by
+
+    branches, _ = _splice(xs.p, xs.ok, xs.ok, seconds, row, kept_first=True)
     chosen = _resolve(branches)
     trace = []
     _trace_step(trace, "mix", "element", modes=[mode_x, mode_y])
@@ -685,15 +715,13 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
 
     flip_x(k1, k2) / flip_y(k1, k2), on int arrays, give the pi multiples
     applied to the targets on top of the pattern phases omega^(sum j r_j).
-    The tree lists each stage-1 failure and, in place of each success, the
-    branches of its y detection, with ``p1`` (and ``p2``) and their product
-    ``p``; with a ``flavor`` (the parity resource's) a success carries its
-    ``parity``. The tree is a ``_Branches`` whose columns, correction
-    angles included, are computed at once. Exact, the y detections run in
-    one array pass (``measure._evolved_groups``) over the stage-1 successes
-    handed over as arrays (``measure._projected``), none projected into a
-    state; with an ``rng`` stage 2 draws on the projected stage-1 state,
-    and the tree has one row.
+    The tree (``_splice``) lists each stage-1 failure and, in place of each
+    success, the branches of its y detection, with ``p1``, ``p2`` and their
+    product ``p``; with a ``flavor`` (the parity resource's) a success
+    carries its ``parity``. Exact, the y detections run in one array pass
+    (``measure._evolved_groups``) over the stage-1 successes handed over as
+    arrays (``measure._projected``); with an ``rng`` stage 2 draws on the
+    projected stage-1 state.
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega, u = 2 * math.pi / (n + 1), fourier_matrix(n)
@@ -702,74 +730,48 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     passed = (0 < k1) & (k1 <= n)
     succeeded = np.flatnonzero(passed).tolist()
     if rng is None:
-        firsts = measure._projected(ones, succeeded)
-        seconds = list(measure._evolved_groups(firsts, u, layout.fourier_y))
+        seconds = list(measure._evolved_groups(measure._projected(ones, succeeded), u,
+                                               layout.fourier_y))
     else:
         seconds = [_records(ones.state(i), layout.fourier_y, rng, u) for i in succeeded]
-    # each branch's stage-1 row; past stage 1, the stage-2 rows of all successes in turn
     sizes = [len(two) for two in seconds]
-    spans = np.ones(len(ones), dtype=np.int64)
-    spans[passed] = sizes
-    first = np.repeat(np.arange(len(ones)), spans)
-    staged = passed[first]
-    second = np.cumsum(staged) - staged  # the stage-2 rows before a branch: its own if staged
     counts2 = np.concatenate([ones.counts[:0]] + [two.counts for two in seconds])
-    p2 = np.concatenate([ones.p[:0]] + [two.p for two in seconds])
     k2, s2 = _totals(counts2)
     ok2 = (0 < k2) & (k2 <= n)
-    p = ones.p[first]
-    p[staged] *= p2
-    ok = np.zeros(len(first), dtype=bool)
-    ok[staged] = ok2
     # a projected y (k2 = 0 or n + 1) undoes the sign the collapsed resource imprinted on x
-    k1s, x_phase = k1[first[staged]], omega * s1[first[staged]]
+    k1s, x_phase = np.repeat(k1[passed], sizes), omega * np.repeat(s1[passed], sizes)
     angle_x = np.where(ok2, x_phase + math.pi * flip_x(k1s, k2),
                        x_phase + math.pi * np.where(k2 == 0, n, 0)) % (2 * math.pi)
     angle_y = (omega * s2 + math.pi * flip_y(k1s, k2)) % (2 * math.pi)
-    owner = np.repeat(np.arange(len(seconds)), sizes)
-    local = np.arange(len(p2)) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
-    stage2 = (k2, ok2, angle_x, angle_y, p2, owner, local)
+    p2 = np.concatenate([ones.p[:0]] + [two.p for two in seconds])
     patterns1, k1, p1s = _rows(ones.counts), k1.tolist(), ones.p.tolist()
-    state1, states2 = ones.state, [two.state for two in seconds]
     last_x, last_y, fixes_x = [None] + layout.last_x, [None] + layout.last_y, {}
     leftover = [[None] + [[m for m in last_x[1:] + last_y[1:] if m not in (tx, ty)]
                           for ty in last_y[1:]] for tx in last_x]
 
-    def build(start, stop):
-        # a run of branches holds one run of stage-2 rows, converted together
-        lo, hi = second[start], second[stop - 1] + staged[stop - 1]
-        rows2 = zip(_rows(counts2[lo:hi]), *(a[lo:hi].tolist() for a in stage2))
-        branches = []
-        for pg, i, two in zip(p[start:stop].tolist(), first[start:stop].tolist(),
-                              staged[start:stop].tolist()):
-            pat1, p1, ka = patterns1[i], p1s[i], k1[i]
-            if not two:
-                branches.append({"ok": False, "stage": 1, "pattern1": pat1, "k1": ka, "p": p1,
-                                 "p1": p1, "state": state1(i), "projected": 0 if ka == 0 else 1})
-                continue
-            pat2, kb, ok_y, ax, ay, py, at, row = next(rows2)
-            tx = last_x[ka]
-            if not ok_y:
-                fixes = [("phase", tx, ax)]
-                branches.append({"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb,
-                                 "p1": p1, "ok": False, "stage": 2, "projected": 0 if kb == 0 else 1,
-                                 "target_x": tx, "corrections": fixes,
-                                 "state": states2[at](row, fixes), "p2": py})
-                continue
-            # one x correction per (stage-1 row, k2), shared: a tuple is immutable
-            fixes = [fixes_x.get((i, kb)) or fixes_x.setdefault((i, kb), ("phase", tx, ax)),
-                     ("phase", last_y[kb], ay)]
-            branch = {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
-                      "ok": True, "target_x": tx, "target_y": last_y[kb],
-                      "leftover_modes": list(leftover[ka][kb])}
-            if flavor is not None:
-                branch["parity"] = (ka + kb + flavor) % 2
-            branch["corrections"], branch["state"] = fixes, states2[at](row, fixes)
-            branch["p2"] = py
-            branches.append(branch)
-        return branches
+    def row(pg, i, two):
+        pat1, p1, ka = patterns1[i], p1s[i], k1[i]
+        if two is None:
+            return {"ok": False, "stage": 1, "pattern1": pat1, "k1": ka, "p": p1, "p1": p1,
+                    "state": ones.state(i), "projected": 0 if ka == 0 else 1}
+        at, j, pat2, kb, ok_y, ax, ay, py = two
+        pat2, tx = tuple(pat2), last_x[ka]
+        if not ok_y:
+            fixes = [("phase", tx, ax)]
+            return {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
+                    "ok": False, "stage": 2, "projected": 0 if kb == 0 else 1, "target_x": tx,
+                    "corrections": fixes, "state": seconds[at].state(j, fixes), "p2": py}
+        # one x correction per (stage-1 row, k2), shared: a tuple is immutable
+        fixes = [fixes_x.get((i, kb)) or fixes_x.setdefault((i, kb), ("phase", tx, ax)),
+                 ("phase", last_y[kb], ay)]
+        parity = {} if flavor is None else {"parity": (ka + kb + flavor) % 2}
+        return {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
+                "ok": True, "target_x": tx, "target_y": last_y[kb],
+                "leftover_modes": list(leftover[ka][kb]), **parity, "corrections": fixes,
+                "state": seconds[at].state(j, fixes), "p2": py}
 
-    return _Branches(p, ok, build), layout
+    columns = (counts2, k2, ok2, angle_x, angle_y, p2)
+    return _splice(ones.p, passed, passed, seconds, row, ok2=ok2, columns=columns)[0], layout
 
 
 def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
@@ -1059,16 +1061,17 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
 
 def _parity_check(state, mode_x, mode_y, n, ideal, rng):
     """The parity check that teleport_with_e and distribute_entanglement build on:
-    (branches, final, p_gadget), the oracle projection when ``ideal``, else the
-    gadget's branches, failures included (with an rng, the one drawn). A branch
-    with ``ok`` carries ``parity``, ``target_x``/``target_y`` (where mode_x and
+    (branches, final), the oracle projection when ``ideal``, else the gadget's
+    branches, failures included (with an rng, the one drawn). A branch with
+    ``ok`` carries ``parity``, ``target_x``/``target_y`` (where mode_x and
     mode_y now sit) and ``leftover_modes``; ``final`` maps any other mode."""
     if ideal:
-        checked = parity_project_ideal(state, mode_x, mode_y, rng)
-        return [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
-                for b in checked], lambda m: m, 1.0
+        checked = [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
+                   for b in parity_project_ideal(state, mode_x, mode_y, rng)]
+        return _Branches([b["p"] for b in checked], [True] * len(checked),
+                         lambda start, stop: checked[start:stop]), lambda m: m
     branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
-    return branches, layout.final, branches.mass()
+    return branches, layout.final
 
 
 def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
@@ -1084,36 +1087,36 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     ``parity`` step (outcome None when the gadget fails) and past it a
     ``sign`` step: the four-counter pattern as ``outcome``, and the ``sign``.
     """
+    _check_size(n, "teleport_with_e")
     state = tensor(encode_qubit(alpha0, alpha1), make_resource("e").state)
     trace = []
     _trace_step(trace, "adjoin-e", "prep")
-    checked, final, p_gadget = _parity_check(state, 1, 2, n, ideal_parity, rng)
-    bal = _balanced(1)
+    checked, final = _parity_check(state, 1, 2, n, ideal_parity, rng)
+    bal, outer2, outs = _balanced(1), final(3), (final(4), final(5))
+
+    def decode(pb):
+        """The four counts of the sign decode on a gadget success ``pb``."""
+        work = apply_unitary(pb["state"], bal, [0, pb["target_x"]])
+        work = apply_unitary(work, bal, [pb["target_y"], outer2])
+        return _records(work, sorted([0, pb["target_x"], pb["target_y"], outer2]), rng)
+
     # end to end, the parity gadget can fail before the sign decode
-    branches = [b for b in checked if not b["ok"]]
-    for pb in filter(lambda b: b["ok"], checked):
-        inner1, inner2 = pb["target_x"], pb["target_y"]
-        outer2 = final(3)
-        work = apply_unitary(pb["state"], bal, [0, inner1])
-        work = apply_unitary(work, bal, [inner2, outer2])
-        four = sorted([0, inner1, inner2, outer2])
-        oa, ob = (_shift_index(final(m), four) for m in (4, 5))
-        swap = [("swap", oa, ob)] if pb["parity"] % 2 == 1 else []
+    seconds = [decode(pb) for pb in checked if pb["ok"]]
 
-        def classify(counts, p, state):
-            def branch(i, pattern):
-                sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(inner2)] == 1) else "-"
-                fixes = swap + ([("phase", oa, math.pi)] if sign == "+" else [])
-                return {"pattern": pattern, "p": p[i], "parity": pb["parity"], "sign": sign,
-                        "ok": True, "out_pair": (oa, ob), "corrections": fixes,
-                        "state": state(i, fixes)}
+    def row(p, i, two):
+        pb = checked[i]
+        if two is None:
+            return pb
+        (at, j), four = two, sorted([0, pb["target_x"], pb["target_y"], outer2])
+        pattern = tuple(seconds[at].counts[j].tolist())
+        oa, ob = (_shift_index(m, four) for m in outs)
+        sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(pb["target_y"])] == 1) else "-"
+        fixes = [("swap", oa, ob)] * pb["parity"] + [("phase", oa, math.pi)] * (sign == "+")
+        return {"pattern": pattern, "p": p, "parity": pb["parity"], "sign": sign, "ok": True,
+                "out_pair": (oa, ob), "corrections": fixes, "state": seconds[at].state(j, fixes),
+                "p_parity": pb["p"], "p_sign": seconds[at].p.item(j)}
 
-            return [True] * len(p), branch
-
-        for b in _detect(work, four, classify, rng):
-            b.update(p=pb["p"] * b["p"], p_parity=pb["p"], p_sign=b["p"])
-            branches.append(b)
-    branches = _Branches.of(branches)
+    branches, _ = _splice(checked.p, checked.ok, checked.ok, seconds, row, kept_first=True, ok2=True)
     chosen = _resolve(branches)
     if chosen["ok"]:
         _trace_step(trace, "parity", "measure", p=chosen["p_parity"], outcome=chosen["parity"])
@@ -1122,7 +1125,8 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     else:
         _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=None)
     return _result(chosen, branches, rng, {"branch": chosen}, trace,
-                   lambda b: {"stage": b["stage"], "projected": b["projected"]}, p_gadget)
+                   lambda b: {"stage": b["stage"], "projected": b["projected"]},
+                   1.0 if ideal_parity else checked.mass())
 
 
 def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> ProtocolResult:
@@ -1136,6 +1140,7 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     the acceptance probability, reported by an exact run, is taken over
     the branches past the gadget.
     """
+    _check_size(n, "distribute_entanglement")
     if method not in ("ideal", "gadget"):
         raise ProtocolError(f"unknown method {method!r}")
     half_a = FockState(2, {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)})
@@ -1144,36 +1149,29 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     state = fock.permute_modes(tensor(half_a, half_b), [0, 2, 1, 3])
     trace = []
     _trace_step(trace, "split-photons", "prep")
-    branches = []
-    checked, final, _ = _parity_check(state, 0, 1, n, method == "ideal", rng)
-    for b in checked:
+    checked, final = _parity_check(state, 0, 1, n, method == "ideal", rng)
+    remote, local = (final(2), final(3)), lambda b: sorted((b["target_x"], b["target_y"]))
+    even = np.array([b.get("parity") == 0 for b in checked], dtype=bool)
+    seconds = [_records(b["state"], local(b), rng) for b in checked if b.get("parity") == 0]
+
+    def row(p, i, two):
+        b = checked[i]
         if not b["ok"]:
-            branches.append({"parity": None, "p": b["p"], "ok": False, "state": b["state"],
-                             "accepted": False, "remote": None,
-                             "gadget_failure": {"stage": b["stage"], "projected": b["projected"]}})
-            continue
-        remote = (final(2), final(3))
-        local = (b["target_x"], b["target_y"])
-        if b["parity"] == 1:
-            branches.append({"parity": 1, "p": b["p"], "ok": True, "state": b["state"],
-                             "accepted": True, "remote": remote, "local": local,
-                             "leftovers": b["leftover_modes"]})
-            continue
-        meas = sorted(local)
-        rest = tuple(_shift_index(m, meas) for m in remote)
-        for sub in _detect(b["state"], meas, lambda _, p, state: ([False] * len(p), lambda i, pattern: {
-                "pattern": pattern, "p": p[i], "parity": 0, "ok": False, "accepted": False,
-                "remote": rest, "state": state(i)}), rng):
-            sub["p"] = b["p"] * sub["p"]
-            branches.append(sub)
-    branches = _Branches.of(branches)
+            return {"parity": None, "p": p, "ok": False, "state": b["state"], "accepted": False,
+                    "remote": None, "gadget_failure": {"stage": b["stage"], "projected": b["projected"]}}
+        if two is None:
+            return {"parity": 1, "p": p, "ok": True, "state": b["state"], "accepted": True, "remote": remote,
+                    "local": (b["target_x"], b["target_y"]), "leftovers": b["leftover_modes"]}
+        (at, j), rest = two, tuple(_shift_index(m, local(b)) for m in remote)
+        return {"pattern": tuple(seconds[at].counts[j].tolist()), "p": p, "parity": 0, "ok": False,
+                "accepted": False, "remote": rest, "state": seconds[at].state(j)}
+
+    branches, first = _splice(checked.p, checked.ok, even, seconds, row, ok2=False)
     chosen = _resolve(branches)
     _trace_step(trace, "parity", "measure", p=chosen["p"], outcome=chosen["parity"])
     details = {"branch": chosen}
-    if rng is None:
-        reported = [b for b in branches if b["parity"] is not None]
-        details["acceptance_probability"] = (_added([b["p"] for b in reported if b["accepted"]])
-                                             / _added([b["p"] for b in reported]))
+    if rng is None:  # over the branches past the gadget; only odd parity has ok
+        details["acceptance_probability"] = branches.mass() / _added(branches.p[checked.ok[first]])
     return _result(chosen, branches, rng, details, trace,
                    lambda b: b.get("gadget_failure") or {"parity": 0},
                    details.get("acceptance_probability"))

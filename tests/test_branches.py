@@ -199,6 +199,10 @@ _KEY_ORDERS = {
      "leftover_modes", "parity", "corrections", "state", "p2"),
     ("pattern", "p", "parity", "sign", "ok", "out_pair", "corrections", "state", "p_parity",
      "p_sign"),
+    ("pattern", "p", "ok", "state", "stage", "heralds"),
+    ("parity", "p", "ok", "state", "accepted", "remote", "gadget_failure"),
+    ("parity", "p", "ok", "state", "accepted", "remote", "local", "leftovers"),
+    ("pattern", "p", "parity", "ok", "accepted", "remote", "state"),
 }
 
 SEQUENCES = {
@@ -208,17 +212,25 @@ SEQUENCES = {
         tensor(encode_qubit(*a), encode_qubit(*b)), Q1, Q2, n)) for n in (1, 2)},
     "parity_measure": lambda a, b: GADGETS["parity_measure"](a, b, 2),
     "teleport_with_e": lambda a, b: protocols.teleport_with_e(*a, n=2),
+    "teleport_with_e_ideal": lambda a, b: protocols.teleport_with_e(*a, ideal_parity=True),
+    "csign_via_ns": lambda a, b: protocols.csign_via_ns(
+        tensor(encode_qubit(*a), encode_qubit(*b)), Q1, Q2),
+    **{f"distribute_entanglement_n{n}": (lambda a, b, n=n: protocols.distribute_entanglement(n))
+       for n in (2, 3)},
+    "distribute_entanglement_ideal": lambda a, b: protocols.distribute_entanglement(method="ideal"),
 }
 
 
 def _builtin(value):
-    """Whether ``value`` is built of Python scalars, tuples and lists (no numpy scalar)."""
+    """Whether ``value`` is built of Python scalars, tuples, lists and dicts (no numpy scalar)."""
+    if type(value) is dict:
+        return all(map(_builtin, value.values()))
     if type(value) in (tuple, list):
         return all(map(_builtin, value))
     return value is None or type(value) in (bool, int, float, str)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SEQUENCES)), qubits, qubits, st.data())
 def test_branch_columns_act_as_the_eager_list(name, a, b, data):
     branches = SEQUENCES[name](a, b).details["branches"]
@@ -256,6 +268,25 @@ def test_branch_columns_act_as_the_eager_list(name, a, b, data):
     assert len({id(value) for value in lists}) == len(lists)
 
 
+#: the composites of two stages, exact: each lists one branch per row of
+#: either stage, and the landed one is the only row whose dict is built
+COMPOSITES = {
+    "csign_via_ns": lambda: protocols.csign_via_ns(_plus_plus(), Q1, Q2),
+    "teleport_with_e": lambda: protocols.teleport_with_e(0.6, 0.8j, n=3),
+    "distribute_entanglement": lambda: protocols.distribute_entanglement(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_an_exact_composite_builds_the_landed_dict_alone(name):
+    res = COMPOSITES[name]()
+    branches = res.details["branches"]
+    built = [i for i, branch in enumerate(branches._dicts) if branch is not None]
+    assert len(branches) > 1 and len(built) == 1
+    landed = branches[built[0]]
+    assert landed is protocols._resolve(branches) and landed["state"] is res.output_state
+
+
 def _left_to_right(values):
     """``values`` added left to right from 0.0: the last running sum."""
     return list(itertools.accumulate(values, initial=0.0))[-1]
@@ -279,18 +310,24 @@ class TestMass:
             assert protocols._Branches(p, [True] * len(p), None).mass().hex() == "0x0.0p+0"
 
 
+def _listed(dicts):
+    """The ``_Branches`` of the built ``dicts``, read from the list."""
+    return protocols._Branches([b["p"] for b in dicts], [b["ok"] for b in dicts],
+                               lambda start, stop: dicts[start:stop])
+
+
 class TestResolver:
     def test_analytic_takes_the_first_successful_branch(self):
         branches = [{"p": 0.5, "ok": False}, {"p": 0.2, "ok": True}, {"p": 0.3, "ok": True}]
-        assert protocols._resolve(protocols._Branches.of(branches)) is branches[1]
+        assert protocols._resolve(_listed(branches)) is branches[1]
 
     def test_analytic_without_success_takes_the_likeliest_branch(self):
         branches = [{"p": 0.2, "ok": False}, {"p": 0.7, "ok": False}, {"p": 0.1, "ok": False}]
-        assert protocols._resolve(protocols._Branches.of(branches)) is branches[1]
+        assert protocols._resolve(_listed(branches)) is branches[1]
 
     def test_sampled_takes_the_one_drawn_branch_without_a_draw(self):
         branches = [{"p": 0.25, "ok": False}]
-        assert protocols._resolve(protocols._Branches.of(branches)) is branches[0]
+        assert protocols._resolve(_listed(branches)) is branches[0]
         # a sampled sign flip draws its one detection and nothing more
         rng, drawn = np.random.default_rng(3), np.random.default_rng(3)
         protocols.apply_ns1(FockState(1, {(0,): 0.6, (1,): 0.8}), 0, rng=rng)

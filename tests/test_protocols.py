@@ -200,6 +200,31 @@ class TestCsign:
         expect = tensor(encode_qubit(0, 1), encode_qubit(0, 1))
         assert fidelity(res.output_state, expect) > 1 - 1e-10
 
+    def test_teleported_strategy_counts_out_the_leftover_modes(self):
+        # from n = 2 the gate leaves resource modes behind; the output, counted
+        # free of them, sits on the input modes and equals the oracle up to a phase
+        state = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.28j, 0.96))
+        expect = csign_ideal_modes(state, 0, 2)
+        exact = apply_csign_modes(state, 0, 2, strategy="teleported", n=2)
+        assert exact.details["leftover_modes"] and exact.output_state.modes == 4
+        assert abs(exact.success_probability - 4 / 9) < 1e-12
+        assert fidelity(exact.output_state, expect) > 1 - 1e-10
+        sampled = [apply_csign_modes(state, 0, 2, strategy="teleported", n=2,
+                                     rng=np.random.default_rng(seed)) for seed in range(6)]
+        passed = [res for res in sampled if res.succeeded]
+        assert 0 < len(passed) < len(sampled)
+        assert all(res.output_state.modes == 4 and fidelity(res.output_state, expect) > 1 - 1e-10
+                   for res in passed)
+
+    def test_cnot_returns_a_failed_gate_as_it_is(self):
+        state = tensor(encode_qubit(0.6, 0.8), encode_qubit(0.28j, 0.96))
+        q1, q2 = BosonicQubit(0, 1), BosonicQubit(2, 3)
+        res = cnot_via_csign(state, q1, q2, strategy="ns", rng=np.random.default_rng(1))
+        gate = apply_csign_modes(hadamard(state, q2), 0, 2, strategy="ns", rng=np.random.default_rng(1))
+        assert not res.succeeded and res.failure_info == gate.failure_info
+        # no second Hadamard after a failed gate
+        assert list(res.output_state.terms()) == list(gate.output_state.terms())
+
 
 class TestB4Prime:
     def test_success_probability(self):
@@ -290,6 +315,8 @@ NOT_INTEGERS = {
     "parity_measure": lambda: protocols.parity_measure(_PAIR, 0, 2, 2.5),
     "teleport_with_e": lambda: protocols.teleport_with_e(0.6, 0.8, n=2.5),
     "distribute_entanglement": lambda: protocols.distribute_entanglement(2.5),
+    "teleport_with_e ideal": lambda: protocols.teleport_with_e(0.6, 0.8, n=2.5, ideal_parity=True),
+    "distribute_entanglement ideal": lambda: protocols.distribute_entanglement(2.5, method="ideal"),
     "prepare_tp_n": lambda: prepare_tp_n(1.5),
     "prepare_p_prime": lambda: protocols.prepare_p_prime(1.5),
     "combine_tp_to_tprime": lambda: protocols.combine_tp_to_tprime(1.5),
@@ -306,6 +333,15 @@ def test_a_non_integer_size_is_refused_where_it_enters(name):
     error = ValueError if name in ("SqueezeParam", "monte_carlo") else protocols.ProtocolError
     with pytest.raises(error, match=r"integer.*got (2|1)\.5$"):
         NOT_INTEGERS[name]()
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["gadget", "ideal"])
+@pytest.mark.parametrize("n", [-3, 0, "x"])
+def test_the_parity_composites_check_their_size_on_either_path(n, ideal):
+    with pytest.raises(protocols.ProtocolError, match="needs an integer n >= 1"):
+        protocols.teleport_with_e(0.6, 0.8, n=n, ideal_parity=ideal)
+    with pytest.raises(protocols.ProtocolError, match="needs an integer n >= 1"):
+        protocols.distribute_entanglement(n, method="ideal" if ideal else "gadget")
 
 
 class TestTpPreparation:
@@ -325,6 +361,12 @@ class TestTpPreparation:
         res = prepare_tp_n(1, strategy="teleported", teleport_n=1)
         assert abs(res.success_probability - 0.25) < 1e-10
         assert fidelity(res.output_state, make_resource("tpn", 1).state) > 1 - 1e-10
+
+    def test_teleported_strategy_at_n2(self):
+        res = prepare_tp_n(2, strategy="teleported", teleport_n=2)
+        assert res.details["csign_count"] == 4
+        assert abs(res.success_probability - (4 / 9) ** 4) < 1e-12
+        assert fidelity(res.output_state, make_resource("tpn", 2).state) > 1 - 1e-10
 
     def test_sampled_run_fails_sometimes(self):
         rng = np.random.default_rng(7)
