@@ -3,9 +3,9 @@ column-deleted minors, and the expansion of U|occ>.
 
 Both permanent forms read a cached table of sign vectors (``_signs``),
 walked (``_glynn_blocks``) in blocks of ``_SUBSET_BLOCK`` vectors past 17
-rows: the permanent is the weighted sum of the products of the column
-sums, one expression up to 17 rows, and the minors take the same products
-less one column, from prefix and suffix products. Glynn's sum is D. G.
+rows: the permanent is ``glynn_sum``, the weighted sum of the products of
+chosen ``column_sums``, and the minors take the same products less one
+column, from prefix and suffix products. Glynn's sum is D. G.
 Glynn, "The permanent of a square matrix", European J. Combin. 31 (2010).
 
 The expansion is one computation (``_expand_arrays``), each photon step
@@ -93,8 +93,7 @@ def _glynn_blocks(mat):
     are overwritten by the next block.
     """
     low = min(len(mat), _SUBSET_BLOCK.bit_length())
-    d, weights = _signs(low)
-    sums = mat[:low].T @ d
+    sums, weights = column_sums(mat[:low])
     if low == len(mat):
         yield sums, weights
         return
@@ -106,6 +105,19 @@ def _glynn_blocks(mat):
         yield np.add(sums, shifts[:, c, None], out=block), weights * w
 
 
+def column_sums(rows):
+    """Glynn's column sums ``rows.T @ d`` (k x 2^(r-1)) of an (r x k) ``rows``,
+    r <= 17, over the sign vectors d, and the vectors' weights."""
+    d, weights = _signs(len(rows))
+    return rows.T @ d, weights
+
+
+def glynn_sum(chosen, weights):
+    """The permanent of r columns (repeats allowed) from their rows of ``column_sums``,
+    plus 0j, which a sum from 0 adds too (a -0.0 part reads 0.0)."""
+    return complex(np.multiply.reduce(chosen, axis=0).dot(weights)) + 0j
+
+
 def permanent(mat):
     """Permanent of a square complex matrix by Glynn's formula, O(n^2 2^n):
     the sum over the sign vectors delta (delta_0 = +1) of
@@ -113,13 +125,13 @@ def permanent(mat):
     Ryser's sum over column subsets it cancels little: 16 photons stay
     within 1e-10 of the expansion.
     The 0x0 matrix has permanent 1 (empty product), matching the vacuum
-    amplitude. Up to 17 rows one expression has the walk's bits (its 0 + too).
+    amplitude. Up to 17 rows that is ``glynn_sum`` of every column; past
+    them each block of the walk adds its own, from 0.
     """
     mat = np.asarray(mat, dtype=complex)
     if len(mat) <= _SUBSET_BLOCK.bit_length():
-        d, w = _signs(len(mat))
-        return complex(0 + np.multiply.reduce(mat.T @ d, axis=0) @ w)
-    return complex(sum(np.multiply.reduce(sums, axis=0) @ w for sums, w in _glynn_blocks(mat)))
+        return glynn_sum(*column_sums(mat))
+    return sum(glynn_sum(sums, w) for sums, w in _glynn_blocks(mat))
 
 
 def permanent_minors(mat):
@@ -417,7 +429,7 @@ def _expand_arrays(u, occs, keep=True):
     t = int(occs[0].sum())
     table = np.array(_sqrt_factorials(t)[:t + 1])  # before expanding: it raises past the float range
     # the column of each photon, columns ascending, and each step's rank table and size
-    cols = np.array([np.repeat(np.arange(m), occ) for occ in occs]).reshape(owners, t)
+    cols = (np.repeat(np.arange(occs.size), occs.ravel()) % m).reshape(owners, t)
     counts, levels = np.zeros((1, len(u)), dtype=np.uint8), []
     for s in range(t):
         child, counts = _level(len(u), s + 1, counts, keep)

@@ -156,7 +156,7 @@ def _analytic_report(cfg: RunConfig):
         amps = _parse_amplitudes(cfg.input or "1,1", 2)
         state = fock.FockState(2, {(0, 1): amps[0], (1, 0): amps[1]})
         res = protocols.parity_measure(state, 0, 1, _at_least_two(cfg))
-        extra = {"parities": sorted({b["parity"] for b in res.details["branches"] if b["ok"]})}
+        extra = {"parities": sorted({*res.details["branches"].parity.tolist()} - {-1})}  # -1: failed
     elif name == "distribute":
         res = protocols.distribute_entanglement(_at_least_two(cfg))
         return res, {"acceptance_probability": res.details["acceptance_probability"]}

@@ -8,12 +8,12 @@ Validation happens once, at the public edge: ``FockState(...)``,
 ``scaled``, ``number_state`` and ``state_from_json`` check the mode count,
 every occupation (right length, counts as ``FockState`` states them) and
 every amplitude (finite), in bulk when the keys are already tuples of
-``int`` and the amplitudes ``complex``, else key by key. States built inside the
-package from keys sliced, joined or relabelled from valid states
-(measurement post-states, phase corrections, tensor products,
-permutations, sums, ``normalized``) go through the private
-``FockState._trusted``, which skips only the key checks: it does the
-same arithmetic and still rejects non-finite amplitudes.
+``int`` and the amplitudes ``complex`` (numpy's too), else key by key.
+States built inside the package from keys sliced, joined or relabelled
+from valid states (measurement post-states, phase corrections, tensor
+products, permutations, sums, ``normalized``) go through the private
+``FockState._trusted``, which skips only the key checks: both share
+``_kept``, their arithmetic, on arrays from ``_ARRAY_TERMS`` (64) terms.
 ``optics.apply_unitary`` keeps the public constructor, one call per
 evolution, which is what the per-layer trace counts as ``fock.construct``.
 
@@ -23,7 +23,7 @@ Mode indices are 0-based throughout.
 import cmath
 import json
 import math
-from itertools import chain
+from itertools import chain, compress
 from numbers import Integral
 
 import numpy as np
@@ -40,6 +40,38 @@ def _squared_norm(amps) -> float:
     for amp in amps:
         total += abs(amp) ** 2
     return total
+
+
+#: Terms from which ``_kept`` works on arrays (level with its loops at 40).
+_ARRAY_TERMS = 64
+
+
+def _kept(amplitudes: dict, tol: float, typed: bool = False) -> dict:
+    """A new dict of ``0j + amp`` of the nonzero terms past ``tol`` times their
+    norm; non-finite ones raise. From ``_ARRAY_TERMS`` terms, all ``complex``
+    (``typed`` vouches), on arrays with the loops' bits: ``0j +`` only if a part
+    is 0, and ``np.bincount`` adds ``float_power(hypot(re, im), 2.0)``."""
+    if len(amplitudes) >= _ARRAY_TERMS and (typed or {*map(type, amplitudes.values())} <= {complex}):
+        amps = np.fromiter(amplitudes.values(), complex, len(amplitudes))
+        if not amps.all() or np.signbit(amps.view(float)[amps.view(float) == 0]).any():
+            return _kept({occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol, True)
+        with np.errstate(over="ignore"):
+            size = np.hypot(amps.real, amps.imag)
+            norm_sq = np.bincount(np.zeros(len(size), np.intp), np.float_power(size, 2.0), 1).item()
+        if math.isfinite(norm_sq):
+            keep = size > tol * math.sqrt(norm_sq)
+            return dict(amplitudes) if keep.all() else dict(compress(amplitudes.items(), keep.tolist()))
+    cleaned = {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}
+    try:
+        norm_sq = _squared_norm(cleaned.values())
+    except OverflowError:
+        norm_sq = math.inf
+    if not math.isfinite(norm_sq):
+        bad = [occ for occ, amp in cleaned.items() if not cmath.isfinite(amp)]
+        raise InvalidOccupationError(f"non-finite amplitude for {bad[0]}" if bad else
+                                     "squared norm overflows: amplitudes too large")
+    cutoff = tol * math.sqrt(norm_sq)
+    return {occ: amp for occ, amp in cleaned.items() if abs(amp) > cutoff}
 
 
 class FockError(Exception):
@@ -113,12 +145,12 @@ class FockState:
         if modes < 0:
             raise InvalidOccupationError(f"mode count must be >= 0, got {modes}")
         modes = int(modes)
-        keys = amplitudes.keys()
-        if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {modes}
-                and {*map(type, amplitudes.values())} <= {complex}
+        keys, kinds = amplitudes.keys(), {*map(type, amplitudes.values())}
+        if ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {modes} and kinds <= {complex, np.cdouble}
                 and {*map(type, chain.from_iterable(keys))} <= {int} and _in_range(keys)):
-            # checked in bulk, nothing to convert or merge: the arithmetic of _trusted
-            self._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
+            if np.cdouble in kinds:  # checked in bulk; complex() keeps numpy's bits
+                amplitudes = dict(zip(keys, map(complex, amplitudes.values())))
+            self._amp, self.modes = _kept(amplitudes, tol, True), modes
             return
         cleaned = {}
         for occ, amp in amplitudes.items():
@@ -137,36 +169,20 @@ class FockState:
             if not cmath.isfinite(amp):
                 raise InvalidOccupationError(f"non-finite amplitude for {occ}")
             if amp != 0:
-                cleaned[occ] = cleaned.get(occ, 0j) + amp
-        self._prune(modes, cleaned, tol)
+                cleaned[occ] = cleaned[occ] + amp if occ in cleaned else amp  # 0j + in _kept
+        self._amp, self.modes = _kept(cleaned, tol, True), modes
 
     @classmethod
     def _trusted(cls, modes: int, amplitudes: dict, tol: float = DEFAULT_TOL) -> "FockState":
         """A state from occupations that are valid by construction.
 
         For keys sliced, joined or relabelled from valid states: the
-        arithmetic of ``__init__`` (``0j + amp``, exact zeros dropped, the
-        same norm and cutoff) without its per-key checks, so the result is
-        bit-identical. Non-finite amplitudes are still rejected.
+        arithmetic of ``__init__`` (``_kept``) without its per-key checks,
+        so the result is bit-identical, non-finite amplitudes rejected.
         """
         state = object.__new__(cls)
-        state._prune(modes, {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol)
+        state._amp, state.modes = _kept(amplitudes, tol), modes
         return state
-
-    def _prune(self, modes: int, cleaned: dict, tol: float):
-        """Keep the nonzero terms of ``cleaned`` above ``tol`` times its norm."""
-        try:
-            norm_sq = _squared_norm(cleaned.values())
-        except OverflowError:
-            norm_sq = math.inf
-        if not math.isfinite(norm_sq):
-            for occ, amp in cleaned.items():
-                if not cmath.isfinite(amp):
-                    raise InvalidOccupationError(f"non-finite amplitude for {occ}")
-            raise InvalidOccupationError("squared norm overflows: amplitudes too large")
-        cutoff = tol * math.sqrt(norm_sq)
-        self._amp = {occ: amp for occ, amp in cleaned.items() if abs(amp) > cutoff}
-        self.modes = modes
 
     # -- accessors ---------------------------------------------------------
 

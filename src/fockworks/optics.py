@@ -434,17 +434,26 @@ def apply_mode_unitary(state: FockState, u: ModeUnitary) -> FockState:
     return apply_unitary(state, u)
 
 
+#: The oracle's one entry: (unitary, pattern, its rows' ``kernels.column_sums``).
+_SUMS = (None, None, None, None)
+
+
 def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     """<out|U|in> via the matrix permanent.
 
     Independent of the multinomial expansion used by apply_unitary; serves
     as the cross-validation oracle. Equals
     perm(U[out, in]) / sqrt(prod in_i! prod out_j!) where rows/columns are
-    repeated according to the occupations. The permanent of r photons
-    walks 2^(r-1) sign vectors: past ``MAX_EVOLVED_TERMS`` of them (from
-    22 photons on) it raises BudgetExceeded.
+    repeated according to the occupations: Glynn's sums of the out rows
+    over every mode, kept in ``_SUMS`` for the next call on the same
+    unitary object and pattern, then ``kernels.glynn_sum`` of the in
+    columns. Past 2^16 sums (m 2^(r-1), at most 17 photons) it takes
+    ``kernels.permanent``, whose walk of 2^(r-1) sign vectors raises
+    BudgetExceeded past ``MAX_EVOLVED_TERMS`` (from 22 photons on).
     """
-    occ_in, occ_out = _integers(occ_in), _integers(occ_out)
+    global _SUMS
+    if not (type(occ_in) is type(occ_out) is tuple and {*map(type, occ_in + occ_out)} <= {int}):
+        occ_in, occ_out = _integers(occ_in), _integers(occ_out)
     if len(occ_in) != u.dim or len(occ_out) != u.dim:
         raise ModeMismatchError("occupation length does not match matrix dimension")
     if min(occ_in + occ_out) < 0:
@@ -456,7 +465,12 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
         raise BudgetExceeded(f"{total} photons: their permanent walks 2^{total - 1} sign vectors; "
                              f"the limit is {MAX_EVOLVED_TERMS}")
     scale = math.prod(map(kernels._sqrt_factorials(total).__getitem__, occ_in + occ_out))
-    return kernels.permanent(u.matrix.repeat(occ_out, axis=0).repeat(occ_in, axis=1)) / scale
+    if u.dim << total > 2 * kernels._SUBSET_BLOCK:
+        return kernels.permanent(u.matrix.repeat(occ_out, axis=0).repeat(occ_in, axis=1)) / scale
+    held = _SUMS
+    if held[0] is not u or held[1] != occ_out:
+        held = _SUMS = (u, occ_out, *kernels.column_sums(u.matrix.repeat(occ_out, axis=0)))
+    return kernels.glynn_sum(held[2].repeat(occ_in, axis=0), held[3]) / scale
 
 
 def compose(seq: ElementSequence) -> ModeUnitary:

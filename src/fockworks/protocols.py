@@ -160,19 +160,19 @@ def _rows(counts):
 
 
 class _Branches(Sequence):
-    """A branch list as columns (a sampled run's has one row): ``p`` and
-    ``ok``, every branch's probability and success flag as float64 and bool
-    arrays, and ``build(start, stop)``, which makes the dicts of branches
-    ``start`` to ``stop - 1``. A dict, with its lazy state, is built when
-    its branch is first read (iterating builds the unread ones of a run of
-    ``_RUN`` at once) and then kept: ``branches[i] is branches[i]``, and an
-    edit to a dict persists."""
+    """A branch list as columns (a sampled run's has one row): ``p``, ``ok``
+    and a parity check's ``parity`` (else None), every branch's probability,
+    success flag and parity (-1 off the successes) as arrays, and
+    ``build(start, stop)``, which makes the dicts of branches ``start`` to
+    ``stop - 1``. A dict, with its lazy state, is built when its branch is
+    first read (iterating builds the unread ones of a run of ``_RUN`` at once)
+    and then kept: ``branches[i] is branches[i]``, and an edit to one persists."""
 
-    __slots__ = ("p", "ok", "_build", "_dicts")
+    __slots__ = ("p", "ok", "parity", "_build", "_dicts")
 
-    def __init__(self, p, ok, build):
+    def __init__(self, p, ok, build, parity=None):
         self.p, self.ok = np.asarray(p, dtype=float), np.asarray(ok, dtype=bool)
-        self._build, self._dicts = build, [None] * len(p)
+        self.parity, self._build, self._dicts = parity, build, [None] * len(p)
 
     def __len__(self):
         return len(self.p)
@@ -718,10 +718,10 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     The tree (``_splice``) lists each stage-1 failure and, in place of each
     success, the branches of its y detection, with ``p1``, ``p2`` and their
     product ``p``; with a ``flavor`` (the parity resource's) a success
-    carries its ``parity``. Exact, the y detections run in one array pass
-    (``measure._evolved_groups``) over the stage-1 successes handed over as
-    arrays (``measure._projected``); with an ``rng`` stage 2 draws on the
-    projected stage-1 state.
+    carries its ``parity``, a column of the list too. Exact, the y
+    detections run in one array pass (``measure._evolved_groups``) over the
+    stage-1 successes handed over as arrays (``measure._projected``); with
+    an ``rng`` stage 2 draws on the projected stage-1 state.
     """
     layout = _TeleportLayout(state.modes, mode_x, mode_y, n)
     omega, u = 2 * math.pi / (n + 1), fourier_matrix(n)
@@ -771,7 +771,11 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
                 "state": seconds[at].state(j, fixes), "p2": py}
 
     columns = (counts2, k2, ok2, angle_x, angle_y, p2)
-    return _splice(ones.p, passed, passed, seconds, row, ok2=ok2, columns=columns)[0], layout
+    branches = _splice(ones.p, passed, passed, seconds, row, ok2=ok2, columns=columns)[0]
+    if flavor is not None:
+        branches.parity = np.where(branches.ok, 0, -1)
+        branches.parity[branches.ok] = ((k1s + k2 + flavor) % 2)[ok2]
+    return branches, layout
 
 
 def _teleported_gate_result(branches, layout, mode_x, mode_y, rng):
@@ -1069,7 +1073,8 @@ def _parity_check(state, mode_x, mode_y, n, ideal, rng):
         checked = [dict(b, ok=True, target_x=mode_x, target_y=mode_y, leftover_modes=[])
                    for b in parity_project_ideal(state, mode_x, mode_y, rng)]
         return _Branches([b["p"] for b in checked], [True] * len(checked),
-                         lambda start, stop: checked[start:stop]), lambda m: m
+                         lambda start, stop: checked[start:stop],
+                         np.array([b["parity"] for b in checked])), lambda m: m
     branches, layout = _parity_gadget(state, mode_x, mode_y, n, rng)
     return branches, layout.final
 
@@ -1150,21 +1155,24 @@ def distribute_entanglement(n: int = 2, rng=None, method: str = "gadget") -> Pro
     trace = []
     _trace_step(trace, "split-photons", "prep")
     checked, final = _parity_check(state, 0, 1, n, method == "ideal", rng)
-    remote, local = (final(2), final(3)), lambda b: sorted((b["target_x"], b["target_y"]))
-    even = np.array([b.get("parity") == 0 for b in checked], dtype=bool)
-    seconds = [_records(b["state"], local(b), rng) for b in checked if b.get("parity") == 0]
+    remote, even, sides, seconds = (final(2), final(3)), checked.parity == 0, [], []
+    for i in np.flatnonzero(even).tolist():
+        (b,) = checked._build(i, i + 1)  # not kept: its stage-1 state goes once measured
+        sides.append(sorted((b["target_x"], b["target_y"])))
+        seconds.append(_records(b["state"], sides[-1], rng))
 
     def row(p, i, two):
+        if two is not None:
+            at, j = two
+            return {"pattern": tuple(seconds[at].counts[j].tolist()), "p": p, "parity": 0, "ok": False,
+                    "accepted": False, "remote": tuple(_shift_index(m, sides[at]) for m in remote),
+                    "state": seconds[at].state(j)}
         b = checked[i]
         if not b["ok"]:
             return {"parity": None, "p": p, "ok": False, "state": b["state"], "accepted": False,
                     "remote": None, "gadget_failure": {"stage": b["stage"], "projected": b["projected"]}}
-        if two is None:
-            return {"parity": 1, "p": p, "ok": True, "state": b["state"], "accepted": True, "remote": remote,
-                    "local": (b["target_x"], b["target_y"]), "leftovers": b["leftover_modes"]}
-        (at, j), rest = two, tuple(_shift_index(m, local(b)) for m in remote)
-        return {"pattern": tuple(seconds[at].counts[j].tolist()), "p": p, "parity": 0, "ok": False,
-                "accepted": False, "remote": rest, "state": seconds[at].state(j)}
+        return {"parity": 1, "p": p, "ok": True, "state": b["state"], "accepted": True, "remote": remote,
+                "local": (b["target_x"], b["target_y"]), "leftovers": b["leftover_modes"]}
 
     branches, first = _splice(checked.p, checked.ok, even, seconds, row, ok2=False)
     chosen = _resolve(branches)

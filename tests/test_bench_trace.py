@@ -4,7 +4,8 @@ workload reach every span its pass requires."""
 import importlib.util
 from pathlib import Path
 
-from fockworks import protocols
+from fockworks import optics, protocols
+from fockworks._backend import kernels
 from fockworks.costs import encode_single_rail
 from fockworks.fock import tensor
 from fockworks.protocols import BosonicQubit, encode_qubit
@@ -73,3 +74,26 @@ def test_evolution_and_sampling_reach_every_span_the_traced_pass_requires():
         tracer = _traced_cycle(workload, spans)
         assert {"optics.apply_unitary", "optics.expand"} <= set(workload.must_hit)
         assert [name for name in workload.must_hit if not tracer.count[name]] == [], workload.name
+
+
+def test_an_evolution_op_builds_the_oracle_sums_once_per_output_pattern(monkeypatch):
+    """One full-size ``evolution`` op recomputes 4 output amplitudes from its
+    40 input terms: its 160 oracle calls build Glynn's column sums once per
+    output pattern (``optics._SUMS`` holds one) and never reach the
+    expansion kernel, which the oracle checks."""
+    workloads = _bench_module("workloads")
+    op = workloads.Evolution(1, 0, "full").op(0)
+    oracle, column_sums, expand = optics.transition_amplitude, kernels.column_sums, kernels.expand_basis_state
+    calls, sums, expanded = [], [], []
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(optics, "transition_amplitude", counted)
+    monkeypatch.setattr(kernels, "column_sums", lambda rows: sums.append(len(rows)) or column_sums(rows))
+    monkeypatch.setattr(kernels, "expand_basis_state",
+                        lambda *args, **kwargs: expanded.append(len(calls)) or expand(*args, **kwargs))
+    op.check(op.run())
+    assert len(calls) == 160 and sums == [5] * 4
+    assert expanded and set(expanded) == {0}  # apply_unitary expands, before the first oracle call

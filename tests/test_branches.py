@@ -287,6 +287,39 @@ def test_an_exact_composite_builds_the_landed_dict_alone(name):
     assert landed is protocols._resolve(branches) and landed["state"] is res.output_state
 
 
+@pytest.mark.parametrize("method", ["gadget", "ideal"])
+def test_distribute_entanglement_builds_the_even_gadget_rows_and_the_landed_one(monkeypatch, method):
+    # the parity column picks the even rows for the local readout: their gadget
+    # dicts are built once, unkept, and of the others only the landed row's
+    splices, splice = [], protocols._splice
+
+    def counted(*args, **kwargs):
+        branches, first = splice(*args, **kwargs)
+        build, rows = branches._build, []
+        branches._build = lambda start, stop: rows.extend(range(start, stop)) or build(start, stop)
+        splices.append((branches, first, rows))
+        return branches, first
+
+    monkeypatch.setattr(protocols, "_splice", counted)
+    checked = []
+    parity_check = protocols._parity_check
+    monkeypatch.setattr(protocols, "_parity_check",
+                        lambda *args: checked.append(parity_check(*args)) or checked[-1])
+    res = protocols.distribute_entanglement(3, method=method)
+    gadget = checked[0][0]
+    built = splices[0][2] if method == "gadget" else []
+    branches, first, _ = splices[-1]
+    landed = [i for i, branch in enumerate(branches._dicts) if branch is not None]
+    assert branches[landed[0]] is protocols._resolve(branches) and landed == [int(branches.ok.argmax())]
+    even = np.flatnonzero(gadget.parity == 0).tolist()
+    assert even and len(gadget) > len(even)
+    if method == "gadget":
+        assert len(even) > 1 and built == even + [int(first[landed[0]])]
+        assert [i for i, branch in enumerate(gadget._dicts) if branch is not None] == built[-1:]
+    assert gadget.parity.tolist() == [-1 if b.get("parity") is None else b["parity"] for b in gadget]
+    assert res.succeeded
+
+
 def _left_to_right(values):
     """``values`` added left to right from 0.0: the last running sum."""
     return list(itertools.accumulate(values, initial=0.0))[-1]

@@ -86,6 +86,101 @@ class TestNumberState:
             FockState(1, {(0,): float("nan")})
 
 
+def _loop_kept(amplitudes, tol):
+    """The constructors' arithmetic term by term, the reference for their
+    array path: ``0j + amp`` of the nonzero terms, the squared norm added
+    left to right from 0.0, and the terms past ``tol`` times the norm."""
+    cleaned = {occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}
+    total = 0.0
+    try:
+        for amp in cleaned.values():
+            total += abs(amp) ** 2
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        for occ, amp in cleaned.items():
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise InvalidOccupationError(f"non-finite amplitude for {occ}")
+        raise InvalidOccupationError("squared norm overflows: amplitudes too large")
+    cutoff = tol * math.sqrt(total)
+    return {occ: amp for occ, amp in cleaned.items() if abs(amp) > cutoff}
+
+
+def _listed(amplitudes):
+    """Keys, order, type and the bits of both parts of every amplitude."""
+    return [(occ, type(amp), amp.real.hex(), amp.imag.hex()) for occ, amp in amplitudes.items()]
+
+
+@st.composite
+def _bulk_dicts(draw):
+    """Dicts of 3-mode occupations whose size straddles ``fock._ARRAY_TERMS``,
+    a drawn share of their parts exact zeros of either sign or values under
+    any cutoff."""
+    size = draw(st.sampled_from([fock._ARRAY_TERMS - 1, fock._ARRAY_TERMS, fock._ARRAY_TERMS + 1])
+                | st.integers(0, 2 * fock._ARRAY_TERMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=2 * size) * 10.0 ** rng.integers(-3, 4, 2 * size)
+    special = rng.random(2 * size) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    parts[special] = rng.choice([0.0, -0.0, 1e-15, -2e-13, 1e-300], special.sum())
+    keys = [tuple(map(int, np.unravel_index(k, (10,) * 3))) for k in rng.permutation(1000)[:size]]
+    return dict(zip(keys, map(complex, parts[::2].tolist(), parts[1::2].tolist())))
+
+
+class TestBulkArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(_bulk_dicts(), st.sampled_from([0.0, fock.DEFAULT_TOL, 1e-3, 0.5]))
+    def test_both_constructors_have_the_loops_bits(self, amplitudes, tol):
+        want = _listed(_loop_kept(amplitudes, tol))
+        assert _listed(FockState(3, amplitudes, tol)._amp) == want
+        assert _listed(FockState._trusted(3, amplitudes, tol)._amp) == want
+        by_key = {tuple(map(np.int64, occ)): amp for occ, amp in amplitudes.items()}  # checked key by key
+        assert _listed(FockState(3, by_key, tol)._amp) == want
+
+    @pytest.mark.parametrize("size", [4, fock._ARRAY_TERMS, 4 * fock._ARRAY_TERMS])
+    def test_a_term_at_the_cutoff_is_dropped(self, size):
+        # size terms of magnitude 1 under tol = 1 / sqrt(size): the cutoff is 1.0 exactly
+        amplitudes = {(k,): [1 + 0j, -1 + 0j, 1j, -1j][k % 4] for k in range(size)}
+        amplitudes[(size,)] = 2 + 0j
+        tol = 1 / math.sqrt(size + 4)
+        assert tol * math.sqrt(size + 4) == 1.0
+        assert _listed(FockState(1, amplitudes, tol)._amp) == [((size,), complex, "0x1.0000000000000p+1", "0x0.0p+0")]
+        assert FockState._trusted(1, amplitudes, tol)._amp == {(size,): 2 + 0j}
+
+    @pytest.mark.parametrize("size", [3, fock._ARRAY_TERMS, 3 * fock._ARRAY_TERMS])
+    @pytest.mark.parametrize("bad", [1e200, 1.3e154 + 1.3e154j, complex("nan"), complex(1.0, float("inf"))])
+    def test_overflow_and_nan_raise_the_loops_errors(self, size, bad):
+        amplitudes = {(k, 0): complex(1.0, -0.5) for k in range(size)}
+        amplitudes[(size // 2, 0)] = complex(bad)
+        amplitudes[(size, 1)] = complex(bad)
+        with pytest.raises(InvalidOccupationError) as expected:
+            _loop_kept(amplitudes, fock.DEFAULT_TOL)
+        for make in (FockState, FockState._trusted):
+            with pytest.raises(InvalidOccupationError) as raised:
+                make(2, amplitudes)
+            assert str(raised.value) == str(expected.value)
+
+    def test_keys_of_one_occupation_add_in_the_order_met(self):
+        # range(0, 2) and (0, 1) are two keys of one occupation: checked key
+        # by key, their amplitudes add, and a sum of 0 is dropped
+        state = FockState(2, {(1, 1): 1.0, range(0, 2): complex(-0.0, 0.5), (0, 1): 0.25})
+        assert _listed(state._amp) == _listed({(1, 1): 1 + 0j, (0, 1): 0j + complex(-0.0, 0.5) + 0.25})
+        assert FockState(2, {range(0, 2): 0.5, (1, 1): 1.0, (0, 1): -0.5})._amp == {(1, 1): 1 + 0j}
+
+    @pytest.mark.parametrize("size", [40, fock._ARRAY_TERMS, 300])
+    def test_numpy_complex_amplitudes_build_the_complex_state(self, size):
+        rng = np.random.default_rng(size)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps[::7] *= -0.0  # signed zero parts
+        amps[3] = 0.0
+        keys = [tuple(map(int, np.unravel_index(k, (6,) * 4))) for k in rng.permutation(6**4)[:size]]
+        numpy_state = FockState(4, dict(zip(keys, amps)))
+        assert {type(amp) for amp in numpy_state._amp.values()} == {complex}
+        assert _listed(numpy_state._amp) == _listed(FockState(4, dict(zip(keys, amps.tolist())))._amp)
+        amps[5] = complex("nan")
+        with pytest.raises(InvalidOccupationError, match=r"non-finite amplitude for \("):
+            FockState(4, dict(zip(keys, amps)))
+
+
 class TestTensor:
     def test_basis(self):
         assert tensor(number_state((1,)), number_state((0,))).amplitude((1, 0)) == 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
-from fockworks import costs, measure
+from fockworks import costs, measure, optics
 from fockworks.costs import encode_single_rail
 from fockworks.fock import BudgetExceeded, FockState, number_state
 from fockworks.optics import (
@@ -188,6 +188,55 @@ class TestTransitionAmplitude:
             with pytest.raises(BudgetExceeded, match=f"^{photons} photons"):
                 transition_amplitude(u, (photons, 0), (1, photons - 1))
         assert walked == [21]
+
+
+def _by_permanent(u, occ_in, occ_out):
+    """<out|U|in> as the permanent of the repeated submatrix over the scale."""
+    scale = math.prod(math.sqrt(math.factorial(k)) for k in occ_in + occ_out)
+    return KERNELS.permanent(u.matrix.repeat(occ_out, axis=0).repeat(occ_in, axis=1)) / scale
+
+
+@st.composite
+def _drawn_occupations(draw, m, photons):
+    """An occupation of ``photons`` on ``m`` modes."""
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=photons, max_size=photons))
+    return tuple(modes.count(j) for j in range(m))
+
+
+class TestSharedSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_interleaved_unitaries_and_patterns_use_their_own_sums(self, data):
+        # two unitaries share each pattern and the calls hop between them and
+        # between patterns, so a stale slot would give a wrong amplitude
+        m, photons = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        unitaries = [random_unitary(m, rng) for _ in range(2)]
+        patterns = [data.draw(_drawn_occupations(m, photons)) for _ in range(2)]
+        calls = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                             _drawn_occupations(m, photons)), min_size=1, max_size=12))
+        for which, pattern, occ_in in calls:
+            u, occ_out = unitaries[which], patterns[pattern]
+            want = _by_permanent(u, occ_in, occ_out)
+            assert abs(transition_amplitude(u, occ_in, occ_out) - want) < 1e-12
+            assert abs(transition_amplitude(u, occ_out, occ_in) - _by_permanent(u, occ_out, occ_in)) < 1e-12
+
+    def test_sums_past_two_to_the_sixteen_columns_take_the_permanent(self, monkeypatch):
+        # m modes of r photons hold m * 2^(r - 1) sums: 2 modes share them up
+        # to 16 photons
+        walked, permanent = [], KERNELS.permanent
+        monkeypatch.setattr(KERNELS, "permanent", lambda mat: walked.append(len(mat)) or permanent(mat))
+        u = element_matrix(BeamSplitter(0, 1, 0.3))
+        for occ_in, occ_out in [((9, 7), (8, 8)), ((9, 8), (8, 9)), ((9, 9), (8, 10))]:
+            transition_amplitude(u, occ_in, occ_out)
+        assert walked == [17, 18]
+
+    def test_one_slot_holds_the_last_pattern(self, rng):
+        u, v = random_unitary(3, rng), random_unitary(3, rng)
+        transition_amplitude(u, (1, 2, 0), (0, 1, 2))
+        transition_amplitude(v, (1, 2, 0), (3, 0, 0))
+        held = optics._SUMS
+        assert held[0] is v and held[1] == (3, 0, 0) and held[2].shape == (3, 4)
 
 
 @ONE_KERNEL
