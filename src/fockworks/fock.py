@@ -49,11 +49,12 @@ _ARRAY_TERMS = 64
 def _kept(amplitudes: dict, tol: float, typed: bool = False) -> dict:
     """A new dict of ``0j + amp`` of the nonzero terms past ``tol`` times their
     norm; non-finite ones raise. From ``_ARRAY_TERMS`` terms, all ``complex``
-    (``typed`` vouches), on arrays with the loops' bits: ``0j +`` only if a part
-    is 0, and ``np.bincount`` adds ``float_power(hypot(re, im), 2.0)``."""
+    (``typed`` vouches), on arrays with the loops' bits: ``np.bincount`` adds
+    ``float_power(hypot(re, im), 2.0)``; an exact zero adds 0.0 and never passes
+    the cutoff, even at tol 0, so only a -0.0 part needs ``0j +``."""
     if len(amplitudes) >= _ARRAY_TERMS and (typed or {*map(type, amplitudes.values())} <= {complex}):
         amps = np.fromiter(amplitudes.values(), complex, len(amplitudes))
-        if not amps.all() or np.signbit(amps.view(float)[amps.view(float) == 0]).any():
+        if np.signbit(amps.view(float)[amps.view(float) == 0]).any():
             return _kept({occ: 0j + amp for occ, amp in amplitudes.items() if amp != 0}, tol, True)
         with np.errstate(over="ignore"):
             size = np.hypot(amps.real, amps.imag)

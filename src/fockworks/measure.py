@@ -34,9 +34,10 @@ patterns, probabilities and weights as columns, over a store of kept
 amplitudes (``_Groups`` of dicts, or a ``_Block`` of arrays).
 ``records[i]`` is a ``ConditionalOutcome`` made on first read, and
 ``records.state(i, corrections)`` a post-state projected (and corrected)
-when its terms are first read. Every protocol detection is one stage of
-``protocols._detect``, which builds a branch's dict from ``counts``,
-``p`` and ``state`` only when the branch is read. Every
+when its terms are first read; its weight is taken at that read, from the
+group's dict, bit for bit the records' own. Every protocol detection is
+one stage of ``protocols._detect``, which builds a branch's dict from
+``counts``, ``p`` and ``state`` only when the branch is read. Every
 exact stage behind a mode unitary takes its records from
 ``_evolved_groups``, bit for bit those of ``measure_modes`` after
 ``apply_unitary``: a large single state (``teleport_tn``, stage 1 of the
@@ -257,22 +258,25 @@ class _Records(Sequence):
 
 class _BranchState(FockState):
     """Branch ``i`` of ``records``, projected, then ``_corrected``. Until its
-    terms are first read it holds the records' ``block``, its ``row``, its
-    ``weight`` and the ``corrections``, and no state."""
+    terms are first read it holds the records' ``block``, its ``row`` and the
+    ``corrections``, and no state. The weight is taken at that read, as
+    ``fock._squared_norm`` of the decoded group: every store sums the same
+    ``abs(a) ** 2`` in the same order from 0.0, so it is the records' weight."""
 
-    __slots__ = ("_block", "_row", "_weight", "_corrections")
+    __slots__ = ("_block", "_row", "_corrections")
 
     def __init__(self, records, i, corrections=()):
         self.modes, self._block, self._row = records.modes, records.block, records.rows[i]
-        self._weight, self._corrections = records.weight.item(i), corrections
+        self._corrections = corrections
 
     def __getattr__(self, name):
         # reached only while the ``_amp`` slot is unset
         if name != "_amp":
             raise AttributeError(name)
-        built = _projection(self.modes, self._block(self._row), self._weight)
+        group = self._block(self._row)
+        built = _projection(self.modes, group, fock._squared_norm(group.values()))
         self._amp = _corrected(built, self._corrections)._amp
-        del self._block, self._row, self._weight, self._corrections
+        del self._block, self._row, self._corrections
         return self._amp
 
 
@@ -411,17 +415,16 @@ def _block_records(post, measured, counts, group, square, block, total, firsts, 
     group that weighs 0 raises ZeroStateError, as ``_dict_groups`` does."""
     weight = np.bincount(group, square, len(counts))
     p = (weight if mass is None else mass) / total
-    possible = p >= IMPOSSIBLE
-    if (cancels := possible & (weight == 0)).any():
-        pattern = tuple(counts[np.argmax(cancels)].tolist())
-        raise ZeroStateError(f"click class {pattern} cancels coherently")
     held = np.bincount(group, minlength=len(counts))
-    stops = np.cumsum(held)
-    starts = stops - held
+    possible = np.flatnonzero(p >= IMPOSSIBLE)
+    counts, p, weight = counts.take(possible, axis=0), p.take(possible), weight.take(possible)
+    if not weight.all():
+        pattern = tuple(counts[np.argmax(weight == 0)].tolist())
+        raise ZeroStateError(f"click class {pattern} cancels coherently")
+    stops = np.cumsum(held).take(possible)
+    block = _Block((*block, stops - held.take(possible), stops))
     # each state's first possible group, then their end
-    bounds = np.concatenate(([0], np.cumsum(possible)))[firsts].tolist()
-    counts, p, weight = counts[possible], p[possible], weight[possible]
-    block = _Block((*block, starts[possible], stops[possible]))
+    bounds = np.searchsorted(possible, firsts).tolist()
     return [_Records(post, measured, counts[a:b], p[a:b], weight[a:b], block, range(a, b))
             for a, b in zip(bounds, bounds[1:])]
 
@@ -589,22 +592,25 @@ def _pass_groups(run, terms, mat, modes):
     # the validated constructor: exact zeros dropped, pruned at DEFAULT_TOL
     # times the norm (its 0j + amp changes nothing: sums from 0.0 hold no
     # -0.0); a zero adds 0.0 to its norm and never passes the cutoff
-    owner = layout.states(keys)
+    lone = len(run) == 1  # one state: its norm, cutoff and kept total broadcast as scalars
+    owner = np.zeros(len(keys), np.intp) if lone else layout.states(keys)
     size = np.hypot(re, im)
     square = np.float_power(size, 2.0)
     norm_sq = np.bincount(owner, square, len(run))
-    keep = size > fock.DEFAULT_TOL * np.sqrt(norm_sq)[owner]
+    cutoff = fock.DEFAULT_TOL * np.sqrt(norm_sq)
+    keep = size > (cutoff if lone else cutoff[owner])
     # _groups: total = norm() ** 2 of the kept terms; a pruned one adds +0.0, which changes no sum
     total = np.float_power(np.sqrt(np.bincount(owner, np.where(keep, square, 0.0), len(run))), 2.0)
     if not (np.isfinite(norm_sq).all() and total.all()):
         return None
     # the kept rows in key order, and their groups: a group that keeps none weighs 0.0, impossible
-    sorted_keep = keep[order]
-    rows, group = order[sorted_keep], group[sorted_keep]
+    order = order.astype(np.intp)
+    sorted_keep = keep.take(order)
+    rows, group = order.compress(sorted_keep), group.compress(sorted_keep)
     post = occ.shape[1] - len(modes)  # the states of a pass share their mode count
-    return _block_records(post, modes, counts, group, square[rows],
-                          (keys[rows], re[rows], im[rows], layout),
-                          np.repeat(total, np.diff(firsts)), firsts)
+    return _block_records(post, modes, counts, group, square.take(rows),
+                          (keys.take(rows), re.take(rows), im.take(rows), layout),
+                          total if lone else np.repeat(total, np.diff(firsts)), firsts)
 
 
 def _pass_plan(occ, states, count, modes):

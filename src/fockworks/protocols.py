@@ -745,7 +745,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     angle_y = (omega * s2 + math.pi * flip_y(k1s, k2)) % (2 * math.pi)
     p2 = np.concatenate([ones.p[:0]] + [two.p for two in seconds])
     patterns1, k1, p1s = _rows(ones.counts), k1.tolist(), ones.p.tolist()
-    last_x, last_y, fixes_x = [None] + layout.last_x, [None] + layout.last_y, {}
+    last_x, last_y, fixes_x, fixes_y = [None] + layout.last_x, [None] + layout.last_y, {}, {}
     leftover = [[None] + [[m for m in last_x[1:] + last_y[1:] if m not in (tx, ty)]
                           for ty in last_y[1:]] for tx in last_x]
 
@@ -761,9 +761,9 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
             return {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
                     "ok": False, "stage": 2, "projected": 0 if kb == 0 else 1, "target_x": tx,
                     "corrections": fixes, "state": seconds[at].state(j, fixes), "p2": py}
-        # one x correction per (stage-1 row, k2), shared: a tuple is immutable
+        # one x correction per (stage-1 row, k2), one y per (k2, angle), shared: a tuple is immutable
         fixes = [fixes_x.get((i, kb)) or fixes_x.setdefault((i, kb), ("phase", tx, ax)),
-                 ("phase", last_y[kb], ay)]
+                 fixes_y.get((kb, ay)) or fixes_y.setdefault((kb, ay), ("phase", last_y[kb], ay))]
         parity = {} if flavor is None else {"parity": (ka + kb + flavor) % 2}
         return {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
                 "ok": True, "target_x": tx, "target_y": last_y[kb],
@@ -1099,27 +1099,33 @@ def teleport_with_e(alpha0: complex, alpha1: complex, n: int = 2, rng=None,
     checked, final = _parity_check(state, 1, 2, n, ideal_parity, rng)
     bal, outer2, outs = _balanced(1), final(3), (final(4), final(5))
 
-    def decode(pb):
-        """The four counts of the sign decode on a gadget success ``pb``."""
-        work = apply_unitary(pb["state"], bal, [0, pb["target_x"]])
-        work = apply_unitary(work, bal, [pb["target_y"], outer2])
-        return _records(work, sorted([0, pb["target_x"], pb["target_y"], outer2]), rng)
+    def decoded(pb):
+        """A gadget success ``pb``'s sign decode, the records of its four counted
+        modes, and the fields of ``pb`` its rows read."""
+        tx, ty = pb["target_x"], pb["target_y"]
+        four = sorted([0, tx, ty, outer2])
+        work = apply_unitary(apply_unitary(pb["state"], bal, [0, tx]), bal, [ty, outer2])
+        return _records(work, four, rng), (ty, pb["parity"], pb["p"], four)
 
-    # end to end, the parity gadget can fail before the sign decode
-    seconds = [decode(pb) for pb in checked if pb["ok"]]
+    # end to end, the parity gadget can fail before the sign decode; a success's
+    # dict is built for it alone and not kept
+    seconds, facts = [], []
+    for i in np.flatnonzero(checked.ok).tolist():
+        records, fields = decoded(*checked._build(i, i + 1))
+        seconds.append(records), facts.append(fields)
 
     def row(p, i, two):
-        pb = checked[i]
         if two is None:
-            return pb
-        (at, j), four = two, sorted([0, pb["target_x"], pb["target_y"], outer2])
+            return checked[i]
+        at, j = two
+        ty, parity, p_parity, four = facts[at]
         pattern = tuple(seconds[at].counts[j].tolist())
         oa, ob = (_shift_index(m, four) for m in outs)
-        sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(pb["target_y"])] == 1) else "-"
-        fixes = [("swap", oa, ob)] * pb["parity"] + [("phase", oa, math.pi)] * (sign == "+")
-        return {"pattern": pattern, "p": p, "parity": pb["parity"], "sign": sign, "ok": True,
+        sign = "+" if (pattern[four.index(0)] == 1) == (pattern[four.index(ty)] == 1) else "-"
+        fixes = [("swap", oa, ob)] * parity + [("phase", oa, math.pi)] * (sign == "+")
+        return {"pattern": pattern, "p": p, "parity": parity, "sign": sign, "ok": True,
                 "out_pair": (oa, ob), "corrections": fixes, "state": seconds[at].state(j, fixes),
-                "p_parity": pb["p"], "p_sign": seconds[at].p.item(j)}
+                "p_parity": p_parity, "p_sign": seconds[at].p.item(j)}
 
     branches, _ = _splice(checked.p, checked.ok, checked.ok, seconds, row, kept_first=True, ok2=True)
     chosen = _resolve(branches)

@@ -15,6 +15,7 @@ import collections
 import gc
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -167,8 +168,9 @@ class TestDeferredBranchStates:
         for state in pending:
             assert _states_reachable_from(state) == []
             group = state._block(state._row)
+            weight = fock._squared_norm(group.values())
             eager = measure._corrected(
-                measure._projection(state.modes, group, state._weight), state._corrections)
+                measure._projection(state.modes, group, weight), state._corrections)
             assert _bits(state) == _bits(eager)
             assert _bits(state) == _bits(eager)  # a second read gives the same
             assert not hasattr(state, "_block") and _states_reachable_from(state) == []
@@ -499,3 +501,44 @@ class TestResultAssembly:
         assert "branches" not in res.details
         if name in ("teleport_with_e", "distribute_entanglement"):
             assert res.details["branch"]["ok"] == res.succeeded
+
+
+def _objects_reachable_from(obj):
+    """How many objects ``obj`` reaches, itself included, past no type, module or function."""
+    seen, todo = {id(obj)}, [obj]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if isinstance(ref, (type, types.ModuleType, types.FunctionType)) or id(ref) in seen:
+                continue
+            seen.add(id(ref))
+            todo.append(ref)
+    return len(seen)
+
+
+@pytest.mark.parametrize("gate, branches, objects", [
+    (lambda: protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, 4), 152, 1372),
+    (lambda: protocols.csign_teleported(tensor(encode_qubit(0.6, 0.8j), encode_qubit(0.28j, 0.96)),
+                                        Q1, Q2, 2), 131, 1370),
+], ids=["teleport_tn-4", "csign_teleported-2"])
+def test_a_fully_read_branch_list_holds_a_pinned_number_of_objects(gate, branches, objects):
+    # a read branch holds its dict, its own values and its lazy state (block,
+    # row and corrections); the weight is taken when the state is read, and
+    # equal correction tuples are shared
+    listed = gate().details["branches"]
+    assert len(list(listed)) == branches
+    assert _objects_reachable_from(listed) == objects
+
+
+def test_teleport_with_e_keeps_no_gadget_success_dict(monkeypatch):
+    # the sign decode builds each gadget success's dict once, for itself, and
+    # keeps only the fields its rows read
+    checked = []
+    parity_check = protocols._parity_check
+    monkeypatch.setattr(protocols, "_parity_check",
+                        lambda *args: checked.append(parity_check(*args)) or checked[-1])
+    res = protocols.teleport_with_e(0.6, 0.8j, n=3)
+    assert sum(branch["p"] for branch in res.details["branches"]) == pytest.approx(1)
+    gadget = checked[0][0]
+    assert gadget.ok.any() and not gadget.ok.all()
+    assert [i for i, branch in enumerate(gadget._dicts) if branch is not None] == \
+        np.flatnonzero(~gadget.ok).tolist()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fockworks
-from fockworks import optics
+from fockworks import costs, optics
 from fockworks.cli import RunConfig, main
 
 
@@ -175,6 +175,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "ns1", "--trials", "100")
         assert code == 2
         assert "seed" in err
+
+    def test_trials_past_the_budget_are_refused(self, capsys):
+        past = str(costs.MAX_TRIALS + 1)
+        code, out, err = run_cli(capsys, "run", "teleport", "--trials", past, "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {past} trials requested; the limit is {costs.MAX_TRIALS}\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_are_refused(self, capsys, trials):

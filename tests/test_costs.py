@@ -122,6 +122,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             monte_carlo(lambda uniforms: uniforms < 0.5, 0, seed=1)
 
+    def test_the_trials_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(costs, "MAX_TRIALS", 5)
+        assert monte_carlo(lambda uniforms: uniforms < 0.5, 5, seed=1).trials == 5
+        calls = []
+        with pytest.raises(BudgetExceeded, match="6 trials requested; the limit is 5"):
+            monte_carlo(lambda uniforms: calls.append(1), 6, seed=1)
+        assert calls == []
+
+    def test_one_trial_past_the_budget_draws_nothing(self):
+        calls = []
+        with pytest.raises(BudgetExceeded, match=f"the limit is {costs.MAX_TRIALS}$"):
+            monte_carlo(lambda uniforms: calls.append(1), costs.MAX_TRIALS + 1, seed=1)
+        assert calls == []
+
     def test_stats_csv(self):
         rows = trial_stats_csv([TrialStats(10, 5), TrialStats(4, 1)]).strip().splitlines()
         assert rows[0] == "trials,successes,rate,ci95"

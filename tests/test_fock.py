@@ -126,6 +126,17 @@ def _bulk_dicts(draw):
     return dict(zip(keys, map(complex, parts[::2].tolist(), parts[1::2].tolist())))
 
 
+@st.composite
+def _unsigned_zero_dicts(draw):
+    """``_bulk_dicts`` with every -0.0 part made 0.0 and a drawn share of the
+    terms exact zeros, ``0j``."""
+    amplitudes = draw(_bulk_dicts())
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {occ: 0j if rng.random() < zeros else complex(amp.real + 0.0, amp.imag + 0.0)
+            for occ, amp in amplitudes.items()}
+
+
 class TestBulkArithmetic:
     @settings(max_examples=150, deadline=None)
     @given(_bulk_dicts(), st.sampled_from([0.0, fock.DEFAULT_TOL, 1e-3, 0.5]))
@@ -135,6 +146,26 @@ class TestBulkArithmetic:
         assert _listed(FockState._trusted(3, amplitudes, tol)._amp) == want
         by_key = {tuple(map(np.int64, occ)): amp for occ, amp in amplitudes.items()}  # checked key by key
         assert _listed(FockState(3, by_key, tol)._amp) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_unsigned_zero_dicts(), st.sampled_from([0.0, fock.DEFAULT_TOL, 1e-3]))
+    def test_exact_zeros_without_a_signed_zero_have_the_loops_bits(self, amplitudes, tol):
+        want = _listed(_loop_kept(amplitudes, tol))
+        assert _listed(FockState(3, amplitudes, tol)._amp) == want
+        assert _listed(FockState._trusted(3, amplitudes, tol)._amp) == want
+
+    @pytest.mark.parametrize("tol", [0.0, fock.DEFAULT_TOL])
+    def test_exact_zeros_are_dropped_in_one_call(self, monkeypatch, tol):
+        # no -0.0 part: the array path drops the zeros by its cutoff, with no
+        # dict rebuilt through 0j + amp and no second call
+        amplitudes = {(k, 0, 0): 0j if k % 7 == 0 else complex(k, -k) for k in range(fock._ARRAY_TERMS)}
+        calls = []
+        kept = fock._kept
+        monkeypatch.setattr(fock, "_kept", lambda *a: calls.append(1) or kept(*a))
+        state = FockState._trusted(3, amplitudes, tol)
+        assert calls == [1]
+        assert _listed(state._amp) == _listed(_loop_kept(amplitudes, tol))
+        assert len(state._amp) == fock._ARRAY_TERMS - 10
 
     @pytest.mark.parametrize("size", [4, fock._ARRAY_TERMS, 4 * fock._ARRAY_TERMS])
     def test_a_term_at_the_cutoff_is_dropped(self, size):

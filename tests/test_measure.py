@@ -730,13 +730,17 @@ def _detect_records(work, u, modes):
 def lone_detections(draw):
     """One state on 9 modes whose first 8 a seeded random unitary evolves:
     up to 8 terms of 5 photons there, each of output bound 792, so a bound
-    on both sides of ``optics.ARRAY_MIN_TERMS``."""
+    on both sides of ``optics.ARRAY_MIN_TERMS``. A term may be tiny: its
+    outputs, alone in their kept occupation or not, fall just below the
+    cutoff of ``fock.DEFAULT_TOL`` times the norm, or just past it."""
     part = st.sampled_from([0.0, -0.0]) | st.floats(-1, 1)
+    tiny = st.sampled_from([0.0, 5e-13, -1e-12, 2e-12, -4e-12])
     amps = {}
     for _ in range(draw(st.sampled_from(range(3, 9)))):
         photons = draw(st.lists(st.integers(0, 7), min_size=5, max_size=5))
         occ = tuple(photons.count(m) for m in range(8)) + (draw(st.integers(0, 1)),)
-        amps[occ] = complex(draw(part), draw(part))
+        scale = draw(st.sampled_from([part, part, tiny]))
+        amps[occ] = complex(draw(scale), draw(scale))
     if not any(amps.values()):
         amps[occ] = 1.0
     u = optics.random_unitary(8, np.random.default_rng(draw(st.integers(0, 99))))
@@ -759,6 +763,20 @@ def test_exact_detection_records_equal_the_per_state_records(detection):
             _detect_records(work, u, modes)
         return
     assert _record_bits(_detect_records(work, u, modes)) == _record_bits(expected)
+
+
+def test_a_lone_pass_prunes_terms_just_below_the_cutoff():
+    # the one-pass state and a tiny term alone in its kept occupation: its 792
+    # outputs, 5.5e-12 to 6.1e-11, straddle the cutoff of about 1.2e-11
+    work = _bounded_state(4096)
+    work = FockState(9, {**work._amp, (5,) + (0,) * 7 + (2,): 1e-9 + 0j})
+    u, modes = optics.fourier_matrix(7), list(range(8))
+    expected = measure_modes(optics.apply_unitary(work, u, modes), modes)
+    tiny = [abs(a) for group in _groups(expected) for rest, a in group.items() if rest == (2,)]
+    assert 0 < len(tiny) < 792 and min(tiny) < 1.5 * fock.DEFAULT_TOL * work.norm()
+    with mock.patch.object(measure, "_pass_groups", wraps=measure._pass_groups) as passes:
+        assert _record_bits(_detect_records(work, u, modes)) == _record_bits(expected)
+    assert [len(call.args[0]) for call in passes.call_args_list] == [1]
 
 
 def _phase_classify(pattern, k, s):
@@ -984,6 +1002,30 @@ class TestRecords:
         assert _state_bits(outcome.post_state) == _state_bits(eager)
         fixes = [("phase", 0, 0.7), ("swap", 0, records.modes - 1)] if records.modes else []
         assert _state_bits(records.state(i, fixes)) == _state_bits(measure._corrected(eager, fixes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(groupings(), st.booleans())
+    def test_a_group_weighs_what_its_dict_weighs(self, grouping, arrays):
+        # a branch's post-state takes its weight from the dict it decodes
+        state, measured, model = grouping
+        with mock.patch.object(measure, "ARRAY_MIN_GROUP_TERMS", 0 if arrays else 1 << 62):
+            try:
+                records = measure_modes(state, measured, model)
+            except fock.FockError:
+                return
+        assert [fock._squared_norm(group.values()).hex() for group in _groups(records)] == \
+            [weight.hex() for weight in records.weight.tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(state_batches())
+    def test_a_pass_group_weighs_what_its_dict_weighs(self, batch):
+        try:
+            passed = _batched(*batch)
+        except fock.FockError:
+            return
+        for records in passed:
+            assert [fock._squared_norm(group.values()).hex() for group in _groups(records)] == \
+                [weight.hex() for weight in records.weight.tolist()]
 
     def test_no_state_is_projected_until_a_post_state_is_read(self, monkeypatch):
         calls = []
