@@ -9,22 +9,22 @@ column, from prefix and suffix products. Glynn's sum is D. G.
 Glynn, "The permanent of a square matrix", European J. Combin. 31 (2010).
 
 The expansion is one computation (``_expand_arrays``), each photon step
-one ``np.bincount`` through a cached rank table built from a closed form
+one ``np.bincount`` through a rank table built from a closed form
 (``_level``), over blocks of occupations whose products and slots fit one
 fixed workspace per thread (``_scratch``). It is read in two forms: arrays
 for the occupations of one photon total (``arrays=True``), and a dict for
 one occupation, expanded on the rows of the unitary that its filled
-columns reach, listing the outputs that its nonzero entries reach. Both
-forms keep their rows in one store (``_ROWS``, one occupation under one
-unitary in one form each, least recently used dropped first past
-``_ROW_FLOATS``), storing a row at the second request of its key within
+columns reach, listing the outputs that its nonzero entries reach.
+One store (``_ROWS``) holds every value the package caches by size, least
+recently used dropped first past one budget (``_ROW_FLOATS``). Rows (one
+occupation under one unitary in one form each) and ``measure``'s pass
+plans (``stored``) are held from the second request of their key within
 the last ``_RECENT_KEYS`` missed keys, so a fixed interferometer (the NS
 sign flip, the balanced splitters and the Fourier multiports of the
-gates) is expanded once while a unitary seen once takes no memory.
-``stored`` keeps any other value there under the same rule and budget:
-``measure`` keeps the plans of its detection passes in it. ``optics`` and
-``measure`` reach the kernels through ``fockworks._backend.kernels``, one
-call per expansion, hit or not.
+gates) is expanded once while a unitary seen once takes no memory; rank
+tables and ``optics``' Fourier multiports (``held``) from their first.
+``optics`` and ``measure`` reach the kernels through
+``fockworks._backend.kernels``, one call per expansion, hit or not.
 """
 
 import math
@@ -173,36 +173,27 @@ class _Workspace(threading.local):
 
 _WORK = _Workspace()
 
-#: Most entries (child slots and occupation counts) the rank tables keep
-#: cached; a level that would pass it is built for its call and dropped.
-_TABLE_ENTRIES = 1 << 22
-
-# (modes, photons) -> that level's rank table; _table_entries is their size
-_TABLES: dict = {}
-_table_entries = 0
-
-#: Most floats' worth of memory (8 bytes each) the stored expansion rows
-#: and pass plans hold, with their keys and the store's own table
-#: (``_floats``): 6 MiB, past the 4.4 MiB that the exact Fourier
-#: detections of ``teleport_tn`` n=8 and ``csign_teleported`` n=4 keep
-#: between them.
-_ROW_FLOATS = 6 << 17
+#: Most floats' worth of memory (8 bytes each) the store's values hold,
+#: with their keys and its own table (``_floats``): 7.5 MiB, past the 5.7
+#: MiB of rows, plans and tables that the exact Fourier detections of
+#: ``teleport_tn`` n=8 and ``csign_teleported`` n=4 hold between them.
+_ROW_FLOATS = 15 << 16
 #: Missed row keys remembered, so that a second request stores its row.
 _RECENT_KEYS = 256
 
-# (unitary, occupation, arrays) -> its row, (re, im) or a dict, and the
-# keys of ``stored`` -> their values, least recently used first, and
-# _row_floats their charge; _recent is a ring of the hashes of the last
-# missed keys, written at _recent_at: one array, where a dict of them
-# would pin small objects all over the heap (a hash collision only stores
-# a row early)
+# (unitary, occupation, arrays) -> its row, (re, im) or a dict, (modes,
+# photons) -> a rank table, and the keys of ``stored`` and ``held`` -> their
+# values, least recently used first, and _row_floats their charge; _recent
+# is a ring of the hashes of the last missed keys, written at _recent_at:
+# one array, where a dict of them would pin small objects all over the heap
+# (a hash collision only stores a row early)
 _ROWS: OrderedDict = OrderedDict()
 _row_floats = 0
 _recent = np.zeros(_RECENT_KEYS, dtype=np.int64)
 _recent_at = 0
 
 
-def _level(m, t, below, keep=True):
+def _level(m, t, below):
     """The rank table of level ``t`` >= 1 of ``m`` modes, given ``below``,
     the occupations of level t - 1 in rank order.
 
@@ -213,11 +204,10 @@ def _level(m, t, below, keep=True):
     the modes after j, a rank is the sum over j < m - 1 of
     C(s_j + m - 2 - j, m - 1 - j); a photon added to mode q raises it by
     the sum over j < q of C(s_j + m - 2 - j, m - 2 - j), one ``cumsum``
-    of Pascal entries no larger than the level. With ``keep``, levels are
-    cached up to ``_TABLE_ENTRIES`` entries in all.
+    of Pascal entries no larger than the level. A table is held in
+    ``_ROWS`` under ``(m, t)`` from its first request (``_hold``).
     """
-    global _table_entries
-    table = _TABLES.get((m, t))
+    table = _read((m, t))
     if table is None:
         # pascal[s, a] = C(s + a, a): each row the running sum of the one above
         pascal = np.ones((t, m - 1), dtype=np.int64)
@@ -233,13 +223,8 @@ def _level(m, t, below, keep=True):
         for q in range(m):
             counts[ranks[:, q]] = below
             counts[ranks[:, q], q] += 1
-        table = np.ascontiguousarray(ranks[:, ::-1].T, dtype=np.int32), counts
-        for array in table:
-            array.setflags(write=False)
-        size = table[0].size + table[1].size
-        if keep and _table_entries + size <= _TABLE_ENTRIES:
-            _TABLES[m, t] = table
-            _table_entries += size
+        table = _frozen(np.ascontiguousarray(ranks[:, ::-1].T, dtype=np.int32), counts)
+        _hold((m, t), table)
     return table
 
 
@@ -281,11 +266,26 @@ def expand_basis_state(u, occ, arrays=False):
 def stored(key, compute):
     """The value held in ``_ROWS`` under ``key``, else ``compute()``, which
     is held from the key's second request on, as a row is."""
-    value = _ROWS.get(key)
+    value = _read(key)
     if value is None:
         value = compute()
         _remember([key], lambda _: value)
-    else:
+    return value
+
+
+def held(key, compute):
+    """The value held in ``_ROWS`` under ``key``, else ``compute()``, which
+    is held from the key's first request on, as a rank table is."""
+    value = _read(key)
+    if value is None:
+        _hold(key, value := compute())
+    return value
+
+
+def _read(key):
+    """The value held in ``_ROWS`` under ``key``, now its most recently used, or None."""
+    value = _ROWS.get(key)
+    if value is not None:
         _ROWS.move_to_end(key)
     return value
 
@@ -300,13 +300,10 @@ def _expand_dict(u, occ):
     """The dict form of ``expand_basis_state``, computed: the array form of
     ``occ`` on the rows of ``u`` that its filled columns reach, padded back
     to every mode ``UNPACK_ROWS`` outputs at a time, in the counts' dtype,
-    as a new dict. A row that ``_size`` would charge past ``_ROW_FLOATS``
-    (C(t + s, s) outputs bound it) is never stored: nor are its tables."""
+    as a new dict."""
     occs = np.array([occ], dtype=np.int64)
     support = np.flatnonzero(u[:, occs[0] > 0].any(axis=1))
-    outputs = math.comb(sum(occ) + len(support), len(support))
-    keep = outputs * (sys.getsizeof(occ) + sys.getsizeof(0j)) <= 8 * _ROW_FLOATS
-    counts, re, im = _expand_arrays(u[support], occs, keep)
+    counts, re, im = _expand_arrays(u[support], occs)
     out: dict = {}
     for start in range(0, len(counts), UNPACK_ROWS):
         rows = slice(start, start + UNPACK_ROWS)
@@ -323,21 +320,18 @@ def _expand_rows(u, occs):
     together.
 
     A row has the same bits whichever occupations share its call, so a
-    held row stands for a fresh one; a hit needs its level's counts in
-    ``_TABLES``.
+    held row stands for a fresh one; a hit needs its level's counts held
+    in ``_ROWS`` too, and reading them marks the level used.
     """
     owners, m = occs.shape
     t = int(occs[0].sum())
     if (occs.sum(axis=1) != t).any():
         raise ValueError("the occupations expanded together must hold the same photon total")
-    level = _TABLES.get((m, t)) if t else (None, np.zeros((1, m), dtype=np.uint8))
+    level = _read((m, t)) if t else (None, np.zeros((1, m), dtype=np.uint8))
     matrix = _matrix(u)
     keys = [(matrix, occ, True) for occ in map(tuple, occs.tolist())]
-    rows = [_ROWS.get(key) for key in keys] if level else [None] * owners
+    rows = [_read(key) for key in keys] if level else [None] * owners
     missing = [i for i, row in enumerate(rows) if row is None]
-    for key, row in zip(keys, rows):
-        if row is not None:
-            _ROWS.move_to_end(key)
     if missing:
         if not u[:, occs.any(axis=0)].all():
             raise ValueError("a filled column of the unitary holds an exact zero")
@@ -358,49 +352,49 @@ def _frozen(*arrays):
 
 
 def _remember(keys, row):
-    """Store the row ``row(i)`` of each missed ``keys[i]`` whose key was
-    among the last ``_RECENT_KEYS`` missed keys, and note the others: a
-    unitary seen once takes no memory. Past ``_ROW_FLOATS`` the least
-    recently used rows, of either form, are dropped."""
-    global _row_floats, _recent_at
+    """Hold the row ``row(i)`` of each missed ``keys[i]`` whose key was
+    among the last ``_RECENT_KEYS`` missed keys (``_hold``), and note the
+    others: a unitary seen once takes no memory."""
+    global _recent_at
     hashes = list(map(hash, keys))
-    if len(keys) == 1:
-        # one key (the dict form's): its hash is in the ring when its bytes
-        # are, a search that builds no array (bytes that span two hashes
-        # match as a hash collision does)
-        seen = [hashes[0].to_bytes(8, sys.byteorder, signed=True) in _recent.tobytes()]
-    else:
-        seen = (np.array(hashes, dtype=np.int64)[:, None] == _recent).any(axis=1).tolist()
+    seen = (np.array(hashes, dtype=np.int64)[:, None] == _recent).any(axis=1).tolist()
     for i, (h, old) in enumerate(zip(hashes, seen)):
-        if not old:
+        if old:
+            _recent[_recent == h] = 0
+            _hold(keys[i], row(i))
+        else:
             _recent[_recent_at] = h
             _recent_at = (_recent_at + 1) % len(_recent)
-            continue
-        key, stored_row = keys[i], row(i)
-        _recent[_recent == h] = 0
-        floats = _floats(key, stored_row)
-        # stored already (a repeated occupation, or a level dropped from _TABLES) or too large
-        if key in _ROWS or floats > _ROW_FLOATS:
-            continue
-        _ROWS[key] = stored_row
-        _row_floats += floats
-        # the store's own table, as sys.getsizeof measures it, counts too
-        while _ROWS and _row_floats + sys.getsizeof(_ROWS) // 8 > _ROW_FLOATS:
-            _row_floats -= _floats(*_ROWS.popitem(last=False))
 
 
-def _floats(key, row):
-    """The memory the stored ``row`` of ``key`` holds, in floats of 8
+def _hold(key, value):
+    """Hold ``value`` in ``_ROWS`` under ``key``, unless it is held already
+    (a repeated occupation, or rows recomputed for a dropped level) or
+    charged past the whole budget; past ``_ROW_FLOATS`` the least recently
+    used values, of any kind, are dropped."""
+    global _row_floats
+    floats = _floats(key, value)
+    if key in _ROWS or floats > _ROW_FLOATS:
+        return
+    _ROWS[key] = value
+    _row_floats += floats
+    # the store's own table, as sys.getsizeof measures it, counts too
+    while _ROWS and _row_floats + sys.getsizeof(_ROWS) // 8 > _ROW_FLOATS:
+        _row_floats -= _floats(*_ROWS.popitem(last=False))
+
+
+def _floats(key, value):
+    """The memory the held ``value`` of ``key`` takes, in floats of 8
     bytes, as ``sys.getsizeof`` measures it (``_size``)."""
-    return -(-(_size(key) + _size(row)) // 8)
+    return -(-(_size(key) + _size(value)) // 8)
 
 
 def _size(value):
     """The bytes ``value`` holds as ``sys.getsizeof`` measures them: a
     tuple and each of its items, an array's or a bytes object's buffer,
     or a dict row's dict and one output tuple of m counts and one complex
-    per entry. Ints, bools and dtypes are shared (small ints interned),
-    and not counted."""
+    per entry. Other objects (ints, bools, dtypes, a multiport's name or
+    object, held beside its matrix) are shared or small, and not counted."""
     if isinstance(value, tuple):
         return sys.getsizeof(value) + sum(map(_size, value))
     if isinstance(value, dict):
@@ -411,11 +405,11 @@ def _size(value):
     return 0
 
 
-def _expand_arrays(u, occs, keep=True):
+def _expand_arrays(u, occs):
     """``(counts, re, im)`` of every row of ``occs`` under ``u``, whose
     rows are the output modes: one ``np.bincount`` per photon step, at
-    slot owner * n + child, exact zeros multiplied in, over rank tables
-    cached with ``keep`` (``_level``), in blocks of owners whose widest step
+    slot owner * n + child, exact zeros multiplied in, over the held rank
+    tables (``_level``), in blocks of owners whose widest step
     (the last: two products and a slot per owner, mode and parent) fits the
     thread's workspace (``_scratch``; a wider owner's wide steps allocate).
 
@@ -432,7 +426,7 @@ def _expand_arrays(u, occs, keep=True):
     cols = (np.repeat(np.arange(occs.size), occs.ravel()) % m).reshape(owners, t)
     counts, levels = np.zeros((1, len(u)), dtype=np.uint8), []
     for s in range(t):
-        child, counts = _level(len(u), s + 1, counts, keep)
+        child, counts = _level(len(u), s + 1, counts)
         levels.append((child, len(counts)))
     filled = np.flatnonzero(occs.any(axis=0))
     zeros, scale = not u[:, filled].all(), np.ones((owners, 1))

@@ -174,6 +174,10 @@ def _analytic_report(cfg: RunConfig):
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    if cfg.trials is not None:  # checked before the exact analysis, which can take seconds
+        if cfg.seed is None:
+            raise ValueError("--seed is required for sampling runs")
+        costs.check_trials(cfg.trials)
     res, analytic = _analytic_report(cfg)
     report = {
         "protocol": cfg.protocol,
@@ -185,9 +189,6 @@ def cmd_run(cfg: RunConfig) -> int:
         "empirical": None,
     }
     if cfg.trials is not None:
-        if cfg.seed is None:
-            _say("error: --seed is required for sampling runs")
-            return 2
         trial = costs.trial_from(res)
         stats = costs.monte_carlo(trial, cfg.trials, cfg.seed)
         report["empirical"] = stats.to_json()

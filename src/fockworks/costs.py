@@ -71,9 +71,6 @@ def cost_model(name: str, n: int = 1) -> CostModel:
     if name == "b4prime":
         return CostModel("b4prime", 4 + 2 * ns1_elements, 4, 4, 1 / 16)
     if name == "teleport":
-        if n >= 1 and (n + 1) ** 2 > optics.MAX_EVOLVED_TERMS:  # the multiport is built and kept per n
-            raise BudgetExceeded(f"the teleport cost model at n = {n} decomposes a multiport of "
-                                 f"{(n + 1) ** 2} entries; the limit is {optics.MAX_EVOLVED_TERMS}")
         fourier = len(optics.decompose_reck(optics.fourier_matrix(n)).elements)
         return CostModel(f"teleport(n={n})", fourier, n + 1, n, n / (n + 1))
     raise ValueError(f"no cost model for {name!r}")
@@ -127,18 +124,23 @@ def monte_carlo(trial, trials: int, seed: int) -> TrialStats:
     Trial i takes the i-th double of the one stream default_rng(seed), which
     Generator(PCG64(seed).advance(i)).random() reproduces, so runs are
     reproducible and can be split by index. ``trial`` gets the uniforms in
-    chunks of at most _CHUNK; chunking leaves the stream unchanged. Fewer
-    than one trial, or a count that is not an integer, raises ValueError;
-    more than ``MAX_TRIALS`` raises BudgetExceeded before the first draw."""
-    if not isinstance(trials, Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials > MAX_TRIALS:
-        raise BudgetExceeded(f"{trials} trials requested; the limit is {MAX_TRIALS}")
+    chunks of at most _CHUNK; chunking leaves the stream unchanged. The
+    count is checked before the first draw (``check_trials``)."""
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     successes = 0
     for start in range(0, trials, _CHUNK):
         successes += int(np.count_nonzero(trial(rng.random(min(_CHUNK, trials - start)))))
     return TrialStats(trials=trials, successes=successes)
+
+
+def check_trials(trials):
+    """Refuse a trial count that is no integer of at least 1 (ValueError) or
+    is past ``MAX_TRIALS`` (BudgetExceeded)."""
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be >= 1 and an integer, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise BudgetExceeded(f"{trials} trials requested; the limit is {MAX_TRIALS}")
 
 
 def _plus_plus() -> FockState:

@@ -96,7 +96,7 @@ class BudgetExceeded(FockError):
 
 
 class ModeIndexError(FockError, ValueError):
-    """A mode index outside 0..modes-1."""
+    """A mode index outside 0..modes-1, or one listed twice where distinct modes are needed."""
 
 
 def _integers(occ) -> tuple:
@@ -121,7 +121,7 @@ def _check_modes(modes: int, listed) -> list:
     """``listed`` as a list of distinct mode indices of a ``modes``-mode state."""
     listed = list(listed)
     if len(set(listed)) != len(listed):
-        raise ValueError(f"duplicate modes in {listed}")
+        raise ModeIndexError(f"duplicate modes in {listed}")
     for mode in listed:
         if not 0 <= mode < modes:
             raise ModeIndexError(f"mode {mode} out of range for a {modes}-mode state")
@@ -309,6 +309,7 @@ def permute_modes(state: FockState, perm) -> FockState:
 
 
 def swap_modes(state: FockState, i: int, j: int) -> FockState:
+    _check_modes(state.modes, {i, j})
     perm = list(range(state.modes))
     perm[i], perm[j] = perm[j], perm[i]
     return permute_modes(state, perm)
@@ -321,7 +322,7 @@ def reduced_density_matrix(state: FockState, modes):
     labelling the rows/columns. Used for entanglement diagnostics only;
     the simulator itself stays pure-state.
     """
-    modes = list(modes)
+    modes = _check_modes(state.modes, modes)
     rest = [m for m in range(state.modes) if m not in modes]
     blocks = {}
     for occ, amp in state._amp.items():
@@ -367,8 +368,13 @@ def state_to_json(state: FockState) -> dict:
 
 
 def state_from_json(data: dict) -> FockState:
-    amp = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in data["terms"]}
-    return FockState(int(data["modes"]), amp, tol=0.0)
+    """The state ``state_to_json`` wrote; a field missing or of the wrong kind raises FockError."""
+    try:
+        amp = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in data["terms"]}
+        modes = int(data["modes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FockError(f"not a state's JSON ({type(exc).__name__}: {exc})") from None
+    return FockState(modes, amp, tol=0.0)
 
 
 def dump_state(state: FockState) -> str:

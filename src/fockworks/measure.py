@@ -199,18 +199,16 @@ def measure_modes(state: FockState, modes, model: DetectorModel = Counter()) -> 
 def _fanned(state: FockState, modes, n):
     """``state`` with every mode of ``modes`` fanned out onto n detectors, and
     those detectors: the mode and its spread, n - 1 vacuum modes appended
-    after the state's own, run by one n-port Fourier multiport per mode."""
+    after the state's own, run by one n-port Fourier multiport per mode (made
+    or refused before the state grows, held in the kernels' store)."""
     if n == 1:
         return state, modes
-    if n * n > optics.MAX_EVOLVED_TERMS:  # the multiport, n^2 entries, is built and kept per n
-        raise fock.BudgetExceeded(f"a fan-out onto {n} detectors needs an {n}-port multiport of "
-                                  f"{n * n} entries; the limit is {optics.MAX_EVOLVED_TERMS}")
-    first = state.modes
+    u, first = optics.fourier_matrix(n - 1), state.modes
     state = fock.tensor(state, fock.vacuum(len(modes) * (n - 1)))
     detectors = []
     for i, mode in enumerate(modes):
         spread = [mode, *range(first + i * (n - 1), first + (i + 1) * (n - 1))]
-        state = optics.apply_unitary(state, optics.fourier_matrix(n - 1), spread)
+        state = optics.apply_unitary(state, u, spread)
         detectors += spread
     return state, detectors
 
@@ -692,7 +690,9 @@ def _sample_detection(state: FockState, u, modes, rng):
     ``apply_unitary`` of that sector. The branch is then built from the
     transition amplitudes of every term with the pattern's photon number,
     one permanent per distinct sub-occupation, pruned as ``apply_unitary``
-    prunes. A pattern outside that support is drawn again.
+    prunes. A pattern outside that support is drawn again. A sector whose
+    permanents walk past the budget is refused before any draw
+    (``optics._walkable``).
     """
     modes = _check_modes(state.modes, modes)
     measured, kept = _split(state, modes)
@@ -701,6 +701,7 @@ def _sample_detection(state: FockState, u, modes, rng):
     for occ, amp in state.terms():
         sub = measured(occ)
         sectors.setdefault((kept(occ), sum(sub)), {})[sub] = amp
+    optics._walkable(max(k for _, k in sectors))
     drawn = list(sectors.values())
     pick = _drawer([fock._squared_norm(terms.values()) / total for terms in drawn])
     cutoff = fock.DEFAULT_TOL * math.sqrt(total)

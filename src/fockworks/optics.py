@@ -19,7 +19,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, chain
 from numbers import Integral
 
@@ -116,16 +115,24 @@ def element_matrix(element: OpticalElement) -> ModeUnitary:
     return ModeUnitary([[c, -s], [s, c]])
 
 
-@cache
 def fourier_matrix(n: int) -> ModeUnitary:
     """(n+1)-point Fourier transform, entries w^{kl} / sqrt(n+1); built and
-    checked once per n, then shared (a ModeUnitary is never mutated)."""
+    checked once, then held (``kernels.held``, charged by its matrix) and
+    shared while the store keeps it (a ModeUnitary is never mutated).
+    Refused (BudgetExceeded) before it is built past ``MAX_EVOLVED_TERMS``."""
     if not isinstance(n, Integral) or n < 1:
         raise ValueError(f"need an integer n >= 1, got {n!r}")
     dim = n + 1
-    k = np.arange(dim)
-    mat = np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
-    return ModeUnitary(mat)
+    if dim * dim > MAX_EVOLVED_TERMS:
+        raise BudgetExceeded(f"a Fourier multiport of {dim} ports has {dim * dim} entries; "
+                             f"the limit is {MAX_EVOLVED_TERMS}")
+
+    def build():
+        k = np.arange(dim)
+        u = ModeUnitary(np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim))
+        return u, u.matrix
+
+    return kernels.held(("fourier", n), build)[0]
 
 
 def embed(element: OpticalElement, modes: int) -> ModeUnitary:
@@ -448,8 +455,8 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     over every mode, kept in ``_SUMS`` for the next call on the same
     unitary object and pattern, then ``kernels.glynn_sum`` of the in
     columns. Past 2^16 sums (m 2^(r-1), at most 17 photons) it takes
-    ``kernels.permanent``, whose walk of 2^(r-1) sign vectors raises
-    BudgetExceeded past ``MAX_EVOLVED_TERMS`` (from 22 photons on).
+    ``kernels.permanent``; a walk past the budget is refused first
+    (``_walkable``).
     """
     global _SUMS
     if not (type(occ_in) is type(occ_out) is tuple and {*map(type, occ_in + occ_out)} <= {int}):
@@ -461,9 +468,7 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     total = sum(occ_in)
     if total != sum(occ_out):
         return 0j
-    if total - 1 >= MAX_EVOLVED_TERMS.bit_length():  # 2^(total - 1) > MAX_EVOLVED_TERMS
-        raise BudgetExceeded(f"{total} photons: their permanent walks 2^{total - 1} sign vectors; "
-                             f"the limit is {MAX_EVOLVED_TERMS}")
+    _walkable(total)
     scale = math.prod(map(kernels._sqrt_factorials(total).__getitem__, occ_in + occ_out))
     if u.dim << total > 2 * kernels._SUBSET_BLOCK:
         return kernels.permanent(u.matrix.repeat(occ_out, axis=0).repeat(occ_in, axis=1)) / scale
@@ -471,6 +476,14 @@ def transition_amplitude(u: ModeUnitary, occ_in, occ_out) -> complex:
     if held[0] is not u or held[1] != occ_out:
         held = _SUMS = (u, occ_out, *kernels.column_sums(u.matrix.repeat(occ_out, axis=0)))
     return kernels.glynn_sum(held[2].repeat(occ_in, axis=0), held[3]) / scale
+
+
+def _walkable(photons):
+    """Refuse (BudgetExceeded) a permanent of ``photons`` rows, whose walk of
+    2^(photons - 1) sign vectors passes ``MAX_EVOLVED_TERMS`` (from 22 photons on)."""
+    if photons - 1 >= MAX_EVOLVED_TERMS.bit_length():  # 2^(photons - 1) > MAX_EVOLVED_TERMS
+        raise BudgetExceeded(f"{photons} photons: their permanent walks 2^{photons - 1} sign vectors; "
+                             f"the limit is {MAX_EVOLVED_TERMS}")
 
 
 def compose(seq: ElementSequence) -> ModeUnitary:

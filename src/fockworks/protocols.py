@@ -297,6 +297,7 @@ def encode_qubit(alpha0: complex, alpha1: complex) -> FockState:
 
 def qubit_coherence_weight(state: FockState, q: BosonicQubit) -> float:
     """Weight of the state inside the dual-rail span of (q.a, q.b)."""
+    fock._check_modes(state.modes, [q.a, q.b])
     good = sum(abs(amp) ** 2 for occ, amp in state.terms() if (occ[q.a], occ[q.b]) in ((0, 1), (1, 0)))
     return good / state.norm() ** 2
 
@@ -309,7 +310,7 @@ def require_coherent(state: FockState, q: BosonicQubit, tol: float = 1e-10):
 
 def factor_out(state: FockState, modes) -> FockState:
     """State restricted to ``modes`` when everything else is a fixed product."""
-    modes = list(modes)
+    modes = fock._check_modes(state.modes, modes)
     rest = [m for m in range(state.modes) if m not in modes]
     groups = {}
     for occ, amp in state.terms():
@@ -509,8 +510,7 @@ def csign_via_ns(state: FockState, q1: BosonicQubit, q2: BosonicQubit, rng=None)
 
 def csign_ideal_modes(state: FockState, mode_x: int, mode_y: int) -> FockState:
     """Oracle conditional sign: phase (-1)^(n_x n_y)."""
-    fock._check_modes(state.modes, [mode_x])
-    fock._check_modes(state.modes, [mode_y])
+    fock._check_modes(state.modes, [mode_x, mode_y])
     amps = {}
     for occ, amp in state.terms():
         sign = -1.0 if (occ[mode_x] * occ[mode_y]) % 2 else 1.0
@@ -526,6 +526,7 @@ def apply_csign_modes(state, mode_x, mode_y, strategy="ideal", n=1, rng=None) ->
     entangled resource, p=(n/(n+1))^2; targets are relabeled back onto
     the original mode positions).
     """
+    fock._check_modes(state.modes, [mode_x, mode_y])
     if strategy == "ideal":
         trace = []
         _trace_step(trace, "csign-ideal", "gate", modes=[mode_x, mode_y])
@@ -745,7 +746,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
     angle_y = (omega * s2 + math.pi * flip_y(k1s, k2)) % (2 * math.pi)
     p2 = np.concatenate([ones.p[:0]] + [two.p for two in seconds])
     patterns1, k1, p1s = _rows(ones.counts), k1.tolist(), ones.p.tolist()
-    last_x, last_y, fixes_x, fixes_y = [None] + layout.last_x, [None] + layout.last_y, {}, {}
+    last_x, last_y, fixes_x, fixes_y, patterns2 = [None] + layout.last_x, [None] + layout.last_y, {}, {}, {}
     leftover = [[None] + [[m for m in last_x[1:] + last_y[1:] if m not in (tx, ty)]
                           for ty in last_y[1:]] for tx in last_x]
 
@@ -756,6 +757,7 @@ def _teleported_gate_branches(state, mode_x, mode_y, n, resource, flip_x, flip_y
                     "state": ones.state(i), "projected": 0 if ka == 0 else 1}
         at, j, pat2, kb, ok_y, ax, ay, py = two
         pat2, tx = tuple(pat2), last_x[ka]
+        pat2 = patterns2.setdefault(pat2, pat2)  # one tuple per distinct pattern, shared as a correction is
         if not ok_y:
             fixes = [("phase", tx, ax)]
             return {"p": pg, "pattern1": pat1, "k1": ka, "pattern2": pat2, "k2": kb, "p1": p1,
@@ -806,6 +808,7 @@ def csign_teleported_modes(state: FockState, mode_x: int, mode_y: int, n: int,
     first-step failure (probability 1/(n+1)) aborts before touching mode_y; a
     second-step failure leaves the teleported x restorable by a phase shift.
     """
+    fock._check_modes(state.modes, [mode_x, mode_y])
     if state.max_occupation(mode_x) > 1 or state.max_occupation(mode_y) > 1:
         raise UnsupportedInputError("gate modes must carry at most one photon")
     res = resource or _standard_resource("tnprime", n, rng)
@@ -1026,6 +1029,7 @@ def parity_measure(state: FockState, mode_x: int, mode_y: int, n: int, rng=None,
     n >= 2 for odd sectors to pass (the even-only resource at n = 1 has
     no odd detection channel). Details report parity and target modes.
     """
+    fock._check_modes(state.modes, [mode_x, mode_y])
     return _teleported_gate_result(*_parity_gadget(state, mode_x, mode_y, n, rng, resource),
                                    mode_x, mode_y, rng)
 
@@ -1048,8 +1052,7 @@ def parity_project_ideal(state: FockState, mode_x: int, mode_y: int, rng=None):
     projected state; with an ``rng``, only the one sector drawn by weight,
     the only one projected.
     """
-    fock._check_modes(state.modes, [mode_x])
-    fock._check_modes(state.modes, [mode_y])
+    fock._check_modes(state.modes, [mode_x, mode_y])
     total = _weight(state)
     sectors = {0: {}, 1: {}}
     for occ, amp in state.terms():

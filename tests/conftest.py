@@ -17,11 +17,11 @@ def rng(request):
 
 @pytest.fixture
 def empty_rows(monkeypatch):
-    """Start the kernels' stores empty: the expansion rows and the pass
-    plans, which share one store, the ring of missed keys, the rank tables
-    and their counters; the module's own are restored after the test.
-    Returns ``empty(floats=None)``, which empties the rows, the plans and
-    the ring again (not the tables), with a budget of ``floats`` if given."""
+    """Start the kernels' one store empty: the expansion rows, the pass
+    plans, the rank tables and the Fourier multiports it holds, its charge
+    and the ring of missed keys; the module's own are restored after the
+    test. Returns ``empty(floats=None)``, which empties them again, with a
+    budget of ``floats`` if given."""
     def empty(floats=None):
         monkeypatch.setattr(kernels, "_ROWS", OrderedDict())
         monkeypatch.setattr(kernels, "_row_floats", 0)
@@ -30,8 +30,6 @@ def empty_rows(monkeypatch):
         if floats is not None:
             monkeypatch.setattr(kernels, "_ROW_FLOATS", floats)
 
-    monkeypatch.setattr(kernels, "_TABLES", {})
-    monkeypatch.setattr(kernels, "_table_entries", 0)
     empty()
     return empty
 
@@ -57,14 +55,14 @@ def pass_counts(monkeypatch):
 @pytest.fixture
 def table_builds(monkeypatch):
     """Record the (modes, photons) of every rank table built during the
-    test, not read from the cache; returns the list, in build order."""
+    test, not read from the store; returns the list, in build order."""
     builds = []
     level = kernels._level
 
-    def counted(m, t, below, keep=True):
-        if (m, t) not in kernels._TABLES:
+    def counted(m, t, below):
+        if (m, t) not in kernels._ROWS:
             builds.append((m, t))
-        return level(m, t, below, keep)
+        return level(m, t, below)
 
     monkeypatch.setattr(kernels, "_level", counted)
     return builds

@@ -518,12 +518,12 @@ def _objects_reachable_from(obj):
 @pytest.mark.parametrize("gate, branches, objects", [
     (lambda: protocols.teleport_tn(costs.encode_single_rail(0.6, 0.8j), 0, 4), 152, 1372),
     (lambda: protocols.csign_teleported(tensor(encode_qubit(0.6, 0.8j), encode_qubit(0.28j, 0.96)),
-                                        Q1, Q2, 2), 131, 1370),
+                                        Q1, Q2, 2), 131, 1258),
 ], ids=["teleport_tn-4", "csign_teleported-2"])
 def test_a_fully_read_branch_list_holds_a_pinned_number_of_objects(gate, branches, objects):
     # a read branch holds its dict, its own values and its lazy state (block,
     # row and corrections); the weight is taken when the state is read, and
-    # equal correction tuples are shared
+    # equal correction tuples and stage-2 patterns are shared
     listed = gate().details["branches"]
     assert len(list(listed)) == branches
     assert _objects_reachable_from(listed) == objects

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import fockworks
-from fockworks import costs, optics
+from fockworks import cli, costs, optics
 from fockworks.cli import RunConfig, main
 
 
@@ -182,6 +187,15 @@ class TestRun:
         assert code == 2 and out == ""
         assert err == f"error: {past} trials requested; the limit is {costs.MAX_TRIALS}\n"
 
+    @pytest.mark.parametrize("flags", [["--trials", "0", "--seed", "1"], ["--trials", "-5", "--seed", "1"],
+                                       ["--trials", str(costs.MAX_TRIALS + 1), "--seed", "1"],
+                                       ["--trials", "5"]], ids=["zero", "negative", "past", "no seed"])
+    def test_sampling_flags_are_checked_before_the_analysis(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "_analytic_report", None)  # a call would raise TypeError
+        code, out, err = run_cli(capsys, "run", "teleport-e", "--n", "4", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_are_refused(self, capsys, trials):
         code, out, err = run_cli(capsys, "run", "ns1", "--trials", trials, "--seed", "1")
@@ -338,3 +352,88 @@ class TestConfig:
         report = json.loads(out)
         assert abs(report["analytic"]["failure_probability"] - 0.5) < 1e-10
 
+
+
+# each RunConfig option a config file may set: values of its field's type
+# (some out of range), then values of another type
+_CONFIG_VALUES = {
+    "n": ([1, 2, 3, 0, -1], ["2", 2.5, True, None]),
+    "strategy": (["ideal", "ns", "teleported"], ["fast", 1]),
+    "seed": ([0, 7, None], ["1", 1.5, False]),
+    "trials": ([1, 20, None, 0, -3, costs.MAX_TRIALS + 1], ["5", 2.5]),
+    "tol": ([1e-10, 0.5, 1, -1.0], ["x", True]),
+    "out": ([None, "report.json"], [3, ["x"]]),  # a name in the run's own directory
+    "input": ([None, "1,1", "0.6,0.8j", "1,0,0,1", "1,1,1", "0.1", "0,0", "nan,1", "x"], [1, 0.5]),
+    "trace_out": ([None, "trace.jsonl"], [False]),
+    "detector": (["bucket", "counter"], ["pnr", 0]),
+}
+_PROTOCOLS = ["ns1", "csign", "teleport", "b4prime", "tpn", "tprime", "parity", "distribute",
+              "teleport-e", "source"]
+_MATRICES = [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [1, 1]], [[1, 0]], "x"]
+
+
+@st.composite
+def invocations(draw):
+    """``(config, matrix, argv)``: a config object of some RunConfig options,
+    a matrix for ``decompose`` and the command line, every flag of a valid
+    form; small sizes and few trials, and counts past ``costs.MAX_TRIALS``."""
+    config = {key: draw(st.sampled_from(good)) for key, (good, _) in _CONFIG_VALUES.items()
+              if draw(st.integers(0, 3)) == 0}
+    if draw(st.booleans()):  # one value of another type
+        key = draw(st.sampled_from(list(_CONFIG_VALUES)))
+        config[key] = draw(st.sampled_from(_CONFIG_VALUES[key][1]))
+    command = draw(st.sampled_from(["run", "run", "run", "decompose", "verify"]))
+    if command == "verify":
+        return config, None, ["verify", draw(st.sampled_from(["states", "oracles"]))]
+    if command == "decompose":
+        tol = draw(st.sampled_from([[], ["--tol", "1e-10"], ["--tol", "0.5"]]))
+        return config, draw(st.sampled_from(_MATRICES)), ["decompose", "MATRIX", *tol]
+    argv = ["run", draw(st.sampled_from(_PROTOCOLS))]
+    flags = {"--n": st.integers(-1, 3).map(str),
+             "--strategy": st.sampled_from(["ideal", "ns", "teleported"]),
+             "--detector": st.sampled_from(["bucket", "counter"]),
+             "--seed": st.integers(0, 3).map(str),
+             "--trials": st.sampled_from(["0", "1", "20", str(costs.MAX_TRIALS + 1)]),
+             "--input": st.sampled_from(["1,1", "0.6,0.8j", "1,0,0,1", "0.2", "1,x"])}
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return config, None, argv
+
+
+def _invoke(where, config, matrix, argv):
+    """``(code, stdout, stderr, report file)`` of ``main`` on ``argv`` with
+    ``config`` as its config file, run in the directory ``where``."""
+    named = {key: os.path.join(where, value) if key in ("out", "trace_out") and isinstance(value, str)
+             else value for key, value in config.items()}
+    cfg_path, matrix_path = os.path.join(where, "cfg.json"), os.path.join(where, "matrix.json")
+    for path, data in ((cfg_path, named), (matrix_path, matrix)):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    report = named.get("out") if isinstance(named.get("out"), str) else None
+    if report and os.path.exists(report):
+        os.remove(report)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", cfg_path] + [matrix_path if a == "MATRIX" else a for a in argv])
+    written = None
+    if report and os.path.exists(report):
+        with open(report) as fh:
+            written = fh.read()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=60, deadline=None)
+@given(invocations())
+def test_the_command_line_exits_0_with_json_or_2_with_one_error_line(invocation):
+    # an exception main does not turn into exit 2 fails the test as the traceback it would print
+    with tempfile.TemporaryDirectory() as where:
+        code, out, err, written = _invoke(where, *invocation)
+        event(f"exit {code}")
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        assert code == 0, err
+        report = written if written is not None else out
+        json.loads(report)
+        assert _invoke(where, *invocation)[1:] == (out, err, written)

@@ -21,7 +21,6 @@ from fockworks.costs import (
     trial_stats_csv,
 )
 from fockworks.fock import BudgetExceeded
-from fockworks.optics import fourier_matrix
 
 
 class TestExpectedTrials:
@@ -56,17 +55,23 @@ class TestCostModel:
         assert large.detectors == 4 and small.detectors == 2
         assert abs(large.success_probability - 0.75) < 1e-12
 
-    def test_a_teleport_multiport_past_the_budget_is_refused_before_it_is_built(self, monkeypatch):
-        # (n + 1)^2 entries: n = 1413 builds 1,999,396 of them, within the
-        # budget; n = 1414 and beyond are refused without building
-        built = []
-        monkeypatch.setattr(costs.optics, "fourier_matrix", lambda n: built.append(n) or fourier_matrix(1))
-        cost_model("teleport", 1413)
+    def test_a_teleport_multiport_past_the_budget_is_refused_before_it_is_built(self, empty_rows,
+                                                                                 monkeypatch):
+        # (n + 1)^2 entries: n = 1414 and beyond pass the budget and are
+        # refused by fourier_matrix without building; with a limit of 16,
+        # n = 3 builds its 16 entries and n = 4 is refused
+        built, held = [], costs.optics.kernels.held
+        monkeypatch.setattr(costs.optics.kernels, "held",
+                            lambda key, make: built.append(key) or held(key, make))
         for n in (1414, 10**6, 2**62):
-            with pytest.raises(BudgetExceeded, match=f"^the teleport cost model at n = {n} decomposes "
-                                                      f"a multiport of {(n + 1) ** 2} entries"):
+            with pytest.raises(BudgetExceeded, match=f"^a Fourier multiport of {n + 1} ports has "
+                                                      f"{(n + 1) ** 2} entries"):
                 cost_model("teleport", n)
-        assert built == [1413]
+        monkeypatch.setattr(costs.optics, "MAX_EVOLVED_TERMS", 16)
+        assert cost_model("teleport", 3).detectors == 4
+        with pytest.raises(BudgetExceeded, match="^a Fourier multiport of 5 ports has 25 entries"):
+            cost_model("teleport", 4)
+        assert built == [("fourier", 3)]
 
     def test_a_non_integer_teleport_size_is_refused_before_the_multiport_is_built(self):
         with pytest.raises(ValueError, match=r"integer n >= 1, got 2\.5$"):

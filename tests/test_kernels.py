@@ -16,7 +16,7 @@ from fockworks._backend import kernels as KERNELS
 from fockworks._kernels_py import _sqrt_factorials
 from fockworks import costs, measure, optics
 from fockworks.costs import encode_single_rail
-from fockworks.fock import BudgetExceeded, FockState, number_state
+from fockworks.fock import BudgetExceeded, FockState, number_state, tensor
 from fockworks.optics import (
     BeamSplitter,
     PhaseShifter,
@@ -27,7 +27,7 @@ from fockworks.optics import (
     random_unitary,
     transition_amplitude,
 )
-from fockworks.protocols import teleport_tn
+from fockworks.protocols import BosonicQubit, csign_teleported, encode_qubit, teleport_tn
 
 # one kernel implementation; its name stays in the test ids
 ONE_KERNEL = pytest.mark.parametrize("kernels", [KERNELS], ids=lambda k: k.BACKEND)
@@ -397,43 +397,50 @@ class TestArrayExpansion:
         table_builds.clear()
         assert _array_bits(u, occs) == cold and not table_builds
 
-    def test_the_table_cache_stays_within_its_cap(self, empty_rows, monkeypatch, rng):
+    def test_the_tables_stay_within_the_one_budget(self, empty_rows, rng):
+        # tables are held from their first request, in the store and under
+        # the budget that rows and plans share: least recently used dropped
         u = random_unitary(3, rng).matrix
         cases = [[(2, 1, 0)], [(1, 1, 1), (0, 0, 3)], [(6, 0, 1)], [(1, 0, 0)]]
         expected = [_array_bits(u, occs) for occs in cases]
-        # of 3 modes, levels 1 and 2 take 12 and 27 entries, level 3 takes 48
-        monkeypatch.setattr(KERNELS, "_TABLE_ENTRIES", 60)
-        monkeypatch.setattr(KERNELS, "_TABLES", {})
-        monkeypatch.setattr(KERNELS, "_table_entries", 0)
+        tables = {key: KERNELS._floats(key, value) for key, value in KERNELS._ROWS.items() if len(key) == 2}
+        assert set(tables) == {(3, t) for t in range(1, 8)}
+        budget = tables[3, 1] + tables[3, 2] + 2 * _table()
+        empty_rows(floats=budget)
         for _ in range(2):
             assert [_array_bits(u, occs) for occs in cases] == expected
-            held = sum(child.size + counts.size for child, counts in KERNELS._TABLES.values())
-            assert held == KERNELS._table_entries <= 60
-        assert set(KERNELS._TABLES) == {(3, 1), (3, 2)}
+            assert _held() == KERNELS._row_floats <= budget - _table()
+        # the last case read level 1 alone: it is held, and levels 2..7 took turns
+        assert (3, 1) in KERNELS._ROWS and not set(tables) <= set(KERNELS._ROWS)
 
-    def test_a_dict_row_too_large_to_store_keeps_no_table(self, empty_rows, rng):
+    def test_a_value_past_the_budget_is_not_held(self, empty_rows, rng):
         # 4 photons on 9 modes: 495 outputs of a 9-tuple and a complex each,
         # past a budget of 5,000 floats, so the row is computed at each
-        # request and its tables are built for the call; a budget that
-        # holds the row keeps them
+        # request while its tables, each within the budget, are held; a
+        # table past the budget is built for its call alone
         u, occ = random_unitary(9, rng).matrix, (2, 1, 0, 1, 0, 0, 0, 0, 0)
         empty_rows(5000)
         cold = _dict_bits(u, occ)
-        assert not KERNELS._TABLES
-        empty_rows(1 << 20)
-        assert _dict_bits(u, occ) == cold
-        assert set(KERNELS._TABLES) == {(9, t) for t in range(1, 5)}
+        for _ in range(2):
+            assert _dict_bits(u, occ) == cold
+        assert set(KERNELS._ROWS) == {(9, t) for t in range(1, 5)}
+        level = KERNELS._floats((9, 4), KERNELS._ROWS[9, 4])
+        empty_rows(level - 1)
+        for _ in range(2):
+            assert _dict_bits(u, occ) == cold
+        assert (9, 4) not in KERNELS._ROWS and (9, 3) in KERNELS._ROWS
+        assert _held() == KERNELS._row_floats < level
 
 
 def _held():
-    """The floats the stored rows and pass plans hold, counted from
-    themselves as ``sys.getsizeof`` measures them: an array row's pair and
-    arrays, a dict row's dict and every entry's tuple and complex, a plan's
-    tuples and arrays, and each key's objects but the shared dtype and the
-    small ints."""
+    """The floats the store holds, counted from its values and keys as
+    ``sys.getsizeof`` measures them: an array row's pair and arrays, a dict
+    row's dict and every entry's tuple and complex, the tuples and arrays of
+    a plan, a rank table and a multiport, and each key's objects but the
+    shared dtype, the small ints and the multiport's name."""
     floats = 0
     for key, row in KERNELS._ROWS.items():
-        if isinstance(key[0], bytes):  # a plan: (occupations, shape, dtype, modes, widths)
+        if key not in _row_keys():  # a plan, a table (modes, photons) or a multiport ("fourier", n)
             size = _tuples_and_arrays(key) + _tuples_and_arrays(row)
         else:
             (shape, _, data), occ, arrays = key
@@ -444,6 +451,12 @@ def _held():
                 size += sys.getsizeof(row) + sum(map(sys.getsizeof, itertools.chain(*row.items())))
         floats += math.ceil(size / 8)
     return floats
+
+
+def _row_keys():
+    """The keys of the expansion rows the store holds, least recently used
+    first: (unitary, occupation, arrays), among the other values' keys."""
+    return [key for key in KERNELS._ROWS if len(key) == 3]
 
 
 def _tuples_and_arrays(value):
@@ -465,7 +478,7 @@ def _computed(monkeypatch):
     rows, calls = [], []
     arrays, expand = KERNELS._expand_arrays, KERNELS.expand_basis_state
     monkeypatch.setattr(KERNELS, "_expand_arrays",
-                        lambda u, occs, *keep: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs, *keep))
+                        lambda u, occs: rows.extend(map(tuple, occs.tolist())) or arrays(u, occs))
     monkeypatch.setattr(KERNELS, "expand_basis_state",
                         lambda *a, **k: calls.append(1) or expand(*a, **k))
     return rows, calls
@@ -543,7 +556,7 @@ class TestExpansionRows:
         computed, _ = _computed(monkeypatch)
         for held in (0, 2, 2):
             cold = _array_bits(u, occs)
-            assert len(KERNELS._ROWS) == held
+            assert len(_row_keys()) == held
         assert computed == occs * 2  # the third request reads both rows
         assert _array_bits(u, [(1, 1, 1, 1)] + occs) == _array_bits(u, [(1, 1, 1, 1)]) + cold
         assert computed[4:] == [(1, 1, 1, 1)] * 2
@@ -552,16 +565,16 @@ class TestExpansionRows:
         u, occ = random_unitary(3, rng).matrix, (1, 2, 0)
         computed, calls = _computed(monkeypatch)
         cold = _dict_bits(u, occ)
-        assert not KERNELS._ROWS and KERNELS._recent.any()
+        assert not _row_keys() and KERNELS._recent.any()
         for _ in range(2):
             assert _dict_bits(u, occ) == cold
-            assert list(KERNELS._ROWS) == [(KERNELS._matrix(u), occ, False)]
+            assert _row_keys() == [(KERNELS._matrix(u), occ, False)]
         assert computed == [occ] * 2 and len(calls) == 3  # the third request reads the row
         assert KERNELS._row_floats == _held() > 0
         # the array form of the same occupation is a row of its own
         for _ in range(2):
             assert _array_bits(u, [occ]) == [cold]
-        assert [arrays for _, _, arrays in KERNELS._ROWS] == [False, True]
+        assert [arrays for _, _, arrays in _row_keys()] == [False, True]
 
     def test_a_warm_teleportation_computes_no_row(self, empty_rows, monkeypatch):
         inputs = [encode_single_rail(a, b) for a, b in ((0.6, 0.8), (0.8, -0.6j), (0.28, 0.96j))]
@@ -578,6 +591,35 @@ class TestExpansionRows:
         assert [b["p"].hex() for b in warm.details["branches"]] == [
             b["p"].hex() for b in cold.details["branches"]]
 
+    def test_warm_exact_gates_build_nothing_and_drop_nothing(self, empty_rows, monkeypatch,
+                                                             table_builds, pass_counts):
+        # the exact Fourier detections of teleport_tn n=8 and csign_teleported
+        # n=4: after two rounds, the one store holds within its budget every
+        # table, row and plan that a third round reads
+        pair = tensor(encode_qubit(0.6, 0.8j), encode_qubit(0.28j, 0.96))
+        gates = [lambda: teleport_tn(encode_single_rail(0.6, 0.8j), 0, 8),
+                 lambda: csign_teleported(pair, BosonicQubit(0, 1), BosonicQubit(2, 3), 4)]
+        for _ in range(2):
+            for gate in gates:
+                gate()
+        held = set(KERNELS._ROWS)
+        table_builds.clear()
+        pass_counts()
+        computed, _ = _computed(monkeypatch)
+        for gate in gates:
+            gate()
+        assert not table_builds and computed == [] and pass_counts()[1] == 0
+        assert held <= set(KERNELS._ROWS)
+        assert KERNELS._row_floats + _table() <= KERNELS._ROW_FLOATS
+
+    def test_a_multiport_sweep_stays_within_the_budget(self, empty_rows):
+        # each multiport is held from its first request, charged by its
+        # matrix; past the budget the least recently used are dropped
+        for n in range(1, 301):
+            assert fourier_matrix(n) is fourier_matrix(n)
+        assert ("fourier", 300) in KERNELS._ROWS and ("fourier", 1) not in KERNELS._ROWS
+        assert _held() == KERNELS._row_floats <= KERNELS._ROW_FLOATS - _table()
+
     def test_a_warm_trial_set_up_computes_no_row(self, empty_rows, monkeypatch):
         for _ in range(2):
             for name in ("ns1", "csign_ns", "teleport"):
@@ -586,7 +628,7 @@ class TestExpansionRows:
         for name in ("ns1", "csign_ns", "teleport"):
             costs.make_trial(name, n=3)
         assert computed == [] and calls
-        assert not any(arrays for _, _, arrays in KERNELS._ROWS)  # small evolutions take dicts
+        assert not any(arrays for _, _, arrays in _row_keys())  # small evolutions take dicts
 
     def test_a_unitary_seen_once_takes_no_memory(self, empty_rows):
         rng = np.random.default_rng(7)
@@ -598,7 +640,9 @@ class TestExpansionRows:
             apply_unitary(state, random_unitary(8, rng))
             apply_unitary(small, random_unitary(3, rng))  # the dict form
         assert KERNELS._recent.any()
-        assert KERNELS._row_floats == 0 and not KERNELS._ROWS
+        # no row: the store holds the rank tables the two sizes share
+        assert set(KERNELS._ROWS) == {(m, t) for m, top in ((8, 5), (3, 3)) for t in range(1, top + 1)}
+        assert KERNELS._row_floats == _held()
         assert KERNELS._recent.shape == (KERNELS._RECENT_KEYS,)
 
     def test_the_rows_stay_within_their_budget(self, empty_rows, rng):
@@ -610,15 +654,16 @@ class TestExpansionRows:
         for _ in range(3):
             assert [_array_bits(u, occs) for occs in cases] == expected
             assert _held() == KERNELS._row_floats <= 1000 - _table()
-        assert 0 < len(KERNELS._ROWS) < 8
+        assert 0 < len(_row_keys()) < 8
         # a row past the whole budget is never stored
         empty_rows()
         for _ in range(2):
             _array_bits(u, [(0, 3, 0, 0)])
-        empty_rows(floats=KERNELS._row_floats - 1)
+        (key,) = _row_keys()
+        empty_rows(floats=KERNELS._floats(key, KERNELS._ROWS[key]) - 1)
         for _ in range(3):
             _array_bits(u, [(0, 3, 0, 0)])
-        assert not KERNELS._ROWS and KERNELS._row_floats == 0
+        assert not _row_keys() and _held() == KERNELS._row_floats
 
     def test_mixed_rows_are_dropped_least_recently_used_first(self, empty_rows, rng):
         u = random_unitary(4, rng).matrix
@@ -637,24 +682,27 @@ class TestExpansionRows:
         for occ, arrays in ((a, True), (d, False), (b, True), (c, True)):
             empty_rows()
             request(occ, arrays, times=2)
-            charge[occ] = KERNELS._row_floats
-        assert charge[d] > charge[b] > charge[a]
+            (key,) = _row_keys()
+            charge[occ] = KERNELS._floats(key, KERNELS._ROWS[key])
+        assert charge[d] > charge[b] == charge[c] > charge[a]
         empty_rows()
         request(a, True, times=2)
         request(d, False, times=2)
         request(b, True, times=2)
-        # room for a, d, b and the table that holds three rows (measured
-        # before the store is emptied), and not for c as well
-        empty_rows(floats=charge[a] + charge[d] + charge[b] + _table())
+        # room for a, d, b, their three levels (each read as the rows are)
+        # and the table that holds them all (measured before the store is
+        # emptied), and not for c as well
+        empty_rows(floats=KERNELS._row_floats + _table())
         request(a, True, times=2)
         request(d, False, times=2)
         request(b, True, times=2)
-        assert [occ for _, occ, _ in KERNELS._ROWS] == [a, d, b]
+        assert [occ for _, occ, _ in _row_keys()] == [a, d, b]
         request(a, True)  # read: the dict row is now the least recently used
         request(c, True, times=2)
-        assert [occ for _, occ, _ in KERNELS._ROWS] == [b, a, c]
+        assert [occ for _, occ, _ in _row_keys()] == [b, a, c]
         request(d, False, times=2)  # stored again, past the array row b
-        assert [occ for _, occ, _ in KERNELS._ROWS] == [a, c, d]
+        assert [occ for _, occ, _ in _row_keys()] == [a, c, d]
+        assert {(4, t) for t in range(1, 4)} <= set(KERNELS._ROWS)
         assert _held() == KERNELS._row_floats <= KERNELS._ROW_FLOATS - _table()
 
     def test_the_budget_bounds_the_memory_the_rows_take(self, empty_rows):
@@ -664,8 +712,6 @@ class TestExpansionRows:
         unitaries = [random_unitary(m, rng).matrix for m in (2, 3, 4) for _ in range(6)]
         cases = [(u, occ, arrays) for u in unitaries for t in (1, 2, 3)
                  for occ in itertools.islice(_occupations(len(u), t), 4) for arrays in (True, False)]
-        for u, occ, _ in cases[::6]:  # the rank tables, built outside the trace
-            KERNELS._expand_arrays(u, np.array([occ]))
         empty_rows(floats=1 << 14)
         tracemalloc.start()
         try:
@@ -679,7 +725,7 @@ class TestExpansionRows:
         finally:
             tracemalloc.stop()
         charged = KERNELS._row_floats + _table()
-        assert {arrays for _, _, arrays in KERNELS._ROWS} == {True, False}
+        assert {arrays for _, _, arrays in _row_keys()} == {True, False}
         assert _held() == KERNELS._row_floats and charged <= KERNELS._ROW_FLOATS
         # the trace sees the charge to within 1%: numpy's cache of small
         # shape buffers is not charged, and the caller's own occupation
@@ -694,8 +740,6 @@ class TestExpansionRows:
         subs = list(itertools.islice(_occupations(4, 5), 48))
         batches = [[FockState(5, {sub + (k + 48 * j + i,): complex(1, i) for i, sub in enumerate(subs)})
                     for j in (0, 1)] for k in range(0, 44 * 96, 96)]
-        for t in range(6):  # the rank tables, built outside the trace
-            KERNELS.outputs(4, t)
         empty_rows(floats=1 << 17)
         tracemalloc.start()
         try:
@@ -720,12 +764,12 @@ class TestExpansionRows:
         u, occs = random_unitary(3, rng).matrix, [(1, 1, 0), (0, 2, 0)]
         for _ in range(2):
             KERNELS.expand_basis_state(u, occs, arrays=True)
-        assert len(KERNELS._ROWS) == 2
-        for re, im in KERNELS._ROWS.values():
-            for array in (re, im):
+        assert len(_row_keys()) == 2 and len(KERNELS._ROWS) == 4  # and levels 1 and 2
+        for value in KERNELS._ROWS.values():  # a row's (re, im), a table's (child, counts)
+            for array in value:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
+                    array[0] = 0
         # what a call returns is its own
         counts, re, im = KERNELS.expand_basis_state(u, occs, arrays=True)
         re[:] = 0.0
@@ -740,7 +784,7 @@ class TestExpansionRows:
                 out[(2, 0, 0)] = 0j
             with pytest.raises(AttributeError):
                 out.pop((2, 0, 0))
-        assert len(KERNELS._ROWS) == 1 and _dict_bits(u, occ) == cold
+        assert len(_row_keys()) == 1 and _dict_bits(u, occ) == cold
 
 
 def _occupations(m, t):
@@ -801,12 +845,14 @@ class TestBlocks:
         assert _rows_bits(*KERNELS._expand_arrays(u, np.zeros((3, 3), dtype=np.int64))) == [
             _loop_bits(u, (0, 0, 0))] * 3
 
-    def test_uncached_levels_in_blocks(self, empty_rows, monkeypatch, rng):
+    def test_unheld_levels_in_blocks(self, empty_rows, monkeypatch, rng):
+        # a budget of no float holds no table: each level is built for its call
         u, occs = _stack(rng, 4, 3, 7)
+        empty_rows(floats=0)
         monkeypatch.setattr(KERNELS, "_STEP_BLOCK", 240)
-        assert _rows_bits(*KERNELS._expand_arrays(u, occs, keep=False)) == [
+        assert _rows_bits(*KERNELS._expand_arrays(u, occs)) == [
             _loop_bits(u, occ) for occ in occs.tolist()]
-        assert not KERNELS._TABLES
+        assert not KERNELS._ROWS
 
     def test_two_threads_expand_their_own_stacks_with_the_serial_bits(self):
         rng = np.random.default_rng(11)

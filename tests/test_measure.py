@@ -175,6 +175,19 @@ class TestSampleDetection:
         post = drawn.post_state
         assert dict(post.terms()).keys() == dict(exact[1].post_state.terms()).keys() == {(0,)}
 
+    def test_a_sector_past_the_permanent_budget_is_refused_before_a_draw(self, monkeypatch):
+        # with a limit of 16, 5 photons walk 2^4 sign vectors and are drawn,
+        # while a sector of 6 (2^5) is refused before any draw or walk, even
+        # one that weighs 1e-6 of the state
+        monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 16)
+        u = optics.fourier_matrix(1)
+        [drawn] = measure._sample_detection(number_state((3, 2)), u, [0, 1], np.random.default_rng(1))
+        assert sum(count for _, count in drawn.outcome) == 5
+        monkeypatch.setattr(measure.kernels, "permanent_minors", None)
+        for state in (number_state((4, 2, 1)), FockState(3, {(4, 2, 0): 1e-3, (1, 0, 1): 1.0})):
+            with pytest.raises(fock.BudgetExceeded, match="^6 photons"):
+                measure._sample_detection(state, u, [0, 1], _Uniforms())
+
 
 class TestFanout:
     def test_single_photon_always_one_click(self):
@@ -225,17 +238,19 @@ class TestFanout:
         measure_modes(state, [0, 2], FanoutCounter(4))
         assert len(calls) == 3
 
-    def test_a_multiport_past_the_budget_is_refused_before_it_is_built(self, monkeypatch):
-        built = []
-        fourier = optics.fourier_matrix
-        monkeypatch.setattr(optics, "fourier_matrix", lambda n: built.append(n + 1) or fourier(n))
-        with pytest.raises(fock.BudgetExceeded, match="fan-out onto 100000 detectors"):
-            measure_modes(number_state((1,)), [0], FanoutCounter(10**5))
+    def test_a_multiport_past_the_budget_is_refused_before_it_is_built(self, empty_rows, monkeypatch):
+        # fourier_matrix refuses it, before the multiport or the fanned state is built
+        built, held = [], optics.kernels.held
+        monkeypatch.setattr(optics.kernels, "held", lambda key, make: built.append(key) or held(key, make))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "vacuum", None)
+            with pytest.raises(fock.BudgetExceeded, match="Fourier multiport of 100000 ports"):
+                measure_modes(number_state((1,)), [0], FanoutCounter(10**5))
         monkeypatch.setattr(optics, "MAX_EVOLVED_TERMS", 16)  # n^2 entries: 4 ports at most
         assert len(fanout_count(number_state((1,)), 0, 4)[0]) == 1
-        with pytest.raises(fock.BudgetExceeded, match="5-port multiport of 25 entries"):
+        with pytest.raises(fock.BudgetExceeded, match="Fourier multiport of 5 ports has 25 entries"):
             fanout_count(number_state((1,)), 0, 5)
-        assert built == [4]
+        assert built == [("fourier", 3)]
 
 
 class TestDetectorModels:
@@ -729,14 +744,15 @@ def _detect_records(work, u, modes):
 @st.composite
 def lone_detections(draw):
     """One state on 9 modes whose first 8 a seeded random unitary evolves:
-    up to 8 terms of 5 photons there, each of output bound 792, so a bound
-    on both sides of ``optics.ARRAY_MIN_TERMS``. A term may be tiny: its
+    up to 14 terms of 5 photons there, each of output bound 792, so a bound
+    on both sides of ``optics.ARRAY_MIN_TERMS`` (about half the draws reach
+    it, some terms drawing zero amplitudes). A term may be tiny: its
     outputs, alone in their kept occupation or not, fall just below the
     cutoff of ``fock.DEFAULT_TOL`` times the norm, or just past it."""
     part = st.sampled_from([0.0, -0.0]) | st.floats(-1, 1)
     tiny = st.sampled_from([0.0, 5e-13, -1e-12, 2e-12, -4e-12])
     amps = {}
-    for _ in range(draw(st.sampled_from(range(3, 9)))):
+    for _ in range(draw(st.sampled_from(range(3, 15)))):
         photons = draw(st.lists(st.integers(0, 7), min_size=5, max_size=5))
         occ = tuple(photons.count(m) for m in range(8)) + (draw(st.integers(0, 1)),)
         scale = draw(st.sampled_from([part, part, tiny]))

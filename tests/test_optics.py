@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -378,17 +379,19 @@ class TestEvolutionRoutes:
         assert _bits(apply_unitary(state, u)) == _bits(warm)
         assert len(expansions) == 1 and not table_builds
 
-    def test_a_capped_table_cache_gives_the_same_bits(self, empty_rows, monkeypatch):
-        # the dict route builds rank tables too: cap them before either route runs
-        monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 5000)
+    def test_a_small_store_gives_the_same_bits(self, empty_rows, monkeypatch):
+        # the dict route builds rank tables too: bound the store before either route runs
+        empty_rows(floats=5000)
         state, u = number_state((300, 0)), element_matrix(BeamSplitter(0, 1, BAL))
         dicts = apply_unitary(state, u)
         monkeypatch.setattr(optics, "ARRAY_MIN_TERMS", 1)
         taken = _routes(monkeypatch)
         assert _bits(apply_unitary(state, u)) == _bits(dicts) and taken[0] is not None
-        # levels t of 2 modes hold 4t + 2 entries: those up to t = 49 fit
-        assert max(t for _, t in kernels._TABLES) == 49
-        assert sum(c.size + n.size for c, n in kernels._TABLES.values()) == kernels._table_entries <= 5000
+        # 300 levels of 2 modes, each held from its first request: the last
+        # ones requested fit the budget, the first were dropped
+        levels = [t for m, t in kernels._ROWS]
+        assert levels == list(range(301 - len(levels), 301)) and 1 < len(levels) < 300
+        assert kernels._row_floats <= 5000 - sys.getsizeof(kernels._ROWS) // 8
 
     def test_evolution_sized_input_takes_arrays(self, monkeypatch, rng):
         basis = [c for c in itertools.product(range(6), repeat=8) if sum(c) == 5]

@@ -332,3 +332,36 @@ def test_csign_teleported_validates_one_state_per_evolution(monkeypatch):
         state, BosonicQubit(0, 1), BosonicQubit(2, 3), 2))
     assert evolutions
     assert validated <= len(evolutions) + 1
+
+
+_PAIR = fock.tensor(protocols.encode_qubit(0.6, 0.8), protocols.encode_qubit(0.8, 0.6))  # 4 modes
+_ODD = FockState(2, {(0, 1): 0.6, (1, 0): 0.8})  # both terms odd
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: fock.swap_modes(_PAIR, 0, 7), id="swap_modes-past"),
+    pytest.param(lambda: fock.swap_modes(_PAIR, 0, -1), id="swap_modes-negative"),
+    pytest.param(lambda: fock.reduced_density_matrix(_PAIR, [9]), id="reduced_density_matrix-past"),
+    pytest.param(lambda: fock.reduced_density_matrix(_PAIR, [-1]), id="reduced_density_matrix-negative"),
+    pytest.param(lambda: fock.entanglement_entropy(_PAIR, [9]), id="entanglement_entropy"),
+    pytest.param(lambda: fock.schmidt_coefficients(_PAIR, [-1]), id="schmidt_coefficients"),
+    pytest.param(lambda: protocols.factor_out(_PAIR, [9]), id="factor_out"),
+    pytest.param(lambda: protocols.csign_via_ns(_PAIR, BosonicQubit(0, 9), BosonicQubit(2, 3)),
+                 id="csign_via_ns-past"),
+    pytest.param(lambda: protocols.csign_via_ns(_PAIR, BosonicQubit(0, -3), BosonicQubit(2, 3)),
+                 id="csign_via_ns-negative"),
+    pytest.param(lambda: protocols.csign_teleported(_PAIR, BosonicQubit(0, 9), BosonicQubit(2, 3), 1),
+                 id="csign_teleported-past"),
+    pytest.param(lambda: protocols.csign_teleported(_PAIR, BosonicQubit(0, -3), BosonicQubit(2, 3), 1),
+                 id="csign_teleported-negative"),
+    pytest.param(lambda: protocols.parity_measure(_ODD, 0, -1, 2), id="parity_measure-negative"),
+    pytest.param(lambda: protocols.parity_measure(_ODD, 0, 0, 2), id="parity_measure-twice"),
+    pytest.param(lambda: protocols.parity_measure(_ODD, 0, 5, 2), id="parity_measure-past"),
+    pytest.param(lambda: protocols.csign_teleported_modes(_PAIR, 0, 0, 1), id="csign_teleported_modes"),
+    pytest.param(lambda: protocols.apply_csign_modes(_PAIR, 1, 1, strategy="ns"), id="apply_csign_modes"),
+    pytest.param(lambda: fock.state_from_json({"modes": 2}), id="state_from_json-no-terms"),
+    pytest.param(lambda: fock.state_from_json({"modes": 2, "terms": [[1]]}), id="state_from_json-bad-term"),
+])
+def test_a_bad_mode_or_state_argument_raises_a_fock_error(call):
+    with pytest.raises(fock.FockError):
+        call()
